@@ -38,7 +38,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import struct
-from typing import Any, Callable, Dict, List, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
 
 from ..errors import CodecError
 
@@ -66,6 +66,10 @@ _cacheable: Dict[Type, bool] = {}
 #: Instance attribute names used by the memo fast paths.
 SIZE_CACHE_ATTR = "_wire_size"
 BYTES_CACHE_ATTR = "_wire_bytes"
+
+#: Method a registered class defines to learn where each decoded instance
+#: came from; see :func:`register`.
+DECODED_FROM_HOOK = "_decoded_from"
 
 _fast_path_enabled = True
 _size_cache_hits = 0
@@ -105,6 +109,16 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
 
     Type ids must be unique library-wide; see :mod:`repro.codec.registry`
     for the id allocation map.
+
+    A class that defines ``_decoded_from(self, data, start, end, bounds)``
+    is called with every instance the decoder builds.  ``data[start:end]``
+    is the span it was decoded from and, decoding being canonical, equals
+    ``encode(self)``.  ``bounds`` has one entry per field: ``None``, or,
+    for a field that arrived as a tuple of ``n`` elements, the ``n + 1``
+    offsets between which they lie (element ``j`` is
+    ``data[bounds[i][j]:bounds[i][j + 1]]``).  The class can then hash or
+    keep parts of the frame instead of re-encoding them.  The method must
+    not raise, whatever field values the wire carried.
     """
 
     def decorate(cls: Type[_T]) -> Type[_T]:
@@ -192,14 +206,6 @@ def _write_varint(out: List[bytes], value: int) -> None:
         else:
             out.append(_BYTE[byte])
             return
-
-
-def _zigzag_big(value: int) -> int:
-    return value * 2 if value >= 0 else -value * 2 - 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
 
 
 def _enc_int(value: int, out: List[bytes]) -> None:
@@ -339,93 +345,292 @@ def encode(value: Any) -> bytes:
     return b"".join(out)
 
 
-class _Reader:
-    __slots__ = ("data", "pos")
+# -- decoding ------------------------------------------------------------------
+#
+# Position-passing: every decoder is ``(data, pos, room) -> (value, pos)``
+# with ``pos`` just past the tag byte and ``room`` the nesting levels still
+# allowed.  No reader object, no per-byte method calls; one-byte varints
+# (every tag, count, type id and most ints) are read inline.  Running off
+# the end of ``data`` surfaces as ``IndexError``/``struct.error`` and is
+# turned into a ``CodecError`` once, in :func:`decode`; slices, which clamp
+# instead of raising, check their own length.
+#
+# The decoder is *canonical*: it accepts exactly the bytes :func:`encode`
+# emits, so ``encode(decode(b)) == b`` for every ``b`` it accepts.  Varints
+# must be minimal, dict keys strictly ascending (the encoder sorts them),
+# strings valid UTF-8.  That is what lets a decoded value be hashed or
+# measured as a slice of the frame it arrived in (see :func:`register`).
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+#: Containers and structs may nest this deep; deeper input is refused with
+#: a ``CodecError`` long before the interpreter's recursion limit.  The
+#: deepest registered message nests about ten levels.
+MAX_NESTING = 64
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError("truncated message")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
+_NESTING_ERROR = f"value nested deeper than {MAX_NESTING} levels"
 
-    def byte(self) -> int:
-        if self.pos >= len(self.data):
-            raise CodecError("truncated message")
-        value = self.data[self.pos]
-        self.pos += 1
-        return value
-
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 640:
-                raise CodecError("varint too long")
+_unpack_double = struct.Struct(">d").unpack_from
 
 
-def _decode_from(reader: _Reader) -> Any:
-    tag = reader.byte()
-    if tag == _TAG_NONE:
-        return None
-    if tag == _TAG_FALSE:
-        return False
-    if tag == _TAG_TRUE:
-        return True
-    if tag == _TAG_INT:
-        return _unzigzag(reader.varint())
-    if tag == _TAG_FLOAT:
-        return struct.unpack(">d", reader.take(8))[0]
-    if tag == _TAG_BYTES:
-        return reader.take(reader.varint())
-    if tag == _TAG_STR:
-        return reader.take(reader.varint()).decode("utf-8")
-    if tag in (_TAG_LIST, _TAG_TUPLE):
-        count = reader.varint()
-        items = [_decode_from(reader) for _ in range(count)]
-        return items if tag == _TAG_LIST else tuple(items)
-    if tag == _TAG_DICT:
-        count = reader.varint()
-        result = {}
+def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """Multi-byte varint at ``pos``; callers inline the one-byte case."""
+    value = data[pos] & 0x7F
+    byte = data[pos + 1]
+    if 0 < byte < 0x80:  # two bytes: any length or count up to 16383
+        return value | (byte << 7), pos + 2
+    shift = 7
+    while True:
+        pos += 1
+        byte = data[pos]
+        if byte < 0x80:
+            if not byte:
+                raise CodecError("non-minimal varint")
+            return value | (byte << shift), pos + 1
+        value |= (byte & 0x7F) << shift
+        shift += 7
+        if shift > 640:
+            raise CodecError("varint too long")
+
+
+def _dec_int(data: bytes, pos: int, room: int) -> Tuple[int, int]:
+    value = data[pos]
+    if value < 0x80:
+        pos += 1
+    else:
+        value, pos = _read_varint(data, pos)
+    return (value >> 1) ^ -(value & 1), pos
+
+
+def _dec_float(data: bytes, pos: int, room: int) -> Tuple[float, int]:
+    return _unpack_double(data, pos)[0], pos + 8
+
+
+def _dec_bytes(data: bytes, pos: int, room: int) -> Tuple[bytes, int]:
+    length = data[pos]
+    if length < 0x80:
+        pos += 1
+    else:
+        length, pos = _read_varint(data, pos)
+    end = pos + length
+    chunk = data[pos:end]
+    if len(chunk) != length:
+        raise CodecError("truncated message")
+    return chunk, end
+
+
+def _dec_str(data: bytes, pos: int, room: int) -> Tuple[str, int]:
+    chunk, pos = _dec_bytes(data, pos, room)
+    try:
+        return chunk.decode("utf-8"), pos
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"string is not valid UTF-8: {exc}") from None
+
+
+def _dec_tuple(
+    data: bytes, pos: int, room: int, marks: Optional[List[int]] = None
+) -> Tuple[tuple, int]:
+    """``marks``, if given, receives the offset at which each item starts
+    and the one at which the last ends (see :func:`register`)."""
+    if not room:
+        raise CodecError(_NESTING_ERROR)
+    room -= 1
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _read_varint(data, pos)
+    items: List[Any] = []
+    append = items.append
+    decoders = _DECODERS
+    # Each item consumes at least its tag byte, so a hostile count runs
+    # off the end of ``data`` after at most ``len(data)`` appends.
+    if marks is None:
         for _ in range(count):
-            key = _decode_from(reader)
-            result[key] = _decode_from(reader)
-        return result
-    if tag == _TAG_STRUCT:
-        type_id = reader.varint()
-        cls = _registry_by_id.get(type_id)
-        if cls is None:
-            raise CodecError(f"unknown wire type id {type_id}")
-        count = reader.varint()
-        names = _field_names[cls]
-        if count != len(names):
-            raise CodecError(
-                f"{cls.__name__}: expected {len(names)} fields, wire has {count}"
-            )
-        values = [_decode_from(reader) for _ in range(count)]
+            item, pos = decoders[data[pos]](data, pos + 1, room)
+            append(item)
+    else:
+        mark = marks.append
+        mark(pos)
+        for _ in range(count):
+            item, pos = decoders[data[pos]](data, pos + 1, room)
+            append(item)
+            mark(pos)
+    return tuple(items), pos
+
+
+def _dec_list(data: bytes, pos: int, room: int) -> Tuple[list, int]:
+    # Lists are rare on the wire (struct fields are tuples): they pay the
+    # copy so that tuples need no second call.
+    items, pos = _dec_tuple(data, pos, room)
+    return list(items), pos
+
+
+def _dec_dict(data: bytes, pos: int, room: int) -> Tuple[dict, int]:
+    if not room:
+        raise CodecError(_NESTING_ERROR)
+    room -= 1
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _read_varint(data, pos)
+    result: Dict[Any, Any] = {}
+    decoders = _DECODERS
+    previous = None
+    for _ in range(count):
+        key, pos = decoders[data[pos]](data, pos + 1, room)
+        value, pos = decoders[data[pos]](data, pos + 1, room)
         try:
-            return cls(*values)
-        except (TypeError, ValueError) as exc:
-            raise CodecError(f"cannot reconstruct {cls.__name__}: {exc}") from exc
-    raise CodecError(f"unknown tag byte {tag:#04x}")
+            if result and not previous < key:
+                raise CodecError("dict keys are not in ascending order")
+            result[key] = value
+        except TypeError as exc:  # unorderable or unhashable key
+            raise CodecError(f"unusable dict key: {exc}") from None
+        previous = key
+    return result, pos
+
+
+#: Wire type id → the class's decoder, built the first time the id is seen
+#: on the wire (see :func:`_build_struct_decoder`).
+_STRUCT_DECODERS: Dict[int, Callable[[bytes, int, int], Tuple[Any, int]]] = {}
+
+
+def _dec_struct(data: bytes, pos: int, room: int) -> Tuple[Any, int]:
+    type_id = data[pos]
+    if type_id < 0x80:
+        pos += 1
+    else:
+        type_id, pos = _read_varint(data, pos)
+    try:
+        decoder = _STRUCT_DECODERS[type_id]
+    except KeyError:
+        decoder = _build_struct_decoder(type_id)
+    return decoder(data, pos, room)
+
+
+def _dec_unknown(data: bytes, pos: int, room: int) -> Tuple[Any, int]:
+    raise CodecError(f"unknown tag byte {data[pos - 1]:#04x}")
+
+
+_DECODER_BY_TAG: Dict[int, Callable[[bytes, int, int], Tuple[Any, int]]] = {
+    _TAG_NONE: lambda data, pos, room: (None, pos),
+    _TAG_FALSE: lambda data, pos, room: (False, pos),
+    _TAG_TRUE: lambda data, pos, room: (True, pos),
+    _TAG_INT: _dec_int,
+    _TAG_FLOAT: _dec_float,
+    _TAG_BYTES: _dec_bytes,
+    _TAG_STR: _dec_str,
+    _TAG_LIST: _dec_list,
+    _TAG_TUPLE: _dec_tuple,
+    _TAG_DICT: _dec_dict,
+    _TAG_STRUCT: _dec_struct,
+}
+
+#: Decoder by tag byte: a full 256-entry table, so dispatch is one index
+#: and an unknown tag needs no ``KeyError`` handling.
+_DECODERS = tuple(_DECODER_BY_TAG.get(tag, _dec_unknown) for tag in range(256))
+
+
+def _struct_decoder_source(name: str, count: int, lead: int, marked: bool) -> str:
+    """Source of the decoder for a registered class with ``count`` fields.
+
+    Entered from :func:`_dec_struct` with ``pos`` just past the type id,
+    ``lead`` bytes into the struct.  The field reads are unrolled and handed
+    to the constructor positionally — no value list, no loop, no ``*args``
+    call — which is worth about a fifth of the time to decode a four-field
+    struct (measured on ``Transaction``).  ``marked`` is the variant for a
+    class with a ``_decoded_from`` method.
+    """
+    lines = ["def decode_struct(data, pos, room):"]
+    if marked:
+        lines.append(f"    start = pos - {lead}")
+    lines += [
+        "    count = data[pos]",
+        "    if count < 0x80:",
+        "        pos += 1",
+        "    else:",
+        "        count, pos = read_varint(data, pos)",
+        f"    if count != {count}:",
+        f"        raise CodecError('{name}: expected {count} fields, wire has %d' % count)",
+        "    if not room:",
+        "        raise CodecError(nesting_error)",
+        "    room -= 1",
+    ]
+    for i in range(count):
+        read = f"v{i}, pos = decoders[data[pos]](data, pos + 1, room)"
+        if marked:
+            lines += [
+                f"    if data[pos] == {_TAG_TUPLE}:",
+                f"        m{i} = []",
+                f"        v{i}, pos = dec_tuple(data, pos + 1, room, m{i})",
+                "    else:",
+                f"        m{i} = None",
+                f"        {read}",
+            ]
+        else:
+            lines.append(f"    {read}")
+    values = ", ".join(f"v{i}" for i in range(count))
+    lines += [
+        "    try:",
+        f"        value = cls({values})",
+        "    except (TypeError, ValueError) as exc:",
+        f"        raise CodecError('cannot reconstruct {name}: %s' % exc) from exc",
+    ]
+    if marked:
+        marks = "".join(f"m{i}, " for i in range(count))
+        lines.append(f"    decoded_from(value, data, start, pos, ({marks}))")
+    lines.append("    return value, pos")
+    return "\n".join(lines)
+
+
+def _build_struct_decoder(type_id: int) -> Callable[[bytes, int, int], Tuple[Any, int]]:
+    """Specialize a decoder for one registered dataclass.
+
+    The third member of the sizer/encoder family: class, field count and
+    constructor are bound once.  Unlike those two it is built on first use,
+    not by :func:`register`: compiling one for each of the 58 registered
+    classes added 23 ms (9 %) to process start-up, and a run decodes about
+    ten of them.
+    """
+    cls = _registry_by_id.get(type_id)
+    if cls is None:
+        raise CodecError(f"unknown wire type id {type_id}")
+    decoded_from = getattr(cls, DECODED_FROM_HOOK, None)
+    source = _struct_decoder_source(
+        cls.__name__,
+        count=len(_field_names[cls]),
+        lead=1 + _varint_len(type_id),
+        marked=decoded_from is not None,
+    )
+    namespace = {
+        "cls": cls,
+        "decoders": _DECODERS,
+        "dec_tuple": _dec_tuple,
+        "read_varint": _read_varint,
+        "decoded_from": decoded_from,
+        "nesting_error": _NESTING_ERROR,
+        "CodecError": CodecError,
+    }
+    exec(source, namespace)  # built from the class's shape; nothing from the wire
+    decoder = _STRUCT_DECODERS[type_id] = namespace["decode_struct"]
+    return decoder
 
 
 def decode(data: bytes) -> Any:
-    """Decode bytes produced by :func:`encode`; rejects trailing garbage."""
-    reader = _Reader(data)
-    value = _decode_from(reader)
-    if reader.pos != len(data):
-        raise CodecError(f"{len(data) - reader.pos} trailing bytes after value")
+    """Decode bytes produced by :func:`encode`.
+
+    Canonical: anything other than exactly what :func:`encode` emits for
+    some value — trailing bytes, a non-minimal varint, dict keys out of
+    order, nesting beyond :data:`MAX_NESTING` — is refused, and
+    ``CodecError`` is the only exception hostile bytes can raise.
+    """
+    if type(data) is not bytes:
+        data = bytes(data)  # slices of it become values: keep them immutable
+    try:
+        value, pos = _DECODERS[data[0]](data, 1, MAX_NESTING)
+    except (IndexError, struct.error):
+        raise CodecError("truncated message") from None
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after value")
     return value
 
 

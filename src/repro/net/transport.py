@@ -23,9 +23,10 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..codec import decode, encode_cached
 from ..consensus.replica import BaseReplica
-from ..errors import TransportError
+from ..errors import CodecError, MempoolError, TransportError
 from ..obs.metrics import MetricsRegistry
 from ..obs.wire import WireAccountant
+from ..types.transaction import Transaction
 
 #: Maximum accepted frame size (defensive bound, 64 MiB).
 MAX_FRAME = 64 * 1024 * 1024
@@ -126,8 +127,11 @@ class AsyncReplicaNode:
         outbound_limit: per-peer buffered-frame cap while disconnected.
         metrics: optional registry receiving transport health counters —
             per-peer drop-oldest queue drops (``transport/queue_drops/…``),
-            dial/reconnect attempts (``transport/reconnects/…``), and a
-            per-peer outbound queue-depth gauge.  ``None`` keeps every
+            dial/reconnect attempts (``transport/reconnects/…``), a
+            per-peer outbound queue-depth gauge, inbound connections
+            closed on a malformed frame (``transport/bad_frames_total``)
+            and client transactions shed by a full mempool
+            (``transport/mempool_rejects_total``).  ``None`` keeps every
             site a single attribute test.
         wire: optional :class:`~repro.obs.wire.WireAccountant` tapping
             every encoded frame this node sends (codec bytes, excluding
@@ -236,16 +240,36 @@ class AsyncReplicaNode:
             self._reader_tasks.append(task)
         try:
             hello = await read_frame(reader)
-            if not (isinstance(hello, tuple) and len(hello) == 2 and hello[0] == "hello"):
+            if not (
+                isinstance(hello, tuple)
+                and len(hello) == 2
+                and hello[0] == "hello"
+                and isinstance(hello[1], int)
+            ):
                 raise TransportError("peer did not identify itself")
-            src = int(hello[1])
+            src = hello[1]
             while not self._stopped:
                 msg = await read_frame(reader)
                 if isinstance(msg, tuple) and msg and msg[0] == "client-tx":
                     # Client traffic: feed the mempool directly.
-                    self.replica.mempool.add(msg[1])
+                    if len(msg) != 2 or not isinstance(msg[1], Transaction):
+                        raise TransportError("malformed client-tx frame")
+                    try:
+                        self.replica.mempool.add(msg[1])
+                    except MempoolError:
+                        # Pool full: shed the transaction, keep the link —
+                        # it may be a peer's and carry consensus traffic too.
+                        if self.metrics is not None:
+                            self.metrics.counter("transport/mempool_rejects_total").inc()
                     continue
                 self.replica.handle(src, msg)
+        except (CodecError, TransportError):
+            # Undecodable, oversized, or not what it claims to be.  Nothing
+            # behind a bad frame can be trusted to be framed at all, so the
+            # connection goes; an honest peer redials, the others' links
+            # are untouched.
+            if self.metrics is not None:
+                self.metrics.counter("transport/bad_frames_total").inc()
         except (asyncio.IncompleteReadError, ConnectionResetError, asyncio.CancelledError):
             pass
         finally:

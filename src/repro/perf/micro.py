@@ -36,15 +36,19 @@ from .timing import BenchResult, measure
 PAYLOAD_TXS = 128
 TX_BYTES = 256
 
+#: The bulk path's block shape (``tcp_hashsig_bulk`` in BENCHMARK.json).
+BULK_PAYLOAD_TXS = 400
+BULK_TX_BYTES = 1024
 
-def _make_transactions(count: int = PAYLOAD_TXS) -> List[Transaction]:
+
+def _make_transactions(count: int = PAYLOAD_TXS, tx_bytes: int = TX_BYTES) -> List[Transaction]:
     rng = random.Random(42)
     return [
         Transaction(
             client_id=i % 16,
             seq=i,
             submitted_at=float(i) * 1e-3,
-            payload=rng.randbytes(TX_BYTES),
+            payload=rng.randbytes(tx_bytes),
         )
         for i in range(count)
     ]
@@ -79,6 +83,12 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
     wire = encode(block)
     vote = Vote.create(signers[1], "alterbft", 3, 7, block.block_hash)
     vote_msg = VoteMsg(vote=vote)
+    # The two things every replica does per transaction on the bulk path:
+    # read it off a client connection, and (as a follower) read it again
+    # inside the leader's payload and check the payload's Merkle root.
+    bulk = tuple(_make_transactions(BULK_PAYLOAD_TXS, BULK_TX_BYTES))
+    client_frame = encode(("client-tx", bulk[0]))
+    payload_frame = encode(BlockPayload(transactions=bulk))
 
     results = [
         measure(
@@ -94,6 +104,27 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
             reps,
             inner,
             meta={"txs": PAYLOAD_TXS, "wire_bytes": len(wire)},
+        ),
+        measure(
+            "codec.decode_client_tx",
+            lambda: decode(client_frame),
+            reps,
+            inner,
+            meta={"tx_bytes": BULK_TX_BYTES, "wire_bytes": len(client_frame)},
+        ),
+        measure(
+            "codec.decode_payload_root",
+            lambda: decode(payload_frame).merkle_root,
+            reps,
+            inner=10,
+            scale=BULK_PAYLOAD_TXS,
+            unit="s/tx",
+            meta={
+                "txs": BULK_PAYLOAD_TXS,
+                "tx_bytes": BULK_TX_BYTES,
+                "wire_bytes": len(payload_frame),
+                "note": "decode + merkle_root: a follower's cost per block, per tx",
+            },
         ),
         measure(
             "codec.size_block_cold",

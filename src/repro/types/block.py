@@ -25,6 +25,10 @@ GENESIS_HEIGHT = 0
 #: Epoch recorded in the genesis header (real epochs start at 1).
 GENESIS_EPOCH = 0
 
+#: Where a decoded :class:`BlockPayload` keeps its frame and the offsets
+#: of its transactions in it, until the Merkle root has been computed.
+_WIRE_SOURCE = "_wire_source"
+
 
 @register(11)
 @dataclass(frozen=True)
@@ -76,8 +80,32 @@ class BlockPayload:
 
     @cached_property
     def merkle_root(self) -> Digest:
-        """Merkle root the header commits to."""
-        return MerkleTree([tx.encoded() for tx in self.transactions]).root
+        """Merkle root the header commits to.
+
+        The leaves are ``tx.encoded()``.  A payload that came off the wire
+        already has them, as slices of the frame it was decoded from (see
+        :meth:`_decoded_from`); only one built locally encodes them.
+        """
+        source = self.__dict__.pop(_WIRE_SOURCE, None)
+        if source is not None:
+            data, marks = source
+            leaves = [data[start:end] for start, end in zip(marks, marks[1:])]
+        else:
+            leaves = [tx.encoded() for tx in self.transactions]
+        return MerkleTree(leaves).root
+
+    def _decoded_from(self, data: bytes, start: int, end: int, bounds: tuple) -> None:
+        """Codec hook: remember the frame until the root has been taken.
+
+        The decoder is canonical, so the bytes each transaction was decoded
+        from *are* ``tx.encoded()``; hashing them spares a follower one
+        re-encode per transaction per block.  The frame is held by
+        reference, not copied, and let go on first use — which every path
+        that accepts a payload reaches, to check it against a header.
+        """
+        marks = bounds[0]
+        if marks is not None:  # ``transactions`` arrived as a tuple
+            self.__dict__[_WIRE_SOURCE] = (data, marks)
 
     @cached_property
     def encoded_size(self) -> int:

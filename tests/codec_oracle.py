@@ -1,0 +1,127 @@
+"""Reference decoder: the recursive ``_Reader``/``_decode_from`` pair that
+``repro.codec.core`` shipped before the position-passing decoder, kept
+verbatim as a test oracle.
+
+It is *lenient* where the shipped decoder is canonical (it accepts
+non-minimal varints and unordered or duplicate dict keys) and it leaks
+untyped exceptions on some hostile input (``UnicodeDecodeError``,
+``TypeError``, ``RecursionError``).  ``tests/test_codec_oracle.py`` pins
+the relation between the two: whenever the shipped decoder accepts a
+frame, this one returns the same value.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Any
+
+from repro.codec.core import (
+    _TAG_BYTES,
+    _TAG_DICT,
+    _TAG_FALSE,
+    _TAG_FLOAT,
+    _TAG_INT,
+    _TAG_LIST,
+    _TAG_NONE,
+    _TAG_STR,
+    _TAG_STRUCT,
+    _TAG_TRUE,
+    _TAG_TUPLE,
+    _field_names,
+    _registry_by_id,
+)
+from repro.errors import CodecError
+
+
+def _unzigzag(value: int) -> int:
+    return (value >> 1) ^ -(value & 1)
+
+
+class _Reader:
+    __slots__ = ("data", "pos")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.pos = 0
+
+    def take(self, count: int) -> bytes:
+        end = self.pos + count
+        if end > len(self.data):
+            raise CodecError("truncated message")
+        chunk = self.data[self.pos : end]
+        self.pos = end
+        return chunk
+
+    def byte(self) -> int:
+        if self.pos >= len(self.data):
+            raise CodecError("truncated message")
+        value = self.data[self.pos]
+        self.pos += 1
+        return value
+
+    def varint(self) -> int:
+        shift = 0
+        value = 0
+        while True:
+            byte = self.byte()
+            value |= (byte & 0x7F) << shift
+            if not byte & 0x80:
+                return value
+            shift += 7
+            if shift > 640:
+                raise CodecError("varint too long")
+
+
+def _decode_from(reader: _Reader) -> Any:
+    tag = reader.byte()
+    if tag == _TAG_NONE:
+        return None
+    if tag == _TAG_FALSE:
+        return False
+    if tag == _TAG_TRUE:
+        return True
+    if tag == _TAG_INT:
+        return _unzigzag(reader.varint())
+    if tag == _TAG_FLOAT:
+        return struct.unpack(">d", reader.take(8))[0]
+    if tag == _TAG_BYTES:
+        return reader.take(reader.varint())
+    if tag == _TAG_STR:
+        return reader.take(reader.varint()).decode("utf-8")
+    if tag in (_TAG_LIST, _TAG_TUPLE):
+        count = reader.varint()
+        items = [_decode_from(reader) for _ in range(count)]
+        return items if tag == _TAG_LIST else tuple(items)
+    if tag == _TAG_DICT:
+        count = reader.varint()
+        result = {}
+        for _ in range(count):
+            key = _decode_from(reader)
+            result[key] = _decode_from(reader)
+        return result
+    if tag == _TAG_STRUCT:
+        type_id = reader.varint()
+        cls = _registry_by_id.get(type_id)
+        if cls is None:
+            raise CodecError(f"unknown wire type id {type_id}")
+        count = reader.varint()
+        names = _field_names[cls]
+        if count != len(names):
+            raise CodecError(
+                f"{cls.__name__}: expected {len(names)} fields, wire has {count}"
+            )
+        values = [_decode_from(reader) for _ in range(count)]
+        try:
+            return cls(*values)
+        except (TypeError, ValueError) as exc:
+            raise CodecError(f"cannot reconstruct {cls.__name__}: {exc}") from exc
+    raise CodecError(f"unknown tag byte {tag:#04x}")
+
+
+def decode(data: bytes) -> Any:
+    """Decode bytes produced by :func:`encode`; rejects trailing garbage."""
+    reader = _Reader(data)
+    value = _decode_from(reader)
+    if reader.pos != len(data):
+        raise CodecError(f"{len(data) - reader.pos} trailing bytes after value")
+    return value

@@ -113,6 +113,16 @@ class TestStructs:
             register(99_999)(object)
 
 
+#: Frames that escaped the old decoder as something other than CodecError —
+#: through FileWal.replay, the dissemination reconstruct path and the
+#: transport's reader task, which catch CodecError only.
+UNTYPED_BEFORE = [
+    pytest.param(b"\x06\x01\xff", id="invalid-utf8"),  # was UnicodeDecodeError
+    pytest.param(b"\x09\x01\x07\x00\x00", id="list-as-dict-key"),  # was TypeError
+    pytest.param(b"\x07\x01" * 50_000 + b"\x00", id="deep-nesting"),  # was RecursionError
+]
+
+
 class TestErrors:
     def test_truncated(self):
         data = encode((1, 2, 3))
@@ -135,6 +145,65 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(CodecError):
             decode(b"")
+
+    @pytest.mark.parametrize(
+        "frame",
+        UNTYPED_BEFORE
+        + [
+            pytest.param(b"\x09\x02\x03\x02\x00\x06\x01a\x00", id="unorderable-dict-keys"),
+            pytest.param(b"\x03" + b"\x80" * 100 + b"\x01", id="over-long-varint"),
+            pytest.param(b"\x04\x00\x00\x00", id="truncated-float"),
+            pytest.param(b"\x05\x85\x80\x80\x80\x80\x80\x80\x80\x80\x01", id="huge-length"),
+            pytest.param(b"\x08\xff\xff\xff\xff\x0f\x00", id="huge-count"),
+        ],
+    )
+    def test_hostile_bytes_raise_codec_error(self, frame):
+        with pytest.raises(CodecError):
+            decode(frame)
+
+    def test_field_count_mismatch(self):
+        with pytest.raises(CodecError, match="expected 4 fields, wire has 3"):
+            decode(b"\x0a\x0a\x03\x00\x00\x00")
+
+
+class TestCanonicalForm:
+    """decode accepts exactly what encode emits: encode(decode(b)) == b."""
+
+    def test_non_minimal_varint_rejected(self):
+        assert decode(b"\x03\x02") == 1
+        with pytest.raises(CodecError, match="non-minimal"):
+            decode(b"\x03\x82\x00")  # the same 1, spelt in two bytes
+        with pytest.raises(CodecError, match="non-minimal"):
+            decode(b"\x05\x81\x00x")  # a bytes length
+
+    def test_multi_byte_varint_roundtrip(self):
+        for value in (64, 8191, 8192, 2**62, -(2**62), 2**300):
+            assert decode(encode(value)) == value
+
+    def test_dict_keys_must_ascend(self):
+        ascending = encode({"a": 1, "b": 2})
+        assert decode(ascending) == {"a": 1, "b": 2}
+        a, b = encode("a") + encode(1), encode("b") + encode(2)
+        with pytest.raises(CodecError, match="ascending"):
+            decode(b"\x09\x02" + b + a)
+        with pytest.raises(CodecError, match="ascending"):
+            decode(b"\x09\x02" + a + a)  # duplicate key
+
+    def test_bytes_like_input_decodes_to_bytes(self):
+        wire = encode((b"abc", "x"))
+        for data in (bytearray(wire), memoryview(wire)):
+            value = decode(data)
+            assert value == (b"abc", "x") and type(value[0]) is bytes
+
+    def test_nesting_up_to_the_bound(self):
+        from repro.codec.core import MAX_NESTING
+
+        value = None
+        for _ in range(MAX_NESTING):
+            value = (value,)
+        assert decode(encode(value)) == value
+        with pytest.raises(CodecError, match="nested deeper"):
+            decode(encode((value,)))
 
 
 def test_encoded_size_matches_encode():

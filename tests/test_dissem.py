@@ -30,6 +30,7 @@ from repro.bench.common import make_config
 from repro.check.invariants import check_all, violations
 from repro.errors import ConfigError
 from repro.runner.cluster import build_cluster
+from tests.test_codec import UNTYPED_BEFORE
 from tests.test_perf_hotpath import GOLDEN_FINGERPRINT
 
 
@@ -292,3 +293,42 @@ def test_e5_leader_egress_share_flattened():
     blob_peak = max(blob.wire.link_bytes.values())
     chunked_peak = max(chunked.wire.link_bytes.values())
     assert chunked_peak <= blob_peak
+
+
+# -- hostile bytes through reconstruction --------------------------------------
+
+
+@pytest.mark.parametrize(
+    "garbage",
+    UNTYPED_BEFORE + [pytest.param(b"\x03\x02", id="not-a-payload")],
+)
+def test_erasure_coded_garbage_is_a_decode_failure_not_a_crash(garbage):
+    """A Byzantine leader's shares may reconstruct to anything at all."""
+    from repro.crypto.erasure import encode_shares
+    from repro.types.block import BlockHeader
+
+    cfg = dataclasses.replace(
+        make_config("alterbft", f=1, rate=100.0, duration=2.0, seed=3, dissemination=True),
+        record_trace=True,
+    )
+    cluster = build_cluster(cfg)
+    cluster.start()
+    replica = cluster.replicas[2]
+    manager = replica.dissem
+    header = BlockHeader(
+        epoch=1,
+        height=1,
+        parent=replica.ledger.head.block_hash,
+        payload_root=b"\x55" * 32,
+        payload_size=len(garbage),
+        payload_count=1,
+        proposer=1,
+    )
+    replica.store.add_header(header)
+    state = manager._state_for(header.block_hash, header.epoch, header.height)
+    shares = encode_shares(garbage, manager.k, manager.n)
+    state.shares.update({index: shares[index] for index in range(manager.k)})
+    manager._maybe_reconstruct(state)
+    assert state.done
+    assert not replica.store.has_payload(header.block_hash)
+    assert _kinds(cluster)["dissem_decode_failed"] == 1

@@ -250,6 +250,8 @@ GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290c
 
 
 def _run_fingerprint() -> str:
+    """Fingerprint of the seeded run; also checks every committed payload's
+    root survives the wire (leaves hashed as slices of the received frame)."""
     cfg = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
     cluster = build_cluster(cfg)
     cluster.start()
@@ -260,6 +262,13 @@ def _run_fingerprint() -> str:
         if replica.replica_id in cluster.honest_ids
         for h in replica.ledger.all_hashes()
     )
+    committed = cluster.replicas[0].ledger
+    assert committed.height > 0
+    for height in range(1, committed.height + 1):
+        block = committed.block_at(height)
+        received = decode(encode(block.payload))
+        assert "_wire_source" in received.__dict__  # leaves will come from the frame
+        assert received.merkle_root == block.header.payload_root
     return cluster.trace.fingerprint(extra=ledger)
 
 
@@ -268,7 +277,8 @@ def test_golden_fingerprint_with_optimizations_on():
 
 
 def test_golden_fingerprint_with_optimizations_off(monkeypatch, fast_path_restored):
-    """Size fast path off + verification cache off → identical trace."""
+    """Size fast path off + verification cache off → identical trace, and
+    the same frame-hashed payload roots."""
     set_size_fast_path(False)
     monkeypatch.setattr(signatures_mod, "VERIFY_CACHE_DEFAULT", 0)
     assert _run_fingerprint() == GOLDEN_FINGERPRINT

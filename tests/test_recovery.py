@@ -15,6 +15,7 @@ from repro.types.messages import (
     SnapshotResponseMsg,
     StatusResponseMsg,
 )
+from tests.test_codec import UNTYPED_BEFORE
 
 SIGNERS = build_cluster_keys("hashsig", 3)
 
@@ -80,6 +81,18 @@ class TestFileWal:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "fresh.wal"
         assert FileWal(str(path)).replay() == []
+
+    @pytest.mark.parametrize("garbage", UNTYPED_BEFORE)
+    def test_corrupt_complete_record_ends_replay(self, tmp_path, garbage):
+        """A whole, well-framed record of garbage is a corrupt tail too."""
+        path = tmp_path / "replica.wal"
+        wal = FileWal(str(path))
+        for record in _records():
+            wal.append(record)
+        wal.close()
+        with open(path, "ab") as fh:
+            fh.write(len(garbage).to_bytes(4, "big") + garbage)
+        assert FileWal(str(path)).replay() == _records()
 
 
 # ---------------------------------------------------------------------------

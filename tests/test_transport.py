@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from repro.net.transport import (
     submit_transaction,
 )
 from repro.types.transaction import make_transaction
+from tests.test_codec import UNTYPED_BEFORE
 
 BASE_PORT = 41830  # avoid clashing with the example's default ports
 
@@ -205,6 +207,147 @@ class TestOutboundQueue:
             assert received[0] == ("hello", 0)
             assert received[1:4] == [("queued", 0), ("queued", 1), ("queued", 2)]
             assert not node._outbound[1]
+
+        asyncio.run(run())
+
+
+class TestBadFrames:
+    """One bad frame costs its sender the connection and nobody else anything."""
+
+    @staticmethod
+    def _raw(payload: bytes) -> bytes:
+        return len(payload).to_bytes(4, "big") + payload
+
+    def _drive(self, port_offset: int, bad_frame: bytes, hello: bool = True):
+        """Send ``bad_frame`` as peer 1, then a transaction as peer 2.
+
+        Returns (peer 1's link was closed, bad_frames_total, mempool size,
+        contexts passed to the loop's exception handler).
+        """
+        from repro.obs.metrics import MetricsRegistry
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            peers = local_peer_map(3, base_port=BASE_PORT + port_offset)
+            registry = MetricsRegistry()
+            node = AsyncReplicaNode(make_replica(0), peers, metrics=registry)
+            await node.start()
+            try:
+                bad_reader, bad_writer = await asyncio.open_connection(*peers[0])
+                _, good_writer = await asyncio.open_connection(*peers[0])
+                good_writer.write(encode_frame(("hello", 2)))
+                if hello:
+                    bad_writer.write(encode_frame(("hello", 1)))
+                bad_writer.write(bad_frame)
+                # The node hangs up on peer 1: EOF, not a timeout.
+                closed = await asyncio.wait_for(bad_reader.read(), timeout=5.0) == b""
+                tx = make_transaction(7, 0, loop.time(), 32)
+                good_writer.write(encode_frame(("client-tx", tx)))
+                for _ in range(100):
+                    await asyncio.sleep(0.01)
+                    if len(node.replica.mempool):
+                        break
+                bad_writer.close()
+                good_writer.close()
+            finally:
+                await node.stop()
+            # A task that died of an unretrieved exception reports it when
+            # collected ("Task exception was never retrieved").
+            await asyncio.sleep(0)
+            gc.collect()
+            await asyncio.sleep(0)
+            bad_frames = registry.counter("transport/bad_frames_total").value
+            return closed, bad_frames, len(node.replica.mempool), unhandled
+
+        return asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "offset, bad",
+        [
+            pytest.param(140 + i, *param.values, id=param.id)
+            for i, param in enumerate(
+                UNTYPED_BEFORE
+                + [
+                    pytest.param(b"\x0a\x0a\x03\x00\x00\x00", id="short-struct"),
+                    pytest.param(b"", id="empty"),
+                ]
+            )
+        ],
+    )
+    def test_garbage_frame_from_a_peer(self, offset, bad):
+        closed, bad_frames, pooled, unhandled = self._drive(offset, self._raw(bad))
+        assert closed and bad_frames == 1
+        assert pooled == 1, "the second peer's link must be unaffected"
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "offset, msg",
+        [
+            pytest.param(150, ("client-tx", 5), id="not-a-transaction"),
+            pytest.param(151, ("client-tx",), id="no-transaction"),
+            pytest.param(152, ("client-tx", None), id="none"),
+            pytest.param(
+                153,
+                ("client-tx", make_transaction(1, 0, 0.0, 8), make_transaction(1, 1, 0.0, 8)),
+                id="two-transactions",
+            ),
+        ],
+    )
+    def test_malformed_client_tuple(self, offset, msg):
+        closed, bad_frames, pooled, unhandled = self._drive(offset, encode_frame(msg))
+        assert closed and bad_frames == 1
+        assert pooled == 1, "only the well-formed transaction is pooled"
+        assert unhandled == []
+
+    def test_oversized_frame_announcement(self):
+        closed, bad_frames, pooled, unhandled = self._drive(
+            160, (2**31).to_bytes(4, "big") + b"xx"
+        )
+        assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
+
+    @pytest.mark.parametrize(
+        "offset, hello",
+        [
+            pytest.param(161, ("hello", "one"), id="non-integer-id"),
+            pytest.param(162, ("hullo", 1), id="wrong-greeting"),
+            pytest.param(163, 17, id="not-a-tuple"),
+        ],
+    )
+    def test_bad_hello(self, offset, hello):
+        closed, bad_frames, pooled, unhandled = self._drive(
+            offset, encode_frame(hello), hello=False
+        )
+        assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
+
+    def test_full_mempool_sheds_the_transaction_not_the_link(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        async def run():
+            peers = local_peer_map(3, base_port=BASE_PORT + 170)
+            registry = MetricsRegistry()
+            replica = make_replica(2)  # not the first leader: nothing leaves the pool
+            replica.mempool.capacity = 1
+            node = AsyncReplicaNode(replica, peers, metrics=registry)
+            await node.start()
+            try:
+                _, writer = await asyncio.open_connection(*peers[2])
+                writer.write(encode_frame(("hello", -1)))
+                for seq in range(3):
+                    writer.write(encode_frame(("client-tx", make_transaction(9, seq, 0.0, 16))))
+                rejects = registry.counter("transport/mempool_rejects_total")
+                for _ in range(100):
+                    await asyncio.sleep(0.01)
+                    if rejects.value == 2:
+                        break
+                assert rejects.value == 2
+                assert len(replica.mempool) == 1
+                assert not writer.is_closing()
+                assert registry.counter("transport/bad_frames_total").value == 0
+                writer.close()
+            finally:
+                await node.stop()
 
         asyncio.run(run())
 
