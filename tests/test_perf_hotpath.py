@@ -248,11 +248,22 @@ class TestVerifyCache:
 #: value means an "optimization" altered simulation behavior.
 GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290ce77d05"
 
+#: The same seeded run with the certificate-bearing optional layers on:
+#: lazily batch-verified votes, aggregate-form quorum and checkpoint
+#: certificates, guard probes.  Pins the flags-on path to a value, where
+#: the per-layer tests only compare it run against run.
+FLAGS_ON = dict(
+    crypto_batch=True, crypto_aggregate=True, guard_enabled=True, checkpoint_interval=4
+)
+GOLDEN_FINGERPRINT_FLAGS_ON = "54585f0c98739710c55a43bed2ee19059aec7cd6b01e5dd3ec3e23e92088be44"
 
-def _run_fingerprint() -> str:
+
+def _run_fingerprint(**protocol_overrides) -> str:
     """Fingerprint of the seeded run; also checks every committed payload's
     root survives the wire (leaves hashed as slices of the received frame)."""
-    cfg = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
+    cfg = make_config(
+        "alterbft", f=1, rate=500.0, duration=1.5, seed=7, **protocol_overrides
+    )
     cluster = build_cluster(cfg)
     cluster.start()
     cluster.run()
@@ -274,6 +285,10 @@ def _run_fingerprint() -> str:
 
 def test_golden_fingerprint_with_optimizations_on():
     assert _run_fingerprint() == GOLDEN_FINGERPRINT
+
+
+def test_golden_fingerprint_with_flags_on():
+    assert _run_fingerprint(**FLAGS_ON) == GOLDEN_FINGERPRINT_FLAGS_ON
 
 
 def test_golden_fingerprint_with_optimizations_off(monkeypatch, fast_path_restored):

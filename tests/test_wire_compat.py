@@ -8,6 +8,10 @@ to a golden value.
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 from repro.codec import decode, encode, registered_type_id
 from repro.crypto.erasure import encode_shares
 from repro.crypto.keystore import build_cluster_keys
@@ -20,10 +24,16 @@ from repro.types.certificates import (
     AggregateQuorumCertificate,
     Blame,
     BlameCertificate,
+    CheckpointCertificate,
     CheckpointVote,
     DeltaAdjust,
+    DeltaAdjustCertificate,
     QuorumCertificate,
     Vote,
+    blame_signing_bytes,
+    checkpoint_signing_bytes,
+    delta_adjust_signing_bytes,
+    vote_signing_bytes,
 )
 from repro.types.messages import (
     BlameCertMsg,
@@ -66,6 +76,8 @@ EXPECTED_IDS = {
     QuorumCertificate: 15,
     Blame: 16,
     BlameCertificate: 17,
+    CheckpointVote: 18,
+    CheckpointCertificate: 19,
     ProposalHeaderMsg: 20,
     PayloadMsg: 21,
     VoteMsg: 23,
@@ -93,6 +105,8 @@ EXPECTED_IDS = {
     ProbeAckMsg: 101,
     ClientRequestMsg: 102,
     ClientReplyMsg: 103,
+    DeltaAdjust: 110,
+    DeltaAdjustCertificate: 111,
     ChunkShareMsg: 116,
     ChunkRequestMsg: 117,
     ChunkResponseMsg: 118,
@@ -139,6 +153,105 @@ def test_genesis_digest_golden():
     )
     if out.returncode == 0:  # subprocess may lack the venv; only then check
         assert out.stdout.strip() == digest
+
+
+def _statement_instances(scheme: str):
+    """One deterministic instance of each of the twelve signed-statement /
+    certificate wire types: five signers, certificates over all five, the
+    aggregate forms built by signer 0."""
+    signers = build_cluster_keys(scheme, 5)
+    votes = tuple(Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers)
+    blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
+    checkpoints = tuple(
+        CheckpointVote.create(s, "alterbft", 8, b"\x22" * 32, b"\x33" * 32)
+        for s in signers
+    )
+    adjusts = tuple(DeltaAdjust.create(s, "alterbft", 1, 2) for s in signers)
+    first = signers[0]
+    return {
+        Vote: votes[0],
+        QuorumCertificate: QuorumCertificate.from_votes(votes),
+        AggregateQuorumCertificate: AggregateQuorumCertificate.from_votes(votes, first),
+        Blame: blames[0],
+        BlameCertificate: BlameCertificate.from_blames(blames),
+        AggregateBlameCertificate: AggregateBlameCertificate.from_blames(blames, first),
+        CheckpointVote: checkpoints[0],
+        CheckpointCertificate: CheckpointCertificate.from_votes(checkpoints),
+        AggregateCheckpointCertificate: AggregateCheckpointCertificate.from_votes(
+            checkpoints, first
+        ),
+        DeltaAdjust: adjusts[0],
+        DeltaAdjustCertificate: DeltaAdjustCertificate.from_adjusts(adjusts),
+        AggregateDeltaAdjustCertificate: AggregateDeltaAdjustCertificate.from_adjusts(
+            adjusts, first
+        ),
+    }
+
+
+class TestStatementBytePins:
+    """Exact wire bytes of votes, blames, checkpoint votes, Δ-adjustments
+    and the certificates over them, in both proof forms.  These are the
+    small messages AlterBFT's synchrony bound is calibrated against; a
+    changed size or digest here is a wire-format break, not a refactor."""
+
+    #: class → (len(encode(x)), sha256(encode(x))) under hashsig.
+    HASHSIG_PINS = {
+        Vote: (121, "018eee0066c88a028c98b50abf91e288524934064768660c78eb57e206d6f1ad"),
+        QuorumCertificate: (405, "faf5c22b125710e398362dbec6c1c34b26f926e8ac5811c4786e8c5ecfd07e15"),
+        AggregateQuorumCertificate: (89, "4dec2e3158a47f7efc58bf8f6586515bcd116701355630205236f84c78eda915"),
+        Blame: (83, "457077b27542cac2eddaecb8a3766e0ef10de9508ba6f517c57fb975c96c977d"),
+        BlameCertificate: (367, "507ec19fb1da2adb42c9bf58a38a3a4a7e8f410fbf39092b1f4048e4833db987"),
+        AggregateBlameCertificate: (51, "9801fe2f0c097d96cb4101c9a8f3f72e50ed4091778de8a0ae8ea17574265c9d"),
+        CheckpointVote: (151, "2b650414ba2d77e077d4a4c87ea006933e165414a504c20cc60449ca0ec56f62"),
+        CheckpointCertificate: (435, "288a54cd6f0f45b6322ffc3f1984917af0cc69432e6bb8fc59f7a140b62039dd"),
+        AggregateCheckpointCertificate: (119, "ef019e84de905f7b35f52e17b03575789060d5419bfc83523aaab332109446b6"),
+        DeltaAdjust: (85, "21c8d9a54d9ab445bf3de1782b16090281132cce5dca8bc8ffd63018eed86fd4"),
+        DeltaAdjustCertificate: (369, "5a2edf49f837f4e19a56db4ec00d73cf053b5dc120e8a9f75b0ca2412b16c3ad"),
+        AggregateDeltaAdjustCertificate: (53, "62fbfb6b0a861d425b8e5470721ed00f64703fb086515494476919576ebfbd2e"),
+    }
+
+    #: Half-aggregated Schnorr QC over the same five votes: fences the
+    #: aggregation transcript itself, which the hashsig MAC cannot.
+    SCHNORR_AGG_QC_PIN = (255, "08c95d9a733e259397062e7b746ca71e910923d77fa7dbb01c42b09f17dcd69d")
+
+    #: statement → (len, sha256) of the bytes its signature covers.
+    SIGNING_BYTES_PINS = {
+        "vote": (52, "ff288c5a249bc11cd1bd86573560dbf392b74f69ae48c9bc08782e66c11b81c5"),
+        "blame": (14, "c84bc6db3c6e8f08850fbac64352e7d7e65be3ffa30ee6e54a6b82b523ac404f"),
+        "checkpoint": (82, "ce64e94fd878ccedb7e610a4e9efe1f4fc0ea5f0aa3591719d011178392906f1"),
+        "delta-adjust": (16, "7402f21dab8868ae0cf5f4d9118d99483ebb0613fdcca02538d5fbab275a1f68"),
+    }
+
+    @staticmethod
+    def _pin(data: bytes):
+        return (len(data), hashlib.sha256(data).hexdigest())
+
+    @pytest.fixture(scope="class")
+    def hashsig_instances(self):
+        return _statement_instances("hashsig")
+
+    @pytest.mark.parametrize("cls", list(HASHSIG_PINS), ids=lambda c: c.__name__)
+    def test_encoded_bytes_pinned(self, hashsig_instances, cls):
+        instance = hashsig_instances[cls]
+        assert self._pin(encode(instance)) == self.HASHSIG_PINS[cls]
+        assert decode(encode(instance)) == instance
+
+    def test_schnorr_aggregate_qc_bytes_pinned(self):
+        qc = _statement_instances("schnorr")[AggregateQuorumCertificate]
+        assert self._pin(encode(qc)) == self.SCHNORR_AGG_QC_PIN
+
+    def test_signing_bytes_pinned(self):
+        signing_bytes = {
+            "vote": vote_signing_bytes("alterbft", 0, 2, 5, b"\x11" * 32),
+            "blame": blame_signing_bytes("alterbft", 4),
+            "checkpoint": checkpoint_signing_bytes(
+                "alterbft", 8, b"\x22" * 32, b"\x33" * 32
+            ),
+            "delta-adjust": delta_adjust_signing_bytes("alterbft", 1, 2),
+        }
+        assert {
+            name: self._pin(data) for name, data in signing_bytes.items()
+        } == self.SIGNING_BYTES_PINS
 
 
 class TestAggregateCertWire:
