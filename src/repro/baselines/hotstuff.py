@@ -42,7 +42,7 @@ from ..obs.recorder import (
     MARK_VOTE,
 )
 from ..types.block import Block, make_block
-from ..types.certificates import AnyQuorumCert, Vote, genesis_qc
+from ..types.certificates import Certificate, Vote, genesis_qc
 from ..types.messages import HSNewViewMsg, HSProposalMsg, VoteMsg
 
 #: Signing domain for new-view messages.
@@ -78,13 +78,13 @@ class HotStuffReplica(BaseReplica):
                 f"(got {config.pipeline_depth} for {self.protocol_name})"
             )
         self.view = 1
-        self.high_qc: AnyQuorumCert = genesis_qc(
+        self.high_qc: Certificate = genesis_qc(
             self.protocol_name, self.store.genesis.block_hash
         )
-        self.locked_qc: AnyQuorumCert = self.high_qc
+        self.locked_qc: Certificate = self.high_qc
         self.last_voted_view = 0
         self.pacemaker: Optional[Pacemaker] = None
-        self._justify_of: Dict[Digest, AnyQuorumCert] = {
+        self._justify_of: Dict[Digest, Certificate] = {
             self.store.genesis.block_hash: self.high_qc
         }
         self._proposed_views: Set[int] = set()
@@ -277,13 +277,13 @@ class HotStuffReplica(BaseReplica):
                 if self.is_leader(self.view):
                     self._maybe_lead()
 
-    def _safe_to_vote(self, block: Block, justify: AnyQuorumCert) -> bool:
+    def _safe_to_vote(self, block: Block, justify: Certificate) -> bool:
         """HotStuff safeNode: extend the lock, or see a higher justify."""
         if justify.rank > self.locked_qc.rank:
             return True
         return self.store.extends(block.parent, self.locked_qc.block_hash)
 
-    def _update_chain_state(self, qc: AnyQuorumCert) -> None:
+    def _update_chain_state(self, qc: Certificate) -> None:
         """Pre-commit / commit / decide bookkeeping from a certificate."""
         if qc.rank > self.high_qc.rank:
             self.high_qc = qc

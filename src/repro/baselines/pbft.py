@@ -48,7 +48,7 @@ from ..obs.recorder import (
     MARK_VOTE,
 )
 from ..types.block import Block, make_block
-from ..types.certificates import AnyQuorumCert, Vote
+from ..types.certificates import VOTE, Certificate, Vote
 from ..types.messages import (
     PBFTCommitMsg,
     PBFTNewViewMsg,
@@ -108,16 +108,16 @@ class PBFTReplica(BaseReplica):
         # Pre-prepares that arrived before their predecessor: view → seq → msg.
         self._out_of_order: Dict[int, Dict[int, PBFTPrePrepareMsg]] = {}
         # Prepare certificates by seq (highest-view one kept).
-        self._prepared: Dict[int, Tuple[AnyQuorumCert, Block]] = {}
+        self._prepared: Dict[int, Tuple[Certificate, Block]] = {}
         self._prepare_voted: Set[Tuple[int, int]] = set()  # (view, seq)
         self._commit_voted: Set[Tuple[int, int]] = set()
         # Commit certificates awaiting in-order execution: seq → (block, qc).
-        self._commit_ready: Dict[int, Tuple[Block, AnyQuorumCert]] = {}
-        self._commit_qcs: Dict[int, AnyQuorumCert] = {}
+        self._commit_ready: Dict[int, Tuple[Block, Certificate]] = {}
+        self._commit_qcs: Dict[int, Certificate] = {}
         # Certificates that formed before their pre-prepare arrived (votes
         # are small/fast; proposals are large/slower): block_hash → QC.
-        self._orphan_prepare_qcs: Dict[Digest, AnyQuorumCert] = {}
-        self._orphan_commit_qcs: Dict[Digest, AnyQuorumCert] = {}
+        self._orphan_prepare_qcs: Dict[Digest, Certificate] = {}
+        self._orphan_commit_qcs: Dict[Digest, Certificate] = {}
         # View change accounting: view → sender → message.
         self._view_changes: Dict[int, Dict[int, PBFTViewChangeMsg]] = {}
         self._installed_views: Set[int] = set()
@@ -268,14 +268,14 @@ class PBFTReplica(BaseReplica):
             self._execute_ready()
 
     def on_prepare(self, src: int, msg: PBFTPrepareMsg) -> None:
-        if msg.vote.phase != PREPARE_PHASE:
+        if not VOTE.is_signed(msg.vote) or msg.vote.phase != PREPARE_PHASE:
             raise VerificationError("prepare message with wrong phase")
         qc = self.record_vote(msg.vote)
         if qc is None:
             return
         self._on_prepared(qc)
 
-    def _on_prepared(self, qc: AnyQuorumCert) -> None:
+    def _on_prepared(self, qc: Certificate) -> None:
         seq = qc.height
         block = self._accepted.get(qc.epoch, {}).get(seq)
         if block is None:
@@ -322,7 +322,7 @@ class PBFTReplica(BaseReplica):
             seq += 1
 
     def on_commit(self, src: int, msg: PBFTCommitMsg) -> None:
-        if msg.vote.phase != COMMIT_PHASE:
+        if not VOTE.is_signed(msg.vote) or msg.vote.phase != COMMIT_PHASE:
             raise VerificationError("commit message with wrong phase")
         qc = self.record_vote(msg.vote)
         if qc is None:
@@ -407,18 +407,17 @@ class PBFTReplica(BaseReplica):
         if msg.last_committed > 0:
             proof = msg.commit_proof
             if (
-                proof is None
+                not self.verify_qc(proof)  # first: nothing else may touch an ill-typed one
                 or proof.phase != COMMIT_PHASE
                 or proof.height != msg.last_committed
-                or not self.verify_qc(proof)
             ):
                 raise VerificationError("view change lacks a valid checkpoint proof")
         for seq, qc, block in msg.prepared:
             if (
-                qc.phase != PREPARE_PHASE
+                not self.verify_qc(qc)
+                or qc.phase != PREPARE_PHASE
                 or qc.height != seq
                 or qc.block_hash != block.block_hash
-                or not self.verify_qc(qc)
                 or not block.validate_payload()
             ):
                 raise VerificationError("view change carries an invalid prepared entry")
@@ -545,10 +544,10 @@ class PBFTReplica(BaseReplica):
             if block.height != self.ledger.height + 1:
                 continue
             if (
-                qc.phase != COMMIT_PHASE
+                not self.verify_qc(qc)
+                or qc.phase != COMMIT_PHASE
                 or qc.height != block.height
                 or qc.block_hash != block.block_hash
-                or not self.verify_qc(qc)
                 or not block.validate_payload()
             ):
                 raise VerificationError("sync reply entry fails verification")

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 from ..crypto.hashing import short_hex
-from ..types.certificates import AnyQuorumCert, Vote
+from ..types.certificates import Certificate, Vote
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runner.cluster import Cluster
@@ -91,14 +91,14 @@ def check_agreement(cluster: "Cluster") -> InvariantResult:
     return InvariantResult(AGREEMENT, True)
 
 
-def _collect_certificates(cluster: "Cluster") -> List[AnyQuorumCert]:
+def _collect_certificates(cluster: "Cluster") -> List[Certificate]:
     """Every quorum certificate any honest replica holds, deduplicated.
 
     Covers directly formed certificates (vote accounting), justify
     certificates carried by proposals, high-water certificates, and the
     orphan QC buffers some baselines keep for out-of-order arrivals.
     """
-    seen: Set[AnyQuorumCert] = set()
+    seen: Set[Certificate] = set()
     for replica in cluster.replicas:
         if replica.replica_id not in cluster.honest_ids:
             continue

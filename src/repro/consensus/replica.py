@@ -18,17 +18,13 @@ from ..mempool.mempool import Mempool
 from ..obs.recorder import SpanRecorder
 from ..types.block import Block, BlockHeader
 from ..types.certificates import (
-    VOTE_DOMAIN,
-    AggregateBlameCertificate,
-    AggregateQuorumCertificate,
-    AnyBlameCert,
-    AnyQuorumCert,
+    BLAME,
+    VOTE,
     Blame,
-    BlameCertificate,
-    QuorumCertificate,
+    Certificate,
     Vote,
     is_genesis_qc,
-    vote_signing_bytes,
+    signing_bytes,
 )
 from ..types.messages import proposal_signing_bytes, PROPOSAL_DOMAIN
 from .blockstore import BlockStore
@@ -125,10 +121,10 @@ class BaseReplica:
         self._timer_methods: Dict[str, Callable[[Any], None]] = {}
         # Vote accounting: (phase, epoch, block_hash) → {voter → Vote}.
         self._votes: Dict[Tuple[int, int, Digest], Dict[int, Vote]] = {}
-        self._qcs: Dict[Tuple[int, int, Digest], AnyQuorumCert] = {}
+        self._qcs: Dict[Tuple[int, int, Digest], Certificate] = {}
         # Blame accounting: epoch → {blamer → Blame}.
         self._blames: Dict[int, Dict[int, Blame]] = {}
-        self._blame_certs: Dict[int, AnyBlameCert] = {}
+        self._blame_certs: Dict[int, Certificate] = {}
         # Voters attributed a bad signature by batch bisection
         # (crypto_batch only).  Their future votes are dropped outright,
         # so one Byzantine signer cannot re-trigger the bisection on
@@ -245,7 +241,7 @@ class BaseReplica:
 
     # -- vote accounting -----------------------------------------------------------
 
-    def record_vote(self, vote: Vote) -> Optional[AnyQuorumCert]:
+    def record_vote(self, vote: Vote) -> Optional[Certificate]:
         """Validate and store a vote; returns a fresh QC exactly once.
 
         The returned certificate is produced the moment the quorum is
@@ -258,6 +254,8 @@ class BaseReplica:
         bisected to the exact bad signatures; those voters are excluded
         (and traced for blame) and the quorum waits for honest votes.
         """
+        if not VOTE.is_signed(vote):
+            raise VerificationError("not a well-formed vote")
         if vote.protocol != self.protocol_name:
             raise VerificationError("vote for a different protocol")
         if not self.validators.is_valid_replica(vote.voter):
@@ -278,7 +276,9 @@ class BaseReplica:
             return None
         if lazy and not self._batch_check_bucket(vote, bucket):
             return None  # bad votes excluded; quorum no longer met
-        qc = self._make_qc(tuple(bucket.values()))
+        qc = Certificate.assemble(
+            bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
+        )
         self._qcs[key] = qc
         return qc
 
@@ -288,46 +288,38 @@ class BaseReplica:
         Returns True when the (possibly pruned) bucket still holds a
         quorum of batch-verified votes.
         """
-        message = vote_signing_bytes(
-            vote.protocol, vote.phase, vote.epoch, vote.height, vote.block_hash
-        )
-        pairs = [(v.voter, v.signature) for v in bucket.values()]
-        if self.signer.batch_verify_digest(VOTE_DOMAIN, message, pairs):
+        message = signing_bytes(*vote.statement)
+        pairs = [v.proof for v in bucket.values()]
+        if self.signer.batch_verify_digest(VOTE.domain, message, pairs):
             return True
-        for index in self.signer.find_invalid_digest(VOTE_DOMAIN, message, pairs):
+        for index in self.signer.find_invalid_digest(VOTE.domain, message, pairs):
             voter = pairs[index][0]
             del bucket[voter]
             self._excluded_voters.add(voter)
             self.trace("bad_vote_attributed", voter=voter, epoch=vote.epoch, phase=vote.phase)
         return len(bucket) >= self.validators.quorum
 
-    def _make_qc(self, votes: Tuple[Vote, ...]) -> AnyQuorumCert:
-        if self.config.crypto_aggregate:
-            return AggregateQuorumCertificate.from_votes(votes, self.signer)
-        return QuorumCertificate.from_votes(votes)
-
-    def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[AnyQuorumCert]:
+    def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[Certificate]:
         return self._qcs.get((phase, epoch, block_hash))
 
-    def verify_qc(self, qc: AnyQuorumCert) -> bool:
+    def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).
 
-        Accepts both wire forms.  For the aggregate form, the signer
-        bitmap is first checked against cluster membership — a bitmap
-        naming a non-member is rejected before any key lookup.
+        Accepts both proof forms; anything that is not a well-formed
+        vote certificate at all is simply invalid.
         """
+        if not VOTE.is_certificate(qc):
+            return False
         if is_genesis_qc(qc):
             return qc.block_hash == self.store.genesis.block_hash
-        if isinstance(qc, AggregateQuorumCertificate) and not self.validators.covers_bits(
-            qc.signer_bits
-        ):
-            return False
-        return qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators.quorum)
+        return qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators)
 
     # -- blame accounting ------------------------------------------------------------
 
-    def record_blame(self, blame: Blame) -> Optional[AnyBlameCert]:
+    def record_blame(self, blame: Blame) -> Optional[Certificate]:
         """Validate and store a blame; returns a fresh cert exactly once."""
+        if not BLAME.is_signed(blame):
+            raise VerificationError("not a well-formed blame")
         if blame.protocol != self.protocol_name:
             raise VerificationError("blame for a different protocol")
         if not self.validators.is_valid_replica(blame.blamer):
@@ -339,22 +331,18 @@ class BaseReplica:
             return None
         bucket[blame.blamer] = blame
         if len(bucket) == self.validators.quorum and blame.epoch not in self._blame_certs:
-            blames = tuple(bucket.values())
-            if self.config.crypto_aggregate:
-                cert: AnyBlameCert = AggregateBlameCertificate.from_blames(blames, self.signer)
-            else:
-                cert = BlameCertificate.from_blames(blames)
+            cert = Certificate.assemble(
+                bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
+            )
             self._blame_certs[blame.epoch] = cert
             return cert
         return None
 
-    def verify_blame_cert(self, cert: AnyBlameCert) -> bool:
-        if isinstance(cert, AggregateBlameCertificate) and not self.validators.covers_bits(
-            cert.signer_bits
-        ):
-            return False
-        return cert.protocol == self.protocol_name and cert.verify(
-            self.signer, self.validators.quorum
+    def verify_blame_cert(self, cert: Certificate) -> bool:
+        return (
+            BLAME.is_certificate(cert)
+            and cert.protocol == self.protocol_name
+            and cert.verify(self.signer, self.validators)
         )
 
     # -- commit helper ------------------------------------------------------------

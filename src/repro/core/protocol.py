@@ -79,15 +79,7 @@ from ..obs.recorder import (
 )
 from ..recovery.wal import WalEpochRecord
 from ..types.block import BlockHeader, BlockPayload, make_block
-from ..types.certificates import (
-    AggregateQuorumCertificate,
-    AnyBlameCert,
-    AnyQuorumCert,
-    Blame,
-    QuorumCertificate,
-    Vote,
-    genesis_qc,
-)
+from ..types.certificates import BLAME, VOTE, Blame, Certificate, Vote, genesis_qc
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
@@ -181,7 +173,7 @@ class AlterBFTReplica(BaseReplica):
         super().__init__(replica_id, validators, config, signer, mempool)
         self.epoch = 1
         self.state = ACTIVE
-        self.high_qc: AnyQuorumCert = genesis_qc(
+        self.high_qc: Certificate = genesis_qc(
             self.protocol_name, self.store.genesis.block_hash
         )
         self.pacemaker: Optional[Pacemaker] = None
@@ -202,15 +194,15 @@ class AlterBFTReplica(BaseReplica):
         self._last_voted: Dict[int, Tuple[int, Digest]] = {}
         # Commit windows that elapsed cleanly, awaiting QC/payloads.
         self._window_clean: Set[Tuple[int, Digest]] = set()
-        self._justify_of: Dict[Digest, AnyQuorumCert] = {}
+        self._justify_of: Dict[Digest, Certificate] = {}
         # Epoch change.
         self._blamed_epochs: Set[int] = set()
         self._processed_blame_certs: Set[int] = set()
         # Blame certificates received while RECOVERING, replayed on rejoin.
-        self._pending_blame_certs: List[AnyBlameCert] = []
+        self._pending_blame_certs: List[Certificate] = []
         # Processed certificates by epoch, kept to unstick stragglers
         # that blame an epoch the cluster already abandoned.
-        self._blame_cert_log: Dict[int, AnyBlameCert] = {}
+        self._blame_cert_log: Dict[int, Certificate] = {}
         self._proposed_in_epoch = False
         # Leader pipeline: (height, hash) of proposals streamed but not yet
         # certified, oldest first, at most ``config.pipeline_depth`` long.
@@ -698,7 +690,7 @@ class AlterBFTReplica(BaseReplica):
             ]
             self._propose_block()
 
-    def _update_high_qc(self, qc: AnyQuorumCert) -> None:
+    def _update_high_qc(self, qc: Certificate) -> None:
         if qc.rank > self.high_qc.rank:
             self.high_qc = qc
             if self.wal is not None:
@@ -879,6 +871,8 @@ class AlterBFTReplica(BaseReplica):
         self.broadcast(BlameMsg(blame=blame))
 
     def on_blame(self, src: int, msg: BlameMsg) -> None:
+        if not BLAME.is_signed(msg.blame):
+            raise VerificationError("not a well-formed blame")
         # A blame for an epoch this replica already abandoned marks the
         # sender as a straggler (e.g. a rejoiner that missed the change
         # while down).  Re-offer the stored certificate — nobody ever
@@ -894,13 +888,15 @@ class AlterBFTReplica(BaseReplica):
             self._handle_blame_cert(cert)
 
     def on_blame_cert(self, src: int, msg: BlameCertMsg) -> None:
+        if not BLAME.is_certificate(msg.cert):
+            raise VerificationError("not a well-formed blame certificate")
         if msg.cert.epoch in self._processed_blame_certs:
             return
         if not self.verify_blame_cert(msg.cert):
             raise VerificationError("invalid blame certificate")
         self._handle_blame_cert(msg.cert)
 
-    def _handle_blame_cert(self, cert: AnyBlameCert) -> None:
+    def _handle_blame_cert(self, cert: Certificate) -> None:
         if cert.epoch in self._processed_blame_certs or cert.epoch < self.epoch:
             return
         if self.state == RECOVERING:
@@ -1146,7 +1142,7 @@ class AlterBFTReplica(BaseReplica):
                 if record.epoch > max_epoch:
                     max_epoch = record.epoch
                     entry_rank = None
-            elif isinstance(record, (QuorumCertificate, AggregateQuorumCertificate)):
+            elif VOTE.is_certificate(record):
                 if record.rank > self.high_qc.rank:
                     self.high_qc = record
             elif isinstance(record, WalEpochRecord):

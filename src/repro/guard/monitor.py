@@ -41,20 +41,16 @@ from ..obs.recorder import (
     EVENT_GUARD_SUSPECTED,
     EVENT_GUARD_VIOLATION,
 )
-from ..types.certificates import (
-    DeltaAdjust,
-    AggregateDeltaAdjustCertificate,
-    AnyDeltaAdjustCert,
-    DeltaAdjustCertificate,
-    GUARD_PROBE_DOMAIN,
-    guard_probe_signing_bytes,
-)
+from ..types.certificates import DELTA_ADJUST, Certificate, DeltaAdjust, signing_bytes
 from ..types.messages import (
     DeltaAdjustCertMsg,
     DeltaAdjustMsg,
     GuardProbeEchoMsg,
     GuardProbeMsg,
 )
+
+#: Signing domain for probes: each signs ``(protocol, sender, seq)``.
+GUARD_PROBE_DOMAIN = "guard-probe"
 
 #: Every wire message class this subsystem originates.  The wire
 #: accounting layer (:mod:`repro.obs.wire`) derives its "guard" phase
@@ -138,9 +134,9 @@ class SynchronyMonitor:
         # Own proposals, one per (seq, rung).
         self._proposed: Dict[Tuple[int, int], DeltaAdjust] = {}
         # Certificates by seq (formed locally or received).
-        self._certs: Dict[int, AnyDeltaAdjustCert] = {}
+        self._certs: Dict[int, Certificate] = {}
         #: Certificate awaiting its epoch-boundary install.
-        self.pending_cert: Optional[AnyDeltaAdjustCert] = None
+        self.pending_cert: Optional[Certificate] = None
 
     # -- derived state -----------------------------------------------------
 
@@ -184,9 +180,7 @@ class SynchronyMonitor:
         self.probe_seq += 1
         signature = replica.signer.digest_and_sign(
             GUARD_PROBE_DOMAIN,
-            guard_probe_signing_bytes(
-                replica.protocol_name, replica.replica_id, self.probe_seq
-            ),
+            signing_bytes(replica.protocol_name, replica.replica_id, self.probe_seq),
         )
         replica.broadcast(
             GuardProbeMsg(
@@ -323,6 +317,8 @@ class SynchronyMonitor:
     def on_delta_adjust(self, src: int, msg: DeltaAdjustMsg) -> None:
         adjust = msg.adjust
         replica = self.replica
+        if not DELTA_ADJUST.is_signed(adjust):
+            raise VerificationError("not a well-formed delta adjustment")
         if adjust.protocol != replica.protocol_name:
             raise VerificationError("delta adjustment for a different protocol")
         if not replica.validators.is_valid_replica(adjust.proposer):
@@ -341,26 +337,20 @@ class SynchronyMonitor:
             return
         bucket[adjust.proposer] = adjust
         if len(bucket) == replica.validators.quorum and adjust.seq not in self._certs:
-            adjusts = tuple(bucket.values())
-            if replica.config.crypto_aggregate:
-                cert: AnyDeltaAdjustCert = AggregateDeltaAdjustCertificate.from_adjusts(
-                    adjusts, replica.signer
-                )
-            else:
-                cert = DeltaAdjustCertificate.from_adjusts(adjusts)
+            cert = Certificate.assemble(
+                bucket.values(), replica.signer, aggregate=replica.config.crypto_aggregate
+            )
             self._certs[adjust.seq] = cert
             self._certify(cert)
 
     def on_delta_adjust_cert(self, src: int, msg: DeltaAdjustCertMsg) -> None:
         cert = msg.cert
         replica = self.replica
+        if not DELTA_ADJUST.is_certificate(cert):
+            raise VerificationError("not a well-formed delta-adjust certificate")
         if cert.protocol != replica.protocol_name:
             raise VerificationError("delta-adjust certificate for a different protocol")
-        if isinstance(
-            cert, AggregateDeltaAdjustCertificate
-        ) and not replica.validators.covers_bits(cert.signer_bits):
-            raise VerificationError("delta-adjust certificate names a non-member signer")
-        if not cert.verify(replica.signer, replica.validators.quorum):
+        if not cert.verify(replica.signer, replica.validators):
             raise VerificationError("invalid delta-adjust certificate")
         if cert.seq != self.installs or not 0 <= cert.rung <= self.max_rung:
             return
@@ -371,7 +361,7 @@ class SynchronyMonitor:
             self._enter_suspicion(replica.now, reason="certificate")
         self._certify(cert)
 
-    def _certify(self, cert: AnyDeltaAdjustCert) -> None:
+    def _certify(self, cert: Certificate) -> None:
         """A certificate is in hand: schedule install, spread the word."""
         replica = self.replica
         self.pending_cert = cert
@@ -423,13 +413,13 @@ class SynchronyMonitor:
         if not replica.signer.verify_digest(
             msg.sender,
             GUARD_PROBE_DOMAIN,
-            guard_probe_signing_bytes(replica.protocol_name, msg.sender, msg.seq),
+            signing_bytes(replica.protocol_name, msg.sender, msg.seq),
             msg.signature,
         ):
             raise VerificationError(f"bad guard-probe signature from {msg.sender}")
         signature = replica.signer.digest_and_sign(
             GUARD_PROBE_DOMAIN,
-            guard_probe_signing_bytes(replica.protocol_name, replica.replica_id, msg.seq),
+            signing_bytes(replica.protocol_name, replica.replica_id, msg.seq),
         )
         replica.send(
             src,
@@ -449,7 +439,7 @@ class SynchronyMonitor:
         if not replica.signer.verify_digest(
             msg.sender,
             GUARD_PROBE_DOMAIN,
-            guard_probe_signing_bytes(replica.protocol_name, msg.sender, msg.seq),
+            signing_bytes(replica.protocol_name, msg.sender, msg.seq),
             msg.signature,
         ):
             raise VerificationError(f"bad guard-echo signature from {msg.sender}")

@@ -282,10 +282,6 @@ class WireAccountant:
             return 0.0
         return max(self.sender_bytes.values()) / self.bytes_total
 
-    def bytes_per_commit(self, committed_blocks: int) -> float:
-        """Total wire bytes per committed block (total if none committed)."""
-        return self.bytes_total / max(committed_blocks, 1)
-
     # -- aggregation --------------------------------------------------------
 
     def merge(self, other: "WireAccountant") -> "WireAccountant":

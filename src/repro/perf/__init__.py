@@ -1,17 +1,16 @@
 """Performance benchmark and regression subsystem.
 
 ``python -m repro.perf`` runs a suite of microbenchmarks (codec, crypto,
-scheduler, network) plus end-to-end simulated-cluster benchmarks on
-seeded E3 configurations, and writes ``BENCH_perf.json`` — one entry per
+scheduler, network) and writes ``BENCH_perf.json`` — one entry per
 benchmark with p50/mean/stdev over repetitions.  ``--compare`` checks a
 fresh run against a committed baseline and exits nonzero on a >25%
 regression (direction-aware: per-op times must not grow, throughput
 rates must not shrink).
 
-The end-to-end benchmarks double as determinism checks: every repetition
-of a seeded configuration must produce a byte-identical trace
-fingerprint, so a performance optimization that perturbs simulation
-behavior fails the benchmark itself, not just the regression gate.
+End-to-end numbers — client to commit, on sockets and on the simulator,
+with their own determinism and correctness gates — are the system
+benchmark's (``BENCHMARK.json``, ``benchmarks/system/``), not this
+package's.
 """
 
 from .timing import BenchResult, measure, measure_rate

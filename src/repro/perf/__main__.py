@@ -1,10 +1,10 @@
 """CLI: ``python -m repro.perf``.
 
-Runs the benchmark suite, writes ``BENCH_perf.json``, and optionally
+Runs the microbenchmark suite, writes ``BENCH_perf.json``, and optionally
 gates against a baseline::
 
     python -m repro.perf                          # full suite
-    python -m repro.perf --fast                   # CI smoke subset
+    python -m repro.perf --fast                   # CI smoke: fewer repetitions
     python -m repro.perf --compare BENCH_perf.json   # exit 1 on >25% regression
     python -m repro.perf --compare BENCH_perf.json --warn-only
 """
@@ -34,7 +34,7 @@ def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf", description="Benchmark and regression suite."
     )
-    parser.add_argument("--fast", action="store_true", help="CI smoke subset")
+    parser.add_argument("--fast", action="store_true", help="CI smoke: fewer repetitions")
     parser.add_argument("--out", default="BENCH_perf.json", help="output JSON path")
     parser.add_argument("--compare", metavar="BASELINE", help="baseline JSON to gate against")
     parser.add_argument(
@@ -48,13 +48,11 @@ def main(argv: List[str] | None = None) -> int:
         action="store_true",
         help="report regressions but exit 0 (PR smoke mode)",
     )
-    parser.add_argument("--no-micro", action="store_true", help="skip microbenchmarks")
-    parser.add_argument("--no-e2e", action="store_true", help="skip end-to-end benchmarks")
     args = parser.parse_args(argv)
 
     mode = "fast" if args.fast else "full"
     print(f"repro.perf: running {mode} suite ...")
-    results = run_suite(fast=args.fast, micro=not args.no_micro, e2e=not args.no_e2e)
+    results = run_suite(fast=args.fast)
     _print_results(results)
 
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ from typing import Callable, List
 
 from ..codec import encode, decode, encoded_size
 from ..codec.core import SIZE_CACHE_ATTR
+from ..consensus.validators import ValidatorSet
 from ..crypto.keystore import build_cluster_keys
 from ..crypto.signatures import HashSignatureScheme, KeyRegistry
 from ..net.delay import HybridCloudDelayModel
@@ -22,12 +23,7 @@ from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.block import make_block, BlockPayload, genesis_block
-from ..types.certificates import (
-    AggregateQuorumCertificate,
-    QuorumCertificate,
-    Vote,
-    genesis_qc,
-)
+from ..types.certificates import Certificate, Vote, genesis_qc
 from ..types.messages import ProposalHeaderMsg, VoteMsg
 from ..types.transaction import Transaction
 from .timing import BenchResult, measure
@@ -238,20 +234,21 @@ def bench_crypto_batch(reps: int) -> List[BenchResult]:
         Vote.create(signers[i], "alterbft", 3, 7, b"\x07" * 32)
         for i in range(CERT_QUORUM)
     )
-    raw_qc = QuorumCertificate.from_votes(votes)
-    agg_qc = AggregateQuorumCertificate.from_votes(votes, signers[0])
     verifier = signers[0]
+    validators = ValidatorSet(n=CERT_QUORUM, f=0, quorum=CERT_QUORUM)
+    raw_qc = Certificate.assemble(votes, verifier, aggregate=False)
+    agg_qc = Certificate.assemble(votes, verifier, aggregate=True)
     results.append(
         measure(
             "crypto.qc_verify_raw",
-            lambda: raw_qc._verify_uncached(verifier, CERT_QUORUM),
+            lambda: raw_qc._verify_uncached(verifier, validators),
             reps, 1,
             meta={"quorum": CERT_QUORUM, "scheme": "schnorr",
                   "wire_bytes": len(encode(raw_qc))}))
     results.append(
         measure(
             "crypto.qc_verify_agg",
-            lambda: agg_qc._verify_uncached(verifier, CERT_QUORUM),
+            lambda: agg_qc._verify_uncached(verifier, validators),
             reps, 1,
             meta={"quorum": CERT_QUORUM, "scheme": "schnorr",
                   "wire_bytes": len(encode(agg_qc))}))

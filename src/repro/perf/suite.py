@@ -1,26 +1,17 @@
-"""The benchmark suite: micro + end-to-end, one call."""
+"""The benchmark suite, one call."""
 
 from __future__ import annotations
 
 from typing import List
 
-from .e2e import run_e2e
 from .micro import run_micro
 from .timing import BenchResult
 
 
-def run_suite(fast: bool = False, micro: bool = True, e2e: bool = True) -> List[BenchResult]:
+def run_suite(fast: bool = False) -> List[BenchResult]:
     """Run the benchmark suite and return all results.
 
     Args:
-        fast: smaller repetition counts and shorter simulated horizons —
-            the CI smoke configuration.
-        micro: include the microbenchmarks.
-        e2e: include the end-to-end cluster benchmarks.
+        fast: smaller repetition counts — the CI smoke configuration.
     """
-    results: List[BenchResult] = []
-    if micro:
-        results += run_micro(fast)
-    if e2e:
-        results += run_e2e(fast)
-    return results
+    return run_micro(fast)

@@ -36,13 +36,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.hashing import Digest, sha256
+from ..errors import VerificationError
 from ..types.block import Block, BlockHeader
-from ..types.certificates import (
-    AggregateCheckpointCertificate,
-    AnyCheckpointCert,
-    CheckpointCertificate,
-    CheckpointVote,
-)
+from ..types.certificates import CHECKPOINT, Certificate, CheckpointVote
 from ..types.messages import (
     BlockRangeRequestMsg,
     BlockRangeResponseMsg,
@@ -78,7 +74,7 @@ class RecoveryManager:
         # liveness under withholding.
         self.retry_timeout = max(replica.config.catchup_retry, 3 * replica.config.delta)
         #: Highest checkpoint certificate known (served to rejoiners).
-        self.latest_cert: Optional[AnyCheckpointCert] = None
+        self.latest_cert: Optional[Certificate] = None
         # Vote aggregation: (height, block_hash, digest) → voter → vote.
         self._cp_votes: Dict[Tuple[int, Digest, Digest], Dict[int, CheckpointVote]] = {}
         # Catchup state.
@@ -87,7 +83,7 @@ class RecoveryManager:
         self._providers: List[int] = []
         self._provider_idx = 0
         self._fetch_attempt = 0
-        self._target_cert: Optional[AnyCheckpointCert] = None
+        self._target_cert: Optional[Certificate] = None
         self._target_height = 0
         self._join_epoch = 1
         #: Simulated time at which catchup finished and the ledger caught
@@ -147,6 +143,8 @@ class RecoveryManager:
 
     def on_checkpoint_vote(self, src: int, msg: CheckpointVoteMsg) -> None:
         vote = msg.vote
+        if not CHECKPOINT.is_signed(vote):
+            raise VerificationError("not a well-formed checkpoint vote")
         if vote.protocol != self.replica.protocol_name:
             return
         if not self.replica.validators.is_valid_replica(vote.voter):
@@ -159,16 +157,14 @@ class RecoveryManager:
             return
         bucket[vote.voter] = vote
         if len(bucket) == self._quorum:
-            votes = tuple(bucket.values())
-            if self.replica.config.crypto_aggregate:
-                cert: AnyCheckpointCert = AggregateCheckpointCertificate.from_votes(
-                    votes, self.replica.signer
+            replica = self.replica
+            self._record_cert(
+                Certificate.assemble(
+                    bucket.values(), replica.signer, aggregate=replica.config.crypto_aggregate
                 )
-            else:
-                cert = CheckpointCertificate.from_votes(votes)
-            self._record_cert(cert)
+            )
 
-    def _record_cert(self, cert: AnyCheckpointCert) -> None:
+    def _record_cert(self, cert: Certificate) -> None:
         if self.latest_cert is not None and cert.height <= self.latest_cert.height:
             return
         self.latest_cert = cert
@@ -327,13 +323,11 @@ class RecoveryManager:
         else:
             self._enter_range_phase()
 
-    def _verify_cert(self, cert: AnyCheckpointCert) -> bool:
-        if isinstance(
-            cert, AggregateCheckpointCertificate
-        ) and not self.replica.validators.covers_bits(cert.signer_bits):
-            return False
-        return cert.protocol == self.replica.protocol_name and cert.verify(
-            self.replica.signer, self._quorum
+    def _verify_cert(self, cert: Certificate) -> bool:
+        return (
+            CHECKPOINT.is_certificate(cert)
+            and cert.protocol == self.replica.protocol_name
+            and cert.verify(self.replica.signer, self.replica.validators)
         )
 
     # -- snapshot phase -------------------------------------------------------

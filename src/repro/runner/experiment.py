@@ -74,7 +74,6 @@ def summarize(cluster: Cluster) -> ExperimentResult:
         extra = extra + [
             ("wire_bytes_total", cluster.wire.bytes_total),
             ("leader_egress_share", round(cluster.wire.leader_egress_share(), 4)),
-            ("bytes_per_commit", round(cluster.wire.bytes_per_commit(committed_blocks), 1)),
         ]
 
     if config.protocol in ("alterbft", "sync-hotstuff"):

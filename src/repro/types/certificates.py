@@ -1,36 +1,46 @@
-"""Votes, quorum certificates, and blame certificates.
+"""Signed statements and the certificates built from them.
 
-Certificates are *self-certifying*: they carry the signatures that prove
-them, so any replica can verify one without trusting the relayer.  The
-same structures serve all four protocols; only the quorum size differs
-(f+1 under n=2f+1 synchrony, 2f+1 under n=3f+1 partial synchrony).
+Replicas sign four kinds of *statement* — a vote for a block, a blame of
+an epoch's leader, a checkpoint of a committed prefix, a Δ-adjustment —
+and a quorum of matching signatures is a *certificate*.  Certificates are
+*self-certifying*: they carry the proof, so any replica can verify one
+without trusting the relayer.  The same structures serve all four
+protocols; only the quorum size differs (f+1 under n=2f+1 synchrony,
+2f+1 under n=3f+1 partial synchrony).
+
+Two behaviours and no more: a :class:`SignedStatement` is statement
+fields + signer id + signature; a :class:`Certificate` is statement
+fields + a proof, either a sorted ``(id, signature)`` list or a signer
+bitmap + one aggregate signature — the same proof in a smaller message
+(the quantity AlterBFT's synchrony bet is calibrated against).  The codec
+wants one class per type id, so the twelve wire classes below are field
+declarations over those two.  The aggregate forms are separate wire
+types: a replica built with ``crypto_aggregate`` disabled never emits (or
+even constructs) one, so the default wire traffic is byte-identical to
+the pre-aggregation format.
+
+Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
+per-signer challenges bind each public key individually, so a key
+registered as a function of honest keys gains nothing.  On top of that,
+both proof forms name the signer set explicitly and verification resolves
+public keys through the shared registry — a certificate cannot smuggle in
+an unregistered key at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from operator import attrgetter
+from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, Tuple, Type
 
 from ..codec import encode, register
 from ..crypto.hashing import Digest, short_hex
 from ..crypto.signatures import Signer
+from ..errors import VerificationError
 
-#: Signing domain for votes (shared across protocols; the phase field
-#: separates multi-phase protocols like PBFT/HotStuff).
-VOTE_DOMAIN = "vote"
-
-#: Signing domain for blames.
-BLAME_DOMAIN = "blame"
-
-#: Signing domain for checkpoint votes (recovery subsystem).
-CHECKPOINT_DOMAIN = "checkpoint"
-
-#: Signing domain for Δ-adjustment proposals (guard subsystem).
-DELTA_ADJUST_DOMAIN = "delta-adjust"
-
-#: Signing domain for synchrony-guard probes (guard subsystem).
-GUARD_PROBE_DOMAIN = "guard-probe"
+if TYPE_CHECKING:  # consensus imports types; the reverse is annotation-only
+    from ..consensus.validators import ValidatorSet
 
 
 def pack_signer_bits(signer_ids) -> int:
@@ -59,27 +69,260 @@ def unpack_signer_bits(bits: int) -> Tuple[int, ...]:
     return tuple(ids)
 
 
-@lru_cache(maxsize=8192)
-def vote_signing_bytes(protocol: str, phase: int, epoch: int, height: int, block_hash: Digest) -> bytes:
-    """Canonical bytes a vote signature covers.
+@lru_cache(maxsize=1 << 14)
+def signing_bytes(*statement) -> bytes:
+    """Canonical bytes a signature over ``statement`` (its fields, in
+    order) covers.
 
-    Including the protocol name prevents cross-protocol replay when two
-    protocols share a key registry inside one test process.  Memoized: a
-    quorum check re-derives the same bytes once per (voter-independent)
-    vote identity instead of once per signature.
+    The signing domain is not part of them: ``Signer.digest_and_sign``
+    hashes it in, which is what keeps a signature over one kind of
+    statement from verifying as another.  Memoized: a quorum check
+    re-derives the same bytes once per (signer-independent) statement
+    instead of once per signature.
     """
-    return encode((protocol, phase, epoch, height, block_hash))
+    return encode(statement)
 
 
-@lru_cache(maxsize=1024)
-def blame_signing_bytes(protocol: str, epoch: int) -> bytes:
-    """Canonical bytes a blame signature covers (memoized, see above)."""
-    return encode((protocol, epoch))
+class Statement:
+    """One kind of thing replicas sign: a signing domain + typed fields.
+
+    The field order is both the signing order and the leading wire order
+    of every class over the statement.  The types are what
+    ``well_formed`` holds a decoded object to — the decoder itself does
+    not type fields, so a Byzantine peer can put any canonical value in
+    any slot.
+    """
+
+    def __init__(self, domain: str, **fields: type) -> None:
+        self.domain = domain
+        self.fields: Tuple[str, ...] = tuple(fields)
+        self.types: Tuple[type, ...] = tuple(fields.values())
+        #: ``aggregate`` flag → certificate wire class, filled in as defined.
+        self.certificate_forms: Dict[bool, Type["Certificate"]] = {}
+
+    def is_signed(self, obj: object) -> bool:
+        """True iff ``obj`` is a well-formed signed statement of this kind."""
+        return isinstance(obj, SignedStatement) and obj.KIND is self and obj.well_formed()
+
+    def is_certificate(self, obj: object) -> bool:
+        """True iff ``obj`` is a well-formed certificate over this kind
+        of statement, in either proof form."""
+        return isinstance(obj, Certificate) and obj.KIND is self and obj.well_formed()
+
+
+#: Votes are shared across protocols; the phase field separates
+#: multi-phase protocols like PBFT/HotStuff.  Including the protocol name
+#: (here and in every statement) prevents cross-protocol replay when two
+#: protocols share a key registry inside one test process.
+VOTE = Statement("vote", protocol=str, phase=int, epoch=int, height=int, block_hash=bytes)
+
+BLAME = Statement("blame", protocol=str, epoch=int)
+
+#: Recovery subsystem.
+CHECKPOINT = Statement(
+    "checkpoint", protocol=str, height=int, block_hash=bytes, state_digest=bytes
+)
+
+#: Guard subsystem.  ``seq`` is the count of adjustments the proposer has
+#: already installed, so a certificate for one rung switch cannot be
+#: replayed to re-trigger it later; ``rung`` is the target exponent on the
+#: Δ ladder (effective Δ = ``base_delta * 2**rung``).  Agreeing on a
+#: discrete rung rather than a raw float lets replicas with slightly
+#: divergent local tail estimates still produce *matching* adjustments.
+DELTA_ADJUST = Statement("delta-adjust", protocol=str, seq=int, rung=int)
+
+
+class _OverStatement:
+    """What both behaviours share: leading fields that are a statement."""
+
+    KIND: ClassVar[Statement]
+
+    def __init_subclass__(cls, kind: Statement = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if kind is None:
+            return  # one of the two behaviour bases, not a wire class
+        names = tuple(cls.__annotations__)
+        count = len(kind.fields)
+        if names[:count] != kind.fields:
+            raise TypeError(f"{cls.__name__} must lead with the {kind.domain} fields")
+        cls.KIND = kind
+        cls.statement = property(attrgetter(*names[:count]), doc="The statement fields.")
+        cls.proof = property(attrgetter(*names[count:]), doc="The trailing field(s).")
+        cls._fields = property(attrgetter(*names))
+        # A raw certificate's pair list counts as one tuple here.
+        cls._TYPES = kind.types + ((int, bytes) if len(names) == count + 2 else (tuple,))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        shown = " ".join(short_hex(v) if type(v) is bytes else str(v) for v in self.statement)
+        by = f"x{self.signer_count}" if isinstance(self, Certificate) else f"by {self.proof[0]}"
+        return f"{type(self).__name__}({shown} {by})"
+
+    def well_formed(self) -> bool:
+        """Every field has exactly its declared type (see :class:`Statement`)."""
+        return tuple(map(type, self._fields)) == self._TYPES
+
+
+class SignedStatement(_OverStatement):
+    """Statement fields + a one-signer proof: ``(signer id, signature)``
+    (ids 14, 16, 18, 110)."""
+
+    @classmethod
+    def create(cls, signer: Signer, *statement, **named):
+        """Sign a statement (its fields, in order or by name) as ``signer``."""
+        kind = cls.KIND
+        if len(statement) + len(named) != len(kind.fields):
+            raise TypeError(f"{cls.__name__}.create takes {', '.join(kind.fields)}")
+        statement += tuple(named[name] for name in kind.fields[len(statement) :])
+        signature = signer.digest_and_sign(kind.domain, signing_bytes(*statement))
+        return cls(*statement, signer.replica_id, signature)
+
+    def verify(self, signer: Signer) -> bool:
+        """Check shape and signature (``signer`` supplies the key registry).
+
+        The verdict is memoized on the object per (scheme, registry): a
+        broadcast vote reaches every replica of a simulated cluster as
+        the same object, and all replicas share one registry, so the
+        repeat verifications are object-identical.  A different registry
+        or scheme (e.g. a second cluster in one test process) recomputes.
+        The memo lives outside the dataclass fields, so a tampered copy
+        made with ``dataclasses.replace`` starts without one.
+        """
+        memo = self.__dict__.get("_verify_memo")
+        if (
+            memo is not None
+            and memo[0] is signer.scheme
+            and memo[1] is signer.registry
+        ):
+            return memo[2]
+        signer_id, signature = self.proof
+        ok = self.well_formed() and signer.verify_digest(
+            signer_id, self.KIND.domain, signing_bytes(*self.statement), signature
+        )
+        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
+        return ok
+
+
+class Certificate(_OverStatement):
+    """Statement fields + a proof that a quorum signed them.
+
+    The proof is the trailing field(s): one tuple of voter-sorted
+    ``(id, signature)`` pairs (ids 15, 17, 19, 111), or ``signer_bits`` +
+    ``agg_signature`` (ids 120–123).  Chain logic never needs to know
+    which: ``signer_count`` / ``signer_ids`` / ``verify`` cover both.
+    """
+
+    AGGREGATE: ClassVar[bool]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.AGGREGATE = "signer_bits" in cls.__annotations__
+        cls.KIND.certificate_forms[cls.AGGREGATE] = cls
+
+    @staticmethod
+    def assemble(
+        signed: Iterable[SignedStatement], signer: Signer, aggregate: bool
+    ) -> "Certificate":
+        """Build the certificate a quorum of signed statements proves.
+
+        ``aggregate`` picks the proof form — this is the one place the
+        choice is made.  The aggregate form needs ``signer`` to resolve
+        ids to public keys for the aggregation transcript.  Callers
+        verify the statements *before* assembling: aggregation is a
+        compression step, and an invalid input signature yields an
+        aggregate that fails verification, losing the attribution a
+        statement-level check provides.
+        """
+        signed = tuple(signed)
+        kind, statement = signed[0].KIND, signed[0].statement
+        if any(s.KIND is not kind or s.statement != statement for s in signed):
+            raise VerificationError(f"cannot certify divergent {kind.domain} statements")
+        pairs = tuple(sorted(s.proof for s in signed))
+        if not aggregate:
+            return kind.certificate_forms[False](*statement, pairs)
+        return kind.certificate_forms[True](
+            *statement,
+            pack_signer_bits(signer_id for signer_id, _ in pairs),
+            signer.aggregate_digest(kind.domain, signing_bytes(*statement), pairs),
+        )
+
+    @property
+    def rank(self) -> Tuple[int, int]:
+        """Ordering key of a vote certificate: (epoch, height)."""
+        return (self.epoch, self.height)
+
+    @property
+    def signer_count(self) -> int:
+        """Number of distinct signers backing this certificate."""
+        return bin(self.proof[0]).count("1") if self.AGGREGATE else len(self.proof)
+
+    @property
+    def signer_ids(self) -> Tuple[int, ...]:
+        """Sorted replica ids of the signers."""
+        if self.AGGREGATE:
+            return unpack_signer_bits(self.proof[0])
+        return tuple(signer_id for signer_id, _ in self.proof)
+
+    def well_formed(self) -> bool:
+        """Every field has its declared type, the proof included.
+
+        Checked before anything iterates, hashes or compares a received
+        certificate: a well-framed, canonical frame can still carry an
+        ``int`` where the pair list belongs.
+        """
+        if not super().well_formed():
+            return False
+        if self.AGGREGATE:
+            return self.proof[0] >= 0
+        return all(
+            type(pair) is tuple and tuple(map(type, pair)) == (int, bytes)
+            for pair in self.proof
+        )
+
+    def verify(self, signer: Signer, validators: "ValidatorSet") -> bool:
+        """Check shape, quorum, signer distinctness and membership, and
+        the signatures — the one place a received certificate is checked.
+
+        Memoized per (scheme, registry, validator set) on the certificate
+        object — see :meth:`SignedStatement.verify` for why this is sound
+        in-process.
+        """
+        memo = self.__dict__.get("_verify_memo")
+        if (
+            memo is not None
+            and memo[0] is signer.scheme
+            and memo[1] is signer.registry
+            and memo[2] == validators
+        ):
+            return memo[3]
+        ok = self._verify_uncached(signer, validators)
+        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, validators, ok))
+        return ok
+
+    def _verify_uncached(self, signer: Signer, validators: "ValidatorSet") -> bool:
+        if not self.well_formed():
+            return False
+        domain, message = self.KIND.domain, signing_bytes(*self.statement)
+        if self.AGGREGATE:
+            # A bitmap naming a non-member is rejected here, which also
+            # bounds the unpacking below to n bits.
+            bits, signature = self.proof
+            if not validators.covers_bits(bits):
+                return False
+            signer_ids = unpack_signer_bits(bits)
+            return len(signer_ids) >= validators.quorum and signer.verify_aggregate_digest(
+                signer_ids, domain, message, signature
+            )
+        signer_ids = [signer_id for signer_id, _ in self.proof]
+        return (
+            len(set(signer_ids)) == len(signer_ids) >= validators.quorum
+            and all(map(validators.is_valid_replica, signer_ids))
+            and signer.batch_verify_digest(domain, message, self.proof)
+        )
 
 
 @register(14)
-@dataclass(frozen=True)
-class Vote:
+@dataclass(frozen=True, repr=False)
+class Vote(SignedStatement, kind=VOTE):
     """A signed vote for a block hash in an epoch/phase.
 
     Attributes:
@@ -89,7 +332,7 @@ class Vote:
         height: height of the voted block.
         block_hash: digest of the voted block's header.
         voter: replica id of the signer.
-        signature: signature over :func:`vote_signing_bytes`.
+        signature: signature over the :data:`VOTE` signing bytes.
     """
 
     protocol: str
@@ -100,8 +343,9 @@ class Vote:
     voter: int
     signature: bytes
 
-    @staticmethod
+    @classmethod
     def create(
+        cls,
         signer: Signer,
         protocol: str,
         epoch: int,
@@ -109,48 +353,14 @@ class Vote:
         block_hash: Digest,
         phase: int = 0,
     ) -> "Vote":
-        message = vote_signing_bytes(protocol, phase, epoch, height, block_hash)
-        return Vote(
-            protocol=protocol,
-            phase=phase,
-            epoch=epoch,
-            height=height,
-            block_hash=block_hash,
-            voter=signer.replica_id,
-            signature=signer.digest_and_sign(VOTE_DOMAIN, message),
-        )
+        """``phase`` trails as a keyword although it is second on the wire."""
+        return super().create(signer, protocol, phase, epoch, height, block_hash)
 
-    def verify(self, signer: Signer) -> bool:
-        """Check the signature (``signer`` supplies the key registry).
-
-        The verdict is memoized on the vote object per (scheme, registry):
-        a broadcast vote reaches every replica of a simulated cluster as
-        the same object, and all replicas share one registry, so the
-        repeat verifications are object-identical.  A different registry
-        or scheme (e.g. a second cluster in one test process) recomputes.
-        """
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-        ):
-            return memo[2]
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        ok = signer.verify_digest(self.voter, VOTE_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
-        return ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Vote({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} by {self.voter})"
-        )
 
 
 @register(15)
-@dataclass(frozen=True)
-class QuorumCertificate:
+@dataclass(frozen=True, repr=False)
+class QuorumCertificate(Certificate, kind=VOTE):
     """A quorum of votes for one block in one epoch/phase.
 
     Certificates are ranked lexicographically by ``(epoch, height)``; the
@@ -165,70 +375,21 @@ class QuorumCertificate:
     block_hash: Digest
     votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
 
-    @property
-    def rank(self) -> Tuple[int, int]:
-        """Ordering key: (epoch, height)."""
-        return (self.epoch, self.height)
 
-    @property
-    def signer_count(self) -> int:
-        """Number of distinct signers backing this certificate."""
-        return len(self.votes)
 
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        """Sorted replica ids of the signers."""
-        return tuple(voter for voter, _ in self.votes)
+@register(120)
+@dataclass(frozen=True, repr=False)
+class AggregateQuorumCertificate(Certificate, kind=VOTE):
+    """A :class:`QuorumCertificate` carried as bitmap + aggregate signature."""
 
-    @staticmethod
-    def from_votes(votes: Tuple[Vote, ...]) -> "QuorumCertificate":
-        """Aggregate votes (which must agree on all vote fields)."""
-        first = votes[0]
-        assert all(
-            (v.protocol, v.phase, v.epoch, v.height, v.block_hash)
-            == (first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-            for v in votes
-        ), "cannot aggregate divergent votes"
-        pairs = tuple(sorted((v.voter, v.signature) for v in votes))
-        return QuorumCertificate(
-            protocol=first.protocol,
-            phase=first.phase,
-            epoch=first.epoch,
-            height=first.height,
-            block_hash=first.block_hash,
-            votes=pairs,
-        )
+    protocol: str
+    phase: int
+    epoch: int
+    height: int
+    block_hash: Digest
+    signer_bits: int
+    agg_signature: bytes
 
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        """Check quorum size, voter distinctness, and every signature.
-
-        Memoized per (scheme, registry, quorum) on the certificate object
-        — see :meth:`Vote.verify` for why this is sound in-process.
-        """
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        voters = [voter for voter, _ in self.votes]
-        if len(set(voters)) != len(voters) or len(voters) < quorum:
-            return False
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        return signer.batch_verify_digest(VOTE_DOMAIN, message, self.votes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"QC({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} x{len(self.votes)})"
-        )
 
 
 def genesis_qc(protocol: str, block_hash: Digest) -> QuorumCertificate:
@@ -242,14 +403,14 @@ def genesis_qc(protocol: str, block_hash: Digest) -> QuorumCertificate:
     )
 
 
-def is_genesis_qc(qc: "AnyQuorumCert") -> bool:
+def is_genesis_qc(qc: Certificate) -> bool:
     """True for the distinguished genesis certificate."""
     return qc.epoch == 0 and qc.height == 0 and qc.signer_count == 0
 
 
 @register(16)
-@dataclass(frozen=True)
-class Blame:
+@dataclass(frozen=True, repr=False)
+class Blame(SignedStatement, kind=BLAME):
     """A signed statement that epoch ``epoch``'s leader failed."""
 
     protocol: str
@@ -257,75 +418,31 @@ class Blame:
     blamer: int
     signature: bytes
 
-    @staticmethod
-    def create(signer: Signer, protocol: str, epoch: int) -> "Blame":
-        message = blame_signing_bytes(protocol, epoch)
-        return Blame(
-            protocol=protocol,
-            epoch=epoch,
-            blamer=signer.replica_id,
-            signature=signer.digest_and_sign(BLAME_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.verify_digest(self.blamer, BLAME_DOMAIN, message, self.signature)
-
 
 @register(17)
-@dataclass(frozen=True)
-class BlameCertificate:
+@dataclass(frozen=True, repr=False)
+class BlameCertificate(Certificate, kind=BLAME):
     """f+1 blames proving epoch ``epoch`` must be abandoned."""
 
     protocol: str
     epoch: int
     blames: Tuple[Tuple[int, bytes], ...]  # (blamer id, signature), sorted
 
-    @staticmethod
-    def from_blames(blames: Tuple[Blame, ...]) -> "BlameCertificate":
-        first = blames[0]
-        assert all((b.protocol, b.epoch) == (first.protocol, first.epoch) for b in blames)
-        pairs = tuple(sorted((b.blamer, b.signature) for b in blames))
-        return BlameCertificate(protocol=first.protocol, epoch=first.epoch, blames=pairs)
 
-    @property
-    def signer_count(self) -> int:
-        return len(self.blames)
+@register(121)
+@dataclass(frozen=True, repr=False)
+class AggregateBlameCertificate(Certificate, kind=BLAME):
+    """A :class:`BlameCertificate` carried as bitmap + aggregate signature."""
 
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(blamer for blamer, _ in self.blames)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        blamers = [blamer for blamer, _ in self.blames]
-        if len(set(blamers)) != len(blamers) or len(blamers) < quorum:
-            return False
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.batch_verify_digest(BLAME_DOMAIN, message, self.blames)
-
-
-@lru_cache(maxsize=1024)
-def checkpoint_signing_bytes(protocol: str, height: int, block_hash: Digest, state_digest: Digest) -> bytes:
-    """Canonical bytes a checkpoint-vote signature covers (memoized)."""
-    return encode((protocol, height, block_hash, state_digest))
+    protocol: str
+    epoch: int
+    signer_bits: int
+    agg_signature: bytes
 
 
 @register(18)
-@dataclass(frozen=True)
-class CheckpointVote:
+@dataclass(frozen=True, repr=False)
+class CheckpointVote(SignedStatement, kind=CHECKPOINT):
     """A signed attestation that the ledger prefix up to ``height`` is
     committed with cumulative digest ``state_digest``.
 
@@ -341,47 +458,11 @@ class CheckpointVote:
     voter: int
     signature: bytes
 
-    @staticmethod
-    def create(
-        signer: Signer,
-        protocol: str,
-        height: int,
-        block_hash: Digest,
-        state_digest: Digest,
-    ) -> "CheckpointVote":
-        message = checkpoint_signing_bytes(protocol, height, block_hash, state_digest)
-        return CheckpointVote(
-            protocol=protocol,
-            height=height,
-            block_hash=block_hash,
-            state_digest=state_digest,
-            voter=signer.replica_id,
-            signature=signer.digest_and_sign(CHECKPOINT_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-        ):
-            return memo[2]
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        ok = signer.verify_digest(self.voter, CHECKPOINT_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
-        return ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CheckpointVote({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} by {self.voter})"
-        )
 
 
 @register(19)
-@dataclass(frozen=True)
-class CheckpointCertificate:
+@dataclass(frozen=True, repr=False)
+class CheckpointCertificate(Certificate, kind=CHECKPOINT):
     """f+1 matching checkpoint votes: a transferable commit proof for a
     ledger prefix.
 
@@ -397,81 +478,25 @@ class CheckpointCertificate:
     state_digest: Digest
     votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
 
-    @staticmethod
-    def from_votes(votes: Tuple[CheckpointVote, ...]) -> "CheckpointCertificate":
-        first = votes[0]
-        assert all(
-            (v.protocol, v.height, v.block_hash, v.state_digest)
-            == (first.protocol, first.height, first.block_hash, first.state_digest)
-            for v in votes
-        ), "cannot aggregate divergent checkpoint votes"
-        pairs = tuple(sorted((v.voter, v.signature) for v in votes))
-        return CheckpointCertificate(
-            protocol=first.protocol,
-            height=first.height,
-            block_hash=first.block_hash,
-            state_digest=first.state_digest,
-            votes=pairs,
-        )
-
-    @property
-    def signer_count(self) -> int:
-        return len(self.votes)
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(voter for voter, _ in self.votes)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        voters = [voter for voter, _ in self.votes]
-        if len(set(voters)) != len(voters) or len(voters) < quorum:
-            return False
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        return signer.batch_verify_digest(CHECKPOINT_DOMAIN, message, self.votes)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CheckpointCert({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} x{len(self.votes)})"
-        )
 
 
-@lru_cache(maxsize=1024)
-def delta_adjust_signing_bytes(protocol: str, seq: int, rung: int) -> bytes:
-    """Canonical bytes a Δ-adjustment signature covers (memoized).
+@register(122)
+@dataclass(frozen=True, repr=False)
+class AggregateCheckpointCertificate(Certificate, kind=CHECKPOINT):
+    """A :class:`CheckpointCertificate` carried as bitmap + aggregate signature."""
 
-    ``seq`` is the count of adjustments the proposer has already
-    installed, so a certificate for one rung switch cannot be replayed to
-    re-trigger it later; ``rung`` is the target exponent on the Δ ladder
-    (effective Δ = ``base_delta * 2**rung``).  Agreeing on a discrete rung
-    rather than a raw float lets replicas with slightly divergent local
-    tail estimates still produce *matching* adjustments.
-    """
-    return encode((protocol, seq, rung))
+    protocol: str
+    height: int
+    block_hash: Digest
+    state_digest: Digest
+    signer_bits: int
+    agg_signature: bytes
 
-
-@lru_cache(maxsize=4096)
-def guard_probe_signing_bytes(protocol: str, sender: int, seq: int) -> bytes:
-    """Canonical bytes a guard-probe signature covers (memoized)."""
-    return encode((protocol, sender, seq))
 
 
 @register(110)
-@dataclass(frozen=True)
-class DeltaAdjust:
+@dataclass(frozen=True, repr=False)
+class DeltaAdjust(SignedStatement, kind=DELTA_ADJUST):
     """A signed proposal to switch the synchrony bound to a new ladder rung.
 
     Attributes:
@@ -481,7 +506,7 @@ class DeltaAdjust:
             because installs are certificate-driven).
         rung: proposed ladder rung; effective Δ = ``delta * 2**rung``.
         proposer: replica id of the signer.
-        signature: signature over :func:`delta_adjust_signing_bytes`.
+        signature: signature over the :data:`DELTA_ADJUST` signing bytes.
     """
 
     protocol: str
@@ -490,37 +515,11 @@ class DeltaAdjust:
     proposer: int
     signature: bytes
 
-    @staticmethod
-    def create(signer: Signer, protocol: str, seq: int, rung: int) -> "DeltaAdjust":
-        message = delta_adjust_signing_bytes(protocol, seq, rung)
-        return DeltaAdjust(
-            protocol=protocol,
-            seq=seq,
-            rung=rung,
-            proposer=signer.replica_id,
-            signature=signer.digest_and_sign(DELTA_ADJUST_DOMAIN, message),
-        )
-
-    def verify(self, signer: Signer) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-        ):
-            return memo[2]
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        ok = signer.verify_digest(self.proposer, DELTA_ADJUST_DOMAIN, message, self.signature)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
-        return ok
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DeltaAdjust({self.protocol} seq={self.seq} rung={self.rung} by {self.proposer})"
 
 
 @register(111)
-@dataclass(frozen=True)
-class DeltaAdjustCertificate:
+@dataclass(frozen=True, repr=False)
+class DeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
     """f+1 matching Δ-adjustments: authority to install a new ladder rung.
 
     f+1 signers include at least one honest replica whose local delay
@@ -535,279 +534,11 @@ class DeltaAdjustCertificate:
     rung: int
     adjusts: Tuple[Tuple[int, bytes], ...]  # (proposer id, signature), sorted
 
-    @staticmethod
-    def from_adjusts(adjusts: Tuple[DeltaAdjust, ...]) -> "DeltaAdjustCertificate":
-        first = adjusts[0]
-        assert all(
-            (a.protocol, a.seq, a.rung) == (first.protocol, first.seq, first.rung)
-            for a in adjusts
-        ), "cannot aggregate divergent delta adjustments"
-        pairs = tuple(sorted((a.proposer, a.signature) for a in adjusts))
-        return DeltaAdjustCertificate(
-            protocol=first.protocol, seq=first.seq, rung=first.rung, adjusts=pairs
-        )
-
-    @property
-    def signer_count(self) -> int:
-        return len(self.adjusts)
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return tuple(proposer for proposer, _ in self.adjusts)
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        proposers = [proposer for proposer, _ in self.adjusts]
-        if len(set(proposers)) != len(proposers) or len(proposers) < quorum:
-            return False
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        return signer.batch_verify_digest(DELTA_ADJUST_DOMAIN, message, self.adjusts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DeltaAdjustCert({self.protocol} seq={self.seq} rung={self.rung} "
-            f"x{len(self.adjusts)})"
-        )
-
-
-# -- aggregate certificate variants -------------------------------------------
-#
-# Each of the four certificates above has an aggregate twin carrying one
-# aggregate signature plus a signer bitmap instead of f+1 raw (id, sig)
-# pairs — the same proof, in a smaller message (the quantity AlterBFT's
-# synchrony bet is calibrated against).  The aggregate variants are
-# separate codec-registered wire types: a replica built with
-# ``crypto_aggregate`` disabled never emits (or even constructs) one, so
-# the default wire traffic is byte-identical to the pre-aggregation
-# format.  Verification duck-types with the plain certificates —
-# ``rank`` / ``signer_count`` / ``signer_ids`` / ``verify(signer,
-# quorum)`` — so chain logic handles either form without branching.
-#
-# Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
-# per-signer challenges bind each public key individually, so a key
-# registered as a function of honest keys gains nothing.  On top of
-# that, the bitmap names the signer set explicitly and verification
-# resolves public keys through the shared registry — a certificate
-# cannot smuggle in an unregistered key at all.
-
-
-@register(120)
-@dataclass(frozen=True)
-class AggregateQuorumCertificate:
-    """A :class:`QuorumCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    phase: int
-    epoch: int
-    height: int
-    block_hash: Digest
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def rank(self) -> Tuple[int, int]:
-        """Ordering key: (epoch, height)."""
-        return (self.epoch, self.height)
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_votes(votes: Tuple[Vote, ...], signer: Signer) -> "AggregateQuorumCertificate":
-        """Aggregate verified votes (which must agree on all vote fields).
-
-        Needs a :class:`Signer` to resolve voter ids to public keys for
-        the aggregation transcript.  Callers verify votes *before*
-        aggregating — an invalid input signature yields an aggregate that
-        fails verification, losing the attribution a vote-level check
-        provides.
-        """
-        first = votes[0]
-        assert all(
-            (v.protocol, v.phase, v.epoch, v.height, v.block_hash)
-            == (first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-            for v in votes
-        ), "cannot aggregate divergent votes"
-        pairs = sorted((v.voter, v.signature) for v in votes)
-        message = vote_signing_bytes(first.protocol, first.phase, first.epoch, first.height, first.block_hash)
-        return AggregateQuorumCertificate(
-            protocol=first.protocol,
-            phase=first.phase,
-            epoch=first.epoch,
-            height=first.height,
-            block_hash=first.block_hash,
-            signer_bits=pack_signer_bits(voter for voter, _ in pairs),
-            agg_signature=signer.aggregate_digest(VOTE_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        """Check quorum size and the aggregate signature (memoized)."""
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = vote_signing_bytes(self.protocol, self.phase, self.epoch, self.height, self.block_hash)
-        return signer.verify_aggregate_digest(signer_ids, VOTE_DOMAIN, message, self.agg_signature)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AggQC({self.protocol}/p{self.phase} e={self.epoch} h={self.height} "
-            f"{short_hex(self.block_hash)} x{self.signer_count})"
-        )
-
-
-@register(121)
-@dataclass(frozen=True)
-class AggregateBlameCertificate:
-    """A :class:`BlameCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    epoch: int
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_blames(blames: Tuple[Blame, ...], signer: Signer) -> "AggregateBlameCertificate":
-        first = blames[0]
-        assert all((b.protocol, b.epoch) == (first.protocol, first.epoch) for b in blames)
-        pairs = sorted((b.blamer, b.signature) for b in blames)
-        message = blame_signing_bytes(first.protocol, first.epoch)
-        return AggregateBlameCertificate(
-            protocol=first.protocol,
-            epoch=first.epoch,
-            signer_bits=pack_signer_bits(blamer for blamer, _ in pairs),
-            agg_signature=signer.aggregate_digest(BLAME_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = blame_signing_bytes(self.protocol, self.epoch)
-        return signer.verify_aggregate_digest(signer_ids, BLAME_DOMAIN, message, self.agg_signature)
-
-
-@register(122)
-@dataclass(frozen=True)
-class AggregateCheckpointCertificate:
-    """A :class:`CheckpointCertificate` carried as bitmap + aggregate signature."""
-
-    protocol: str
-    height: int
-    block_hash: Digest
-    state_digest: Digest
-    signer_bits: int
-    agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_votes(
-        votes: Tuple[CheckpointVote, ...], signer: Signer
-    ) -> "AggregateCheckpointCertificate":
-        first = votes[0]
-        assert all(
-            (v.protocol, v.height, v.block_hash, v.state_digest)
-            == (first.protocol, first.height, first.block_hash, first.state_digest)
-            for v in votes
-        ), "cannot aggregate divergent checkpoint votes"
-        pairs = sorted((v.voter, v.signature) for v in votes)
-        message = checkpoint_signing_bytes(first.protocol, first.height, first.block_hash, first.state_digest)
-        return AggregateCheckpointCertificate(
-            protocol=first.protocol,
-            height=first.height,
-            block_hash=first.block_hash,
-            state_digest=first.state_digest,
-            signer_bits=pack_signer_bits(voter for voter, _ in pairs),
-            agg_signature=signer.aggregate_digest(CHECKPOINT_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = checkpoint_signing_bytes(self.protocol, self.height, self.block_hash, self.state_digest)
-        return signer.verify_aggregate_digest(signer_ids, CHECKPOINT_DOMAIN, message, self.agg_signature)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"AggCheckpointCert({self.protocol} h={self.height} "
-            f"{short_hex(self.block_hash)} x{self.signer_count})"
-        )
 
 
 @register(123)
-@dataclass(frozen=True)
-class AggregateDeltaAdjustCertificate:
+@dataclass(frozen=True, repr=False)
+class AggregateDeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
     """A :class:`DeltaAdjustCertificate` carried as bitmap + aggregate signature."""
 
     protocol: str
@@ -815,64 +546,3 @@ class AggregateDeltaAdjustCertificate:
     rung: int
     signer_bits: int
     agg_signature: bytes
-
-    @property
-    def signer_count(self) -> int:
-        return bin(self.signer_bits).count("1")
-
-    @property
-    def signer_ids(self) -> Tuple[int, ...]:
-        return unpack_signer_bits(self.signer_bits)
-
-    @staticmethod
-    def from_adjusts(
-        adjusts: Tuple[DeltaAdjust, ...], signer: Signer
-    ) -> "AggregateDeltaAdjustCertificate":
-        first = adjusts[0]
-        assert all(
-            (a.protocol, a.seq, a.rung) == (first.protocol, first.seq, first.rung)
-            for a in adjusts
-        ), "cannot aggregate divergent delta adjustments"
-        pairs = sorted((a.proposer, a.signature) for a in adjusts)
-        message = delta_adjust_signing_bytes(first.protocol, first.seq, first.rung)
-        return AggregateDeltaAdjustCertificate(
-            protocol=first.protocol,
-            seq=first.seq,
-            rung=first.rung,
-            signer_bits=pack_signer_bits(proposer for proposer, _ in pairs),
-            agg_signature=signer.aggregate_digest(DELTA_ADJUST_DOMAIN, message, pairs),
-        )
-
-    def verify(self, signer: Signer, quorum: int) -> bool:
-        memo = self.__dict__.get("_verify_memo")
-        if (
-            memo is not None
-            and memo[0] is signer.scheme
-            and memo[1] is signer.registry
-            and memo[2] == quorum
-        ):
-            return memo[3]
-        ok = self._verify_uncached(signer, quorum)
-        object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, quorum, ok))
-        return ok
-
-    def _verify_uncached(self, signer: Signer, quorum: int) -> bool:
-        signer_ids = self.signer_ids
-        if len(signer_ids) < quorum or self.signer_bits < 0:
-            return False
-        message = delta_adjust_signing_bytes(self.protocol, self.seq, self.rung)
-        return signer.verify_aggregate_digest(signer_ids, DELTA_ADJUST_DOMAIN, message, self.agg_signature)
-
-
-#: Either wire form of a quorum certificate; chain logic duck-types over
-#: ``rank`` / ``signer_count`` / ``signer_ids`` / ``verify``.
-AnyQuorumCert = Union[QuorumCertificate, AggregateQuorumCertificate]
-
-#: Either wire form of a blame certificate.
-AnyBlameCert = Union[BlameCertificate, AggregateBlameCertificate]
-
-#: Either wire form of a checkpoint certificate.
-AnyCheckpointCert = Union[CheckpointCertificate, AggregateCheckpointCertificate]
-
-#: Either wire form of a Δ-adjust certificate.
-AnyDeltaAdjustCert = Union[DeltaAdjustCertificate, AggregateDeltaAdjustCertificate]

@@ -25,16 +25,7 @@ from ..codec import register
 from ..crypto.hashing import Digest
 from ..crypto.merkle import MerkleMultiProof, MerkleProof
 from .block import Block, BlockHeader, BlockPayload
-from .certificates import (
-    AnyBlameCert,
-    AnyCheckpointCert,
-    AnyDeltaAdjustCert,
-    AnyQuorumCert,
-    Blame,
-    CheckpointVote,
-    DeltaAdjust,
-    Vote,
-)
+from .certificates import Blame, Certificate, CheckpointVote, DeltaAdjust, Vote
 
 #: Signing domain for proposal headers/blocks (the proposer's signature).
 PROPOSAL_DOMAIN = "proposal"
@@ -63,7 +54,7 @@ class ProposalHeaderMsg:
 
     header: BlockHeader
     signature: bytes
-    justify: AnyQuorumCert
+    justify: Certificate
 
 
 @register(21)
@@ -98,7 +89,7 @@ class BlameMsg:
 class BlameCertMsg:
     """A blame certificate; receiving one forces an epoch change."""
 
-    cert: AnyBlameCert
+    cert: Certificate
 
 
 @register(26)
@@ -126,7 +117,7 @@ class StatusMsg:
 
     sender: int
     new_epoch: int
-    high_qc: AnyQuorumCert
+    high_qc: Certificate
 
 
 @register(28)
@@ -214,8 +205,8 @@ class StatusResponseMsg:
     sender: int
     epoch: int
     ledger_height: int
-    checkpoint: Optional[AnyCheckpointCert]
-    tip: AnyQuorumCert
+    checkpoint: Optional[Certificate]
+    tip: Certificate
 
 
 @register(35)
@@ -261,7 +252,7 @@ class BlockRangeResponseMsg:
     AlterBFT's temporal commit rule).
     """
 
-    justify: AnyQuorumCert
+    justify: Certificate
     blocks: Tuple[Block, ...]
     headers: Tuple[BlockHeader, ...]
 
@@ -282,7 +273,7 @@ class SHProposalMsg:
 
     block: Block
     signature: bytes
-    justify: AnyQuorumCert
+    justify: Certificate
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +288,7 @@ class HSProposalMsg:
 
     block: Block
     signature: bytes
-    justify: AnyQuorumCert
+    justify: Certificate
 
 
 @register(61)
@@ -307,7 +298,7 @@ class HSNewViewMsg:
 
     sender: int
     view: int
-    high_qc: AnyQuorumCert
+    high_qc: Certificate
     signature: bytes
 
 
@@ -363,8 +354,8 @@ class PBFTViewChangeMsg:
     sender: int
     new_view: int
     last_committed: int
-    commit_proof: Optional[AnyQuorumCert]
-    prepared: Tuple[Tuple[int, AnyQuorumCert, Block], ...]
+    commit_proof: Optional[Certificate]
+    prepared: Tuple[Tuple[int, Certificate, Block], ...]
     signature: bytes
 
 
@@ -396,7 +387,7 @@ class PBFTSyncRequestMsg:
 class PBFTSyncReplyMsg:
     """State transfer reply: (block, commit certificate) pairs in order."""
 
-    entries: Tuple[Tuple[Block, AnyQuorumCert], ...]
+    entries: Tuple[Tuple[Block, Certificate], ...]
 
 
 # --------------------------------------------------------------------------
@@ -499,7 +490,7 @@ class DeltaAdjustCertMsg:
     """A gossiped Δ-adjustment certificate; receiving one schedules the
     new rung for installation at the next epoch boundary."""
 
-    cert: AnyDeltaAdjustCert
+    cert: Certificate
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,14 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import ACTIVE, QUITTING, AlterBFTReplica
 from repro.errors import VerificationError
 from repro.types.block import make_block
-from repro.types.certificates import Blame, BlameCertificate, QuorumCertificate, Vote, genesis_qc
+from repro.types.certificates import (
+    Blame,
+    BlameCertificate,
+    Certificate,
+    QuorumCertificate,
+    Vote,
+    genesis_qc,
+)
 from repro.types.messages import (
     BlameCertMsg,
     BlameMsg,
@@ -57,7 +64,7 @@ def qc_over(signers, block, phase=0):
         Vote.create(s, "alterbft", block.epoch, block.height, block.block_hash, phase=phase)
         for s in signers
     )
-    return QuorumCertificate.from_votes(votes)
+    return Certificate.assemble(votes, signers[0], aggregate=False)
 
 
 def gen_qc(replica):
@@ -194,8 +201,8 @@ class TestEquivocation:
         replica.handle(1, h1)
         qc1 = qc_over(signers[:2], b1)
         # Epoch 2: anchor X extends qc1 (height 2)...
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(1, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")
@@ -279,8 +286,8 @@ class TestCommit:
     def test_no_commit_after_blame_cert(self, setup):
         replica, ctx, signers = setup
         self.commit_block(replica, ctx, signers)
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("commit_wait")
@@ -307,8 +314,8 @@ class TestCommit:
 class TestEpochChange:
     def test_blame_cert_quits_epoch(self, setup):
         replica, ctx, signers = setup
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         assert replica.state == QUITTING
@@ -346,8 +353,8 @@ class TestEpochChange:
         h_future, p_future, _ = make_proposal(signers[2], 2, 2, qc1, seq=30)
         replica.handle(2, h_future)
         assert not replica.store.has_header(h_future.header.block_hash)
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")
@@ -362,8 +369,8 @@ class TestEpochChange:
         qc1 = qc_over(signers[:2], b1)
         replica.handle(1, VoteMsg(vote=Vote.create(signers[1], "alterbft", 1, 1, b1.block_hash)))
         assert replica.high_qc.rank == (1, 1)
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")

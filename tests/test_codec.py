@@ -18,7 +18,7 @@ from repro.codec import (
 )
 from repro.errors import CodecError
 from repro.types.block import BlockHeader, genesis_block
-from repro.types.certificates import Vote
+from repro.types.certificates import Certificate, Vote
 from repro.types.messages import ProposalHeaderMsg, VoteMsg
 from repro.types.transaction import Transaction
 
@@ -278,14 +278,24 @@ def _field_strategy(hint) -> st.SearchStrategy:
         return st.text(max_size=16)
     if hint is object:  # ClientRequestMsg.transaction is deliberately loose
         return _struct_strategy(Transaction)
+    if hint is Certificate:  # any statement, either proof form
+        return st.one_of(
+            *[
+                _struct_strategy(cls)
+                for _, cls in sorted(registered_types().items())
+                if issubclass(cls, Certificate)
+            ]
+        )
     if dataclasses.is_dataclass(hint):
         return _struct_strategy(hint)
     raise AssertionError(f"no strategy for field type {hint!r}")
 
 
 def _struct_strategy(cls) -> st.SearchStrategy:
-    hints = typing.get_type_hints(cls)
-    return st.builds(cls, **{name: _field_strategy(h) for name, h in hints.items()})
+    hints = typing.get_type_hints(cls)  # includes inherited ClassVars: go by field
+    return st.builds(
+        cls, **{f.name: _field_strategy(hints[f.name]) for f in dataclasses.fields(cls)}
+    )
 
 
 def test_registry_enumeration_is_nonempty_and_stable():

@@ -18,11 +18,12 @@ from repro.errors import VerificationError
 from repro.guard import SynchronyMonitor
 from repro.guard.monitor import CommitRecord
 from repro.runner.cluster import build_cluster, check_safety
-from repro.types.certificates import DeltaAdjust, DeltaAdjustCertificate
+from repro.types.certificates import Certificate, DeltaAdjust, DeltaAdjustCertificate
 from repro.types.messages import DeltaAdjustCertMsg, DeltaAdjustMsg
 from tests.conftest import FakeContext
 
 DELTA = 0.005
+VALIDATORS = ValidatorSet.synchronous(3, 1)
 
 
 def guarded_replica(replica_id=0, n=3, f=1, **overrides):
@@ -56,16 +57,18 @@ class TestDeltaAdjustTypes:
         adjusts = tuple(
             DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=1) for i in (0, 2)
         )
-        cert = DeltaAdjustCertificate.from_adjusts(adjusts)
-        assert cert.verify(signers[1], quorum=2)
+        cert = Certificate.assemble(adjusts, signers[0], aggregate=False)
+        assert cert.verify(signers[1], VALIDATORS)
         assert decode(encode(cert)) == cert
 
     def test_certificate_below_quorum_rejected(self):
         signers = build_cluster_keys("hashsig", 3)
-        cert = DeltaAdjustCertificate.from_adjusts(
-            (DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),)
+        cert = Certificate.assemble(
+            (DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),),
+            signers[0],
+            aggregate=False,
         )
-        assert not cert.verify(signers[1], quorum=2)
+        assert not cert.verify(signers[1], VALIDATORS)
 
     def test_duplicate_proposer_rejected(self):
         signers = build_cluster_keys("hashsig", 3)
@@ -76,16 +79,18 @@ class TestDeltaAdjustTypes:
             rung=1,
             adjusts=((0, adjust.signature), (0, adjust.signature)),
         )
-        assert not cert.verify(signers[1], quorum=2)
+        assert not cert.verify(signers[1], VALIDATORS)
 
     def test_divergent_adjusts_cannot_aggregate(self):
         signers = build_cluster_keys("hashsig", 3)
-        with pytest.raises(AssertionError):
-            DeltaAdjustCertificate.from_adjusts(
+        with pytest.raises(VerificationError):
+            Certificate.assemble(
                 (
                     DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),
                     DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=2),
-                )
+                ),
+                signers[0],
+                aggregate=False,
             )
 
 
@@ -217,11 +222,10 @@ class TestMonitorRecalibration:
     def test_certificate_installs_at_epoch_boundary(self):
         replica, ctx, signers = guarded_replica(replica_id=0)
         guard = replica.guard
-        cert = DeltaAdjustCertificate.from_adjusts(
-            tuple(
-                DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2)
-                for i in (1, 2)
-            )
+        cert = Certificate.assemble(
+            (DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2) for i in (1, 2)),
+            signers[0],
+            aggregate=False,
         )
         ctx.advance(1.0)
         guard.on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))
@@ -236,8 +240,10 @@ class TestMonitorRecalibration:
 
     def test_invalid_certificate_rejected(self):
         replica, _, signers = guarded_replica(replica_id=0)
-        cert = DeltaAdjustCertificate.from_adjusts(
-            (DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=1),)
+        cert = Certificate.assemble(
+            (DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=1),),
+            signers[0],
+            aggregate=False,
         )
         with pytest.raises(VerificationError):
             replica.guard.on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))

@@ -10,7 +10,7 @@ from repro.config import ProtocolConfig
 from repro.consensus.validators import ValidatorSet
 from repro.errors import VerificationError
 from repro.types.block import make_block
-from repro.types.certificates import QuorumCertificate, Vote, genesis_qc
+from repro.types.certificates import Certificate, Vote, genesis_qc
 from repro.types.messages import HSNewViewMsg, HSProposalMsg, VoteMsg
 from repro.types.transaction import make_transaction
 from tests.conftest import FakeContext
@@ -43,7 +43,7 @@ def qc_over(signers, block, view=None):
     votes = tuple(
         Vote.create(s, "hotstuff", view, block.height, block.block_hash) for s in signers
     )
-    return QuorumCertificate.from_votes(votes)
+    return Certificate.assemble(votes, signers[0], aggregate=False)
 
 
 def gen_qc(replica):

@@ -15,7 +15,7 @@ from repro.config import ProtocolConfig
 from repro.consensus.validators import ValidatorSet
 from repro.errors import VerificationError
 from repro.types.block import genesis_block, make_block
-from repro.types.certificates import QuorumCertificate, Vote
+from repro.types.certificates import Certificate, Vote
 from repro.types.messages import (
     PBFTCommitMsg,
     PBFTNewViewMsg,
@@ -182,11 +182,11 @@ class TestViewChange:
     def test_derive_reproposals_truncates_at_gap(self, signers4):
         b1 = make_block(1, 1, genesis_block().block_hash, (), 1)
         b3 = make_block(1, 3, b"\x07" * 32, (), 1)
-        qc1 = QuorumCertificate.from_votes(
-            tuple(vote(s, 1, 1, b1.block_hash, PREPARE_PHASE) for s in signers4[:3])
+        qc1 = Certificate.assemble(
+            (vote(s, 1, 1, b1.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
         )
-        qc3 = QuorumCertificate.from_votes(
-            tuple(vote(s, 1, 3, b3.block_hash, PREPARE_PHASE) for s in signers4[:3])
+        qc3 = Certificate.assemble(
+            (vote(s, 1, 3, b3.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
         )
         vc = PBFTViewChangeMsg(
             sender=0,
@@ -203,11 +203,11 @@ class TestViewChange:
     def test_derive_reproposals_prefers_higher_view(self, signers4):
         b_old = make_block(1, 1, genesis_block().block_hash, (), 1)
         b_new = make_block(2, 1, genesis_block().block_hash, (), 2)
-        qc_old = QuorumCertificate.from_votes(
-            tuple(vote(s, 1, 1, b_old.block_hash, PREPARE_PHASE) for s in signers4[:3])
+        qc_old = Certificate.assemble(
+            (vote(s, 1, 1, b_old.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
         )
-        qc_new = QuorumCertificate.from_votes(
-            tuple(vote(s, 2, 1, b_new.block_hash, PREPARE_PHASE) for s in signers4[:3])
+        qc_new = Certificate.assemble(
+            (vote(s, 2, 1, b_new.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
         )
         vc1 = PBFTViewChangeMsg(0, 3, 0, None, ((1, qc_old, b_old),), b"")
         vc2 = PBFTViewChangeMsg(1, 3, 0, None, ((1, qc_new, b_new),), b"")

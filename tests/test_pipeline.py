@@ -33,7 +33,7 @@ from repro.errors import ConfigError, VerificationError
 from repro.runner.cluster import build_cluster
 from repro.runner.experiment import standard_protocol_config
 from repro.types.block import make_block
-from repro.types.certificates import Blame, BlameCertificate, Vote, genesis_qc
+from repro.types.certificates import Blame, Certificate, Vote, genesis_qc
 from repro.types.messages import (
     PROPOSAL_DOMAIN,
     BlameCertMsg,
@@ -208,8 +208,8 @@ class TestPipelinedLeader:
         b1 = _headers(ctx)[0]
         _vote_for(replica, ctx, signers[0], 1, b1.block_hash)
         assert len(replica._inflight) == 4
-        cert = BlameCertificate.from_blames(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2])
+        cert = Certificate.assemble(
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")

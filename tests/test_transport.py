@@ -352,6 +352,60 @@ class TestBadFrames:
         asyncio.run(run())
 
 
+    def test_ill_typed_certificate_costs_one_message_not_the_reader(self):
+        """A well-framed, canonical message with an ``int`` where a
+        certificate's pair list belongs is a failed verification: that
+        message is dropped, the link it came on stays up, and no reader
+        task dies of an exception nobody retrieves."""
+        from repro.obs.metrics import MetricsRegistry
+        from repro.types.certificates import QuorumCertificate
+        from repro.types.messages import BlameCertMsg, StatusMsg
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            peers = local_peer_map(3, base_port=BASE_PORT + 180)
+            registry = MetricsRegistry()
+            replica = make_replica(2)  # not the first leader: nothing leaves the pool
+            node = AsyncReplicaNode(replica, peers, metrics=registry)
+            await node.start()
+            traced = []
+            replica.ctx.trace = lambda kind, **detail: traced.append((kind, detail["msg"]))
+            try:
+                _, hostile = await asyncio.open_connection(*peers[2])
+                _, good = await asyncio.open_connection(*peers[2])
+                hostile.write(encode_frame(("hello", 1)))
+                good.write(encode_frame(("hello", 0)))
+                qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
+                hostile.write(encode_frame(StatusMsg(sender=1, new_epoch=1, high_qc=qc)))
+                hostile.write(encode_frame(BlameCertMsg(cert=5)))
+                hostile.write(encode_frame(("client-tx", make_transaction(7, 0, 0.0, 32))))
+                good.write(encode_frame(("client-tx", make_transaction(7, 1, 0.0, 32))))
+                for _ in range(200):
+                    await asyncio.sleep(0.01)
+                    if len(replica.mempool) == 2:
+                        break
+                assert not hostile.is_closing()
+                hostile.close()
+                good.close()
+            finally:
+                await node.stop()
+            await asyncio.sleep(0)
+            gc.collect()
+            await asyncio.sleep(0)
+            bad_frames = registry.counter("transport/bad_frames_total").value
+            return traced, len(replica.mempool), bad_frames, unhandled
+
+        traced, pooled, bad_frames, unhandled = asyncio.run(run())
+        assert traced == [
+            ("verification_failed", "StatusMsg"),
+            ("verification_failed", "BlameCertMsg"),
+        ]
+        assert pooled == 2, "both links, the hostile peer's included, still deliver"
+        assert bad_frames == 0 and unhandled == []
+
+
 class TestLiveCluster:
     def test_three_replica_tcp_cluster_commits(self):
         """The full protocol over real sockets commits a transaction on

@@ -12,9 +12,11 @@ from repro.types.block import (
     genesis_block,
     make_block,
 )
+from repro.consensus.validators import ValidatorSet
 from repro.types.certificates import (
     Blame,
     BlameCertificate,
+    Certificate,
     QuorumCertificate,
     Vote,
     genesis_qc,
@@ -90,20 +92,20 @@ class TestVotesAndQCs:
             tampered = dataclasses.replace(vote, **change)
             assert not tampered.verify(signers3[1]), change
 
-    def test_qc_from_votes_verifies(self, signers3):
+    def test_qc_from_votes_verifies(self, signers3, validators3):
         votes = tuple(
             Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2]
         )
-        qc = QuorumCertificate.from_votes(votes)
-        assert qc.verify(signers3[2], quorum=2)
+        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
+        assert qc.verify(signers3[2], validators3)
         assert qc.rank == (1, 1)
 
-    def test_qc_below_quorum_rejected(self, signers3):
+    def test_qc_below_quorum_rejected(self, signers3, validators3):
         votes = (Vote.create(signers3[0], "alterbft", 1, 1, b"\x09" * 32),)
-        qc = QuorumCertificate.from_votes(votes)
-        assert not qc.verify(signers3[1], quorum=2)
+        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
+        assert not qc.verify(signers3[1], validators3)
 
-    def test_qc_duplicate_voters_rejected(self, signers3):
+    def test_qc_duplicate_voters_rejected(self, signers3, validators3):
         vote = Vote.create(signers3[0], "alterbft", 1, 1, b"\x09" * 32)
         qc = QuorumCertificate(
             protocol="alterbft",
@@ -113,11 +115,11 @@ class TestVotesAndQCs:
             block_hash=b"\x09" * 32,
             votes=((0, vote.signature), (0, vote.signature)),
         )
-        assert not qc.verify(signers3[1], quorum=2)
+        assert not qc.verify(signers3[1], validators3)
 
-    def test_qc_forged_signature_rejected(self, signers3):
+    def test_qc_forged_signature_rejected(self, signers3, validators3):
         votes = tuple(Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2])
-        qc = QuorumCertificate.from_votes(votes)
+        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
         forged = QuorumCertificate(
             protocol=qc.protocol,
             phase=qc.phase,
@@ -126,7 +128,7 @@ class TestVotesAndQCs:
             block_hash=b"\x08" * 32,  # different block, same signatures
             votes=qc.votes,
         )
-        assert not forged.verify(signers3[2], quorum=2)
+        assert not forged.verify(signers3[2], validators3)
 
     def test_rank_ordering(self):
         low = genesis_qc("alterbft", b"\x00" * 32)
@@ -149,17 +151,17 @@ class TestBlames:
         blame = Blame.create(signers3[0], "alterbft", 4)
         assert not dataclasses.replace(blame, epoch=5).verify(signers3[1])
 
-    def test_blame_cert(self, signers3):
+    def test_blame_cert(self, signers3, validators3):
         blames = tuple(Blame.create(s, "alterbft", 4) for s in signers3[:2])
-        cert = BlameCertificate.from_blames(blames)
-        assert cert.verify(signers3[2], quorum=2)
-        assert not cert.verify(signers3[2], quorum=3)
+        cert = Certificate.assemble(blames, signers3[0], aggregate=False)
+        assert cert.verify(signers3[2], validators3)
+        assert not cert.verify(signers3[2], ValidatorSet(n=3, f=0, quorum=3))
 
-    def test_blame_cert_duplicates_rejected(self, signers3):
+    def test_blame_cert_duplicates_rejected(self, signers3, validators3):
         blame = Blame.create(signers3[0], "alterbft", 4)
         cert = BlameCertificate(
             protocol="alterbft",
             epoch=4,
             blames=((0, blame.signature), (0, blame.signature)),
         )
-        assert not cert.verify(signers3[1], quorum=2)
+        assert not cert.verify(signers3[1], validators3)

@@ -24,16 +24,14 @@ from repro.types.certificates import (
     AggregateQuorumCertificate,
     Blame,
     BlameCertificate,
+    Certificate,
     CheckpointCertificate,
     CheckpointVote,
     DeltaAdjust,
     DeltaAdjustCertificate,
     QuorumCertificate,
     Vote,
-    blame_signing_bytes,
-    checkpoint_signing_bytes,
-    delta_adjust_signing_bytes,
-    vote_signing_bytes,
+    signing_bytes,
 )
 from repro.types.messages import (
     BlameCertMsg,
@@ -155,11 +153,11 @@ def test_genesis_digest_golden():
         assert out.stdout.strip() == digest
 
 
-def _statement_instances(scheme: str):
+def _statement_instances():
     """One deterministic instance of each of the twelve signed-statement /
-    certificate wire types: five signers, certificates over all five, the
-    aggregate forms built by signer 0."""
-    signers = build_cluster_keys(scheme, 5)
+    certificate wire types: five hashsig signers, certificates over all
+    five, the aggregate forms built by signer 0."""
+    signers = build_cluster_keys("hashsig", 5)
     votes = tuple(Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers)
     blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
     checkpoints = tuple(
@@ -167,25 +165,18 @@ def _statement_instances(scheme: str):
         for s in signers
     )
     adjusts = tuple(DeltaAdjust.create(s, "alterbft", 1, 2) for s in signers)
-    first = signers[0]
-    return {
-        Vote: votes[0],
-        QuorumCertificate: QuorumCertificate.from_votes(votes),
-        AggregateQuorumCertificate: AggregateQuorumCertificate.from_votes(votes, first),
-        Blame: blames[0],
-        BlameCertificate: BlameCertificate.from_blames(blames),
-        AggregateBlameCertificate: AggregateBlameCertificate.from_blames(blames, first),
-        CheckpointVote: checkpoints[0],
-        CheckpointCertificate: CheckpointCertificate.from_votes(checkpoints),
-        AggregateCheckpointCertificate: AggregateCheckpointCertificate.from_votes(
-            checkpoints, first
-        ),
-        DeltaAdjust: adjusts[0],
-        DeltaAdjustCertificate: DeltaAdjustCertificate.from_adjusts(adjusts),
-        AggregateDeltaAdjustCertificate: AggregateDeltaAdjustCertificate.from_adjusts(
-            adjusts, first
-        ),
-    }
+    instances = {}
+    for signed, raw_cls, aggregate_cls in (
+        (votes, QuorumCertificate, AggregateQuorumCertificate),
+        (blames, BlameCertificate, AggregateBlameCertificate),
+        (checkpoints, CheckpointCertificate, AggregateCheckpointCertificate),
+        (adjusts, DeltaAdjustCertificate, AggregateDeltaAdjustCertificate),
+    ):
+        instances[type(signed[0])] = signed[0]
+        instances[raw_cls] = Certificate.assemble(signed, signers[0], aggregate=False)
+        instances[aggregate_cls] = Certificate.assemble(signed, signers[0], aggregate=True)
+    assert all(type(instance) is cls for cls, instance in instances.items())
+    return instances
 
 
 class TestStatementBytePins:
@@ -210,8 +201,8 @@ class TestStatementBytePins:
         AggregateDeltaAdjustCertificate: (53, "62fbfb6b0a861d425b8e5470721ed00f64703fb086515494476919576ebfbd2e"),
     }
 
-    #: Half-aggregated Schnorr QC over the same five votes: fences the
-    #: aggregation transcript itself, which the hashsig MAC cannot.
+    #: Half-aggregated Schnorr QC over the same vote, five signers: fences
+    #: the aggregation transcript itself, which the hashsig MAC cannot.
     SCHNORR_AGG_QC_PIN = (255, "08c95d9a733e259397062e7b746ca71e910923d77fa7dbb01c42b09f17dcd69d")
 
     #: statement → (len, sha256) of the bytes its signature covers.
@@ -228,7 +219,7 @@ class TestStatementBytePins:
 
     @pytest.fixture(scope="class")
     def hashsig_instances(self):
-        return _statement_instances("hashsig")
+        return _statement_instances()
 
     @pytest.mark.parametrize("cls", list(HASHSIG_PINS), ids=lambda c: c.__name__)
     def test_encoded_bytes_pinned(self, hashsig_instances, cls):
@@ -237,60 +228,26 @@ class TestStatementBytePins:
         assert decode(encode(instance)) == instance
 
     def test_schnorr_aggregate_qc_bytes_pinned(self):
-        qc = _statement_instances("schnorr")[AggregateQuorumCertificate]
+        signers = build_cluster_keys("schnorr", 5)
+        votes = [Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers]
+        qc = Certificate.assemble(votes, signers[0], aggregate=True)
         assert self._pin(encode(qc)) == self.SCHNORR_AGG_QC_PIN
 
-    def test_signing_bytes_pinned(self):
-        signing_bytes = {
-            "vote": vote_signing_bytes("alterbft", 0, 2, 5, b"\x11" * 32),
-            "blame": blame_signing_bytes("alterbft", 4),
-            "checkpoint": checkpoint_signing_bytes(
-                "alterbft", 8, b"\x22" * 32, b"\x33" * 32
-            ),
-            "delta-adjust": delta_adjust_signing_bytes("alterbft", 1, 2),
+    def test_signing_bytes_pinned(self, hashsig_instances):
+        covered = {
+            cls.KIND.domain: signing_bytes(*hashsig_instances[cls].statement)
+            for cls in (Vote, Blame, CheckpointVote, DeltaAdjust)
         }
-        assert {
-            name: self._pin(data) for name, data in signing_bytes.items()
-        } == self.SIGNING_BYTES_PINS
+        assert covered["vote"] == encode(("alterbft", 0, 2, 5, b"\x11" * 32))
+        assert {name: self._pin(data) for name, data in covered.items()} == (
+            self.SIGNING_BYTES_PINS
+        )
 
 
 class TestAggregateCertWire:
-    """Round-trip and size properties of the aggregate wire variants."""
-
-    def _agg_qc(self, n: int) -> AggregateQuorumCertificate:
-        signers = build_cluster_keys("schnorr", n)
-        votes = tuple(
-            Vote.create(signers[i], "alterbft", 2, 5, b"\x11" * 32) for i in range(n)
-        )
-        return AggregateQuorumCertificate.from_votes(votes, signers[0])
-
-    def test_aggregate_qc_roundtrip(self):
-        qc = self._agg_qc(5)
-        assert decode(encode(qc)) == qc
-
-    def test_aggregate_blame_cert_roundtrip(self):
-        signers = build_cluster_keys("schnorr", 3)
-        blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
-        cert = AggregateBlameCertificate.from_blames(blames, signers[0])
-        assert decode(encode(cert)) == cert
-        assert cert.verify(signers[1], quorum=2)
-
-    def test_aggregate_checkpoint_cert_roundtrip(self):
-        signers = build_cluster_keys("schnorr", 3)
-        votes = tuple(
-            CheckpointVote.create(s, "alterbft", 8, b"\x22" * 32, b"\x33" * 32)
-            for s in signers
-        )
-        cert = AggregateCheckpointCertificate.from_votes(votes, signers[0])
-        assert decode(encode(cert)) == cert
-        assert cert.verify(signers[1], quorum=2)
-
-    def test_aggregate_delta_adjust_cert_roundtrip(self):
-        signers = build_cluster_keys("schnorr", 3)
-        adjusts = tuple(DeltaAdjust.create(s, "alterbft", 1, 2) for s in signers)
-        cert = AggregateDeltaAdjustCertificate.from_adjusts(adjusts, signers[0])
-        assert decode(encode(cert)) == cert
-        assert cert.verify(signers[1], quorum=2)
+    """Size property of the aggregate wire variants (their bytes are
+    pinned above; that they round-trip and verify, per kind and scheme,
+    is ``tests/test_certificates.py``)."""
 
     def test_aggregate_qc_smaller_than_raw_on_wire(self):
         """The point of aggregation: fewer certificate bytes at every
@@ -302,8 +259,8 @@ class TestAggregateCertWire:
                 Vote.create(signers[i], "alterbft", 2, 5, b"\x11" * 32)
                 for i in range(n)
             )
-            raw = len(encode(QuorumCertificate.from_votes(votes)))
-            agg = len(encode(AggregateQuorumCertificate.from_votes(votes, signers[0])))
+            raw = len(encode(Certificate.assemble(votes, signers[0], aggregate=False)))
+            agg = len(encode(Certificate.assemble(votes, signers[0], aggregate=True)))
             assert agg < raw, f"n={n}: aggregate {agg}B not smaller than raw {raw}B"
             assert raw - agg > previous_saving
             previous_saving = raw - agg
@@ -326,7 +283,7 @@ class TestPipelinedHeaderWire:
         justify_votes = tuple(
             Vote.create(s, "alterbft", 2, 2, b"\x24" * 32) for s in signers[:2]
         )
-        justify = QuorumCertificate.from_votes(justify_votes)
+        justify = Certificate.assemble(justify_votes, signers[0], aggregate=False)
         block = make_block(2, 5, b"\x42" * 32, (), 1)
         signature = signers[1].digest_and_sign(
             PROPOSAL_DOMAIN, proposal_signing_bytes(block.block_hash)
