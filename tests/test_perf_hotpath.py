@@ -258,21 +258,37 @@ FLAGS_ON = dict(
 GOLDEN_FINGERPRINT_FLAGS_ON = "54585f0c98739710c55a43bed2ee19059aec7cd6b01e5dd3ec3e23e92088be44"
 
 
-def _run_fingerprint(**protocol_overrides) -> str:
-    """Fingerprint of the seeded run; also checks every committed payload's
-    root survives the wire (leaves hashed as slices of the received frame)."""
+def _run_cluster(f=1, duration=1.5, faults=(), **protocol_overrides):
+    """The seeded run every fingerprint pin shares, run to its horizon."""
     cfg = make_config(
-        "alterbft", f=1, rate=500.0, duration=1.5, seed=7, **protocol_overrides
+        "alterbft",
+        f=f,
+        rate=500.0,
+        duration=duration,
+        seed=7,
+        faults=faults,
+        **protocol_overrides,
     )
     cluster = build_cluster(cfg)
     cluster.start()
     cluster.run()
+    return cluster
+
+
+def _fingerprint(cluster) -> str:
     ledger = b"".join(
         h
         for replica in cluster.replicas
         if replica.replica_id in cluster.honest_ids
         for h in replica.ledger.all_hashes()
     )
+    return cluster.trace.fingerprint(extra=ledger)
+
+
+def _run_fingerprint(**protocol_overrides) -> str:
+    """Fingerprint of the seeded run; also checks every committed payload's
+    root survives the wire (leaves hashed as slices of the received frame)."""
+    cluster = _run_cluster(**protocol_overrides)
     committed = cluster.replicas[0].ledger
     assert committed.height > 0
     for height in range(1, committed.height + 1):
@@ -280,7 +296,7 @@ def _run_fingerprint(**protocol_overrides) -> str:
         received = decode(encode(block.payload))
         assert "_wire_source" in received.__dict__  # leaves will come from the frame
         assert received.merkle_root == block.header.payload_root
-    return cluster.trace.fingerprint(extra=ledger)
+    return _fingerprint(cluster)
 
 
 def test_golden_fingerprint_with_optimizations_on():
@@ -289,6 +305,93 @@ def test_golden_fingerprint_with_optimizations_on():
 
 def test_golden_fingerprint_with_flags_on():
     assert _run_fingerprint(**FLAGS_ON) == GOLDEN_FINGERPRINT_FLAGS_ON
+
+
+#: Composed fences.  ``GOLDEN_FINGERPRINT_FLAGS_ON`` has no dissemination,
+#: no restart and never leaves rung 0 of the Δ ladder; these two runs add
+#: exactly those, through a crash and rejoin of replica 1.
+#:
+#: A — guard + checkpointing + batched/aggregate crypto, pipelined: the
+#: cluster installs rung 2 at t ≈ 0.62, replica 1 crashes at 1.0 and
+#: restarts at 2.0 still on rung 2 (Δ = 20 ms), and catches up.
+FENCE_A = dict(
+    f=2,
+    duration=3.0,
+    crypto_batch=True,
+    crypto_aggregate=True,
+    guard_enabled=True,
+    checkpoint_interval=4,
+    pipeline_depth=2,
+    faults=((1, "crash-recover@1.0:2.0"), (3, "slow-link@0.6:1.6")),
+)
+FENCE_A_FINGERPRINT = "07afddb5439f5c3046a1b34e2a2ab150ff2c476a533d8f4d0003135586fbd433"
+#: B — chunked dissemination + checkpointing, pipelined: the rejoiner
+#: reconstructs the payloads it missed from peers' shares.
+FENCE_B = dict(
+    f=2,
+    duration=3.0,
+    dissemination=True,
+    checkpoint_interval=4,
+    pipeline_depth=2,
+    faults=((1, "crash-recover@1.0:2.0"),),
+)
+FENCE_B_FINGERPRINT = "fa51a99d1d60c59060370d8d42623f746396ad1b786c7e825d5a37a5c5343752"
+
+
+def test_fence_guard_ladder_survives_restart():
+    cluster = _run_cluster(**FENCE_A)
+    assert _fingerprint(cluster) == FENCE_A_FINGERPRINT
+    rejoiner = cluster.replicas[1]
+    assert rejoiner.recovery.caught_up_at is not None
+    assert rejoiner.guard.rung == 2
+    assert rejoiner._delta() == pytest.approx(0.02)
+    assert [r.ledger.height for r in cluster.replicas] == [698, 696, 698, 698, 698]
+
+
+def test_fence_dissemination_rejoin():
+    cluster = _run_cluster(**FENCE_B)
+    assert _fingerprint(cluster) == FENCE_B_FINGERPRINT
+    assert cluster.replicas[1].recovery.caught_up_at is not None
+    assert cluster.trace.counters["dissem_reconstructed"] == 392
+    assert [r.ledger.height for r in cluster.replicas] == [98] * 5
+
+
+def test_dispatch_table_with_every_subsystem_attached():
+    """The message classes a replica dispatches, as the replica sees them."""
+    from repro.types import messages as m
+
+    core = {
+        m.VoteMsg,
+        m.BlameMsg,
+        m.BlameCertMsg,
+        m.EquivocationProofMsg,
+        m.StatusMsg,
+        m.PayloadRequestMsg,
+        m.PayloadResponseMsg,
+    }
+    recovery = {
+        m.CheckpointVoteMsg,
+        m.StatusRequestMsg,
+        m.StatusResponseMsg,
+        m.SnapshotRequestMsg,
+        m.SnapshotResponseMsg,
+        m.BlockRangeRequestMsg,
+        m.BlockRangeResponseMsg,
+    }
+    guard = {m.GuardProbeMsg, m.GuardProbeEchoMsg, m.DeltaAdjustMsg, m.DeltaAdjustCertMsg}
+    dissem = {m.ChunkShareMsg, m.ChunkRequestMsg, m.ChunkResponseMsg}
+    alterbft = {m.ProposalHeaderMsg, m.PayloadMsg, m.BlockRequestMsg, m.BlockResponseMsg}
+
+    flags = dict(guard_enabled=True, checkpoint_interval=4)
+    cluster = build_cluster(make_config("alterbft", dissemination=True, **flags))
+    handled = set(cluster.replicas[0]._bound_handlers)
+    assert handled == core | alterbft | recovery | guard | dissem
+    assert len(handled) == 25
+
+    cluster = build_cluster(make_config("sync-hotstuff", **flags))
+    handled = set(cluster.replicas[0]._bound_handlers)
+    assert handled == core | {m.SHProposalMsg} | recovery | guard
+    assert len(handled) == 19
 
 
 def test_golden_fingerprint_with_optimizations_off(monkeypatch, fast_path_restored):
