@@ -19,6 +19,7 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.net.transport import AsyncReplicaNode, local_peer_map, submit_transaction
+from repro.runner.registry import attach_subsystems
 from repro.smr import ExecutionEngine, KVStore, encode_command
 from repro.types.transaction import Transaction
 
@@ -35,6 +36,7 @@ async def main() -> None:
     nodes, engines = [], []
     for replica_id in range(N):
         replica = AlterBFTReplica(replica_id, validators, pconf, signers[replica_id])
+        attach_subsystems(replica)  # whatever pconf's flags ask for (here: nothing)
         engine = ExecutionEngine(KVStore())
         engine.attach(replica.ledger)
         engines.append(engine)

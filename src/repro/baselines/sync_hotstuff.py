@@ -29,23 +29,12 @@ from ..obs.recorder import MARK_PAYLOAD, MARK_PROPOSE
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
-    BlockRangeRequestMsg,
-    BlockRangeResponseMsg,
-    CheckpointVoteMsg,
-    DeltaAdjustCertMsg,
-    DeltaAdjustMsg,
     EquivocationProofMsg,
-    GuardProbeEchoMsg,
-    GuardProbeMsg,
     PayloadRequestMsg,
     PayloadResponseMsg,
     ProposalHeaderMsg,
     SHProposalMsg,
-    SnapshotRequestMsg,
-    SnapshotResponseMsg,
     StatusMsg,
-    StatusRequestMsg,
-    StatusResponseMsg,
     VoteMsg,
 )
 
@@ -55,18 +44,11 @@ class SyncHotStuffReplica(AlterBFTReplica):
 
     protocol_name = "sync-hotstuff"
 
-    #: Declared wire-phase contract (checked against HANDLERS in tests).
-    #: Unlike AlterBFT there is no separate "payload" phase: Sync
+    #: Declared core wire-phase contract (checked against HANDLERS in
+    #: tests).  Unlike AlterBFT there is no separate "payload" phase: Sync
     #: HotStuff ships the full block inside its proposal, which is the
     #: size asymmetry the paper's comparison turns on.
-    WIRE_PHASES = (
-        "propose",
-        "vote",
-        "epoch_change",
-        "repair",
-        "recovery",
-        "guard",
-    )
+    WIRE_PHASES = ("propose", "vote", "epoch_change", "repair")
 
     HANDLERS = {
         SHProposalMsg: "on_sh_proposal",
@@ -77,17 +59,6 @@ class SyncHotStuffReplica(AlterBFTReplica):
         StatusMsg: "on_status",
         PayloadRequestMsg: "on_payload_request",
         PayloadResponseMsg: "on_payload_response",
-        CheckpointVoteMsg: "on_checkpoint_vote",
-        StatusRequestMsg: "on_status_request",
-        StatusResponseMsg: "on_status_response",
-        SnapshotRequestMsg: "on_snapshot_request",
-        SnapshotResponseMsg: "on_snapshot_response",
-        BlockRangeRequestMsg: "on_block_range_request",
-        BlockRangeResponseMsg: "on_block_range_response",
-        GuardProbeMsg: "on_guard_probe",
-        GuardProbeEchoMsg: "on_guard_probe_echo",
-        DeltaAdjustMsg: "on_delta_adjust",
-        DeltaAdjustCertMsg: "on_delta_adjust_cert",
     }
 
     def __init__(self, *args, **kwargs) -> None:

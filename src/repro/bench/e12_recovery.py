@@ -63,7 +63,7 @@ def _run_one(protocol: str, downtime: float, interval: int) -> Dict[str, object]
     cluster.run()
 
     joiner = cluster.replicas[FAULTY_ID]
-    manager = joiner.recovery
+    manager = joiner.subsystems.get("recovery")
     assert manager is not None
     caught = manager.caught_up_at
     honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]

@@ -68,7 +68,7 @@ def _window_commits(cluster: Cluster, witness: int, lo: float, hi: float) -> int
 def _silent_commits(cluster: Cluster, witness: int) -> int:
     """In-window commits with neither an at-risk flag nor an adequate Δ."""
     replica = cluster.replicas[witness]
-    guard = replica.guard
+    guard = replica.subsystems.get("guard")
     if guard is None:
         # Fixed-Δ run: every in-window commit is silent by construction.
         return _window_commits(cluster, witness, T_START, T_END)
@@ -112,7 +112,7 @@ def _run_one(protocol: str, guarded: bool, duration: float) -> Dict[str, object]
     pre_rate = pre / max(T_START - config.warmup, 1e-9)
     post_rate = post / max(post_end - post_start, 1e-9)
 
-    guard = cluster.replicas[witness].guard
+    guard = cluster.replicas[witness].subsystems.get("guard")
     if guard is not None:
         installs = guard.installs
         at_risk = cluster.replicas[witness].ledger.at_risk_count

@@ -205,7 +205,7 @@ def check_recovery(cluster: "Cluster") -> InvariantResult:
         (r.ledger.all_hashes() for r in honest), key=len, default=[]
     )
     for replica in cluster.replicas:
-        manager = getattr(replica, "recovery", None)
+        manager = replica.subsystems.get("recovery")
         if manager is None or manager.restarts == 0:
             continue
         rid = replica.replica_id
@@ -223,21 +223,19 @@ def check_recovery(cluster: "Cluster") -> InvariantResult:
                 f"replica {rid}: catchup stalled (state={manager.state!r}, "
                 f"retries={manager.fetch_retries})",
             )
-        wal = getattr(replica, "wal", None)
-        if wal is not None:
-            voted = {}
-            for vote in wal.replay():
-                if not isinstance(vote, Vote):
-                    continue
-                key = (vote.epoch, vote.height)
-                earlier = voted.setdefault(key, vote.block_hash)
-                if earlier != vote.block_hash:
-                    return InvariantResult(
-                        RECOVERY,
-                        False,
-                        f"replica {rid}: WAL shows conflicting votes at "
-                        f"epoch {vote.epoch} height {vote.height}",
-                    )
+        voted = {}
+        for vote in manager.wal.replay():
+            if not isinstance(vote, Vote):
+                continue
+            key = (vote.epoch, vote.height)
+            earlier = voted.setdefault(key, vote.block_hash)
+            if earlier != vote.block_hash:
+                return InvariantResult(
+                    RECOVERY,
+                    False,
+                    f"replica {rid}: WAL shows conflicting votes at "
+                    f"epoch {vote.epoch} height {vote.height}",
+                )
     return InvariantResult(RECOVERY, True)
 
 
@@ -264,7 +262,8 @@ def check_guard_flagging(
     t1, t2 = violation_window
     start = t1 + grace
     honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
-    guarded = [(r, r.guard) for r in honest if r.guard is not None]
+    guarded = [(r, r.subsystems.get("guard")) for r in honest]
+    guarded = [(r, guard) for r, guard in guarded if guard is not None]
     if not guarded:
         return InvariantResult(
             GUARD_FLAGGING, False, "no synchrony monitors attached to honest replicas"
@@ -383,7 +382,7 @@ def check_certified_prefix(cluster: "Cluster") -> InvariantResult:
     replicas_by_id = {r.replica_id: r for r in cluster.replicas}
     for replica_id in sorted(cluster.honest_ids):
         replica = replicas_by_id[replica_id]
-        manager = getattr(replica, "recovery", None)
+        manager = replica.subsystems.get("recovery")
         restarted = manager is not None and manager.restarts > 0
         genesis_hash = replica.ledger.committed_hash_at(0)
         seen: dict = {}

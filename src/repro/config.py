@@ -179,6 +179,18 @@ class ProtocolConfig:
         _require(1 <= self.guard_max_rung <= 16, "guard_max_rung in [1, 16]")
         _require(self.guard_stable_window > 0, "guard_stable_window must be positive")
 
+    def required_subsystems(self) -> Tuple[str, ...]:
+        """Names of the optional subsystems these flags ask for — the one
+        reading of them: :func:`repro.runner.registry.attach_subsystems`
+        attaches these, and an AlterBFT-family replica refuses to start
+        without them."""
+        flags = (
+            ("recovery", self.checkpoint_interval > 0),
+            ("guard", self.guard_enabled),
+            ("dissem", self.dissemination),
+        )
+        return tuple(name for name, asked in flags if asked)
+
     @property
     def quorum_2f1(self) -> int:
         """Votes needed for a certificate under n = 2f+1 resilience."""

@@ -3,7 +3,8 @@
 Provides message dispatch, the block store / ledger / mempool wiring,
 vote and blame accounting, and small helpers (signing proposals, checking
 proposer signatures).  Subclasses declare their handlers in a class-level
-``HANDLERS`` mapping from message class to method name.
+``HANDLERS`` mapping from message class to method name; optional
+subsystems add theirs through :meth:`BaseReplica.attach`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
-from ..errors import VerificationError
+from ..errors import ConfigError, VerificationError
 from ..mempool.mempool import Mempool
 from ..obs.recorder import SpanRecorder
 from ..types.block import Block, BlockHeader
@@ -32,6 +33,11 @@ from .context import Context
 from .ledger import Ledger
 from .validators import ValidatorSet
 
+#: The hooks a subsystem may implement — exactly the call sites the
+#: protocols have, nothing speculative (DESIGN.md → "Attaching a
+#: subsystem").  Each fires in attach order.
+HOOKS = ("on_start", "on_epoch_enter", "on_committed", "on_header", "drop_blocks", "journal")
+
 
 class BaseReplica:
     """Common machinery for a consensus replica.
@@ -46,12 +52,13 @@ class BaseReplica:
     #: Message-class → handler-method-name mapping (subclass declares).
     HANDLERS: Dict[Type, str] = {}
 
-    #: Wire phases this protocol's traffic may occupy (subclass declares;
-    #: names from :data:`repro.obs.wire.WIRE_PHASE_NAMES`).  This is the
-    #: protocol's *declared* bandwidth contract: the ``repro.obs wire``
-    #: drill-down flags any observed phase outside it, and a unit test
-    #: pins each declaration against :meth:`handled_wire_phases` so the
-    #: two cannot drift silently.
+    #: Wire phases this protocol's own traffic may occupy (subclass
+    #: declares; names from :data:`repro.obs.wire.WIRE_PHASE_NAMES`).
+    #: With the phase of every subsystem the protocol can carry
+    #: (``runner.registry.wire_phases_for``) this is its *declared*
+    #: bandwidth contract: the ``repro.obs wire`` drill-down flags any
+    #: observed phase outside it, and a unit test pins each declaration
+    #: against :meth:`handled_wire_phases` so the two cannot drift silently.
     WIRE_PHASES: Tuple[str, ...] = ()
 
     @classmethod
@@ -73,25 +80,6 @@ class BaseReplica:
     #: work, and recording never touches RNG, scheduler, or the
     #: fingerprint counters (the inertness guarantee).
     obs: Optional[SpanRecorder] = None
-
-    #: Write-ahead log and recovery manager (set by the cluster builder
-    #: when the experiment enables checkpointing/recovery).  ``None``
-    #: keeps every journaling/checkpoint site a single attribute test —
-    #: the disabled path is observationally inert.
-    wal: Optional[object] = None
-    recovery: Optional["RecoveryManager"] = None
-
-    #: Synchrony guard (set by the cluster builder when
-    #: ``ProtocolConfig.guard_enabled``).  ``None`` keeps every
-    #: measurement/flagging site a single attribute test — the disabled
-    #: path is observationally inert.
-    guard: Optional["SynchronyMonitor"] = None
-
-    #: Chunked payload dissemination (set by the cluster builder when
-    #: ``ProtocolConfig.dissemination``).  ``None`` keeps the blob
-    #: payload path byte-identical to the golden trace — every
-    #: dissemination site is a single attribute test.
-    dissem: Optional["DisseminationManager"] = None
 
     def __init__(
         self,
@@ -119,6 +107,10 @@ class BaseReplica:
             cls: getattr(self, name) for cls, name in self.HANDLERS.items()
         }
         self._timer_methods: Dict[str, Callable[[Any], None]] = {}
+        #: Attached subsystems by name, in attach order — also how anything
+        #: outside the replica reaches one (``subsystems.get("guard")``).
+        self.subsystems: Dict[str, Any] = {}
+        self._hooks: Dict[str, List[Callable[..., None]]] = {hook: [] for hook in HOOKS}
         # Vote accounting: (phase, epoch, block_hash) → {voter → Vote}.
         self._votes: Dict[Tuple[int, int, Digest], Dict[int, Vote]] = {}
         self._qcs: Dict[Tuple[int, int, Digest], Certificate] = {}
@@ -140,6 +132,43 @@ class BaseReplica:
 
     def on_start(self) -> None:
         """Called once when the cluster starts; subclasses override."""
+
+    def attach(self, subsystem: Any) -> None:
+        """Register an optional subsystem with this replica.
+
+        A subsystem declares ``name``, ``HANDLERS`` (message class →
+        method name) and ``TIMERS`` (timer tag → method name) and
+        implements any of :data:`HOOKS`.  Its bound methods join the
+        replica's own dispatch tables, so dispatch stays one dict lookup
+        and a message for a subsystem that is not attached is an unknown
+        message.  Methods are resolved on the instance, here, so
+        class-level instrumentation installed before the replica was
+        built stays in the call path.  A message class, timer tag or name
+        that already has an owner raises :class:`ConfigError` before
+        anything is registered.
+        """
+        taken = [subsystem.name] if subsystem.name in self.subsystems else []
+        taken += [cls.__name__ for cls in subsystem.HANDLERS if cls in self._bound_handlers]
+        taken += [
+            tag
+            for tag in subsystem.TIMERS
+            if tag in self._timer_methods or hasattr(self, f"_timer_{tag}")
+        ]
+        if taken:
+            raise ConfigError(f"cannot attach {subsystem.name!r}: {taken} already owned")
+        self.subsystems[subsystem.name] = subsystem
+        for msg_cls, method in subsystem.HANDLERS.items():
+            self._bound_handlers[msg_cls] = getattr(subsystem, method)
+        for tag, method in subsystem.TIMERS.items():
+            self._timer_methods[tag] = getattr(subsystem, method)
+        for hook, subscribers in self._hooks.items():
+            method = getattr(subsystem, hook, None)
+            if method is not None:
+                subscribers.append(method)
+
+    def _fire(self, hook: str, *args: Any) -> None:
+        for subscriber in self._hooks[hook]:
+            subscriber(*args)
 
     def on_timer(self, tag: str, payload: Any) -> None:
         """Timer dispatch: calls ``_timer_<tag>`` if defined."""
@@ -368,8 +397,5 @@ class BaseReplica:
                 self.obs_mark(
                     "commit", block.block_hash, epoch=block.epoch, height=block.height
                 )
-        if self.recovery is not None:
-            self.recovery.on_committed(blocks)
-        if self.guard is not None:
-            self.guard.on_committed(blocks)
+        self._fire("on_committed", blocks)
         return blocks

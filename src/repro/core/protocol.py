@@ -59,7 +59,7 @@ from ..consensus.validators import ValidatorSet
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
-from ..errors import BlockStoreError, VerificationError
+from ..errors import BlockStoreError, ConfigError, VerificationError
 from ..mempool.mempool import Mempool
 from ..obs.recorder import (
     EVENT_BLAME,
@@ -78,33 +78,19 @@ from ..obs.recorder import (
     MARK_WINDOW,
 )
 from ..recovery.wal import WalEpochRecord
-from ..types.block import BlockHeader, BlockPayload, make_block
+from ..types.block import Block, BlockHeader, BlockPayload, make_block
 from ..types.certificates import BLAME, VOTE, Blame, Certificate, Vote, genesis_qc
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
-    BlockRangeRequestMsg,
-    BlockRangeResponseMsg,
     BlockRequestMsg,
     BlockResponseMsg,
-    CheckpointVoteMsg,
-    ChunkRequestMsg,
-    ChunkResponseMsg,
-    ChunkShareMsg,
-    DeltaAdjustCertMsg,
-    DeltaAdjustMsg,
     EquivocationProofMsg,
-    GuardProbeEchoMsg,
-    GuardProbeMsg,
     PayloadMsg,
     PayloadRequestMsg,
     PayloadResponseMsg,
     ProposalHeaderMsg,
-    SnapshotRequestMsg,
-    SnapshotResponseMsg,
     StatusMsg,
-    StatusRequestMsg,
-    StatusResponseMsg,
     VoteMsg,
 )
 
@@ -122,17 +108,14 @@ class AlterBFTReplica(BaseReplica):
 
     protocol_name = "alterbft"
 
-    #: Declared wire-phase contract (checked against HANDLERS in tests).
-    WIRE_PHASES = (
-        "propose",
-        "payload",
-        "dissemination",
-        "vote",
-        "epoch_change",
-        "repair",
-        "recovery",
-        "guard",
-    )
+    #: Declared wire-phase contract of the core protocol (checked against
+    #: HANDLERS in tests).
+    WIRE_PHASES = ("propose", "payload", "vote", "epoch_change", "repair")
+
+    #: Multiplier on ``config.delta`` in force.  A synchrony guard writes
+    #: it at its epoch-atomic install; ``__init__`` deliberately does not,
+    #: so the bound a replica crashed with is the bound it restarts with.
+    delta_scale: float = 1.0
 
     HANDLERS = {
         ProposalHeaderMsg: "on_proposal_header",
@@ -146,20 +129,6 @@ class AlterBFTReplica(BaseReplica):
         PayloadResponseMsg: "on_payload_response",
         BlockRequestMsg: "on_block_request",
         BlockResponseMsg: "on_block_response",
-        CheckpointVoteMsg: "on_checkpoint_vote",
-        StatusRequestMsg: "on_status_request",
-        StatusResponseMsg: "on_status_response",
-        SnapshotRequestMsg: "on_snapshot_request",
-        SnapshotResponseMsg: "on_snapshot_response",
-        BlockRangeRequestMsg: "on_block_range_request",
-        BlockRangeResponseMsg: "on_block_range_response",
-        GuardProbeMsg: "on_guard_probe",
-        GuardProbeEchoMsg: "on_guard_probe_echo",
-        DeltaAdjustMsg: "on_delta_adjust",
-        DeltaAdjustCertMsg: "on_delta_adjust_cert",
-        ChunkShareMsg: "on_chunk_share",
-        ChunkRequestMsg: "on_chunk_request",
-        ChunkResponseMsg: "on_chunk_response",
     }
 
     def __init__(
@@ -230,25 +199,34 @@ class AlterBFTReplica(BaseReplica):
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
+        missing = [s for s in self.config.required_subsystems() if s not in self.subsystems]
+        if missing:
+            # A flag nobody acted on would run the plain protocol and
+            # report the flagged one.
+            raise ConfigError(
+                f"{self.protocol_name}: config asks for {missing} but no such subsystem "
+                "is attached (build replicas through runner.registry.attach_subsystems)"
+            )
+        self.pacemaker = self._new_pacemaker()
+        self.pacemaker.enter_epoch(self.epoch, made_progress=True)
+        self._fire("on_start")
+        if self.is_leader(self.epoch):
+            self._propose_block()
+
+    def _new_pacemaker(self) -> Pacemaker:
         assert self.ctx is not None
-        self.pacemaker = Pacemaker(
+        return Pacemaker(
             self.ctx,
             base_timeout=self.config.epoch_timeout,
             growth=self.config.epoch_timeout_growth,
             on_timeout=self._on_epoch_timeout,
-            timeout_scale=self.guard.timeout_scale if self.guard is not None else None,
+            timeout_scale=lambda: self.delta_scale,
         )
-        self.pacemaker.enter_epoch(self.epoch, made_progress=True)
-        if self.guard is not None:
-            self.guard.on_start()
-        if self.is_leader(self.epoch):
-            self._propose_block()
 
     def _delta(self) -> float:
-        """The synchrony bound in force: the guard's re-calibrated Δ when
-        one is attached, the static configured Δ otherwise."""
-        guard = self.guard
-        return self.config.delta if guard is None else guard.effective_delta
+        """The synchrony bound in force: the configured Δ, re-calibrated
+        by whatever multiple a synchrony guard has installed."""
+        return self.config.delta * self.delta_scale
 
     def _timer_pacemaker(self, payload: Any) -> None:
         assert self.pacemaker is not None
@@ -328,20 +306,21 @@ class AlterBFTReplica(BaseReplica):
                 txs=len(batch),
                 inflight=len(self._inflight),
             )
-        # Header first (small, Δ-timely), payload second (large) — either
-        # as one blob per replica or as erasure-coded chunk shares.
+        # Header first (small, Δ-timely), payload second (large).
         self.broadcast(header_msg)
-        if self.dissem is not None:
-            self.dissem.disseminate(block)
-        else:
-            self.broadcast(
-                PayloadMsg(
-                    epoch=self.epoch,
-                    height=block.height,
-                    block_hash=block.block_hash,
-                    payload=block.payload,
-                )
+        self.send_payload(block)
+
+    def send_payload(self, block: Block) -> None:
+        """Ship a proposed block's payload: one blob per replica.  A
+        dissemination subsystem replaces this with its own sender."""
+        self.broadcast(
+            PayloadMsg(
+                epoch=block.epoch,
+                height=block.height,
+                block_hash=block.block_hash,
+                payload=block.payload,
             )
+        )
 
     # ------------------------------------------------------------------
     # Header handling: verification, conflict detection, relaying
@@ -435,10 +414,7 @@ class AlterBFTReplica(BaseReplica):
                 "payload_fetch",
                 header.block_hash,
             )
-            if self.dissem is not None:
-                # Chunked dissemination: start pulling shares even if the
-                # leader never pushes us one.
-                self.dissem.on_header(header)
+            self._fire("on_header", header)
         conflict = self._find_conflict(msg)
         if conflict is not None:
             self._report_equivocation(conflict, msg)
@@ -617,10 +593,9 @@ class AlterBFTReplica(BaseReplica):
         vote = Vote.create(
             self.signer, self.protocol_name, header.epoch, header.height, header.block_hash
         )
-        if self.wal is not None:
-            # Journal before broadcast: a restart replays this and can
-            # never emit a second vote at (or below) the same height.
-            self.wal.append(vote)
+        # Journal before broadcast: a restart replays this and can
+        # never emit a second vote at (or below) the same height.
+        self._fire("journal", vote)
         self.trace("vote", epoch=header.epoch, height=header.height)
         if self.obs is not None:
             self.obs_mark(
@@ -693,8 +668,7 @@ class AlterBFTReplica(BaseReplica):
     def _update_high_qc(self, qc: Certificate) -> None:
         if qc.rank > self.high_qc.rank:
             self.high_qc = qc
-            if self.wal is not None:
-                self.wal.append(qc)
+            self._fire("journal", qc)
 
     def _timer_commit_wait(self, payload: Tuple[int, Digest]) -> None:
         epoch, block_hash = payload
@@ -708,11 +682,13 @@ class AlterBFTReplica(BaseReplica):
         self._try_commit(epoch, block_hash)
 
     def _try_commit_ready(self) -> None:
+        self._try_commit_each(self._window_clean)
+
+    def _try_commit_each(self, windows: Set[Tuple[int, Digest]]) -> None:
+        """Try ``windows`` lowest block first, so ancestors commit first."""
         for epoch, block_hash in sorted(
-            self._window_clean,
-            key=lambda item: self.store.header(item[1]).height
-            if self.store.has_header(item[1])
-            else 0,
+            windows,
+            key=lambda w: self.store.header(w[1]).height if self.store.has_header(w[1]) else 0,
         ):
             self._try_commit(epoch, block_hash)
 
@@ -791,13 +767,8 @@ class AlterBFTReplica(BaseReplica):
         windows = parked.pop(key, None)
         if not windows:
             return
-        for window in windows:
-            self._window_clean.add(window)
-        for epoch, block_hash in sorted(
-            windows,
-            key=lambda w: self.store.header(w[1]).height if self.store.has_header(w[1]) else 0,
-        ):
-            self._try_commit(epoch, block_hash)
+        self._window_clean.update(windows)
+        self._try_commit_each(windows)
 
     def _request_missing_ancestor(self, block_hash: Digest) -> Optional[Digest]:
         """Ask peers for the first missing header below ``block_hash``.
@@ -927,24 +898,11 @@ class AlterBFTReplica(BaseReplica):
         self.epoch = new_epoch
         self.state = ACTIVE
         self.obs_event(EVENT_EPOCH_ENTER, epoch=new_epoch)
-        if self.guard is not None:
-            # Atomic Δ switch: a certified adjustment takes effect here,
-            # before this epoch's timers (pacemaker, leader wait) are set.
-            self.guard.on_epoch_enter(new_epoch)
-        self._entry_rank = self.high_qc.rank
-        if self.wal is not None:
-            self.wal.append(
-                WalEpochRecord(
-                    epoch=new_epoch,
-                    rank_epoch=self._entry_rank[0],
-                    rank_height=self._entry_rank[1],
-                )
-            )
+        self._begin_epoch()
         self._proposed_in_epoch = False
         # Resolve the in-flight window: the certified prefix survives via
         # high_qc/status exchange; the uncertified suffix is abandoned and
         # its transactions re-queued for the next leader to re-propose.
-        self._inflight.clear()
         self.mempool.requeue_inflight()
         assert self.pacemaker is not None
         self.pacemaker.enter_epoch(new_epoch, made_progress=False)
@@ -956,13 +914,32 @@ class AlterBFTReplica(BaseReplica):
             self.ctx.set_timer(self._delta(), "new_epoch_propose", new_epoch)
         else:
             self.send(leader, status)
-        # Replay proposals that arrived early for this epoch.
+        self._replay_future_headers()
+
+    def _replay_future_headers(self) -> None:
+        """Accept the buffered proposals whose epoch has now been entered."""
         pending, self._future_headers = self._future_headers, []
         for epoch, msg in pending:
             if epoch <= self.epoch:
                 self._accept_header(msg)
             else:
                 self._future_headers.append((epoch, msg))
+
+    def _begin_epoch(self) -> None:
+        """What entering ``self.epoch`` normally and by rejoining share."""
+        # Atomic Δ switch: a certified adjustment takes effect here,
+        # before this epoch's timers (pacemaker, leader wait) are set.
+        self._fire("on_epoch_enter", self.epoch)
+        self._entry_rank = self.high_qc.rank
+        self._fire(
+            "journal",
+            WalEpochRecord(
+                epoch=self.epoch,
+                rank_epoch=self._entry_rank[0],
+                rank_height=self._entry_rank[1],
+            ),
+        )
+        self._inflight.clear()
 
     def on_status(self, src: int, msg: StatusMsg) -> None:
         if not self.verify_qc(msg.high_qc):
@@ -977,101 +954,8 @@ class AlterBFTReplica(BaseReplica):
         self._propose_block()
 
     # ------------------------------------------------------------------
-    # Recovery: WAL restart + catchup (see repro.recovery)
-    #
-    # All of this is inert unless the cluster builder attached a WAL and
-    # a RecoveryManager — every entry point is a single None test.
+    # Checkpoint pruning and WAL restart, driven by a recovery subsystem
     # ------------------------------------------------------------------
-
-    def on_checkpoint_vote(self, src: int, msg: CheckpointVoteMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_checkpoint_vote(src, msg)
-
-    def on_status_request(self, src: int, msg: StatusRequestMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_status_request(src, msg)
-
-    def on_status_response(self, src: int, msg: StatusResponseMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_status_response(src, msg)
-
-    def on_snapshot_request(self, src: int, msg: SnapshotRequestMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_snapshot_request(src, msg)
-
-    def on_snapshot_response(self, src: int, msg: SnapshotResponseMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_snapshot_response(src, msg)
-
-    def on_block_range_request(self, src: int, msg: BlockRangeRequestMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_block_range_request(src, msg)
-
-    def on_block_range_response(self, src: int, msg: BlockRangeResponseMsg) -> None:
-        if self.recovery is not None:
-            self.recovery.on_block_range_response(src, msg)
-
-    def _timer_recovery_retry(self, payload: Tuple[str, int]) -> None:
-        if self.recovery is not None:
-            self.recovery.on_retry(payload)
-
-    # ------------------------------------------------------------------
-    # Synchrony guard (see repro.guard)
-    #
-    # Inert unless the cluster builder attached a SynchronyMonitor —
-    # every entry point is a single None test.
-    # ------------------------------------------------------------------
-
-    def on_guard_probe(self, src: int, msg: GuardProbeMsg) -> None:
-        if self.guard is not None:
-            self.guard.on_guard_probe(src, msg)
-
-    def on_guard_probe_echo(self, src: int, msg: GuardProbeEchoMsg) -> None:
-        if self.guard is not None:
-            self.guard.on_guard_probe_echo(src, msg)
-
-    def on_delta_adjust(self, src: int, msg: DeltaAdjustMsg) -> None:
-        if self.guard is not None:
-            self.guard.on_delta_adjust(src, msg)
-
-    def on_delta_adjust_cert(self, src: int, msg: DeltaAdjustCertMsg) -> None:
-        if self.guard is not None:
-            self.guard.on_delta_adjust_cert(src, msg)
-
-    def _timer_guard_probe(self, payload: Any) -> None:
-        if self.guard is not None:
-            self.guard.on_probe_timer()
-
-    # ------------------------------------------------------------------
-    # Chunked payload dissemination (see repro.dissem)
-    #
-    # Inert unless the cluster builder attached a DisseminationManager —
-    # every entry point is a single None test.
-    # ------------------------------------------------------------------
-
-    def on_chunk_share(self, src: int, msg: ChunkShareMsg) -> None:
-        if self.dissem is not None:
-            self.dissem.on_chunk_share(src, msg)
-
-    def on_chunk_request(self, src: int, msg: ChunkRequestMsg) -> None:
-        if self.dissem is not None:
-            self.dissem.on_chunk_request(src, msg)
-
-    def on_chunk_response(self, src: int, msg: ChunkResponseMsg) -> None:
-        if self.dissem is not None:
-            self.dissem.on_chunk_response(src, msg)
-
-    def _timer_dissem_pull(self, payload: Digest) -> None:
-        if self.dissem is not None:
-            self.dissem.on_pull_timer(payload)
-
-    def _timer_dissem_retry(self, payload: Tuple[Digest, int]) -> None:
-        if self.dissem is not None:
-            self.dissem.on_retry(payload)
-
-    def _timer_dissem_nudge(self, payload: Tuple[Digest, int]) -> None:
-        if self.dissem is not None:
-            self.dissem.on_nudge(payload)
 
     def drop_block_indexes(self, removed: List[Digest]) -> None:
         """Forget per-block indexes for checkpoint-pruned blocks."""
@@ -1083,55 +967,41 @@ class AlterBFTReplica(BaseReplica):
             self._payload_requested.discard(block_hash)
             self._header_requested.discard(block_hash)
         self._window_clean = {w for w in self._window_clean if w[1] not in removed_set}
-        if self.dissem is not None:
-            self.dissem.drop_blocks(removed_set)
+        self._fire("drop_blocks", removed_set)
 
-    def restart_from_wal(self) -> None:
-        """Reconstruct volatile state from the WAL after a crash.
+    def restart_from_wal(self, records: List[object]) -> None:
+        """Reconstruct volatile state after a crash from the journalled
+        ``records``; the caller then runs catchup and ends it with
+        :meth:`_finish_catchup`.
 
         Re-runs ``__init__`` on the same object (the cluster and network
         keep references to the replica and its bound methods), restores
-        the durable attachments, replays the journal, and starts
-        catchup.  Stale pre-crash timers may still fire afterwards; each
-        of them re-checks state and no-ops harmlessly on the fresh
-        instance.
+        what outlives a crash and replays the journal.  Stale pre-crash
+        timers may still fire afterwards; each of them re-checks state
+        and no-ops harmlessly on the fresh instance.
         """
         ctx = self.ctx
         listeners = list(self.ledger._listeners)
-        # wal / recovery / obs and any instrumentation wrappers are
-        # instance attributes __init__ does not touch; they persist.
+        subsystems = list(self.subsystems.values())
+        # obs, delta_scale, a replaced send_payload and any
+        # instrumentation wrappers are instance attributes __init__ does
+        # not touch; they persist.  The dispatch tables it rebuilds do not.
         self.__init__(self.replica_id, self.validators, self.config, self.signer, Mempool())
         self.ctx = ctx
         self.mempool.wakeup = self._on_mempool_wakeup
         for listener in listeners:
             self.ledger.add_listener(listener)
+        for subsystem in subsystems:
+            self.attach(subsystem)
         self.crashed = False
-        assert ctx is not None
-        self.pacemaker = Pacemaker(
-            ctx,
-            base_timeout=self.config.epoch_timeout,
-            growth=self.config.epoch_timeout_growth,
-            on_timeout=self._on_epoch_timeout,
-            timeout_scale=self.guard.timeout_scale if self.guard is not None else None,
-        )
+        self.pacemaker = self._new_pacemaker()
         self.state = RECOVERING
-        replayed = self._replay_wal()
-        self.trace("recovery_restart", epoch=self.epoch, wal_records=replayed)
-        self.obs_event(EVENT_RECOVERY_RESTART, epoch=self.epoch, wal_records=replayed)
-        if self.recovery is not None:
-            self.recovery.start_catchup()
-        else:
-            # Degraded mode (no manager): resume alone from the WAL.
-            self._finish_catchup(self.epoch)
+        self._replay_wal(records)
+        self.trace("recovery_restart", epoch=self.epoch, wal_records=len(records))
+        self.obs_event(EVENT_RECOVERY_RESTART, epoch=self.epoch, wal_records=len(records))
 
-    def _replay_wal(self) -> int:
-        """Restore epoch, entry rank, high_qc, and vote floor from the WAL.
-
-        Returns the number of records replayed.
-        """
-        if self.wal is None:
-            return 0
-        records = self.wal.replay()
+    def _replay_wal(self, records: List[object]) -> None:
+        """Restore epoch, entry rank, high_qc, and vote floor from the WAL."""
         max_epoch = 1
         entry_rank: Optional[Tuple[int, int]] = None
         for record in records:
@@ -1154,25 +1024,13 @@ class AlterBFTReplica(BaseReplica):
         # Never (re-)propose in a resumed epoch: a pre-crash proposal may
         # already be out there, and a second one would be equivocation.
         self._proposed_in_epoch = True
-        return len(records)
 
     def _finish_catchup(self, join_epoch: int) -> None:
         """Re-enter steady state at ``join_epoch`` after catchup."""
         self.epoch = max(self.epoch, join_epoch)
         self.state = ACTIVE
-        if self.guard is not None:
-            self.guard.on_epoch_enter(self.epoch)
-        self._entry_rank = self.high_qc.rank
+        self._begin_epoch()
         self._proposed_in_epoch = True
-        self._inflight.clear()
-        if self.wal is not None:
-            self.wal.append(
-                WalEpochRecord(
-                    epoch=self.epoch,
-                    rank_epoch=self._entry_rank[0],
-                    rank_height=self._entry_rank[1],
-                )
-            )
         assert self.pacemaker is not None
         self.pacemaker.enter_epoch(self.epoch, made_progress=True)
         self.trace("recovery_replay", epoch=self.epoch)
@@ -1182,10 +1040,4 @@ class AlterBFTReplica(BaseReplica):
         pending_certs, self._pending_blame_certs = self._pending_blame_certs, []
         for cert in pending_certs:
             self._handle_blame_cert(cert)
-        # Replay proposals buffered while recovering.
-        pending, self._future_headers = self._future_headers, []
-        for epoch, msg in pending:
-            if epoch <= self.epoch:
-                self._accept_header(msg)
-            else:
-                self._future_headers.append((epoch, msg))
+        self._replay_future_headers()

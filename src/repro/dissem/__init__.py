@@ -1,5 +1,5 @@
 """Chunked, erasure-coded, pull-based payload dissemination."""
 
-from .manager import DISSEM_WIRE_CLASSES, DisseminationManager
+from .manager import DisseminationManager
 
-__all__ = ["DISSEM_WIRE_CLASSES", "DisseminationManager"]
+__all__ = ["DisseminationManager"]

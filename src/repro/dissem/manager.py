@@ -34,8 +34,9 @@ the leader and resurrect the blob path's hot spot.  The pre-existing blob repair
 last-resort backstop once any replica has reconstructed.
 
 Everything here is inert unless ``ProtocolConfig.dissemination`` is on
-(the cluster builder only attaches the manager then); off, the blob
-path is byte-identical to the golden trace fingerprint.
+(the replica builder only constructs and attaches the manager then);
+off, no replica knows a chunk message and the blob path is
+byte-identical to the golden trace fingerprint.
 """
 
 from __future__ import annotations
@@ -60,15 +61,6 @@ from ..types.messages import ChunkRequestMsg, ChunkResponseMsg, ChunkShareMsg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..consensus.replica import BaseReplica
-
-#: Wire message classes owned by this subsystem.  The obs phase map
-#: (:mod:`repro.obs.wire`) follows this set, so a new chunk message
-#: cannot silently land in the "other" phase.
-DISSEM_WIRE_CLASSES: Tuple[str, ...] = (
-    "ChunkShareMsg",
-    "ChunkRequestMsg",
-    "ChunkResponseMsg",
-)
 
 
 @dataclass
@@ -101,13 +93,30 @@ class _BlockShares:
 class DisseminationManager:
     """Disseminates payloads as chunk shares and reconstructs them.
 
-    Attached to a replica by the cluster builder when
-    ``ProtocolConfig.dissemination`` is set; the replica delegates the
-    three chunk-message handlers and the dissemination timers here.
+    Attached to a replica (``replica.attach(manager)``) by the replica
+    builder when ``ProtocolConfig.dissemination`` is set.
     """
+
+    name = "dissem"
+    #: Every class in ``HANDLERS`` is accounted to this wire phase
+    #: (:mod:`repro.obs.wire`), so a new chunk message cannot silently
+    #: land in "other".
+    WIRE_PHASE = "dissemination"
+    HANDLERS = {
+        ChunkShareMsg: "on_chunk_share",
+        ChunkRequestMsg: "on_chunk_request",
+        ChunkResponseMsg: "on_chunk_response",
+    }
+    TIMERS = {
+        "dissem_pull": "on_pull_timer",
+        "dissem_retry": "on_retry",
+        "dissem_nudge": "on_nudge",
+    }
 
     def __init__(self, replica: "BaseReplica") -> None:
         self.replica = replica
+        # The proposer ships chunk shares where it would broadcast a blob.
+        replica.send_payload = self.disseminate
         config = replica.config
         self.k = config.f + 1
         self.n = config.n
@@ -119,10 +128,8 @@ class DisseminationManager:
     # -- leader side -------------------------------------------------------
 
     def disseminate(self, block: Block) -> None:
-        """Erasure-code ``block``'s payload and push one share per replica.
-
-        Called by the proposer instead of broadcasting the payload blob.
-        """
+        """Erasure-code ``block``'s payload and push one share per replica
+        (the proposer's ``send_payload``)."""
         replica = self.replica
         data = codec_encode(block.payload)
         shares = encode_shares(data, self.k, self.n)
@@ -163,7 +170,7 @@ class DisseminationManager:
     # -- replica side ------------------------------------------------------
 
     def on_header(self, header: BlockHeader) -> None:
-        """First sight of a header: make sure reconstruction is underway.
+        """Header hook, first sight: make sure reconstruction is underway.
 
         Covers the replica whose own share the leader withheld entirely —
         without this hook it would never learn there is anything to pull.
@@ -442,7 +449,7 @@ class DisseminationManager:
     # -- housekeeping ------------------------------------------------------
 
     def drop_blocks(self, removed: Iterable[Digest]) -> None:
-        """Forget per-block share state for pruned blocks."""
+        """Prune hook: forget per-block share state for pruned blocks."""
         for block_hash in removed:
             self._blocks.pop(block_hash, None)
 

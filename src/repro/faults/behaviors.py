@@ -11,8 +11,8 @@ Available behaviors:
   timers at time ``t`` (default 0: never participates).
 * ``crash-recover@t_down:t_up`` — crash at ``t_down``, then at ``t_up``
   reconstruct the replica from its write-ahead log and re-enter via the
-  catchup protocol (requires an AlterBFT-family replica and the
-  ``repro.recovery`` attachments the cluster builder makes for it).
+  catchup protocol (requires an AlterBFT-family replica; the replica
+  builder attaches the ``repro.recovery`` subsystem it runs on).
 * ``silent`` — Byzantine silence: processes everything, sends nothing.
 * ``equivocate`` — a Byzantine leader proposes two conflicting blocks at
   every height it leads, sending each to half the cluster.  Supported for
@@ -21,8 +21,9 @@ Available behaviors:
   intersection catches it), and PBFT (prepare-quorum intersection).
 * ``withhold_payload`` — a Byzantine leader disseminates as little of its
   proposal as the protocol's message structure allows.  For AlterBFT this
-  is the interesting split: headers go out, payloads are withheld and
-  repair requests denied (exercising payload-repair and blame paths).
+  is the interesting split: headers go out and the payload never leaves
+  the leader — it does not even keep a copy, so peers' repair requests
+  go unanswered too (exercising payload-repair and blame paths).
   Protocols whose proposals are one combined message cannot separate the
   payload, so withholding degenerates to suppressing proposal-class
   messages toward every peer (the cluster sees a mute leader and must
@@ -210,8 +211,12 @@ def _apply_crash_recover(
     window: Tuple[float, float],
 ) -> None:
     """Crash at ``t_down``; restart from the WAL + catch up at ``t_up``."""
-    if not isinstance(replica, AlterBFTReplica):
-        raise ConfigError("crash-recover behavior requires an AlterBFT-family replica")
+    manager = replica.subsystems.get("recovery")
+    if manager is None:
+        raise ConfigError(
+            "crash-recover behavior requires the recovery subsystem, which only "
+            "AlterBFT-family replicas carry (runner.registry.attach_subsystems)"
+        )
     t_down, t_up = window
 
     def down() -> None:
@@ -226,26 +231,21 @@ def _apply_crash_recover(
 
     def up() -> None:
         network.bring_up(replica.replica_id)
-        replica.restart_from_wal()
+        manager.restart()
 
     scheduler.at(t_down, down)
     scheduler.at(t_up, up)
 
 
-def _apply_silent(replica: BaseReplica) -> None:
-    original_bind = replica.bind
+class _OutboundContext:
+    """Context wrapper: ``send(inner, dst, msg)`` and ``broadcast(inner,
+    msg, include_self)`` decide what, if anything, of the replica's
+    outbound traffic reaches the wrapped context; the rest passes through."""
 
-    def bind(ctx) -> None:  # type: ignore[no-untyped-def]
-        original_bind(_MutedContext(ctx))
-
-    replica.bind = bind  # type: ignore[method-assign]
-
-
-class _MutedContext:
-    """Context wrapper that swallows all outbound traffic."""
-
-    def __init__(self, inner) -> None:  # type: ignore[no-untyped-def]
+    def __init__(self, inner, send, broadcast) -> None:  # type: ignore[no-untyped-def]
         self._inner = inner
+        self._send = send
+        self._broadcast = broadcast
         self.node_id = inner.node_id
         self.n = inner.n
 
@@ -254,17 +254,37 @@ class _MutedContext:
         return self._inner.now
 
     def send(self, dst: int, msg: object) -> None:
-        pass
+        self._send(self._inner, dst, msg)
 
     def broadcast(self, msg: object, include_self: bool = True) -> None:
-        if include_self:
-            self._inner.send(self.node_id, msg)
+        self._broadcast(self._inner, msg, include_self)
 
     def set_timer(self, delay: float, tag: str, payload=None):  # type: ignore[no-untyped-def]
         return self._inner.set_timer(delay, tag, payload)
 
     def trace(self, kind: str, **detail) -> None:  # type: ignore[no-untyped-def]
         self._inner.trace(kind, **detail)
+
+
+def _filter_outbound(replica: BaseReplica, send, broadcast) -> None:  # type: ignore[no-untyped-def]
+    """Route everything ``replica`` sends through ``send``/``broadcast``
+    (see :class:`_OutboundContext`) from the moment it is bound."""
+    original_bind = replica.bind
+
+    def bind(ctx) -> None:  # type: ignore[no-untyped-def]
+        original_bind(_OutboundContext(ctx, send, broadcast))
+
+    replica.bind = bind  # type: ignore[method-assign]
+
+
+def _apply_silent(replica: BaseReplica) -> None:
+    """Swallow all outbound traffic (the replica still hears itself)."""
+
+    def broadcast(inner, msg: object, include_self: bool) -> None:  # type: ignore[no-untyped-def]
+        if include_self:
+            inner.send(inner.node_id, msg)
+
+    _filter_outbound(replica, lambda inner, dst, msg: None, broadcast)
 
 
 # ----------------------------------------------------------------------
@@ -518,14 +538,10 @@ def _apply_withhold_payload(replica: BaseReplica) -> None:
         replica._proposed_in_epoch = True
         replica.trace("byz_withhold", epoch=replica.epoch, height=block.height)
         replica.broadcast(header_msg, include_self=False)
-        # The leader keeps the payload to itself; it also refuses to serve
-        # payload-repair requests (handled below).
-
-    def deny_payload_request(src: int, msg) -> None:  # type: ignore[no-untyped-def]
-        pass
+        # The payload is dropped here, never stored: the leader has
+        # nothing to answer a payload-repair request with either.
 
     replica._propose_block = propose_header_only  # type: ignore[method-assign]
-    replica.on_payload_request = deny_payload_request  # type: ignore[method-assign]
 
 
 # ----------------------------------------------------------------------
@@ -533,15 +549,11 @@ def _apply_withhold_payload(replica: BaseReplica) -> None:
 # ----------------------------------------------------------------------
 
 
-def _require_dissem_alterbft(replica: BaseReplica, behavior: str) -> "AlterBFTReplica":
-    if isinstance(replica, SyncHotStuffReplica) or not isinstance(replica, AlterBFTReplica):
+def _require_dissem(replica: BaseReplica, behavior: str) -> BaseReplica:
+    if replica.subsystems.get("dissem") is None:
         raise ConfigError(
-            f"{behavior} behavior requires an AlterBFT replica, "
-            f"got {type(replica).__name__}"
-        )
-    if not replica.config.dissemination:
-        raise ConfigError(
-            f"{behavior} behavior requires ProtocolConfig.dissemination"
+            f"{behavior} behavior requires an AlterBFT replica running "
+            f"ProtocolConfig.dissemination, got {type(replica).__name__}"
         )
     return replica
 
@@ -557,7 +569,7 @@ def _apply_withhold_chunks(target: BaseReplica, network: SimNetwork) -> None:
     amount of pulling reconstructs: the negative control.  Liveness must
     come from the epoch change.
     """
-    replica = _require_dissem_alterbft(target, "withhold_chunks")
+    replica = _require_dissem(target, "withhold_chunks")
     faulty_id = replica.replica_id
     budget = replica.config.f
     shipped: Dict[bytes, int] = {}
@@ -587,42 +599,18 @@ def _apply_corrupt_chunk(target: BaseReplica) -> None:
     """
     import dataclasses
 
-    replica = _require_dissem_alterbft(target, "corrupt_chunk")
+    replica = _require_dissem(target, "corrupt_chunk")
     victim = 0 if replica.replica_id != 0 else 1
-    original_bind = replica.bind
 
-    def corrupt(dst: int, msg: object) -> object:
+    def send(inner, dst: int, msg: object) -> None:  # type: ignore[no-untyped-def]
         if dst == victim and isinstance(msg, ChunkShareMsg) and msg.share:
             bad_share = msg.share[:-1] + bytes([msg.share[-1] ^ 0x01])
-            return dataclasses.replace(msg, share=bad_share)
-        return msg
+            msg = dataclasses.replace(msg, share=bad_share)
+        inner.send(dst, msg)
 
-    class _CorruptChunkContext:
-        def __init__(self, inner) -> None:  # type: ignore[no-untyped-def]
-            self._inner = inner
-            self.node_id = inner.node_id
-            self.n = inner.n
-
-        @property
-        def now(self) -> float:
-            return self._inner.now
-
-        def send(self, dst: int, msg: object) -> None:
-            self._inner.send(dst, corrupt(dst, msg))
-
-        def broadcast(self, msg: object, include_self: bool = True) -> None:
-            self._inner.broadcast(msg, include_self)
-
-        def set_timer(self, d: float, tag: str, payload=None):  # type: ignore[no-untyped-def]
-            return self._inner.set_timer(d, tag, payload)
-
-        def trace(self, kind: str, **detail) -> None:  # type: ignore[no-untyped-def]
-            self._inner.trace(kind, **detail)
-
-    def bind(ctx) -> None:  # type: ignore[no-untyped-def]
-        original_bind(_CorruptChunkContext(ctx))
-
-    replica.bind = bind  # type: ignore[method-assign]
+    _filter_outbound(
+        replica, send, lambda inner, msg, include_self: inner.broadcast(msg, include_self)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -756,35 +744,14 @@ def _apply_withhold_proposals(replica: BaseReplica, network: SimNetwork) -> None
 
 
 def _apply_delay_send(replica: BaseReplica, scheduler: Scheduler) -> None:
-    original_bind = replica.bind
     delay = replica.config.delta * 0.5  # hold each message half a Δ
-
-    class _DelayedContext:
-        def __init__(self, inner) -> None:  # type: ignore[no-untyped-def]
-            self._inner = inner
-            self.node_id = inner.node_id
-            self.n = inner.n
-
-        @property
-        def now(self) -> float:
-            return self._inner.now
-
-        def send(self, dst: int, msg: object) -> None:
-            scheduler.after(delay, self._inner.send, dst, msg)
-
-        def broadcast(self, msg: object, include_self: bool = True) -> None:
-            scheduler.after(delay, self._inner.broadcast, msg, include_self)
-
-        def set_timer(self, d: float, tag: str, payload=None):  # type: ignore[no-untyped-def]
-            return self._inner.set_timer(d, tag, payload)
-
-        def trace(self, kind: str, **detail) -> None:  # type: ignore[no-untyped-def]
-            self._inner.trace(kind, **detail)
-
-    def bind(ctx) -> None:  # type: ignore[no-untyped-def]
-        original_bind(_DelayedContext(ctx))
-
-    replica.bind = bind  # type: ignore[method-assign]
+    _filter_outbound(
+        replica,
+        lambda inner, dst, msg: scheduler.after(delay, inner.send, dst, msg),
+        lambda inner, msg, include_self: scheduler.after(
+            delay, inner.broadcast, msg, include_self
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -803,8 +770,6 @@ def _apply_bad_vote(replica: BaseReplica) -> None:
     """
     import dataclasses
 
-    original_bind = replica.bind
-
     def corrupt(msg: object) -> object:
         if isinstance(msg, VoteMsg):
             vote = msg.vote
@@ -812,32 +777,11 @@ def _apply_bad_vote(replica: BaseReplica) -> None:
             return VoteMsg(vote=dataclasses.replace(vote, signature=bad_sig))
         return msg
 
-    class _BadVoteContext:
-        def __init__(self, inner) -> None:  # type: ignore[no-untyped-def]
-            self._inner = inner
-            self.node_id = inner.node_id
-            self.n = inner.n
-
-        @property
-        def now(self) -> float:
-            return self._inner.now
-
-        def send(self, dst: int, msg: object) -> None:
-            self._inner.send(dst, corrupt(msg))
-
-        def broadcast(self, msg: object, include_self: bool = True) -> None:
-            self._inner.broadcast(corrupt(msg), include_self)
-
-        def set_timer(self, d: float, tag: str, payload=None):  # type: ignore[no-untyped-def]
-            return self._inner.set_timer(d, tag, payload)
-
-        def trace(self, kind: str, **detail) -> None:  # type: ignore[no-untyped-def]
-            self._inner.trace(kind, **detail)
-
-    def bind(ctx) -> None:  # type: ignore[no-untyped-def]
-        original_bind(_BadVoteContext(ctx))
-
-    replica.bind = bind  # type: ignore[method-assign]
+    _filter_outbound(
+        replica,
+        lambda inner, dst, msg: inner.send(dst, corrupt(msg)),
+        lambda inner, msg, include_self: inner.broadcast(corrupt(msg), include_self),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,9 @@ constant into a monitored, re-certifiable quantity:
   are flagged *at-risk* in the ledger — a partial-synchrony-style honesty
   label on the safety argument — and surfaced through obs/report.
 
-Everything is inert unless the cluster builder attaches a monitor
-(``ProtocolConfig.guard_enabled``): with ``replica.guard is None`` every
-hook is a single attribute test and seeded traces are byte-identical.
+Everything is inert unless the replica builder attaches a monitor
+(``ProtocolConfig.guard_enabled``): without one no replica knows a guard
+message, timer or hook and seeded traces are byte-identical.
 """
 
 from .monitor import CommitRecord, DeltaViolation, SynchronyMonitor

@@ -1,9 +1,10 @@
 """The per-replica synchrony monitor (see package docstring).
 
 The monitor drives its replica through a deliberately narrow surface —
-``broadcast``/``send``, timers, the ledger's at-risk flags, and the blame
-path for forcing an epoch boundary — and never imports the protocol
-module, keeping the import graph acyclic (same discipline as
+``broadcast``/``send``, timers, the ledger's at-risk flags, the blame
+path for forcing an epoch boundary, and the one value it pushes, the
+replica's ``delta_scale`` — and never imports the protocol module,
+keeping the import graph acyclic (same discipline as
 :mod:`repro.recovery`).
 
 Δ ladder.  Replicas cannot vote on a raw float Δ: each one's local tail
@@ -20,7 +21,8 @@ boundary, which the blame machinery synchronizes within Δ across honest
 replicas.  On certifying (or receiving a certificate) the monitor blames
 the current epoch; f+1 honest monitors do the same, the blame certificate
 forms, and every replica installs the pending rung in its epoch-entry
-handler.
+hook — where the monitor writes the new multiplier onto the replica, so
+every timer the new epoch arms already runs on it.
 """
 
 from __future__ import annotations
@@ -51,17 +53,6 @@ from ..types.messages import (
 
 #: Signing domain for probes: each signs ``(protocol, sender, seq)``.
 GUARD_PROBE_DOMAIN = "guard-probe"
-
-#: Every wire message class this subsystem originates.  The wire
-#: accounting layer (:mod:`repro.obs.wire`) derives its "guard" phase
-#: from this tuple, so adding a guard message here keeps its bandwidth
-#: attributed to the guard instead of silently landing in "other".
-GUARD_WIRE_CLASSES: Tuple[str, ...] = (
-    GuardProbeMsg.__name__,
-    GuardProbeEchoMsg.__name__,
-    DeltaAdjustMsg.__name__,
-    DeltaAdjustCertMsg.__name__,
-)
 
 #: How far back a freshly raised suspicion retroactively flags commits.
 #: A commit finalized at time t relied on small messages in flight during
@@ -97,7 +88,20 @@ class CommitRecord:
 
 class SynchronyMonitor:
     """Runtime Δ-violation detection and adaptive re-calibration for one
-    replica (attach via ``replica.guard``; see module docstring)."""
+    replica (``replica.attach(monitor)``; see module docstring)."""
+
+    name = "guard"
+    #: Every class in ``HANDLERS`` is accounted to this wire phase
+    #: (:mod:`repro.obs.wire`), so a new guard message cannot silently
+    #: land in "other".
+    WIRE_PHASE = "guard"
+    HANDLERS = {
+        GuardProbeMsg: "on_guard_probe",
+        GuardProbeEchoMsg: "on_guard_probe_echo",
+        DeltaAdjustMsg: "on_delta_adjust",
+        DeltaAdjustCertMsg: "on_delta_adjust_cert",
+    }
+    TIMERS = {"guard_probe": "on_probe_timer"}
 
     def __init__(self, replica, small_threshold: int) -> None:
         self.replica = replica
@@ -153,10 +157,6 @@ class SynchronyMonitor:
     def ladder(self, rung: int) -> float:
         return self.base_delta * (2.0**rung)
 
-    def timeout_scale(self) -> float:
-        """Pacemaker hook: stretch the epoch timeout with the ladder."""
-        return float(2.0**self.rung)
-
     def delta_at(self, time: float) -> float:
         """The Δ that was in force at simulated ``time``."""
         current = self.delta_history[0][1]
@@ -169,11 +169,11 @@ class SynchronyMonitor:
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self) -> None:
-        """Arm the probe timer (called from the replica's ``on_start``)."""
+        """Start hook: arm the probe timer."""
         assert self.replica.ctx is not None
         self.replica.ctx.set_timer(self.probe_interval, "guard_probe", None)
 
-    def on_probe_timer(self) -> None:
+    def on_probe_timer(self, payload: object = None) -> None:
         """Periodic heartbeat: probe all links, run suspicion maintenance."""
         replica = self.replica
         now = replica.now
@@ -380,7 +380,7 @@ class SynchronyMonitor:
         replica._send_blame(replica.epoch)
 
     def on_epoch_enter(self, new_epoch: int) -> None:
-        """Epoch boundary: install the pending certified rung, if any."""
+        """Epoch-entry hook: install the pending certified rung, if any."""
         cert = self.pending_cert
         if cert is None:
             return
@@ -389,6 +389,9 @@ class SynchronyMonitor:
             return
         previous = self.effective_delta
         self.rung = cert.rung
+        # The replica's timers (2Δ windows, quit wait, pacemaker) read
+        # this multiplier, never the monitor.
+        self.replica.delta_scale = 2.0**self.rung
         self.installs += 1
         now = self.replica.now
         self.delta_history.append((now, self.effective_delta))
@@ -450,7 +453,7 @@ class SynchronyMonitor:
     # -- graceful degradation ----------------------------------------------
 
     def on_committed(self, blocks) -> None:
-        """Record commits; flag them at-risk while suspicion is live."""
+        """Commit hook: record commits; flag them at-risk while suspicion is live."""
         now = self.replica.now
         flagged = self.suspected
         for block in blocks:

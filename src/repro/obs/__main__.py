@@ -405,10 +405,10 @@ def _cmd_wire(args: argparse.Namespace) -> int:
     # the contract or the classifier is stale.
     observed = {row["phase"] for row in snapshot["phases"] if row["bytes"]}
     if protocol is not None:
-        from ..runner.registry import replica_class_for
+        from ..runner.registry import wire_phases_for
 
         try:
-            declared = set(replica_class_for(protocol).WIRE_PHASES)
+            declared = wire_phases_for(protocol)
         except (KeyError, ValueError):
             declared = None
         if declared is not None:

@@ -72,8 +72,7 @@ WIRE_PHASE_NAMES: Tuple[str, ...] = (
 
 
 def _phase_map() -> Dict[str, str]:
-    from ..dissem import DISSEM_WIRE_CLASSES
-    from ..guard.monitor import GUARD_WIRE_CLASSES
+    from ..runner.registry import SUBSYSTEMS
 
     mapping = {
         # Leader dissemination: the proposal itself.
@@ -102,14 +101,6 @@ def _phase_map() -> Dict[str, str]:
         "BlockResponseMsg": "repair",
         "PBFTSyncRequestMsg": "repair",
         "PBFTSyncReplyMsg": "repair",
-        # Checkpointing and crash-recovery state transfer.
-        "CheckpointVoteMsg": "recovery",
-        "StatusRequestMsg": "recovery",
-        "StatusResponseMsg": "recovery",
-        "SnapshotRequestMsg": "recovery",
-        "SnapshotResponseMsg": "recovery",
-        "BlockRangeRequestMsg": "recovery",
-        "BlockRangeResponseMsg": "recovery",
         # Delay characterization probes (repro.measure).
         "ProbeMsg": "measure",
         "ProbeAckMsg": "measure",
@@ -117,13 +108,12 @@ def _phase_map() -> Dict[str, str]:
         "ClientRequestMsg": "client",
         "ClientReplyMsg": "client",
     }
-    # The guard and dissemination modules own their wire-class sets — the
-    # phase map follows them so a new message cannot silently land in
-    # "other".
-    for name in GUARD_WIRE_CLASSES:
-        mapping[name] = "guard"
-    for name in DISSEM_WIRE_CLASSES:
-        mapping[name] = "dissemination"
+    # An optional subsystem owns its wire classes (the keys of its
+    # HANDLERS) and names their phase — the map follows, so a new
+    # subsystem message cannot silently land in "other".
+    for subsystem in SUBSYSTEMS:
+        for msg_cls in subsystem.HANDLERS:
+            mapping[msg_cls.__name__] = subsystem.WIRE_PHASE
     return mapping
 
 

@@ -1,7 +1,13 @@
-"""Checkpointing and catchup for the AlterBFT protocol family.
+"""Journalling, checkpointing and catchup for the AlterBFT protocol family.
 
-One :class:`RecoveryManager` is attached per replica when the experiment
-enables checkpointing or a ``crash-recover`` fault.  It owns two duties:
+One :class:`RecoveryManager` is attached per replica
+(:meth:`~repro.consensus.replica.BaseReplica.attach`) when the experiment
+enables checkpointing or a ``crash-recover`` fault.  It owns three duties:
+
+**Journalling.**  The manager holds the replica's write-ahead log
+(:mod:`repro.recovery.wal`) and appends what the replica's ``journal``
+hook hands it, before the replica acts on it; after a crash
+:meth:`RecoveryManager.restart` replays it and starts catchup.
 
 **Checkpointing** (steady state).  Every ``checkpoint_interval``
 committed blocks, the replica signs a checkpoint vote over
@@ -27,8 +33,9 @@ normal consensus (certified ≠ committed).
 
 The manager never imports ``repro.core.protocol``: it drives the replica
 through a narrow surface (``verify_qc``, ``_update_high_qc``,
-``_finish_catchup``, send/broadcast/timers), which also keeps the import
-graph acyclic.
+``drop_block_indexes``, ``restart_from_wal``, ``_finish_catchup``,
+send/broadcast/timers), which also keeps the import graph acyclic — a
+test walks the imports to hold both to it.
 """
 
 from __future__ import annotations
@@ -63,11 +70,26 @@ DONE = "done"
 
 
 class RecoveryManager:
-    """Per-replica checkpointing + catchup state machine."""
+    """Per-replica journal, checkpointing + catchup state machine."""
 
-    def __init__(self, replica, interval: int) -> None:
+    name = "recovery"
+    WIRE_PHASE = "recovery"
+    HANDLERS = {
+        CheckpointVoteMsg: "on_checkpoint_vote",
+        StatusRequestMsg: "on_status_request",
+        StatusResponseMsg: "on_status_response",
+        SnapshotRequestMsg: "on_snapshot_request",
+        SnapshotResponseMsg: "on_snapshot_response",
+        BlockRangeRequestMsg: "on_block_range_request",
+        BlockRangeResponseMsg: "on_block_range_response",
+    }
+    TIMERS = {"recovery_retry": "on_retry"}
+
+    def __init__(self, replica, wal) -> None:
         self.replica = replica
-        self.interval = interval
+        #: The durable medium: outlives every ``restart`` of the replica.
+        self.wal = wal
+        self.interval = replica.config.checkpoint_interval
         # Retry must exceed a round trip of small messages; the large
         # response itself is eventually timely, so rotating providers
         # (rather than waiting forever on one) is what preserves
@@ -108,6 +130,17 @@ class RecoveryManager:
             self.retry_timeout, "recovery_retry", (self.state, self._fetch_attempt)
         )
 
+    # -- journal -------------------------------------------------------------
+
+    def journal(self, record: object) -> None:
+        """Journal hook: make ``record`` durable before the replica acts on it."""
+        self.wal.append(record)
+
+    def restart(self) -> None:
+        """Bring the crashed replica back: replay the journal, then catch up."""
+        self.replica.restart_from_wal(self.wal.replay())
+        self.start_catchup()
+
     # ======================================================================
     # Checkpointing (steady state)
     # ======================================================================
@@ -119,6 +152,10 @@ class RecoveryManager:
                 if block.height % self.interval == 0:
                     self._emit_checkpoint_vote(block)
         self._maybe_prune()
+        self._note_if_caught_up()
+
+    def _note_if_caught_up(self) -> None:
+        """Catchup is over and the ledger reached the status-time target."""
         if (
             self.state == DONE
             and self.caught_up_at is None
@@ -196,7 +233,7 @@ class RecoveryManager:
     # ======================================================================
 
     def start_catchup(self) -> None:
-        """Kick off status discovery after a WAL restart."""
+        """Kick off status discovery after a WAL replay."""
         self.restarts += 1
         self.state = STATUS
         self._status_responses.clear()
@@ -450,9 +487,4 @@ class RecoveryManager:
         self.replica._finish_catchup(self._join_epoch)
         # Already at the status-time target (e.g. nothing was missed, or
         # the snapshot alone covered it): mark caught up immediately.
-        if self.caught_up_at is None and self.replica.ledger.height >= self._target_height:
-            self.caught_up_at = self.replica.now
-            self.replica.trace("recovery_caught_up", height=self.replica.ledger.height)
-            self.replica.obs_event(
-                EVENT_RECOVERY_CAUGHT_UP, height=self.replica.ledger.height
-            )
+        self._note_if_caught_up()

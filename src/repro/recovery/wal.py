@@ -10,7 +10,9 @@ A replica journals three kinds of records *before* acting on them:
 * :class:`WalEpochRecord` entries marking each epoch entry (so a
   restart resumes in, not below, its last epoch).
 
-Two implementations share the interface: :class:`MemoryWal` for the
+The log belongs to the replica's :class:`~repro.recovery.RecoveryManager`,
+which the replica feeds through its ``journal`` hook.  Two
+implementations share the interface: :class:`MemoryWal` for the
 deterministic simulator (the Python object simply survives the simulated
 crash, exactly as an fsynced file survives a process crash) and
 :class:`FileWal` for the asyncio transport, which appends
@@ -44,7 +46,7 @@ class MemoryWal:
 
     Deterministic and allocation-cheap; the list plays the role of the
     durable medium because a simulated crash never destroys the Python
-    object — the cluster keeps holding it across ``restart_from_wal``.
+    object — the recovery manager keeps holding it across its ``restart``.
     """
 
     def __init__(self) -> None:

@@ -14,11 +14,8 @@ from typing import Dict, List, Optional, Sequence, Set
 from ..config import ExperimentConfig
 from ..consensus.context import SimContext
 from ..consensus.replica import BaseReplica
-from ..core.protocol import AlterBFTReplica
 from ..crypto.keystore import build_cluster_keys
-from ..dissem import DisseminationManager
 from ..faults.behaviors import apply_behavior, parse_behavior
-from ..guard import SynchronyMonitor
 from ..mempool.mempool import Mempool
 from ..mempool.workload import WorkloadGenerator
 from ..net.delay import DelayModel, HybridCloudDelayModel, WanDelayModel
@@ -26,12 +23,11 @@ from ..net.simnet import SimNetwork
 from ..net.topology import single_az, three_regions
 from ..obs.recorder import SpanRecorder
 from ..obs.wire import WireAccountant
-from ..recovery import MemoryWal, RecoveryManager
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..sim.tracing import Trace
 from .metrics import MetricsCollector
-from .registry import replica_class_for, validator_set_for
+from .registry import attach_subsystems, replica_class_for, validator_set_for
 
 #: How often saturation mode tops mempools up, seconds.  Together with
 #: the target below this must outpace the fastest pipeline (a block per
@@ -131,11 +127,8 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
     }
     collector = MetricsCollector(warmup=config.warmup, honest_ids=honest_ids)
 
-    # Recovery attachments (WAL + manager) exist only when the run uses
-    # them: checkpointing on, or a crash-recover fault present.  Every
-    # AlterBFT-family replica gets them then — peers must serve status,
-    # snapshot, and block-range requests, not just the rejoiner.
-    needs_recovery = pconf.checkpoint_interval > 0 or any(
+    # A crash-recover fault restarts a replica, checkpointing or not.
+    restartable = any(
         parse_behavior(spec)[0] == "crash-recover" for spec in faulty.values()
     )
 
@@ -149,18 +142,16 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
             mempool=Mempool(),
         )
         replica.obs = obs
-        if needs_recovery and isinstance(replica, AlterBFTReplica):
-            replica.wal = MemoryWal()
-            replica.recovery = RecoveryManager(replica, pconf.checkpoint_interval)
-        if pconf.guard_enabled and isinstance(replica, AlterBFTReplica):
-            replica.guard = SynchronyMonitor(
-                replica, small_threshold=config.network_config.small_threshold
-            )
+        attach_subsystems(
+            replica,
+            small_threshold=config.network_config.small_threshold,
+            restartable=restartable,
+        )
+        guard = replica.subsystems.get("guard")
+        if guard is not None:
             # The guard's measurement tap: every delivery to this replica
             # reports its one-way latency.
-            network.set_delay_observer(replica_id, replica.guard.on_network_delay)
-        if pconf.dissemination and isinstance(replica, AlterBFTReplica):
-            replica.dissem = DisseminationManager(replica)
+            network.set_delay_observer(replica_id, guard.on_network_delay)
         _instrument(replica, collector, scheduler)
         if replica_id in faulty:
             apply_behavior(faulty[replica_id], replica, network, scheduler)

@@ -50,7 +50,8 @@ def summarize(cluster: Cluster) -> ExperimentResult:
     # row reports how honest the run's commits were about Δ drift.  Max
     # over honest replicas — an at-risk flag anywhere is an at-risk flag.
     extra: List = []
-    guards = [r.guard for r in honest_replicas if r.guard is not None]
+    guards = [r.subsystems.get("guard") for r in honest_replicas]
+    guards = [guard for guard in guards if guard is not None]
     if guards:
         extra = [
             ("guard_violations", max(g.violation_count for g in guards)),

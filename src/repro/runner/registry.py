@@ -1,23 +1,32 @@
-"""Protocol registry: names → replica classes and resilience styles."""
+"""Protocol registry: names → replica classes, resilience styles, and the
+optional subsystems each protocol can carry."""
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+from typing import Dict, Set, Tuple, Type
 
 from ..baselines.hotstuff import HotStuffReplica
 from ..baselines.pbft import PBFTReplica
 from ..baselines.sync_hotstuff import SyncHotStuffReplica
+from ..config import SMALL_MESSAGE_THRESHOLD
 from ..consensus.replica import BaseReplica
 from ..consensus.validators import ValidatorSet
 from ..core.protocol import AlterBFTReplica
+from ..dissem import DisseminationManager
 from ..errors import ConfigError
+from ..guard import SynchronyMonitor
+from ..recovery import MemoryWal, RecoveryManager
 
-#: name → (replica class, quorum style).
-_REGISTRY: Dict[str, Tuple[Type[BaseReplica], str]] = {
-    "alterbft": (AlterBFTReplica, "2f+1"),
-    "sync-hotstuff": (SyncHotStuffReplica, "2f+1"),
-    "hotstuff": (HotStuffReplica, "3f+1"),
-    "pbft": (PBFTReplica, "3f+1"),
+#: Every optional subsystem, in attach order — the order hooks fire in.
+SUBSYSTEMS: Tuple[type, ...] = (RecoveryManager, SynchronyMonitor, DisseminationManager)
+
+#: name → (replica class, quorum style, subsystems it can carry, in
+#: ``SUBSYSTEMS`` order).
+_REGISTRY: Dict[str, Tuple[Type[BaseReplica], str, Tuple[type, ...]]] = {
+    "alterbft": (AlterBFTReplica, "2f+1", SUBSYSTEMS),
+    "sync-hotstuff": (SyncHotStuffReplica, "2f+1", (RecoveryManager, SynchronyMonitor)),
+    "hotstuff": (HotStuffReplica, "3f+1", ()),
+    "pbft": (PBFTReplica, "3f+1", ()),
 }
 
 
@@ -26,18 +35,58 @@ def protocol_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def replica_class_for(protocol: str) -> Type[BaseReplica]:
+def _entry(protocol: str) -> Tuple[Type[BaseReplica], str, Tuple[type, ...]]:
     try:
-        return _REGISTRY[protocol][0]
+        return _REGISTRY[protocol]
     except KeyError:
         raise ConfigError(f"unknown protocol {protocol!r}; known: {protocol_names()}") from None
+
+
+def replica_class_for(protocol: str) -> Type[BaseReplica]:
+    return _entry(protocol)[0]
 
 
 def quorum_style_for(protocol: str) -> str:
-    try:
-        return _REGISTRY[protocol][1]
-    except KeyError:
-        raise ConfigError(f"unknown protocol {protocol!r}; known: {protocol_names()}") from None
+    return _entry(protocol)[1]
+
+
+def subsystems_for(protocol: str) -> Tuple[type, ...]:
+    """The subsystem classes ``protocol`` can carry."""
+    return _entry(protocol)[2]
+
+
+def wire_phases_for(protocol: str) -> Set[str]:
+    """The protocol's declared wire contract: its replica class's core
+    phases plus the phase of every subsystem it can carry.  ``repro.obs
+    wire`` flags observed traffic outside it."""
+    carried = {subsystem.WIRE_PHASE for subsystem in subsystems_for(protocol)}
+    return set(replica_class_for(protocol).WIRE_PHASES) | carried
+
+
+def attach_subsystems(
+    replica: BaseReplica,
+    small_threshold: int = SMALL_MESSAGE_THRESHOLD,
+    restartable: bool = False,
+) -> None:
+    """Construct and attach every subsystem ``replica``'s config asks for;
+    everything that builds a replica calls this once, before it starts.
+
+    ``restartable`` adds recovery whatever the flags say, for a run that
+    restarts replicas: every peer must serve the rejoiner's status,
+    snapshot and range requests.  ``small_threshold`` is the network's
+    small/large boundary, which the guard measures against.
+    """
+    wanted = set(replica.config.required_subsystems())
+    if restartable:
+        wanted.add(RecoveryManager.name)
+    construct = {
+        RecoveryManager: lambda: RecoveryManager(replica, MemoryWal()),
+        SynchronyMonitor: lambda: SynchronyMonitor(replica, small_threshold),
+        DisseminationManager: lambda: DisseminationManager(replica),
+    }
+    for subsystem in subsystems_for(replica.protocol_name):
+        if subsystem.name in wanted:
+            replica.attach(construct[subsystem]())
 
 
 def validator_set_for(protocol: str, n: int, f: int) -> ValidatorSet:

@@ -22,9 +22,8 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.errors import VerificationError
-from repro.guard import SynchronyMonitor
-from repro.recovery import MemoryWal, RecoveryManager
 from repro.recovery.manager import RANGE, STATUS
+from repro.runner.registry import attach_subsystems
 from repro.types.block import make_block
 from repro.types.certificates import (
     BLAME,
@@ -367,14 +366,13 @@ class RecordingContext(FakeContext):
 
 def build_replica(cls, quorum_style):
     validators = getattr(ValidatorSet, quorum_style)(N, F)
-    config = ProtocolConfig(n=N, f=F, delta=0.005, epoch_timeout=1.0, guard_enabled=True)
+    config = ProtocolConfig(
+        n=N, f=F, delta=0.005, epoch_timeout=1.0, guard_enabled=True, checkpoint_interval=4
+    )
     replica = cls(0, validators, config, CLUSTER[0])
     ctx = RecordingContext(0, N)
     ctx.bind_replica(replica)
-    if isinstance(replica, AlterBFTReplica):
-        replica.wal = MemoryWal()
-        replica.recovery = RecoveryManager(replica, 4)
-        replica.guard = SynchronyMonitor(replica, small_threshold=4096)
+    attach_subsystems(replica)  # recovery + guard on the AlterBFT family, nothing elsewhere
     replica.on_start()
     return replica, ctx
 
@@ -399,13 +397,13 @@ def alterbft_carriers(replica):
         return ProposalHeaderMsg(header=block.header, signature=signature, justify=x)
 
     def status_response(**fields):
-        replica.recovery.state = STATUS
+        replica.subsystems["recovery"].state = STATUS
         return StatusResponseMsg(
             **{"sender": 1, "epoch": 1, "ledger_height": 0, "checkpoint": None, "tip": tip, **fields}
         )
 
     def range_response(x):
-        replica.recovery.state = RANGE
+        replica.subsystems["recovery"].state = RANGE
         return BlockRangeResponseMsg(justify=x, blocks=(), headers=())
 
     return [

@@ -78,7 +78,7 @@ def test_dissemination_off_is_byte_identical_golden():
     assert not cfg.protocol_config.dissemination
     cluster = _run(cfg)
     for replica in cluster.replicas:
-        assert replica.dissem is None
+        assert replica.subsystems.get("dissem") is None
     assert _fingerprint(cluster) == GOLDEN_FINGERPRINT
 
 
@@ -90,7 +90,7 @@ def test_dissemination_on_changes_the_trace():
     )
     cluster = _run(cfg)
     for replica in cluster.replicas:
-        assert replica.dissem is not None
+        assert replica.subsystems.get("dissem") is not None
     assert _fingerprint(cluster) != GOLDEN_FINGERPRINT
 
 
@@ -314,7 +314,7 @@ def test_erasure_coded_garbage_is_a_decode_failure_not_a_crash(garbage):
     cluster = build_cluster(cfg)
     cluster.start()
     replica = cluster.replicas[2]
-    manager = replica.dissem
+    manager = replica.subsystems["dissem"]
     header = BlockHeader(
         epoch=1,
         height=1,

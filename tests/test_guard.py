@@ -15,9 +15,9 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.errors import VerificationError
-from repro.guard import SynchronyMonitor
 from repro.guard.monitor import CommitRecord
 from repro.runner.cluster import build_cluster, check_safety
+from repro.runner.registry import attach_subsystems
 from repro.types.certificates import Certificate, DeltaAdjust, DeltaAdjustCertificate
 from repro.types.messages import DeltaAdjustCertMsg, DeltaAdjustMsg
 from tests.conftest import FakeContext
@@ -33,9 +33,9 @@ def guarded_replica(replica_id=0, n=3, f=1, **overrides):
     replica = AlterBFTReplica(
         replica_id, ValidatorSet.synchronous(n, f), pconf, signers[replica_id]
     )
+    attach_subsystems(replica)
     ctx = FakeContext(node_id=replica_id, n=n)
     ctx.bind_replica(replica)
-    replica.guard = SynchronyMonitor(replica, small_threshold=4096)
     return replica, ctx, signers
 
 
@@ -97,28 +97,28 @@ class TestDeltaAdjustTypes:
 class TestMonitorMeasurement:
     def test_large_messages_ignored(self):
         replica, _, _ = guarded_replica()
-        replica.guard.on_network_delay(1, "payload", size=100_000, latency=1.0)
-        assert replica.guard.samples_seen == 0
-        assert replica.guard.violation_count == 0
+        replica.subsystems["guard"].on_network_delay(1, "payload", size=100_000, latency=1.0)
+        assert replica.subsystems["guard"].samples_seen == 0
+        assert replica.subsystems["guard"].violation_count == 0
 
     def test_within_bound_is_not_a_violation(self):
         replica, _, _ = guarded_replica()
-        replica.guard.on_network_delay(1, "m", size=100, latency=DELTA * 0.5)
-        assert replica.guard.samples_seen == 1
-        assert replica.guard.violation_count == 0
-        assert not replica.guard.suspected
+        replica.subsystems["guard"].on_network_delay(1, "m", size=100, latency=DELTA * 0.5)
+        assert replica.subsystems["guard"].samples_seen == 1
+        assert replica.subsystems["guard"].violation_count == 0
+        assert not replica.subsystems["guard"].suspected
 
     def test_violation_enters_suspicion(self):
         replica, ctx, _ = guarded_replica()
         ctx.advance(1.0)
-        replica.guard.on_network_delay(1, "m", size=100, latency=DELTA * 2)
-        assert replica.guard.violation_count == 1
-        assert replica.guard.suspected
-        assert replica.guard.last_violation_at == pytest.approx(1.0)
+        replica.subsystems["guard"].on_network_delay(1, "m", size=100, latency=DELTA * 2)
+        assert replica.subsystems["guard"].violation_count == 1
+        assert replica.subsystems["guard"].suspected
+        assert replica.subsystems["guard"].last_violation_at == pytest.approx(1.0)
 
     def test_suspicion_clears_after_stable_window(self):
         replica, ctx, _ = guarded_replica()
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         guard.on_network_delay(1, "m", size=100, latency=DELTA * 2)
         ctx.advance(replica.config.guard_stable_window + 0.01)
         guard._maintain(ctx.now)
@@ -126,7 +126,7 @@ class TestMonitorMeasurement:
 
     def test_delta_at_walks_the_install_history(self):
         replica, _, _ = guarded_replica()
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         guard.delta_history = [(0.0, DELTA), (2.0, 4 * DELTA), (3.0, DELTA)]
         assert guard.delta_at(1.0) == pytest.approx(DELTA)
         assert guard.delta_at(2.0) == pytest.approx(4 * DELTA)
@@ -134,12 +134,24 @@ class TestMonitorMeasurement:
         assert guard.delta_at(3.5) == pytest.approx(DELTA)
 
     def test_ladder_and_timeout_scale(self):
-        replica, _, _ = guarded_replica()
-        guard = replica.guard
-        guard.rung = 2
-        assert guard.effective_delta == pytest.approx(4 * DELTA)
-        assert guard.timeout_scale() == pytest.approx(4.0)
+        replica, _, signers = guarded_replica()
+        guard = replica.subsystems["guard"]
         assert guard.ladder(0) == pytest.approx(DELTA)
+        assert replica.delta_scale == 1.0
+        guard.pending_cert = Certificate.assemble(
+            (DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2) for i in (1, 2)),
+            signers[0],
+            aggregate=False,
+        )
+        guard.on_epoch_enter(2)
+        assert guard.effective_delta == pytest.approx(4 * DELTA)
+        # The install pushes the multiplier onto the replica: its 2Δ
+        # windows and its pacemaker read that one number.
+        assert replica.delta_scale == pytest.approx(4.0)
+        assert replica._delta() == guard.effective_delta
+        assert replica._new_pacemaker().current_timeout() == pytest.approx(
+            4.0 * replica.config.epoch_timeout
+        )
 
 
 class TestMonitorDegradation:
@@ -151,23 +163,23 @@ class TestMonitorDegradation:
     def test_commits_flagged_while_suspected(self):
         replica, ctx, _ = guarded_replica()
         flags = self._stub_ledger(replica)
-        replica.guard.on_network_delay(1, "m", size=100, latency=DELTA * 2)
-        replica.guard.on_committed([SimpleNamespace(height=3)])
+        replica.subsystems["guard"].on_network_delay(1, "m", size=100, latency=DELTA * 2)
+        replica.subsystems["guard"].on_committed([SimpleNamespace(height=3)])
         assert flags == [3]
-        assert replica.guard.commit_records[-1].flagged
-        assert replica.guard.at_risk_total == 1
+        assert replica.subsystems["guard"].commit_records[-1].flagged
+        assert replica.subsystems["guard"].at_risk_total == 1
 
     def test_clean_commits_unflagged(self):
         replica, _, _ = guarded_replica()
         flags = self._stub_ledger(replica)
-        replica.guard.on_committed([SimpleNamespace(height=1)])
+        replica.subsystems["guard"].on_committed([SimpleNamespace(height=1)])
         assert flags == []
-        assert not replica.guard.commit_records[-1].flagged
+        assert not replica.subsystems["guard"].commit_records[-1].flagged
 
     def test_retroactive_flagging_of_recent_commits(self):
         replica, ctx, _ = guarded_replica()
         flags = self._stub_ledger(replica)
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         ctx.advance(1.0)
         guard.on_committed([SimpleNamespace(height=1)])  # recent: inside 4Δ
         ctx.advance(DELTA)
@@ -178,7 +190,7 @@ class TestMonitorDegradation:
     def test_old_commits_not_retro_flagged(self):
         replica, ctx, _ = guarded_replica()
         flags = self._stub_ledger(replica)
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         ctx.advance(1.0)
         guard.on_committed([SimpleNamespace(height=1)])
         ctx.advance(1.0)  # far outside the 4Δ retro window
@@ -190,7 +202,7 @@ class TestMonitorDegradation:
 class TestMonitorRecalibration:
     def test_quorum_of_adjusts_forms_certificate(self):
         replica, ctx, signers = guarded_replica(replica_id=0)
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         for peer in (1, 2):
             adjust = DeltaAdjust.create(signers[peer], "alterbft", seq=0, rung=1)
             guard.on_delta_adjust(peer, DeltaAdjustMsg(adjust=adjust))
@@ -202,7 +214,7 @@ class TestMonitorRecalibration:
 
     def test_stale_and_off_ladder_adjusts_ignored(self):
         replica, _, signers = guarded_replica(replica_id=0)
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         stale = DeltaAdjust.create(signers[1], "alterbft", seq=5, rung=1)
         guard.on_delta_adjust(1, DeltaAdjustMsg(adjust=stale))
         high = DeltaAdjust.create(
@@ -217,11 +229,11 @@ class TestMonitorRecalibration:
         adjust = DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=1)
         forged = dataclasses.replace(adjust, rung=2)
         with pytest.raises(VerificationError):
-            replica.guard.on_delta_adjust(1, DeltaAdjustMsg(adjust=forged))
+            replica.subsystems["guard"].on_delta_adjust(1, DeltaAdjustMsg(adjust=forged))
 
     def test_certificate_installs_at_epoch_boundary(self):
         replica, ctx, signers = guarded_replica(replica_id=0)
-        guard = replica.guard
+        guard = replica.subsystems["guard"]
         cert = Certificate.assemble(
             (DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2) for i in (1, 2)),
             signers[0],
@@ -246,7 +258,7 @@ class TestMonitorRecalibration:
             aggregate=False,
         )
         with pytest.raises(VerificationError):
-            replica.guard.on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))
+            replica.subsystems["guard"].on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))
 
 
 class TestGuardFlaggingInvariant:
@@ -269,7 +281,7 @@ class TestGuardFlaggingInvariant:
         guard = SimpleNamespace(
             delta_history=history, delta_at=delta_at, commit_records=list(records)
         )
-        replica = SimpleNamespace(replica_id=0, guard=guard)
+        replica = SimpleNamespace(replica_id=0, subsystems={"guard": guard})
         return SimpleNamespace(replicas=[replica], honest_ids={0})
 
     def _check(self, cluster):
@@ -279,7 +291,7 @@ class TestGuardFlaggingInvariant:
 
     def test_no_monitors_is_a_violation(self):
         cluster = self._cluster([])
-        cluster.replicas[0].guard = None
+        cluster.replicas[0].subsystems = {}
         assert not self._check(cluster).ok
 
     def test_flagged_commits_pass(self):
@@ -327,7 +339,7 @@ class TestGuardEndToEnd:
         cluster.run()
         assert check_safety(cluster.replicas, cluster.honest_ids)
         witness = cluster.replicas[0]
-        guard = witness.guard
+        guard = witness.subsystems["guard"]
         assert guard is not None
         assert guard.violation_count > 0
         assert witness.ledger.at_risk_count > 0
@@ -348,7 +360,7 @@ class TestGuardEndToEnd:
         config = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
         assert config.protocol_config.guard_enabled is False
         cluster = build_cluster(config)
-        assert all(r.guard is None for r in cluster.replicas)
+        assert all(r.subsystems.get("guard") is None for r in cluster.replicas)
         cluster.start()
         cluster.run()
         ledger = b"".join(

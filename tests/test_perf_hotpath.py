@@ -342,8 +342,8 @@ def test_fence_guard_ladder_survives_restart():
     cluster = _run_cluster(**FENCE_A)
     assert _fingerprint(cluster) == FENCE_A_FINGERPRINT
     rejoiner = cluster.replicas[1]
-    assert rejoiner.recovery.caught_up_at is not None
-    assert rejoiner.guard.rung == 2
+    assert rejoiner.subsystems["recovery"].caught_up_at is not None
+    assert rejoiner.subsystems["guard"].rung == 2
     assert rejoiner._delta() == pytest.approx(0.02)
     assert [r.ledger.height for r in cluster.replicas] == [698, 696, 698, 698, 698]
 
@@ -351,7 +351,7 @@ def test_fence_guard_ladder_survives_restart():
 def test_fence_dissemination_rejoin():
     cluster = _run_cluster(**FENCE_B)
     assert _fingerprint(cluster) == FENCE_B_FINGERPRINT
-    assert cluster.replicas[1].recovery.caught_up_at is not None
+    assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
     assert cluster.trace.counters["dissem_reconstructed"] == 392
     assert [r.ledger.height for r in cluster.replicas] == [98] * 5
 

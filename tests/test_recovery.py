@@ -124,7 +124,7 @@ class TestRejoin:
     def test_rejoiner_converges_to_honest_ledger(self):
         cluster = _run(_crash_recover_config())
         joiner = cluster.replicas[1]
-        manager = joiner.recovery
+        manager = joiner.subsystems["recovery"]
         assert manager.restarts == 1
         assert manager.caught_up_at is not None and manager.caught_up_at >= 3.0
         honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
@@ -143,7 +143,7 @@ class TestRejoin:
     def test_sync_hotstuff_rejoins_too(self):
         cluster = _run(_crash_recover_config(protocol="sync-hotstuff", f=1, rate=300.0))
         joiner = cluster.replicas[1]
-        assert joiner.recovery.caught_up_at is not None
+        assert joiner.subsystems["recovery"].caught_up_at is not None
         assert check_safety(cluster.replicas, cluster.honest_ids | {1})
         lag = max(
             r.ledger.height
@@ -166,7 +166,7 @@ def test_no_double_vote_across_restart(seed, t_down, t_up):
     )
     joiner = cluster.replicas[1]
     voted = {}
-    for record in joiner.wal.replay():
+    for record in joiner.subsystems["recovery"].wal.replay():
         if not isinstance(record, Vote):
             continue
         key = (record.epoch, record.height)
@@ -197,7 +197,7 @@ class TestByzantineProviders:
         cluster.start()
         cluster.run()
         joiner = cluster.replicas[1]
-        manager = joiner.recovery
+        manager = joiner.subsystems["recovery"]
         assert manager.caught_up_at is not None
         assert manager.fetch_retries >= 1
         assert check_recovery(cluster).ok
@@ -218,7 +218,7 @@ class TestByzantineProviders:
         )
         cluster.start()
         cluster.run()
-        manager = cluster.replicas[1].recovery
+        manager = cluster.replicas[1].subsystems["recovery"]
         assert manager.caught_up_at is None
         assert manager.fetch_retries > 0
         verdict = check_recovery(cluster)
@@ -239,7 +239,7 @@ class TestCheckpoints:
         cluster = _run(config)
         assert check_safety(cluster.replicas, cluster.honest_ids)
         for replica in cluster.replicas:
-            manager = replica.recovery
+            manager = replica.subsystems["recovery"]
             assert manager is not None
             cert = manager.latest_cert
             assert cert is not None and cert.height > 0
@@ -257,7 +257,7 @@ class TestCheckpoints:
         )
         cluster = _run(config)
         replica = cluster.replicas[0]
-        cert = replica.recovery.latest_cert
+        cert = replica.subsystems["recovery"].latest_cert
         assert cert is not None
         assert cert.verify(replica.signer, replica.validators)
         assert cert.state_digest == replica.ledger.state_digest(cert.height)
@@ -271,14 +271,15 @@ class TestCheckpoints:
 def test_recovery_attachments_are_observationally_inert():
     """A WAL plus an idle RecoveryManager (checkpointing off) on every
     replica must not perturb the golden seeded run by a single byte."""
-    from repro.recovery import RecoveryManager
+    from repro.runner.registry import attach_subsystems
     from tests.test_perf_hotpath import GOLDEN_FINGERPRINT
 
     cfg = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
     cluster = build_cluster(cfg)
     for replica in cluster.replicas:
-        replica.wal = MemoryWal()
-        replica.recovery = RecoveryManager(replica, 0)
+        assert not replica.subsystems
+        attach_subsystems(replica, restartable=True)
+        assert replica.subsystems["recovery"].interval == 0
     cluster.start()
     cluster.run()
     ledger = b"".join(
@@ -289,4 +290,59 @@ def test_recovery_attachments_are_observationally_inert():
     )
     assert cluster.trace.fingerprint(extra=ledger) == GOLDEN_FINGERPRINT
     # The WAL did its job silently: votes were journaled all along.
-    assert all(len(r.wal) > 0 for r in cluster.replicas)
+    assert all(len(r.subsystems["recovery"].wal) > 0 for r in cluster.replicas)
+
+
+# ---------------------------------------------------------------------------
+# Known composed defects, recorded (not fixed) while sizing the PR 19 fence.
+# Neither schedule is in the check grid, which runs one feature per family;
+# the fixing PR flips each xfail.
+# ---------------------------------------------------------------------------
+
+REJOIN_UNDER_SLOW_LINK = ((1, "crash-recover@1.0:2.0"), (3, "slow-link@0.6:1.6"))
+
+
+@pytest.mark.xfail(strict=True, reason="a rejoiner's Δ ladder diverges for good")
+def test_rejoiner_ends_on_the_clusters_delta():
+    """The cluster installs rung 2, replica 1 crashes, the others shrink
+    back (``installs`` ends 2, 1, 2, 2, 2).  Every later adjustment and
+    certificate carries ``seq != installs`` at replica 1 and is dropped, so
+    it runs Δ = 20 ms against the cluster's 5 ms for the rest of the run —
+    and in the mirrored schedule it would keep a *smaller* Δ than the
+    cluster, which is the unsafe direction."""
+    cluster = _run(
+        make_config(
+            "alterbft",
+            f=2,
+            rate=500.0,
+            duration=3.0,
+            seed=7,
+            faults=REJOIN_UNDER_SLOW_LINK,
+            guard_enabled=True,
+        )
+    )
+    deltas = [replica.subsystems["guard"].effective_delta for replica in cluster.replicas]
+    assert len(set(deltas)) == 1, deltas
+
+
+@pytest.mark.xfail(strict=True, reason="a rejoiner is stranded at its snapshot")
+def test_rejoiner_catches_up_with_every_subsystem_on():
+    """Replica 1 finishes catch-up at height 44/46, votes twice, parks a
+    commit window on a header every peer has already pruned, and ends at 44
+    against 196–197 with ``caught_up_at`` still ``None``.  Removing any one
+    of the four flags lets it recover."""
+    cluster = _run(
+        make_config(
+            "alterbft",
+            f=2,
+            rate=500.0,
+            duration=4.0,
+            seed=7,
+            faults=REJOIN_UNDER_SLOW_LINK,
+            guard_enabled=True,
+            checkpoint_interval=4,
+            dissemination=True,
+            pipeline_depth=2,
+        )
+    )
+    assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None

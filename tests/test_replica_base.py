@@ -1,16 +1,20 @@
-"""BaseReplica: dispatch, vote/blame accounting, commit helper."""
+"""BaseReplica: dispatch, vote/blame accounting, commit helper, and the
+subsystem attachment seam."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.config import ProtocolConfig
-from repro.consensus.replica import BaseReplica
+from repro.consensus.replica import HOOKS, BaseReplica
 from repro.consensus.validators import ValidatorSet
-from repro.errors import VerificationError
+from repro.core.protocol import AlterBFTReplica
+from repro.errors import ConfigError, VerificationError
+from repro.runner.registry import SUBSYSTEMS, attach_subsystems
 from repro.types.block import make_block
 from repro.types.certificates import Blame, QuorumCertificate, Vote, genesis_qc
-from repro.types.messages import VoteMsg
+from repro.types.messages import BlameMsg, VoteMsg
 from repro.types.transaction import make_transaction
 from tests.conftest import FakeContext
 
@@ -151,3 +155,188 @@ class TestProposalSignatures:
         assert replica.verify_proposal_signature(0, block_hash, sig)
         assert not replica.verify_proposal_signature(1, block_hash, sig)
         assert not replica.verify_proposal_signature(0, b"\x18" * 32, sig)
+
+
+# -- the attachment seam --------------------------------------------------------
+
+
+class Probe:
+    """A minimal subsystem: one handler, one timer, two hooks."""
+
+    name = "probe"
+    HANDLERS = {BlameMsg: "on_blame"}
+    TIMERS = {"probe_tick": "on_tick"}
+
+    def __init__(self, log, label="probe"):
+        self.log = log
+        self.label = label
+
+    def on_blame(self, src, msg):
+        self.log.append((self.label, "blame", src))
+
+    def on_tick(self, payload):
+        self.log.append((self.label, "tick", payload))
+
+    def on_committed(self, blocks):
+        self.log.append((self.label, "committed", [b.height for b in blocks]))
+
+    def journal(self, record):
+        self.log.append((self.label, "journal", record))
+
+
+def _commit_one(replica):
+    block = make_block(1, 1, replica.store.genesis.block_hash, (), 0)
+    replica.store.add_block(block)
+    replica.commit_through(block.block_hash)
+
+
+class TestAttach:
+    def test_registers_handlers_timers_and_hooks(self, replica, signers3):
+        log = []
+        probe = Probe(log)
+        replica.attach(probe)
+        assert replica.subsystems == {"probe": probe}
+        replica.handle(2, BlameMsg(blame=Blame.create(signers3[2], "alterbft", 1)))
+        replica.on_timer("probe_tick", 7)
+        _commit_one(replica)
+        replica._fire("journal", "record")
+        assert log == [
+            ("probe", "blame", 2),
+            ("probe", "tick", 7),
+            ("probe", "committed", [1]),
+            ("probe", "journal", "record"),
+        ]
+        # The hooks it does not implement have no subscriber.
+        assert not replica._hooks["on_start"] and not replica._hooks["drop_blocks"]
+        assert set(replica._hooks) == set(HOOKS)
+
+    def test_verification_errors_of_a_subsystem_handler_are_contained(self, replica, signers3):
+        class Strict(Probe):
+            def on_blame(self, src, msg):
+                raise VerificationError("no")
+
+        replica.attach(Strict([]))
+        replica.handle(2, BlameMsg(blame=Blame.create(signers3[2], "alterbft", 1)))
+
+    def test_hooks_fire_in_attach_order(self, replica):
+        log = []
+
+        class Other(Probe):
+            name = "other"
+            HANDLERS = {}
+            TIMERS = {}
+
+        replica.attach(Other(log, "first"))
+        replica.attach(Probe(log, "second"))
+        _commit_one(replica)
+        assert [label for label, *_ in log] == ["first", "second"]
+        assert list(replica.subsystems) == ["other", "probe"]
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            dict(HANDLERS={VoteMsg: "on_blame"}),  # the replica's own message
+            dict(HANDLERS={BlameMsg: "on_blame"}),  # another subsystem's message
+            dict(TIMERS={"probe_tick": "on_tick"}),  # another subsystem's timer
+            dict(TIMERS={"own": "on_tick"}),  # a timer the replica defines as _timer_own
+            dict(name="probe"),  # the name itself
+        ],
+        ids=["replica-message", "subsystem-message", "subsystem-timer", "replica-timer", "name"],
+    )
+    def test_second_owner_is_a_config_error(self, replica, claim):
+        replica._timer_own = lambda payload: None
+        replica.attach(Probe([]))
+        rival = type("Rival", (Probe,), {"name": "rival", "HANDLERS": {}, "TIMERS": {}, **claim})
+        before = (dict(replica._bound_handlers), dict(replica._timer_methods))
+        hooks_before = {hook: list(subs) for hook, subs in replica._hooks.items()}
+        with pytest.raises(ConfigError):
+            replica.attach(rival([]))
+        # Refused before anything was registered.
+        assert (replica._bound_handlers, replica._timer_methods) == before
+        assert replica._hooks == hooks_before
+        assert list(replica.subsystems) == ["probe"]
+
+
+ALL_SUBSYSTEM_FLAGS = dict(guard_enabled=True, checkpoint_interval=8, dissemination=True)
+
+
+def _family_replica(cls, signers3, validators3, **flags):
+    replica = cls(0, validators3, ProtocolConfig(n=3, f=1, delta=0.005, **flags), signers3[0])
+    ctx = FakeContext()
+    ctx.traced = []
+    ctx.trace = lambda kind, **detail: ctx.traced.append(kind)
+    ctx.bind_replica(replica)
+    return replica, ctx
+
+
+class TestBareFamilyReplica:
+    @pytest.mark.parametrize("cls,core", [(AlterBFTReplica, 11), (SyncHotStuffReplica, 8)])
+    def test_dispatches_exactly_the_core_classes(self, cls, core, signers3, validators3):
+        replica, ctx = _family_replica(cls, signers3, validators3)
+        assert set(replica._bound_handlers) == set(cls.HANDLERS)
+        assert len(replica._bound_handlers) == core
+        replica.on_start()
+        traced = list(ctx.traced)
+        # A subsystem's message reaching a replica without that subsystem
+        # is an unknown message: no handler, no trace, no exception.
+        for subsystem in SUBSYSTEMS:
+            for msg_cls in subsystem.HANDLERS:
+                assert msg_cls not in replica._bound_handlers
+                replica.handle(1, object.__new__(msg_cls))
+        replica.handle(1, object())
+        assert ctx.traced == traced
+
+    @pytest.mark.parametrize("flag", sorted(ALL_SUBSYSTEM_FLAGS))
+    def test_flag_without_its_subsystem_refuses_to_start(self, flag, signers3, validators3):
+        flags = {flag: ALL_SUBSYSTEM_FLAGS[flag]}
+        replica, _ = _family_replica(AlterBFTReplica, signers3, validators3, **flags)
+        with pytest.raises(ConfigError, match="no such subsystem"):
+            replica.on_start()
+        attach_subsystems(replica)
+        replica.on_start()  # the builder's answer satisfies the check
+
+    def test_builder_and_start_check_read_one_answer(self, signers3, validators3):
+        config = ProtocolConfig(n=3, f=1, **ALL_SUBSYSTEM_FLAGS)
+        assert config.required_subsystems() == tuple(s.name for s in SUBSYSTEMS)
+        assert ProtocolConfig(n=3, f=1).required_subsystems() == ()
+        replica, _ = _family_replica(
+            AlterBFTReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS
+        )
+        attach_subsystems(replica)
+        assert tuple(replica.subsystems) == config.required_subsystems()
+        # Sync HotStuff cannot carry dissemination: the builder leaves it
+        # out and the start check says so, where it used to run the blob path.
+        replica, _ = _family_replica(
+            SyncHotStuffReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS
+        )
+        attach_subsystems(replica)
+        assert tuple(replica.subsystems) == ("recovery", "guard")
+        with pytest.raises(ConfigError, match="dissem"):
+            replica.on_start()
+
+    def test_restart_re_registers_every_subsystem(self, signers3, validators3):
+        replica, ctx = _family_replica(
+            AlterBFTReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS
+        )
+        attach_subsystems(replica)
+        replica.on_start()
+        handlers = dict(replica._bound_handlers)
+        hooks = {hook: list(subs) for hook, subs in replica._hooks.items()}
+        subsystems = dict(replica.subsystems)
+        replica.delta_scale = 4.0  # as a guard install at rung 2 leaves it
+        replica.crashed = True
+        replica.subsystems["recovery"].restart()
+        # Fresh dispatch tables, same owners: every handler, timer and hook
+        # is bound to the very subsystem object that outlived the crash.
+        assert replica._bound_handlers == handlers and len(handlers) == 25
+        assert replica._hooks == hooks
+        assert replica.subsystems == subsystems and list(replica.subsystems) == list(subsystems)
+        for subsystem in subsystems.values():
+            for msg_cls, method in subsystem.HANDLERS.items():
+                assert replica._bound_handlers[msg_cls] == getattr(subsystem, method)
+            for tag, method in subsystem.TIMERS.items():
+                assert replica._timer_methods[tag] == getattr(subsystem, method)
+        # The two pushed values are not __init__'s to reset.
+        assert replica.delta_scale == 4.0 and replica._delta() == pytest.approx(0.02)
+        assert replica.send_payload == replica.subsystems["dissem"].disseminate
+        assert not replica.crashed and replica.subsystems["recovery"].restarts == 1

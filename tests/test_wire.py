@@ -11,8 +11,10 @@ The load-bearing properties pinned here:
 * **Inertness** — a seeded run with wire accounting enabled produces the
   byte-identical golden fingerprint of a run without it.
 * **Contract** — each protocol's declared ``WIRE_PHASES`` matches the
-  phases derivable from its ``HANDLERS`` map, and live traffic stays
-  inside it.
+  phases derivable from its ``HANDLERS`` map, each subsystem's
+  ``WIRE_PHASE`` is the phase of every message it handles, the
+  protocol's full contract is the union of the two, and live traffic
+  stays inside it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.obs.wire import (
     write_wire_jsonl,
 )
 from repro.runner.cluster import build_cluster
+from repro.runner.registry import SUBSYSTEMS, subsystems_for, wire_phases_for
 from repro.types.block import BlockHeader
 from repro.types.messages import (
     BlameMsg,
@@ -96,16 +99,57 @@ def _run_cluster(protocol: str = "alterbft", **kwargs):
 class TestPhaseContract:
     def test_every_handled_class_has_a_phase(self):
         """No consensus message class may fall into 'other'."""
-        for cls in ALL_REPLICA_CLASSES:
-            for msg_cls in cls.HANDLERS:
+        for owner in ALL_REPLICA_CLASSES + SUBSYSTEMS:
+            for msg_cls in owner.HANDLERS:
                 phase = classify_phase(msg_cls.__name__)
                 assert phase != "other", f"{msg_cls.__name__} unclassified"
                 assert phase in WIRE_PHASE_NAMES
 
     def test_declared_wire_phases_match_handlers(self):
-        """The explicit WIRE_PHASES contract cannot drift from HANDLERS."""
+        """The explicit core WIRE_PHASES contract cannot drift from HANDLERS."""
         for cls in ALL_REPLICA_CLASSES:
             assert cls.WIRE_PHASES == cls.handled_wire_phases(), cls.protocol_name
+
+    def test_a_subsystem_owns_one_phase(self):
+        """Every message a subsystem handles is accounted to its WIRE_PHASE,
+        and no two subsystems (or a subsystem and a core protocol) share one."""
+        for subsystem in SUBSYSTEMS:
+            assert subsystem.HANDLERS, subsystem.name
+            for msg_cls in subsystem.HANDLERS:
+                assert classify_phase(msg_cls.__name__) == subsystem.WIRE_PHASE
+        phases = [s.WIRE_PHASE for s in SUBSYSTEMS]
+        assert len(set(phases)) == len(phases)
+        for cls in ALL_REPLICA_CLASSES:
+            assert not set(phases) & set(cls.WIRE_PHASES)
+
+    def test_full_contract_is_core_plus_carried_subsystems(self):
+        """What ``repro.obs wire`` holds observed traffic to — pinned to the
+        values the classes declared before subsystems owned their phases,
+        so the contract can never silently get weaker."""
+        for cls in ALL_REPLICA_CLASSES:
+            carried = subsystems_for(cls.protocol_name)
+            expected = set(cls.WIRE_PHASES) | {s.WIRE_PHASE for s in carried}
+            assert wire_phases_for(cls.protocol_name) == expected
+        assert wire_phases_for("alterbft") == {
+            "propose",
+            "payload",
+            "dissemination",
+            "vote",
+            "epoch_change",
+            "repair",
+            "recovery",
+            "guard",
+        }
+        assert wire_phases_for("sync-hotstuff") == {
+            "propose",
+            "vote",
+            "epoch_change",
+            "repair",
+            "recovery",
+            "guard",
+        }
+        assert wire_phases_for("hotstuff") == set(HotStuffReplica.WIRE_PHASES)
+        assert wire_phases_for("pbft") == set(PBFTReplica.WIRE_PHASES)
 
     def test_unknown_class_is_other(self):
         assert classify_phase("NoSuchMsg") == "other"
@@ -252,7 +296,7 @@ class TestLiveRun:
 
     def test_observed_phases_within_declared_contract(self, cluster):
         observed = {p for p, n in cluster.wire.phase_bytes.items() if n}
-        assert observed <= set(AlterBFTReplica.WIRE_PHASES)
+        assert observed <= wire_phases_for("alterbft")
 
     def test_leader_egress_share_bounds(self, cluster):
         n = cluster.config.protocol_config.n
@@ -325,6 +369,23 @@ class TestSnapshotIO:
                 f'{{class="{row["class"]}",le="+Inf"}} {row["msgs"]}'
             )
             assert needle in text
+
+    def test_wire_drilldown_is_clean_with_every_subsystem_recording(self, tmp_path, capsys):
+        """``repro.obs wire`` checks observed phases against the declared
+        contract; a run with dissemination + guard + checkpointing on puts
+        bytes in all three subsystem phases and must still exit clean."""
+        from repro.obs.__main__ import main as obs_main
+
+        record = ["record", "--protocol", "alterbft", "--rate", "300", "--duration", "1.5"]
+        flags = ["--wire", "--guard", "--dissemination", "--checkpoint-interval", "4"]
+        assert obs_main(record + flags + ["--seed", "7", "--out-dir", str(tmp_path)]) == 0
+        path = os.path.join(tmp_path, "wire.jsonl")
+        observed = {r["phase"] for r in read_wire_jsonl(path)["phases"] if r["bytes"]}
+        assert {s.WIRE_PHASE for s in SUBSYSTEMS} <= observed
+        capsys.readouterr()
+        assert obs_main(["wire", path]) == 0
+        out = capsys.readouterr().out
+        assert "telescoping check: ok" in out and "INVALID" not in out
 
     def test_validator_catches_corruption(self, snapshot):
         import copy
