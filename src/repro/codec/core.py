@@ -31,6 +31,13 @@ Both caches are safe because registered message types are immutable and
 the encoding is deterministic; mutable (non-frozen) dataclasses are never
 cached.  :func:`set_size_fast_path` disables both shortcuts so tests can
 prove they do not change observable behavior.
+
+A registered class can go one step further and be *self-encoded*: its
+instances hold their encoding (``wire``) and are decoded by checking the
+bytes in place and slicing them out, so they are never rebuilt from fields
+or re-encoded.  :func:`register` documents the contract; ``Transaction``,
+the one type that crosses every layer thousands of times per block, is
+its user.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 import struct
+import typing
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
 
 from ..errors import CodecError
@@ -67,9 +75,9 @@ _cacheable: Dict[Type, bool] = {}
 SIZE_CACHE_ATTR = "_wire_size"
 BYTES_CACHE_ATTR = "_wire_bytes"
 
-#: Method a registered class defines to learn where each decoded instance
-#: came from; see :func:`register`.
-DECODED_FROM_HOOK = "_decoded_from"
+#: Self-encoded classes (see :func:`register`): class → (the constant
+#: tag/type-id/field-count bytes every encoding starts with, field types).
+_self_encoded: Dict[Type, Tuple[bytes, Tuple[type, ...]]] = {}
 
 _fast_path_enabled = True
 _size_cache_hits = 0
@@ -110,15 +118,28 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
     Type ids must be unique library-wide; see :mod:`repro.codec.registry`
     for the id allocation map.
 
-    A class that defines ``_decoded_from(self, data, start, end, bounds)``
-    is called with every instance the decoder builds.  ``data[start:end]``
-    is the span it was decoded from and, decoding being canonical, equals
-    ``encode(self)``.  ``bounds`` has one entry per field: ``None``, or,
-    for a field that arrived as a tuple of ``n`` elements, the ``n + 1``
-    offsets between which they lie (element ``j`` is
-    ``data[bounds[i][j]:bounds[i][j + 1]]``).  The class can then hash or
-    keep parts of the frame instead of re-encoding them.  The method must
-    not raise, whatever field values the wire carried.
+    **Self-encoded classes.**  A class that defines a ``from_wire``
+    classmethod keeps its canonical encoding instead of having it rebuilt
+    from its fields.  Its fields must all be annotated ``int``, ``float`` or
+    ``bytes``, and the contract has three parts:
+
+    * every instance has ``wire``, exactly the bytes :func:`encode` would
+      emit for its fields — built by :func:`encode_fields` (which checks the
+      field types) or handed to ``from_wire``, never assembled elsewhere;
+    * the codec encodes an instance by appending ``instance.wire`` and sizes
+      it as ``len(instance.wire)``;
+    * the codec decodes one by checking the bytes where they lie — struct
+      tag, type id, field count, then each field's tag, so a field of
+      another type is a ``CodecError``, with every varint minimal — slicing
+      them out once and calling ``cls.from_wire(wire, *ints)``.  ``ints`` are
+      the values of the ``int`` fields in declaration order (checking walks
+      them anyway); ``float`` and ``bytes`` fields are not materialised, the
+      class reads them out of ``wire`` on demand with :func:`field_of`.
+      ``from_wire`` must not raise and need not check anything: ``wire`` is
+      valid, and nothing re-validates it afterwards.
+
+    Decoding being canonical, ``wire`` determines the fields and the fields
+    determine ``wire``, so such a class can compare and hash by ``wire``.
     """
 
     def decorate(cls: Type[_T]) -> Type[_T]:
@@ -133,6 +154,9 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
         _registry_by_id[type_id] = cls
         _registry_by_type[cls] = type_id
         _field_names[cls] = tuple(f.name for f in dataclasses.fields(cls))
+        if hasattr(cls, "from_wire"):
+            _install_self_encoded(cls, type_id)
+            return cls
         _cacheable[cls] = bool(
             cls.__dataclass_params__.frozen and getattr(cls, "__slots__", None) is None
         )
@@ -273,17 +297,18 @@ _ENC_BY_TYPE: Dict[Type, Callable[[Any, List[bytes]], None]] = {
 }
 
 
-def _install_struct_encoder(cls: Type, type_id: int) -> None:
-    """Specialize an encoder for one registered dataclass.
-
-    The tag byte, type id, and field count are constant per class, so
-    they are pre-joined into a single prefix chunk.
-    """
-    names = _field_names[cls]
+def _struct_prefix(type_id: int, count: int) -> bytes:
+    """Tag byte, type id and field count: constant per class, pre-joined."""
     chunks: List[bytes] = [_B_STRUCT]
     _write_varint(chunks, type_id)
-    _write_varint(chunks, len(names))
-    prefix = b"".join(chunks)
+    _write_varint(chunks, count)
+    return b"".join(chunks)
+
+
+def _install_struct_encoder(cls: Type, type_id: int) -> None:
+    """Specialize an encoder for one registered dataclass."""
+    names = _field_names[cls]
+    prefix = _struct_prefix(type_id, len(names))
     dispatch = _ENC_BY_TYPE
     get_fields = _fields_getter(names)
 
@@ -298,6 +323,37 @@ def _install_struct_encoder(cls: Type, type_id: int) -> None:
                 handler(field, out)
 
     dispatch[cls] = encode_struct
+
+
+def _install_self_encoded(cls: Type, type_id: int) -> None:
+    """Encoder and sizer of a self-encoded class (see :func:`register`)."""
+    hints = typing.get_type_hints(cls)
+    kinds = tuple(hints[name] for name in _field_names[cls])
+    if not all(kind in (int, float, bytes) for kind in kinds):
+        raise CodecError(f"{cls.__name__}: a self-encoded field must be int, float or bytes")
+    _self_encoded[cls] = (_struct_prefix(type_id, len(kinds)), kinds)
+    _cacheable[cls] = False  # it is its own memo
+    _ENC_BY_TYPE[cls] = lambda value, out: out.append(value.wire)
+    _SIZE_BY_TYPE[cls] = lambda value: len(value.wire)
+
+
+def encode_fields(cls: Type, *values: Any) -> bytes:
+    """``wire`` of an instance of the self-encoded ``cls`` with these fields.
+
+    The one place such an instance's bytes are assembled from values, hence
+    where they are type-checked: exact ``int`` / ``float`` / ``bytes`` as
+    the class annotates them (``bool`` is another wire type than ``int``),
+    ``TypeError`` otherwise.
+    """
+    prefix, kinds = _self_encoded[cls]
+    if tuple(map(type, values)) != kinds:
+        expected = ", ".join(kind.__name__ for kind in kinds)
+        got = ", ".join(type(value).__name__ for value in values)
+        raise TypeError(f"{cls.__name__} fields must be ({expected}), not ({got})")
+    out = [prefix]
+    for value, kind in zip(values, kinds):
+        _ENC_BY_TYPE[kind](value, out)  # exact scalar types: always present
+    return b"".join(out)
 
 
 def _encode_general(value: Any, out: List[bytes]) -> None:
@@ -358,8 +414,8 @@ def encode(value: Any) -> bytes:
 # The decoder is *canonical*: it accepts exactly the bytes :func:`encode`
 # emits, so ``encode(decode(b)) == b`` for every ``b`` it accepts.  Varints
 # must be minimal, dict keys strictly ascending (the encoder sorts them),
-# strings valid UTF-8.  That is what lets a decoded value be hashed or
-# measured as a slice of the frame it arrived in (see :func:`register`).
+# strings valid UTF-8.  That is what lets a self-encoded class (see
+# :func:`register`) keep the bytes it was decoded from as its encoding.
 
 #: Containers and structs may nest this deep; deeper input is refused with
 #: a ``CodecError`` long before the interpreter's recursion limit.  The
@@ -425,11 +481,7 @@ def _dec_str(data: bytes, pos: int, room: int) -> Tuple[str, int]:
         raise CodecError(f"string is not valid UTF-8: {exc}") from None
 
 
-def _dec_tuple(
-    data: bytes, pos: int, room: int, marks: Optional[List[int]] = None
-) -> Tuple[tuple, int]:
-    """``marks``, if given, receives the offset at which each item starts
-    and the one at which the last ends (see :func:`register`)."""
+def _dec_tuple(data: bytes, pos: int, room: int) -> Tuple[tuple, int]:
     if not room:
         raise CodecError(_NESTING_ERROR)
     room -= 1
@@ -443,17 +495,9 @@ def _dec_tuple(
     decoders = _DECODERS
     # Each item consumes at least its tag byte, so a hostile count runs
     # off the end of ``data`` after at most ``len(data)`` appends.
-    if marks is None:
-        for _ in range(count):
-            item, pos = decoders[data[pos]](data, pos + 1, room)
-            append(item)
-    else:
-        mark = marks.append
-        mark(pos)
-        for _ in range(count):
-            item, pos = decoders[data[pos]](data, pos + 1, room)
-            append(item)
-            mark(pos)
+    for _ in range(count):
+        item, pos = decoders[data[pos]](data, pos + 1, room)
+        append(item)
     return tuple(items), pos
 
 
@@ -530,20 +574,55 @@ _DECODER_BY_TAG: Dict[int, Callable[[bytes, int, int], Tuple[Any, int]]] = {
 _DECODERS = tuple(_DECODER_BY_TAG.get(tag, _dec_unknown) for tag in range(256))
 
 
-def _struct_decoder_source(name: str, count: int, lead: int, marked: bool) -> str:
-    """Source of the decoder for a registered class with ``count`` fields.
+#: How the decoder of a self-encoded class steps over one field of each
+#: type.  ``{i}`` is the field's index; only an ``int`` leaves a value.
+_CHECKED_READ = {
+    int: [
+        f"    if data[pos] != {_TAG_INT}:",
+        "        raise CodecError('{name} is not an int')",
+        "    v{i} = data[pos + 1]",
+        "    if v{i} < 0x80:",
+        "        pos += 2",
+        "    else:",
+        "        v{i}, pos = read_varint(data, pos + 1)",
+    ],
+    float: [
+        f"    if data[pos] != {_TAG_FLOAT}:",
+        "        raise CodecError('{name} is not a float')",
+        "    pos += 9",
+    ],
+    bytes: [
+        f"    if data[pos] != {_TAG_BYTES}:",
+        "        raise CodecError('{name} is not bytes')",
+        "    length = data[pos + 1]",
+        "    if length < 0x80:",
+        "        pos += 2",
+        "    else:",
+        "        length, pos = read_varint(data, pos + 1)",
+        "    pos += length",
+    ],
+}
+
+
+def _struct_decoder_source(
+    cls: Type, lead: int, kinds: Optional[Tuple[type, ...]] = None
+) -> str:
+    """Source of the decoder for the registered class ``cls``.
 
     Entered from :func:`_dec_struct` with ``pos`` just past the type id,
     ``lead`` bytes into the struct.  The field reads are unrolled and handed
     to the constructor positionally — no value list, no loop, no ``*args``
     call — which is worth about a fifth of the time to decode a four-field
-    struct (measured on ``Transaction``).  ``marked`` is the variant for a
-    class with a ``_decoded_from`` method.
+    struct.  With ``kinds``, the field types of a self-encoded class (see
+    :func:`register`), no field is decoded: each is checked and stepped
+    over, and the span goes to ``from_wire`` in one slice.  A step that
+    overshoots the end of ``data`` is caught by the next read or, after the
+    last field, by the slice coming out short.
     """
-    lines = ["def decode_struct(data, pos, room):"]
-    if marked:
-        lines.append(f"    start = pos - {lead}")
-    lines += [
+    names = _field_names[cls]
+    name, count = cls.__name__, len(names)
+    lines = [
+        "def decode_struct(data, pos, room):",
         "    count = data[pos]",
         "    if count < 0x80:",
         "        pos += 1",
@@ -553,32 +632,29 @@ def _struct_decoder_source(name: str, count: int, lead: int, marked: bool) -> st
         f"        raise CodecError('{name}: expected {count} fields, wire has %d' % count)",
         "    if not room:",
         "        raise CodecError(nesting_error)",
-        "    room -= 1",
     ]
-    for i in range(count):
-        read = f"v{i}, pos = decoders[data[pos]](data, pos + 1, room)"
-        if marked:
-            lines += [
-                f"    if data[pos] == {_TAG_TUPLE}:",
-                f"        m{i} = []",
-                f"        v{i}, pos = dec_tuple(data, pos + 1, room, m{i})",
-                "    else:",
-                f"        m{i} = None",
-                f"        {read}",
-            ]
-        else:
-            lines.append(f"    {read}")
-    values = ", ".join(f"v{i}" for i in range(count))
-    lines += [
-        "    try:",
-        f"        value = cls({values})",
-        "    except (TypeError, ValueError) as exc:",
-        f"        raise CodecError('cannot reconstruct {name}: %s' % exc) from exc",
-    ]
-    if marked:
-        marks = "".join(f"m{i}, " for i in range(count))
-        lines.append(f"    decoded_from(value, data, start, pos, ({marks}))")
-    lines.append("    return value, pos")
+    if kinds is None:
+        lines.append("    room -= 1")
+        for i in range(count):
+            lines.append(f"    v{i}, pos = decoders[data[pos]](data, pos + 1, room)")
+        values = ", ".join(f"v{i}" for i in range(count))
+        lines += [
+            "    try:",
+            f"        return cls({values}), pos",
+            "    except (TypeError, ValueError) as exc:",
+            f"        raise CodecError('cannot reconstruct {name}: %s' % exc) from exc",
+        ]
+    else:
+        lines.append(f"    start = pos - {lead + _varint_len(count)}")
+        for i, kind in enumerate(kinds):
+            lines += [line.format(i=i, name=f"{name}.{names[i]}") for line in _CHECKED_READ[kind]]
+        ints = "".join(f", (v{i} >> 1) ^ -(v{i} & 1)" for i, kind in enumerate(kinds) if kind is int)
+        lines += [
+            "    wire = data[start:pos]",
+            "    if len(wire) != pos - start:",
+            "        raise CodecError('truncated message')",
+            f"    return from_wire(wire{ints}), pos",
+        ]
     return "\n".join(lines)
 
 
@@ -594,25 +670,39 @@ def _build_struct_decoder(type_id: int) -> Callable[[bytes, int, int], Tuple[Any
     cls = _registry_by_id.get(type_id)
     if cls is None:
         raise CodecError(f"unknown wire type id {type_id}")
-    decoded_from = getattr(cls, DECODED_FROM_HOOK, None)
-    source = _struct_decoder_source(
-        cls.__name__,
-        count=len(_field_names[cls]),
-        lead=1 + _varint_len(type_id),
-        marked=decoded_from is not None,
-    )
+    kinds = _self_encoded[cls][1] if cls in _self_encoded else None
+    source = _struct_decoder_source(cls, lead=1 + _varint_len(type_id), kinds=kinds)
     namespace = {
         "cls": cls,
         "decoders": _DECODERS,
-        "dec_tuple": _dec_tuple,
         "read_varint": _read_varint,
-        "decoded_from": decoded_from,
+        "from_wire": getattr(cls, "from_wire", None),
         "nesting_error": _NESTING_ERROR,
         "CodecError": CodecError,
     }
     exec(source, namespace)  # built from the class's shape; nothing from the wire
     decoder = _STRUCT_DECODERS[type_id] = namespace["decode_struct"]
     return decoder
+
+
+def field_of(wire: bytes, index: int) -> Any:
+    """Field ``index`` of the registered struct whose encoding is ``wire``.
+
+    For a self-encoded instance reading its own ``wire``: the bytes are
+    taken as valid and not checked again.  A ``bytes`` field comes back as
+    a copy; ``wire`` itself is never aliased.
+    """
+    pos = 1
+    while wire[pos] >= 0x80:  # type id
+        pos += 1
+    pos += 1
+    while wire[pos] >= 0x80:  # field count
+        pos += 1
+    pos += 1
+    decoders = _DECODERS
+    for _ in range(index):
+        _, pos = decoders[wire[pos]](wire, pos + 1, MAX_NESTING)
+    return decoders[wire[pos]](wire, pos + 1, MAX_NESTING)[0]
 
 
 def decode(data: bytes) -> Any:

@@ -10,7 +10,7 @@ remove transactions wherever they are.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ..errors import MempoolError
 from ..types.transaction import Transaction
@@ -32,7 +32,13 @@ class Mempool:
         self.capacity = capacity
         self._pending: "OrderedDict[TxKey, Transaction]" = OrderedDict()
         self._inflight: Dict[TxKey, Transaction] = {}
-        self._committed_keys: set = set()
+        # What has committed, in space that follows the clients, not the
+        # history: clients number their transactions 0, 1, 2, ..., so per
+        # client one count says "every seq in [0, count) is done" and a set
+        # holds only the seqs done out of that run (committed ahead of a gap,
+        # or negative — the fault behaviours commit ``seq=-1`` markers).
+        self._committed_below: Dict[int, int] = {}
+        self._committed_beyond: Dict[int, Set[int]] = {}
         #: Optional callback fired when the pool goes empty → non-empty
         #: (lets an idle leader propose immediately on arrival).
         self.wakeup = None
@@ -40,7 +46,7 @@ class Mempool:
     def add(self, tx: Transaction) -> bool:
         """Queue a transaction; False if it is a duplicate or already done."""
         key = tx_key(tx)
-        if key in self._pending or key in self._inflight or key in self._committed_keys:
+        if key in self._pending or key in self._inflight or self._is_committed(*key):
             return False
         if len(self._pending) >= self.capacity:
             raise MempoolError("mempool is full")
@@ -71,7 +77,7 @@ class Mempool:
                 break
             if key in excluded:
                 continue
-            size = tx.size
+            size = len(tx.wire)
             if batch and total + size > max_bytes:
                 break
             taken_keys.append(key)
@@ -88,7 +94,31 @@ class Mempool:
             key = tx_key(tx)
             self._inflight.pop(key, None)
             self._pending.pop(key, None)
-            self._committed_keys.add(key)
+            self._mark_committed(*key)
+
+    def _is_committed(self, client_id: int, seq: int) -> bool:
+        if 0 <= seq < self._committed_below.get(client_id, 0):
+            return True
+        beyond = self._committed_beyond.get(client_id)
+        return beyond is not None and seq in beyond
+
+    def _mark_committed(self, client_id: int, seq: int) -> None:
+        below = self._committed_below.get(client_id, 0)
+        if 0 <= seq < below:
+            return
+        beyond = self._committed_beyond.get(client_id)
+        if seq != below:
+            if beyond is None:
+                beyond = self._committed_beyond[client_id] = set()
+            beyond.add(seq)
+            return
+        below += 1
+        if beyond:
+            # The gap closed: absorb the run that was waiting above it.
+            while below in beyond:
+                beyond.remove(below)
+                below += 1
+        self._committed_below[client_id] = below
 
     def requeue_inflight(self) -> int:
         """Return in-flight transactions to the front of the queue.

@@ -11,6 +11,12 @@ Frame format: ``4-byte big-endian length || codec bytes``.  The first
 frame on every outgoing connection is a hello carrying the dialer's
 replica id; deployments that need authenticated channels should wrap the
 socket in TLS with per-replica certificates.
+
+Receiving is buffered per connection (:class:`FrameReader`): one socket
+read brings in whatever has arrived, up to :data:`READ_CHUNK`, and frames
+are handed out of that chunk one :func:`read_frame` call at a time, so a
+burst of small frames costs one trip through the event loop, not two per
+frame.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import asyncio
 import random
 import struct
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple
 
 from ..codec import decode, encode_cached
 from ..consensus.replica import BaseReplica
@@ -30,6 +36,11 @@ from ..types.transaction import Transaction
 
 #: Maximum accepted frame size (defensive bound, 64 MiB).
 MAX_FRAME = 64 * 1024 * 1024
+
+#: Most a :class:`FrameReader` asks the socket for at once.
+READ_CHUNK = 64 * 1024
+
+_frame_length = struct.Struct(">I").unpack_from
 
 #: First dial retry delay; doubles per attempt up to the cap.
 DIAL_BACKOFF_BASE = 0.05
@@ -71,13 +82,53 @@ def encode_frame(msg: object) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
-async def read_frame(reader: asyncio.StreamReader) -> object:
-    header = await reader.readexactly(4)
-    (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME:
-        raise TransportError(f"incoming frame of {length} bytes exceeds limit")
-    payload = await reader.readexactly(length)
-    return decode(payload)
+class FrameReader:
+    """The frames of one connection, read from it a chunk at a time.
+
+    Holds what the last socket read brought in beyond the frames already
+    handed out.  A frame is sliced out of the chunk (one copy, frame-sized)
+    so that nothing decoded from it keeps the whole chunk alive.
+    """
+
+    __slots__ = ("_stream", "_data", "_pos")
+
+    def __init__(self, stream: asyncio.StreamReader) -> None:
+        self._stream = stream
+        self._data = b""
+        self._pos = 0
+
+    async def next_frame(self) -> bytes:
+        """The next frame's bytes, without its length prefix.
+
+        Does not suspend when a whole frame is already buffered.  Raises
+        ``TransportError`` for a frame announced larger than
+        :data:`MAX_FRAME`, before reading any more of it, and
+        ``asyncio.IncompleteReadError`` when the stream ends first.
+        """
+        data, pos = self._data, self._pos
+        while len(data) - pos < 4:
+            chunk = await self._stream.read(READ_CHUNK)
+            if not chunk:
+                raise asyncio.IncompleteReadError(data[pos:], 4)
+            data, pos = data[pos:] + chunk, 0
+        (length,) = _frame_length(data, pos)
+        if length > MAX_FRAME:
+            raise TransportError(f"incoming frame of {length} bytes exceeds limit")
+        start = pos + 4
+        stop = start + length
+        if stop < len(data):
+            self._data, self._pos = data, stop
+            return data[start:stop]
+        self._data, self._pos = b"", 0  # this frame uses the chunk up
+        if stop == len(data):
+            return data[start:]
+        # The rest of the frame, however large, in one read; the next chunk
+        # then starts on a frame boundary.
+        return data[start:] + await self._stream.readexactly(stop - len(data))
+
+
+async def read_frame(frames: FrameReader) -> object:
+    return decode(await frames.next_frame())
 
 
 class AsyncioContext:
@@ -154,7 +205,8 @@ class AsyncReplicaNode:
         self.loop: asyncio.AbstractEventLoop = None  # type: ignore[assignment]
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Dict[int, asyncio.StreamWriter] = {}
-        self._reader_tasks: List[asyncio.Task] = []
+        #: Tasks of the inbound connections that are open right now.
+        self._reader_tasks: Set[asyncio.Task] = set()
         self._dial_tasks: Dict[int, asyncio.Task] = {}
         self._outbound: Dict[int, Deque[bytes]] = {}
         self.outbound_limit = outbound_limit
@@ -236,10 +288,10 @@ class AsyncReplicaNode:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            self._reader_tasks.append(task)
+        self._reader_tasks.add(task)
+        frames = FrameReader(reader)
         try:
-            hello = await read_frame(reader)
+            hello = await read_frame(frames)
             if not (
                 isinstance(hello, tuple)
                 and len(hello) == 2
@@ -249,7 +301,7 @@ class AsyncReplicaNode:
                 raise TransportError("peer did not identify itself")
             src = hello[1]
             while not self._stopped:
-                msg = await read_frame(reader)
+                msg = await read_frame(frames)
                 if isinstance(msg, tuple) and msg and msg[0] == "client-tx":
                     # Client traffic: feed the mempool directly.
                     if len(msg) != 2 or not isinstance(msg[1], Transaction):
@@ -273,6 +325,7 @@ class AsyncReplicaNode:
         except (asyncio.IncompleteReadError, ConnectionResetError, asyncio.CancelledError):
             pass
         finally:
+            self._reader_tasks.discard(task)
             writer.close()
 
     # -- sending ------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Each benchmark targets one layer the hot-path overhaul touched: codec
 encode/decode and the size-only fast path, signature sign/verify (cache
-miss and cache hit separately), scheduler event push/pop, and simulated
-broadcast.  Fixtures are deterministic, so two runs on the same machine
-measure the same work.
+miss and cache hit separately), scheduler event push/pop, simulated
+broadcast, and a client connection's frames going into the mempool.
+Fixtures are deterministic, so two runs on the same machine measure the
+same work.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 from typing import Callable, List
 
@@ -17,14 +19,16 @@ from ..codec.core import SIZE_CACHE_ATTR
 from ..consensus.validators import ValidatorSet
 from ..crypto.keystore import build_cluster_keys
 from ..crypto.signatures import HashSignatureScheme, KeyRegistry
+from ..mempool.mempool import Mempool
 from ..net.delay import HybridCloudDelayModel
 from ..net.simnet import SimNetwork
+from ..net.transport import FrameReader, encode_frame, read_frame
 from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.block import make_block, BlockPayload, genesis_block
 from ..types.certificates import Certificate, Vote, genesis_qc
-from ..types.messages import ProposalHeaderMsg, VoteMsg
+from ..types.messages import PayloadMsg, ProposalHeaderMsg, VoteMsg
 from ..types.transaction import Transaction
 from .timing import BenchResult, measure
 
@@ -70,8 +74,11 @@ def _strip_size_memo(values) -> None:
 
 
 def _strip_block_memos(block) -> None:
-    """Remove size memos from a block and everything nested inside it."""
-    _strip_size_memo([block, block.header, block.payload, *block.payload.transactions])
+    """Remove size memos from a block and everything nested inside it.
+
+    Transactions carry none: one is sized as the length of its ``wire``.
+    """
+    _strip_size_memo([block, block.header, block.payload])
 
 
 def bench_codec(reps: int, inner: int) -> List[BenchResult]:
@@ -85,6 +92,9 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
     bulk = tuple(_make_transactions(BULK_PAYLOAD_TXS, BULK_TX_BYTES))
     client_frame = encode(("client-tx", bulk[0]))
     payload_frame = encode(BlockPayload(transactions=bulk))
+    payload_msg = PayloadMsg(
+        epoch=3, height=1, block_hash=block.block_hash, payload=BlockPayload(transactions=bulk)
+    )
 
     results = [
         measure(
@@ -120,6 +130,19 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
                 "tx_bytes": BULK_TX_BYTES,
                 "wire_bytes": len(payload_frame),
                 "note": "decode + merkle_root: a follower's cost per block, per tx",
+            },
+        ),
+        measure(
+            "codec.encode_payload_msg",
+            lambda: encode(payload_msg),
+            reps,
+            inner=10,
+            scale=BULK_PAYLOAD_TXS,
+            unit="s/tx",
+            meta={
+                "txs": BULK_PAYLOAD_TXS,
+                "tx_bytes": BULK_TX_BYTES,
+                "note": "the leader's cost to put a full block on the wire, per tx",
             },
         ),
         measure(
@@ -298,6 +321,52 @@ def bench_simnet(reps: int, inner: int) -> List[BenchResult]:
     ]
 
 
+#: Client frames per ingest repetition: five bulk blocks' worth.
+INGEST_TXS = 5 * BULK_PAYLOAD_TXS
+
+
+def bench_transport(reps: int) -> List[BenchResult]:
+    """A client connection's receive loop, without the socket.
+
+    Pre-framed ``("client-tx", tx)`` frames sit in an in-memory
+    ``StreamReader``; each goes ``FrameReader`` → ``read_frame`` →
+    ``Mempool.add``, as in ``AsyncReplicaNode._on_connection``.
+    """
+    stream = b"".join(
+        encode_frame(("client-tx", tx)) for tx in _make_transactions(INGEST_TXS, BULK_TX_BYTES)
+    )
+
+    async def ingest() -> None:
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        frames = FrameReader(reader)
+        pool = Mempool()
+        try:
+            while True:
+                pool.add((await read_frame(frames))[1])
+        except asyncio.IncompleteReadError:
+            pass
+        if len(pool) != INGEST_TXS:
+            raise RuntimeError(f"pooled {len(pool)} of {INGEST_TXS} transactions")
+
+    loop = asyncio.new_event_loop()
+    try:
+        return [
+            measure(
+                "transport.ingest_client_tx",
+                lambda: loop.run_until_complete(ingest()),
+                reps,
+                1,
+                scale=INGEST_TXS,
+                unit="s/tx",
+                meta={"txs": INGEST_TXS, "tx_bytes": BULK_TX_BYTES, "stream_bytes": len(stream)},
+            )
+        ]
+    finally:
+        loop.close()
+
+
 def run_micro(fast: bool) -> List[BenchResult]:
     # Fast mode trims repetitions only; per-repetition batch sizes stay
     # identical so per-op numbers compare one-to-one across modes.
@@ -310,4 +379,5 @@ def run_micro(fast: bool) -> List[BenchResult]:
     results += bench_crypto_batch(reps=3)
     results += bench_scheduler(reps, inner=10000)
     results += bench_simnet(reps, inner=1000)
+    results += bench_transport(reps)
     return results

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple
+from typing import Optional, Tuple
 
 from ..codec import encode, encoded_size, register
 from ..crypto.hashing import Digest, ZERO_DIGEST, domain_hash, short_hex
@@ -24,10 +24,6 @@ GENESIS_HEIGHT = 0
 
 #: Epoch recorded in the genesis header (real epochs start at 1).
 GENESIS_EPOCH = 0
-
-#: Where a decoded :class:`BlockPayload` keeps its frame and the offsets
-#: of its transactions in it, until the Merkle root has been computed.
-_WIRE_SOURCE = "_wire_source"
 
 
 @register(11)
@@ -79,33 +75,23 @@ class BlockPayload:
     transactions: Tuple[Transaction, ...]
 
     @cached_property
-    def merkle_root(self) -> Digest:
+    def merkle_root(self) -> Optional[Digest]:
         """Merkle root the header commits to.
 
-        The leaves are ``tx.encoded()``.  A payload that came off the wire
-        already has them, as slices of the frame it was decoded from (see
-        :meth:`_decoded_from`); only one built locally encodes them.
-        """
-        source = self.__dict__.pop(_WIRE_SOURCE, None)
-        if source is not None:
-            data, marks = source
-            leaves = [data[start:end] for start, end in zip(marks, marks[1:])]
-        else:
-            leaves = [tx.encoded() for tx in self.transactions]
-        return MerkleTree(leaves).root
+        The leaves are the transactions' encodings, which each of them
+        already holds (``tx.wire``): nothing is encoded here, whether the
+        payload was built locally or came off the wire.
 
-    def _decoded_from(self, data: bytes, start: int, end: int, bounds: tuple) -> None:
-        """Codec hook: remember the frame until the root has been taken.
-
-        The decoder is canonical, so the bytes each transaction was decoded
-        from *are* ``tx.encoded()``; hashing them spares a follower one
-        re-encode per transaction per block.  The frame is held by
-        reference, not copied, and let go on first use — which every path
-        that accepts a payload reaches, to check it against a header.
+        The decoder checks a struct's field count, not its field types, so
+        ``transactions`` of a payload from the wire may be anything.  One
+        that is not a tuple of :class:`Transaction` has no root — ``None``,
+        which equals no header's commitment, so every path that checks a
+        payload against a header refuses it before reading anything else.
         """
-        marks = bounds[0]
-        if marks is not None:  # ``transactions`` arrived as a tuple
-            self.__dict__[_WIRE_SOURCE] = (data, marks)
+        transactions = self.transactions
+        if type(transactions) is not tuple or not set(map(type, transactions)) <= {Transaction}:
+            return None
+        return MerkleTree([tx.wire for tx in transactions]).root
 
     @cached_property
     def encoded_size(self) -> int:

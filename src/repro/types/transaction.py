@@ -4,18 +4,28 @@ A transaction is an opaque payload stamped with the issuing client's id, a
 per-client sequence number, and the submission timestamp.  The timestamp
 is what the experiment harness uses to measure end-to-end commit latency;
 consensus itself never interprets it.
+
+A transaction crosses every layer — socket, mempool, block, Merkle tree,
+payload message, ledger — and all of them want its encoding (to ship,
+hash or measure) while only the mempool and the client-facing edge want a
+field.  So an instance *is* its canonical encoding, ``wire``, plus the two
+fields every replica looks at, ``client_id`` and ``seq``; the codec calls
+that a self-encoded class (see :func:`repro.codec.register`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..codec import encode, encoded_size, register
+from ..codec import register
+from ..codec.core import encode_fields, field_of
 from ..crypto.hashing import Digest, domain_hash
+
+_set = object.__setattr__
 
 
 @register(10)
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Transaction:
     """One client transaction.
 
@@ -24,26 +34,72 @@ class Transaction:
         seq: per-client sequence number (client_id, seq) is unique.
         submitted_at: client-side submission time, seconds.
         payload: opaque application bytes (e.g. a serialized KV command).
+        wire: the canonical encoding, ``encode(tx)``.
+
+    Still a frozen dataclass to look at — ``fields()``, ``replace()``, the
+    four-argument constructor — but what it stores is ``wire``, ``client_id``
+    and ``seq``.  ``submitted_at`` and ``payload`` are read out of ``wire``
+    when asked for (``payload`` is a fresh copy each time).  Equality and
+    hash are those of ``wire``, which is equality of the fields because the
+    encoding is canonical; the visible differences from comparing fields are
+    on ``submitted_at``: the same NaN is equal to itself, ``0.0`` and ``-0.0``
+    differ.
     """
+
+    __slots__ = ("wire", "client_id", "seq")
 
     client_id: int
     seq: int
     submitted_at: float
     payload: bytes
 
-    def encoded(self) -> bytes:
-        """Canonical wire encoding of this transaction."""
-        return encode(self)
+    def __init__(self, client_id: int, seq: int, submitted_at: float, payload: bytes) -> None:
+        # encode_fields refuses anything but exact int, int, float, bytes.
+        _set(self, "wire", encode_fields(Transaction, client_id, seq, submitted_at, payload))
+        _set(self, "client_id", client_id)
+        _set(self, "seq", seq)
+
+    @classmethod
+    def from_wire(cls, wire: bytes, client_id: int, seq: int) -> "Transaction":
+        """The transaction whose encoding is ``wire`` (codec contract).
+
+        ``wire`` is trusted: the decoder has checked it, byte for byte, and
+        nothing checks it again.
+        """
+        tx = cls.__new__(cls)
+        _set(tx, "wire", wire)
+        _set(tx, "client_id", client_id)
+        _set(tx, "seq", seq)
+        return tx
+
+    @property
+    def submitted_at(self) -> float:  # type: ignore[no-redef]
+        return field_of(self.wire, 2)
+
+    @property
+    def payload(self) -> bytes:  # type: ignore[no-redef]
+        return field_of(self.wire, 3)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Transaction:
+            return NotImplemented
+        return self.wire == other.wire
+
+    def __hash__(self) -> int:
+        return hash(self.wire)
+
+    def __reduce__(self):  # copy/pickle: frozen slots cannot be set from outside
+        return Transaction.from_wire, (self.wire, self.client_id, self.seq)
 
     @property
     def tx_id(self) -> Digest:
         """Content digest identifying this transaction."""
-        return domain_hash("tx", self.encoded())
+        return domain_hash("tx", self.wire)
 
     @property
     def size(self) -> int:
-        """Approximate wire size, bytes."""
-        return encoded_size(self)
+        """Wire size, bytes."""
+        return len(self.wire)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tx(client={self.client_id}, seq={self.seq}, {len(self.payload)}B)"

@@ -1,6 +1,7 @@
-"""Reference decoder: the recursive ``_Reader``/``_decode_from`` pair that
-``repro.codec.core`` shipped before the position-passing decoder, kept
-verbatim as a test oracle.
+"""Reference codec.  The decoder is the recursive ``_Reader``/``_decode_from``
+pair that ``repro.codec.core`` shipped before the position-passing decoder,
+kept verbatim as a test oracle; the encoder is its plain recursive twin,
+which builds every struct field by field (it knows no self-encoded class).
 
 It is *lenient* where the shipped decoder is canonical (it accepts
 non-minimal varints and unordered or duplicate dict keys) and it leaks
@@ -29,6 +30,7 @@ from repro.codec.core import (
     _TAG_TUPLE,
     _field_names,
     _registry_by_id,
+    _registry_by_type,
 )
 from repro.errors import CodecError
 
@@ -125,3 +127,38 @@ def decode(data: bytes) -> Any:
     if reader.pos != len(data):
         raise CodecError(f"{len(data) - reader.pos} trailing bytes after value")
     return value
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def encode(value: Any) -> bytes:
+    """The encoding, rebuilt from ``value``'s fields all the way down."""
+    if value is None:
+        return bytes([_TAG_NONE])
+    if value is True or value is False:
+        return bytes([_TAG_TRUE if value else _TAG_FALSE])
+    if type(value) is int:
+        return bytes([_TAG_INT]) + _varint(value * 2 if value >= 0 else -value * 2 - 1)
+    if type(value) is float:
+        return bytes([_TAG_FLOAT]) + struct.pack(">d", value)
+    if type(value) is bytes:
+        return bytes([_TAG_BYTES]) + _varint(len(value)) + value
+    if type(value) is str:
+        data = value.encode("utf-8")
+        return bytes([_TAG_STR]) + _varint(len(data)) + data
+    if type(value) in (list, tuple):
+        tag = _TAG_LIST if type(value) is list else _TAG_TUPLE
+        return bytes([tag]) + _varint(len(value)) + b"".join(encode(item) for item in value)
+    if type(value) is dict:
+        body = b"".join(encode(key) + encode(value[key]) for key in sorted(value))
+        return bytes([_TAG_DICT]) + _varint(len(value)) + body
+    names = _field_names[type(value)]
+    head = bytes([_TAG_STRUCT]) + _varint(_registry_by_type[type(value)]) + _varint(len(names))
+    return head + b"".join(encode(getattr(value, name)) for name in names)

@@ -2,7 +2,11 @@
 
 ``recovery/manager.py`` and ``guard/monitor.py`` both claim they never
 import the protocol module, and the protocols are meant to know no
-subsystem; this walks the source with ``ast`` and holds both to it.
+subsystem; this walks the source with ``ast`` and holds both to it.  It
+also keeps the codec's seams public: a type that wants special treatment
+from the codec (``Transaction`` is self-encoded) declares it through
+``register``'s documented contract, not by reaching into the dispatch
+tables.
 """
 
 from __future__ import annotations
@@ -21,17 +25,24 @@ SUBSYSTEM_PACKAGES = ("repro.recovery", "repro.guard", "repro.dissem")
 PLAIN_RECORDS = {("repro.recovery.wal", "WalEpochRecord")}
 
 
+def _from_module(path: Path, node: ast.ImportFrom) -> str:
+    """Absolute name of the module a ``from ... import`` in ``path`` names."""
+    base: Tuple[str, ...] = ()
+    if node.level:
+        package = ("repro",) + path.relative_to(SRC).parent.parts
+        base = package[: len(package) - (node.level - 1)]
+    return ".".join(base + ((node.module,) if node.module else ()))
+
+
 def _imports(path: Path) -> Iterator[Tuple[str, str]]:
     """(absolute module, imported name or "") for every import in ``path``,
     module level or nested, relative ones resolved."""
-    package = ("repro",) + path.relative_to(SRC).parent.parts
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield alias.name, ""
         elif isinstance(node, ast.ImportFrom):
-            base = package[: len(package) - (node.level - 1)] if node.level else ()
-            module = ".".join(base + ((node.module,) if node.module else ()))
+            module = _from_module(path, node)
             for alias in node.names:
                 yield module, alias.name
 
@@ -79,3 +90,65 @@ def test_the_walker_resolves_relative_imports():
     found = set(_imports(SRC / "core" / "protocol.py"))
     assert ("repro.recovery.wal", "WalEpochRecord") in found
     assert ("repro.consensus.replica", "BaseReplica") in found
+
+
+CODEC_CORE = "repro.codec.core"
+
+
+def _private_codec_names(path: Path) -> Iterator[str]:
+    """Underscore-prefixed names of ``repro.codec.core`` that ``path`` uses,
+    imported by name or reached through the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()  # local names the codec core module itself is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname for a in node.names if a.name == CODEC_CORE and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            module = _from_module(path, node)
+            for alias in node.names:
+                if f"{module}.{alias.name}" == CODEC_CORE:
+                    bound.add(alias.asname or alias.name)
+                elif _within(module, "repro.codec") and alias.name.startswith("_"):
+                    yield alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id in bound) or (
+                isinstance(owner, ast.Attribute) and ast.unparse(owner) == CODEC_CORE
+            ):
+                yield node.attr
+
+
+def test_nothing_outside_the_codec_uses_its_private_names():
+    files = [p for p in sorted(SRC.rglob("*.py")) if p.relative_to(SRC).parts[0] != "codec"]
+    assert len(files) > 80
+    for path in files:
+        used = sorted(set(_private_codec_names(path)))
+        assert not used, f"{path.relative_to(SRC)} uses private codec names {used}"
+    # The one self-encoded type goes through register's documented contract.
+    from_codec = {
+        name
+        for module, name in _imports(SRC / "types" / "transaction.py")
+        if _within(module, "repro.codec")
+    }
+    assert from_codec == {"register", "encode_fields", "field_of"}
+
+
+def test_the_private_name_check_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "from repro.codec.core import _ENC_BY_TYPE, encode\n"
+        "from repro.codec import core, decode\n"
+        "import repro.codec.core as cc\n"
+        "import repro.codec.core\n"
+        "core._STRUCT_DECODERS[10] = None\n"
+        "cc._registry_by_id.clear()\n"
+        "repro.codec.core._cacheable.clear()\n"
+        "core.encode(decode(b''))\n"
+    )
+    assert sorted(_private_codec_names(probe)) == [
+        "_ENC_BY_TYPE",
+        "_STRUCT_DECODERS",
+        "_cacheable",
+        "_registry_by_id",
+    ]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import WorkloadConfig
 from repro.errors import MempoolError
@@ -100,6 +104,88 @@ class TestMempool:
         pool.take_batch(10, 10_000)
         pool.add(tx(0, 1))
         assert len(pool) == 2
+
+
+class _SetModelMempool:
+    """The mempool as it was: committed keys in one plain, ever-growing set."""
+
+    def __init__(self) -> None:
+        self.pending = OrderedDict()
+        self.inflight = {}
+        self.committed = set()
+
+    def add(self, transaction) -> bool:
+        key = tx_key(transaction)
+        if key in self.pending or key in self.inflight or key in self.committed:
+            return False
+        self.pending[key] = transaction
+        return True
+
+    def take_batch(self, max_count):
+        keys = list(self.pending)[:max_count]
+        batch = tuple(self.pending.pop(key) for key in keys)
+        self.inflight.update(zip(keys, batch))
+        return batch
+
+    def remove_committed(self, transactions) -> None:
+        for transaction in transactions:
+            key = tx_key(transaction)
+            self.inflight.pop(key, None)
+            self.pending.pop(key, None)
+            self.committed.add(key)
+
+    def requeue_inflight(self) -> int:
+        requeued = sorted(self.inflight.items())
+        self.inflight.clear()
+        self.pending = OrderedDict(requeued + list(self.pending.items()))
+        return len(requeued)
+
+
+# Few clients and a narrow seq range, so duplicates, re-adds after commit,
+# out-of-order commits that later close a gap, and the ``seq=-1`` markers the
+# fault behaviours commit (``faults/behaviors.py``) all come up constantly.
+_keys = st.tuples(st.integers(0, 2), st.one_of(st.integers(-2, 12), st.sampled_from([-1, 2**63])))
+_ops = st.one_of(
+    st.tuples(st.just("add"), _keys),
+    st.tuples(st.just("take"), st.integers(1, 4)),
+    st.tuples(st.just("commit"), st.lists(_keys, max_size=5)),
+    st.tuples(st.just("commit-inflight"), st.just(None)),
+    st.tuples(st.just("requeue"), st.just(None)),
+)
+
+
+class TestCommittedWatermark:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ops, max_size=80))
+    def test_answers_as_the_plain_set_model_does(self, ops):
+        pool, model = Mempool(), _SetModelMempool()
+        for op, arg in ops:
+            if op == "add":
+                assert pool.add(tx(*arg)) == model.add(tx(*arg)), (op, arg)
+            elif op == "take":
+                assert pool.take_batch(arg, 10**9) == model.take_batch(arg)
+            elif op == "commit":  # in any order, pooled here or not (another leader's block)
+                pool.remove_committed([tx(*key) for key in arg])
+                model.remove_committed([tx(*key) for key in arg])
+            elif op == "commit-inflight":
+                pool.remove_committed(list(model.inflight.values()))
+                model.remove_committed(list(model.inflight.values()))
+            else:
+                assert pool.requeue_inflight() == model.requeue_inflight()
+            assert list(pool._pending.items()) == list(model.pending.items())
+            assert pool._inflight == model.inflight
+        # Every key the model calls committed, and no other, is refused for that reason.
+        for client in range(3):
+            for seq in [*range(-3, 14), 2**63, 2**63 + 1]:
+                assert pool._is_committed(client, seq) == ((client, seq) in model.committed)
+
+    def test_space_follows_the_clients_not_the_history(self):
+        pool = Mempool()
+        for seq in range(10_000):  # committed in blocks that arrive slightly out of order
+            pool.remove_committed([tx(seq % 4, seq // 4 ^ 1, size=1)])
+        assert pool._committed_below == {client: 2500 for client in range(4)}
+        assert not any(pool._committed_beyond.values())
+        assert not pool.add(tx(3, 2499)) and pool.add(tx(3, 2500))
 
 
 class TestWorkload:

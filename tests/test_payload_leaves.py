@@ -1,11 +1,12 @@
-"""Merkle leaves hashed from the received frame ≡ leaves re-encoded.
+"""Merkle leaves taken from the transactions' own bytes ≡ leaves re-encoded.
 
-A decoded ``BlockPayload`` keeps a reference to the frame it arrived in
-(``BlockPayload._decoded_from``) and hashes its Merkle leaves as slices of
-it the first time ``merkle_root`` is asked for.  That is only sound because
-the decoder is canonical: every slice *is* ``tx.encoded()``.  These tests
-pin the equivalence on every path a payload comes off the wire by, and the
-two ways it must fail (tampered bytes, non-canonical bytes).
+A ``Transaction`` holds the bytes it was decoded from (``tx.wire``), and a
+``BlockPayload`` hashes exactly those as its Merkle leaves — nothing is
+encoded for a root, on the leader or on a follower.  That is only sound
+because the decoder is canonical: the bytes a transaction arrived as *are*
+``encode(tx)``.  These tests pin the equivalence on every path a payload
+comes off the wire by, and the two ways it must fail (tampered bytes,
+non-canonical bytes).
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.common import make_config
-from repro.codec import decode, encode
-from repro.codec.core import SIZE_CACHE_ATTR
+from repro.config import ProtocolConfig
+from repro.consensus.validators import ValidatorSet
+from repro.codec import decode, encode, encoded_size
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.erasure import decode_shares, encode_shares
 from repro.crypto.merkle import MerkleTree
 from repro.errors import CodecError
 from repro.runner.cluster import build_cluster
-from repro.types.block import Block, BlockPayload, make_block
+from repro.types.block import Block, BlockPayload, genesis_block, make_block
 from repro.types.certificates import genesis_qc
 from repro.types.messages import (
     BlockResponseMsg,
@@ -34,6 +36,7 @@ from repro.types.messages import (
     ProposalHeaderMsg,
 )
 from repro.types.transaction import Transaction
+from tests import codec_oracle
 
 
 def _payload(count: int, tx_bytes: int, seed: int = 1) -> BlockPayload:
@@ -52,26 +55,29 @@ def _payload(count: int, tx_bytes: int, seed: int = 1) -> BlockPayload:
 
 
 def _reference_root(payload: BlockPayload) -> bytes:
-    """Root over re-encoded leaves (``tx.encoded()`` is ``encode(tx)``)."""
-    return MerkleTree([encode(tx) for tx in payload.transactions]).root
+    """Root over leaves built by the generic encoder's oracle twin."""
+    return MerkleTree([codec_oracle.encode(tx) for tx in payload.transactions]).root
 
 
 def _assert_seeded(decoded: BlockPayload, original: BlockPayload) -> None:
     assert isinstance(decoded.transactions, tuple)
     assert decoded == original
-    # The root comes from the frame: no transaction is encoded for it ...
+    # The leaves are the bytes each transaction already holds ...
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Transaction, "encoded", _must_not_encode)
+        hashed = []
+        patch.setattr(
+            "repro.types.block.MerkleTree", lambda leaves: hashed.extend(leaves) or MerkleTree(leaves)
+        )
         assert decoded.merkle_root == _reference_root(original)
+    assert len(hashed) == len(decoded.transactions)
+    assert all(leaf is tx.wire for leaf, tx in zip(hashed, decoded.transactions))
     assert decoded.merkle_root == original.merkle_root
-    # ... the frame is let go once it has been used ...
+    # ... the payload keeps nothing of the frame it arrived in ...
     assert set(decoded.__dict__) == {"transactions", "merkle_root"}
-    # ... and no size memo is left on every transaction (RSS).
-    assert all(SIZE_CACHE_ATTR not in tx.__dict__ for tx in decoded.transactions)
-
-
-def _must_not_encode(self):
-    raise AssertionError("tx.encoded() called on a payload that came off the wire")
+    # ... and a transaction is three slots, none of them the frame (RSS).
+    for tx in decoded.transactions:
+        assert not hasattr(tx, "__dict__")
+        assert len(tx.wire) == encoded_size(tx) and tx.wire == codec_oracle.encode(tx)
 
 
 _SHAPES = [
@@ -179,13 +185,30 @@ def test_non_minimal_seq_varint_rejected_at_decode():
     assert decode(frame) == payload
 
 
-def test_ill_typed_payload_field_does_not_raise_in_the_decoder():
-    """``transactions`` is whatever the wire says; the hook must not care."""
-    for junk in (5, None, b"xx", [1, 2]):
+def test_ill_typed_payload_field_does_not_raise_in_the_decoder(signers3):
+    """``transactions`` is whatever the wire says.  Anything but a tuple of
+    ``Transaction`` has no root, matches no header, and costs the replica
+    one dropped message."""
+    block = make_block(1, 1, genesis_block().block_hash, _payload(2, 10).transactions, 0)
+    replica = AlterBFTReplica(
+        1, ValidatorSet.synchronous(3, 1), ProtocolConfig(n=3, f=1), signers3[1]
+    )
+    replica.store.add_header(block.header)
+    for junk in (5, None, b"xx", [1, 2], (1, b"two", ("three",)), block.payload.transactions + (7,)):
         decoded = decode(encode(BlockPayload(transactions=junk)))
         assert decoded.transactions == junk
-        assert decoded.__dict__ == {"transactions": junk}  # no frame kept for it
-    # A tuple of the wrong things still gets the root of its own bytes.
-    mixed = (1, b"two", ("three",))
-    decoded = decode(encode(BlockPayload(transactions=mixed)))
-    assert decoded.merkle_root == MerkleTree([encode(item) for item in mixed]).root
+        assert decoded.__dict__ == {"transactions": junk}
+        assert decoded.merkle_root is None
+        assert not AlterBFTReplica._payload_matches(block.header, decoded)
+        assert not Block(header=block.header, payload=decoded).validate_payload()
+        # A hostile header does not help: nothing it can commit to is None ...
+        assert not AlterBFTReplica._payload_matches(
+            dataclasses.replace(block.header, payload_root=b""), decoded
+        )
+        # ... and handle() turns the mismatch into a dropped message.
+        replica.handle(0, PayloadMsg(epoch=1, height=1, block_hash=block.block_hash, payload=decoded))
+        assert not replica.store.has_payload(block.block_hash)
+    replica.handle(
+        0, PayloadMsg(epoch=1, height=1, block_hash=block.block_hash, payload=block.payload)
+    )
+    assert replica.store.has_payload(block.block_hash)

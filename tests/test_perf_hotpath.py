@@ -43,10 +43,9 @@ from repro.perf.compare import compare_results, load_baseline, results_document
 from repro.perf.timing import BenchResult, measure, measure_rate, summarize
 from repro.runner.cluster import build_cluster
 from repro.sim.scheduler import Scheduler
-from repro.types.block import genesis_block, make_block
+from repro.types.block import BlockHeader, genesis_block, make_block
 from repro.types.certificates import Vote
 from repro.types.messages import VoteMsg
-from repro.types.transaction import Transaction
 from tests.test_codec import _struct_strategy
 
 
@@ -107,14 +106,19 @@ def test_size_fast_path_matches_encode_plain_values(value):
     assert encoded_size(value) == len(encode(value))
 
 
+def _header() -> BlockHeader:
+    """A frozen, dict-backed struct: the kind that carries the size memo."""
+    return BlockHeader(1, 2, b"\x01" * 32, b"\x02" * 32, 100, 3, 0)
+
+
 def test_size_memo_set_and_counted(fast_path_restored):
-    tx = Transaction(client_id=1, seq=2, submitted_at=0.5, payload=b"x" * 100)
-    assert SIZE_CACHE_ATTR not in tx.__dict__
+    header = _header()
+    assert SIZE_CACHE_ATTR not in header.__dict__
     reset_size_cache_stats()
-    first = encoded_size(tx)
-    assert tx.__dict__.get(SIZE_CACHE_ATTR) == first
-    second = encoded_size(tx)
-    assert second == first == len(encode(tx))
+    first = encoded_size(header)
+    assert header.__dict__.get(SIZE_CACHE_ATTR) == first
+    second = encoded_size(header)
+    assert second == first == len(encode(header))
     stats = size_cache_stats()
     assert stats["misses"] >= 1
     assert stats["hits"] >= 1
@@ -123,10 +127,10 @@ def test_size_memo_set_and_counted(fast_path_restored):
 def test_size_fast_path_toggle(fast_path_restored):
     set_size_fast_path(False)
     assert not size_fast_path_enabled()
-    tx = Transaction(client_id=3, seq=4, submitted_at=1.0, payload=b"abc")
-    assert encoded_size(tx) == len(encode(tx))
+    header = _header()
+    assert encoded_size(header) == len(encode(header))
     # Disabled path must not install the memo.
-    assert SIZE_CACHE_ATTR not in tx.__dict__
+    assert SIZE_CACHE_ATTR not in header.__dict__
     set_size_fast_path(True)
     assert size_fast_path_enabled()
 
@@ -287,14 +291,14 @@ def _fingerprint(cluster) -> str:
 
 def _run_fingerprint(**protocol_overrides) -> str:
     """Fingerprint of the seeded run; also checks every committed payload's
-    root survives the wire (leaves hashed as slices of the received frame)."""
+    root survives the wire (the leaves are the bytes the transactions arrived as)."""
     cluster = _run_cluster(**protocol_overrides)
     committed = cluster.replicas[0].ledger
     assert committed.height > 0
     for height in range(1, committed.height + 1):
         block = committed.block_at(height)
         received = decode(encode(block.payload))
-        assert "_wire_source" in received.__dict__  # leaves will come from the frame
+        assert received is not block.payload and "merkle_root" not in received.__dict__
         assert received.merkle_root == block.header.payload_root
     return _fingerprint(cluster)
 

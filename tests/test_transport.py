@@ -8,14 +8,16 @@ import random
 
 import pytest
 
-from repro.codec import decode
+from repro.codec import decode, encode
 from repro.config import ProtocolConfig
 from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
-from repro.errors import TransportError
+from repro.errors import CodecError, TransportError
 from repro.net.transport import (
+    MAX_FRAME,
     AsyncReplicaNode,
+    FrameReader,
     backoff_delay,
     encode_frame,
     local_peer_map,
@@ -60,7 +62,7 @@ class TestFraming:
             reader = asyncio.StreamReader()
             reader.feed_data(encode_frame({"k": 1}))
             reader.feed_eof()
-            return await read_frame(reader)
+            return await read_frame(FrameReader(reader))
 
         assert asyncio.run(run()) == {"k": 1}
 
@@ -69,7 +71,138 @@ class TestFraming:
             reader = asyncio.StreamReader()
             reader.feed_data((2**31).to_bytes(4, "big") + b"xx")
             with pytest.raises(TransportError):
-                await read_frame(reader)
+                await read_frame(FrameReader(reader))
+
+        asyncio.run(run())
+
+
+class _ScriptedStream:
+    """What ``FrameReader`` needs of a ``StreamReader``: the data arrives in
+    the scripted chunks, and every ask is recorded."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+        self._buffer = bytearray()
+        self.reads = []  # ("read" | "readexactly", n) in call order
+
+    def _take(self, n: int) -> bytes:
+        data = bytes(self._buffer[:n])
+        del self._buffer[:n]
+        return data
+
+    async def read(self, n: int) -> bytes:
+        self.reads.append(("read", n))
+        if not self._buffer and self._chunks:
+            self._buffer += self._chunks.pop(0)
+        return self._take(n)  # b"" once everything has been handed out: EOF
+
+    async def readexactly(self, n: int) -> bytes:
+        self.reads.append(("readexactly", n))
+        while len(self._buffer) < n and self._chunks:
+            self._buffer += self._chunks.pop(0)
+        if len(self._buffer) < n:
+            raise asyncio.IncompleteReadError(self._take(n), n)
+        return self._take(n)
+
+
+async def _drain(stream) -> list:
+    """Every frame of ``stream`` in order; the terminal exception last."""
+    frames = FrameReader(stream)
+    out = []
+    try:
+        while True:
+            out.append(await frames.next_frame())
+    except (asyncio.IncompleteReadError, TransportError) as exc:
+        out.append(exc)
+    return out
+
+
+class TestFrameReader:
+    @staticmethod
+    def _mixed_frames(rng: random.Random) -> list:
+        sizes = [5, 1, 4, 1060, 3, 70_000, 1060, 1060, 300 * 1024, 9, 65_532, 65_536, 2, 131_072]
+        sizes += [rng.choice((1, 7, 40, 1060, 5000)) for _ in range(60)]
+        return [rng.randbytes(size) for size in sizes]
+
+    def test_any_chunking_yields_the_same_frames(self):
+        """Cut at every offset of the first 2 KiB, then at random offsets."""
+        rng = random.Random(5)
+        bodies = self._mixed_frames(rng)
+        stream = b"".join(len(body).to_bytes(4, "big") + body for body in bodies)
+
+        async def run():
+            for first in list(range(1, 2049)) + [len(stream)]:
+                cuts = {first}
+                if first % 64 == 0:  # a sample of them also gets ragged tails
+                    cuts |= {rng.randrange(first, len(stream)) for _ in range(rng.randrange(1, 40))}
+                edges = [0, *sorted(cuts), len(stream)]
+                chunks = [stream[a:b] for a, b in zip(edges, edges[1:]) if a < b]
+                *frames, end = await _drain(_ScriptedStream(chunks))
+                assert frames == bodies, f"first cut at {first}"
+                assert isinstance(end, asyncio.IncompleteReadError) and end.partial == b""
+
+        asyncio.run(run())
+
+    def test_buffered_frames_cost_no_reads(self):
+        """One socket read serves every frame it contains; only the remainder
+        of a frame that overruns the chunk is read exactly."""
+        small = [bytes([i]) * 100 for i in range(50)]
+        big = b"B" * 200_000
+        stream = b"".join(len(b).to_bytes(4, "big") + b for b in small + [big] + small)
+
+        async def run():
+            source = _ScriptedStream([stream[:70_000], stream[70_000:]])
+            *frames, _ = await _drain(source)
+            assert frames == small + [big] + small
+            return source.reads
+
+        reads = asyncio.run(run())
+        head = 50 * 104
+        assert reads[0] == ("read", 64 * 1024)
+        assert reads[1] == ("readexactly", head + 4 + len(big) - 64 * 1024)
+        assert all(kind == "read" for kind, _ in reads[2:]) and len(reads) <= 5
+
+    def test_oversized_announcement_raises_before_its_body_is_read(self):
+        async def run():
+            source = _ScriptedStream([(MAX_FRAME + 1).to_bytes(4, "big"), b"x" * 1000])
+            (end,) = await _drain(source)
+            assert isinstance(end, TransportError)
+            assert source.reads == [("read", 64 * 1024)]
+            # Exactly at the limit is not refused (the body simply never comes).
+            source = _ScriptedStream([MAX_FRAME.to_bytes(4, "big")])
+            (end,) = await _drain(source)
+            assert isinstance(end, asyncio.IncompleteReadError)
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            pytest.param(b"", id="clean"),
+            pytest.param(b"\x00\x00", id="inside-length-prefix"),
+            pytest.param(b"\x00\x00\x00\x09abc", id="inside-body"),
+            pytest.param((100_000).to_bytes(4, "big") + b"abc", id="inside-large-body"),
+        ],
+    )
+    def test_eof_is_an_incomplete_read(self, tail):
+        good = encode_frame(("hello", 3))
+
+        async def run():
+            for chunks in ([good + tail], [good, tail], [good + tail[:1], tail[1:]]):
+                *frames, end = await _drain(_ScriptedStream([c for c in chunks if c]))
+                assert [decode(f) for f in frames] == [("hello", 3)]
+                assert isinstance(end, asyncio.IncompleteReadError)
+
+        asyncio.run(run())
+
+    def test_zero_length_frame_is_a_codec_error(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            reader.feed_data(b"\x00\x00\x00\x00" + encode_frame(1))
+            frames = FrameReader(reader)
+            with pytest.raises(CodecError):
+                await read_frame(frames)
+            assert await read_frame(frames) == 1  # the reader itself is not confused
 
         asyncio.run(run())
 
@@ -188,9 +321,10 @@ class TestOutboundQueue:
             received = []
 
             async def on_connection(reader, writer):
+                frames = FrameReader(reader)
                 try:
                     while True:
-                        received.append(await read_frame(reader))
+                        received.append(await read_frame(frames))
                 except (asyncio.IncompleteReadError, ConnectionResetError):
                     pass
 
@@ -207,6 +341,38 @@ class TestOutboundQueue:
             assert received[0] == ("hello", 0)
             assert received[1:4] == [("queued", 0), ("queued", 1), ("queued", 2)]
             assert not node._outbound[1]
+
+        asyncio.run(run())
+
+
+class TestReaderTasks:
+    def test_only_open_connections_are_held(self):
+        """``submit_transaction`` opens a connection per transaction: a
+        replica fed by it must not keep a finished task for each."""
+
+        async def run():
+            peers = local_peer_map(3, base_port=BASE_PORT + 190)
+            replica = make_replica(2)  # not the first leader: nothing leaves the pool
+            node = AsyncReplicaNode(replica, peers)
+            await node.start()
+            try:
+                for seq in range(200):
+                    await submit_transaction(peers[2], make_transaction(7, seq, 0.0, 16))
+                _, open_writer = await asyncio.open_connection(*peers[2])
+                open_writer.write(encode_frame(("hello", 0)))
+                for _ in range(500):
+                    await asyncio.sleep(0.01)
+                    if len(replica.mempool) == 200 and len(node._reader_tasks) == 1:
+                        break
+                assert len(replica.mempool) == 200
+                (live,) = node._reader_tasks
+                assert not live.done()
+            finally:
+                await node.stop()
+            await asyncio.sleep(0.05)
+            assert live.done(), "stop() cancels a connection that is still open"
+            assert node._reader_tasks == set()
+            open_writer.close()
 
         asyncio.run(run())
 
@@ -299,6 +465,41 @@ class TestBadFrames:
         closed, bad_frames, pooled, unhandled = self._drive(offset, encode_frame(msg))
         assert closed and bad_frames == 1
         assert pooled == 1, "only the well-formed transaction is pooled"
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "offset, fields",
+        [
+            pytest.param(154, b"\x05\x017\x03\x00\x04" + b"\x00" * 8 + b"\x05\x00", id="client_id-bytes"),
+            pytest.param(155, b"\x03\x0e\x03\x00\x04" + b"\x00" * 8 + b"\x03\x12", id="payload-int"),
+            pytest.param(156, b"\x03\x0e\x02\x04" + b"\x00" * 8 + b"\x05\x00", id="seq-bool"),
+            pytest.param(157, b"\x03\x0e\x03\x00\x03\x02\x05\x00", id="submitted_at-int"),
+        ],
+    )
+    def test_ill_typed_client_transaction(self, offset, fields):
+        """Four fields, canonical, wrong types: refused by the decoder now,
+        not pooled and tripped over at proposal time."""
+        frame = self._raw(b"\x08\x02" + encode("client-tx") + b"\x0a\x0a\x04" + fields)
+        closed, bad_frames, pooled, unhandled = self._drive(offset, frame)
+        assert closed and bad_frames == 1
+        assert pooled == 1, "only the second peer's transaction is pooled"
+        assert unhandled == []
+
+    @pytest.mark.parametrize(
+        "offset, garbage",
+        [
+            pytest.param(158, b"\x00\x00\x00\x03\x0a\x0a\x03", id="short-struct"),
+            pytest.param(159, b"\x00\x00\x00\x00", id="empty-frame"),
+            pytest.param(164, (2**31).to_bytes(4, "big") + b"xx", id="oversized"),
+        ],
+    )
+    def test_good_transaction_then_garbage_in_one_segment(self, offset, garbage):
+        """Both frames arrive in one socket read: the first is served from the
+        buffer and pooled, the second costs the connection — once."""
+        good = encode_frame(("client-tx", make_transaction(9, 0, 0.0, 32)))
+        closed, bad_frames, pooled, unhandled = self._drive(offset, good + garbage)
+        assert closed and bad_frames == 1
+        assert pooled == 2, "the transaction ahead of the garbage, and the second peer's"
         assert unhandled == []
 
     def test_oversized_frame_announcement(self):
