@@ -87,16 +87,22 @@ class HybridCloudDelayModel(DelayModel):
     def __init__(self, config: NetworkConfig) -> None:
         config.validate()
         self.config = config
+        # The config is frozen: what every draw needs is read out once.
+        self._drop_probability = config.drop_probability
+        self._base_delay = config.base_delay
+        self._jitter_rate = 1.0 / config.jitter_scale
+        self._small_threshold = config.small_threshold
+        self._small_bound = config.small_bound
 
     def sample(self, rng: random.Random, src: int, dst: int, size: int) -> Optional[float]:
-        cfg = self.config
-        if cfg.drop_probability and rng.random() < cfg.drop_probability:
+        if self._drop_probability and rng.random() < self._drop_probability:
             return None
-        delay = cfg.base_delay + rng.expovariate(1.0 / cfg.jitter_scale)
-        if size <= cfg.small_threshold:
+        delay = self._base_delay + rng.expovariate(self._jitter_rate)
+        if size <= self._small_threshold:
             # The cloud keeps small messages under the empirical bound;
             # truncate the tail (resampling would distort the mean).
-            return min(delay, cfg.small_bound)
+            return min(delay, self._small_bound)
+        cfg = self.config
         delay += size / cfg.bandwidth
         if rng.random() < cfg.slowdown_probability:
             delay += cfg.slowdown_scale * rng.paretovariate(cfg.slowdown_alpha)

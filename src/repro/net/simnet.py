@@ -1,11 +1,13 @@
 """The simulated network.
 
-Connects node message handlers through the scheduler: ``send`` measures
-the message's real wire size (via the codec's size-only fast path, which
-memoizes per message object — its result is byte-exact with
-``len(encode(msg))``), samples a delay from the per-link RNG stream, and
-schedules delivery.  Supports partitions and per-message filters for
-fault experiments.
+Connects node message handlers through the scheduler: ``send`` and
+``broadcast`` offer one message to one or to every attached node.  An
+offer measures the message's real wire size once (via the codec's
+size-only fast path, which memoizes per message object — its result is
+byte-exact with ``len(encode(msg))``) and counts it once in the trace and
+the wire accountant; each copy then samples a delay from the network RNG
+stream and schedules its delivery.  Supports partitions and per-message
+filters for fault experiments.
 
 Delivery hands the *original* message object to the receiver — the codec
 roundtrip is exercised by the real transport and by dedicated tests; the
@@ -75,8 +77,8 @@ class SimNetwork:
         self.obs = obs
         #: Wire-byte accountant (repro.obs.wire); ``None`` (the default)
         #: keeps the send path free of accounting work.  The tap sits at
-        #: the same site as ``Trace.count_message``, so its totals
-        #: cross-check byte-exactly against the trace counters.
+        #: the same site as ``Trace.count_message`` — once per offer — so
+        #: its totals cross-check byte-exactly against the trace counters.
         self.wire = wire
         self.egress_bandwidth = egress_bandwidth
         #: Messages at or below this size bypass egress queueing — the
@@ -85,7 +87,11 @@ class SimNetwork:
         self.priority_threshold = priority_threshold
         self._rng = rng_factory.stream("network")
         self._handlers: Dict[int, MessageHandler] = {}
-        self._nodes_sorted: List[int] = []
+        #: A broadcast's destinations, built at ``attach``: every attached
+        #: node, and per sender everyone but itself (``include_self=False``;
+        #: a sender that is not attached has no self to leave out).
+        self._everyone: Tuple[int, ...] = ()
+        self._peers_of: Dict[int, Tuple[int, ...]] = {}
         self._partition: Optional[Tuple[FrozenSet[int], ...]] = None
         self._filters: List[MessageFilter] = []
         self._delay_policies: List[DelayPolicy] = []
@@ -100,10 +106,14 @@ class SimNetwork:
         if node_id in self._handlers:
             raise SimulationError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
-        self._nodes_sorted = sorted(self._handlers)
+        self._everyone = tuple(sorted(self._handlers))
+        self._peers_of = {
+            node: tuple(peer for peer in self._everyone if peer != node)
+            for node in self._everyone
+        }
 
     def nodes(self) -> List[int]:
-        return list(self._nodes_sorted)
+        return list(self._everyone)
 
     # -- fault controls ----------------------------------------------------
 
@@ -162,6 +172,17 @@ class SimNetwork:
 
     # -- sending -----------------------------------------------------------
 
+    # An *offer* is one message handed to the network for a tuple of
+    # destinations: ``send`` offers to one, ``broadcast`` to every
+    # attached node.  What depends only on (sender, message) is done once
+    # per offer — sizing, the trace and wire taps, the sender's side of a
+    # partition, binding the scheduler, delay model, filters, policies and
+    # egress settings.  What is left per copy is what each copy can decide
+    # or consume differently: the partition and filter verdicts, the RNG
+    # draw, the policy chain, its slot in the sender's egress queue, the
+    # obs sample and the heap push — in that order, so a seeded run draws
+    # and schedules exactly what a copy-at-a-time send path would.
+
     def send(self, src: int, dst: int, msg: object) -> None:
         """Send one message; wire size is the real encoded size.
 
@@ -169,85 +190,81 @@ class SimNetwork:
         computed without materializing bytes and is memoized on the
         message object — a header relayed many times is sized once.
         """
-        self._send_sized(src, dst, msg, encoded_size(msg))
+        self._offer(src, (dst,), msg)
 
     def broadcast(self, src: int, msg: object, include_self: bool = True) -> None:
-        """Send ``msg`` to every attached node (sizing once per object)."""
+        """Send ``msg`` to every attached node (sizing and accounting once)."""
+        everyone = self._everyone
+        self._offer(src, everyone if include_self else self._peers_of.get(src, everyone), msg)
+
+    def _offer(self, src: int, dsts: Tuple[int, ...], msg: object) -> None:
         size = encoded_size(msg)
-        for dst in self._nodes_sorted:
-            if dst == src and not include_self:
-                continue
-            self._send_sized(src, dst, msg, size)
-
-    def _send_sized(self, src: int, dst: int, msg: object, size: int) -> None:
-        if src in self._down:
+        if src in self._down or not dsts:
             return
-        self.trace.count_message(src, type(msg).__name__, size)
-        if self.wire is not None:
-            self.wire.account(src, dst, msg, size)
+        # Offered copies are counted even when a fault drops them below;
+        # a down sender's are not.
+        name = type(msg).__name__
+        trace = self.trace
+        trace.count_message(src, name, size, len(dsts))
+        wire = self.wire
+        if wire is not None:
+            wire.account(src, dsts, msg, size)
         scheduler = self.scheduler
-        if src == dst:
-            scheduler.post_after(LOOPBACK_DELAY, self._deliver, src, dst, msg)
-            return
-        if self._partition is not None and self._crosses_partition(src, dst):
-            self.trace.emit(scheduler.now, "msg_partitioned", src, dst=dst)
-            return
-        if self._filters:
-            for fn in self._filters:
-                if not fn(src, dst, msg, size):
-                    self.trace.emit(scheduler.now, "msg_filtered", src, dst=dst)
-                    return
-        delay = self.delay_model.sample(self._rng, src, dst, size)
-        if delay is None:
-            self.trace.emit(scheduler.now, "msg_dropped", src, dst=dst)
-            return
-        for policy in self._delay_policies:
-            delay = policy(src, dst, msg, size, delay)
+        now = scheduler.now
+        post_at = scheduler.post_at
+        deliver, deliver_observed = self._deliver, self._deliver_observed
+        reachable: Optional[FrozenSet[int]] = None
+        if self._partition is not None:
+            # The sender's group; in no group it is isolated.
+            reachable = next((g for g in self._partition if src in g), frozenset())
+        filters = self._filters
+        sample = self.delay_model.sample
+        rng = self._rng
+        policies = self._delay_policies
+        # NIC egress serialization: copies of a broadcast queue behind one
+        # another at the sender, unless small enough for the priority lane.
+        bandwidth = self.egress_bandwidth if size > self.priority_threshold else None
+        egress_free = self._egress_free
+        obs = self.obs
+        observers = self._delay_observers
+        for dst in dsts:
+            if dst == src:
+                post_at(now + LOOPBACK_DELAY, deliver, src, dst, msg)
+                continue
+            if reachable is not None and dst not in reachable:
+                trace.emit(now, "msg_partitioned", src, dst=dst)
+                continue
+            if filters and not all(fn(src, dst, msg, size) for fn in filters):
+                trace.emit(now, "msg_filtered", src, dst=dst)
+                continue
+            # A partitioned or filtered copy draws nothing; one a policy
+            # drops has already drawn.
+            delay = sample(rng, src, dst, size)
+            for policy in policies:
+                if delay is None:
+                    break
+                delay = policy(src, dst, msg, size, delay)
             if delay is None:
-                self.trace.emit(scheduler.now, "msg_dropped", src, dst=dst)
-                return
-        departure = scheduler.now
-        if self.egress_bandwidth and size > self.priority_threshold:
-            # NIC egress serialization: copies of a broadcast queue behind
-            # one another at the sender.
-            start = max(departure, self._egress_free.get(src, 0.0))
-            if self.wire is not None:
-                # Backpressure sample: how long this copy waited behind
-                # earlier egress before its serialization even started.
-                self.wire.sample_queue(scheduler.now, src, start - scheduler.now, size)
-            departure = start + size / self.egress_bandwidth
-            self._egress_free[src] = departure
-        if self.obs is not None:
-            # Latency as the receiver experiences it: egress queueing at
-            # the sender plus the sampled network delay.
-            self.obs.message(
-                scheduler.now,
-                src,
-                dst,
-                type(msg).__name__,
-                size,
-                departure + delay - scheduler.now,
-            )
-        if dst in self._delay_observers:
-            scheduler.post_at(
-                departure + delay,
-                self._deliver_observed,
-                src,
-                dst,
-                msg,
-                size,
-                departure + delay - scheduler.now,
-            )
-            return
-        scheduler.post_at(departure + delay, self._deliver, src, dst, msg)
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if self._partition is None:
-            return False
-        for group in self._partition:
-            if src in group:
-                return dst not in group
-        return True  # src in no group: isolated
+                trace.emit(now, "msg_dropped", src, dst=dst)
+                continue
+            departure = now
+            if bandwidth:
+                start = max(now, egress_free.get(src, 0.0))
+                if wire is not None:
+                    # Backpressure sample: how long this copy waited behind
+                    # earlier egress before its serialization even started.
+                    wire.sample_queue(now, src, start - now, size)
+                departure = start + size / bandwidth
+                egress_free[src] = departure
+            arrival = departure + delay
+            if obs is not None:
+                # Latency as the receiver experiences it: egress queueing at
+                # the sender plus the sampled network delay.
+                obs.message(now, src, dst, name, size, arrival - now)
+            if dst in observers:
+                post_at(arrival, deliver_observed, src, dst, msg, size, arrival - now)
+            else:
+                post_at(arrival, deliver, src, dst, msg)
 
     def _deliver(self, src: int, dst: int, msg: object) -> None:
         if dst in self._down:

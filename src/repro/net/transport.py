@@ -25,7 +25,7 @@ import asyncio
 import random
 import struct
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple
+from typing import Deque, Dict, Optional, Set, Tuple, Union
 
 from ..codec import decode, encode_cached
 from ..consensus.replica import BaseReplica
@@ -138,6 +138,8 @@ class AsyncioContext:
         self._node = node
         self.node_id = node.replica.replica_id
         self.n = node.n
+        self._everyone = tuple(range(self.n))
+        self._peers = tuple(dst for dst in self._everyone if dst != self.node_id)
 
     @property
     def now(self) -> float:
@@ -147,10 +149,7 @@ class AsyncioContext:
         self._node.send(dst, msg)
 
     def broadcast(self, msg: object, include_self: bool = True) -> None:
-        for dst in range(self.n):
-            if dst == self.node_id and not include_self:
-                continue
-            self._node.send(dst, msg)
+        self._node.send(self._everyone if include_self else self._peers, msg)
 
     def set_timer(self, delay: float, tag: str, payload: object = None):
         return self._node.loop.call_later(
@@ -185,8 +184,9 @@ class AsyncReplicaNode:
             (``transport/mempool_rejects_total``).  ``None`` keeps every
             site a single attribute test.
         wire: optional :class:`~repro.obs.wire.WireAccountant` tapping
-            every encoded frame this node sends (codec bytes, excluding
-            the 4-byte length prefix, matching the simulator's sizing).
+            every :meth:`send` once, for all the peers the frame goes to
+            (codec bytes, excluding the 4-byte length prefix, matching
+            the simulator's sizing).
     """
 
     def __init__(
@@ -330,17 +330,32 @@ class AsyncReplicaNode:
 
     # -- sending ------------------------------------------------------------
 
-    def send(self, dst: int, msg: object) -> None:
-        if dst == self.replica.replica_id:
+    def send(self, dst: Union[int, Tuple[int, ...]], msg: object) -> None:
+        """Offer ``msg`` to one replica id or to a tuple of (distinct) ids.
+
+        However many destinations, the message is framed once and
+        accounted once, with the accountant's tap in the same shape the
+        simulator gives it.  This node's own copy never touches a socket
+        and is not accounted.
+        """
+        me = self.replica.replica_id
+        peers = dst if type(dst) is tuple else (dst,)
+        if me in peers:
             # Loopback: schedule soon, preserving handler non-reentrancy.
-            self.loop.call_soon(self.replica.handle, dst, msg)
+            self.loop.call_soon(self.replica.handle, me, msg)
+            peers = tuple(peer for peer in peers if peer != me)
+        if not peers:
             return
         frame = encode_frame(msg)
         if self.wire is not None:
             # Codec bytes only (the 4-byte length prefix is framing
             # overhead) — the same sizing the simulator accounts, so
             # simulated and real byte profiles compare directly.
-            self.wire.account(self.replica.replica_id, dst, msg, len(frame) - 4)
+            self.wire.account(me, peers, msg, len(frame) - 4)
+        for peer in peers:
+            self._write(peer, frame)
+
+    def _write(self, dst: int, frame: bytes) -> None:
         writer = self._writers.get(dst)
         if writer is None or writer.is_closing():
             self._enqueue(dst, frame)

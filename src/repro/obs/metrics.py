@@ -74,20 +74,28 @@ class Histogram:
         self.min = float("inf")
         self.max = 0.0
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``value``, ``count`` times over.
+
+        ``total`` grows by ``value * count`` in one step: the same float
+        as ``count`` separate additions whenever the values are integers
+        (message sizes), which stay exact far below 2**53.
+        """
         if value < 0:
             raise ValueError(f"histogram sample must be >= 0, got {value}")
-        self.count += 1
-        self.total += value
+        if count < 1:
+            raise ValueError(f"histogram sample count must be >= 1, got {count}")
+        self.count += count
+        self.total += value * count
         if value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
         idx = bisect.bisect_left(self.bounds, value)
         if idx == len(self.bounds):
-            self.overflow += 1
+            self.overflow += count
         else:
-            self.counts[idx] += 1
+            self.counts[idx] += count
 
     @property
     def mean(self) -> float:

@@ -2,10 +2,13 @@
 
 The paper's thesis is that *message size* decides which synchrony bound a
 message can rely on; this module makes the byte flows that argument rests
-on measurable.  A :class:`WireAccountant` taps every send in the simulated
-network (:mod:`repro.net.simnet`) and the real transport
-(:mod:`repro.net.transport`) and attributes each message's wire bytes
-along five axes at once:
+on measurable.  A :class:`WireAccountant` taps every *offer* — one message
+from one sender to one destination or to the tuple a broadcast goes to —
+in the simulated network (:mod:`repro.net.simnet`) and the real transport
+(:mod:`repro.net.transport`).  The tap (:meth:`WireAccountant.account`,
+once per ``send``/``broadcast``) increments one row of a tally keyed by
+(sender, destinations, class, size) and the live totals; from those the
+accountant attributes every copy's wire bytes along five axes:
 
 * **link** — (sender, receiver) pair;
 * **message class** — the codec-registered wire type;
@@ -23,6 +26,12 @@ needs on day one; :func:`to_prometheus_text` renders the standard text
 exposition for that mode's scrapers, and the JSONL snapshot feeds the
 ``python -m repro.obs wire|bandwidth|queues`` drill-downs.
 
+Every axis but the block coordinates is a pure function of the tally's
+key, so it is computed when someone reads it, not once per copy: what a
+message costs the send path does not grow with the number of axes or of
+destinations.  The totals and the per-height/per-epoch counters depend on
+the message itself and are kept live.
+
 Accounting is **observationally inert**: it increments private counters
 only — no RNG draws, no scheduler posts, no writes to the
 fingerprint-bearing :class:`~repro.sim.tracing.Trace` — so a seeded run
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter as TallyCounter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .metrics import Histogram, MetricsRegistry
 
@@ -173,11 +182,51 @@ class QueueSample(NamedTuple):
     queued_bytes: int  # wire size of the message that waited
 
 
+#: The ``Counter`` axes :class:`WireAccountant` derives from its tally
+#: when read (``size_hist``, a dict of histograms, is the one other view).
+_COUNTER_VIEWS: Tuple[str, ...] = (
+    "link_bytes",
+    "link_msgs",
+    "class_bytes",
+    "class_msgs",
+    "class_size_bytes",
+    "sender_bytes",
+    "sender_msgs",
+    "receiver_bytes",
+    "size_class_bytes",
+    "size_class_msgs",
+    "phase_bytes",
+    "phase_msgs",
+)
+
+
+def _view(name: str) -> property:
+    def read(self: "WireAccountant") -> Any:
+        views = self._views
+        if views is None:
+            views = self._views = self._derive_views()
+        return views[name]
+
+    return property(read, doc=f"``{name}``, derived from the offer tally when read.")
+
+
 class WireAccountant:
     """Multi-axis wire-byte accounting for one cluster run.
 
     Purely additive: :meth:`account` mutates private tallies only, so an
     attached accountant never perturbs simulation behavior (inertness).
+
+    **Live** attributes, plain values updated by every offer:
+    ``bytes_total``, ``msgs_total``, ``loopback_bytes``,
+    ``loopback_msgs`` (integers, cheap to poll mid-run) and the two axes
+    that depend on the message itself, ``height_bytes`` and
+    ``epoch_bytes``.  Every other axis — ``link_*``, ``class_*``,
+    ``class_size_bytes``, ``sender_*``, ``receiver_bytes``,
+    ``size_class_*``, ``phase_*``, ``size_hist`` — is a **view**: a
+    ``Counter`` (``size_hist``: class → :class:`Histogram`) rebuilt from
+    the tally on the first read after any offer or merge, and therefore
+    correct whenever it is read.  A view is a fresh object; writing to
+    one changes nothing.
     """
 
     def __init__(self, small_threshold: int) -> None:
@@ -188,77 +237,111 @@ class WireAccountant:
         self.msgs_total = 0
         self.loopback_bytes = 0
         self.loopback_msgs = 0
-        self.link_bytes: TallyCounter = TallyCounter()
-        self.link_msgs: TallyCounter = TallyCounter()
-        self.class_bytes: TallyCounter = TallyCounter()
-        self.class_msgs: TallyCounter = TallyCounter()
-        #: (class, size_class) → bytes: the small/large split per class.
-        self.class_size_bytes: TallyCounter = TallyCounter()
-        self.sender_bytes: TallyCounter = TallyCounter()
-        self.sender_msgs: TallyCounter = TallyCounter()
-        self.receiver_bytes: TallyCounter = TallyCounter()
-        self.size_class_bytes: TallyCounter = TallyCounter()
-        self.size_class_msgs: TallyCounter = TallyCounter()
-        self.phase_bytes: TallyCounter = TallyCounter()
-        self.phase_msgs: TallyCounter = TallyCounter()
         self.height_bytes: TallyCounter = TallyCounter()
         self.epoch_bytes: TallyCounter = TallyCounter()
-        self.size_hist: Dict[str, Histogram] = {}
         self.queue_samples: List[QueueSample] = []
-        # Per-class (phase, ref-extractor) memo: resolved on first sight.
-        self._class_info: Dict[type, Tuple[str, str, Callable[[Any], Tuple[int, int]]]] = {}
+        #: (sender, destinations, class name, size) → offers.  One entry
+        #: per distinct shape of offer: small classes repeat a handful of
+        #: sizes per sender and a payload's size follows its transaction
+        #: count, so this stays at most of the order of ``height_bytes``.
+        self._tally: TallyCounter = TallyCounter()
+        self._views: Optional[Dict[str, Any]] = None
+        # Per-class (name, ref-extractor) memo: resolved on first sight.
+        self._class_info: Dict[type, Tuple[str, Callable[[Any], Tuple[int, int]]]] = {}
 
     # -- the hot-path tap ---------------------------------------------------
 
-    def account(self, src: int, dst: int, msg: object, size: int) -> None:
-        """Attribute one message's wire bytes along every axis.
+    def account(self, src: int, dst: Union[int, Tuple[int, ...]], msg: object, size: int) -> None:
+        """Charge one offer: ``msg`` from ``src`` to ``dst``, once.
+
+        ``dst`` is one destination id or the tuple of (distinct) ids a
+        broadcast goes to; either way this is one call, one tally
+        increment and two per-message counters — the per-link, per-class,
+        per-phase and size axes are derived from the tally when read.
+        An offer to ``src`` itself is loopback, counted once.
 
         Called at the same site (and with the same semantics) as
-        ``Trace.count_message`` — every *offered* send, loopback and
-        fault-dropped messages included — so the wire total cross-checks
+        ``Trace.count_message`` — every *offered* copy, loopback and
+        fault-dropped ones included — so the wire total cross-checks
         byte-exactly against the trace's ``bytes`` counter.
         """
         info = self._class_info.get(type(msg))
         if info is None:
-            name = type(msg).__name__
-            info = (name, classify_phase(name), _build_ref_extractor(msg))
+            info = (type(msg).__name__, _build_ref_extractor(msg))
             self._class_info[type(msg)] = info
-        cls, phase, extract = info
+        cls, extract = info
         try:
             epoch, height = extract(msg)
         except AttributeError:  # Optional sub-field absent on this instance
             epoch = height = UNATTRIBUTED
-        size_class = "small" if size <= self.small_threshold else "large"
-
-        self.bytes_total += size
-        self.msgs_total += 1
-        if src == dst:
+        if type(dst) is not tuple:
+            dst = (dst,)
+        copies = len(dst)
+        if not copies:
+            return
+        wire_bytes = size * copies
+        self._tally[(src, dst, cls, size)] += 1
+        self._views = None
+        self.bytes_total += wire_bytes
+        self.msgs_total += copies
+        if src in dst:
             self.loopback_bytes += size
             self.loopback_msgs += 1
-        self.link_bytes[(src, dst)] += size
-        self.link_msgs[(src, dst)] += 1
-        self.class_bytes[cls] += size
-        self.class_msgs[cls] += 1
-        self.class_size_bytes[(cls, size_class)] += size
-        self.sender_bytes[src] += size
-        self.sender_msgs[src] += 1
-        self.receiver_bytes[dst] += size
-        self.size_class_bytes[size_class] += size
-        self.size_class_msgs[size_class] += 1
-        self.phase_bytes[phase] += size
-        self.phase_msgs[phase] += 1
-        self.height_bytes[height] += size
-        self.epoch_bytes[epoch] += size
-        hist = self.size_hist.get(cls)
-        if hist is None:
-            hist = self.size_hist[cls] = Histogram(SIZE_HISTOGRAM_BOUNDS)
-        hist.observe(float(size))
+        self.height_bytes[height] += wire_bytes
+        self.epoch_bytes[epoch] += wire_bytes
 
     def sample_queue(self, time: float, node: int, backlog: float, queued_bytes: int) -> None:
         """Record one egress-serialization wait at ``node``."""
         self.queue_samples.append(QueueSample(time, node, backlog, queued_bytes))
 
     # -- derived ------------------------------------------------------------
+
+    def _derive_views(self) -> Dict[str, Any]:
+        """Every view axis, from one pass over the tally."""
+        size_hist: Dict[str, Histogram] = {}
+        views: Dict[str, Any] = {name: TallyCounter() for name in _COUNTER_VIEWS}
+        views["size_hist"] = size_hist
+        link_bytes, link_msgs = views["link_bytes"], views["link_msgs"]
+        receiver_bytes = views["receiver_bytes"]
+        for (src, dsts, cls, size), offers in self._tally.items():
+            copies = offers * len(dsts)
+            wire_bytes = size * copies
+            size_class = "small" if size <= self.small_threshold else "large"
+            phase = classify_phase(cls)
+            per_link = size * offers
+            for dst in dsts:
+                link_bytes[(src, dst)] += per_link
+                link_msgs[(src, dst)] += offers
+                receiver_bytes[dst] += per_link
+            views["class_bytes"][cls] += wire_bytes
+            views["class_msgs"][cls] += copies
+            views["class_size_bytes"][(cls, size_class)] += wire_bytes
+            views["sender_bytes"][src] += wire_bytes
+            views["sender_msgs"][src] += copies
+            views["size_class_bytes"][size_class] += wire_bytes
+            views["size_class_msgs"][size_class] += copies
+            views["phase_bytes"][phase] += wire_bytes
+            views["phase_msgs"][phase] += copies
+            hist = size_hist.get(cls)
+            if hist is None:
+                hist = size_hist[cls] = Histogram(SIZE_HISTOGRAM_BOUNDS)
+            hist.observe(float(size), copies)
+        return views
+
+    link_bytes = _view("link_bytes")
+    link_msgs = _view("link_msgs")
+    class_bytes = _view("class_bytes")
+    class_msgs = _view("class_msgs")
+    #: (class, size_class) → bytes: the small/large split per class.
+    class_size_bytes = _view("class_size_bytes")
+    sender_bytes = _view("sender_bytes")
+    sender_msgs = _view("sender_msgs")
+    receiver_bytes = _view("receiver_bytes")
+    size_class_bytes = _view("size_class_bytes")
+    size_class_msgs = _view("size_class_msgs")
+    phase_bytes = _view("phase_bytes")
+    phase_msgs = _view("phase_msgs")
+    size_hist = _view("size_hist")
 
     def leader_egress_share(self) -> float:
         """Busiest sender's share of all wire bytes (1/n ⇒ perfectly even).
@@ -282,28 +365,10 @@ class WireAccountant:
         self.msgs_total += other.msgs_total
         self.loopback_bytes += other.loopback_bytes
         self.loopback_msgs += other.loopback_msgs
-        for mine, theirs in (
-            (self.link_bytes, other.link_bytes),
-            (self.link_msgs, other.link_msgs),
-            (self.class_bytes, other.class_bytes),
-            (self.class_msgs, other.class_msgs),
-            (self.class_size_bytes, other.class_size_bytes),
-            (self.sender_bytes, other.sender_bytes),
-            (self.sender_msgs, other.sender_msgs),
-            (self.receiver_bytes, other.receiver_bytes),
-            (self.size_class_bytes, other.size_class_bytes),
-            (self.size_class_msgs, other.size_class_msgs),
-            (self.phase_bytes, other.phase_bytes),
-            (self.phase_msgs, other.phase_msgs),
-            (self.height_bytes, other.height_bytes),
-            (self.epoch_bytes, other.epoch_bytes),
-        ):
-            mine.update(theirs)
-        for cls, hist in other.size_hist.items():
-            mine_hist = self.size_hist.get(cls)
-            if mine_hist is None:
-                mine_hist = self.size_hist[cls] = Histogram(hist.bounds)
-            mine_hist.merge(hist)
+        self.height_bytes.update(other.height_bytes)
+        self.epoch_bytes.update(other.epoch_bytes)
+        self._tally.update(other._tally)
+        self._views = None
         self.queue_samples.extend(other.queue_samples)
         return self
 

@@ -23,6 +23,7 @@ from ..mempool.mempool import Mempool
 from ..net.delay import HybridCloudDelayModel
 from ..net.simnet import SimNetwork
 from ..net.transport import FrameReader, encode_frame, read_frame
+from ..obs.wire import WireAccountant
 from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
@@ -314,10 +315,37 @@ def bench_simnet(reps: int, inner: int) -> List[BenchResult]:
             network.broadcast(0, header_msg)
         scheduler.run()
 
+    # The shape of a benchmark run's send path: n = 7, an accountant
+    # attached, egress serialization with the priority lane where
+    # build_cluster puts it, small and large messages alternating.
+    net_config = NetworkConfig()
+    vote_msg = VoteMsg(vote=Vote.create(signers[1], "alterbft", 3, 7, block.block_hash))
+    payload_msg = PayloadMsg(epoch=3, height=1, block_hash=block.block_hash, payload=block.payload)
+
+    def accounted_run() -> None:
+        scheduler = Scheduler()
+        network = SimNetwork(
+            scheduler,
+            HybridCloudDelayModel(net_config),
+            RngFactory(11),
+            egress_bandwidth=net_config.egress_bandwidth,
+            priority_threshold=net_config.small_threshold,
+            wire=WireAccountant(small_threshold=net_config.small_threshold),
+        )
+        for node in range(7):
+            network.attach(node, lambda src, msg: None)
+        for i in range(inner):
+            network.broadcast(i % 7, payload_msg if i % 2 else vote_msg)
+        scheduler.run()
+
     return [
         measure("simnet.broadcast", broadcast_run, reps, 1, scale=inner,
                 unit="s/broadcast",
                 meta={"nodes": 4, "broadcasts": inner}),
+        measure("simnet.broadcast_accounted", accounted_run, reps, 1, scale=inner,
+                unit="s/broadcast",
+                meta={"nodes": 7, "broadcasts": inner,
+                      "note": "WireAccountant attached, egress queue on, vote/payload alternating"}),
     ]
 
 

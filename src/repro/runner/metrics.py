@@ -69,13 +69,16 @@ class MetricsCollector:
             (now, block.height, block.block_hash, block.parent)
         )
         self.last_commit_time = max(self.last_commit_time, now)
-        if block.block_hash not in self._block_first_commit:
-            self._block_first_commit[block.block_hash] = now
+        if block.block_hash in self._block_first_commit:
+            # A later replica's commit of a block already seen: every
+            # transaction in it has its record from the first one.
+            return
+        self._block_first_commit[block.block_hash] = now
+        tx_commits = self._tx_commits
         for tx in block.payload.transactions:
             key = (tx.client_id, tx.seq)
-            record = self._tx_commits.get(key)
-            if record is None:
-                self._tx_commits[key] = CommitRecord(
+            if key not in tx_commits:
+                tx_commits[key] = CommitRecord(
                     submitted_at=tx.submitted_at, first_committed_at=now
                 )
 

@@ -48,13 +48,15 @@ class Trace:
                 TraceEvent(time=time, kind=kind, node=node, detail=tuple(sorted(detail.items())))
             )
 
-    def count_message(self, sender: int, type_name: str, size: int) -> None:
-        """Account one wire message."""
-        self.counters["messages"] += 1
-        self.counters["bytes"] += size
-        self.bytes_sent_by_node[sender] += size
-        self.messages_by_type[type_name] += 1
-        self.bytes_by_node_class[(sender, type_name)] += size
+    def count_message(self, sender: int, type_name: str, size: int, copies: int = 1) -> None:
+        """Account one wire message offered to ``copies`` (≥ 1) destinations."""
+        wire_bytes = size * copies
+        counters = self.counters
+        counters["messages"] += copies
+        counters["bytes"] += wire_bytes
+        self.bytes_sent_by_node[sender] += wire_bytes
+        self.messages_by_type[type_name] += copies
+        self.bytes_by_node_class[(sender, type_name)] += wire_bytes
 
     def events_of(self, kind: str) -> List[TraceEvent]:
         """All recorded events of one kind, in time order."""

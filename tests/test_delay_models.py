@@ -94,6 +94,40 @@ class TestHybridCloud:
         assert violations < 60  # ~0.1% expected, allow 3x slack
 
 
+def reference_hybrid_sample(cfg, rng, size):
+    """``HybridCloudDelayModel.sample`` as written before its constants
+    were read out at construction: every draw goes back to the config."""
+    if cfg.drop_probability and rng.random() < cfg.drop_probability:
+        return None
+    delay = cfg.base_delay + rng.expovariate(1.0 / cfg.jitter_scale)
+    if size <= cfg.small_threshold:
+        return min(delay, cfg.small_bound)
+    delay += size / cfg.bandwidth
+    if rng.random() < cfg.slowdown_probability:
+        delay += cfg.slowdown_scale * rng.paretovariate(cfg.slowdown_alpha)
+    return delay
+
+
+class TestHybridCloudHoistedConstants:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("drop_probability", [0.0, 0.05])
+    def test_draws_are_bit_identical_to_the_formula(self, seed, drop_probability):
+        config = NetworkConfig().with_(drop_probability=drop_probability)
+        model = HybridCloudDelayModel(config)
+        sizes = (64, config.small_threshold, config.small_threshold + 1, 400_000)
+        picker = random.Random(seed)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        drops = 0
+        for _ in range(10_000):
+            size = picker.choice(sizes)
+            got = model.sample(rng, 0, 1, size)
+            want = reference_hybrid_sample(config, reference_rng, size)
+            assert got == want and type(got) is type(want)
+            drops += got is None
+        assert (drops > 0) == (drop_probability > 0)
+        assert rng.getstate() == reference_rng.getstate()
+
+
 class TestWan:
     def setup_method(self):
         self.topology = three_regions(3)

@@ -152,3 +152,62 @@ def test_the_private_name_check_sees_every_spelling(tmp_path):
         "_cacheable",
         "_registry_by_id",
     ]
+
+
+# -- the send path charges an offer once ------------------------------------
+
+#: The per-offer taps: method name → the files allowed to call it, once each.
+OFFER_TAPS = {
+    "count_message": {"net/simnet.py"},
+    "account": {"net/simnet.py", "net/transport.py"},
+}
+
+
+def _method_calls(path: Path, method: str) -> Iterator[bool]:
+    """One item per ``<anything>.method(...)`` call in ``path``: whether the
+    call sits inside a loop (``for``, ``while`` or a comprehension)."""
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+    def walk(node: ast.AST, in_loop: bool) -> Iterator[bool]:
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == method
+        ):
+            yield in_loop
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, in_loop or isinstance(node, loops))
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), False)
+
+
+def test_each_tap_is_called_once_per_file_and_outside_any_loop():
+    for method, allowed in OFFER_TAPS.items():
+        for path in sorted(SRC.rglob("*.py")):
+            calls = list(_method_calls(path, method))
+            name = path.relative_to(SRC).as_posix()
+            if name in allowed:
+                assert calls == [False], f"{name}: .{method}( calls (in a loop?) {calls}"
+            else:
+                assert not calls, f"{name} calls .{method}("
+
+
+def test_the_per_copy_send_path_is_gone():
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in ("_send_sized", "account_many"):
+            assert name not in text, f"{path.relative_to(SRC)} mentions {name}"
+
+
+def test_the_loop_check_sees_a_call_under_a_for(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "wire.account(src, dsts, msg, size)\n"
+        "for dst in dsts:\n"
+        "    if dst != src:\n"
+        "        self.wire.account(src, dst, msg, size)\n"
+        "[t.count_message(s, n, z) for s in senders]\n"
+        "account(1)\n"
+    )
+    assert list(_method_calls(probe, "account")) == [False, True]
+    assert list(_method_calls(probe, "count_message")) == [True]

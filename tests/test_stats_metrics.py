@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.measure.stats import LatencySummary, cdf_points, mean, percentile, stddev
-from repro.runner.metrics import MetricsCollector
+from repro.runner.metrics import CommitRecord, MetricsCollector
 from repro.runner.report import format_table, markdown_table, speedup
 from repro.types.block import genesis_block, make_block
 from repro.types.transaction import Transaction
@@ -173,3 +173,75 @@ class TestReport:
     def test_speedup(self):
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(10.0, 0.0) == float("inf")
+
+
+class WalkingCollector(MetricsCollector):
+    """``observe_commit`` as it was before it returned early on a block
+    already seen: every replica's commit walks every transaction."""
+
+    def observe_commit(self, replica_id, block, now):
+        if replica_id not in self.honest_ids:
+            return
+        self.commits_per_replica[replica_id] = self.commits_per_replica.get(replica_id, 0) + 1
+        self.commit_times_by_replica.setdefault(replica_id, []).append(now)
+        self.commit_records_by_replica.setdefault(replica_id, []).append(
+            (now, block.height, block.block_hash, block.parent)
+        )
+        self.last_commit_time = max(self.last_commit_time, now)
+        if block.block_hash not in self._block_first_commit:
+            self._block_first_commit[block.block_hash] = now
+        for tx in block.payload.transactions:
+            key = (tx.client_id, tx.seq)
+            record = self._tx_commits.get(key)
+            if record is None:
+                self._tx_commits[key] = CommitRecord(
+                    submitted_at=tx.submitted_at, first_committed_at=now
+                )
+
+
+def assert_same_collection(collector, reference, end_time):
+    assert collector.tx_latencies(end_time) == reference.tx_latencies(end_time)
+    assert collector.committed_tx_count(end_time) == reference.committed_tx_count(end_time)
+    assert collector.block_latencies() == reference.block_latencies()
+    assert collector.commit_records_by_replica == reference.commit_records_by_replica
+    assert collector.commit_times_by_replica == reference.commit_times_by_replica
+    assert collector.commits_per_replica == reference.commits_per_replica
+    assert collector.committed_blocks() == reference.committed_blocks()
+    assert collector.last_commit_time == reference.last_commit_time
+
+
+class TestCommitWalksABlockOnce:
+    def test_seeded_n7_run_collects_what_the_walking_collector_does(self):
+        from repro.bench.common import make_config
+        from repro.runner.cluster import build_cluster
+
+        config = make_config("alterbft", f=3, rate=800.0, duration=1.5, warmup=0.3, seed=11)
+        cluster = build_cluster(config)
+        reference = WalkingCollector(config.warmup, cluster.honest_ids)
+        for replica in cluster.replicas:
+            replica.ledger.add_listener(reference.make_listener(replica.replica_id))
+        cluster.start()
+        cluster.run()
+        reference._block_proposed_at = dict(cluster.collector._block_proposed_at)
+        assert cluster.collector.committed_blocks() > 20
+        assert len(cluster.collector.commit_records_by_replica) == 7
+        assert len(cluster.collector.tx_latencies(config.max_sim_time)) > 100
+        assert_same_collection(cluster.collector, reference, config.max_sim_time)
+
+    def test_block_seen_first_by_a_non_honest_replica(self):
+        g = genesis_block().block_hash
+        block = make_block(1, 1, g, (tx_at(0, 0, 1.0), tx_at(1, 0, 1.2)), 0)
+        # The second block repeats a transaction of the first.
+        child = make_block(1, 2, block.block_hash, (tx_at(1, 0, 1.2), tx_at(2, 0, 1.4)), 0)
+        collectors = [cls(warmup=0.0, honest_ids={0, 1}) for cls in (MetricsCollector, WalkingCollector)]
+        for collector in collectors:
+            collector.note_proposal(block.block_hash, 1.5)
+            collector.observe_commit(7, block, 1.6)  # not honest: leaves no mark
+            collector.observe_commit(0, block, 2.0)
+            collector.observe_commit(1, block, 2.5)
+            collector.observe_commit(1, child, 3.0)
+            collector.observe_commit(0, child, 3.5)
+        collector, reference = collectors
+        assert_same_collection(collector, reference, 10.0)
+        assert sorted(collector.tx_latencies(10.0)) == pytest.approx([0.8, 1.0, 1.6])
+        assert collector.block_latencies() == pytest.approx([0.5])

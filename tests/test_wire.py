@@ -21,8 +21,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.common import make_config
 from repro.baselines.hotstuff import HotStuffReplica
@@ -45,18 +48,26 @@ from repro.obs.wire import (
     validate_wire_snapshot,
     write_wire_jsonl,
 )
+from repro.net.delay import HybridCloudDelayModel
+from repro.net.simnet import SimNetwork
+from repro.config import NetworkConfig
 from repro.runner.cluster import build_cluster
 from repro.runner.registry import SUBSYSTEMS, subsystems_for, wire_phases_for
 from repro.types.block import BlockHeader
 from repro.types.messages import (
     BlameMsg,
     PayloadMsg,
+    ProbeMsg,
     ProposalHeaderMsg,
     StatusMsg,
     VoteMsg,
 )
 from repro.types.certificates import Blame, Vote
 from repro.crypto.keystore import build_cluster_keys
+from repro.sim.rng import RngFactory
+from repro.sim.scheduler import Scheduler
+from repro.sim.tracing import Trace
+from tests.wire_oracle import OracleAccountant, OracleNetwork
 
 #: Must match tests/test_perf_hotpath.py — the one golden fingerprint.
 GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290ce77d05"
@@ -263,6 +274,217 @@ class TestAccounting:
         (row,) = queue_rows(snapshot)
         assert row["node"] == 0 and row["samples"] == 2
         assert row["max_backlog_ms"] == 4.0
+
+
+# ---------------------------------------------------------------------------
+# The per-offer tally against the per-copy accountant it replaced
+# ---------------------------------------------------------------------------
+
+#: Every axis the per-copy accountant kept as a plain ``Counter``.
+COUNTER_AXES = (
+    "link_bytes",
+    "link_msgs",
+    "class_bytes",
+    "class_msgs",
+    "class_size_bytes",
+    "sender_bytes",
+    "sender_msgs",
+    "receiver_bytes",
+    "size_class_bytes",
+    "size_class_msgs",
+    "phase_bytes",
+    "phase_msgs",
+    "height_bytes",
+    "epoch_bytes",
+)
+LIVE_TOTALS = ("bytes_total", "msgs_total", "loopback_bytes", "loopback_msgs")
+
+ORACLE_THRESHOLD = 100
+#: Repeated sizes on both sides of (and exactly on) the small threshold.
+ORACLE_SIZES = (10, 99, 100, 101, 101, 5000)
+#: Three classes: header coordinates, an epoch only, no coordinates at all.
+ORACLE_MESSAGES = (
+    ProposalHeaderMsg(header=_header(2, 5), signature=b"s", justify=None),
+    ProposalHeaderMsg(header=_header(3, 6), signature=b"s", justify=None),
+    StatusMsg(sender=0, new_epoch=4, high_qc=None),
+    ProbeMsg(probe_id=1, sent_at=0.0, padding=b""),
+)
+
+
+def assert_same_accounting(acct, oracle) -> None:
+    """Every public reading of ``acct`` equals the per-copy oracle's."""
+    for name in LIVE_TOTALS:
+        assert getattr(acct, name) == getattr(oracle, name), name
+    for name in COUNTER_AXES:
+        assert dict(getattr(acct, name)) == dict(getattr(oracle, name)), name
+    assert {c: h.to_dict() for c, h in acct.size_hist.items()} == {
+        c: h.to_dict() for c, h in oracle.size_hist.items()
+    }
+    assert acct.leader_egress_share() == oracle.leader_egress_share()
+    assert acct.queue_samples == oracle.queue_samples
+    snapshot = acct.snapshot(meta={"seed": 1})
+    assert snapshot == oracle.snapshot(meta={"seed": 1})
+    assert validate_wire_snapshot(snapshot) == []
+    assert to_prometheus_text(snapshot) == to_prometheus_text(oracle.snapshot(meta={"seed": 1}))
+    from repro.obs.metrics import MetricsRegistry
+
+    assert acct.fill_registry(MetricsRegistry()).as_dict() == oracle.fill_registry(
+        MetricsRegistry()
+    ).as_dict()
+
+
+_node = st.integers(0, 3)
+_offer = st.tuples(
+    _node,
+    st.one_of(_node, st.lists(_node, min_size=1, unique=True).map(tuple)),
+    st.sampled_from(ORACLE_MESSAGES),
+    st.sampled_from(ORACLE_SIZES),
+)
+#: An offer, or the name of a view to read between two offers.
+_step = st.one_of(_offer, st.sampled_from(COUNTER_AXES + ("size_hist", "snapshot")))
+
+
+def _feed(steps):
+    """One accountant fed offer by offer beside an oracle fed copy by copy."""
+    acct, oracle = WireAccountant(ORACLE_THRESHOLD), OracleAccountant(ORACLE_THRESHOLD)
+    for step in steps:
+        if step == "snapshot":
+            acct.snapshot()
+            continue
+        if isinstance(step, str):
+            # A read between offers must not freeze what later reads see.
+            getattr(acct, step)
+            continue
+        src, dst, msg, size = step
+        acct.account(src, dst, msg, size)
+        for copy in dst if isinstance(dst, tuple) else (dst,):
+            oracle.account(src, copy, msg, size)
+    return acct, oracle
+
+
+class TestTallyAgainstPerCopyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_step, max_size=40), st.lists(_step, max_size=40))
+    def test_every_reading_equals_the_oracle(self, first, second):
+        a, oracle_a = _feed(first)
+        assert_same_accounting(a, oracle_a)
+        b, oracle_b = _feed(second)
+        b.sample_queue(1.0, 2, backlog=0.001, queued_bytes=5000)
+        oracle_b.sample_queue(1.0, 2, backlog=0.001, queued_bytes=5000)
+        # Views of ``a`` were read just above; the merge must refresh them.
+        assert a.merge(b) is a
+        assert_same_accounting(a, oracle_a.merge(oracle_b))
+        assert_same_accounting(b, oracle_b)
+
+    def test_a_broadcast_is_one_tally_row_and_one_loopback(self):
+        acct = WireAccountant(ORACLE_THRESHOLD)
+        msg = ORACLE_MESSAGES[0]
+        for _ in range(3):
+            acct.account(1, (0, 1, 2), msg, 60)
+        assert acct.msgs_total == 9 and acct.bytes_total == 540
+        assert acct.loopback_msgs == 3 and acct.loopback_bytes == 180
+        assert acct.link_msgs == {(1, 0): 3, (1, 1): 3, (1, 2): 3}
+        assert acct.height_bytes == {5: 540}
+        assert len(acct._tally) == 1
+
+    def test_no_destinations_is_no_offer(self):
+        acct = WireAccountant(ORACLE_THRESHOLD)
+        acct.account(0, (), ORACLE_MESSAGES[0], 60)
+        assert acct.snapshot() == WireAccountant(ORACLE_THRESHOLD).snapshot()
+
+    def test_a_missing_key_reads_zero(self):
+        acct = WireAccountant(ORACLE_THRESHOLD)
+        assert acct.size_class_msgs["small"] == 0
+        assert acct.class_msgs["ChunkRequestMsg"] == 0
+        assert acct.leader_egress_share() == 0.0
+
+
+def _faulty_network(cls, wire, seed):
+    """A 5-node network with every kind of fault the send path knows."""
+    scheduler = Scheduler()
+    net = cls(
+        scheduler,
+        HybridCloudDelayModel(NetworkConfig()),
+        RngFactory(seed),
+        Trace(),
+        egress_bandwidth=NetworkConfig().egress_bandwidth,
+        priority_threshold=NetworkConfig().small_threshold,
+        wire=wire,
+    )
+    for node in range(5):
+        net.attach(node, lambda src, msg: None)
+    net.take_down(4)
+    net.set_partition([{0, 1, 2, 4}, {3}])
+    net.add_filter(lambda src, dst, msg, size: not (src == 1 and dst == 2))
+    net.add_delay_policy(lambda src, dst, msg, size, delay: None if dst == 0 else delay)
+    net.add_delay_policy(lambda src, dst, msg, size, delay: delay * 2)
+    net.set_delay_observer(1, lambda src, msg, size, latency: None)
+    return scheduler, net
+
+
+def _drive(net, seed):
+    """The same scripted mix of sends and broadcasts; returns the offers made
+    by a sender that is up (a down sender's are not counted anywhere)."""
+    rng = random.Random(seed)
+    signer = _signer()
+    vote = VoteMsg(vote=Vote.create(signer, "alterbft", 3, 7, b"\x01" * 32))
+    payload = PayloadMsg(epoch=2, height=5, block_hash=b"\x22" * 32, payload=None)
+    large = ProbeMsg(probe_id=1, sent_at=0.0, padding=b"\x00" * 20_000)
+    counted = 0
+    for _ in range(300):
+        src = rng.randrange(6)  # node 5 was never attached
+        msg = rng.choice((vote, vote, payload, large))
+        if rng.random() < 0.5:
+            net.send(src, rng.randrange(5), msg)
+        else:
+            net.broadcast(src, msg, include_self=rng.random() < 0.5)
+        counted += src != 4
+    return counted
+
+
+class TestOneLoopAgainstPerCopySendPath:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_trace_accounting_and_schedule(self, seed, monkeypatch):
+        calls = {"account": 0, "count_message": 0}
+
+        def counting(cls, method):
+            inner = cls.__dict__[method]
+
+            def wrapper(self, *args, **kwargs):
+                calls[method] += 1
+                return inner(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, wrapper)
+
+        oracle_sched, oracle_net = _faulty_network(
+            OracleNetwork, OracleAccountant(NetworkConfig().small_threshold), seed
+        )
+        _drive(oracle_net, seed)
+        # Wrapped by name on the class, the way the benchmark's tracer does.
+        counting(WireAccountant, "account")
+        counting(Trace, "count_message")
+        sched, net = _faulty_network(
+            SimNetwork, WireAccountant(NetworkConfig().small_threshold), seed
+        )
+        offers = _drive(net, seed)
+
+        assert calls == {"account": offers, "count_message": offers}
+        assert net.trace.summary() == oracle_net.trace.summary()
+        assert net.trace.fingerprint() == oracle_net.trace.fingerprint()
+        for kind in ("msg_partitioned", "msg_filtered", "msg_dropped"):
+            assert net.trace.counters[kind] > 0, kind
+        assert net.wire.queue_samples
+        assert_same_accounting(net.wire, oracle_net.wire)
+        assert net.wire.bytes_total == net.trace.counters["bytes"]
+
+        def entries(scheduler):
+            return sorted(
+                (time, seq, fn.__name__, args[:3]) for time, seq, _, fn, args in scheduler._queue
+            )
+
+        assert entries(sched) == entries(oracle_sched)
+        assert len(entries(sched)) > 200
+        assert {name for _, _, name, _ in entries(sched)} == {"_deliver", "_deliver_observed"}
 
 
 # ---------------------------------------------------------------------------
