@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""One layer's CI smoke run: sweep → bench → record → validate → drill-downs.
+
+Every step is optional and says which existing command line it is;
+everything a step writes lands in ``--out-dir`` for one upload step.
+``.github/workflows/ci.yml``'s ``layer-smoke`` matrix is the list of
+invocations; run a row locally the same way, e.g.
+
+    python scripts/ci_smoke.py --record "--protocol alterbft --rate 300 --duration 1.5 --seed 7 --wire" --drill wire,bandwidth,queues
+"""
+
+import argparse
+import os
+import pathlib
+import shlex
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: Drill-downs that read the wire snapshot; the rest read the span trace.
+WIRE_DRILLS = ("wire", "bandwidth", "chunks", "queues")
+
+
+def run(module: str, *args: str) -> None:
+    print(f"\n$ python -m {module} {' '.join(args)}", flush=True)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = subprocess.run([sys.executable, "-m", module, *args], cwd=ROOT, env=env).returncode
+    if code:
+        sys.exit(code)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", help="`python -m repro.check` arguments (adds --jobs 2 --no-demo)")
+    parser.add_argument("--bench", help="`python -m repro.bench --only` experiment ids")
+    parser.add_argument("--record", help="`python -m repro.obs record` arguments (adds --out-dir)")
+    parser.add_argument("--drill", default="", help="comma-separated repro.obs drill-down subcommands")
+    parser.add_argument("--out-dir", default="smoke_artifacts")
+    args = parser.parse_args()
+
+    out = pathlib.Path(args.out_dir).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    if args.check:
+        run("repro.check", *shlex.split(args.check), "--jobs", "2", "--no-demo")
+    if args.bench:
+        run("repro.bench", "--only", args.bench)
+    if args.record:
+        run("repro.obs", "record", *shlex.split(args.record), "--out-dir", str(out))
+        exported = [out / name for name in ("trace.jsonl", "trace_chrome.json", "wire.jsonl")]
+        run("repro.obs", "validate", *(str(path) for path in exported if path.exists()))
+    for drill in filter(None, args.drill.split(",")):
+        source = "wire.jsonl" if drill in WIRE_DRILLS else "trace.jsonl"
+        run("repro.obs", drill, str(out / source))
+
+
+if __name__ == "__main__":
+    main()

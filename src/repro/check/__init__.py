@@ -23,12 +23,13 @@ from .invariants import (
 )
 from .runner import ScenarioResult, main, run_demo, run_scenario, run_sweep
 from .scenarios import (
-    BEHAVIORS,
+    FAMILIES,
     PROTOCOLS,
+    SWEPT,
     Scenario,
     build_config,
-    default_grid,
     e10_demo_scenario,
+    grid,
     liveness_gap_bound,
     parse_scenario_id,
     replay_command,
@@ -36,11 +37,12 @@ from .scenarios import (
 
 __all__ = [
     "AGREEMENT",
-    "BEHAVIORS",
     "BOUNDED_GAP",
     "CERTIFIED_CHAIN",
+    "FAMILIES",
     "GUARD_FLAGGING",
     "RECOVERY",
+    "SWEPT",
     "InvariantResult",
     "ModelBoundedAdversary",
     "PROFILES",
@@ -54,8 +56,8 @@ __all__ = [
     "check_certified_chain",
     "check_guard_flagging",
     "check_recovery",
-    "default_grid",
     "e10_demo_scenario",
+    "grid",
     "install_adversary",
     "liveness_gap_bound",
     "main",

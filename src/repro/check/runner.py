@@ -1,11 +1,12 @@
 """Seed-sweep runner: execute scenarios, check invariants, report.
 
-``python -m repro.check`` runs the default grid (336 scenarios across
+``python -m repro.check`` runs every scenario family in
+:data:`~repro.check.scenarios.FAMILIES` — ``main`` (336 scenarios across
 {AlterBFT, Sync HotStuff} × {fault behaviors} × {adversary profiles} ×
-seeds) plus the pipelined family (120 alterbft scenarios at pipeline
-depths 2 and 4, adding the cross-in-flight attacks) plus the
-dissemination family (36 alterbft scenarios with chunked erasure-coded
-payloads on, adding chunk withholding and corruption), expecting
+seeds), ``pipelined`` (120 alterbft scenarios at pipeline depths 2 and
+4, adding the cross-in-flight attacks) and ``dissem`` (36 alterbft
+scenarios with chunked erasure-coded payloads on, adding chunk
+withholding and corruption); ``--family`` picks among them — expecting
 **zero** invariant violations, then demonstrates that
 the harness detects real violations by re-running the E10 relay-off
 ablation until the agreement checker catches the fork — printing a seed
@@ -28,35 +29,19 @@ from ..errors import ConfigError
 from ..runner.cluster import build_cluster
 from ..runner.registry import protocol_names
 from .adversary import PROFILES, install_adversary
-from .invariants import (
-    AGREEMENT,
-    InvariantResult,
-    check_all,
-    check_bad_vote_attribution,
-    check_guard_flagging,
-    violations,
-)
+from .invariants import AGREEMENT, InvariantResult, check_all, violations
 from .scenarios import (
-    BEHAVIORS,
-    DISSEM_BEHAVIORS,
-    FAULTY_ID,
-    GUARD_GRACE,
-    GUARD_SAFE_FACTOR,
-    PIPELINE_BEHAVIORS,
-    PIPELINE_DEPTHS,
+    FAMILIES,
     PROTOCOLS,
     RECOVERY_TIME,
-    SLOWLINK_END,
-    SLOWLINK_START,
     Scenario,
     build_config,
-    default_grid,
-    dissem_grid,
     e10_demo_scenario,
+    grid,
     liveness_gap_bound,
     parse_scenario_id,
-    pipelined_grid,
     replay_command,
+    swept_row,
 )
 
 #: How many seeds the E10 demonstration scans before giving up.
@@ -86,40 +71,25 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
     Liveness is only asserted on model-conforming runs (relay on): the
     relay-off ablation deliberately breaks the protocol, and its expected
-    failure mode is agreement, not throughput.
+    failure mode is agreement, not throughput.  What else the behavior
+    adds or waives is its :data:`~repro.check.scenarios.SWEPT` row.
     """
     config = build_config(scenario)
     cluster = build_cluster(config)
     install_adversary(cluster, scenario.profile)
     cluster.start()
     cluster.run()
-    if scenario.behavior == "slow-link":
-        # The gray failure legitimately slows commits (Δ escalation scales
-        # every timer), so bounded-gap does not apply; what must hold
-        # instead is the degradation contract: no silent in-window commit.
-        results = check_all(cluster)
-        results.append(
-            check_guard_flagging(
-                cluster,
-                violation_window=(SLOWLINK_START, SLOWLINK_END),
-                grace=GUARD_GRACE,
-                safe_factor=GUARD_SAFE_FACTOR,
-            )
-        )
-    elif scenario.relay_headers:
+    row = swept_row(scenario.behavior)
+    if row.bounded_gap and scenario.relay_headers:
         results = check_all(
             cluster,
             recovery_time=RECOVERY_TIME,
             gap_bound=liveness_gap_bound(config.protocol_config),
         )
-        if scenario.behavior == "bad-vote":
-            # The lazy batch verifier must have bisected the corrupted
-            # flood to exactly the faulty voter — no false attribution,
-            # no missed attribution — on top of the usual invariants
-            # (liveness: the honest quorum still commits without it).
-            results.append(check_bad_vote_attribution(cluster, FAULTY_ID))
     else:
         results = check_all(cluster)
+    if row.extra_check is not None:
+        results.append(row.extra_check(cluster))
     ledger_state = b"".join(
         block_hash
         for replica in cluster.replicas
@@ -207,13 +177,30 @@ def _csv(value: str) -> List[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
+def _require_known(what: str, given: Sequence[str], known: Tuple[str, ...]) -> None:
+    for name in given:
+        if name not in known:
+            raise ConfigError(f"unknown {what} {name!r}; known: {known}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
         description="Sweep seeded fault/adversary scenarios and check consensus invariants.",
     )
     parser.add_argument(
-        "--seeds", type=int, default=7, help="seeds per combo (default 7 → 336 scenarios)"
+        "--family",
+        type=_csv,
+        default=list(FAMILIES),
+        help=f"comma-separated scenario families (default {','.join(FAMILIES)})",
+    )
+    parser.add_argument(
+        "--seeds",
+        type=int,
+        default=None,
+        help="seeds per combo in every selected family (default: each family's own — "
+        + ", ".join(f"{name} {family.seeds[0]}" for name, family in FAMILIES.items())
+        + ")",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     parser.add_argument(
@@ -229,42 +216,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--profiles", type=_csv, default=list(PROFILES), help="comma-separated adversary profiles"
     )
     parser.add_argument(
-        "--pipeline-seeds",
-        type=int,
-        default=2,
-        help="seeds per combo in the pipelined family (default 2 → 120 scenarios)",
-    )
-    parser.add_argument(
         "--depths",
         type=_csv,
-        default=[str(d) for d in PIPELINE_DEPTHS],
+        default=None,
         help="comma-separated pipeline depths for the pipelined family (default 2,4)",
-    )
-    parser.add_argument(
-        "--no-pipelined",
-        action="store_true",
-        help="skip the pipelined (depth > 1) scenario family",
-    )
-    parser.add_argument(
-        "--pipelined-only",
-        action="store_true",
-        help="run only the pipelined (depth > 1) scenario family",
-    )
-    parser.add_argument(
-        "--dissem-seeds",
-        type=int,
-        default=2,
-        help="seeds per combo in the dissemination family (default 2 → 36 scenarios)",
-    )
-    parser.add_argument(
-        "--no-dissem",
-        action="store_true",
-        help="skip the dissemination (chunked payload) scenario family",
-    )
-    parser.add_argument(
-        "--dissem-only",
-        action="store_true",
-        help="run only the dissemination (chunked payload) scenario family",
     )
     parser.add_argument(
         "--replay", metavar="SCENARIO_ID", help="re-run one scenario and print its verdict"
@@ -272,7 +227,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small CI sweep: 2 seeds, calibrated+adversarial profiles",
+        help="small CI sweep: each family's smoke seed count, calibrated+adversarial profiles",
     )
     parser.add_argument(
         "--no-demo",
@@ -295,110 +250,47 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.replay:
         return _run_replay(args.replay)
 
-    seeds = args.seeds
-    pipeline_seeds = args.pipeline_seeds
-    dissem_seeds = args.dissem_seeds
     profiles = args.profiles
     if args.smoke:
-        seeds = min(seeds, 2)
-        pipeline_seeds = min(pipeline_seeds, 1)
-        dissem_seeds = min(dissem_seeds, 1)
         profiles = [p for p in profiles if p != "stall-large"]
-    for protocol in args.protocols:
-        if protocol not in protocol_names():
-            raise ConfigError(
-                f"unknown protocol {protocol!r}; known: {protocol_names()}"
-            )
-    behaviors = args.behaviors
-    if behaviors is not None:
-        known = PIPELINE_BEHAVIORS + tuple(
-            b for b in DISSEM_BEHAVIORS if b not in PIPELINE_BEHAVIORS
-        )
-        for behavior in behaviors:
-            if behavior not in known:
-                raise ConfigError(
-                    f"unknown behavior {behavior!r}; known: {known}"
-                )
+    _require_known("family", args.family, tuple(FAMILIES))
+    _require_known("protocol", args.protocols, protocol_names())
+    swept = tuple(dict.fromkeys(b for f in FAMILIES.values() for b in f.behaviors))
+    _require_known("behavior", args.behaviors or (), swept)
     try:
-        depths = [int(d) for d in args.depths]
+        depths = [int(d) for d in args.depths or ()]
     except ValueError:
         raise ConfigError(f"bad --depths value in {args.depths!r}") from None
     for depth in depths:
         if depth < 2:
             raise ConfigError(f"--depths entries must be >= 2, got {depth}")
 
-    grid: List[Scenario] = []
-    only_flags = args.pipelined_only or args.dissem_only
-    if not only_flags:
-        main_behaviors = (
-            list(BEHAVIORS)
-            if behaviors is None
-            else [b for b in behaviors if b in BEHAVIORS]
+    parts = {
+        name: grid(
+            families=(name,),
+            seeds=args.seeds,
+            smoke=args.smoke,
+            protocols=args.protocols,
+            behaviors=args.behaviors,
+            profiles=profiles,
+            depths=depths,
         )
-        if main_behaviors:
-            grid.extend(
-                default_grid(
-                    seeds_per_combo=seeds,
-                    protocols=args.protocols,
-                    behaviors=main_behaviors,
-                    profiles=profiles,
-                )
-            )
-    if (
-        not args.no_pipelined
-        and not args.dissem_only
-        and "alterbft" in args.protocols
-    ):
-        pipelined_behaviors = (
-            list(PIPELINE_BEHAVIORS)
-            if behaviors is None
-            else [b for b in behaviors if b in PIPELINE_BEHAVIORS]
-        )
-        if pipelined_behaviors:
-            grid.extend(
-                pipelined_grid(
-                    seeds_per_combo=pipeline_seeds,
-                    behaviors=pipelined_behaviors,
-                    profiles=profiles,
-                    depths=depths,
-                )
-            )
-    if (
-        not args.no_dissem
-        and not args.pipelined_only
-        and "alterbft" in args.protocols
-    ):
-        dissem_behaviors = (
-            list(DISSEM_BEHAVIORS)
-            if behaviors is None
-            else [b for b in behaviors if b in DISSEM_BEHAVIORS]
-        )
-        if dissem_behaviors:
-            grid.extend(
-                dissem_grid(
-                    seeds_per_combo=dissem_seeds,
-                    behaviors=dissem_behaviors,
-                    profiles=profiles,
-                )
-            )
+        for name in FAMILIES
+        if name in args.family
+    }
+    scenarios = [scenario for part in parts.values() for scenario in part]
     if args.list:
-        for scenario in grid:
+        for scenario in scenarios:
             print(scenario.scenario_id)
         return 0
-    if not grid:
+    if not scenarios:
         raise ConfigError(
-            "empty scenario grid — check --seeds/--protocols/--behaviors/--profiles"
+            "empty scenario grid — check --family/--seeds/--protocols/--behaviors/--profiles"
         )
 
-    dissem_count = sum(1 for s in grid if s.dissemination)
-    pipelined_count = sum(1 for s in grid if s.pipeline_depth > 1 and not s.dissemination)
-    main_count = len(grid) - pipelined_count - dissem_count
-    print(
-        f"repro.check: sweeping {len(grid)} scenarios "
-        f"({main_count} main + {pipelined_count} pipelined + {dissem_count} dissem, "
-        f"jobs={args.jobs})"
-    )
-    results = run_sweep(grid, jobs=args.jobs)
+    counts = " + ".join(f"{len(part)} {name}" for name, part in parts.items())
+    print(f"repro.check: sweeping {len(scenarios)} scenarios ({counts}, jobs={args.jobs})")
+    results = run_sweep(scenarios, jobs=args.jobs)
     failures = _print_report(results)
 
     demo_ok = True

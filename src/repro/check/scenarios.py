@@ -1,12 +1,17 @@
 """Scenario grid for the verification sweep.
 
 A :class:`Scenario` names one fully determined run: protocol × fault
-behavior × adversary profile × seed (plus the E10 relay ablation switch).
-Scenarios serialize to compact ids like
-``alterbft:equivocate:adversarial:3`` so a failing run can be named on
-the command line and replayed exactly:
+behavior × adversary profile × seed (plus the E10 relay ablation switch,
+pipeline depth and the dissemination flag).  Scenarios serialize to
+compact ids like ``alterbft:equivocate:adversarial:3`` so a failing run
+can be named on the command line and replayed exactly:
 
     PYTHONPATH=src python -m repro.check --replay alterbft:equivocate:adversarial:3
+
+Two tables say the rest.  :data:`SWEPT`: per behavior, the fault it
+injects, the flags it turns on and the invariant it adds — read by
+:func:`build_config` and the sweep runner alike.  :data:`FAMILIES`: what
+each scenario family crosses, walked by :func:`grid`, the one generator.
 
 The grid keeps most knobs fixed (one faulty replica, one workload shape)
 so results are comparable across the sweep; what varies is exactly what
@@ -15,54 +20,23 @@ the model lets an adversary vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ExperimentConfig, NetworkConfig, ProtocolConfig, WorkloadConfig
 from ..errors import ConfigError
 from ..runner.experiment import standard_protocol_config
+from ..runner.registry import protocol_names
 from .adversary import PROFILES
+from .invariants import InvariantResult, check_bad_vote_attribution, check_guard_flagging
 
 #: Protocols in the default sweep — the synchronous-model pair whose
 #: safety depends on the timing assumptions the adversary probes.  The
 #: partially synchronous baselines are covered by the cross-protocol
 #: safety tests instead (their safety is timing-independent).
 PROTOCOLS = ("alterbft", "sync-hotstuff")
-
-#: Fault behaviors in the default sweep ("none" = fault-free control).
-BEHAVIORS = (
-    "none",
-    "crash",
-    "crash-recover",
-    "equivocate",
-    "withhold_payload",
-    "delay_send",
-    "slow-link",
-    "bad-vote",
-)
-
-#: Behaviors swept in the *pipelined* scenario family: everything above
-#: plus the two cross-in-flight attacks that only exist once a leader
-#: streams several uncommitted proposals (equivocating on block k+1
-#: while k's window still runs; certifying a prefix then withholding the
-#: streamed suffix).
-PIPELINE_BEHAVIORS = BEHAVIORS + ("equivocate-inflight", "withhold-suffix")
-
-#: Pipeline depths swept in the pipelined family.  Only AlterBFT
-#: implements the chained leader, so the family is alterbft-only.
-PIPELINE_DEPTHS = (2, 4)
-
-#: Behaviors swept in the *dissemination* scenario family (chunked
-#: erasure-coded payloads on): the fault-free control plus the two
-#: chunk-level attacks — a leader shipping fewer shares than the
-#: reconstruction threshold, and a leader corrupting one victim's share
-#: (detected by the Merkle check, recovered by pulling from peers).
-DISSEM_BEHAVIORS = ("none", "withhold_chunks", "corrupt_chunk")
-
-#: Pipeline depths swept in the dissemination family: the blob-free
-#: payload path must hold both for the plain leader and composed with
-#: the chained leader streaming several uncommitted proposals.
-DISSEM_DEPTHS = (1, 2)
 
 #: The single Byzantine/faulty replica.  Replica 1 leads epoch 1 under
 #: round-robin rotation, so faulty-leader paths trigger immediately.
@@ -129,6 +103,113 @@ DELTA_SMALL = 0.005
 DELTA_BIG = 0.1
 EPOCH_TIMEOUT = 0.5
 WARMUP = 0.5
+
+
+@dataclass(frozen=True)
+class SweptBehavior:
+    """One row of :data:`SWEPT`: what a behavior is beyond the fault it names."""
+
+    #: The fault spec injected at :data:`FAULTY_ID` ("" = none).
+    fault: str = ""
+    #: ``ProtocolConfig`` fields the behavior turns on.
+    overrides: Mapping[str, object] = field(default_factory=dict)
+    #: An invariant (cluster → result) checked on top of the standard ones.
+    extra_check: Optional[Callable[..., InvariantResult]] = None
+    #: Whether the liveness bound is asserted.
+    bounded_gap: bool = True
+
+
+#: The behaviors that are more than their fault spec ("none" = the
+#: fault-free control); see :func:`swept_row` for every other name.
+SWEPT: Dict[str, SweptBehavior] = {
+    "none": SweptBehavior(),
+    "crash": SweptBehavior(f"crash@{CRASH_TIME}"),
+    "crash-recover": SweptBehavior(
+        f"crash-recover@{CRASH_TIME}:{REJOIN_TIME}", {"checkpoint_interval": CHECKPOINT_K}
+    ),
+    # The gray failure legitimately slows commits (Δ escalation scales
+    # every timer), so bounded-gap does not apply; what must hold
+    # instead is the degradation contract: no silent in-window commit.
+    "slow-link": SweptBehavior(
+        f"slow-link@{SLOWLINK_START}:{SLOWLINK_END}",
+        {"guard_enabled": True, "guard_probe_interval": GUARD_PROBE_INTERVAL},
+        extra_check=partial(
+            check_guard_flagging,
+            violation_window=(SLOWLINK_START, SLOWLINK_END),
+            grace=GUARD_GRACE,
+            safe_factor=GUARD_SAFE_FACTOR,
+        ),
+        bounded_gap=False,
+    ),
+    # The corrupted flood runs with the lazy batched verifier *and*
+    # aggregate certificates on: bisection must attribute it to exactly
+    # the faulty voter (no false, no missed attribution) and exclude it,
+    # and the certificates the honest quorum still forms ride the
+    # aggregate wire format.
+    "bad-vote": SweptBehavior(
+        "bad-vote",
+        {"crypto_batch": True, "crypto_aggregate": True},
+        extra_check=partial(check_bad_vote_attribution, faulty_id=FAULTY_ID),
+    ),
+    # A leader shipping fewer shares than the reconstruction threshold
+    # (epoch change must fire), and one corrupting a single victim's
+    # share (the Merkle check catches it, the victim pulls from peers):
+    # chunked-path only, so they imply the flag even in hand-written ids.
+    "withhold_chunks": SweptBehavior("withhold_chunks", {"dissemination": True}),
+    "corrupt_chunk": SweptBehavior("corrupt_chunk", {"dissemination": True}),
+}
+
+
+def swept_row(behavior: str) -> SweptBehavior:
+    """``behavior``'s row; a name without one (``equivocate``, or a
+    hand-written replay id's ``silent``) is the fault spec it spells,
+    under the standard invariants."""
+    return SWEPT.get(behavior) or SweptBehavior(behavior)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of :data:`FAMILIES`: what :func:`grid` crosses with the profiles."""
+
+    #: Protocols that can run the family; ``--protocols`` picks among them.
+    protocols: Tuple[str, ...]
+    #: Names in :data:`SWEPT`, in sweep order.
+    behaviors: Tuple[str, ...]
+    #: Pipeline depths swept.
+    depths: Tuple[int, ...]
+    #: Seeds per combo: in the full sweep, in ``--smoke``.
+    seeds: Tuple[int, int]
+    #: Chunked erasure-coded payloads on.
+    dissemination: bool = False
+    #: ``--depths`` replaces ``depths``: the family exists to sweep them.
+    takes_depths: bool = False
+
+
+_MAIN = (
+    "none", "crash", "crash-recover", "equivocate",
+    "withhold_payload", "delay_send", "slow-link", "bad-vote",
+)
+
+#: The scenario families, in sweep order.  ``main``: any protocol, and on
+#: the default :data:`PROTOCOLS` 2 × 8 × 3 × 7 = 336 scenarios, clearing
+#: the 200-scenario acceptance floor.  ``pipelined``: equivocation, blame
+#: and epoch change across a window of in-flight blocks is the fault
+#: surface pipelining opens, so every behavior runs at every depth, plus
+#: the two that need the window (equivocating on block k+1 while k's still
+#: runs; certifying a prefix, withholding the suffix): 10 × 3 × 2 × 2 = 120.
+#: ``dissem``: the blob-free payload path must hold both for the plain
+#: leader and composed with the chained one — 3 × 3 × 2 × 2 = 36.
+FAMILIES: Dict[str, Family] = {
+    "main": Family(protocol_names(), _MAIN, (1,), (7, 2)),
+    "pipelined": Family(
+        ("alterbft",), _MAIN + ("equivocate-inflight", "withhold-suffix"), (2, 4), (2, 1),
+        takes_depths=True,
+    ),
+    "dissem": Family(
+        ("alterbft",), ("none", "withhold_chunks", "corrupt_chunk"), (1, 2), (2, 1),
+        dissemination=True,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -207,6 +288,7 @@ def parse_scenario_id(scenario_id: str) -> Scenario:
 
 def build_config(scenario: Scenario) -> ExperimentConfig:
     """The exact experiment configuration a scenario denotes."""
+    row = swept_row(scenario.behavior)
     pconf = standard_protocol_config(
         scenario.protocol,
         f=F,
@@ -215,32 +297,8 @@ def build_config(scenario: Scenario) -> ExperimentConfig:
         epoch_timeout=EPOCH_TIMEOUT,
         relay_headers=scenario.relay_headers,
         pipeline_depth=scenario.pipeline_depth,
+        **{"dissemination": scenario.dissemination, **row.overrides},
     )
-    if scenario.dissemination or scenario.behavior in ("withhold_chunks", "corrupt_chunk"):
-        # The chunk-level behaviors only exist on the chunked payload
-        # path, so they imply the flag even in hand-written replay ids.
-        pconf = pconf.with_(dissemination=True)
-    if scenario.behavior == "none":
-        faults: Tuple[Tuple[int, str], ...] = ()
-    elif scenario.behavior == "crash":
-        faults = ((FAULTY_ID, f"crash@{CRASH_TIME}"),)
-    elif scenario.behavior == "crash-recover":
-        faults = ((FAULTY_ID, f"crash-recover@{CRASH_TIME}:{REJOIN_TIME}"),)
-        pconf = pconf.with_(checkpoint_interval=CHECKPOINT_K)
-    elif scenario.behavior == "slow-link":
-        faults = ((FAULTY_ID, f"slow-link@{SLOWLINK_START}:{SLOWLINK_END}"),)
-        pconf = pconf.with_(
-            guard_enabled=True, guard_probe_interval=GUARD_PROBE_INTERVAL
-        )
-    elif scenario.behavior == "bad-vote":
-        # The corrupted-flood scenario runs with the lazy batched
-        # verifier *and* aggregate certificates on: bisection must
-        # attribute and exclude the bad voter, and the certificates the
-        # honest quorum still forms ride the aggregate wire format.
-        faults = ((FAULTY_ID, "bad-vote"),)
-        pconf = pconf.with_(crypto_batch=True, crypto_aggregate=True)
-    else:
-        faults = ((FAULTY_ID, scenario.behavior),)
     return ExperimentConfig(
         protocol=scenario.protocol,
         protocol_config=pconf,
@@ -253,7 +311,7 @@ def build_config(scenario: Scenario) -> ExperimentConfig:
         seed=scenario.seed,
         max_sim_time=scenario.duration,
         warmup=WARMUP,
-        faults=faults,
+        faults=((FAULTY_ID, row.fault),) if row.fault else (),
     )
 
 
@@ -276,97 +334,39 @@ def replay_command(scenario: Scenario) -> str:
     return f"PYTHONPATH=src python -m repro.check --replay {scenario.scenario_id}"
 
 
-def default_grid(
-    seeds_per_combo: int = 7,
+def grid(
+    families: Sequence[str] = tuple(FAMILIES),
+    seeds: Optional[int] = None,
+    smoke: bool = False,
     protocols: Sequence[str] = PROTOCOLS,
-    behaviors: Sequence[str] = BEHAVIORS,
+    behaviors: Optional[Sequence[str]] = None,
     profiles: Sequence[str] = PROFILES,
-    first_seed: int = 1,
+    depths: Optional[Sequence[int]] = None,
 ) -> List[Scenario]:
-    """The sweep grid, seed-major within each combo.
+    """The scenarios of ``families``: per :data:`FAMILIES` row, protocols ×
+    behaviors × profiles × depths × seeds, seed-major within a combo.
 
-    The defaults give 2 × 8 × 3 × 7 = 336 scenarios, clearing the
-    200-scenario acceptance floor.
+    ``seeds`` unset means each family's own count, set means that many in
+    every family; ``smoke`` caps either at the family's smoke count.
+    ``protocols`` and ``behaviors`` pick among the family's own.
     """
-    grid = []
-    for protocol in protocols:
-        for behavior in behaviors:
-            for profile in profiles:
-                for seed in range(first_seed, first_seed + seeds_per_combo):
-                    grid.append(
-                        Scenario(
-                            protocol=protocol,
-                            behavior=behavior,
-                            profile=profile,
-                            seed=seed,
-                        )
-                    )
-    return grid
-
-
-def pipelined_grid(
-    seeds_per_combo: int = 2,
-    behaviors: Sequence[str] = PIPELINE_BEHAVIORS,
-    profiles: Sequence[str] = PROFILES,
-    depths: Sequence[int] = PIPELINE_DEPTHS,
-    first_seed: int = 1,
-) -> List[Scenario]:
-    """The pipelined scenario family: alterbft × behavior × profile × depth.
-
-    The defaults give 10 × 3 × 2 × 2 = 120 scenarios on top of the main
-    grid; equivocation/blame/epoch change across a window of in-flight
-    blocks is the new fault surface pipelining opens, so every behavior
-    runs at every depth.
-    """
-    grid = []
-    for behavior in behaviors:
-        for profile in profiles:
-            for depth in depths:
-                for seed in range(first_seed, first_seed + seeds_per_combo):
-                    grid.append(
-                        Scenario(
-                            protocol="alterbft",
-                            behavior=behavior,
-                            profile=profile,
-                            seed=seed,
-                            pipeline_depth=depth,
-                        )
-                    )
-    return grid
-
-
-def dissem_grid(
-    seeds_per_combo: int = 2,
-    behaviors: Sequence[str] = DISSEM_BEHAVIORS,
-    profiles: Sequence[str] = PROFILES,
-    depths: Sequence[int] = DISSEM_DEPTHS,
-    first_seed: int = 1,
-) -> List[Scenario]:
-    """The dissemination scenario family: alterbft × behavior × profile × depth.
-
-    Chunked erasure-coded payloads replace the leader's payload blob, so
-    the family re-proves liveness and safety when the leader withholds
-    shares below the reconstruction threshold (epoch change must fire)
-    or corrupts one victim's share (the Merkle check must catch it and
-    the victim must recover by pulling from peers, without an epoch
-    change).  The defaults give 3 × 3 × 2 × 2 = 36 scenarios.
-    """
-    grid = []
-    for behavior in behaviors:
-        for profile in profiles:
-            for depth in depths:
-                for seed in range(first_seed, first_seed + seeds_per_combo):
-                    grid.append(
-                        Scenario(
-                            protocol="alterbft",
-                            behavior=behavior,
-                            profile=profile,
-                            seed=seed,
-                            pipeline_depth=depth,
-                            dissemination=True,
-                        )
-                    )
-    return grid
+    scenarios = []
+    for family in map(FAMILIES.__getitem__, families):
+        count = family.seeds[0] if seeds is None else seeds
+        if smoke:
+            count = min(count, family.seeds[1])
+        combos = product(
+            [p for p in protocols if p in family.protocols],
+            [b for b in behaviors or family.behaviors if b in family.behaviors],
+            profiles,
+            depths if depths and family.takes_depths else family.depths,
+            range(1, count + 1),
+        )
+        scenarios += [
+            Scenario(p, b, profile, seed, pipeline_depth=depth, dissemination=family.dissemination)
+            for p, b, profile, depth, seed in combos
+        ]
+    return scenarios
 
 
 def e10_demo_scenario(seed: int) -> Scenario:

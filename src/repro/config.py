@@ -22,6 +22,12 @@ from .errors import ConfigError
 #: by two orders of magnitude in practice.
 SMALL_MESSAGE_THRESHOLD = 4096
 
+#: Floor, in seconds, of the per-provider timeout before a catching-up
+#: or chunk-pulling replica re-asks an alternate provider (Byzantine
+#: providers must not stall it); both managers run ``max(this, 3Δ)``.
+#: A constant, not a field: nothing has ever run it at another value.
+CATCHUP_RETRY = 0.25
+
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
@@ -83,9 +89,6 @@ class ProtocolConfig:
             adopt the prefix without re-running consensus.  0 (the
             default) disables checkpointing entirely — no extra
             messages, timers, or trace events are produced.
-        catchup_retry: per-provider timeout before a catching-up replica
-            re-requests a snapshot/block range from an alternate
-            provider (Byzantine providers must not stall catchup).
         guard_enabled: attach a :class:`repro.guard.SynchronyMonitor` to
             every replica — runtime Δ-violation detection from observed
             small-message delays plus signed probe traffic, adaptive Δ
@@ -97,21 +100,6 @@ class ProtocolConfig:
         guard_probe_interval: period of the signed probe broadcast that
             keeps the delay estimate fresh when consensus traffic is
             sparse, seconds.
-        guard_window: number of recent small-message delay samples kept
-            in the rolling tail estimator.
-        guard_violation_threshold: violations observed within the recent
-            window before a suspicion is considered *sustained* and an
-            upward ``DeltaAdjust`` is proposed.
-        guard_quantile: tail percentile of the rolling window used when
-            recommending a re-calibrated Δ (mirrors
-            ``measure.calibration``).
-        guard_margin: safety margin multiplied onto the tail estimate
-            when recommending a re-calibrated Δ (>= 1).
-        guard_max_rung: cap on the Δ ladder — the effective Δ is
-            ``delta * 2**rung`` with ``0 <= rung <= guard_max_rung``.
-        guard_stable_window: seconds without a single violation before
-            the suspicion clears and a *shrink* back down the ladder may
-            be proposed.
     """
 
     n: int
@@ -130,15 +118,8 @@ class ProtocolConfig:
     crypto_aggregate: bool = False
     dissemination: bool = False
     checkpoint_interval: int = 0
-    catchup_retry: float = 0.25
     guard_enabled: bool = False
     guard_probe_interval: float = 0.05
-    guard_window: int = 64
-    guard_violation_threshold: int = 3
-    guard_quantile: float = 99.0
-    guard_margin: float = 1.25
-    guard_max_rung: int = 4
-    guard_stable_window: float = 1.0
 
     def validate(self, quorum_style: str = "2f+1") -> None:
         """Check internal consistency for a given resilience style.
@@ -167,17 +148,7 @@ class ProtocolConfig:
             f"unknown signature scheme {self.signature_scheme!r}",
         )
         _require(self.checkpoint_interval >= 0, "checkpoint_interval must be >= 0")
-        _require(self.catchup_retry > 0, "catchup_retry must be positive")
         _require(self.guard_probe_interval > 0, "guard_probe_interval must be positive")
-        _require(self.guard_window >= 8, "guard_window must be >= 8 samples")
-        _require(
-            self.guard_violation_threshold >= 1,
-            "guard_violation_threshold must be >= 1",
-        )
-        _require(50.0 <= self.guard_quantile <= 100.0, "guard_quantile in [50, 100]")
-        _require(self.guard_margin >= 1.0, "guard_margin must be >= 1")
-        _require(1 <= self.guard_max_rung <= 16, "guard_max_rung in [1, 16]")
-        _require(self.guard_stable_window > 0, "guard_stable_window must be positive")
 
     def required_subsystems(self) -> Tuple[str, ...]:
         """Names of the optional subsystems these flags ask for — the one
@@ -309,8 +280,10 @@ class ExperimentConfig:
         max_sim_time: hard stop for the simulation clock.
         warmup: committed transactions before this simulated time are
             excluded from latency/throughput statistics.
-        faults: tuple of (replica_id, behavior_name) pairs applied at
-            cluster assembly; see :mod:`repro.faults.behaviors`.
+        faults: tuple of (replica_id, behavior spec) pairs applied at
+            cluster assembly; each spec must resolve through
+            :data:`repro.faults.behaviors.BEHAVIORS` for this protocol
+            and these flags.
         topology: "single-az" (the paper's main setting) or
             "three-regions" (the WAN experiment, E9).
         record_trace: keep individual trace events (costly on big runs).
@@ -344,7 +317,8 @@ class ExperimentConfig:
     wire_accounting: bool = False
 
     def validate(self) -> None:
-        from .runner.registry import quorum_style_for  # local import: avoid cycle
+        from .faults.behaviors import resolve_behavior  # local imports: avoid cycles
+        from .runner.registry import quorum_style_for
 
         self.protocol_config.validate(quorum_style_for(self.protocol))
         _require(
@@ -365,7 +339,7 @@ class ExperimentConfig:
                 0 <= replica_id < self.protocol_config.n,
                 f"fault target {replica_id} out of range",
             )
-            _require(bool(behavior), "fault behavior name must be non-empty")
+            resolve_behavior(behavior, self.protocol, self.protocol_config)
         _require(
             self.topology in ("single-az", "three-regions"),
             f"unknown topology {self.topology!r}",

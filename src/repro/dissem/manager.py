@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..codec import decode as codec_decode
 from ..codec import encode as codec_encode
+from ..config import CATCHUP_RETRY
 from ..crypto.erasure import decode_shares, encode_shares
 from ..crypto.hashing import Digest
 from ..crypto.merkle import (
@@ -122,7 +123,7 @@ class DisseminationManager:
         self.n = config.n
         #: Same back-off as catch-up: generous against gray links, and a
         #: few Δ so a response in flight is never raced by the timer.
-        self.retry_timeout = max(config.catchup_retry, 3 * config.delta)
+        self.retry_timeout = max(CATCHUP_RETRY, 3 * config.delta)
         self._blocks: Dict[Digest, _BlockShares] = {}
 
     # -- leader side -------------------------------------------------------

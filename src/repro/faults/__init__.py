@@ -1,5 +1,5 @@
 """Fault injection: crash and Byzantine behaviors for experiments."""
 
-from .behaviors import apply_behavior, parse_behavior
+from .behaviors import BEHAVIORS, apply_behavior, parse_behavior, resolve_behavior
 
-__all__ = ["apply_behavior", "parse_behavior"]
+__all__ = ["BEHAVIORS", "apply_behavior", "parse_behavior", "resolve_behavior"]

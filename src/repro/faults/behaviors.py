@@ -4,6 +4,9 @@ A behavior is applied to a replica at cluster-assembly time by name.
 Names accept an optional ``@time`` suffix (e.g. ``crash@2.5``) for
 behaviors that trigger at a simulated instant, or an ``@t1:t2`` range
 for behaviors spanning an interval (e.g. ``crash-recover@2.0:5.0``).
+Everything a name means — how it is applied on each protocol, which
+``@`` shape it takes, what it needs of the run, whether the replica
+stays honest or restarts — is its row in :data:`BEHAVIORS`.
 
 Available behaviors:
 
@@ -72,19 +75,19 @@ Available behaviors:
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..baselines.hotstuff import HotStuffReplica
-from ..baselines.pbft import PREPARE_PHASE, PBFTReplica
-from ..baselines.sync_hotstuff import SyncHotStuffReplica
+from ..baselines.pbft import PREPARE_PHASE
+from ..config import ProtocolConfig
 from ..consensus.replica import BaseReplica
-from ..core.protocol import AlterBFTReplica
+from ..core.protocol import ACTIVE
 from ..errors import ConfigError
 from ..net.simnet import SimNetwork
 from ..sim.scheduler import Scheduler
 from ..types.block import Block, make_block
-from ..types.certificates import QuorumCertificate, Vote
+from ..types.certificates import Vote
 from ..types.messages import (
     ChunkResponseMsg,
     ChunkShareMsg,
@@ -98,8 +101,9 @@ from ..types.messages import (
     VoteMsg,
 )
 
-#: Behavior application signature.
-Behavior = Callable[[BaseReplica, SimNetwork, Scheduler], None]
+#: How a behavior is applied: ``(replica, network, scheduler, when)``,
+#: ``when`` being what :func:`parse_behavior` made of the ``@`` suffix.
+Applier = Callable[[BaseReplica, SimNetwork, Scheduler, object], None]
 
 
 def parse_behavior(spec: str) -> Tuple[str, object]:
@@ -129,61 +133,65 @@ def parse_behavior(spec: str) -> Tuple[str, object]:
         raise ConfigError(f"bad behavior time in {spec!r}") from None
 
 
+#: The ``@`` shapes a behavior can take (the ``shape`` column).
+NO_TIME, INSTANT, RANGE = "none", "instant", "range"
+
+
+@dataclasses.dataclass(frozen=True)
+class Behavior:
+    """One row of :data:`BEHAVIORS` — everything a fault name means.
+
+    Attributes:
+        apply: protocol name → how the behavior is applied there; a
+            protocol without an entry does not support it.
+        shape: the ``@`` suffix it takes — :data:`NO_TIME`, an optional
+            :data:`INSTANT`, or a required ``t1:t2`` :data:`RANGE`.
+        needs_flag: a ``ProtocolConfig`` boolean that must be on.
+        honest: the replica stays honest: its ledger is safety-checked
+            and it keeps receiving workload.
+        restarts: the replica restarts mid-run, so every peer must carry
+            the recovery subsystem that serves a rejoiner.
+    """
+
+    apply: Mapping[str, Applier]
+    shape: str = NO_TIME
+    needs_flag: str = ""
+    honest: bool = False
+    restarts: bool = False
+
+
+def resolve_behavior(spec: str, protocol: str, pconf: ProtocolConfig) -> Tuple[Behavior, object]:
+    """``spec``'s row and parsed ``@`` suffix, for a run of ``protocol``
+    under ``pconf`` — or the :class:`ConfigError` saying why that run
+    cannot carry it.  ``ExperimentConfig.validate()`` calls this for
+    every fault, so a bad one fails before anything is built."""
+    name, when = parse_behavior(spec)
+    row = BEHAVIORS.get(name)
+    if row is None:
+        raise ConfigError(f"unknown fault behavior {name!r}")
+    ranged = isinstance(when, tuple)
+    if row.shape == RANGE and not ranged:
+        raise ConfigError(f"{name} needs a t1:t2 range, e.g. {name}@1.5:3.0: {spec!r}")
+    if row.shape == INSTANT and ranged:
+        raise ConfigError(f"{name} takes a single time, not a range: {spec!r}")
+    if row.shape == NO_TIME and when is not None:
+        raise ConfigError(f"{name} takes no @time: {spec!r}")
+    if protocol not in row.apply:
+        raise ConfigError(f"{name} is only supported on {sorted(row.apply)}, got {protocol!r}")
+    if row.needs_flag and not getattr(pconf, row.needs_flag):
+        raise ConfigError(f"{name} requires ProtocolConfig.{row.needs_flag}")
+    return row, when
+
+
 def apply_behavior(
     spec: str, replica: BaseReplica, network: SimNetwork, scheduler: Scheduler
 ) -> None:
-    """Apply the named behavior to ``replica``."""
-    name, when = parse_behavior(spec)
-    if name == "crash":
-        if isinstance(when, tuple):
-            raise ConfigError(f"crash takes a single time, not a range: {spec!r}")
-        _apply_crash(replica, network, scheduler, when or 0.0)
-    elif name == "crash-recover":
-        if not isinstance(when, tuple):
-            raise ConfigError(
-                f"crash-recover needs a t_down:t_up range, e.g. crash-recover@2.0:5.0: {spec!r}"
-            )
-        _apply_crash_recover(replica, network, scheduler, when)
-    elif name == "silent":
-        _apply_silent(replica)
-    elif name == "equivocate":
-        if isinstance(replica, AlterBFTReplica):
-            _apply_equivocate(replica)
-        elif isinstance(replica, HotStuffReplica):
-            _apply_equivocate_hotstuff(replica)
-        elif isinstance(replica, PBFTReplica):
-            _apply_equivocate_pbft(replica)
-        else:
-            raise ConfigError(
-                f"equivocate behavior not supported for {type(replica).__name__}"
-            )
-    elif name == "equivocate-inflight":
-        _apply_equivocate_inflight(replica)
-    elif name == "withhold-suffix":
-        _apply_withhold_suffix(replica)
-    elif name == "withhold_payload":
-        if isinstance(replica, SyncHotStuffReplica) or not isinstance(
-            replica, AlterBFTReplica
-        ):
-            _apply_withhold_proposals(replica, network)
-        else:
-            _apply_withhold_payload(replica)
-    elif name == "withhold_chunks":
-        _apply_withhold_chunks(replica, network)
-    elif name == "corrupt_chunk":
-        _apply_corrupt_chunk(replica)
-    elif name == "bad-vote":
-        _apply_bad_vote(replica)
-    elif name == "delay_send":
-        _apply_delay_send(replica, scheduler)
-    elif name == "slow-link":
-        if not isinstance(when, tuple):
-            raise ConfigError(
-                f"slow-link needs a t1:t2 range, e.g. slow-link@1.5:3.0: {spec!r}"
-            )
-        _apply_slow_link(replica, network, scheduler, when)
-    else:
-        raise ConfigError(f"unknown fault behavior {name!r}")
+    """Apply the named behavior to ``replica``: parse ``spec``, look its
+    row up in :data:`BEHAVIORS` (:func:`resolve_behavior` — the same
+    checks ``ExperimentConfig.validate()`` runs), call the row's applier
+    for the replica's protocol."""
+    row, when = resolve_behavior(spec, replica.protocol_name, replica.config)
+    row.apply[replica.protocol_name](replica, network, scheduler, when)
 
 
 # ----------------------------------------------------------------------
@@ -192,13 +200,13 @@ def apply_behavior(
 
 
 def _apply_crash(
-    replica: BaseReplica, network: SimNetwork, scheduler: Scheduler, when: float
+    replica: BaseReplica, network: SimNetwork, scheduler: Scheduler, when: Optional[float]
 ) -> None:
     def crash() -> None:
         replica.crashed = True
         network.take_down(replica.replica_id)
 
-    if when <= 0:
+    if when is None or when <= 0:
         crash()
     else:
         scheduler.at(when, crash)
@@ -208,7 +216,7 @@ def _apply_crash_recover(
     replica: BaseReplica,
     network: SimNetwork,
     scheduler: Scheduler,
-    window: Tuple[float, float],
+    when: Tuple[float, float],
 ) -> None:
     """Crash at ``t_down``; restart from the WAL + catch up at ``t_up``."""
     manager = replica.subsystems.get("recovery")
@@ -217,7 +225,7 @@ def _apply_crash_recover(
             "crash-recover behavior requires the recovery subsystem, which only "
             "AlterBFT-family replicas carry (runner.registry.attach_subsystems)"
         )
-    t_down, t_up = window
+    t_down, t_up = when
 
     def down() -> None:
         from ..obs.recorder import EVENT_RECOVERY_DOWN
@@ -277,7 +285,7 @@ def _filter_outbound(replica: BaseReplica, send, broadcast) -> None:  # type: ig
     replica.bind = bind  # type: ignore[method-assign]
 
 
-def _apply_silent(replica: BaseReplica) -> None:
+def _apply_silent(replica: BaseReplica, *_: object) -> None:
     """Swallow all outbound traffic (the replica still hears itself)."""
 
     def broadcast(inner, msg: object, include_self: bool) -> None:  # type: ignore[no-untyped-def]
@@ -322,13 +330,57 @@ def _poisoned_variants(
     return variants[0], variants[1]
 
 
-def _apply_equivocate(replica: BaseReplica) -> None:
-    if not isinstance(replica, AlterBFTReplica):
-        raise ConfigError("equivocate behavior requires an AlterBFT-family replica")
+def _split_brain(
+    replica: BaseReplica, block_a: Block, block_b: Block, send_variant: Callable[..., None]
+) -> None:
+    """``send_variant(dst, block)`` for every peer in id order (send
+    order is RNG-draw order): variant A to the lower half of the
+    cluster, variant B to the upper half."""
+    half = (replica.validators.n + 1) // 2
+    for dst in range(replica.validators.n):
+        if dst != replica.replica_id:
+            send_variant(dst, block_a if dst < half else block_b)
 
+
+def _proposal_and_vote(replica: BaseReplica, justify):  # type: ignore[no-untyped-def]
+    """The AlterBFT family's ``send_variant``: the variant's proposal
+    (header + payload, or Sync HotStuff's one combined message), then the
+    Byzantine leader's own vote for it — so either variant can reach a
+    quorum, the attack the header-relay + 2Δ window stops (ablation E10)."""
+    combined = replica.protocol_name == "sync-hotstuff"
+
+    def send_variant(dst: int, block: Block) -> None:
+        signature = replica.sign_proposal(block.block_hash)
+        if combined:
+            replica.send(dst, SHProposalMsg(block=block, signature=signature, justify=justify))
+        else:
+            replica.send(
+                dst,
+                ProposalHeaderMsg(header=block.header, signature=signature, justify=justify),
+            )
+            replica.send(
+                dst,
+                PayloadMsg(
+                    epoch=replica.epoch,
+                    height=block.height,
+                    block_hash=block.block_hash,
+                    payload=block.payload,
+                ),
+            )
+        vote = Vote.create(
+            replica.signer,
+            replica.protocol_name,
+            block.epoch,
+            block.height,
+            block.block_hash,
+        )
+        replica.send(dst, VoteMsg(vote=vote))
+
+    return send_variant
+
+
+def _apply_equivocate(replica: BaseReplica, *_: object) -> None:
     def propose_twice(force: bool = False) -> None:
-        from ..core.protocol import ACTIVE
-
         if replica.state != ACTIVE or not replica.is_leader(replica.epoch):
             return
         justify = replica.high_qc
@@ -336,42 +388,7 @@ def _apply_equivocate(replica: BaseReplica) -> None:
             replica, replica.epoch, justify.height + 1, justify.block_hash
         )
         replica._proposed_in_epoch = True
-        half = (replica.validators.n + 1) // 2
-        combined = replica.protocol_name == "sync-hotstuff"
-        for dst in range(replica.validators.n):
-            if dst == replica.replica_id:
-                continue
-            block = block_a if dst < half else block_b
-            signature = replica.sign_proposal(block.block_hash)
-            if combined:
-                replica.send(
-                    dst, SHProposalMsg(block=block, signature=signature, justify=justify)
-                )
-            else:
-                replica.send(
-                    dst,
-                    ProposalHeaderMsg(header=block.header, signature=signature, justify=justify),
-                )
-                replica.send(
-                    dst,
-                    PayloadMsg(
-                        epoch=replica.epoch,
-                        height=block.height,
-                        block_hash=block.block_hash,
-                        payload=block.payload,
-                    ),
-                )
-            # The Byzantine leader also votes for "its" variant toward each
-            # group, so either variant can reach a quorum — the attack the
-            # header-relay + 2Δ window exists to stop (ablation E10).
-            vote = Vote.create(
-                replica.signer,
-                replica.protocol_name,
-                block.epoch,
-                block.height,
-                block.block_hash,
-            )
-            replica.send(dst, VoteMsg(vote=vote))
+        _split_brain(replica, block_a, block_b, _proposal_and_vote(replica, justify))
         replica.trace("byz_equivocate", epoch=replica.epoch, height=justify.height + 1)
 
     replica._propose_block = propose_twice  # type: ignore[method-assign]
@@ -382,16 +399,7 @@ def _apply_equivocate(replica: BaseReplica) -> None:
 # ----------------------------------------------------------------------
 
 
-def _require_pipelined_alterbft(replica: BaseReplica, behavior: str) -> "AlterBFTReplica":
-    if isinstance(replica, SyncHotStuffReplica) or not isinstance(replica, AlterBFTReplica):
-        raise ConfigError(
-            f"{behavior} behavior requires a pipelined AlterBFT replica, "
-            f"got {type(replica).__name__}"
-        )
-    return replica
-
-
-def _apply_equivocate_inflight(target: BaseReplica) -> None:
+def _apply_equivocate_inflight(replica: BaseReplica, *_: object) -> None:
     """Equivocate on block k+1 while block k's commit window still runs.
 
     The leader proposes honestly until its epoch owns a certificate — so
@@ -403,7 +411,6 @@ def _apply_equivocate_inflight(target: BaseReplica) -> None:
     the resulting blame must cancel every pending commit window of the
     epoch, not just the equivocated height's.
     """
-    replica = _require_pipelined_alterbft(target, "equivocate-inflight")
     original_emit = replica._emit_proposal
     attacked_epochs: set = set()
 
@@ -427,33 +434,7 @@ def _apply_equivocate_inflight(target: BaseReplica) -> None:
         # in-flight accounting (and still stops at the configured depth).
         replica._inflight.append((block_a.height, block_a.block_hash))
         replica._proposed_in_epoch = True
-        half = (replica.validators.n + 1) // 2
-        for dst in range(replica.validators.n):
-            if dst == replica.replica_id:
-                continue
-            block = block_a if dst < half else block_b
-            signature = replica.sign_proposal(block.block_hash)
-            replica.send(
-                dst,
-                ProposalHeaderMsg(header=block.header, signature=signature, justify=justify),
-            )
-            replica.send(
-                dst,
-                PayloadMsg(
-                    epoch=replica.epoch,
-                    height=block.height,
-                    block_hash=block.block_hash,
-                    payload=block.payload,
-                ),
-            )
-            vote = Vote.create(
-                replica.signer,
-                replica.protocol_name,
-                block.epoch,
-                block.height,
-                block.block_hash,
-            )
-            replica.send(dst, VoteMsg(vote=vote))
+        _split_brain(replica, block_a, block_b, _proposal_and_vote(replica, justify))
         replica.trace(
             "byz_equivocate_inflight", epoch=replica.epoch, height=parent_height + 1
         )
@@ -461,7 +442,7 @@ def _apply_equivocate_inflight(target: BaseReplica) -> None:
     replica._emit_proposal = emit  # type: ignore[method-assign]
 
 
-def _apply_withhold_suffix(target: BaseReplica) -> None:
+def _apply_withhold_suffix(replica: BaseReplica, *_: object) -> None:
     """Certify a prefix, then withhold the streamed suffix entirely.
 
     The leader proposes honestly until its epoch owns a certificate,
@@ -471,7 +452,6 @@ def _apply_withhold_suffix(target: BaseReplica) -> None:
     change (it commits — nothing conflicts with it), and the withheld
     transactions must be re-proposed by a later leader.
     """
-    replica = _require_pipelined_alterbft(target, "withhold-suffix")
     original_emit = replica._emit_proposal
 
     def emit() -> None:
@@ -510,13 +490,8 @@ def _apply_withhold_suffix(target: BaseReplica) -> None:
 # ----------------------------------------------------------------------
 
 
-def _apply_withhold_payload(replica: BaseReplica) -> None:
-    if not isinstance(replica, AlterBFTReplica):
-        raise ConfigError("withhold_payload behavior requires an AlterBFT replica")
-
+def _apply_withhold_payload(replica: BaseReplica, *_: object) -> None:
     def propose_header_only(force: bool = False) -> None:
-        from ..core.protocol import ACTIVE
-
         if replica.state != ACTIVE or not replica.is_leader(replica.epoch):
             return
         justify = replica.high_qc
@@ -549,16 +524,7 @@ def _apply_withhold_payload(replica: BaseReplica) -> None:
 # ----------------------------------------------------------------------
 
 
-def _require_dissem(replica: BaseReplica, behavior: str) -> BaseReplica:
-    if replica.subsystems.get("dissem") is None:
-        raise ConfigError(
-            f"{behavior} behavior requires an AlterBFT replica running "
-            f"ProtocolConfig.dissemination, got {type(replica).__name__}"
-        )
-    return replica
-
-
-def _apply_withhold_chunks(target: BaseReplica, network: SimNetwork) -> None:
+def _apply_withhold_chunks(replica: BaseReplica, network: SimNetwork, *_: object) -> None:
     """Ship fewer chunk shares than the reconstruction threshold.
 
     The leader's dissemination runs normally but the network filter lets
@@ -569,7 +535,6 @@ def _apply_withhold_chunks(target: BaseReplica, network: SimNetwork) -> None:
     amount of pulling reconstructs: the negative control.  Liveness must
     come from the epoch change.
     """
-    replica = _require_dissem(target, "withhold_chunks")
     faulty_id = replica.replica_id
     budget = replica.config.f
     shipped: Dict[bytes, int] = {}
@@ -588,7 +553,7 @@ def _apply_withhold_chunks(target: BaseReplica, network: SimNetwork) -> None:
     network.add_filter(suppress)
 
 
-def _apply_corrupt_chunk(target: BaseReplica) -> None:
+def _apply_corrupt_chunk(replica: BaseReplica, *_: object) -> None:
     """Bit-flip the one share pushed to a single victim replica.
 
     A gray fault: the leader is honest on every link except the victim's
@@ -597,9 +562,6 @@ def _apply_corrupt_chunk(target: BaseReplica) -> None:
     the victim's share set) and the victim must reconstruct entirely
     from peer pulls — commit latency barely moves and no epoch changes.
     """
-    import dataclasses
-
-    replica = _require_dissem(target, "corrupt_chunk")
     victim = 0 if replica.replica_id != 0 else 1
 
     def send(inner, dst: int, msg: object) -> None:  # type: ignore[no-untyped-def]
@@ -618,7 +580,7 @@ def _apply_corrupt_chunk(target: BaseReplica) -> None:
 # ----------------------------------------------------------------------
 
 
-def _apply_equivocate_hotstuff(replica: HotStuffReplica) -> None:
+def _apply_equivocate_hotstuff(replica: BaseReplica, *_: object) -> None:
     """Byzantine HotStuff leader: two conflicting proposals per led view.
 
     Variant A goes to the lower half of the cluster, variant B to the
@@ -637,11 +599,8 @@ def _apply_equivocate_hotstuff(replica: HotStuffReplica) -> None:
             replica, replica.view, justify.height + 1, justify.block_hash
         )
         replica._proposed_views.add(replica.view)
-        half = (replica.validators.n + 1) // 2
-        for dst in range(replica.validators.n):
-            if dst == replica.replica_id:
-                continue
-            block = block_a if dst < half else block_b
+
+        def send_variant(dst: int, block: Block) -> None:
             replica.send(
                 dst,
                 HSProposalMsg(
@@ -650,6 +609,8 @@ def _apply_equivocate_hotstuff(replica: HotStuffReplica) -> None:
                     justify=justify,
                 ),
             )
+
+        _split_brain(replica, block_a, block_b, send_variant)
         next_leader = replica.validators.leader_of(replica.view + 1)
         if next_leader != replica.replica_id:
             for block in (block_a, block_b):
@@ -666,7 +627,7 @@ def _apply_equivocate_hotstuff(replica: HotStuffReplica) -> None:
     replica._propose = propose_twice  # type: ignore[method-assign]
 
 
-def _apply_equivocate_pbft(replica: PBFTReplica) -> None:
+def _apply_equivocate_pbft(replica: BaseReplica, *_: object) -> None:
     """Byzantine PBFT leader: two conflicting pre-prepares per sequence.
 
     The leader accepts variant A locally (so its own pipeline keeps
@@ -683,11 +644,8 @@ def _apply_equivocate_pbft(replica: PBFTReplica) -> None:
         block_a, block_b = _poisoned_variants(replica, replica.view, seq, tip_hash)
         replica._accepted.setdefault(replica.view, {})[seq] = block_a
         replica.store.add_block(block_a)
-        half = (replica.validators.n + 1) // 2
-        for dst in range(replica.validators.n):
-            if dst == replica.replica_id:
-                continue
-            block = block_a if dst < half else block_b
+
+        def send_variant(dst: int, block: Block) -> None:
             replica.send(
                 dst,
                 PBFTPrePrepareMsg(
@@ -697,6 +655,8 @@ def _apply_equivocate_pbft(replica: PBFTReplica) -> None:
                     signature=replica.sign_proposal(block.block_hash),
                 ),
             )
+
+        _split_brain(replica, block_a, block_b, send_variant)
         for block in (block_a, block_b):
             vote = Vote.create(
                 replica.signer,
@@ -729,7 +689,7 @@ _WITHHOLDABLE_TYPES = (
 )
 
 
-def _apply_withhold_proposals(replica: BaseReplica, network: SimNetwork) -> None:
+def _apply_withhold_proposals(replica: BaseReplica, network: SimNetwork, *_: object) -> None:
     faulty_id = replica.replica_id
 
     def suppress(src: int, dst: int, msg: object, size: int) -> bool:
@@ -743,7 +703,9 @@ def _apply_withhold_proposals(replica: BaseReplica, network: SimNetwork) -> None
 # ----------------------------------------------------------------------
 
 
-def _apply_delay_send(replica: BaseReplica, scheduler: Scheduler) -> None:
+def _apply_delay_send(
+    replica: BaseReplica, network: SimNetwork, scheduler: Scheduler, *_: object
+) -> None:
     delay = replica.config.delta * 0.5  # hold each message half a Δ
     _filter_outbound(
         replica,
@@ -759,7 +721,7 @@ def _apply_delay_send(replica: BaseReplica, scheduler: Scheduler) -> None:
 # ----------------------------------------------------------------------
 
 
-def _apply_bad_vote(replica: BaseReplica) -> None:
+def _apply_bad_vote(replica: BaseReplica, *_: object) -> None:
     """Byzantine voter: every outbound vote carries a corrupted signature.
 
     The vote is otherwise well-formed (valid voter id, right length), so
@@ -768,7 +730,6 @@ def _apply_bad_vote(replica: BaseReplica) -> None:
     bisect to attribute the corruption — exactly the adversarial case the
     bisection path exists for.
     """
-    import dataclasses
 
     def corrupt(msg: object) -> object:
         if isinstance(msg, VoteMsg):
@@ -799,7 +760,7 @@ def _apply_slow_link(
     replica: BaseReplica,
     network: SimNetwork,
     scheduler: Scheduler,
-    window: Tuple[float, float],
+    when: Tuple[float, float],
 ) -> None:
     """Inflate the replica's outbound small-message delays past Δ.
 
@@ -810,7 +771,7 @@ def _apply_slow_link(
     private RNG so installing the behavior never perturbs the delay
     model's own RNG stream.
     """
-    t1, t2 = window
+    t1, t2 = when
     target = replica.replica_id
     delta = replica.config.delta
     threshold = network.priority_threshold
@@ -828,3 +789,42 @@ def _apply_slow_link(
         return max(delay, delta * rng.uniform(SLOW_LINK_FACTOR_LOW, SLOW_LINK_FACTOR_HIGH))
 
     network.add_delay_policy(inflate)
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+_FAMILY = ("alterbft", "sync-hotstuff")
+_ALL = _FAMILY + ("hotstuff", "pbft")
+
+#: Every fault behavior by name (see :class:`Behavior` for the columns,
+#: the module docstring for what each one does).
+BEHAVIORS: Dict[str, Behavior] = {
+    "crash": Behavior(dict.fromkeys(_ALL, _apply_crash), shape=INSTANT),
+    # Only the AlterBFT family carries the recovery subsystem.
+    "crash-recover": Behavior(
+        dict.fromkeys(_FAMILY, _apply_crash_recover), shape=RANGE, restarts=True
+    ),
+    "silent": Behavior(dict.fromkeys(_ALL, _apply_silent)),
+    "equivocate": Behavior(
+        {
+            **dict.fromkeys(_FAMILY, _apply_equivocate),
+            "hotstuff": _apply_equivocate_hotstuff,
+            "pbft": _apply_equivocate_pbft,
+        }
+    ),
+    # Sync HotStuff's proposal is one combined message: there is no
+    # header to send alone, so it withholds the way HotStuff and PBFT do.
+    "withhold_payload": Behavior(
+        {**dict.fromkeys(_ALL, _apply_withhold_proposals), "alterbft": _apply_withhold_payload}
+    ),
+    "withhold_chunks": Behavior({"alterbft": _apply_withhold_chunks}, needs_flag="dissemination"),
+    "corrupt_chunk": Behavior({"alterbft": _apply_corrupt_chunk}, needs_flag="dissemination"),
+    "bad-vote": Behavior(dict.fromkeys(_ALL, _apply_bad_vote)),
+    # The chained leader these two attack exists on AlterBFT only.
+    "equivocate-inflight": Behavior({"alterbft": _apply_equivocate_inflight}),
+    "withhold-suffix": Behavior({"alterbft": _apply_withhold_suffix}),
+    "delay_send": Behavior(dict.fromkeys(_ALL, _apply_delay_send)),
+    "slow-link": Behavior(dict.fromkeys(_ALL, _apply_slow_link), shape=RANGE, honest=True),
+}

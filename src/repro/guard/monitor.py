@@ -65,6 +65,26 @@ RETRO_FLAG_WINDOW_DELTAS = 4.0
 #: Violations kept for sustained-violation accounting.
 VIOLATION_LOG = 256
 
+# The estimator's tuning.  Constants, not ``ProtocolConfig`` fields:
+# every run, test and benchmark has used exactly these values.
+
+#: Recent small-message delay samples kept in the rolling tail estimator.
+WINDOW = 64
+#: Violations within the recent window before a suspicion counts as
+#: *sustained* and an upward ``DeltaAdjust`` is proposed.
+VIOLATION_THRESHOLD = 3
+#: Tail percentile of the rolling window used when recommending a
+#: re-calibrated Δ (mirrors ``measure.calibration``).
+QUANTILE = 99.0
+#: Safety margin multiplied onto the tail estimate (>= 1).
+MARGIN = 1.25
+#: Cap on the Δ ladder: effective Δ is ``delta * 2**rung``,
+#: ``0 <= rung <= MAX_RUNG``.
+MAX_RUNG = 4
+#: Seconds without a single violation before the suspicion clears and a
+#: *shrink* back down the ladder may be proposed.
+STABLE_WINDOW = 1.0
+
 
 @dataclass(frozen=True)
 class DeltaViolation:
@@ -109,11 +129,11 @@ class SynchronyMonitor:
         self.small_threshold = small_threshold
         self.base_delta: float = config.delta
         self.probe_interval: float = config.guard_probe_interval
-        self.violation_threshold: int = config.guard_violation_threshold
-        self.quantile: float = config.guard_quantile
-        self.margin: float = config.guard_margin
-        self.max_rung: int = config.guard_max_rung
-        self.stable_window: float = config.guard_stable_window
+        self.violation_threshold: int = VIOLATION_THRESHOLD
+        self.quantile: float = QUANTILE
+        self.margin: float = MARGIN
+        self.max_rung: int = MAX_RUNG
+        self.stable_window: float = STABLE_WINDOW
 
         #: Current position on the Δ ladder; effective Δ = base * 2**rung.
         self.rung = 0
@@ -122,7 +142,7 @@ class SynchronyMonitor:
         #: (install time, effective Δ) pairs, starting with the base bound.
         self.delta_history: List[Tuple[float, float]] = [(0.0, self.base_delta)]
         #: Rolling tail estimate over observed small-message delays.
-        self.tail = RollingTail(config.guard_window, config.guard_quantile)
+        self.tail = RollingTail(WINDOW, QUANTILE)
         self.violations: Deque[DeltaViolation] = deque(maxlen=VIOLATION_LOG)
         self.violation_count = 0
         self.samples_seen = 0

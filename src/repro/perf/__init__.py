@@ -15,7 +15,7 @@ package's.
 
 from .timing import BenchResult, measure, measure_rate
 from .compare import CompareOutcome, compare_results, load_baseline
-from .suite import run_suite
+from .micro import run_micro as run_suite
 
 __all__ = [
     "BenchResult",

@@ -17,7 +17,7 @@ import sys
 from typing import List
 
 from .compare import DEFAULT_THRESHOLD, compare_results, load_baseline, results_document
-from .suite import run_suite
+from .micro import run_micro as run_suite
 from .timing import BenchResult
 
 

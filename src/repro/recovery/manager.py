@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..config import CATCHUP_RETRY
 from ..crypto.hashing import Digest, sha256
 from ..errors import VerificationError
 from ..types.block import Block, BlockHeader
@@ -94,7 +95,7 @@ class RecoveryManager:
         # response itself is eventually timely, so rotating providers
         # (rather than waiting forever on one) is what preserves
         # liveness under withholding.
-        self.retry_timeout = max(replica.config.catchup_retry, 3 * replica.config.delta)
+        self.retry_timeout = max(CATCHUP_RETRY, 3 * replica.config.delta)
         #: Highest checkpoint certificate known (served to rejoiners).
         self.latest_cert: Optional[Certificate] = None
         # Vote aggregation: (height, block_hash, digest) → voter → vote.

@@ -7,52 +7,124 @@ Subcommands:
   :mod:`repro.bench`).
 * ``probe`` — the cloud delay characterization, printed as a table.
 * ``check`` — the verification sweep (delegates to :mod:`repro.check`).
+
+:func:`add_scenario_arguments` / :func:`config_from_args` are the one
+place a command line becomes an :class:`~repro.config.ExperimentConfig`;
+``python -m repro.obs record`` builds its run through the same pair.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from ..bench.common import make_config
 from ..bench.suite import render_experiments_md, run_suite
-from ..config import ExperimentConfig, NetworkConfig, WorkloadConfig
+from ..config import ExperimentConfig, NetworkConfig
 from ..measure.probe import DEFAULT_PROBE_SIZES, sample_delay_model
 from ..measure.stats import LatencySummary
 from ..net.delay import HybridCloudDelayModel
-from .experiment import run_experiment, standard_protocol_config
+from .experiment import run_experiment
 from .registry import protocol_names
 from .report import bandwidth_breakdown_table, format_table, phase_breakdown_table
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    network = NetworkConfig()
-    model = HybridCloudDelayModel(network)
-    pconf = standard_protocol_config(
+def _parse_fault(spec: str) -> Tuple[int, str]:
+    """``REPLICA:BEHAVIOR`` → (replica_id, behavior spec)."""
+    replica_part, sep, behavior = spec.partition(":")
+    try:
+        replica_id = int(replica_part)
+    except ValueError:
+        sep = ""
+    if not sep or not behavior:
+        raise argparse.ArgumentTypeError(
+            f"bad fault {spec!r}: want REPLICA:BEHAVIOR, e.g. 1:crash-recover@1.0:3.0"
+        )
+    return replica_id, behavior
+
+
+def add_scenario_arguments(
+    parser: argparse.ArgumentParser, rate: float, duration: float, seed: int
+) -> None:
+    """The options that describe a run, with the command's own defaults
+    for the three it may differ in.  The command names the protocol
+    itself (``args.protocol``) and may add ``--tx-size``, ``--max-batch``
+    and ``--warmup``; left out, they run at the values set here."""
+    parser.set_defaults(tx_size=512, max_batch=400, warmup=None)
+    parser.add_argument("--f", type=int, default=1, help="fault budget")
+    parser.add_argument("--rate", type=float, default=rate, help="offered tps (0 = saturation)")
+    parser.add_argument("--duration", type=float, default=duration)
+    parser.add_argument("--seed", type=int, default=seed)
+    parser.add_argument(
+        "--fault",
+        action="append",
+        default=[],
+        type=_parse_fault,
+        metavar="REPLICA:BEHAVIOR",
+        help="inject a fault, e.g. 1:crash-recover@1.0:3.0 (repeatable)",
+    )
+    parser.add_argument(
+        "--checkpoint-interval",
+        type=int,
+        default=0,
+        metavar="K",
+        help="checkpoint every K committed blocks (0 = off)",
+    )
+    parser.add_argument(
+        "--guard",
+        action="store_true",
+        help="attach the synchrony guard (repro.guard) to every replica",
+    )
+    parser.add_argument(
+        "--pipeline-depth",
+        type=int,
+        default=1,
+        metavar="D",
+        help="chained-leader window size (alterbft only; default 1 = classic)",
+    )
+    parser.add_argument(
+        "--dissemination",
+        action="store_true",
+        help="disseminate payloads as erasure-coded chunk shares (alterbft only)",
+    )
+    parser.add_argument(
+        "--wire",
+        action="store_true",
+        help="also run the wire-byte accountant (per-class/phase/link byte attribution)",
+    )
+
+
+def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The run a parser built with :func:`add_scenario_arguments` describes.
+    Warm-up defaults to a second, or a quarter of a shorter run."""
+    warmup = min(1.0, args.duration / 4) if args.warmup is None else args.warmup
+    return make_config(
         args.protocol,
         f=args.f,
-        delta_small=model.small_message_bound(),
-        delta_big=model.worst_case_bound(args.max_batch * (args.tx_size + 40)),
+        rate=args.rate if args.rate > 0 else None,
+        tx_size=args.tx_size,
         max_batch=args.max_batch,
-    )
-    config = ExperimentConfig(
-        protocol=args.protocol,
-        protocol_config=pconf,
-        network_config=network,
-        workload=WorkloadConfig(
-            rate=args.rate if args.rate > 0 else None,
-            duration=max(args.duration - args.warmup, 1.0),
-            tx_size=args.tx_size,
-        ),
+        duration=args.duration,
+        warmup=warmup,
         seed=args.seed,
-        max_sim_time=args.duration,
-        warmup=args.warmup,
-        faults=tuple((int(i), b) for i, _, b in
-                     (s.partition(":") for s in args.fault)),
+        faults=tuple(args.fault),
+        wire_accounting=args.wire,
+        checkpoint_interval=args.checkpoint_interval,
+        guard_enabled=args.guard,
+        pipeline_depth=args.pipeline_depth,
+        dissemination=args.dissemination,
+    )
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    config = dataclasses.replace(
+        config_from_args(args),
         observability=args.obs,
         # --obs means "show me where the time AND the bytes went": the
         # wire accountant rides along with the span recorder.
-        wire_accounting=args.obs,
+        wire_accounting=args.obs or args.wire,
     )
     result = run_experiment(config)
     print(format_table([result.row()]))
@@ -105,20 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run one simulated experiment")
     run_p.add_argument("protocol", choices=protocol_names())
-    run_p.add_argument("--f", type=int, default=1, help="fault budget")
-    run_p.add_argument("--rate", type=float, default=1000.0, help="offered tps (0 = saturation)")
+    add_scenario_arguments(run_p, rate=1000.0, duration=10.0, seed=1)
     run_p.add_argument("--tx-size", type=int, default=512)
     run_p.add_argument("--max-batch", type=int, default=400)
-    run_p.add_argument("--duration", type=float, default=10.0)
     run_p.add_argument("--warmup", type=float, default=1.0)
-    run_p.add_argument("--seed", type=int, default=1)
-    run_p.add_argument(
-        "--fault",
-        action="append",
-        default=[],
-        metavar="ID:BEHAVIOR",
-        help="e.g. 1:crash@3.0 (repeatable)",
-    )
     run_p.add_argument(
         "--obs",
         action="store_true",

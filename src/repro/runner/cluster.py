@@ -15,7 +15,7 @@ from ..config import ExperimentConfig
 from ..consensus.context import SimContext
 from ..consensus.replica import BaseReplica
 from ..crypto.keystore import build_cluster_keys
-from ..faults.behaviors import apply_behavior, parse_behavior
+from ..faults.behaviors import apply_behavior, resolve_behavior
 from ..mempool.mempool import Mempool
 from ..mempool.workload import WorkloadGenerator
 from ..net.delay import DelayModel, HybridCloudDelayModel, WanDelayModel
@@ -116,21 +116,16 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
     replica_cls = replica_class_for(config.protocol)
 
     faulty: Dict[int, str] = dict(config.faults)
-    # A slow-link replica is *honest*: the gray failure degrades its
-    # uplink, not its behavior.  It keeps receiving workload and its
-    # ledger stays subject to the safety checks — exactly the point of
-    # the failure mode (an honest replica whose messages violate Δ).
-    honest_ids = {
-        i
-        for i in range(pconf.n)
-        if i not in faulty or parse_behavior(faulty[i])[0] == "slow-link"
-    }
+    rows = {i: resolve_behavior(spec, config.protocol, pconf)[0] for i, spec in faulty.items()}
+    # A gray failure degrades a replica's uplink, not its behavior: the
+    # replica is *honest*, keeps receiving workload, and its ledger
+    # stays subject to the safety checks — the point of the failure mode
+    # (an honest replica whose messages violate Δ).
+    honest_ids = {i for i in range(pconf.n) if i not in rows or rows[i].honest}
     collector = MetricsCollector(warmup=config.warmup, honest_ids=honest_ids)
 
-    # A crash-recover fault restarts a replica, checkpointing or not.
-    restartable = any(
-        parse_behavior(spec)[0] == "crash-recover" for spec in faulty.values()
-    )
+    # A fault that restarts a replica does so checkpointing or not.
+    restartable = any(row.restarts for row in rows.values())
 
     replicas: List[BaseReplica] = []
     for replica_id in range(pconf.n):

@@ -25,7 +25,7 @@ from repro.check import (
     run_scenario,
     run_sweep,
 )
-from repro.check.scenarios import build_config, default_grid
+from repro.check.scenarios import FAMILIES, SWEPT, build_config, grid
 from repro.consensus.ledger import Ledger
 from repro.errors import ConfigError
 from repro.runner.cluster import build_cluster
@@ -265,18 +265,18 @@ class TestScenarios:
         assert scenario.scenario_id in replay_command(scenario)
 
     def test_default_grid_clears_acceptance_floor(self):
-        grid = default_grid()
-        assert len(grid) >= 200
-        assert len(set(s.scenario_id for s in grid)) == len(grid)
+        scenarios = grid(families=("main",))
+        assert len(scenarios) >= 200
+        assert len(set(s.scenario_id for s in scenarios)) == len(scenarios)
 
     def test_slow_link_id_roundtrip(self):
         scenario = Scenario("alterbft", "slow-link", "calibrated", 3)
         assert parse_scenario_id(scenario.scenario_id) == scenario
 
     def test_grid_includes_slow_link(self):
-        grid = default_grid(seeds_per_combo=1)
-        assert len(grid) == 48  # 2 protocols x 8 behaviors x 3 profiles
-        assert any(s.behavior == "slow-link" for s in grid)
+        scenarios = grid(families=("main",), seeds=1)
+        assert len(scenarios) == 48  # 2 protocols x 8 behaviors x 3 profiles
+        assert any(s.behavior == "slow-link" for s in scenarios)
 
     def test_slow_link_config_enables_guard(self):
         config = build_config(Scenario("alterbft", "slow-link", "calibrated", 1))
@@ -284,8 +284,117 @@ class TestScenarios:
         assert config.faults and "slow-link@" in config.faults[0][1]
 
     def test_configs_validate(self):
-        for scenario in default_grid(seeds_per_combo=1):
+        for scenario in grid(families=("main",), seeds=1):
             build_config(scenario).validate()
+
+
+#: ``python -m repro.check ARGS --list`` at the commit before the three
+#: generators became one table walk: (args, lines, sha256 of the output).
+PARENT_LISTS = [
+    ("", 492, "d097afe1306e333d9ca1c6ad18027b2691b942570540be44d13610f9e8cbd5a9"),
+    ("--smoke", 116, "ac765aeb89423aae322686f296773f9e62ee91e57de62a30c484b222ae2272a8"),
+    # CI's four other invocations, in their --family spelling.
+    (
+        "--behaviors bad-vote --seeds 2",
+        24,
+        "03b41aaad57791f79ffc86e07330bf0ff1d99fa3d6602eacfea82cd76650553a",
+    ),
+    (
+        "--family pipelined --depths 4 --seeds 1",
+        30,
+        "1dbef8bce3f67ba23167b78bd7ae964898471b411f04b92dc060c0aee335f391",
+    ),
+    (
+        "--family dissem --seeds 1",
+        18,
+        "db427a2eb9da2ebe104e3053bcf44c4329dae649e91c9a6ec6f4403c8024d4c1",
+    ),
+    (
+        "--behaviors slow-link --seeds 2",
+        24,
+        "85ea83d81a7055a99cd5ccf8ced7c6014e9791aa14879a8508d7dbdc7271ca07",
+    ),
+]
+
+#: The three hand-kept name tuples the families replaced, in their order.
+PARENT_BEHAVIORS = (
+    "none",
+    "crash",
+    "crash-recover",
+    "equivocate",
+    "withhold_payload",
+    "delay_send",
+    "slow-link",
+    "bad-vote",
+)
+PARENT_FAMILY_BEHAVIORS = {
+    "main": PARENT_BEHAVIORS,
+    "pipelined": PARENT_BEHAVIORS + ("equivocate-inflight", "withhold-suffix"),
+    "dissem": ("none", "withhold_chunks", "corrupt_chunk"),
+}
+
+#: Fault behaviors no family sweeps, on purpose: ``silent`` is covered by
+#: the integration and property tests, not the adversarial grid.
+NOT_SWEPT = {"silent"}
+
+
+class TestTables:
+    @pytest.mark.parametrize("args,lines,digest", PARENT_LISTS)
+    def test_list_output_is_the_parents(self, args, lines, digest, capsys):
+        import hashlib
+
+        from repro.check import main
+
+        assert main(args.split() + ["--list"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_families_keep_the_parents_behaviors_in_order(self):
+        assert list(FAMILIES) == ["main", "pipelined", "dissem"]
+        for name, family in FAMILIES.items():
+            assert family.behaviors == PARENT_FAMILY_BEHAVIORS[name]
+
+    def test_every_fault_behavior_is_swept_or_excused(self):
+        from repro.faults import BEHAVIORS
+
+        swept = {b for family in FAMILIES.values() for b in family.behaviors}
+        assert swept - {"none"} <= set(BEHAVIORS)
+        assert set(BEHAVIORS) - swept == NOT_SWEPT
+        assert set(SWEPT) <= swept
+
+    def test_unknown_family_is_a_usage_error(self, capsys):
+        from repro.check import main
+
+        assert main(["--family", "nope", "--list"]) == 2
+        assert "unknown family 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "protocol,fault",
+        [
+            ("alterbft", "teleport"),
+            ("alterbft", "crash@1:2"),
+            ("alterbft", "slow-link"),
+            ("alterbft", "slow-link@1.0"),
+            ("alterbft", "silent@1.0"),
+            ("alterbft", "withhold_chunks"),
+            ("sync-hotstuff", "equivocate-inflight"),
+            ("hotstuff", "crash-recover@1.0:2.0"),
+        ],
+    )
+    def test_a_fault_the_run_cannot_carry_fails_at_validate(self, protocol, fault):
+        from repro.bench.common import make_config
+
+        config = make_config(protocol, duration=3.0, faults=((1, fault),))
+        with pytest.raises(ConfigError):
+            config.validate()
+
+    def test_the_flag_a_fault_needs_makes_it_valid(self):
+        from repro.bench.common import make_config
+
+        make_config(
+            "alterbft", duration=3.0, faults=((1, "withhold_chunks"),), dissemination=True
+        ).validate()
 
 
 class TestSweep:
@@ -336,7 +445,6 @@ class TestSweep:
 
     @pytest.mark.slow
     def test_mini_sweep_all_combos_clean(self):
-        grid = default_grid(seeds_per_combo=1)
-        results = run_sweep(grid, jobs=1, progress=False)
+        results = run_sweep(grid(families=("main",), seeds=1), jobs=1, progress=False)
         failing = [r.scenario.scenario_id for r in results if not r.ok]
         assert failing == []

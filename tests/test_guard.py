@@ -15,7 +15,7 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.errors import VerificationError
-from repro.guard.monitor import CommitRecord
+from repro.guard.monitor import MAX_RUNG, STABLE_WINDOW, CommitRecord
 from repro.runner.cluster import build_cluster, check_safety
 from repro.runner.registry import attach_subsystems
 from repro.types.certificates import Certificate, DeltaAdjust, DeltaAdjustCertificate
@@ -120,7 +120,7 @@ class TestMonitorMeasurement:
         replica, ctx, _ = guarded_replica()
         guard = replica.subsystems["guard"]
         guard.on_network_delay(1, "m", size=100, latency=DELTA * 2)
-        ctx.advance(replica.config.guard_stable_window + 0.01)
+        ctx.advance(STABLE_WINDOW + 0.01)
         guard._maintain(ctx.now)
         assert not guard.suspected
 
@@ -218,7 +218,7 @@ class TestMonitorRecalibration:
         stale = DeltaAdjust.create(signers[1], "alterbft", seq=5, rung=1)
         guard.on_delta_adjust(1, DeltaAdjustMsg(adjust=stale))
         high = DeltaAdjust.create(
-            signers[1], "alterbft", seq=0, rung=replica.config.guard_max_rung + 1
+            signers[1], "alterbft", seq=0, rung=MAX_RUNG + 1
         )
         guard.on_delta_adjust(1, DeltaAdjustMsg(adjust=high))
         assert guard.pending_cert is None

@@ -211,3 +211,98 @@ def test_the_loop_check_sees_a_call_under_a_for(tmp_path):
     )
     assert list(_method_calls(probe, "account")) == [False, True]
     assert list(_method_calls(probe, "count_message")) == [True]
+
+
+# -- one way to say a run -----------------------------------------------------
+
+REPO = SRC.parent.parent
+
+#: Where a run gets configured outside the tests: the code that has to
+#: give a ``ProtocolConfig`` field a second value for it to stay a field.
+CONFIG_CALLERS = (
+    SRC / "bench",
+    SRC / "check",
+    SRC / "runner",
+    SRC / "obs",
+    REPO / "benchmarks" / "system",
+    REPO / "examples",
+)
+
+#: Fields nothing outside the tests sets, and why they stay fields.
+UNSET_ON_PURPOSE = {
+    "max_payload_bytes": "deployment cap on a block's size, like an address or a path",
+    "idle_propose_delay": "pacing of empty blocks; unit tests turn it off to count proposals",
+}
+
+
+def _settings(path: Path) -> Iterator[Tuple[str, ast.expr]]:
+    """(name, value) for every ``name=value`` keyword of a call and every
+    ``"name": value`` entry of a dict literal in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    yield keyword.arg, keyword.value
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    yield key.value, value
+
+
+def _fields_given_a_second_value(roots, defaults) -> set:  # type: ignore[no-untyped-def]
+    found = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for name, value in _settings(path):
+                is_default = isinstance(value, ast.Constant) and value.value == defaults.get(name)
+                if name in defaults and not is_default:
+                    found.add(name)
+    return found
+
+
+def test_every_protocol_config_field_has_a_second_value_in_use():
+    import dataclasses
+
+    from repro.config import ProtocolConfig
+
+    defaults = {
+        f.name: None if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(ProtocolConfig)
+    }
+    assert len(defaults) == 18
+    for root in CONFIG_CALLERS:
+        assert root.is_dir(), root
+    never_set = set(defaults) - _fields_given_a_second_value(CONFIG_CALLERS, defaults)
+    assert never_set == set(UNSET_ON_PURPOSE)
+
+
+def test_the_second_value_check_sees_keywords_and_dict_entries(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "make_config('alterbft', pipeline_depth=1, guard_enabled=args.guard)\n"
+        "FLAGS = {'crypto_batch': True, 'crypto_aggregate': False, 'other': 3}\n"
+    )
+    defaults = {"pipeline_depth": 1, "guard_enabled": False, "crypto_batch": False,
+                "crypto_aggregate": False}
+    assert _fields_given_a_second_value([tmp_path], defaults) == {"guard_enabled", "crypto_batch"}
+
+
+def _string_literals(node: ast.AST) -> set:
+    return {
+        n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    }
+
+
+def test_only_the_tables_know_a_behavior_by_name():
+    from repro.check.scenarios import SWEPT
+    from repro.faults import BEHAVIORS
+
+    names = set(BEHAVIORS) | set(SWEPT)
+    for rel in ("runner/cluster.py", "check/runner.py"):
+        tree = ast.parse((SRC / rel).read_text(encoding="utf-8"))
+        assert not _string_literals(tree) & names, rel
+    tree = ast.parse((SRC / "faults" / "behaviors.py").read_text(encoding="utf-8"))
+    (apply_behavior,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "apply_behavior"
+    ]
+    # parse → look up → call: no branch on the name is left in it.
+    assert not [n for n in ast.walk(apply_behavior) if isinstance(n, (ast.If, ast.Compare))]

@@ -113,3 +113,51 @@ class TestCli:
             ["headroom", str(recorded / "trace.jsonl"), "--delta", "0.0000001"]
         )
         assert rc == 2
+
+    def test_wire_with_an_unregistered_protocol_skips_the_contract(self, tmp_path, capsys):
+        from repro.obs.wire import WireAccountant, write_wire_jsonl
+
+        path = str(tmp_path / "wire.jsonl")
+        snapshot = WireAccountant(small_threshold=4096).snapshot(meta={"protocol": "nope"})
+        write_wire_jsonl(path, snapshot)
+        assert obs_main(["wire", path]) == 0
+        assert "contract not checked" in capsys.readouterr().out
+
+
+class TestSharedScenarioArguments:
+    """``alterbft-bench run`` and ``repro.obs record`` describe a run with
+    one set of options and build it through one function."""
+
+    COMMON = (
+        "--f 1 --rate 800 --duration 4 --seed 3 --fault 1:crash@1.0 --fault 2:slow-link@1:2 "
+        "--guard --checkpoint-interval 4 --pipeline-depth 1 --wire"
+    ).split()
+
+    def _parsers(self):
+        from repro.obs.__main__ import build_parser as obs_parser
+        from repro.runner.cli import build_parser as run_parser
+
+        return (
+            (run_parser(), ["run", "sync-hotstuff"]),
+            (obs_parser(), ["record", "--protocol", "sync-hotstuff"]),
+        )
+
+    def test_same_arguments_same_run(self):
+        from repro.bench.common import make_config
+        from repro.runner.cli import config_from_args
+
+        run, record = (
+            config_from_args(parser.parse_args(head + self.COMMON))
+            for parser, head in self._parsers()
+        )
+        assert run == record
+        assert run.faults == ((1, "crash@1.0"), (2, "slow-link@1:2"))
+        # Both size Sync HotStuff's Δ the way every experiment does.
+        assert run.protocol_config.delta == make_config("sync-hotstuff").protocol_config.delta
+
+    def test_bad_fault_is_a_usage_error_in_both(self, capsys):
+        for parser, head in self._parsers():
+            with pytest.raises(SystemExit) as exit_info:
+                parser.parse_args(head + ["--fault", "x:crash"])
+            assert exit_info.value.code == 2
+            assert "bad fault 'x:crash': want REPLICA:BEHAVIOR" in capsys.readouterr().err

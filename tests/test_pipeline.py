@@ -20,13 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.common import make_config
-from repro.check.scenarios import (
-    PIPELINE_BEHAVIORS,
-    PIPELINE_DEPTHS,
-    build_config,
-    parse_scenario_id,
-    pipelined_grid,
-)
+from repro.check.scenarios import FAMILIES, build_config, grid, parse_scenario_id
 from repro.config import ProtocolConfig
 from repro.core.protocol import ACTIVE, AlterBFTReplica
 from repro.errors import ConfigError, VerificationError
@@ -427,12 +421,12 @@ def test_no_interleaving_commits_out_of_order(data, request):
 
 class TestPipelinedScenarioFamily:
     def test_family_shape(self):
-        grid = pipelined_grid()
-        assert len(grid) == 120
-        assert all(s.protocol == "alterbft" for s in grid)
-        assert {s.pipeline_depth for s in grid} == set(PIPELINE_DEPTHS)
-        assert "equivocate-inflight" in PIPELINE_BEHAVIORS
-        assert "withhold-suffix" in PIPELINE_BEHAVIORS
+        scenarios = grid(families=("pipelined",))
+        assert len(scenarios) == 120
+        assert all(s.protocol == "alterbft" for s in scenarios)
+        assert {s.pipeline_depth for s in scenarios} == set(FAMILIES["pipelined"].depths)
+        assert "equivocate-inflight" in FAMILIES["pipelined"].behaviors
+        assert "withhold-suffix" in FAMILIES["pipelined"].behaviors
 
     def test_pd_flag_roundtrip(self):
         sid = "alterbft:equivocate-inflight:adversarial:3:pd4"
@@ -447,7 +441,7 @@ class TestPipelinedScenarioFamily:
         assert cfg.protocol_config.pipeline_depth == 2
 
     def test_pipelined_configs_validate(self):
-        for scenario in pipelined_grid(seeds_per_combo=1):
+        for scenario in grid(families=("pipelined",), seeds=1):
             build_config(scenario).validate()
 
     def test_pipelined_scenario_passes_and_replays_identically(self):
