@@ -10,9 +10,7 @@ from .core import (
     registered_type_id,
     registered_types,
     reset_size_cache_stats,
-    set_size_fast_path,
     size_cache_stats,
-    size_fast_path_enabled,
 )
 
 __all__ = [
@@ -25,7 +23,5 @@ __all__ = [
     "registered_type_id",
     "registered_types",
     "reset_size_cache_stats",
-    "set_size_fast_path",
     "size_cache_stats",
-    "size_fast_path_enabled",
 ]

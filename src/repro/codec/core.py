@@ -16,21 +16,21 @@ declaration order.  Decoding reconstructs the dataclass.  Encoding is
 deterministic (dict keys are sorted), so digests of encoded values are
 stable across runs and platforms.
 
-Two hot-path shortcuts sit next to the encoder and are used heavily by
-the simulator (which needs *sizes* far more often than bytes):
+A value's *size* is the length of its encoding, and the simulator needs
+sizes far more often than bytes.  Two per-instance memos on frozen
+registered dataclasses keep that cheap:
 
-* :func:`encoded_size` computes the wire size without materializing the
-  byte string, and memoizes the size on frozen registered dataclass
-  instances (under ``_wire_size``), so a header that is relayed hundreds
-  of times is sized exactly once.
-* :func:`encode_cached` memoizes full encodings on frozen registered
-  dataclass instances (under ``_wire_bytes``), so a broadcast over the
-  real transport encodes once per message object, not once per link.
+* :func:`encoded_size` runs the encoder's own walk and sums the chunk
+  lengths — no byte string is joined, so a payload is never copied to be
+  measured — and keeps the result under ``_wire_size``, so a header that
+  is relayed hundreds of times is sized exactly once.
+* :func:`encode_cached` keeps full encodings under ``_wire_bytes``, so a
+  broadcast over the real transport encodes once per message object, not
+  once per link.
 
-Both caches are safe because registered message types are immutable and
+Both memos are safe because registered message types are immutable and
 the encoding is deterministic; mutable (non-frozen) dataclasses are never
-cached.  :func:`set_size_fast_path` disables both shortcuts so tests can
-prove they do not change observable behavior.
+cached.
 
 A registered class can go one step further and be *self-encoded*: its
 instances hold their encoding (``wire``) and are decoded by checking the
@@ -46,7 +46,7 @@ import dataclasses
 import operator
 import struct
 import typing
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, List, Tuple, Type, TypeVar
 
 from ..errors import CodecError
 
@@ -71,7 +71,7 @@ _field_names: Dict[Type, Tuple[str, ...]] = {}
 #: ``_wire_bytes`` memo: frozen (immutable fields) and dict-backed.
 _cacheable: Dict[Type, bool] = {}
 
-#: Instance attribute names used by the memo fast paths.
+#: Instance attribute names of the two memos.
 SIZE_CACHE_ATTR = "_wire_size"
 BYTES_CACHE_ATTR = "_wire_bytes"
 
@@ -79,26 +79,8 @@ BYTES_CACHE_ATTR = "_wire_bytes"
 #: tag/type-id/field-count bytes every encoding starts with, field types).
 _self_encoded: Dict[Type, Tuple[bytes, Tuple[type, ...]]] = {}
 
-_fast_path_enabled = True
 _size_cache_hits = 0
 _size_cache_misses = 0
-
-
-def set_size_fast_path(enabled: bool) -> None:
-    """Enable/disable the size fast path and instance memoization.
-
-    With the fast path off, :func:`encoded_size` falls back to
-    ``len(encode(value))`` and :func:`encode_cached` to :func:`encode` —
-    the reference semantics the fast paths must be indistinguishable
-    from.  Exists so equivalence and determinism tests can run the same
-    workload both ways.
-    """
-    global _fast_path_enabled
-    _fast_path_enabled = enabled
-
-
-def size_fast_path_enabled() -> bool:
-    return _fast_path_enabled
 
 
 def size_cache_stats() -> Dict[str, int]:
@@ -115,8 +97,8 @@ def reset_size_cache_stats() -> None:
 def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
     """Class decorator registering a dataclass for wire encoding.
 
-    Type ids must be unique library-wide; see :mod:`repro.codec.registry`
-    for the id allocation map.
+    Type ids must be unique library-wide; the allocation map is the
+    docstring of :mod:`repro.types.messages`.
 
     **Self-encoded classes.**  A class that defines a ``from_wire``
     classmethod keeps its canonical encoding instead of having it rebuilt
@@ -160,7 +142,6 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
         _cacheable[cls] = bool(
             cls.__dataclass_params__.frozen and getattr(cls, "__slots__", None) is None
         )
-        _install_struct_sizer(cls, type_id)
         _install_struct_encoder(cls, type_id)
         return cls
 
@@ -326,7 +307,7 @@ def _install_struct_encoder(cls: Type, type_id: int) -> None:
 
 
 def _install_self_encoded(cls: Type, type_id: int) -> None:
-    """Encoder and sizer of a self-encoded class (see :func:`register`)."""
+    """Encoder of a self-encoded class (see :func:`register`)."""
     hints = typing.get_type_hints(cls)
     kinds = tuple(hints[name] for name in _field_names[cls])
     if not all(kind in (int, float, bytes) for kind in kinds):
@@ -334,7 +315,6 @@ def _install_self_encoded(cls: Type, type_id: int) -> None:
     _self_encoded[cls] = (_struct_prefix(type_id, len(kinds)), kinds)
     _cacheable[cls] = False  # it is its own memo
     _ENC_BY_TYPE[cls] = lambda value, out: out.append(value.wire)
-    _SIZE_BY_TYPE[cls] = lambda value: len(value.wire)
 
 
 def encode_fields(cls: Type, *values: Any) -> bytes:
@@ -378,10 +358,6 @@ def _encode_general(value: Any, out: List[bytes]) -> None:
         _enc_tuple(value, out)
     elif isinstance(value, dict):
         _enc_dict(value, out)
-    elif type(value) in _registry_by_type:
-        # Registered after module import but dispatch entry missing would
-        # be a bug in register(); kept for defensive parity.
-        _ENC_BY_TYPE[type(value)](value, out)
     else:
         raise CodecError(f"cannot encode value of type {type(value).__name__}")
 
@@ -604,20 +580,17 @@ _CHECKED_READ = {
 }
 
 
-def _struct_decoder_source(
-    cls: Type, lead: int, kinds: Optional[Tuple[type, ...]] = None
-) -> str:
+def _struct_decoder_source(cls: Type) -> str:
     """Source of the decoder for the registered class ``cls``.
 
-    Entered from :func:`_dec_struct` with ``pos`` just past the type id,
-    ``lead`` bytes into the struct.  The field reads are unrolled and handed
-    to the constructor positionally — no value list, no loop, no ``*args``
-    call — which is worth about a fifth of the time to decode a four-field
-    struct.  With ``kinds``, the field types of a self-encoded class (see
-    :func:`register`), no field is decoded: each is checked and stepped
-    over, and the span goes to ``from_wire`` in one slice.  A step that
-    overshoots the end of ``data`` is caught by the next read or, after the
-    last field, by the slice coming out short.
+    Entered from :func:`_dec_struct` with ``pos`` just past the type id.
+    The field reads are unrolled and handed to the constructor positionally
+    — no value list, no loop, no ``*args`` call — which is worth about a
+    fifth of the time to decode a four-field struct.  For a self-encoded
+    class (see :func:`register`) no field is decoded: each is checked and
+    stepped over, and the span goes to ``from_wire`` in one slice.  A step
+    that overshoots the end of ``data`` is caught by the next read or, after
+    the last field, by the slice coming out short.
     """
     names = _field_names[cls]
     name, count = cls.__name__, len(names)
@@ -633,7 +606,7 @@ def _struct_decoder_source(
         "    if not room:",
         "        raise CodecError(nesting_error)",
     ]
-    if kinds is None:
+    if cls not in _self_encoded:
         lines.append("    room -= 1")
         for i in range(count):
             lines.append(f"    v{i}, pos = decoders[data[pos]](data, pos + 1, room)")
@@ -645,7 +618,8 @@ def _struct_decoder_source(
             f"        raise CodecError('cannot reconstruct {name}: %s' % exc) from exc",
         ]
     else:
-        lines.append(f"    start = pos - {lead + _varint_len(count)}")
+        prefix, kinds = _self_encoded[cls]
+        lines.append(f"    start = pos - {len(prefix)}")  # the field count ends the prefix
         for i, kind in enumerate(kinds):
             lines += [line.format(i=i, name=f"{name}.{names[i]}") for line in _CHECKED_READ[kind]]
         ints = "".join(f", (v{i} >> 1) ^ -(v{i} & 1)" for i, kind in enumerate(kinds) if kind is int)
@@ -661,17 +635,16 @@ def _struct_decoder_source(
 def _build_struct_decoder(type_id: int) -> Callable[[bytes, int, int], Tuple[Any, int]]:
     """Specialize a decoder for one registered dataclass.
 
-    The third member of the sizer/encoder family: class, field count and
-    constructor are bound once.  Unlike those two it is built on first use,
-    not by :func:`register`: compiling one for each of the 58 registered
-    classes added 23 ms (9 %) to process start-up, and a run decodes about
-    ten of them.
+    The encoder's counterpart: class, field count and constructor are
+    bound once.  Unlike the encoder it is built on first use, not by
+    :func:`register`: compiling one for each of the 58 registered classes
+    added 23 ms (9 %) to process start-up, and a run decodes about ten of
+    them.
     """
     cls = _registry_by_id.get(type_id)
     if cls is None:
         raise CodecError(f"unknown wire type id {type_id}")
-    kinds = _self_encoded[cls][1] if cls in _self_encoded else None
-    source = _struct_decoder_source(cls, lead=1 + _varint_len(type_id), kinds=kinds)
+    source = _struct_decoder_source(cls)
     namespace = {
         "cls": cls,
         "decoders": _DECODERS,
@@ -724,137 +697,28 @@ def decode(data: bytes) -> Any:
     return value
 
 
-def _varint_len(value: int) -> int:
-    """Encoded length of a non-negative varint, in bytes."""
-    return (value.bit_length() + 6) // 7 if value else 1
-
-
-def _size_int(value: int) -> int:
-    v = value * 2 if value >= 0 else -value * 2 - 1
-    return 1 + ((v.bit_length() + 6) // 7 if v else 1)
-
-
-def _size_bytes(value: bytes) -> int:
-    length = len(value)
-    return 1 + _varint_len(length) + length
-
-
-def _size_str(value: str) -> int:
-    # ASCII needs no re-encode to know its UTF-8 length.
-    length = len(value) if value.isascii() else len(value.encode("utf-8"))
-    return 1 + _varint_len(length) + length
-
-
-def _size_sequence(value: Any) -> int:
-    size = 1 + _varint_len(len(value))
-    for item in value:
-        size += _size_of(item)
-    return size
-
-
-def _size_dict(value: dict) -> int:
-    try:
-        sorted(value)  # same sortability contract as encoding
-    except TypeError as exc:
-        raise CodecError("dict keys must be sortable for deterministic encoding") from exc
-    size = 1 + _varint_len(len(value))
-    for key, item in value.items():
-        size += _size_of(key) + _size_of(item)
-    return size
-
-
-#: Exact-type dispatch for the size fast path; registered dataclasses add
-#: their own specialized entry (see :func:`_install_struct_sizer`).
-#: Subclasses of the scalar/container types fall back to the isinstance
-#: mirror in :func:`_size_of_general`.
-_SIZE_BY_TYPE: Dict[Type, Callable[[Any], int]] = {
-    type(None): lambda value: 1,
-    bool: lambda value: 1,
-    int: _size_int,
-    float: lambda value: 9,
-    bytes: _size_bytes,
-    str: _size_str,
-    list: _size_sequence,
-    tuple: _size_sequence,
-    dict: _size_dict,
-}
-
-
-def _install_struct_sizer(cls: Type, type_id: int) -> None:
-    """Specialize a size function for one registered dataclass."""
-    names = _field_names[cls]
-    prefix = 1 + _varint_len(type_id) + _varint_len(len(names))
-    cacheable = _cacheable[cls]
-
-    get_fields = _fields_getter(names)
-
-    def size_struct(value: Any) -> int:
-        global _size_cache_hits, _size_cache_misses
-        if cacheable:
-            cached = value.__dict__.get(SIZE_CACHE_ATTR)
-            if cached is not None:
-                _size_cache_hits += 1
-                return cached
-            _size_cache_misses += 1
-        size = prefix
-        dispatch = _SIZE_BY_TYPE
-        for field in get_fields(value):
-            try:
-                handler = dispatch[type(field)]
-            except KeyError:
-                size += _size_of_general(field)
-            else:
-                size += handler(field)
-        if cacheable:
-            object.__setattr__(value, SIZE_CACHE_ATTR, size)
-        return size
-
-    _SIZE_BY_TYPE[cls] = size_struct
-
-
-def _size_of_general(value: Any) -> int:
-    """isinstance-based fallback for subclasses of encodable types."""
-    if value is None or value is False or value is True:
-        return 1
-    if isinstance(value, int):
-        return _size_int(value)
-    if isinstance(value, float):
-        return 9
-    if isinstance(value, (bytes, bytearray, memoryview)):
-        length = value.nbytes if isinstance(value, memoryview) else len(value)
-        return 1 + _varint_len(length) + length
-    if isinstance(value, str):
-        return _size_str(value)
-    if isinstance(value, (list, tuple)):
-        return _size_sequence(value)
-    if isinstance(value, dict):
-        return _size_dict(value)
-    raise CodecError(f"cannot encode value of type {type(value).__name__}")
-
-
-def _size_of(value: Any) -> int:
-    """Wire size of ``value`` without materializing the encoding.
-
-    Mirrors :func:`_encode_into` branch for branch; any value one accepts
-    or rejects, the other must too, and the sizes must agree byte for
-    byte (the registry-enumerated equivalence tests pin this).
-    """
-    handler = _SIZE_BY_TYPE.get(type(value))
-    if handler is not None:
-        return handler(value)
-    return _size_of_general(value)
-
-
 def encoded_size(value: Any) -> int:
-    """Wire size of ``value`` in bytes.
+    """Wire size of ``value`` in bytes: ``len(encode(value))``.
 
-    Uses the size-only fast path (plus the per-instance memo for frozen
-    registered dataclasses) unless disabled via
-    :func:`set_size_fast_path`, in which case it performs one full encode.
+    The encoder's walk with the chunk lengths summed instead of the chunks
+    joined.  A frozen registered dataclass keeps the result (see the module
+    docstring); the memo is consulted for ``value`` itself, not for structs
+    nested inside it.
     """
-    if _fast_path_enabled:
-        return _size_of(value)
-    return len(encode(value))
+    global _size_cache_hits, _size_cache_misses
+    cacheable = _cacheable.get(type(value), False)
+    if cacheable:
+        cached = value.__dict__.get(SIZE_CACHE_ATTR)
+        if cached is not None:
+            _size_cache_hits += 1
+            return cached
+        _size_cache_misses += 1
+    out: List[bytes] = []
+    _encode_into(value, out)
+    size = sum(map(len, out))
+    if cacheable:
+        object.__setattr__(value, SIZE_CACHE_ATTR, size)
+    return size
 
 
 def encode_cached(value: Any) -> bytes:
@@ -864,7 +728,7 @@ def encode_cached(value: Any) -> bytes:
     returned bytes are exactly ``encode(value)``.  Values that are not
     frozen registered dataclasses are encoded normally, uncached.
     """
-    if _fast_path_enabled and _cacheable.get(type(value), False):
+    if _cacheable.get(type(value), False):
         cached = value.__dict__.get(BYTES_CACHE_ATTR)
         if cached is not None:
             return cached

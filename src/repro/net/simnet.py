@@ -2,12 +2,12 @@
 
 Connects node message handlers through the scheduler: ``send`` and
 ``broadcast`` offer one message to one or to every attached node.  An
-offer measures the message's real wire size once (via the codec's
-size-only fast path, which memoizes per message object — its result is
-byte-exact with ``len(encode(msg))``) and counts it once in the trace and
-the wire accountant; each copy then samples a delay from the network RNG
-stream and schedules its delivery.  Supports partitions and per-message
-filters for fault experiments.
+offer measures the message's real wire size once (``encoded_size``: the
+encoder's walk with the chunk lengths summed, so ``len(encode(msg))`` by
+construction, memoized per message object) and counts it once in the
+trace and the wire accountant; each copy then samples a delay from the
+network RNG stream and schedules its delivery.  Supports partitions and
+per-message filters for fault experiments.
 
 Delivery hands the *original* message object to the receiver — the codec
 roundtrip is exercised by the real transport and by dedicated tests; the
@@ -187,8 +187,8 @@ class SimNetwork:
         """Send one message; wire size is the real encoded size.
 
         Routed through :func:`~repro.codec.encoded_size`, so the size is
-        computed without materializing bytes and is memoized on the
-        message object — a header relayed many times is sized once.
+        the encoder's and is memoized on the message object — a header
+        relayed many times is sized once.
         """
         self._offer(src, (dst,), msg)
 
@@ -198,9 +198,9 @@ class SimNetwork:
         self._offer(src, everyone if include_self else self._peers_of.get(src, everyone), msg)
 
     def _offer(self, src: int, dsts: Tuple[int, ...], msg: object) -> None:
-        size = encoded_size(msg)
         if src in self._down or not dsts:
             return
+        size = encoded_size(msg)
         # Offered copies are counted even when a fault drops them below;
         # a down sender's are not.
         name = type(msg).__name__

@@ -157,7 +157,11 @@ class AsyncioContext:
         )
 
     def trace(self, kind: str, **detail: object) -> None:
-        pass  # tracing over the real transport goes through logging instead
+        # No event log over real sockets: a trace kind is counted, so a
+        # dropped forgery or an epoch change still shows in the registry.
+        metrics = self._node.metrics
+        if metrics is not None:
+            metrics.counter(f"trace/{kind}").inc()
 
 
 class AsyncReplicaNode:
@@ -179,10 +183,12 @@ class AsyncReplicaNode:
             per-peer drop-oldest queue drops (``transport/queue_drops/…``),
             dial/reconnect attempts (``transport/reconnects/…``), a
             per-peer outbound queue-depth gauge, inbound connections
-            closed on a malformed frame (``transport/bad_frames_total``)
-            and client transactions shed by a full mempool
-            (``transport/mempool_rejects_total``).  ``None`` keeps every
-            site a single attribute test.
+            closed on a malformed frame (``transport/bad_frames_total``),
+            client transactions shed by a full mempool
+            (``transport/mempool_rejects_total``) and every event the
+            replica traces, by kind (``trace/verification_failed``,
+            ``trace/epoch_change``, …).  ``None`` keeps every site a
+            single attribute test.
         wire: optional :class:`~repro.obs.wire.WireAccountant` tapping
             every :meth:`send` once, for all the peers the frame goes to
             (codec bytes, excluding the 4-byte length prefix, matching

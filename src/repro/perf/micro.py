@@ -1,8 +1,8 @@
 """Microbenchmarks for the simulator's hot paths.
 
 Each benchmark targets one layer the hot-path overhaul touched: codec
-encode/decode and the size-only fast path, signature sign/verify (cache
-miss and cache hit separately), scheduler event push/pop, simulated
+encode/decode and sizing (first call and memo hit), signature sign/verify
+(cache miss and cache hit separately), scheduler event push/pop, simulated
 broadcast, and a client connection's frames going into the mempool.
 Fixtures are deterministic, so two runs on the same machine measure the
 same work.
@@ -68,18 +68,13 @@ def _make_block():
     ), signers
 
 
-def _strip_size_memo(values) -> None:
-    for value in values:
-        if SIZE_CACHE_ATTR in value.__dict__:
-            object.__delattr__(value, SIZE_CACHE_ATTR)
-
-
 def _strip_block_memos(block) -> None:
-    """Remove size memos from a block and everything nested inside it.
+    """Forget the block's size, so the next ``encoded_size(block)`` walks it.
 
-    Transactions carry none: one is sized as the length of its ``wire``.
+    Only the value being sized is looked up in the memo; what its header
+    and payload remember is not consulted.
     """
-    _strip_size_memo([block, block.header, block.payload])
+    block.__dict__.pop(SIZE_CACHE_ATTR, None)
 
 
 def bench_codec(reps: int, inner: int) -> List[BenchResult]:
@@ -152,7 +147,7 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
             reps,
             inner=1,
             setup=lambda: _strip_block_memos(block),
-            meta={"txs": PAYLOAD_TXS, "note": "all nested size memos stripped per repetition"},
+            meta={"txs": PAYLOAD_TXS, "note": "the encoder's walk, summed; memo stripped per repetition"},
         ),
         measure(
             "codec.size_block_hot",

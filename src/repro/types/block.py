@@ -55,11 +55,6 @@ class BlockHeader:
         """Digest identifying the block (votes sign this)."""
         return domain_hash("block-header", encode(self))
 
-    @cached_property
-    def encoded_size(self) -> int:
-        """Serialized size in bytes."""
-        return encoded_size(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Header(e={self.epoch}, h={self.height}, "
@@ -93,11 +88,6 @@ class BlockPayload:
             return None
         return MerkleTree([tx.wire for tx in transactions]).root
 
-    @cached_property
-    def encoded_size(self) -> int:
-        """Serialized size in bytes (size-only path; no bytes built)."""
-        return encoded_size(self)
-
     def __len__(self) -> int:
         return len(self.transactions)
 
@@ -130,11 +120,6 @@ class Block:
     def parent(self) -> Digest:
         return self.header.parent
 
-    @cached_property
-    def encoded_size(self) -> int:
-        """Serialized size in bytes, computed once per block object."""
-        return encoded_size(self)
-
     def validate_payload(self) -> bool:
         """Check the payload matches the header's commitment."""
         return (
@@ -160,7 +145,7 @@ def make_block(
         height=height,
         parent=parent,
         payload_root=payload.merkle_root,
-        payload_size=payload.encoded_size,
+        payload_size=encoded_size(payload),
         payload_count=len(payload),
         proposer=proposer,
     )
@@ -174,7 +159,7 @@ def genesis_block() -> Block:
         height=GENESIS_HEIGHT,
         parent=ZERO_DIGEST,
         payload_root=EMPTY_PAYLOAD.merkle_root,
-        payload_size=EMPTY_PAYLOAD.encoded_size,
+        payload_size=encoded_size(EMPTY_PAYLOAD),
         payload_count=0,
         proposer=-1,
     )

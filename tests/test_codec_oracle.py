@@ -7,7 +7,7 @@ the shipped decoder must do one of two things:
 * raise ``CodecError`` — never anything else — or
 * return the oracle's value, with ``encode(value) == frame`` (canonical
   form) and ``encoded_size(value) == len(frame)`` whether the size memo is
-  present or not and whether the size fast path is on or off.
+  present or not.
 
 The converse is pinned too: a frame the oracle accepts *and* that is in
 canonical form (it re-encodes to itself) must not be refused — nesting
@@ -29,8 +29,6 @@ from repro.codec import (
     encoded_size,
     registered_type_id,
     registered_types,
-    set_size_fast_path,
-    size_fast_path_enabled,
 )
 from repro.codec.core import MAX_NESTING, SIZE_CACHE_ATTR
 from repro.errors import CodecError
@@ -75,17 +73,10 @@ def check_against_oracle(frame: bytes) -> bool:
     assert _same(value, reference)
     assert encode(value) == frame
     assert codec_oracle.encode(value) == frame  # rebuilt field by field: same bytes
-    prior = size_fast_path_enabled()
-    try:
-        set_size_fast_path(True)
-        assert SIZE_CACHE_ATTR not in getattr(value, "__dict__", {})
-        assert encoded_size(value) == len(frame)  # memo absent
-        assert encoded_size(value) == len(frame)  # memo present (on structs)
-        assert encode(value) == frame
-        set_size_fast_path(False)
-        assert encoded_size(value) == len(frame)
-    finally:
-        set_size_fast_path(prior)
+    assert SIZE_CACHE_ATTR not in getattr(value, "__dict__", {})
+    assert encoded_size(value) == len(frame)  # memo absent
+    assert encoded_size(value) == len(frame)  # memo present (on structs)
+    assert encode(value) == frame
     return True
 
 

@@ -154,6 +154,54 @@ def test_the_private_name_check_sees_every_spelling(tmp_path):
     ]
 
 
+# -- a size is the length of the encoding ------------------------------------
+
+#: What went with the size-only mirror of the encoder, spelt in halves so a
+#: grep for the whole names comes back empty, this file included.
+MIRROR_NAMES = ("_varint" "_len", "_SIZE_BY" "_TYPE")
+SWITCH_NAMES = ("set_size" "_fast_path", "size_fast" "_path_enabled")
+
+
+def test_the_codec_walks_the_format_once():
+    tree = ast.parse((SRC / "codec" / "core.py").read_text(encoding="utf-8"))
+    functions = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not [n for n in functions if n.startswith("_size_") or n in MIRROR_NAMES]
+    assigned = {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    assert not assigned & set(MIRROR_NAMES)
+    assert {"_size_cache_hits", "_size_cache_misses", "_ENC_BY_TYPE"} <= assigned
+    # encoded_size is the encoder's walk: it calls it, and tests no mode.
+    (sizer,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "encoded_size"]
+    called = {n.func.id for n in ast.walk(sizer) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "_encode_into" in called and "encode" not in called
+
+
+def test_no_switch_selects_how_a_size_is_computed():
+    for path in sorted(SRC.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in SWITCH_NAMES:
+            assert name not in text, f"{path.relative_to(SRC)} mentions {name}"
+    from repro import codec
+
+    assert sorted(codec.__all__) == [
+        "CodecError",
+        "decode",
+        "encode",
+        "encode_cached",
+        "encoded_size",
+        "register",
+        "registered_type_id",
+        "registered_types",
+        "reset_size_cache_stats",
+        "size_cache_stats",
+    ]
+
+
 # -- the send path charges an offer once ------------------------------------
 
 #: The per-offer taps: method name → the files allowed to call it, once each.

@@ -2,21 +2,23 @@
 
 Covers the correctness obligations the performance overhaul created:
 
-* the size-only codec fast path agrees with ``len(encode(...))`` for
-  every registered wire type, fast path on and off;
+* ``encoded_size`` is ``len(encode(...))`` for every registered wire
+  type — on the first call, from the per-instance memo, and for a copy
+  with a changed field, which carries no memo;
 * ``encode_cached`` is byte-identical to ``encode`` and stable across
   calls, so a memoized broadcast puts the same bytes on every link;
 * the signature verification cache counts hits/misses, honors its
   eviction bound, and can never serve a Byzantine double-vote (same
   signer, different digest) from cache;
-* a seeded run produces the same trace fingerprint with every
-  optimization disabled — the optimizations are observationally inert;
+* a seeded run produces the same trace fingerprint with the verification
+  cache disabled — it is observationally inert;
 * the perf harness itself: statistics, direction-aware regression
   comparison, baseline round-trip, and CLI exit codes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -32,9 +34,7 @@ from repro.codec import (
     encoded_size,
     registered_types,
     reset_size_cache_stats,
-    set_size_fast_path,
     size_cache_stats,
-    size_fast_path_enabled,
 )
 from repro.codec.core import BYTES_CACHE_ATTR, SIZE_CACHE_ATTR
 from repro.crypto.signatures import HashSignatureScheme, KeyRegistry
@@ -45,19 +45,12 @@ from repro.runner.cluster import build_cluster
 from repro.sim.scheduler import Scheduler
 from repro.types.block import BlockHeader, genesis_block, make_block
 from repro.types.certificates import Vote
-from repro.types.messages import VoteMsg
+from repro.types.messages import PayloadMsg, VoteMsg
+from repro.types.transaction import make_transaction
 from tests.test_codec import _struct_strategy
 
 
-@pytest.fixture
-def fast_path_restored():
-    """Leave the module-level fast-path toggle as we found it."""
-    prior = size_fast_path_enabled()
-    yield
-    set_size_fast_path(prior)
-
-
-# -- size-only fast path vs. full encode (per registered type) ----------------
+# -- a size is the length of the encoding (per registered type) ---------------
 
 
 @pytest.mark.parametrize(
@@ -70,17 +63,14 @@ def fast_path_restored():
 def test_size_fast_path_matches_encode(cls, data):
     value = data.draw(_struct_strategy(cls))
     wire = encode(value)
-    set_size_fast_path(True)
-    try:
-        fast = encoded_size(value)
-        fast_again = encoded_size(value)  # memoized second call
-        set_size_fast_path(False)
-        slow = encoded_size(value)
-    finally:
-        set_size_fast_path(True)
-    assert fast == len(wire)
-    assert fast_again == len(wire)
-    assert slow == len(wire)
+    assert encoded_size(value) == len(wire)  # the encoder's walk, summed
+    assert encoded_size(value) == len(wire)  # the memo, on a class that carries one
+    names = [field.name for field in dataclasses.fields(cls)]
+    if names:
+        other = data.draw(_struct_strategy(cls))
+        changed = dataclasses.replace(value, **{names[0]: getattr(other, names[0])})
+        assert SIZE_CACHE_ATTR not in getattr(changed, "__dict__", {})
+        assert encoded_size(changed) == len(encode(changed))
 
 
 @settings(max_examples=50, deadline=None)
@@ -111,7 +101,7 @@ def _header() -> BlockHeader:
     return BlockHeader(1, 2, b"\x01" * 32, b"\x02" * 32, 100, 3, 0)
 
 
-def test_size_memo_set_and_counted(fast_path_restored):
+def test_size_memo_set_and_counted():
     header = _header()
     assert SIZE_CACHE_ATTR not in header.__dict__
     reset_size_cache_stats()
@@ -119,20 +109,19 @@ def test_size_memo_set_and_counted(fast_path_restored):
     assert header.__dict__.get(SIZE_CACHE_ATTR) == first
     second = encoded_size(header)
     assert second == first == len(encode(header))
-    stats = size_cache_stats()
-    assert stats["misses"] >= 1
-    assert stats["hits"] >= 1
+    assert size_cache_stats() == {"hits": 1, "misses": 1}
 
 
-def test_size_fast_path_toggle(fast_path_restored):
-    set_size_fast_path(False)
-    assert not size_fast_path_enabled()
-    header = _header()
-    assert encoded_size(header) == len(encode(header))
-    # Disabled path must not install the memo.
-    assert SIZE_CACHE_ATTR not in header.__dict__
-    set_size_fast_path(True)
-    assert size_fast_path_enabled()
+def test_a_message_around_a_sized_payload_is_sized_in_full():
+    """The memo belongs to the value that was asked about: a message built
+    around a sized payload is walked in full, transactions included."""
+    block = make_block(1, 1, b"\x00" * 32, [make_transaction(1, seq, 0.0, 64) for seq in range(4)], 0)
+    assert block.header.payload_size == len(encode(block.payload))
+    assert SIZE_CACHE_ATTR in block.payload.__dict__
+    msg = PayloadMsg(epoch=1, height=1, block_hash=block.block_hash, payload=block.payload)
+    assert encoded_size(msg) == len(encode(msg))
+    tx = block.payload.transactions[0]
+    assert encoded_size(tx) == len(encode(tx)) == len(tx.wire)
 
 
 # -- encode_cached: memoized broadcast bytes ----------------------------------
@@ -398,10 +387,9 @@ def test_dispatch_table_with_every_subsystem_attached():
     assert len(handled) == 19
 
 
-def test_golden_fingerprint_with_optimizations_off(monkeypatch, fast_path_restored):
-    """Size fast path off + verification cache off → identical trace, and
-    the same frame-hashed payload roots."""
-    set_size_fast_path(False)
+def test_golden_fingerprint_with_optimizations_off(monkeypatch):
+    """Verification cache off → identical trace, and the same frame-hashed
+    payload roots."""
     monkeypatch.setattr(signatures_mod, "VERIFY_CACHE_DEFAULT", 0)
     assert _run_fingerprint() == GOLDEN_FINGERPRINT
 

@@ -114,6 +114,23 @@ class TestFiltersAndCrash:
         scheduler.run()
         assert inboxes[1] == [(0, "back")]
 
+    def test_down_sender_is_neither_sized_nor_counted(self, monkeypatch):
+        import repro.net.simnet as simnet
+
+        sized = []
+        real = simnet.encoded_size
+        monkeypatch.setattr(simnet, "encoded_size", lambda msg: sized.append(msg) or real(msg))
+        scheduler, net, _ = make_net()
+        net.take_down(1)
+        net.send(1, 2, "from-down")
+        net.broadcast(1, "from-down")
+        scheduler.run()
+        assert sized == []
+        assert net.trace.counters["messages"] == 0
+        assert net.trace.counters["bytes"] == 0
+        net.send(0, 2, "from-up")
+        assert sized == ["from-up"]
+
     def test_unattached_destination_errors(self):
         scheduler, net, _ = make_net()
         net.send(0, 99, "x")

@@ -553,34 +553,40 @@ class TestBadFrames:
         asyncio.run(run())
 
 
-    def test_ill_typed_certificate_costs_one_message_not_the_reader(self):
-        """A well-framed, canonical message with an ``int`` where a
-        certificate's pair list belongs is a failed verification: that
-        message is dropped, the link it came on stays up, and no reader
-        task dies of an exception nobody retrieves."""
+    @staticmethod
+    def _drive_kept_link(port_offset: int, hostile_msgs):
+        """Peer 1 sends ``hostile_msgs`` and then a transaction, peer 0 a
+        transaction, to replica 2 — whose link to peer 1 must stay up.
+
+        Returns (the node's registry, (kind, message class) of every trace,
+        the replica, contexts passed to the loop's exception handler).
+        """
         from repro.obs.metrics import MetricsRegistry
-        from repro.types.certificates import QuorumCertificate
-        from repro.types.messages import BlameCertMsg, StatusMsg
 
         async def run():
             loop = asyncio.get_running_loop()
             unhandled = []
             loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
-            peers = local_peer_map(3, base_port=BASE_PORT + 180)
+            peers = local_peer_map(3, base_port=BASE_PORT + port_offset)
             registry = MetricsRegistry()
             replica = make_replica(2)  # not the first leader: nothing leaves the pool
             node = AsyncReplicaNode(replica, peers, metrics=registry)
             await node.start()
             traced = []
-            replica.ctx.trace = lambda kind, **detail: traced.append((kind, detail["msg"]))
+            count = replica.ctx.trace
+
+            def trace(kind, **detail):
+                traced.append((kind, detail.get("msg")))
+                count(kind, **detail)
+
+            replica.ctx.trace = trace
             try:
                 _, hostile = await asyncio.open_connection(*peers[2])
                 _, good = await asyncio.open_connection(*peers[2])
                 hostile.write(encode_frame(("hello", 1)))
                 good.write(encode_frame(("hello", 0)))
-                qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
-                hostile.write(encode_frame(StatusMsg(sender=1, new_epoch=1, high_qc=qc)))
-                hostile.write(encode_frame(BlameCertMsg(cert=5)))
+                for msg in hostile_msgs:
+                    hostile.write(encode_frame(msg))
                 hostile.write(encode_frame(("client-tx", make_transaction(7, 0, 0.0, 32))))
                 good.write(encode_frame(("client-tx", make_transaction(7, 1, 0.0, 32))))
                 for _ in range(200):
@@ -592,19 +598,57 @@ class TestBadFrames:
                 good.close()
             finally:
                 await node.stop()
+            # A task that died of an unretrieved exception reports it when
+            # collected ("Task exception was never retrieved").
             await asyncio.sleep(0)
             gc.collect()
             await asyncio.sleep(0)
-            bad_frames = registry.counter("transport/bad_frames_total").value
-            return traced, len(replica.mempool), bad_frames, unhandled
+            return registry, traced, replica, unhandled
 
-        traced, pooled, bad_frames, unhandled = asyncio.run(run())
+        return asyncio.run(run())
+
+    def test_ill_typed_certificate_costs_one_message_not_the_reader(self):
+        """A well-framed, canonical message with an ``int`` where a
+        certificate's pair list belongs is a failed verification: that
+        message is dropped, the link it came on stays up, and no reader
+        task dies of an exception nobody retrieves."""
+        from repro.types.certificates import QuorumCertificate
+        from repro.types.messages import BlameCertMsg, StatusMsg
+
+        qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
+        registry, traced, replica, unhandled = self._drive_kept_link(
+            180, [StatusMsg(sender=1, new_epoch=1, high_qc=qc), BlameCertMsg(cert=5)]
+        )
         assert traced == [
             ("verification_failed", "StatusMsg"),
             ("verification_failed", "BlameCertMsg"),
         ]
-        assert pooled == 2, "both links, the hostile peer's included, still deliver"
-        assert bad_frames == 0 and unhandled == []
+        assert len(replica.mempool) == 2, "both links, the hostile peer's included, still deliver"
+        assert registry.counter("transport/bad_frames_total").value == 0 and unhandled == []
+
+    def test_forged_vote_is_dropped_and_counted(self):
+        """A validly framed vote whose signature does not verify costs that
+        one message, and over sockets — where there is no event log — the
+        replica's ``verification_failed`` trace lands in the registry."""
+        import dataclasses
+
+        from repro.types.certificates import Vote
+        from repro.types.messages import VoteMsg
+
+        vote = Vote.create(build_cluster_keys("hashsig", 3)[1], "alterbft", 1, 1, b"\x01" * 32)
+        forged = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
+        registry, traced, replica, unhandled = self._drive_kept_link(181, [VoteMsg(vote=forged)])
+        assert traced == [("verification_failed", "VoteMsg")]
+        assert registry.counter("trace/verification_failed").value == 1
+        assert replica._votes == {}, "the forged vote was not recorded"
+        assert len(replica.mempool) == 2, "both links, the hostile peer's included, still deliver"
+        assert registry.counter("transport/bad_frames_total").value == 0 and unhandled == []
+
+    def test_trace_without_a_registry_is_a_no_op(self):
+        from repro.net.transport import AsyncioContext
+
+        node = AsyncReplicaNode(make_replica(2), local_peer_map(3, base_port=BASE_PORT + 182))
+        AsyncioContext(node).trace("epoch_change", epoch=2)
 
 
 class TestLiveCluster:
