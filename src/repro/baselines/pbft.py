@@ -336,6 +336,10 @@ class PBFTReplica(BaseReplica):
         self._commit_ready[qc.height] = (block, qc)
         self._execute_ready()
 
+    def held_certificates(self) -> List[Certificate]:
+        orphans = (*self._orphan_prepare_qcs.values(), *self._orphan_commit_qcs.values())
+        return [*super().held_certificates(), *orphans]
+
     def _execute_ready(self) -> None:
         """Execute commit-certified blocks strictly in sequence order."""
         progressed = False

@@ -94,22 +94,13 @@ def check_agreement(cluster: "Cluster") -> InvariantResult:
 def _collect_certificates(cluster: "Cluster") -> List[Certificate]:
     """Every quorum certificate any honest replica holds, deduplicated.
 
-    Covers directly formed certificates (vote accounting), justify
-    certificates carried by proposals, high-water certificates, and the
-    orphan QC buffers some baselines keep for out-of-order arrivals.
+    Each replica class names its own (``held_certificates``): formed and
+    high-water certificates, proposals' justifies, PBFT's orphan buffers.
     """
     seen: Set[Certificate] = set()
     for replica in cluster.replicas:
-        if replica.replica_id not in cluster.honest_ids:
-            continue
-        seen.update(replica._qcs.values())
-        for attr in ("_justify_of", "_orphan_prepare_qcs", "_orphan_commit_qcs"):
-            mapping = getattr(replica, attr, None)
-            if mapping:
-                seen.update(mapping.values())
-        high_qc = getattr(replica, "high_qc", None)
-        if high_qc is not None:
-            seen.add(high_qc)
+        if replica.replica_id in cluster.honest_ids:
+            seen.update(replica.held_certificates())
     return list(seen)
 
 

@@ -9,7 +9,7 @@ separately; a :class:`~repro.types.block.Block` is materialized on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from ..crypto.hashing import Digest
 from ..errors import BlockStoreError
@@ -23,7 +23,6 @@ class BlockStore:
         self.genesis = genesis_block()
         self._headers: Dict[Digest, BlockHeader] = {}
         self._payloads: Dict[Digest, BlockPayload] = {}
-        self._children: Dict[Digest, Set[Digest]] = {}
         self.add_header(self.genesis.header)
         self.add_payload(self.genesis.block_hash, self.genesis.payload)
 
@@ -35,7 +34,6 @@ class BlockStore:
         if block_hash in self._headers:
             return False
         self._headers[block_hash] = header
-        self._children.setdefault(header.parent, set()).add(block_hash)
         return True
 
     def add_payload(self, block_hash: Digest, payload: BlockPayload) -> bool:
@@ -82,9 +80,6 @@ class BlockStore:
 
     def get_header(self, block_hash: Digest) -> Optional[BlockHeader]:
         return self._headers.get(block_hash)
-
-    def children(self, block_hash: Digest) -> Set[Digest]:
-        return set(self._children.get(block_hash, ()))
 
     def __len__(self) -> int:
         return len(self._headers)
@@ -150,14 +145,8 @@ class BlockStore:
             if header.height < height
         ]
         for block_hash in removed:
-            header = self._headers.pop(block_hash)
+            del self._headers[block_hash]
             self._payloads.pop(block_hash, None)
-            self._children.pop(block_hash, None)
-            siblings = self._children.get(header.parent)
-            if siblings is not None:
-                siblings.discard(block_hash)
-                if not siblings:
-                    del self._children[header.parent]
         return removed
 
     def missing_payloads(self, block_hash: Digest, stop: Digest) -> List[Digest]:

@@ -111,7 +111,7 @@ class BaseReplica:
         #: outside the replica reaches one (``subsystems.get("guard")``).
         self.subsystems: Dict[str, Any] = {}
         self._hooks: Dict[str, List[Callable[..., None]]] = {hook: [] for hook in HOOKS}
-        # Vote accounting: (phase, epoch, block_hash) → {voter → Vote}.
+        # Vote accounting: (phase, epoch, block_hash) → {voter → Vote} until its QC.
         self._votes: Dict[Tuple[int, int, Digest], Dict[int, Vote]] = {}
         self._qcs: Dict[Tuple[int, int, Digest], Certificate] = {}
         # Blame accounting: epoch → {blamer → Blame}.
@@ -274,7 +274,8 @@ class BaseReplica:
         """Validate and store a vote; returns a fresh QC exactly once.
 
         The returned certificate is produced the moment the quorum is
-        reached; later duplicate votes return None.
+        reached; its bucket goes with it, and later votes for the same
+        statement are checked and dropped, never stored.
 
         With ``crypto_batch`` enabled, signature checking is deferred:
         votes are bucketed unverified and the whole flood is checked in
@@ -296,12 +297,13 @@ class BaseReplica:
         elif not vote.verify(self.signer):
             raise VerificationError(f"bad vote signature from {vote.voter}")
         key = (vote.phase, vote.epoch, vote.block_hash)
+        if key in self._qcs:
+            return None
         bucket = self._votes.setdefault(key, {})
         if vote.voter in bucket:
             return None
         bucket[vote.voter] = vote
-        quorum = self.validators.quorum
-        if len(bucket) < quorum or key in self._qcs:
+        if len(bucket) < self.validators.quorum:
             return None
         if lazy and not self._batch_check_bucket(vote, bucket):
             return None  # bad votes excluded; quorum no longer met
@@ -309,6 +311,7 @@ class BaseReplica:
             bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
         )
         self._qcs[key] = qc
+        del self._votes[key]
         return qc
 
     def _batch_check_bucket(self, vote: Vote, bucket: Dict[int, Vote]) -> bool:
@@ -330,6 +333,11 @@ class BaseReplica:
 
     def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[Certificate]:
         return self._qcs.get((phase, epoch, block_hash))
+
+    def held_certificates(self) -> List[Certificate]:
+        """Every certificate held, for the certified-chain invariant;
+        protocols add those they keep outside vote accounting."""
+        return list(self._qcs.values())
 
     def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).

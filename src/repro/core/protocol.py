@@ -158,12 +158,10 @@ class AlterBFTReplica(BaseReplica):
         # epoch → the anchor proposal (justify.epoch < epoch).
         self._epoch_anchor: Dict[int, ProposalHeaderMsg] = {}
         self._equivocated: Set[int] = set()
-        self._relayed: Set[Digest] = set()
         # Voting: epoch → (height, hash) of the last block voted for.
         self._last_voted: Dict[int, Tuple[int, Digest]] = {}
         # Commit windows that elapsed cleanly, awaiting QC/payloads.
         self._window_clean: Set[Tuple[int, Digest]] = set()
-        self._justify_of: Dict[Digest, Certificate] = {}
         # Epoch change.
         self._blamed_epochs: Set[int] = set()
         self._processed_blame_certs: Set[int] = set()
@@ -403,7 +401,6 @@ class AlterBFTReplica(BaseReplica):
                     epoch=header.epoch,
                     height=header.height,
                 )
-            self._justify_of[header.block_hash] = msg.justify
             self._header_msgs[header.block_hash] = msg
             self._update_high_qc(msg.justify)
             self._unpark(self._parked_on_header, header.block_hash)
@@ -426,10 +423,9 @@ class AlterBFTReplica(BaseReplica):
                 self._epoch_max_height[header.epoch] = header.height
             if msg.justify.epoch < header.epoch:
                 self._epoch_anchor.setdefault(header.epoch, msg)
-        if first_time and self.config.relay_headers and header.block_hash not in self._relayed:
+        if first_time and self.config.relay_headers:
             # Relay so conflicts become visible to all honest replicas
             # within Δ of the first honest receipt.
-            self._relayed.add(header.block_hash)
             self._relay_proposal(msg)
         self._maybe_vote_chain(header.epoch)
 
@@ -664,6 +660,10 @@ class AlterBFTReplica(BaseReplica):
                 if height > qc.height
             ]
             self._propose_block()
+
+    def held_certificates(self) -> List[Certificate]:
+        justifies = (msg.justify for msg in self._header_msgs.values())
+        return [*super().held_certificates(), self.high_qc, *justifies]
 
     def _update_high_qc(self, qc: Certificate) -> None:
         if qc.rank > self.high_qc.rank:
@@ -962,8 +962,6 @@ class AlterBFTReplica(BaseReplica):
         removed_set = set(removed)
         for block_hash in removed_set:
             self._header_msgs.pop(block_hash, None)
-            self._justify_of.pop(block_hash, None)
-            self._relayed.discard(block_hash)
             self._payload_requested.discard(block_hash)
             self._header_requested.discard(block_hash)
         self._window_clean = {w for w in self._window_clean if w[1] not in removed_set}

@@ -56,8 +56,9 @@ class TestStorage:
     def test_children(self):
         store = BlockStore()
         blocks = chain_of(store, 2)
-        assert store.children(store.genesis.block_hash) == {blocks[0].block_hash}
-        assert store.children(blocks[0].block_hash) == {blocks[1].block_hash}
+        assert store.get_header(blocks[0].block_hash).parent == store.genesis.block_hash
+        assert store.get_header(blocks[1].block_hash).parent == blocks[0].block_hash
+        assert store.extends(blocks[1].block_hash, blocks[0].block_hash)
 
 
 class TestAncestry:
@@ -145,8 +146,9 @@ class TestPruning:
         removed = store.prune_below(3)
         assert fork.block_hash in removed
         assert not store.has_header(fork.block_hash)
-        # The surviving suffix keeps intact child indexes.
-        assert store.children(blocks[2].block_hash) == {blocks[3].block_hash}
+        # The surviving suffix keeps its parent links.
+        assert store.get_header(blocks[3].block_hash).parent == blocks[2].block_hash
+        assert store.extends(blocks[3].block_hash, blocks[2].block_hash)
 
     def test_walk_ancestors_stops_at_pruned_boundary(self):
         store = BlockStore()

@@ -251,8 +251,8 @@ FLAGS_ON = dict(
 GOLDEN_FINGERPRINT_FLAGS_ON = "54585f0c98739710c55a43bed2ee19059aec7cd6b01e5dd3ec3e23e92088be44"
 
 
-def _run_cluster(f=1, duration=1.5, faults=(), **protocol_overrides):
-    """The seeded run every fingerprint pin shares, run to its horizon."""
+def _build_cluster(f=1, duration=1.5, faults=(), **protocol_overrides):
+    """The seeded run every fingerprint pin shares, not yet started."""
     cfg = make_config(
         "alterbft",
         f=f,
@@ -262,7 +262,12 @@ def _run_cluster(f=1, duration=1.5, faults=(), **protocol_overrides):
         faults=faults,
         **protocol_overrides,
     )
-    cluster = build_cluster(cfg)
+    return build_cluster(cfg)
+
+
+def _run_cluster(**kwargs):
+    """:func:`_build_cluster`, run to its horizon."""
+    cluster = _build_cluster(**kwargs)
     cluster.start()
     cluster.run()
     return cluster

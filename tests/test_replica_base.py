@@ -3,20 +3,33 @@ subsystem attachment seam."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.config import ProtocolConfig
 from repro.consensus.replica import HOOKS, BaseReplica
 from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
+from repro.crypto.keystore import build_cluster_keys
 from repro.errors import ConfigError, VerificationError
 from repro.runner.registry import SUBSYSTEMS, attach_subsystems
 from repro.types.block import make_block
-from repro.types.certificates import Blame, QuorumCertificate, Vote, genesis_qc
+from repro.types.certificates import (
+    VOTE,
+    Blame,
+    Certificate,
+    QuorumCertificate,
+    Vote,
+    genesis_qc,
+)
 from repro.types.messages import BlameMsg, VoteMsg
 from repro.types.transaction import make_transaction
 from tests.conftest import FakeContext
+from tests.test_perf_hotpath import FENCE_A, _build_cluster
 
 
 class EchoReplica(BaseReplica):
@@ -110,6 +123,141 @@ class TestVoteAccounting:
         assert replica.verify_qc(qc)
         assert replica.verify_qc(genesis_qc("alterbft", replica.store.genesis.block_hash))
         assert not replica.verify_qc(genesis_qc("alterbft", b"\x00" * 32))
+
+
+def parent_record_vote(self, vote):
+    """``BaseReplica.record_vote`` as it was while every vote bucket was
+    kept for the whole run, body verbatim: the oracle for the current one."""
+    if not VOTE.is_signed(vote):
+        raise VerificationError("not a well-formed vote")
+    if vote.protocol != self.protocol_name:
+        raise VerificationError("vote for a different protocol")
+    if not self.validators.is_valid_replica(vote.voter):
+        raise VerificationError(f"vote from unknown replica {vote.voter}")
+    lazy = self.config.crypto_batch
+    if lazy:
+        if vote.voter in self._excluded_voters:
+            return None
+    elif not vote.verify(self.signer):
+        raise VerificationError(f"bad vote signature from {vote.voter}")
+    key = (vote.phase, vote.epoch, vote.block_hash)
+    bucket = self._votes.setdefault(key, {})
+    if vote.voter in bucket:
+        return None
+    bucket[vote.voter] = vote
+    quorum = self.validators.quorum
+    if len(bucket) < quorum or key in self._qcs:
+        return None
+    if lazy and not self._batch_check_bucket(vote, bucket):
+        return None  # bad votes excluded; quorum no longer met
+    qc = Certificate.assemble(
+        bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
+    )
+    self._qcs[key] = qc
+    return qc
+
+
+ORACLE_N, ORACLE_F = 5, 2
+ORACLE_KEYS = build_cluster_keys("hashsig", ORACLE_N)
+#: The one signer whose votes are forged when ``crypto_batch`` is on.
+BAD_SIGNER = ORACLE_N - 1
+
+#: One vote of a stream: (kind, voter, phase, epoch, height, block hash).
+#: Skewed to one statement, so quorums, duplicates and post-quorum votes
+#: are common; the rest are the other phase/epoch/hash and, rarely, a
+#: same-statement vote at a divergent height.
+stream_votes = st.lists(
+    st.tuples(
+        st.sampled_from(["good"] * 6 + ["forged", "unknown"]),
+        st.integers(0, ORACLE_N - 1),
+        st.sampled_from([0, 0, 0, 1]),
+        st.sampled_from([1, 1, 1, 2]),
+        st.sampled_from([1] * 9 + [2]),
+        st.sampled_from([b"\x05" * 32] * 3 + [b"\x06" * 32]),
+    ),
+    max_size=40,
+)
+
+
+def _traced_replica(batch):
+    config = ProtocolConfig(n=ORACLE_N, f=ORACLE_F, crypto_batch=batch)
+    validators = ValidatorSet.synchronous(ORACLE_N, ORACLE_F)
+    replica = EchoReplica(0, validators, config, ORACLE_KEYS[0])
+    ctx = FakeContext()
+    ctx.traced = []
+    ctx.trace = lambda kind, **detail: ctx.traced.append((kind, detail))
+    ctx.bind_replica(replica)
+    return replica, ctx
+
+
+def _make_stream_vote(kind, voter, phase, epoch, height, block_hash, batch):
+    if kind == "forged" and batch:
+        voter = BAD_SIGNER
+    vote = Vote.create(ORACLE_KEYS[voter], "alterbft", epoch, height, block_hash, phase=phase)
+    if kind == "forged":
+        vote = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
+    elif kind == "unknown":
+        vote = dataclasses.replace(vote, voter=ORACLE_N + voter)
+    return vote
+
+
+def _outcome(record, *args):
+    try:
+        return record(*args)
+    except VerificationError as exc:
+        return (type(exc), str(exc))
+
+
+class TestRecordVoteOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(stream=stream_votes, batch=st.booleans())
+    def test_agrees_with_the_keep_everything_body(self, stream, batch):
+        replica, ctx = _traced_replica(batch)
+        oracle, oracle_ctx = _traced_replica(batch)
+        for drawn in stream:
+            vote = _make_stream_vote(*drawn, batch)
+            got = _outcome(replica.record_vote, vote)
+            assert got == _outcome(parent_record_vote, oracle, vote)
+            assert replica._qcs == oracle._qcs
+            assert ctx.traced == oracle_ctx.traced
+            assert replica._excluded_voters == oracle._excluded_voters
+            # Kept until the quorum, and not a vote longer.
+            assert not set(replica._votes) & set(replica._qcs)
+            assert replica._votes == {
+                key: bucket for key, bucket in oracle._votes.items() if key not in oracle._qcs
+            }
+
+    def test_post_quorum_votes_are_checked_then_dropped(self, replica, signers3):
+        replica.record_vote(make_vote(signers3[1]))
+        assert replica.record_vote(make_vote(signers3[2])) is not None
+        assert replica._votes == {}
+        vote = make_vote(signers3[0])
+        forged = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
+        with pytest.raises(VerificationError):
+            replica.record_vote(forged)
+        assert replica.record_vote(make_vote(signers3[0])) is None
+        assert replica._votes == {}
+
+
+@pytest.mark.parametrize(
+    "run", [dict(f=3, duration=2.0), FENCE_A], ids=["n7-fault-free", "fence-a"]
+)
+def test_vote_buckets_stay_bounded_over_a_run(run):
+    """At every commit, each replica holds a handful of open vote buckets,
+    not one per height of the run so far."""
+    cluster = _build_cluster(**run)
+    peak = dict.fromkeys(range(len(cluster.replicas)), 0)
+    for replica in cluster.replicas:
+
+        def sample(block, now, replica=replica):
+            peak[replica.replica_id] = max(peak[replica.replica_id], len(replica._votes))
+
+        # Listeners outlive a restart, so the rejoiner keeps being sampled.
+        replica.ledger.add_listener(sample)
+    cluster.start()
+    cluster.run()
+    assert min(r.ledger.height for r in cluster.replicas) > 40
+    assert max(peak.values()) < 10, peak
 
 
 class TestBlameAccounting:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import gc
 import random
+import socket
+from typing import Dict, Tuple
 
 import pytest
 
@@ -20,14 +22,24 @@ from repro.net.transport import (
     FrameReader,
     backoff_delay,
     encode_frame,
-    local_peer_map,
     read_frame,
     submit_transaction,
 )
 from repro.types.transaction import make_transaction
 from tests.test_codec import UNTYPED_BEFORE
 
-BASE_PORT = 41830  # avoid clashing with the example's default ports
+
+def free_peer_map(n: int) -> Dict[int, Tuple[str, int]]:
+    """A localhost peer map on ports the kernel picks: a rerun, or another
+    suite on the same host, never finds one still taken."""
+    sockets = [socket.socket() for _ in range(n)]
+    try:
+        for sock in sockets:
+            sock.bind(("127.0.0.1", 0))
+        return {i: sock.getsockname() for i, sock in enumerate(sockets)}
+    finally:
+        for sock in sockets:
+            sock.close()
 
 
 def make_replica(replica_id: int, n: int = 3, f: int = 1) -> AlterBFTReplica:
@@ -230,7 +242,7 @@ class TestBackoff:
 
 class TestOutboundQueue:
     def test_drop_oldest_on_overflow(self):
-        peers = local_peer_map(2, base_port=BASE_PORT + 100)
+        peers = free_peer_map(2)
         node = AsyncReplicaNode(make_replica(0), peers, outbound_limit=2)
         for i in range(5):
             node._enqueue(1, bytes([i]))
@@ -242,7 +254,7 @@ class TestOutboundQueue:
         registry, not just the legacy ``dropped`` dict."""
         from repro.obs.metrics import MetricsRegistry
 
-        peers = local_peer_map(2, base_port=BASE_PORT + 105)
+        peers = free_peer_map(2)
         registry = MetricsRegistry()
         node = AsyncReplicaNode(
             make_replica(0), peers, outbound_limit=2, metrics=registry
@@ -256,7 +268,7 @@ class TestOutboundQueue:
     def test_metrics_optional(self):
         """No registry attached: the hot path stays a single attribute
         test and only the legacy dict records drops."""
-        peers = local_peer_map(2, base_port=BASE_PORT + 106)
+        peers = free_peer_map(2)
         node = AsyncReplicaNode(make_replica(0), peers, outbound_limit=1)
         node._enqueue(1, b"a")
         node._enqueue(1, b"b")
@@ -269,7 +281,7 @@ class TestOutboundQueue:
         from repro.obs.metrics import MetricsRegistry
 
         async def run():
-            peers = local_peer_map(3, base_port=BASE_PORT + 110)
+            peers = free_peer_map(3)
             registry = MetricsRegistry()
             node = AsyncReplicaNode(make_replica(0), peers, metrics=registry)
             await node.start()  # peers 1 and 2 are not listening
@@ -291,7 +303,7 @@ class TestOutboundQueue:
         from repro.obs.wire import WireAccountant
 
         async def run():
-            peers = local_peer_map(2, base_port=BASE_PORT + 130)
+            peers = free_peer_map(2)
             wire = WireAccountant(small_threshold=4096)
             node = AsyncReplicaNode(make_replica(0), peers, wire=wire)
             node.loop = asyncio.get_running_loop()
@@ -311,7 +323,7 @@ class TestOutboundQueue:
         background dialer connects."""
 
         async def run():
-            peers = local_peer_map(2, base_port=BASE_PORT + 120)
+            peers = free_peer_map(2)
             node = AsyncReplicaNode(make_replica(0), peers, outbound_limit=64)
             node.loop = asyncio.get_running_loop()
             for i in range(3):
@@ -351,7 +363,7 @@ class TestReaderTasks:
         replica fed by it must not keep a finished task for each."""
 
         async def run():
-            peers = local_peer_map(3, base_port=BASE_PORT + 190)
+            peers = free_peer_map(3)
             replica = make_replica(2)  # not the first leader: nothing leaves the pool
             node = AsyncReplicaNode(replica, peers)
             await node.start()
@@ -384,7 +396,7 @@ class TestBadFrames:
     def _raw(payload: bytes) -> bytes:
         return len(payload).to_bytes(4, "big") + payload
 
-    def _drive(self, port_offset: int, bad_frame: bytes, hello: bool = True):
+    def _drive(self, bad_frame: bytes, hello: bool = True):
         """Send ``bad_frame`` as peer 1, then a transaction as peer 2.
 
         Returns (peer 1's link was closed, bad_frames_total, mempool size,
@@ -396,7 +408,7 @@ class TestBadFrames:
             loop = asyncio.get_running_loop()
             unhandled = []
             loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
-            peers = local_peer_map(3, base_port=BASE_PORT + port_offset)
+            peers = free_peer_map(3)
             registry = MetricsRegistry()
             node = AsyncReplicaNode(make_replica(0), peers, metrics=registry)
             await node.start()
@@ -430,103 +442,93 @@ class TestBadFrames:
         return asyncio.run(run())
 
     @pytest.mark.parametrize(
-        "offset, bad",
-        [
-            pytest.param(140 + i, *param.values, id=param.id)
-            for i, param in enumerate(
-                UNTYPED_BEFORE
-                + [
-                    pytest.param(b"\x0a\x0a\x03\x00\x00\x00", id="short-struct"),
-                    pytest.param(b"", id="empty"),
-                ]
-            )
+        "bad",
+        UNTYPED_BEFORE
+        + [
+            pytest.param(b"\x0a\x0a\x03\x00\x00\x00", id="short-struct"),
+            pytest.param(b"", id="empty"),
         ],
     )
-    def test_garbage_frame_from_a_peer(self, offset, bad):
-        closed, bad_frames, pooled, unhandled = self._drive(offset, self._raw(bad))
+    def test_garbage_frame_from_a_peer(self, bad):
+        closed, bad_frames, pooled, unhandled = self._drive(self._raw(bad))
         assert closed and bad_frames == 1
         assert pooled == 1, "the second peer's link must be unaffected"
         assert unhandled == []
 
     @pytest.mark.parametrize(
-        "offset, msg",
+        "msg",
         [
-            pytest.param(150, ("client-tx", 5), id="not-a-transaction"),
-            pytest.param(151, ("client-tx",), id="no-transaction"),
-            pytest.param(152, ("client-tx", None), id="none"),
+            pytest.param(("client-tx", 5), id="not-a-transaction"),
+            pytest.param(("client-tx",), id="no-transaction"),
+            pytest.param(("client-tx", None), id="none"),
             pytest.param(
-                153,
                 ("client-tx", make_transaction(1, 0, 0.0, 8), make_transaction(1, 1, 0.0, 8)),
                 id="two-transactions",
             ),
         ],
     )
-    def test_malformed_client_tuple(self, offset, msg):
-        closed, bad_frames, pooled, unhandled = self._drive(offset, encode_frame(msg))
+    def test_malformed_client_tuple(self, msg):
+        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(msg))
         assert closed and bad_frames == 1
         assert pooled == 1, "only the well-formed transaction is pooled"
         assert unhandled == []
 
     @pytest.mark.parametrize(
-        "offset, fields",
+        "fields",
         [
-            pytest.param(154, b"\x05\x017\x03\x00\x04" + b"\x00" * 8 + b"\x05\x00", id="client_id-bytes"),
-            pytest.param(155, b"\x03\x0e\x03\x00\x04" + b"\x00" * 8 + b"\x03\x12", id="payload-int"),
-            pytest.param(156, b"\x03\x0e\x02\x04" + b"\x00" * 8 + b"\x05\x00", id="seq-bool"),
-            pytest.param(157, b"\x03\x0e\x03\x00\x03\x02\x05\x00", id="submitted_at-int"),
+            pytest.param(b"\x05\x017\x03\x00\x04" + b"\x00" * 8 + b"\x05\x00", id="client_id-bytes"),
+            pytest.param(b"\x03\x0e\x03\x00\x04" + b"\x00" * 8 + b"\x03\x12", id="payload-int"),
+            pytest.param(b"\x03\x0e\x02\x04" + b"\x00" * 8 + b"\x05\x00", id="seq-bool"),
+            pytest.param(b"\x03\x0e\x03\x00\x03\x02\x05\x00", id="submitted_at-int"),
         ],
     )
-    def test_ill_typed_client_transaction(self, offset, fields):
+    def test_ill_typed_client_transaction(self, fields):
         """Four fields, canonical, wrong types: refused by the decoder now,
         not pooled and tripped over at proposal time."""
         frame = self._raw(b"\x08\x02" + encode("client-tx") + b"\x0a\x0a\x04" + fields)
-        closed, bad_frames, pooled, unhandled = self._drive(offset, frame)
+        closed, bad_frames, pooled, unhandled = self._drive(frame)
         assert closed and bad_frames == 1
         assert pooled == 1, "only the second peer's transaction is pooled"
         assert unhandled == []
 
     @pytest.mark.parametrize(
-        "offset, garbage",
+        "garbage",
         [
-            pytest.param(158, b"\x00\x00\x00\x03\x0a\x0a\x03", id="short-struct"),
-            pytest.param(159, b"\x00\x00\x00\x00", id="empty-frame"),
-            pytest.param(164, (2**31).to_bytes(4, "big") + b"xx", id="oversized"),
+            pytest.param(b"\x00\x00\x00\x03\x0a\x0a\x03", id="short-struct"),
+            pytest.param(b"\x00\x00\x00\x00", id="empty-frame"),
+            pytest.param((2**31).to_bytes(4, "big") + b"xx", id="oversized"),
         ],
     )
-    def test_good_transaction_then_garbage_in_one_segment(self, offset, garbage):
+    def test_good_transaction_then_garbage_in_one_segment(self, garbage):
         """Both frames arrive in one socket read: the first is served from the
         buffer and pooled, the second costs the connection — once."""
         good = encode_frame(("client-tx", make_transaction(9, 0, 0.0, 32)))
-        closed, bad_frames, pooled, unhandled = self._drive(offset, good + garbage)
+        closed, bad_frames, pooled, unhandled = self._drive(good + garbage)
         assert closed and bad_frames == 1
         assert pooled == 2, "the transaction ahead of the garbage, and the second peer's"
         assert unhandled == []
 
     def test_oversized_frame_announcement(self):
-        closed, bad_frames, pooled, unhandled = self._drive(
-            160, (2**31).to_bytes(4, "big") + b"xx"
-        )
+        closed, bad_frames, pooled, unhandled = self._drive((2**31).to_bytes(4, "big") + b"xx")
         assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
 
     @pytest.mark.parametrize(
-        "offset, hello",
+        "hello",
         [
-            pytest.param(161, ("hello", "one"), id="non-integer-id"),
-            pytest.param(162, ("hullo", 1), id="wrong-greeting"),
-            pytest.param(163, 17, id="not-a-tuple"),
+            pytest.param(("hello", "one"), id="non-integer-id"),
+            pytest.param(("hullo", 1), id="wrong-greeting"),
+            pytest.param(17, id="not-a-tuple"),
         ],
     )
-    def test_bad_hello(self, offset, hello):
-        closed, bad_frames, pooled, unhandled = self._drive(
-            offset, encode_frame(hello), hello=False
-        )
+    def test_bad_hello(self, hello):
+        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(hello), hello=False)
         assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
 
     def test_full_mempool_sheds_the_transaction_not_the_link(self):
         from repro.obs.metrics import MetricsRegistry
 
         async def run():
-            peers = local_peer_map(3, base_port=BASE_PORT + 170)
+            peers = free_peer_map(3)
             registry = MetricsRegistry()
             replica = make_replica(2)  # not the first leader: nothing leaves the pool
             replica.mempool.capacity = 1
@@ -554,7 +556,7 @@ class TestBadFrames:
 
 
     @staticmethod
-    def _drive_kept_link(port_offset: int, hostile_msgs):
+    def _drive_kept_link(hostile_msgs):
         """Peer 1 sends ``hostile_msgs`` and then a transaction, peer 0 a
         transaction, to replica 2 — whose link to peer 1 must stay up.
 
@@ -567,7 +569,7 @@ class TestBadFrames:
             loop = asyncio.get_running_loop()
             unhandled = []
             loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
-            peers = local_peer_map(3, base_port=BASE_PORT + port_offset)
+            peers = free_peer_map(3)
             registry = MetricsRegistry()
             replica = make_replica(2)  # not the first leader: nothing leaves the pool
             node = AsyncReplicaNode(replica, peers, metrics=registry)
@@ -617,7 +619,7 @@ class TestBadFrames:
 
         qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
         registry, traced, replica, unhandled = self._drive_kept_link(
-            180, [StatusMsg(sender=1, new_epoch=1, high_qc=qc), BlameCertMsg(cert=5)]
+            [StatusMsg(sender=1, new_epoch=1, high_qc=qc), BlameCertMsg(cert=5)]
         )
         assert traced == [
             ("verification_failed", "StatusMsg"),
@@ -637,7 +639,7 @@ class TestBadFrames:
 
         vote = Vote.create(build_cluster_keys("hashsig", 3)[1], "alterbft", 1, 1, b"\x01" * 32)
         forged = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
-        registry, traced, replica, unhandled = self._drive_kept_link(181, [VoteMsg(vote=forged)])
+        registry, traced, replica, unhandled = self._drive_kept_link([VoteMsg(vote=forged)])
         assert traced == [("verification_failed", "VoteMsg")]
         assert registry.counter("trace/verification_failed").value == 1
         assert replica._votes == {}, "the forged vote was not recorded"
@@ -647,7 +649,7 @@ class TestBadFrames:
     def test_trace_without_a_registry_is_a_no_op(self):
         from repro.net.transport import AsyncioContext
 
-        node = AsyncReplicaNode(make_replica(2), local_peer_map(3, base_port=BASE_PORT + 182))
+        node = AsyncReplicaNode(make_replica(2), free_peer_map(3))
         AsyncioContext(node).trace("epoch_change", epoch=2)
 
 
@@ -661,7 +663,7 @@ class TestLiveCluster:
             pconf = ProtocolConfig(n=n, f=f, delta=0.02, epoch_timeout=2.0)
             signers = build_cluster_keys("hashsig", n)
             validators = ValidatorSet.synchronous(n, f)
-            peers = local_peer_map(n, base_port=BASE_PORT)
+            peers = free_peer_map(n)
             nodes = [
                 AsyncReplicaNode(
                     AlterBFTReplica(i, validators, pconf, signers[i]), peers
