@@ -22,7 +22,7 @@ Implemented rules (event-driven formulation, Algorithm 4/5 of the paper):
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..codec import encode
 from ..consensus.pacemaker import Pacemaker
@@ -203,7 +203,7 @@ class HotStuffReplica(BaseReplica):
         keys: Set = set()
         reached_known_base = False
         for header in self.store.walk_ancestors(tip_hash):
-            if header.height == 0 or self.ledger.is_committed(header.block_hash):
+            if header.height == 0 or self.ledger.is_committed(header):
                 reached_known_base = True
                 break
             if not self.store.has_payload(header.block_hash):
@@ -350,9 +350,6 @@ class HotStuffReplica(BaseReplica):
             self.pacemaker.record_progress()
         self._advance_view(qc.epoch + 1, made_progress=True)
         self._maybe_lead()
-
-    def held_certificates(self) -> List[Certificate]:
-        return [*super().held_certificates(), self.high_qc, *self._justify_of.values()]
 
     def on_new_view(self, src: int, msg: HSNewViewMsg) -> None:
         if msg.sender != src or not self.validators.is_valid_replica(msg.sender):

@@ -336,10 +336,6 @@ class PBFTReplica(BaseReplica):
         self._commit_ready[qc.height] = (block, qc)
         self._execute_ready()
 
-    def held_certificates(self) -> List[Certificate]:
-        orphans = (*self._orphan_prepare_qcs.values(), *self._orphan_commit_qcs.values())
-        return [*super().held_certificates(), *orphans]
-
     def _execute_ready(self) -> None:
         """Execute commit-certified blocks strictly in sequence order."""
         progressed = False
@@ -355,6 +351,7 @@ class PBFTReplica(BaseReplica):
                     MARK_COMMIT, block.block_hash, epoch=block.epoch, height=seq
                 )
             progressed = True
+        self.advance_horizon()  # after sync-reply commits too
         if progressed and self.pacemaker is not None:
             self.pacemaker.record_progress()
 

@@ -19,11 +19,8 @@ and relays are full blocks.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..core.protocol import AlterBFTReplica
 from ..types.block import make_block
-from ..crypto.hashing import Digest
 from ..errors import ConfigError, VerificationError
 from ..obs.recorder import MARK_PAYLOAD, MARK_PROPOSE
 from ..types.messages import (
@@ -70,8 +67,6 @@ class SyncHotStuffReplica(AlterBFTReplica):
                 "pipeline_depth > 1 is only supported by alterbft "
                 f"(got {self.config.pipeline_depth} for {self.protocol_name})"
             )
-        # Full proposals by block hash, for relaying.
-        self._full_proposals: Dict[Digest, SHProposalMsg] = {}
 
     # -- proposing ------------------------------------------------------------
 
@@ -116,8 +111,8 @@ class SyncHotStuffReplica(AlterBFTReplica):
         if not msg.block.validate_payload():
             raise VerificationError("proposal payload does not match header")
         block_hash = msg.block.block_hash
-        self._full_proposals[block_hash] = msg
-        # Payload first so voting can proceed as soon as the header lands.
+        # Payload first so voting can proceed as soon as the header lands
+        # (and so the relay can rebuild the proposal from the store).
         if self.store.add_payload(block_hash, msg.block.payload) and self.obs is not None:
             self.obs_mark(MARK_PAYLOAD, block_hash)
         if msg.block.epoch > self.epoch:
@@ -131,8 +126,6 @@ class SyncHotStuffReplica(AlterBFTReplica):
         This relay is precisely why the classical model must bound large
         messages: equivocation detection rides on it.
         """
-        full = self._full_proposals.get(msg.header.block_hash)
-        if full is not None:
-            self.broadcast(full, include_self=False)
-        else:  # pragma: no cover - defensive: relay at least the header
-            self.broadcast(msg, include_self=False)
+        block = self.store.block(msg.header.block_hash)
+        full = SHProposalMsg(block=block, signature=msg.signature, justify=msg.justify)
+        self.broadcast(full, include_self=False)

@@ -19,6 +19,7 @@ from .invariants import (
     check_certified_chain,
     check_guard_flagging,
     check_recovery,
+    install_certificate_log,
     violations,
 )
 from .runner import ScenarioResult, main, run_demo, run_scenario, run_sweep
@@ -59,6 +60,7 @@ __all__ = [
     "e10_demo_scenario",
     "grid",
     "install_adversary",
+    "install_certificate_log",
     "liveness_gap_bound",
     "main",
     "parse_scenario_id",

@@ -9,7 +9,8 @@ invariants are the correctness claims the repository exists to test:
 * **certified-chain** — every committed block is reachable from genesis
   through intact parent links, carries a payload matching its header
   commitment, and is certified by a cryptographically valid quorum
-  certificate known somewhere in the honest cluster;
+  certificate some replica formed or accepted during the run (read from
+  the run's :class:`CertificateLog`, not from what replicas retain);
 * **bounded-gap liveness** — once faults have played out (the scenario's
   *recovery time*), no honest replica goes longer than the model-derived
   bound without committing;
@@ -37,9 +38,9 @@ runner (:mod:`repro.check.runner`) aggregates them across scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..crypto.hashing import short_hex
+from ..crypto.hashing import Digest, short_hex
 from ..types.certificates import Certificate, Vote
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,28 +92,42 @@ def check_agreement(cluster: "Cluster") -> InvariantResult:
     return InvariantResult(AGREEMENT, True)
 
 
-def _collect_certificates(cluster: "Cluster") -> List[Certificate]:
-    """Every quorum certificate any honest replica holds, deduplicated.
+class CertificateLog:
+    """The first certificate per block hash any replica of a run formed or
+    accepted (``on_certificate``), as replicas release theirs at the
+    retention horizon: one log per cluster, not a copy per replica."""
 
-    Each replica class names its own (``held_certificates``): formed and
-    high-water certificates, proposals' justifies, PBFT's orphan buffers.
-    """
-    seen: Set[Certificate] = set()
+    name = "certificate-log"
+    HANDLERS: Dict[type, str] = {}
+    TIMERS: Dict[str, str] = {}
+
+    def __init__(self) -> None:
+        self.by_block: Dict[Digest, Certificate] = {}
+
+    def on_certificate(self, qc: Certificate) -> None:
+        self.by_block.setdefault(qc.block_hash, qc)
+
+
+def install_certificate_log(cluster: "Cluster") -> CertificateLog:
+    """Attach one :class:`CertificateLog` to every replica, before the run."""
+    log = CertificateLog()
     for replica in cluster.replicas:
-        if replica.replica_id in cluster.honest_ids:
-            seen.update(replica.held_certificates())
-    return list(seen)
+        replica.attach(log)
+    return log
 
 
 def check_certified_chain(cluster: "Cluster") -> InvariantResult:
-    """Every committed block chains to genesis under a valid certificate."""
+    """Every committed block chains to genesis under a certificate that
+    verifies for an honest replica — whoever formed or accepted it."""
     honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
     if not honest:
         return InvariantResult(CERTIFIED_CHAIN, True, "no honest replicas")
     verifier = honest[0]
-    certified = {
-        qc.block_hash for qc in _collect_certificates(cluster) if verifier.verify_qc(qc)
-    }
+    log = verifier.subsystems.get(CertificateLog.name)
+    if log is None:
+        return InvariantResult(CERTIFIED_CHAIN, False, "no log: install_certificate_log")
+    # verify_qc hands each certificate back to the log: a no-op, it is there.
+    certified = {h for h, qc in log.by_block.items() if verifier.verify_qc(qc)}
     for replica in honest:
         ledger = replica.ledger
         for height in range(len(ledger)):

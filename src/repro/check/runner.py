@@ -29,7 +29,7 @@ from ..errors import ConfigError
 from ..runner.cluster import build_cluster
 from ..runner.registry import protocol_names
 from .adversary import PROFILES, install_adversary
-from .invariants import AGREEMENT, InvariantResult, check_all, violations
+from .invariants import AGREEMENT, InvariantResult, check_all, install_certificate_log, violations
 from .scenarios import (
     FAMILIES,
     PROTOCOLS,
@@ -77,6 +77,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
     config = build_config(scenario)
     cluster = build_cluster(config)
     install_adversary(cluster, scenario.profile)
+    install_certificate_log(cluster)
     cluster.start()
     cluster.run()
     row = swept_row(scenario.behavior)

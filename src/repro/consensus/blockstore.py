@@ -23,6 +23,8 @@ class BlockStore:
         self.genesis = genesis_block()
         self._headers: Dict[Digest, BlockHeader] = {}
         self._payloads: Dict[Digest, BlockPayload] = {}
+        #: Every height below this has been pruned (:meth:`prune_below`).
+        self.floor = 0
         self.add_header(self.genesis.header)
         self.add_payload(self.genesis.block_hash, self.genesis.payload)
 
@@ -139,6 +141,7 @@ class BlockStore:
         block simply stops at the pruned boundary).  Returns the removed
         hashes so callers can drop their own per-block indexes.
         """
+        self.floor = max(self.floor, height)
         removed = [
             block_hash
             for block_hash, header in self._headers.items()

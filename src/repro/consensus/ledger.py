@@ -10,11 +10,11 @@ order, exactly once.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Union
 
 from ..crypto.hashing import Digest, sha256
 from ..errors import LedgerError, SafetyViolation
-from ..types.block import Block, genesis_block
+from ..types.block import Block, BlockHeader, genesis_block
 
 #: Listener signature: listener(block, commit_time).
 CommitListener = Callable[[Block, float], None]
@@ -25,7 +25,6 @@ class Ledger:
 
     def __init__(self) -> None:
         self._blocks: List[Block] = [genesis_block()]
-        self._hashes = {self._blocks[0].block_hash}
         self._listeners: List[CommitListener] = []
         # Lazy cumulative state digests (see :meth:`state_digest`); index
         # h covers blocks[0..h].  Extended on demand so runs that never
@@ -62,8 +61,9 @@ class Ledger:
             return self._blocks[height].block_hash
         return None
 
-    def is_committed(self, block_hash: Digest) -> bool:
-        return block_hash in self._hashes
+    def is_committed(self, block: Union[Block, BlockHeader]) -> bool:
+        """Is this block the one committed at its height?"""
+        return self.committed_hash_at(block.height) == block.block_hash
 
     def _append(self, block: Block) -> None:
         """Validate and append ``block`` without notifying listeners."""
@@ -79,7 +79,6 @@ class Ledger:
         if not block.validate_payload():
             raise LedgerError("committed block has payload/header mismatch")
         self._blocks.append(block)
-        self._hashes.add(block.block_hash)
 
     def commit(self, block: Block, now: float) -> None:
         """Append ``block``; it must directly extend the current head."""
@@ -134,13 +133,6 @@ class Ledger:
         if not 0 < height < len(self._blocks):
             raise LedgerError(f"cannot flag uncommitted height {height}")
         self._at_risk.add(height)
-
-    def is_at_risk(self, height: int) -> bool:
-        return height in self._at_risk
-
-    def at_risk_heights(self) -> List[int]:
-        """Flagged heights in ascending order."""
-        return sorted(self._at_risk)
 
     @property
     def at_risk_count(self) -> int:

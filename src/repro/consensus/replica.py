@@ -36,7 +36,8 @@ from .validators import ValidatorSet
 #: The hooks a subsystem may implement — exactly the call sites the
 #: protocols have, nothing speculative (DESIGN.md → "Attaching a
 #: subsystem").  Each fires in attach order.
-HOOKS = ("on_start", "on_epoch_enter", "on_committed", "on_header", "drop_blocks", "journal")
+HOOKS = ("on_start", "on_epoch_enter", "on_committed", "on_header", "on_certificate",
+         "drop_blocks", "journal")
 
 
 class BaseReplica:
@@ -111,9 +112,11 @@ class BaseReplica:
         #: outside the replica reaches one (``subsystems.get("guard")``).
         self.subsystems: Dict[str, Any] = {}
         self._hooks: Dict[str, List[Callable[..., None]]] = {hook: [] for hook in HOOKS}
-        # Vote accounting: (phase, epoch, block_hash) → {voter → Vote} until its QC.
+        # Vote accounting: (phase, epoch, block_hash) → {voter → Vote} until
+        # its QC; the QC until the retention horizon (advance_horizon).
         self._votes: Dict[Tuple[int, int, Digest], Dict[int, Vote]] = {}
         self._qcs: Dict[Tuple[int, int, Digest], Certificate] = {}
+        self.horizon = -config.pipeline_depth
         # Blame accounting: epoch → {blamer → Blame}.
         self._blames: Dict[int, Dict[int, Blame]] = {}
         self._blame_certs: Dict[int, Certificate] = {}
@@ -275,7 +278,8 @@ class BaseReplica:
 
         The returned certificate is produced the moment the quorum is
         reached; its bucket goes with it, and later votes for the same
-        statement are checked and dropped, never stored.
+        statement are checked and dropped, never stored — as is a vote at
+        or below the retention horizon.
 
         With ``crypto_batch`` enabled, signature checking is deferred:
         votes are bucketed unverified and the whole flood is checked in
@@ -296,6 +300,8 @@ class BaseReplica:
                 return None
         elif not vote.verify(self.signer):
             raise VerificationError(f"bad vote signature from {vote.voter}")
+        if vote.height <= self.horizon:
+            return None
         key = (vote.phase, vote.epoch, vote.block_hash)
         if key in self._qcs:
             return None
@@ -312,6 +318,7 @@ class BaseReplica:
         )
         self._qcs[key] = qc
         del self._votes[key]
+        self._fire("on_certificate", qc)
         return qc
 
     def _batch_check_bucket(self, vote: Vote, bucket: Dict[int, Vote]) -> bool:
@@ -334,22 +341,40 @@ class BaseReplica:
     def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[Certificate]:
         return self._qcs.get((phase, epoch, block_hash))
 
-    def held_certificates(self) -> List[Certificate]:
-        """Every certificate held, for the certified-chain invariant;
-        protocols add those they keep outside vote accounting."""
-        return list(self._qcs.values())
-
     def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).
 
         Accepts both proof forms; anything that is not a well-formed
-        vote certificate at all is simply invalid.
+        vote certificate at all is simply invalid.  ``on_certificate``
+        hears of each valid one, as of every QC this replica forms.
         """
         if not VOTE.is_certificate(qc):
             return False
         if is_genesis_qc(qc):
-            return qc.block_hash == self.store.genesis.block_hash
-        return qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators)
+            valid = qc.block_hash == self.store.genesis.block_hash
+        else:
+            valid = qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators)
+        if valid:
+            self._fire("on_certificate", qc)
+        return valid
+
+    def advance_horizon(self) -> None:
+        """Release QCs and vote buckets at or below the retention horizon:
+        the committed head minus ``pipeline_depth``, lowered to the block
+        store's checkpoint floor when checkpointing is on.  A bucket there
+        can never reach its quorum, as :meth:`record_vote` drops every
+        later vote at those heights.  Called after every commit."""
+        horizon = self.ledger.height - self.config.pipeline_depth
+        if self.config.checkpoint_interval > 0:
+            horizon = min(horizon, self.store.floor)
+        if horizon <= self.horizon:
+            return
+        self.horizon = horizon
+        self._qcs = {key: qc for key, qc in self._qcs.items() if qc.height > horizon}
+        self._votes = {
+            key: bucket for key, bucket in self._votes.items()
+            if any(vote.height > horizon for vote in bucket.values())
+        }
 
     # -- blame accounting ------------------------------------------------------------
 
@@ -392,7 +417,7 @@ class BaseReplica:
         already committed).
         """
         head_hash = self.ledger.head.block_hash
-        if self.ledger.is_committed(block_hash):
+        if self.ledger.is_committed(self.store.header(block_hash)):
             return []
         headers = self.store.chain_between(block_hash, head_hash)
         blocks = [self.store.block(h.block_hash) for h in headers]
@@ -406,4 +431,5 @@ class BaseReplica:
                     "commit", block.block_hash, epoch=block.epoch, height=block.height
                 )
         self._fire("on_committed", blocks)
+        self.advance_horizon()
         return blocks

@@ -150,8 +150,8 @@ class AlterBFTReplica(BaseReplica):
         # anchor rule compares against this, not the live high_qc.
         self._entry_rank: Tuple[int, int] = self.high_qc.rank
         # Per-epoch leader-signed proposals, for conflict detection:
-        # epoch → height → full proposal message.
-        self._epoch_headers: Dict[int, Dict[int, ProposalHeaderMsg]] = {}
+        # epoch → height → hash (the proposal is in _header_msgs).
+        self._epoch_headers: Dict[int, Dict[int, Digest]] = {}
         # epoch → highest recorded proposal height; lets the voting
         # catch-up scan bail out in O(1) in the common gap-free case.
         self._epoch_max_height: Dict[int, int] = {}
@@ -418,7 +418,8 @@ class AlterBFTReplica(BaseReplica):
             return
         heights = self._epoch_headers.setdefault(header.epoch, {})
         if header.height not in heights:
-            heights[header.height] = msg
+            heights[header.height] = header.block_hash
+            self._header_msgs.setdefault(header.block_hash, msg)  # catchup stored the header
             if header.height > self._epoch_max_height.get(header.epoch, -1):
                 self._epoch_max_height[header.epoch] = header.height
             if msg.justify.epoch < header.epoch:
@@ -441,11 +442,12 @@ class AlterBFTReplica(BaseReplica):
           1. same height, different hash;
           2. two distinct anchors (justify from an earlier epoch);
           3. broken parent link at adjacent heights.
+        (A proposal a checkpoint pruned from ``_header_msgs`` is settled.)
         """
         header = msg.header
         epoch, height = header.epoch, header.height
         heights = self._epoch_headers.get(epoch, {})
-        recorded = heights.get(height)
+        recorded = self._header_msgs.get(heights.get(height))
         if recorded is not None and recorded.header.block_hash != header.block_hash:
             return recorded
         if msg.justify.epoch < epoch:
@@ -453,10 +455,10 @@ class AlterBFTReplica(BaseReplica):
             if anchor is not None and anchor.header.block_hash != header.block_hash:
                 return anchor
         else:  # justify.epoch == epoch: parent must be the epoch chain
-            below = heights.get(height - 1)
+            below = self._header_msgs.get(heights.get(height - 1))
             if below is not None and below.header.block_hash != header.parent:
                 return below
-        above = heights.get(height + 1)
+        above = self._header_msgs.get(heights.get(height + 1))
         if (
             above is not None
             and above.justify.epoch == epoch
@@ -616,12 +618,14 @@ class AlterBFTReplica(BaseReplica):
             # or join the epoch's already-certified chain (an epoch-e
             # justify embeds an honest anchor vote).
             for height in sorted(heights):
-                msg = heights[height]
-                if msg.justify.epoch == epoch or msg.justify.rank >= self._entry_rank:
+                msg = self._header_msgs.get(heights[height])
+                if msg is not None and (
+                    msg.justify.epoch == epoch or msg.justify.rank >= self._entry_rank
+                ):
                     return msg
             return None
         last_height, last_hash = last
-        msg = heights.get(last_height + 1)
+        msg = self._header_msgs.get(heights.get(last_height + 1))
         if msg is not None and msg.header.parent == last_hash:
             return msg
         if self._epoch_max_height.get(epoch, -1) <= last_height + 1:
@@ -629,8 +633,8 @@ class AlterBFTReplica(BaseReplica):
         # Catch-up: the leader moved on without our vote; we may vote for
         # any later proposal whose chain passes through our last vote.
         for height in sorted(h for h in heights if h > last_height + 1):
-            candidate = heights[height]
-            if self.store.extends(candidate.header.parent, last_hash):
+            candidate = self._header_msgs.get(heights[height])
+            if candidate is not None and self.store.extends(candidate.header.parent, last_hash):
                 return candidate
         return None
 
@@ -660,10 +664,6 @@ class AlterBFTReplica(BaseReplica):
                 if height > qc.height
             ]
             self._propose_block()
-
-    def held_certificates(self) -> List[Certificate]:
-        justifies = (msg.justify for msg in self._header_msgs.values())
-        return [*super().held_certificates(), self.high_qc, *justifies]
 
     def _update_high_qc(self, qc: Certificate) -> None:
         if qc.rank > self.high_qc.rank:
@@ -702,15 +702,16 @@ class AlterBFTReplica(BaseReplica):
             # its chain survives the epoch change.
             self._window_clean.discard((epoch, block_hash))
             return
-        if not self.store.has_header(block_hash):
+        header = self.store.get_header(block_hash)
+        if header is None:
+            return
+        if self.ledger.is_committed(header):  # as an ancestor; its QC may be gone
+            self._window_clean.discard((epoch, block_hash))
             return
         if self.qc_for(0, epoch, block_hash) is None:
             return
-        if self.ledger.is_committed(block_hash):
-            self._window_clean.discard((epoch, block_hash))
-            return
         head_hash = self.ledger.head.block_hash
-        if self.store.header(block_hash).height <= self.ledger.height:
+        if header.height <= self.ledger.height:
             # A sibling chain's block below our committed height can never
             # exist for an honest run; an already-superseded window is
             # simply dropped.

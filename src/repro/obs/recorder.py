@@ -161,7 +161,3 @@ class SpanRecorder:
 
     def __len__(self) -> int:
         return len(self.events) + len(self.messages)
-
-    def marks_of(self, kind: str) -> List[ObsEvent]:
-        """All recorded events of one kind, in recording order."""
-        return [e for e in self.events if e.kind == kind]

@@ -310,6 +310,32 @@ class TestCommit:
         ctx.fire_timer("commit_wait", index=1)  # the height-2 window
         assert replica.ledger.height == 2
 
+    def test_window_of_a_committed_block_without_its_qc_is_discarded(self, setup):
+        """A block committed as an ancestor may have its certificate
+        released before its own window elapses; the window must go, not
+        wait for a certificate that is no longer kept."""
+        replica, ctx, signers = setup
+
+        def certify(block):
+            for signer in signers[1:]:
+                vote = Vote.create(signer, "alterbft", 1, block.height, block.block_hash)
+                replica.handle(signer.replica_id, VoteMsg(vote=vote))
+
+        h1, p1, b1 = make_proposal(signers[1], 1, 1, gen_qc(replica))
+        replica.handle(1, h1)
+        replica.handle(1, p1)
+        certify(b1)
+        assert replica.qc_for(0, 1, b1.block_hash) is not None
+        h2, p2, b2 = make_proposal(signers[1], 1, 2, qc_over(signers[:2], b1), seq=10)
+        replica.handle(1, h2)
+        replica.handle(1, p2)
+        certify(b2)
+        ctx.fire_timer("commit_wait", index=1)  # the height-2 window commits both
+        assert replica.ledger.height == 2
+        replica._qcs.pop((0, 1, b1.block_hash), None)  # released
+        ctx.fire_timer("commit_wait", index=0)  # the height-1 window, late
+        assert replica._window_clean == set()
+
 
 class TestEpochChange:
     def test_blame_cert_quits_epoch(self, setup):

@@ -20,11 +20,13 @@ from repro.check import (
     check_certified_chain,
     e10_demo_scenario,
     install_adversary,
+    install_certificate_log,
     parse_scenario_id,
     replay_command,
     run_scenario,
     run_sweep,
 )
+from repro.check.invariants import CertificateLog
 from repro.check.scenarios import FAMILIES, SWEPT, build_config, grid
 from repro.consensus.ledger import Ledger
 from repro.errors import ConfigError
@@ -59,6 +61,11 @@ class _FakeQC:
 
 
 def _fake_cluster(replicas, honest_ids, max_sim_time=10.0, commit_times=None):
+    log = CertificateLog()  # one per cluster, as install_certificate_log attaches it
+    for replica in replicas:
+        for qc in replica.qcs:
+            log.on_certificate(qc)
+        replica.subsystems[log.name] = log
     return SimpleNamespace(
         replicas=replicas,
         honest_ids=honest_ids,
@@ -69,10 +76,7 @@ def _fake_cluster(replicas, honest_ids, max_sim_time=10.0, commit_times=None):
 
 def _fake_replica(replica_id, ledger, qcs=(), verify=lambda qc: True):
     return SimpleNamespace(
-        replica_id=replica_id,
-        ledger=ledger,
-        held_certificates=lambda: list(qcs),
-        verify_qc=verify,
+        replica_id=replica_id, ledger=ledger, qcs=qcs, subsystems={}, verify_qc=verify
     )
 
 
@@ -147,22 +151,45 @@ class TestCertifiedChain:
         cluster = _fake_cluster([replica], honest_ids={0})
         assert not check_certified_chain(cluster).ok
 
+    def test_a_run_without_a_certificate_log_is_a_violation(self):
+        replica = _fake_replica(0, _ledger_with(b"a"))
+        cluster = SimpleNamespace(replicas=[replica], honest_ids={0})
+        result = check_certified_chain(cluster)
+        assert not result.ok and "install_certificate_log" in result.detail
 
-#: sha256 over the sorted encodings of the certificates the certified-chain
-#: invariant collected from a seeded run of each protocol
-#: (``make_config(protocol, rate=500, duration=2, seed=7)``, fault-free and
-#: with replica 1 crashed at t=1), when it still probed replica attributes
-#: by name.  ``held_certificates`` must find exactly the same ones.
+
+#: The blocks the certified-chain invariant counts as certified in a seeded
+#: run of each protocol (``make_config(protocol, rate=500, duration=2,
+#: seed=7)``, fault-free and with replica 1 crashed at t=1): how many, and
+#: sha256 over their sorted hashes.  Computed at the parent of the
+#: certificate log, when the invariant still read what every honest replica
+#: held at the end of the run; the log, which replicas feed as they form or
+#: accept certificates, must certify exactly the same blocks.  (Before the
+#: log this pinned the certificates themselves: a pin on retention, not on
+#: what the invariant decides.)
 PARENT_CERTIFICATES = {
-    ("alterbft", False): (823, "d55cac424c2668408f8a26594677bda84cc57a29fa7c96acc421d9549036a8c8"),
-    ("alterbft", True): (92, "aadecf4ce4bd6b3c52a4907567fe78dbf58e98662cc9d3fa49b1df928e085ca4"),
-    ("sync-hotstuff", False): (908, "0aa9cd73e5fbfd5ecbde3dcb7c97a72450f080866bc626ff4312e5f9c1c997b0"),
-    ("sync-hotstuff", True): (93, "bc1232d16e824396ee2782f87c6d362aa3aa4be01774185d77f4d0d6c3e40998"),
-    ("hotstuff", False): (627, "b8aae93735276b2845f95a3557ddac4ba984cab4d9740928e746c9aa96a22495"),
-    ("hotstuff", True): (136, "9c3cb3ef33e4cf67d34ec9a31bd7d7669b0c699d6eb76a9eeebe5d4b118d0f8b"),
-    ("pbft", False): (1938, "b408a746bae03470b9091ed056469f39eb2d1524338123428acf3e02007c6ebf"),
-    ("pbft", True): (191, "ff704d7ef0b637c70aa3c92e8d356b89a2322ecfda65b75dc6882781401181ee"),
+    ("alterbft", False): (429, "5eab4b6d844f67ebd40e3cd45e28266a533eede52c52c491a3c75b2a2932dd0c"),
+    ("alterbft", True): (47, "a1b2a8e2cef9311ac137b409b7bf0705b1fd5d72717fedb296d513675e38bafd"),
+    ("sync-hotstuff", False): (447, "7c9bcb08d796451b161b71d6e2e9c78f2802b38d1966105abb0c487dccbe3779"),
+    ("sync-hotstuff", True): (47, "a1b2a8e2cef9311ac137b409b7bf0705b1fd5d72717fedb296d513675e38bafd"),
+    ("hotstuff", False): (627, "0d9edc0f65d440c99515918a9b977790c4a41fac8f07fe23e9c44447994a58ab"),
+    ("hotstuff", True): (136, "249c8d07afedabdeb70c7316248a41ee8a13dd81d3183d31e2bbb662da220cfc"),
+    ("pbft", False): (418, "3f8e4025990b40b5228dc95f547c8efeb649ad1db599721b6964b13db9bade26"),
+    ("pbft", True): (46, "7a36762879b458ba9a281df9dbb80b42f41a8c7d746ca4f52c62d44a351e8655"),
 }
+
+
+def _logged_run(cluster):
+    """Run a cluster with a certificate log attached; return the log."""
+    log = install_certificate_log(cluster)
+    cluster.start()
+    cluster.run()
+    return log
+
+
+def _certified(cluster, log):
+    verifier = cluster.replicas[min(cluster.honest_ids)]
+    return {h for h, qc in log.by_block.items() if verifier.verify_qc(qc)}
 
 
 class TestCollectedCertificates:
@@ -171,35 +198,71 @@ class TestCollectedCertificates:
         import hashlib
 
         from repro.bench.common import make_config
-        from repro.check.invariants import _collect_certificates
-        from repro.codec import encode
 
         faults = ((1, "crash@1.0"),) if crash else ()
         cluster = build_cluster(
             make_config(protocol, rate=500.0, duration=2.0, seed=7, faults=faults)
         )
-        cluster.start()
-        cluster.run()
-        blobs = sorted(encode(qc) for qc in _collect_certificates(cluster))
-        digest = hashlib.sha256(b"".join(blobs)).hexdigest()
-        assert (len(blobs), digest) == PARENT_CERTIFICATES[protocol, crash]
+        certified = sorted(_certified(cluster, _logged_run(cluster)))
+        digest = hashlib.sha256(b"".join(certified)).hexdigest()
+        assert (len(certified), digest) == PARENT_CERTIFICATES[protocol, crash]
         assert check_certified_chain(cluster).ok
 
-    def test_pbft_orphan_buffers_are_collected(self):
+    def test_a_certificate_that_does_not_verify_is_not_counted(self):
         from repro.bench.common import make_config
-        from repro.check.invariants import _collect_certificates
 
         cluster = build_cluster(make_config("pbft", rate=100.0, duration=2.0, seed=7))
-        cluster.start()
-        cluster.run()
-        replica = cluster.replicas[0]
-        prepare, commit = (
-            dataclasses.replace(qc, epoch=99) for qc in list(replica._qcs.values())[:2]
-        )
-        assert {prepare, commit}.isdisjoint(_collect_certificates(cluster))
-        replica._orphan_prepare_qcs[prepare.block_hash] = prepare
-        replica._orphan_commit_qcs[commit.block_hash] = commit
-        assert {prepare, commit} <= set(_collect_certificates(cluster))
+        log = _logged_run(cluster)
+        assert check_certified_chain(cluster).ok
+        head = cluster.replicas[0].ledger.head
+        valid = log.by_block[head.block_hash]
+        log.by_block[head.block_hash] = dataclasses.replace(valid, epoch=valid.epoch + 99)
+        result = check_certified_chain(cluster)
+        assert not result.ok and "no valid QC" in result.detail
+        log.by_block[head.block_hash] = valid
+        assert check_certified_chain(cluster).ok
+
+
+def _fence_a():
+    from tests.test_perf_hotpath import FENCE_A, _build_cluster
+
+    return _build_cluster(**FENCE_A)
+
+
+def _pd4_equivocate_inflight():
+    scenario = parse_scenario_id("alterbft:equivocate-inflight:adversarial:1:dur3:pd4")
+    cluster = build_cluster(build_config(scenario))
+    install_adversary(cluster, scenario.profile)
+    return cluster
+
+
+def _chunked_pipelined():
+    from tests.test_dissem import CHUNKED_PIPELINED
+
+    return build_cluster(CHUNKED_PIPELINED)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_fence_a, _pd4_equivocate_inflight, _chunked_pipelined],
+    ids=["fence-a", "pd4-equivocate-inflight", "chunked-pipelined"],
+)
+def test_every_committed_height_has_a_verified_certificate(build):
+    """Every block any honest replica committed is certified by a logged
+    certificate that verifies — however little the replicas kept."""
+    cluster = build()
+    certified = _certified(cluster, _logged_run(cluster))
+    honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
+    committed = {
+        replica.ledger.block_at(height).block_hash
+        for replica in honest
+        for height in range(1, len(replica.ledger))
+    }
+    assert len(committed) > 40
+    assert committed <= certified
+    assert check_certified_chain(cluster).ok
+    # The replicas themselves hold next to none of those certificates.
+    assert max(len(replica._qcs) for replica in honest) < len(committed) // 4
 
 
 class TestBoundedGap:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.check import check_agreement, check_certified_chain
+from repro.check import check_agreement, check_certified_chain, install_certificate_log
 from repro.runner.cluster import build_cluster
 
 from tests.conftest import quick_config
@@ -38,6 +38,7 @@ def _run(protocol: str, behavior: str, seed: int = 1):
         faults=((1, behavior),),
     )
     cluster = build_cluster(config)
+    install_certificate_log(cluster)
     cluster.start()
     cluster.run()
     return cluster

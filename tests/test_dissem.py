@@ -27,7 +27,7 @@ from collections import Counter
 import pytest
 
 from repro.bench.common import make_config
-from repro.check.invariants import check_all, violations
+from repro.check.invariants import check_all, install_certificate_log, violations
 from repro.errors import ConfigError
 from repro.runner.cluster import build_cluster
 from tests.test_codec import UNTYPED_BEFORE
@@ -36,6 +36,7 @@ from tests.test_perf_hotpath import GOLDEN_FINGERPRINT
 
 def _run(config):
     cluster = build_cluster(config)
+    install_certificate_log(cluster)
     cluster.start()
     cluster.run()
     return cluster
@@ -121,20 +122,24 @@ def test_chunked_cluster_commits_and_reconstructs():
     _assert_invariants(cluster)
 
 
+#: Chunked payloads under a depth-4 pipeline (also a certified-chain
+#: schedule in ``tests/test_check.py``).
+CHUNKED_PIPELINED = dataclasses.replace(
+    make_config(
+        "alterbft",
+        f=1,
+        rate=500.0,
+        duration=2.0,
+        seed=3,
+        dissemination=True,
+        pipeline_depth=4,
+    ),
+    record_trace=True,
+)
+
+
 def test_chunked_composes_with_pipelining():
-    cfg = dataclasses.replace(
-        make_config(
-            "alterbft",
-            f=1,
-            rate=500.0,
-            duration=2.0,
-            seed=3,
-            dissemination=True,
-            pipeline_depth=4,
-        ),
-        record_trace=True,
-    )
-    cluster = _run(cfg)
+    cluster = _run(CHUNKED_PIPELINED)
     assert cluster.collector.committed_blocks() > 0
     assert _kinds(cluster)["dissem_reconstructed"] > 0
     _assert_invariants(cluster)

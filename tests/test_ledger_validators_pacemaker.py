@@ -31,7 +31,10 @@ class TestLedger:
         assert ledger.height == 3
         assert ledger.head == blocks[-1]
         assert ledger.block_at(2) == blocks[1]
-        assert ledger.is_committed(blocks[0].block_hash)
+        assert ledger.is_committed(blocks[0]) and ledger.is_committed(blocks[0].header)
+        sibling = make_block(1, 1, genesis_block().block_hash, (), 0)
+        assert not ledger.is_committed(sibling)  # same height, another block
+        assert not ledger.is_committed(block_chain(4)[3])  # above the head
 
     def test_commit_listeners_in_order(self):
         ledger = Ledger()

@@ -4,6 +4,10 @@ subsystem attachment seam."""
 from __future__ import annotations
 
 import dataclasses
+import functools
+import gc
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -239,25 +243,326 @@ class TestRecordVoteOracle:
         assert replica._votes == {}
 
 
-@pytest.mark.parametrize(
-    "run", [dict(f=3, duration=2.0), FENCE_A], ids=["n7-fault-free", "fence-a"]
-)
-def test_vote_buckets_stay_bounded_over_a_run(run):
-    """At every commit, each replica holds a handful of open vote buckets,
-    not one per height of the run so far."""
-    cluster = _build_cluster(**run)
-    peak = dict.fromkeys(range(len(cluster.replicas)), 0)
+def unreleased_record_vote(self, vote):
+    """``BaseReplica.record_vote`` as it was before the retention horizon
+    (buckets released at their quorum, every QC kept), body verbatim."""
+    if not VOTE.is_signed(vote):
+        raise VerificationError("not a well-formed vote")
+    if vote.protocol != self.protocol_name:
+        raise VerificationError("vote for a different protocol")
+    if not self.validators.is_valid_replica(vote.voter):
+        raise VerificationError(f"vote from unknown replica {vote.voter}")
+    lazy = self.config.crypto_batch
+    if lazy:
+        if vote.voter in self._excluded_voters:
+            return None
+    elif not vote.verify(self.signer):
+        raise VerificationError(f"bad vote signature from {vote.voter}")
+    key = (vote.phase, vote.epoch, vote.block_hash)
+    if key in self._qcs:
+        return None
+    bucket = self._votes.setdefault(key, {})
+    if vote.voter in bucket:
+        return None
+    bucket[vote.voter] = vote
+    if len(bucket) < self.validators.quorum:
+        return None
+    if lazy and not self._batch_check_bucket(vote, bucket):
+        return None  # bad votes excluded; quorum no longer met
+    qc = Certificate.assemble(
+        bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
+    )
+    self._qcs[key] = qc
+    del self._votes[key]
+    return qc
+
+
+class KeepEverything(EchoReplica):
+    """The oracle's replica: commits like any other, releases nothing."""
+
+    def advance_horizon(self):
+        pass
+
+
+HORIZON_HEIGHTS = 6
+
+
+@st.composite
+def horizon_events(draw):
+    """A stream across the horizon: events (action, kind, voter, height,
+    variant).  Height by height, some of the honest voters (0 .. n-2) vote
+    for the chain block, in any order; then come late votes at or below
+    that height — re-deliveries, stragglers, the Byzantine signer's votes
+    for the other phase, another epoch, another hash at that height or a
+    chain block one height up, forgeries, unknown voters — and now and
+    then a "commit" (of the longest prefix of the chain the oracle has
+    certified: a replica commits only what it has certified) or a
+    "checkpoint" (the store pruned below a committed height)."""
+    events = []
+    for height in range(1, HORIZON_HEIGHTS + 1):
+        voters = draw(st.permutations(range(ORACLE_N - 1)))
+        count = draw(st.sampled_from([2, 3, 3, 4, 4]))
+        events += [("vote", "good", voter, height, "chain") for voter in voters[:count]]
+        events += draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["vote"] * 4 + ["commit", "checkpoint"]),
+                    st.sampled_from(["good", "byzantine", "forged", "unknown"]),
+                    st.integers(0, ORACLE_N - 2),
+                    st.integers(1, height),
+                    st.sampled_from(["chain", "phase", "epoch", "hash", "height"]),
+                ),
+                max_size=8,
+            )
+        )
+    return events
+
+
+def _horizon_pair(batch, depth, checkpoints):
+    """A replica and its keep-everything oracle over one block chain."""
+    config = ProtocolConfig(
+        n=ORACLE_N,
+        f=ORACLE_F,
+        crypto_batch=batch,
+        pipeline_depth=depth,
+        checkpoint_interval=4 if checkpoints else 0,
+    )
+    validators = ValidatorSet.synchronous(ORACLE_N, ORACLE_F)
+    pair = []
+    for cls in (EchoReplica, KeepEverything):
+        replica = cls(0, validators, config, ORACLE_KEYS[0])
+        ctx = FakeContext()
+        ctx.traced = []
+        ctx.trace = lambda kind, ctx=ctx, **detail: ctx.traced.append((kind, detail))
+        ctx.bind_replica(replica)
+        pair.append((replica, ctx))
+    chain, parent = [], pair[0][0].store.genesis.block_hash
+    for height in range(1, HORIZON_HEIGHTS + 1):
+        block = make_block(1, height, parent, (make_transaction(0, height, 0.0, 8),), 0)
+        chain.append(block)
+        parent = block.block_hash
+        for replica, _ in pair:
+            replica.store.add_block(block)
+    return pair, chain
+
+
+def _horizon_vote(kind, voter, height, variant, chain, batch):
+    block = chain[height - 1]
+    if kind in ("good", "unknown"):
+        variant = "chain"
+    if kind == "byzantine" or (kind == "forged" and batch):
+        voter = BAD_SIGNER
+    phase, epoch, block_hash = 0, 1, block.block_hash
+    if variant == "phase":
+        phase = 1
+    elif variant == "epoch":
+        epoch = 2
+    elif variant == "hash":
+        block_hash = bytes([height]) * 32
+    elif variant == "height":
+        height += 1
+    vote = Vote.create(ORACLE_KEYS[voter], "alterbft", epoch, height, block_hash, phase=phase)
+    if kind == "forged":
+        vote = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
+    elif kind == "unknown":
+        vote = dataclasses.replace(vote, voter=ORACLE_N + voter)
+    return vote
+
+
+def _buckets(replica):
+    return {key: dict(bucket) for key, bucket in replica._votes.items()}
+
+
+class TestRecordVoteAcrossTheHorizon:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        events=horizon_events(),
+        batch=st.booleans(),
+        depth=st.sampled_from([1, 2]),
+        checkpoints=st.booleans(),
+    )
+    def test_agrees_with_the_unreleased_body(self, events, batch, depth, checkpoints):
+        ((replica, ctx), (oracle, oracle_ctx)), chain = _horizon_pair(batch, depth, checkpoints)
+        for action, kind, voter, height, variant in events:
+            if action == "commit":
+                certified = 0
+                while certified < len(chain) and (
+                    (0, 1, chain[certified].block_hash) in oracle._qcs
+                ):
+                    certified += 1
+                if certified > replica.ledger.height:
+                    for each in (replica, oracle):
+                        each.commit_through(chain[certified - 1].block_hash)
+                continue
+            if action == "checkpoint":
+                for each in (replica, oracle):
+                    each.store.prune_below(min(height, each.ledger.height))
+                continue
+            vote = _horizon_vote(kind, voter, height, variant, chain, batch)
+            settled = vote.height <= replica.horizon
+            before = _buckets(replica)
+            got = _outcome(replica.record_vote, vote)
+            assert got == _outcome(unreleased_record_vote, oracle, vote)
+            if settled:
+                assert _buckets(replica) == before  # no bucket opens or grows
+            horizon = replica.horizon
+            assert replica._qcs == {
+                key: qc for key, qc in oracle._qcs.items() if qc.height > horizon
+            }
+            assert ctx.traced == oracle_ctx.traced
+            assert replica._excluded_voters == oracle._excluded_voters
+            for key, bucket in replica._votes.items():
+                if key in oracle._qcs:
+                    # A released statement reopened by a vote claiming a
+                    # height above the horizon: only the Byzantine signer
+                    # does that, and alone it never reaches a quorum.
+                    assert set(bucket) == {BAD_SIGNER}
+                else:
+                    assert bucket == oracle._votes[key]
+            for key, bucket in oracle._votes.items():
+                if key not in oracle._qcs and any(v.height > horizon for v in bucket.values()):
+                    assert key in replica._votes
+        assert replica.horizon <= replica.ledger.height - depth
+        if checkpoints:
+            assert replica.horizon <= replica.store.floor
+
+    def test_votes_below_the_horizon_are_checked_then_dropped(self):
+        ((replica, _), _), chain = _horizon_pair(batch=False, depth=1, checkpoints=False)
+        for voter in range(3):
+            vote = Vote.create(ORACLE_KEYS[voter], "alterbft", 1, 2, chain[1].block_hash)
+            replica.record_vote(vote)
+        replica.commit_through(chain[1].block_hash)
+        assert replica.horizon == 1 and replica._qcs and not replica._votes
+        stale = Vote.create(ORACLE_KEYS[3], "alterbft", 1, 1, chain[0].block_hash)
+        forged = dataclasses.replace(stale, signature=bytes(len(stale.signature)))
+        with pytest.raises(VerificationError):
+            replica.record_vote(forged)
+        assert replica.record_vote(stale) is None
+        assert replica._votes == {}
+
+    def test_a_late_quorum_below_the_horizon_is_not_assembled(self):
+        """The one place the horizon differs from keeping everything: a
+        statement still short of its quorum when the head passes it (an
+        ancestor committed through a descendant's certificate) never gets
+        one here.  Its QC could serve nothing: the block is committed."""
+        ((replica, _), (oracle, _)), chain = _horizon_pair(batch=False, depth=1, checkpoints=False)
+        late = [Vote.create(ORACLE_KEYS[v], "alterbft", 1, 1, chain[0].block_hash) for v in range(3)]
+        for each, record in ((replica, BaseReplica.record_vote), (oracle, unreleased_record_vote)):
+            assert record(each, late[0]) is None
+            for voter in range(3):
+                vote = Vote.create(ORACLE_KEYS[voter], "alterbft", 1, 2, chain[1].block_hash)
+                record(each, vote)
+            each.commit_through(chain[1].block_hash)
+        assert [unreleased_record_vote(oracle, v) for v in late[1:]][-1] is not None
+        assert [replica.record_vote(v) for v in late[1:]] == [None, None]
+        assert replica._votes == {}  # the short bucket went with the horizon
+
+
+#: Seeded runs whose per-height state must not grow with their length: an
+#: n = 7 run at durations D and 2D, and the crash/rejoin/guard-ladder fence.
+BOUNDED_RUNS = {
+    "n7-fault-free": dict(f=3, duration=2.0),
+    "n7-fault-free-2x": dict(f=3, duration=4.0),
+    "fence-a": FENCE_A,
+}
+
+#: Objects a walk of run state does not enter: they are shared program
+#: structure, not per-height state.
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.MethodType, types.CodeType)
+
+
+def _reachable(roots, barrier=()):
+    stop = {id(obj) for obj in barrier}
+    seen, stack = {}, list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in stop or isinstance(obj, _OPAQUE):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return seen
+
+
+def exclusive_bytes(cluster, structures):
+    """Bytes reachable from ``structures`` and from nothing else in the
+    cluster: what deleting them would free (DESIGN.md, "What a replica
+    keeps per height")."""
+    own = _reachable(structures)
+    rest = _reachable([cluster], barrier=structures)
+    return sum(sys.getsizeof(obj) for oid, obj in own.items() if oid not in rest)
+
+
+@functools.lru_cache(maxsize=None)
+def _sampled_run(name):
+    """Run one of :data:`BOUNDED_RUNS`, sampling every replica at every
+    commit; returns (heights, peak buckets, peak QCs, _qcs B/height)."""
+    cluster = _build_cluster(**BOUNDED_RUNS[name])
+    peaks = {"votes": 0, "qcs": 0}
     for replica in cluster.replicas:
 
         def sample(block, now, replica=replica):
-            peak[replica.replica_id] = max(peak[replica.replica_id], len(replica._votes))
+            peaks["votes"] = max(peaks["votes"], len(replica._votes))
+            peaks["qcs"] = max(peaks["qcs"], len(replica._qcs))
+            assert all(qc.height > replica.horizon for qc in replica._qcs.values())
 
         # Listeners outlive a restart, so the rejoiner keeps being sampled.
         replica.ledger.add_listener(sample)
     cluster.start()
     cluster.run()
-    assert min(r.ledger.height for r in cluster.replicas) > 40
-    assert max(peak.values()) < 10, peak
+    heights = [r.ledger.height for r in cluster.replicas]
+    qcs = exclusive_bytes(cluster, [r._qcs for r in cluster.replicas]) / sum(heights)
+    return min(heights), peaks["votes"], peaks["qcs"], qcs
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_RUNS))
+def test_vote_buckets_stay_bounded_over_a_run(name):
+    """At every commit, each replica holds a handful of open vote buckets
+    and of certificates, not one per height of the run so far."""
+    height, votes, qcs, qcs_bytes = _sampled_run(name)
+    assert height > 40
+    assert votes < 10
+    # What is held is the certified-but-uncommitted span a 2Δ window keeps
+    # in flight (a handful of heights at Δ = 5 ms; tens on FENCE_A's
+    # rung-2 Δ of 20 ms) plus pipeline_depth below the head.
+    assert qcs < (10 if name.startswith("n7") else 40)
+    assert qcs_bytes <= 10.0  # B/height; 396 while every QC was kept
+
+
+def test_held_certificates_do_not_grow_with_the_run():
+    _, votes, qcs, qcs_bytes = _sampled_run("n7-fault-free")
+    _, votes_2x, qcs_2x, qcs_bytes_2x = _sampled_run("n7-fault-free-2x")
+    assert (votes_2x, qcs_2x) == (votes, qcs)
+    assert qcs_bytes_2x < qcs_bytes
+
+
+def test_caches_at_their_working_set_hit_as_often(monkeypatch):
+    """The verify LRU and the domain-hash memo, at 1,024 entries, hit
+    exactly as often on a seeded n = 7 run as at their old bounds of
+    65,536 and 32,768 — and the run is the same run."""
+    from repro.crypto import hashing, signatures
+    from tests.test_perf_hotpath import _fingerprint
+
+    full = []
+
+    def counts():
+        signatures._domain_hash_cached.cache_clear()
+        cluster = _build_cluster(**BOUNDED_RUNS["n7-fault-free-2x"])
+        cluster.start()
+        cluster.run()
+        scheme = cluster.replicas[0].signer.scheme
+        memo = signatures._domain_hash_cached.cache_info()
+        full.append(scheme.cache_evictions > 0 and memo.currsize == memo.maxsize)
+        return scheme.cache_hits, memo.hits, _fingerprint(cluster)
+
+    assert signatures.VERIFY_CACHE_DEFAULT == signatures._domain_hash_cached.cache_info().maxsize
+    assert signatures.VERIFY_CACHE_DEFAULT == 1024
+    now = counts()
+    assert full == [True]  # both caches evicted at the new bound
+    monkeypatch.setattr(signatures, "VERIFY_CACHE_DEFAULT", 1 << 16)
+    monkeypatch.setattr(
+        signatures, "_domain_hash_cached", functools.lru_cache(maxsize=1 << 15)(hashing.domain_hash)
+    )
+    assert counts() == now
 
 
 class TestBlameAccounting:
