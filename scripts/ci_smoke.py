@@ -6,7 +6,7 @@ everything a step writes lands in ``--out-dir`` for one upload step.
 ``.github/workflows/ci.yml``'s ``layer-smoke`` matrix is the list of
 invocations; run a row locally the same way, e.g.
 
-    python scripts/ci_smoke.py --record "--protocol alterbft --rate 300 --duration 1.5 --seed 7 --wire" --drill wire,bandwidth,queues
+    python scripts/ci_smoke.py --record "--protocol alterbft --rate 300 --duration 1.5 --seed 7" --drill report,wire,bandwidth,queues
 """
 
 import argparse
@@ -46,8 +46,8 @@ def main() -> None:
         run("repro.bench", "--only", args.bench)
     if args.record:
         run("repro.obs", "record", *shlex.split(args.record), "--out-dir", str(out))
-        exported = [out / name for name in ("trace.jsonl", "trace_chrome.json", "wire.jsonl")]
-        run("repro.obs", "validate", *(str(path) for path in exported if path.exists()))
+        exported = ("trace.jsonl", "trace_chrome.json", "wire.jsonl")
+        run("repro.obs", "validate", *(str(out / name) for name in exported))
     for drill in filter(None, args.drill.split(",")):
         source = "wire.jsonl" if drill in WIRE_DRILLS else "trace.jsonl"
         run("repro.obs", drill, str(out / source))

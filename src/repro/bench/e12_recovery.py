@@ -72,7 +72,7 @@ def _run_one(protocol: str, downtime: float, interval: int) -> Dict[str, object]
     witness = honest[0].replica_id
     missed = sum(
         1
-        for t in cluster.collector.commit_times_by_replica.get(witness, [])
+        for t, *_ in cluster.collector.commit_records_by_replica.get(witness, [])
         if T_DOWN <= t < t_up
     )
     # Converged: the joiner's ledger is prefix-consistent with every

@@ -61,8 +61,8 @@ DURATION_FULL = 8.0
 
 
 def _window_commits(cluster: Cluster, witness: int, lo: float, hi: float) -> int:
-    times = cluster.collector.commit_times_by_replica.get(witness, [])
-    return sum(1 for t in times if lo <= t < hi)
+    records = cluster.collector.commit_records_by_replica.get(witness, [])
+    return sum(1 for t, *_ in records if lo <= t < hi)
 
 
 def _silent_commits(cluster: Cluster, witness: int) -> int:

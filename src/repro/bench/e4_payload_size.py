@@ -42,9 +42,6 @@ def run(fast: bool = True) -> ExperimentOutput:
                 max_batch=max_batch,
                 duration=duration,
                 warmup=2.0,
-                # Wire accounting on the alterbft rows gives the
-                # blob-vs-chunked bytes-per-commit comparison an axis.
-                wire_accounting=protocol == "alterbft",
             )
             rows.append(
                 run_and_row(
@@ -64,7 +61,6 @@ def run(fast: bool = True) -> ExperimentOutput:
             max_batch=max_batch,
             duration=duration,
             warmup=2.0,
-            wire_accounting=True,
             dissemination=True,
         )
         rows.append(

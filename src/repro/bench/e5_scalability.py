@@ -22,17 +22,9 @@ def run(fast: bool = True) -> ExperimentOutput:
     rows = []
     for f in fs:
         for protocol in ALL_PROTOCOLS:
-            # Wire accounting rides along (observationally inert): the
-            # leader-egress share column is E5's bandwidth story — how
+            # The leader-egress share column is E5's bandwidth story — how
             # leader fan-out concentrates egress as the cluster grows.
-            config = make_config(
-                protocol,
-                f=f,
-                rate=1000.0,
-                tx_size=512,
-                duration=duration,
-                wire_accounting=True,
-            )
+            config = make_config(protocol, f=f, rate=1000.0, tx_size=512, duration=duration)
             rows.append(run_and_row(config))
         # The chunked variant: same operating point with erasure-coded
         # pull-based dissemination on — the leader-egress flattening the
@@ -43,7 +35,6 @@ def run(fast: bool = True) -> ExperimentOutput:
             rate=1000.0,
             tx_size=512,
             duration=duration,
-            wire_accounting=True,
             dissemination=True,
         )
         rows.append(run_and_row(chunked, variant="chunked"))

@@ -174,7 +174,7 @@ def check_bounded_gap(
     for replica_id in sorted(cluster.honest_ids):
         times = [
             t
-            for t in collector.commit_times_by_replica.get(replica_id, [])
+            for t, *_ in collector.commit_records_by_replica.get(replica_id, [])
             if t >= recovery_time
         ]
         edges = [recovery_time] + times + [end]

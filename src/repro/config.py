@@ -286,21 +286,16 @@ class ExperimentConfig:
             and these flags.
         topology: "single-az" (the paper's main setting) or
             "three-regions" (the WAN experiment, E9).
-        record_trace: keep individual trace events (costly on big runs).
         observability: attach a :class:`repro.obs.SpanRecorder` to the
             cluster — block-lifecycle spans, epoch events, and
             per-message delay samples for the ``repro.obs`` analyses and
             exporters.  Recording is observationally inert (seeded
             fingerprints are byte-identical either way) but costs memory
             proportional to the message count; off by default.
-        wire_accounting: attach a
-            :class:`repro.obs.wire.WireAccountant` to the network — every
-            send's bytes attributed to (link, message class, small/large
-            size class, protocol phase, height/epoch), plus per-class
-            size histograms and egress backpressure samples, for the
-            ``repro.obs wire|bandwidth|queues`` drill-downs and the perf
-            gate's bandwidth metrics.  Observationally inert (seeded
-            fingerprints are byte-identical either way); off by default.
+
+    Every run counts its wire bytes in one
+    :class:`repro.obs.wire.WireAccountant` (``Cluster.wire``), so there is
+    no option for it.
     """
 
     protocol: str
@@ -312,9 +307,7 @@ class ExperimentConfig:
     warmup: float = 2.0
     faults: Tuple[Tuple[int, str], ...] = ()
     topology: str = "single-az"
-    record_trace: bool = False
     observability: bool = False
-    wire_accounting: bool = False
 
     def validate(self) -> None:
         from .faults.behaviors import resolve_behavior  # local imports: avoid cycles

@@ -8,10 +8,9 @@ context provides the clock, message primitives, and named timers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Protocol
+from typing import Any, Callable, Protocol
 
 from ..sim.scheduler import EventHandle, Scheduler
-from ..sim.tracing import Trace
 
 
 class TimerHandle(Protocol):
@@ -57,14 +56,12 @@ class SimContext:
         scheduler: Scheduler,
         network: "SimNetwork",
         timer_callback: TimerCallback,
-        trace_sink: Optional[Trace] = None,
     ) -> None:
         self.node_id = node_id
         self.n = n
         self._scheduler = scheduler
         self._network = network
         self._timer_callback = timer_callback
-        self._trace = trace_sink
 
     @property
     def now(self) -> float:
@@ -83,8 +80,8 @@ class SimContext:
         self._timer_callback(tag, payload)
 
     def trace(self, kind: str, **detail: Any) -> None:
-        if self._trace is not None:
-            self._trace.emit(self._scheduler.now, kind, self.node_id, **detail)
+        # Counted by kind in the network's trace; the detail is not kept.
+        self._network.trace.emit(kind)
 
 
 from ..net.simnet import SimNetwork  # noqa: E402  (typing reference only)

@@ -4,10 +4,10 @@ Connects node message handlers through the scheduler: ``send`` and
 ``broadcast`` offer one message to one or to every attached node.  An
 offer measures the message's real wire size once (``encoded_size``: the
 encoder's walk with the chunk lengths summed, so ``len(encode(msg))`` by
-construction, memoized per message object) and counts it once in the
-trace and the wire accountant; each copy then samples a delay from the
-network RNG stream and schedules its delivery.  Supports partitions and
-per-message filters for fault experiments.
+construction, memoized per message object) and counts it once, in the
+wire accountant the network takes from its trace; each copy then samples
+a delay from the network RNG stream and schedules its delivery.
+Supports partitions and per-message filters for fault experiments.
 
 Delivery hands the *original* message object to the receiver — the codec
 roundtrip is exercised by the real transport and by dedicated tests; the
@@ -22,7 +22,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 from ..codec import encoded_size
 from ..errors import SimulationError
 from ..obs.recorder import SpanRecorder
-from ..obs.wire import WireAccountant
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..sim.tracing import Trace
@@ -67,19 +66,16 @@ class SimNetwork:
         egress_bandwidth: Optional[float] = None,
         priority_threshold: int = 0,
         obs: Optional[SpanRecorder] = None,
-        wire: Optional[WireAccountant] = None,
     ) -> None:
         self.scheduler = scheduler
         self.delay_model = delay_model
         self.trace = trace if trace is not None else Trace()
+        #: The trace's wire accountant (repro.obs.wire): the one counter of
+        #: what this network carries, tapped once per offer.
+        self.wire = self.trace.wire
         #: Observability sink for per-message delay samples; ``None``
         #: (the default) keeps the send path free of any obs work.
         self.obs = obs
-        #: Wire-byte accountant (repro.obs.wire); ``None`` (the default)
-        #: keeps the send path free of accounting work.  The tap sits at
-        #: the same site as ``Trace.count_message`` — once per offer — so
-        #: its totals cross-check byte-exactly against the trace counters.
-        self.wire = wire
         self.egress_bandwidth = egress_bandwidth
         #: Messages at or below this size bypass egress queueing — the
         #: priority lane that justifies the hybrid model's small-message
@@ -175,9 +171,9 @@ class SimNetwork:
     # An *offer* is one message handed to the network for a tuple of
     # destinations: ``send`` offers to one, ``broadcast`` to every
     # attached node.  What depends only on (sender, message) is done once
-    # per offer — sizing, the trace and wire taps, the sender's side of a
-    # partition, binding the scheduler, delay model, filters, policies and
-    # egress settings.  What is left per copy is what each copy can decide
+    # per offer — sizing, the wire tap, the sender's side of a partition,
+    # binding the scheduler, delay model, filters, policies and egress
+    # settings.  What is left per copy is what each copy can decide
     # or consume differently: the partition and filter verdicts, the RNG
     # draw, the policy chain, its slot in the sender's egress queue, the
     # obs sample and the heap push — in that order, so a seeded run draws
@@ -203,12 +199,8 @@ class SimNetwork:
         size = encoded_size(msg)
         # Offered copies are counted even when a fault drops them below;
         # a down sender's are not.
-        name = type(msg).__name__
-        trace = self.trace
-        trace.count_message(src, name, size, len(dsts))
         wire = self.wire
-        if wire is not None:
-            wire.account(src, dsts, msg, size)
+        wire.account(src, dsts, msg, size)
         scheduler = self.scheduler
         now = scheduler.now
         post_at = scheduler.post_at
@@ -232,10 +224,10 @@ class SimNetwork:
                 post_at(now + LOOPBACK_DELAY, deliver, src, dst, msg)
                 continue
             if reachable is not None and dst not in reachable:
-                trace.emit(now, "msg_partitioned", src, dst=dst)
+                self.trace.emit("msg_partitioned")
                 continue
             if filters and not all(fn(src, dst, msg, size) for fn in filters):
-                trace.emit(now, "msg_filtered", src, dst=dst)
+                self.trace.emit("msg_filtered")
                 continue
             # A partitioned or filtered copy draws nothing; one a policy
             # drops has already drawn.
@@ -245,22 +237,21 @@ class SimNetwork:
                     break
                 delay = policy(src, dst, msg, size, delay)
             if delay is None:
-                trace.emit(now, "msg_dropped", src, dst=dst)
+                self.trace.emit("msg_dropped")
                 continue
             departure = now
             if bandwidth:
                 start = max(now, egress_free.get(src, 0.0))
-                if wire is not None:
-                    # Backpressure sample: how long this copy waited behind
-                    # earlier egress before its serialization even started.
-                    wire.sample_queue(now, src, start - now, size)
+                # Backpressure sample: how long this copy waited behind
+                # earlier egress before its serialization even started.
+                wire.sample_queue(now, src, start - now, size)
                 departure = start + size / bandwidth
                 egress_free[src] = departure
             arrival = departure + delay
             if obs is not None:
                 # Latency as the receiver experiences it: egress queueing at
                 # the sender plus the sampled network delay.
-                obs.message(now, src, dst, name, size, arrival - now)
+                obs.message(now, src, dst, type(msg).__name__, size, arrival - now)
             if dst in observers:
                 post_at(arrival, deliver_observed, src, dst, msg, size, arrival - now)
             else:

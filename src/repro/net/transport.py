@@ -157,7 +157,7 @@ class AsyncioContext:
         )
 
     def trace(self, kind: str, **detail: object) -> None:
-        # No event log over real sockets: a trace kind is counted, so a
+        # A trace kind is counted, as the simulator's Trace does, so a
         # dropped forgery or an epoch change still shows in the registry.
         metrics = self._node.metrics
         if metrics is not None:

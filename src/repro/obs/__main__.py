@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``record`` — run a seeded scenario with observability enabled and
-  export the recording (JSONL + Chrome trace) to a directory.
+  export the recording (JSONL + Chrome trace) and the wire snapshot
+  (``wire.jsonl`` + Prometheus text) to a directory.
 * ``report`` — per-block phase-latency breakdown plus aggregate phase
   histogram statistics for an exported trace.
 * ``block`` — "why was this block slow": per-replica milestones and the
@@ -32,8 +33,8 @@ Subcommands:
   exporter, wire JSONL through the telescoping validator.
 
 ``report``/``block``/... operate on the JSONL export (the lossless
-format); ``wire``/``bandwidth``/``queues`` on the ``wire.jsonl`` a
-``record --wire`` run writes; ``validate`` accepts all formats.
+format); ``wire``/``bandwidth``/``queues`` on the ``wire.jsonl``
+``record`` writes; ``validate`` accepts all formats.
 """
 
 from __future__ import annotations
@@ -143,26 +144,25 @@ def _cmd_record(args: argparse.Namespace) -> int:
     )
     print(f"wrote {jsonl_path}")
     print(f"wrote {chrome_path}")
-    if cluster.wire is not None:
-        snapshot = cluster.wire.snapshot(
-            meta={
-                "protocol": config.protocol,
-                "seed": config.seed,
-                "committed_blocks": cluster.collector.committed_blocks(),
-                "fingerprint": meta["fingerprint"],
-            }
-        )
-        wire_jsonl = os.path.join(args.out_dir, "wire.jsonl")
-        wire_prom = os.path.join(args.out_dir, "wire.prom")
-        write_wire_jsonl(wire_jsonl, snapshot)
-        with open(wire_prom, "w", encoding="utf-8") as fh:
-            fh.write(to_prometheus_text(snapshot))
-        print(
-            f"accounted {snapshot['totals']['msgs']} messages / "
-            f"{snapshot['totals']['bytes']} wire bytes"
-        )
-        print(f"wrote {wire_jsonl}")
-        print(f"wrote {wire_prom}")
+    snapshot = cluster.wire.snapshot(
+        meta={
+            "protocol": config.protocol,
+            "seed": config.seed,
+            "committed_blocks": cluster.collector.committed_blocks(),
+            "fingerprint": meta["fingerprint"],
+        }
+    )
+    wire_jsonl = os.path.join(args.out_dir, "wire.jsonl")
+    wire_prom = os.path.join(args.out_dir, "wire.prom")
+    write_wire_jsonl(wire_jsonl, snapshot)
+    with open(wire_prom, "w", encoding="utf-8") as fh:
+        fh.write(to_prometheus_text(snapshot))
+    print(
+        f"accounted {snapshot['totals']['msgs']} messages / "
+        f"{snapshot['totals']['bytes']} wire bytes"
+    )
+    print(f"wrote {wire_jsonl}")
+    print(f"wrote {wire_prom}")
     return 0
 
 
@@ -573,26 +573,26 @@ def build_parser() -> argparse.ArgumentParser:
     wire_p = sub.add_parser(
         "wire", help="wire-byte drill-down: classes, phases, telescoping check"
     )
-    wire_p.add_argument("snapshot", help="wire.jsonl from `record --wire`")
+    wire_p.add_argument("snapshot", help="wire.jsonl from `record`")
     wire_p.set_defaults(func=_cmd_wire)
 
     bandwidth_p = sub.add_parser(
         "bandwidth", help="who sent the bytes: per-node egress and heaviest links"
     )
-    bandwidth_p.add_argument("snapshot", help="wire.jsonl from `record --wire`")
+    bandwidth_p.add_argument("snapshot", help="wire.jsonl from `record`")
     bandwidth_p.add_argument("--top", type=int, default=10, help="links shown")
     bandwidth_p.set_defaults(func=_cmd_bandwidth)
 
     chunks_p = sub.add_parser(
         "chunks", help="chunked-dissemination drill-down: push/pull byte split"
     )
-    chunks_p.add_argument("snapshot", help="wire.jsonl from `record --wire`")
+    chunks_p.add_argument("snapshot", help="wire.jsonl from `record`")
     chunks_p.set_defaults(func=_cmd_chunks)
 
     queues_p = sub.add_parser(
         "queues", help="egress backpressure samples per node"
     )
-    queues_p.add_argument("snapshot", help="wire.jsonl from `record --wire`")
+    queues_p.add_argument("snapshot", help="wire.jsonl from `record`")
     queues_p.set_defaults(func=_cmd_queues)
 
     validate_p = sub.add_parser("validate", help="validate exported trace files")

@@ -32,13 +32,12 @@ message costs the send path does not grow with the number of axes or of
 destinations.  The totals and the per-height/per-epoch counters depend on
 the message itself and are kept live.
 
-Accounting is **observationally inert**: it increments private counters
-only — no RNG draws, no scheduler posts, no writes to the
-fingerprint-bearing :class:`~repro.sim.tracing.Trace` — so a seeded run
-with accounting enabled is byte-identical to one without (the same
-contract as obs/guard/recovery, asserted against the golden fingerprint).
-Accounting happens at the same site as ``Trace.count_message``, so
-``bytes_total`` equals the trace's ``bytes`` counter exactly.
+In the simulator the accountant is the run's **only message counter**:
+the :class:`~repro.sim.tracing.Trace` carries it, the network built with
+that trace taps it, and :meth:`~repro.sim.tracing.Trace.fingerprint`
+reads its totals, per-sender bytes and per-class copies.  Accounting
+increments private counters only — no RNG draws, no scheduler posts — so
+it cannot change what a seeded run does, only count it.
 """
 
 from __future__ import annotations
@@ -260,10 +259,10 @@ class WireAccountant:
         per-phase and size axes are derived from the tally when read.
         An offer to ``src`` itself is loopback, counted once.
 
-        Called at the same site (and with the same semantics) as
-        ``Trace.count_message`` — every *offered* copy, loopback and
-        fault-dropped ones included — so the wire total cross-checks
-        byte-exactly against the trace's ``bytes`` counter.
+        Called once per ``send``/``broadcast`` by the simulated network
+        and the real transport.  The simulator charges every *offered*
+        copy, loopback and fault-dropped ones included; a down sender's
+        are not offered.
         """
         info = self._class_info.get(type(msg))
         if info is None:

@@ -23,13 +23,12 @@ from ..mempool.mempool import Mempool
 from ..net.delay import HybridCloudDelayModel
 from ..net.simnet import SimNetwork
 from ..net.transport import FrameReader, encode_frame, read_frame
-from ..obs.wire import WireAccountant
 from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.block import make_block, BlockPayload, genesis_block
-from ..types.certificates import Certificate, Vote, genesis_qc
-from ..types.messages import PayloadMsg, ProposalHeaderMsg, VoteMsg
+from ..types.certificates import Certificate, Vote
+from ..types.messages import PayloadMsg, VoteMsg
 from ..types.transaction import Transaction
 from .timing import BenchResult, measure
 
@@ -291,27 +290,8 @@ def bench_scheduler(reps: int, inner: int) -> List[BenchResult]:
 
 def bench_simnet(reps: int, inner: int) -> List[BenchResult]:
     block, signers = _make_block()
-    header_msg = ProposalHeaderMsg(
-        header=block.header,
-        signature=signers[0].digest_and_sign("proposal", block.block_hash),
-        justify=genesis_qc("alterbft", block.header.parent),
-    )
-
-    def broadcast_run() -> None:
-        scheduler = Scheduler()
-        network = SimNetwork(
-            scheduler,
-            HybridCloudDelayModel(NetworkConfig()),
-            RngFactory(11),
-        )
-        for node in range(4):
-            network.attach(node, lambda src, msg: None)
-        for _ in range(inner):
-            network.broadcast(0, header_msg)
-        scheduler.run()
-
-    # The shape of a benchmark run's send path: n = 7, an accountant
-    # attached, egress serialization with the priority lane where
+    # The shape of a benchmark run's send path: n = 7, the trace's
+    # accountant, egress serialization with the priority lane where
     # build_cluster puts it, small and large messages alternating.
     net_config = NetworkConfig()
     vote_msg = VoteMsg(vote=Vote.create(signers[1], "alterbft", 3, 7, block.block_hash))
@@ -325,7 +305,6 @@ def bench_simnet(reps: int, inner: int) -> List[BenchResult]:
             RngFactory(11),
             egress_bandwidth=net_config.egress_bandwidth,
             priority_threshold=net_config.small_threshold,
-            wire=WireAccountant(small_threshold=net_config.small_threshold),
         )
         for node in range(7):
             network.attach(node, lambda src, msg: None)
@@ -334,9 +313,6 @@ def bench_simnet(reps: int, inner: int) -> List[BenchResult]:
         scheduler.run()
 
     return [
-        measure("simnet.broadcast", broadcast_run, reps, 1, scale=inner,
-                unit="s/broadcast",
-                meta={"nodes": 4, "broadcasts": inner}),
         measure("simnet.broadcast_accounted", accounted_run, reps, 1, scale=inner,
                 unit="s/broadcast",
                 meta={"nodes": 7, "broadcasts": inner,

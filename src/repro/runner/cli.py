@@ -89,11 +89,6 @@ def add_scenario_arguments(
         action="store_true",
         help="disseminate payloads as erasure-coded chunk shares (alterbft only)",
     )
-    parser.add_argument(
-        "--wire",
-        action="store_true",
-        help="also run the wire-byte accountant (per-class/phase/link byte attribution)",
-    )
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -110,7 +105,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         warmup=warmup,
         seed=args.seed,
         faults=tuple(args.fault),
-        wire_accounting=args.wire,
         checkpoint_interval=args.checkpoint_interval,
         guard_enabled=args.guard,
         pipeline_depth=args.pipeline_depth,
@@ -119,13 +113,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = dataclasses.replace(
-        config_from_args(args),
-        observability=args.obs,
-        # --obs means "show me where the time AND the bytes went": the
-        # wire accountant rides along with the span recorder.
-        wire_accounting=args.obs or args.wire,
-    )
+    config = dataclasses.replace(config_from_args(args), observability=args.obs)
     result = run_experiment(config)
     print(format_table([result.row()]))
     print(f"latency (ms): {result.latency.as_millis()}")
@@ -184,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--obs",
         action="store_true",
-        help="record block-lifecycle spans and print the phase breakdown",
+        help="record block-lifecycle spans and print the phase and bandwidth breakdowns",
     )
     run_p.set_defaults(func=_cmd_run)
 

@@ -51,8 +51,11 @@ class Cluster:
     delay_model: DelayModel = None  # type: ignore[assignment]
     #: Span recorder, present iff the config enabled observability.
     obs: Optional[SpanRecorder] = None
-    #: Wire-byte accountant, present iff the config enabled wire accounting.
-    wire: Optional[WireAccountant] = None
+
+    @property
+    def wire(self) -> WireAccountant:
+        """The run's wire-byte accountant: the one its trace carries."""
+        return self.trace.wire
 
     def start(self) -> None:
         """Schedule protocol start and workload generation at t=0."""
@@ -92,13 +95,8 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
     pconf = config.protocol_config
     scheduler = Scheduler()
     rng_factory = RngFactory(config.seed)
-    trace = Trace(record_events=config.record_trace)
+    trace = Trace(WireAccountant(small_threshold=config.network_config.small_threshold))
     obs = SpanRecorder() if config.observability else None
-    wire = (
-        WireAccountant(small_threshold=config.network_config.small_threshold)
-        if config.wire_accounting
-        else None
-    )
     delay_model = make_delay_model(config)
     network = SimNetwork(
         scheduler,
@@ -108,7 +106,6 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
         egress_bandwidth=config.network_config.egress_bandwidth,
         priority_threshold=config.network_config.small_threshold,
         obs=obs,
-        wire=wire,
     )
 
     signers = build_cluster_keys(pconf.signature_scheme, pconf.n)
@@ -156,7 +153,6 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
             scheduler=scheduler,
             network=network,
             timer_callback=replica.on_timer,
-            trace_sink=trace,
         )
         replica.bind(ctx)
         network.attach(replica_id, replica.handle)
@@ -180,7 +176,6 @@ def build_cluster(config: ExperimentConfig) -> Cluster:
         honest_ids=honest_ids,
         delay_model=delay_model,
         obs=obs,
-        wire=wire,
     )
 
 

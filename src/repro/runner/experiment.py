@@ -43,7 +43,7 @@ def summarize(cluster: Cluster) -> ExperimentResult:
             small_threshold=config.network_config.small_threshold,
         )
 
-    counters = cluster.trace.counters
+    wire = cluster.wire
     honest_replicas = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
 
     # Synchrony-guard surfacing: when monitors are attached, the result
@@ -62,20 +62,7 @@ def summarize(cluster: Cluster) -> ExperimentResult:
                 round(max(g.effective_delta for g in guards) * 1e3, 3),
             ),
         ]
-    wire_snapshot = None
-    if cluster.wire is not None:
-        committed_blocks = collector.committed_blocks()
-        wire_snapshot = cluster.wire.snapshot(
-            meta={
-                "protocol": config.protocol,
-                "seed": config.seed,
-                "committed_blocks": committed_blocks,
-            }
-        )
-        extra = extra + [
-            ("wire_bytes_total", cluster.wire.bytes_total),
-            ("leader_egress_share", round(cluster.wire.leader_egress_share(), 4)),
-        ]
+    extra.append(("leader_egress_share", round(wire.leader_egress_share(), 4)))
 
     if config.protocol in ("alterbft", "sync-hotstuff"):
         epoch_changes = max(r.epoch for r in honest_replicas) - 1
@@ -96,14 +83,20 @@ def summarize(cluster: Cluster) -> ExperimentResult:
         latency=LatencySummary.from_samples(latencies),
         block_latency=LatencySummary.from_samples(collector.block_latencies()),
         epoch_changes=epoch_changes,
-        messages=counters.get("messages", 0),
-        bytes_total=counters.get("bytes", 0),
-        bytes_per_node=dict(cluster.trace.bytes_sent_by_node),
+        messages=wire.msgs_total,
+        bytes_total=wire.bytes_total,
+        bytes_per_node=dict(wire.sender_bytes),
+        wire=wire.snapshot(
+            meta={
+                "protocol": config.protocol,
+                "seed": config.seed,
+                "committed_blocks": collector.committed_blocks(),
+            }
+        ),
         safety_ok=check_safety(cluster.replicas, cluster.honest_ids),
         offered_rate=config.workload.rate,
         extra=tuple(extra),
         obs=obs_summary,
-        wire=wire_snapshot,
     )
 
 

@@ -36,18 +36,13 @@ class MetricsCollector:
         self._tx_commits: Dict[TxKey, CommitRecord] = {}
         self._block_first_commit: Dict[bytes, float] = {}
         self._block_proposed_at: Dict[bytes, float] = {}
-        self.commits_per_replica: Dict[int, int] = {}
-        #: Per-replica commit timestamps, in commit order — the liveness
-        #: invariant checkers (repro.check) measure commit gaps per honest
-        #: replica, not just cluster-wide firsts.
-        self.commit_times_by_replica: Dict[int, List[float]] = {}
         #: Per-replica (time, height, block_hash, parent) commit records,
         #: in observation order.  Unlike the final ledgers, this keeps
         #: every commit *event* — pre-crash commits and rejoin re-commits
         #: included — which is what the pipelined height-agreement and
-        #: certified-prefix invariants examine.
+        #: certified-prefix invariants examine, and the per-replica commit
+        #: times the liveness invariant measures gaps in.
         self.commit_records_by_replica: Dict[int, List[Tuple[float, int, bytes, bytes]]] = {}
-        self.last_commit_time = 0.0
 
     def make_listener(self, replica_id: int):
         """A ledger commit listener bound to one replica."""
@@ -63,12 +58,9 @@ class MetricsCollector:
     def observe_commit(self, replica_id: int, block: Block, now: float) -> None:
         if replica_id not in self.honest_ids:
             return
-        self.commits_per_replica[replica_id] = self.commits_per_replica.get(replica_id, 0) + 1
-        self.commit_times_by_replica.setdefault(replica_id, []).append(now)
         self.commit_records_by_replica.setdefault(replica_id, []).append(
             (now, block.height, block.block_hash, block.parent)
         )
-        self.last_commit_time = max(self.last_commit_time, now)
         if block.block_hash in self._block_first_commit:
             # A later replica's commit of a block already seen: every
             # transaction in it has its record from the first one.
@@ -144,6 +136,8 @@ class ExperimentResult:
     messages: int
     bytes_total: int
     bytes_per_node: Dict[int, int]
+    #: Wire-accounting snapshot (:meth:`repro.obs.wire.WireAccountant.snapshot`).
+    wire: Dict[str, object]
     safety_ok: bool
     offered_rate: Optional[float] = None
     extra: Tuple[Tuple[str, float], ...] = field(default_factory=tuple)
@@ -151,9 +145,6 @@ class ExperimentResult:
     #: stragglers, Δ-headroom); present iff the run enabled
     #: ``ExperimentConfig.observability``.
     obs: Optional["ObsSummary"] = None
-    #: Wire-accounting snapshot (:meth:`repro.obs.wire.WireAccountant.snapshot`);
-    #: present iff the run enabled ``ExperimentConfig.wire_accounting``.
-    wire: Optional[Dict[str, object]] = None
 
     def phase_breakdown_rows(self) -> List[Dict[str, object]]:
         """Aggregate per-phase latency stats (empty without observability)."""

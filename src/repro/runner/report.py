@@ -76,16 +76,13 @@ def phase_breakdown_table(result: ExperimentResult) -> str:
 
 
 def bandwidth_breakdown_table(result: ExperimentResult) -> str:
-    """Per-message-class bandwidth table for a wire-accounted run.
+    """Per-message-class bandwidth table for a run.
 
     Renders the :class:`~repro.obs.wire.WireAccountant` snapshot the run
     carried: bytes/messages per class with phase and δ/Δ small-large
     split, a per-phase rollup, and the leader-egress / bytes-per-commit
-    headline the paper's bandwidth argument turns on.  Empty-string when
-    the run did not enable wire accounting.
+    headline the paper's bandwidth argument turns on.
     """
-    if result.wire is None:
-        return ""
     from ..obs.wire import class_rows, phase_rows
 
     snapshot = result.wire

@@ -2,6 +2,6 @@
 
 from .rng import RngFactory, derive_seed
 from .scheduler import EventHandle, Scheduler
-from .tracing import Trace, TraceEvent
+from .tracing import Trace
 
-__all__ = ["RngFactory", "derive_seed", "EventHandle", "Scheduler", "Trace", "TraceEvent"]
+__all__ = ["RngFactory", "derive_seed", "EventHandle", "Scheduler", "Trace"]

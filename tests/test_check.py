@@ -70,7 +70,12 @@ def _fake_cluster(replicas, honest_ids, max_sim_time=10.0, commit_times=None):
         replicas=replicas,
         honest_ids=honest_ids,
         config=SimpleNamespace(max_sim_time=max_sim_time),
-        collector=SimpleNamespace(commit_times_by_replica=commit_times or {}),
+        collector=SimpleNamespace(
+            commit_records_by_replica={
+                replica_id: [(t, 0, b"", b"") for t in times]
+                for replica_id, times in (commit_times or {}).items()
+            }
+        ),
     )
 
 

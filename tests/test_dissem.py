@@ -21,7 +21,6 @@ Four contracts, mirroring the subsystem's acceptance criteria:
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -53,7 +52,7 @@ def _fingerprint(cluster) -> str:
 
 
 def _kinds(cluster) -> Counter:
-    return Counter(event.kind for event in cluster.trace.events)
+    return cluster.trace.counters
 
 
 def _honest_epochs(cluster):
@@ -105,11 +104,8 @@ def test_dissemination_rejected_on_other_protocols():
 
 
 def test_chunked_cluster_commits_and_reconstructs():
-    cfg = dataclasses.replace(
-        make_config(
-            "alterbft", f=1, rate=500.0, duration=2.0, seed=7, dissemination=True
-        ),
-        record_trace=True,
+    cfg = make_config(
+        "alterbft", f=1, rate=500.0, duration=2.0, seed=7, dissemination=True
     )
     cluster = _run(cfg)
     assert cluster.collector.committed_blocks() > 0
@@ -124,17 +120,14 @@ def test_chunked_cluster_commits_and_reconstructs():
 
 #: Chunked payloads under a depth-4 pipeline (also a certified-chain
 #: schedule in ``tests/test_check.py``).
-CHUNKED_PIPELINED = dataclasses.replace(
-    make_config(
-        "alterbft",
-        f=1,
-        rate=500.0,
-        duration=2.0,
-        seed=3,
-        dissemination=True,
-        pipeline_depth=4,
-    ),
-    record_trace=True,
+CHUNKED_PIPELINED = make_config(
+    "alterbft",
+    f=1,
+    rate=500.0,
+    duration=2.0,
+    seed=3,
+    dissemination=True,
+    pipeline_depth=4,
 )
 
 
@@ -153,7 +146,6 @@ def test_chunked_replaces_payload_blob_on_the_wire():
         duration=2.0,
         seed=7,
         dissemination=True,
-        wire_accounting=True,
     )
     cluster = _run(cfg)
     assert cluster.collector.committed_blocks() > 0
@@ -171,17 +163,14 @@ def test_corrupt_chunk_detected_and_healed_by_peer_pulls():
     """A leader bit-flips one victim's share: the Merkle check rejects
     it and the victim reconstructs from peers — no epoch change, no
     fallback to the blob repair path."""
-    cfg = dataclasses.replace(
-        make_config(
-            "alterbft",
-            f=1,
-            rate=500.0,
-            duration=2.0,
-            seed=7,
-            dissemination=True,
-            faults=((1, "corrupt_chunk"),),
-        ),
-        record_trace=True,
+    cfg = make_config(
+        "alterbft",
+        f=1,
+        rate=500.0,
+        duration=2.0,
+        seed=7,
+        dissemination=True,
+        faults=((1, "corrupt_chunk"),),
     )
     cluster = _run(cfg)
     kinds = _kinds(cluster)
@@ -198,18 +187,15 @@ def test_withhold_chunks_commits_via_epoch_change():
     """A leader shipping fewer than f + 1 shares starves reconstruction;
     the epoch times out and the next (honest) leader restores progress
     with zero invariant violations."""
-    cfg = dataclasses.replace(
-        make_config(
-            "alterbft",
-            f=1,
-            rate=500.0,
-            duration=3.0,
-            seed=7,
-            dissemination=True,
-            epoch_timeout=0.5,
-            faults=((1, "withhold_chunks"),),
-        ),
-        record_trace=True,
+    cfg = make_config(
+        "alterbft",
+        f=1,
+        rate=500.0,
+        duration=3.0,
+        seed=7,
+        dissemination=True,
+        epoch_timeout=0.5,
+        faults=((1, "withhold_chunks"),),
     )
     cluster = _run(cfg)
     kinds = _kinds(cluster)
@@ -224,18 +210,15 @@ def test_withhold_chunks_stalls_without_epoch_change():
     """Negative control: with epoch change effectively disabled, f
     shares are below the reconstruction threshold and the chain must
     stall — proving withholding is actually being exercised above."""
-    cfg = dataclasses.replace(
-        make_config(
-            "alterbft",
-            f=1,
-            rate=500.0,
-            duration=3.0,
-            seed=7,
-            dissemination=True,
-            epoch_timeout=60.0,
-            faults=((1, "withhold_chunks"),),
-        ),
-        record_trace=True,
+    cfg = make_config(
+        "alterbft",
+        f=1,
+        rate=500.0,
+        duration=3.0,
+        seed=7,
+        dissemination=True,
+        epoch_timeout=60.0,
+        faults=((1, "withhold_chunks"),),
     )
     cluster = _run(cfg)
     kinds = _kinds(cluster)
@@ -274,7 +257,6 @@ def test_e5_leader_egress_share_flattened():
             tx_size=512,
             duration=2.5,
             seed=5,
-            wire_accounting=True,
         )
     )
     chunked = _run(
@@ -285,7 +267,6 @@ def test_e5_leader_egress_share_flattened():
             tx_size=512,
             duration=2.5,
             seed=5,
-            wire_accounting=True,
             dissemination=True,
         )
     )
@@ -312,10 +293,7 @@ def test_erasure_coded_garbage_is_a_decode_failure_not_a_crash(garbage):
     from repro.crypto.erasure import encode_shares
     from repro.types.block import BlockHeader
 
-    cfg = dataclasses.replace(
-        make_config("alterbft", f=1, rate=100.0, duration=2.0, seed=3, dissemination=True),
-        record_trace=True,
-    )
+    cfg = make_config("alterbft", f=1, rate=100.0, duration=2.0, seed=3, dissemination=True)
     cluster = build_cluster(cfg)
     cluster.start()
     replica = cluster.replicas[2]

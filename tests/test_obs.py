@@ -48,7 +48,6 @@ from repro.obs.recorder import (
 )
 from repro.runner.cluster import build_cluster
 from repro.runner.experiment import run_experiment
-from repro.sim.tracing import Trace
 from tests.conftest import quick_config
 from tests.test_perf_hotpath import GOLDEN_FINGERPRINT, _run_fingerprint
 
@@ -373,64 +372,6 @@ class TestInertness:
             for h in replica.ledger.all_hashes()
         )
         assert cluster.trace.fingerprint(extra=ledger) == GOLDEN_FINGERPRINT
-
-
-# ---------------------------------------------------------------------------
-# Trace summary/merge satellites
-# ---------------------------------------------------------------------------
-
-
-class TestTraceAggregation:
-    def test_summary_includes_bytes_sent_by_node(self):
-        trace = Trace()
-        trace.count_message(0, "VoteMsg", 100)
-        trace.count_message(1, "VoteMsg", 150)
-        summary = trace.summary()
-        assert summary["bytes_sent_by_node"] == {0: 100, 1: 150}
-        assert summary["bytes"] == 250
-
-    def test_merge_accumulates(self):
-        a, b = Trace(), Trace()
-        a.count_message(0, "VoteMsg", 100)
-        b.count_message(0, "VoteMsg", 50)
-        b.count_message(1, "BlameMsg", 10)
-        merged = Trace.merged([a, b])
-        assert merged.counters["messages"] == 3
-        assert merged.bytes_sent_by_node[0] == 150
-        assert merged.messages_by_type == {"VoteMsg": 2, "BlameMsg": 1}
-        # In-place merge returns self for chaining.
-        assert a.merge(b) is a
-        assert a.bytes_sent_by_node[1] == 10
-
-    def test_summary_breaks_bytes_down_by_node_and_class(self):
-        trace = Trace()
-        trace.count_message(0, "ProposalHeaderMsg", 300)
-        trace.count_message(0, "PayloadMsg", 5000)
-        trace.count_message(1, "VoteMsg", 120)
-        summary = trace.summary()
-        assert summary["bytes_by_node_class"] == {
-            0: {"ProposalHeaderMsg": 300, "PayloadMsg": 5000},
-            1: {"VoteMsg": 120},
-        }
-        # The refinement telescopes back to the per-node totals.
-        for node, per_class in summary["bytes_by_node_class"].items():
-            assert sum(per_class.values()) == summary["bytes_sent_by_node"][node]
-
-    def test_merge_accumulates_per_class_bytes(self):
-        a, b = Trace(), Trace()
-        a.count_message(0, "VoteMsg", 100)
-        b.count_message(0, "VoteMsg", 50)
-        b.count_message(2, "BlameMsg", 10)
-        a.merge(b)
-        assert a.bytes_by_node_class[(0, "VoteMsg")] == 150
-        assert a.bytes_by_node_class[(2, "BlameMsg")] == 10
-
-    def test_merge_keeps_events_when_recording(self):
-        a, b = Trace(record_events=True), Trace(record_events=True)
-        a.emit(1.0, "commit", 0)
-        b.emit(2.0, "commit", 1)
-        a.merge(b)
-        assert len(a.events) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ class TestSharedScenarioArguments:
 
     COMMON = (
         "--f 1 --rate 800 --duration 4 --seed 3 --fault 1:crash@1.0 --fault 2:slow-link@1:2 "
-        "--guard --checkpoint-interval 4 --pipeline-depth 1 --wire"
+        "--guard --checkpoint-interval 4 --pipeline-depth 1"
     ).split()
 
     def _parsers(self):

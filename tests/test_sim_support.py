@@ -34,29 +34,32 @@ class TestRng:
         assert [a.random() for _ in range(10)] == [b.random() for _ in range(10)]
 
 
+class VoteMsg:
+    """A message class with no block coordinates."""
+
+
+class PayloadMsg:
+    """A second message class with no block coordinates."""
+
+
 class TestTrace:
     def test_counters_without_events(self):
-        trace = Trace(record_events=False)
-        trace.emit(1.0, "commit", 0, height=1)
-        trace.emit(2.0, "commit", 1, height=1)
+        trace = Trace()
+        trace.emit("commit")
+        trace.emit("commit")
         assert trace.counters["commit"] == 2
-        assert trace.events == []
-
-    def test_event_recording(self):
-        trace = Trace(record_events=True)
-        trace.emit(1.0, "vote", 2, epoch=1, height=3)
-        [event] = trace.events_of("vote")
-        assert event.time == 1.0
-        assert event.node == 2
-        assert dict(event.detail) == {"epoch": 1, "height": 3}
+        assert not hasattr(trace, "events")
 
     def test_message_accounting(self):
         trace = Trace()
-        trace.count_message(0, "VoteMsg", 100)
-        trace.count_message(0, "PayloadMsg", 5000)
-        trace.count_message(1, "VoteMsg", 100)
-        summary = trace.summary()
-        assert summary["messages"] == 3
-        assert summary["bytes"] == 5200
-        assert trace.bytes_sent_by_node[0] == 5100
-        assert summary["by_type"]["VoteMsg"] == 2
+        trace.wire.account(0, 1, VoteMsg(), 100)
+        trace.wire.account(0, 2, PayloadMsg(), 5000)
+        trace.wire.account(1, 0, VoteMsg(), 100)
+        assert trace.wire.msgs_total == 3
+        assert trace.wire.bytes_total == 5200
+        assert trace.wire.sender_bytes[0] == 5100
+        assert trace.wire.class_msgs["VoteMsg"] == 2
+        # The fingerprint reads the accountant: one more offer moves it.
+        before = trace.fingerprint()
+        trace.wire.account(1, 0, VoteMsg(), 100)
+        assert trace.fingerprint() != before

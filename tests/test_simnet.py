@@ -62,8 +62,8 @@ class TestDelivery:
         scheduler, net, _ = make_net()
         net.send(0, 1, "hello")
         scheduler.run()
-        assert net.trace.counters["messages"] == 1
-        assert net.trace.counters["bytes"] > 0
+        assert net.wire.msgs_total == 1
+        assert net.wire.bytes_total > 0
 
 
 class TestPartitions:
@@ -126,8 +126,8 @@ class TestFiltersAndCrash:
         net.broadcast(1, "from-down")
         scheduler.run()
         assert sized == []
-        assert net.trace.counters["messages"] == 0
-        assert net.trace.counters["bytes"] == 0
+        assert net.wire.msgs_total == 0
+        assert net.wire.bytes_total == 0
         net.send(0, 2, "from-up")
         assert sized == ["from-up"]
 

@@ -182,12 +182,9 @@ class WalkingCollector(MetricsCollector):
     def observe_commit(self, replica_id, block, now):
         if replica_id not in self.honest_ids:
             return
-        self.commits_per_replica[replica_id] = self.commits_per_replica.get(replica_id, 0) + 1
-        self.commit_times_by_replica.setdefault(replica_id, []).append(now)
         self.commit_records_by_replica.setdefault(replica_id, []).append(
             (now, block.height, block.block_hash, block.parent)
         )
-        self.last_commit_time = max(self.last_commit_time, now)
         if block.block_hash not in self._block_first_commit:
             self._block_first_commit[block.block_hash] = now
         for tx in block.payload.transactions:
@@ -204,10 +201,7 @@ def assert_same_collection(collector, reference, end_time):
     assert collector.committed_tx_count(end_time) == reference.committed_tx_count(end_time)
     assert collector.block_latencies() == reference.block_latencies()
     assert collector.commit_records_by_replica == reference.commit_records_by_replica
-    assert collector.commit_times_by_replica == reference.commit_times_by_replica
-    assert collector.commits_per_replica == reference.commits_per_replica
     assert collector.committed_blocks() == reference.committed_blocks()
-    assert collector.last_commit_time == reference.last_commit_time
 
 
 class TestCommitWalksABlockOnce:

@@ -5,11 +5,12 @@ The load-bearing properties pinned here:
 * **Telescoping** — every attribution axis (links, classes, phases, size
   classes, senders, receivers, heights, epochs) sums byte-exactly to the
   wire total on a real seeded run; no drill-down silently drops traffic.
-* **Trace agreement** — the accountant taps the same site as
-  ``Trace.count_message``, so its total equals the fingerprint-bearing
-  ``bytes`` counter exactly.
-* **Inertness** — a seeded run with wire accounting enabled produces the
-  byte-identical golden fingerprint of a run without it.
+* **One counter** — the accountant is the only message counter of a
+  simulated run: the trace carries it, the network taps it once per
+  offer, and its totals, per-sender bytes and per-class copies equal the
+  counters ``Trace`` used to keep beside it (``tests/wire_oracle.py``).
+* **Inertness** — the trace fingerprint, read from the accountant, is
+  the golden fingerprint pinned when the trace counted messages itself.
 * **Contract** — each protocol's declared ``WIRE_PHASES`` matches the
   phases derivable from its ``HANDLERS`` map, each subsystem's
   ``WIRE_PHASE`` is the phase of every message it handles, the
@@ -19,7 +20,6 @@ The load-bearing properties pinned here:
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 
@@ -67,7 +67,7 @@ from repro.crypto.keystore import build_cluster_keys
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
-from tests.wire_oracle import OracleAccountant, OracleNetwork
+from tests.wire_oracle import OracleAccountant, OracleNetwork, count_offers
 
 #: Must match tests/test_perf_hotpath.py — the one golden fingerprint.
 GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290ce77d05"
@@ -91,15 +91,24 @@ def _signer():
     return build_cluster_keys("hashsig", 1)[0]
 
 
-def _run_cluster(protocol: str = "alterbft", **kwargs):
-    cfg = dataclasses.replace(
-        make_config(protocol, f=1, rate=500.0, duration=1.5, seed=7, **kwargs),
-        wire_accounting=True,
-    )
-    cluster = build_cluster(cfg)
+#: The seeded run the golden fingerprint was pinned on.
+GOLDEN_RUN = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
+
+
+def _run_cluster():
+    cluster = build_cluster(GOLDEN_RUN)
     cluster.start()
     cluster.run()
     return cluster
+
+
+def _ledger_state(cluster) -> bytes:
+    return b"".join(
+        h
+        for replica in cluster.replicas
+        if replica.replica_id in cluster.honest_ids
+        for h in replica.ledger.all_hashes()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +415,9 @@ def _faulty_network(cls, wire, seed):
         scheduler,
         HybridCloudDelayModel(NetworkConfig()),
         RngFactory(seed),
-        Trace(),
+        Trace(wire),
         egress_bandwidth=NetworkConfig().egress_bandwidth,
         priority_threshold=NetworkConfig().small_threshold,
-        wire=wire,
     )
     for node in range(5):
         net.attach(node, lambda src, msg: None)
@@ -445,7 +453,7 @@ def _drive(net, seed):
 class TestOneLoopAgainstPerCopySendPath:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_same_trace_accounting_and_schedule(self, seed, monkeypatch):
-        calls = {"account": 0, "count_message": 0}
+        calls = {"account": 0}
 
         def counting(cls, method):
             inner = cls.__dict__[method]
@@ -462,20 +470,22 @@ class TestOneLoopAgainstPerCopySendPath:
         _drive(oracle_net, seed)
         # Wrapped by name on the class, the way the benchmark's tracer does.
         counting(WireAccountant, "account")
-        counting(Trace, "count_message")
         sched, net = _faulty_network(
             SimNetwork, WireAccountant(NetworkConfig().small_threshold), seed
         )
         offers = _drive(net, seed)
 
-        assert calls == {"account": offers, "count_message": offers}
-        assert net.trace.summary() == oracle_net.trace.summary()
-        assert net.trace.fingerprint() == oracle_net.trace.fingerprint()
+        assert calls == {"account": offers}
+        assert net.trace.counters == oracle_net.trace.counters
+        assert net.trace.fingerprint() == oracle_net.counts.fingerprint(
+            oracle_net.trace.counters
+        )
         for kind in ("msg_partitioned", "msg_filtered", "msg_dropped"):
             assert net.trace.counters[kind] > 0, kind
         assert net.wire.queue_samples
         assert_same_accounting(net.wire, oracle_net.wire)
-        assert net.wire.bytes_total == net.trace.counters["bytes"]
+        assert net.wire.bytes_total == oracle_net.counts.counters["bytes"]
+        assert net.wire.msgs_total == oracle_net.counts.counters["messages"]
 
         def entries(scheduler):
             return sorted(
@@ -494,8 +504,17 @@ class TestOneLoopAgainstPerCopySendPath:
 
 class TestLiveRun:
     @pytest.fixture(scope="class")
-    def cluster(self):
-        return _run_cluster()
+    def counted_run(self):
+        """A seeded run, its offers also counted the way ``Trace`` did."""
+        cluster = build_cluster(GOLDEN_RUN)
+        counts = count_offers(cluster.network)
+        cluster.start()
+        cluster.run()
+        return cluster, counts
+
+    @pytest.fixture(scope="class")
+    def cluster(self, counted_run):
+        return counted_run[0]
 
     def test_telescoping_invariant(self, cluster):
         snapshot = cluster.wire.snapshot()
@@ -506,15 +525,25 @@ class TestLiveRun:
         assert sum(r["bytes"] for r in snapshot["links"]) == total
         assert sum(r["bytes"] for r in snapshot["classes"]) == total
 
-    def test_totals_agree_with_trace_counters(self, cluster):
-        assert cluster.wire.bytes_total == cluster.trace.counters["bytes"]
-        assert cluster.wire.msgs_total == cluster.trace.counters["messages"]
+    def test_totals_agree_with_trace_counters(self, counted_run):
+        cluster, counts = counted_run
+        assert cluster.wire.bytes_total == counts.counters["bytes"]
+        assert cluster.wire.msgs_total == counts.counters["messages"]
 
-    def test_per_class_totals_agree_with_trace(self, cluster):
-        assert dict(cluster.wire.class_msgs) == dict(cluster.trace.messages_by_type)
+    def test_per_class_totals_agree_with_trace(self, counted_run):
+        cluster, counts = counted_run
+        assert dict(cluster.wire.class_msgs) == dict(counts.messages_by_type)
 
-    def test_sender_totals_agree_with_trace(self, cluster):
-        assert dict(cluster.wire.sender_bytes) == dict(cluster.trace.bytes_sent_by_node)
+    def test_sender_totals_agree_with_trace(self, counted_run):
+        cluster, counts = counted_run
+        assert dict(cluster.wire.sender_bytes) == dict(counts.bytes_sent_by_node)
+
+    def test_fingerprint_agrees_with_trace(self, counted_run):
+        cluster, counts = counted_run
+        ledger = _ledger_state(cluster)
+        assert cluster.trace.fingerprint(extra=ledger) == counts.fingerprint(
+            cluster.trace.counters, extra=ledger
+        )
 
     def test_observed_phases_within_declared_contract(self, cluster):
         observed = {p for p, n in cluster.wire.phase_bytes.items() if n}
@@ -542,21 +571,15 @@ class TestLiveRun:
 
 class TestInertness:
     def test_fingerprint_identical_with_wire_accounting_on(self):
-        """The disabled-path contract, from the enabled side: turning
-        wire accounting ON changes nothing the fingerprint witnesses."""
+        """Read from the accountant, the fingerprint of the golden run is
+        the one pinned when the trace counted messages itself."""
         cluster = _run_cluster()
-        ledger = b"".join(
-            h
-            for replica in cluster.replicas
-            if replica.replica_id in cluster.honest_ids
-            for h in replica.ledger.all_hashes()
-        )
-        assert cluster.trace.fingerprint(extra=ledger) == GOLDEN_FINGERPRINT
+        assert cluster.trace.fingerprint(extra=_ledger_state(cluster)) == GOLDEN_FINGERPRINT
 
-    def test_accountant_absent_when_disabled(self):
-        cfg = make_config("alterbft", f=1, rate=500.0, duration=1.5, seed=7)
-        assert cfg.wire_accounting is False
-        assert build_cluster(cfg).wire is None
+    def test_accountant_always_present(self):
+        cluster = build_cluster(GOLDEN_RUN)
+        assert isinstance(cluster.wire, WireAccountant)
+        assert cluster.wire is cluster.trace.wire is cluster.network.wire
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +622,7 @@ class TestSnapshotIO:
         from repro.obs.__main__ import main as obs_main
 
         record = ["record", "--protocol", "alterbft", "--rate", "300", "--duration", "1.5"]
-        flags = ["--wire", "--guard", "--dissemination", "--checkpoint-interval", "4"]
+        flags = ["--guard", "--dissemination", "--checkpoint-interval", "4"]
         assert obs_main(record + flags + ["--seed", "7", "--out-dir", str(tmp_path)]) == 0
         path = os.path.join(tmp_path, "wire.jsonl")
         observed = {r["phase"] for r in read_wire_jsonl(path)["phases"] if r["bytes"]}

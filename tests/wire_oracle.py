@@ -5,19 +5,25 @@ histogram observation for every (sender, receiver) copy of every message.
 
 ``OracleNetwork`` is the send path ``repro.net.simnet`` shipped with it: a
 ``SimNetwork`` whose ``send``/``broadcast`` go through the copy-at-a-time
-``_send_sized``, kept verbatim, with the trace and accountant taps called
-once per copy.
+``_send_sized``, with the message counter and the accountant tapped once
+per copy.  The message counter is :class:`ParentCounts`: the counters
+``Trace`` kept beside the accountant before the accountant became the
+only one, and the fingerprint it hashed them into, kept here verbatim.
+:func:`count_offers` puts the same counter beside a shipped network.
 
-``tests/test_wire.py`` pins the relation between the two pairs: fed the
+``tests/test_wire.py`` pins the relation between the pairs: fed the
 copies of the same offers one by one, every public axis, ``snapshot()``,
 the Prometheus text and ``leader_egress_share()`` of ``OracleAccountant``
-equal those the shipped accountant derives from its tally; and for the
-same seed and the same faults installed, ``OracleNetwork`` leaves the same
-trace and the same scheduler entries as the shipped network's one loop.
+equal those the shipped accountant derives from its tally; for the same
+seed and the same faults installed, ``OracleNetwork`` leaves the same
+event counts and the same scheduler entries as the shipped network's one
+loop; and the trace's fingerprint, read from the accountant, equals the
+one ``ParentCounts`` hashes from its own counters.
 """
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter as TallyCounter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -75,9 +81,9 @@ class OracleAccountant:
         """Attribute one message's wire bytes along every axis.
 
         Called at the same site (and with the same semantics) as
-        ``Trace.count_message`` — every *offered* send, loopback and
+        ``ParentCounts.count_message`` — every *offered* send, loopback and
         fault-dropped messages included — so the wire total cross-checks
-        byte-exactly against the trace's ``bytes`` counter.
+        byte-exactly against its ``bytes`` counter.
         """
         info = self._class_info.get(type(msg))
         if info is None:
@@ -277,8 +283,58 @@ class OracleAccountant:
         }
 
 
+class ParentCounts:
+    """``Trace``'s message counters, and its fingerprint over them."""
+
+    def __init__(self) -> None:
+        self.counters: TallyCounter = TallyCounter()
+        self.bytes_sent_by_node: TallyCounter = TallyCounter()
+        self.messages_by_type: TallyCounter = TallyCounter()
+
+    def count_message(self, sender: int, type_name: str, size: int, copies: int = 1) -> None:
+        """Account one wire message offered to ``copies`` (≥ 1) destinations."""
+        wire_bytes = size * copies
+        counters = self.counters
+        counters["messages"] += copies
+        counters["bytes"] += wire_bytes
+        self.bytes_sent_by_node[sender] += wire_bytes
+        self.messages_by_type[type_name] += copies
+
+    def fingerprint(self, kinds: TallyCounter, extra: Optional[bytes] = None) -> str:
+        """The digest ``Trace.fingerprint`` made when ``counters`` held the
+        event ``kinds`` and the message counters side by side."""
+        counters = TallyCounter(kinds)
+        counters.update(self.counters)
+        hasher = hashlib.sha256()
+        for counter in (counters, self.bytes_sent_by_node, self.messages_by_type):
+            for key in sorted(counter, key=repr):
+                hasher.update(f"{key!r}={counter[key]};".encode("utf-8"))
+        if extra:
+            hasher.update(extra)
+        return hasher.hexdigest()
+
+
+def count_offers(network: SimNetwork) -> ParentCounts:
+    """Count every offer ``network`` makes from now on, the way its send
+    path called ``Trace.count_message`` beside the accountant."""
+    counts = ParentCounts()
+    offer = network._offer
+
+    def counted(src: int, dsts: Tuple[int, ...], msg: object) -> None:
+        if src not in network._down and dsts:
+            counts.count_message(src, type(msg).__name__, encoded_size(msg), len(dsts))
+        offer(src, dsts, msg)
+
+    network._offer = counted  # type: ignore[method-assign]
+    return counts
+
+
 class OracleNetwork(SimNetwork):
     """``SimNetwork`` with the per-copy send path it had before the one loop."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.counts = ParentCounts()
 
     def send(self, src: int, dst: int, msg: object) -> None:
         """Send one message; wire size is the real encoded size.
@@ -300,39 +356,37 @@ class OracleNetwork(SimNetwork):
     def _send_sized(self, src: int, dst: int, msg: object, size: int) -> None:
         if src in self._down:
             return
-        self.trace.count_message(src, type(msg).__name__, size)
-        if self.wire is not None:
-            self.wire.account(src, dst, msg, size)
+        self.counts.count_message(src, type(msg).__name__, size)
+        self.wire.account(src, dst, msg, size)
         scheduler = self.scheduler
         if src == dst:
             scheduler.post_after(LOOPBACK_DELAY, self._deliver, src, dst, msg)
             return
         if self._partition is not None and self._crosses_partition(src, dst):
-            self.trace.emit(scheduler.now, "msg_partitioned", src, dst=dst)
+            self.trace.emit("msg_partitioned")
             return
         if self._filters:
             for fn in self._filters:
                 if not fn(src, dst, msg, size):
-                    self.trace.emit(scheduler.now, "msg_filtered", src, dst=dst)
+                    self.trace.emit("msg_filtered")
                     return
         delay = self.delay_model.sample(self._rng, src, dst, size)
         if delay is None:
-            self.trace.emit(scheduler.now, "msg_dropped", src, dst=dst)
+            self.trace.emit("msg_dropped")
             return
         for policy in self._delay_policies:
             delay = policy(src, dst, msg, size, delay)
             if delay is None:
-                self.trace.emit(scheduler.now, "msg_dropped", src, dst=dst)
+                self.trace.emit("msg_dropped")
                 return
         departure = scheduler.now
         if self.egress_bandwidth and size > self.priority_threshold:
             # NIC egress serialization: copies of a broadcast queue behind
             # one another at the sender.
             start = max(departure, self._egress_free.get(src, 0.0))
-            if self.wire is not None:
-                # Backpressure sample: how long this copy waited behind
-                # earlier egress before its serialization even started.
-                self.wire.sample_queue(scheduler.now, src, start - scheduler.now, size)
+            # Backpressure sample: how long this copy waited behind
+            # earlier egress before its serialization even started.
+            self.wire.sample_queue(scheduler.now, src, start - scheduler.now, size)
             departure = start + size / self.egress_bandwidth
             self._egress_free[src] = departure
         if self.obs is not None:
