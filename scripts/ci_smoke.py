@@ -6,7 +6,8 @@ everything a step writes lands in ``--out-dir`` for one upload step.
 ``.github/workflows/ci.yml``'s ``layer-smoke`` matrix is the list of
 invocations; run a row locally the same way, e.g.
 
-    python scripts/ci_smoke.py --record "--protocol alterbft --rate 300 --duration 1.5 --seed 7" --drill report,wire,bandwidth,queues
+    python scripts/ci_smoke.py --record "--protocol alterbft --rate 300 --duration 1.5 --seed 7" \
+        --drill report,epochs,stragglers,overlap,headroom,wire,bandwidth,queues
 """
 
 import argparse

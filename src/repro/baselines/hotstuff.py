@@ -33,14 +33,6 @@ from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
 from ..errors import BlockStoreError, ConfigError, VerificationError
 from ..mempool.mempool import Mempool
-from ..obs.recorder import (
-    EVENT_VIEW_TIMEOUT,
-    MARK_CERTIFY,
-    MARK_HEADER,
-    MARK_PAYLOAD,
-    MARK_PROPOSE,
-    MARK_VOTE,
-)
 from ..types.block import Block, make_block
 from ..types.certificates import Certificate, Vote, genesis_qc
 from ..types.messages import HSNewViewMsg, HSProposalMsg, VoteMsg
@@ -128,8 +120,7 @@ class HotStuffReplica(BaseReplica):
         if view != self.view:
             return
         self.view_timeouts += 1
-        self.trace("view_timeout", view=view)
-        self.obs_event(EVENT_VIEW_TIMEOUT, epoch=view)
+        self.event("view_timeout", epoch=view)
         next_view = self.view + 1
         self._advance_view(next_view, made_progress=False)
         msg = HSNewViewMsg(
@@ -180,15 +171,9 @@ class HotStuffReplica(BaseReplica):
         msg = HSProposalMsg(
             block=block, signature=self.sign_proposal(block.block_hash), justify=justify
         )
-        self.trace("propose", view=self.view, height=block.height, txs=len(batch))
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_PROPOSE,
-                block.block_hash,
-                epoch=self.view,
-                height=block.height,
-                txs=len(batch),
-            )
+        self.event(
+            "propose", block.block_hash, epoch=self.view, height=block.height, txs=len(batch)
+        )
         self.broadcast(msg)
 
     def _uncommitted_tx_keys(self, tip_hash: Digest) -> Optional[Set]:
@@ -236,13 +221,10 @@ class HotStuffReplica(BaseReplica):
             raise VerificationError("proposal payload mismatch")
 
         self.store.add_block(block)
-        if self.obs is not None:
-            # Header and payload travel as one message in HotStuff; both
-            # milestones land at delivery.
-            self.obs_mark(
-                MARK_HEADER, block.block_hash, epoch=block.epoch, height=block.height
-            )
-            self.obs_mark(MARK_PAYLOAD, block.block_hash)
+        # Header and payload travel as one message in HotStuff; both
+        # milestones land at delivery.
+        self.mark("header_deliver", block.block_hash, epoch=block.epoch, height=block.height)
+        self.mark("payload_deliver", block.block_hash)
         self._justify_of[block.block_hash] = msg.justify
         if self._pending_commits:
             self._retry_pending_commits()
@@ -260,14 +242,7 @@ class HotStuffReplica(BaseReplica):
                     self.signer, self.protocol_name, block.epoch, block.height, block.block_hash
                 )
                 next_leader = self.validators.leader_of(block.epoch + 1)
-                self.trace("vote", view=block.epoch, height=block.height)
-                if self.obs is not None:
-                    self.obs_mark(
-                        MARK_VOTE,
-                        block.block_hash,
-                        epoch=block.epoch,
-                        height=block.height,
-                    )
+                self.event("vote", block.block_hash, epoch=block.epoch, height=block.height)
                 if next_leader == self.replica_id:
                     self.on_vote(self.replica_id, VoteMsg(vote=vote))
                 else:
@@ -287,12 +262,10 @@ class HotStuffReplica(BaseReplica):
         """Pre-commit / commit / decide bookkeeping from a certificate."""
         if qc.rank > self.high_qc.rank:
             self.high_qc = qc
-            if self.obs is not None and qc.height > 0:
+            if qc.height > 0:
                 # First sight of a certificate — formed locally (leader)
                 # or learned from a justify / new-view message.
-                self.obs_mark(
-                    MARK_CERTIFY, qc.block_hash, epoch=qc.epoch, height=qc.height
-                )
+                self.mark("certify", qc.block_hash, epoch=qc.epoch, height=qc.height)
         b2_hash = qc.block_hash  # certified block b''
         qc1 = self._justify_of.get(b2_hash)
         if qc1 is None:

@@ -37,16 +37,6 @@ from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
 from ..errors import ConfigError, VerificationError
 from ..mempool.mempool import Mempool
-from ..obs.recorder import (
-    EVENT_EPOCH_ENTER,
-    EVENT_VIEW_TIMEOUT,
-    MARK_CERTIFY,
-    MARK_COMMIT,
-    MARK_HEADER,
-    MARK_PAYLOAD,
-    MARK_PROPOSE,
-    MARK_VOTE,
-)
 from ..types.block import Block, make_block
 from ..types.certificates import VOTE, Certificate, Vote
 from ..types.messages import (
@@ -179,11 +169,7 @@ class PBFTReplica(BaseReplica):
         msg = PBFTPrePrepareMsg(
             view=self.view, seq=seq, block=block, signature=self.sign_proposal(block.block_hash)
         )
-        self.trace("propose", view=self.view, seq=seq, txs=len(batch))
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_PROPOSE, block.block_hash, epoch=self.view, height=seq, txs=len(batch)
-            )
+        self.event("propose", block.block_hash, epoch=self.view, height=seq, txs=len(batch))
         self.broadcast(msg)
 
     # ------------------------------------------------------------------
@@ -246,17 +232,16 @@ class PBFTReplica(BaseReplica):
     def _accept_preprepare(self, view: int, seq: int, block: Block) -> None:
         self._accepted.setdefault(view, {})[seq] = block
         self.store.add_block(block)
-        if self.obs is not None:
-            # PBFT pre-prepares carry header and payload together.
-            self.obs_mark(MARK_HEADER, block.block_hash, epoch=view, height=seq)
-            self.obs_mark(MARK_PAYLOAD, block.block_hash)
+        # PBFT pre-prepares carry header and payload together.
+        self.mark("header_deliver", block.block_hash, epoch=view, height=seq)
+        self.mark("payload_deliver", block.block_hash)
         if (view, seq) not in self._prepare_voted:
             self._prepare_voted.add((view, seq))
             vote = Vote.create(
                 self.signer, self.protocol_name, view, seq, block.block_hash, phase=PREPARE_PHASE
             )
-            if self.obs is not None:
-                self.obs_mark(MARK_VOTE, block.block_hash, epoch=view, height=seq)
+            # Recorded, not counted: PBFT's pinned fingerprints never counted it.
+            self.mark("vote", block.block_hash, epoch=view, height=seq)
             self.broadcast(PBFTPrepareMsg(vote=vote))
         # Adopt certificates that formed before this pre-prepare landed.
         orphan = self._orphan_prepare_qcs.pop(block.block_hash, None)
@@ -287,10 +272,8 @@ class PBFTReplica(BaseReplica):
             return  # certificate for a block we did not accept
         existing = self._prepared.get(seq)
         if existing is None or qc.epoch > existing[0].epoch:
-            if existing is None and self.obs is not None:
-                self.obs_mark(
-                    MARK_CERTIFY, block.block_hash, epoch=qc.epoch, height=seq
-                )
+            if existing is None:
+                self.mark("certify", block.block_hash, epoch=qc.epoch, height=seq)
             self._prepared[seq] = (qc, block)
         if self.pacemaker is not None:
             self.pacemaker.record_progress()
@@ -345,11 +328,9 @@ class PBFTReplica(BaseReplica):
             self.ledger.commit(block, self.now)
             self._commit_qcs[seq] = qc
             self.mempool.remove_committed(block.payload.transactions)
-            self.trace("commit", height=seq, txs=len(block.payload))
-            if self.obs is not None:
-                self.obs_mark(
-                    MARK_COMMIT, block.block_hash, epoch=block.epoch, height=seq
-                )
+            self.event(
+                "commit", block.block_hash, epoch=block.epoch, height=seq, txs=len(block.payload)
+            )
             progressed = True
         self.advance_horizon()  # after sync-reply commits too
         if progressed and self.pacemaker is not None:
@@ -367,8 +348,7 @@ class PBFTReplica(BaseReplica):
             return
         if target != self.view:
             return
-        self.trace("view_timeout", view=target)
-        self.obs_event(EVENT_VIEW_TIMEOUT, epoch=target)
+        self.event("view_timeout", epoch=target)
         self._start_view_change(self.view + 1)
 
     def _start_view_change(self, new_view: int) -> None:
@@ -461,7 +441,7 @@ class PBFTReplica(BaseReplica):
         self._installed_views.add(msg.new_view)
         self.view = msg.new_view
         self.in_view_change = False
-        self.obs_event(EVENT_EPOCH_ENTER, epoch=msg.new_view)
+        self.mark("epoch_enter", epoch=msg.new_view)
         self.mempool.requeue_inflight()
         assert self.pacemaker is not None
         self.pacemaker.enter_epoch(self.view, made_progress=False)
@@ -556,8 +536,6 @@ class PBFTReplica(BaseReplica):
             self.ledger.commit(block, self.now)
             self._commit_qcs[block.height] = qc
             self.mempool.remove_committed(block.payload.transactions)
-            if self.obs is not None:
-                self.obs_mark(
-                    MARK_COMMIT, block.block_hash, epoch=block.epoch, height=block.height
-                )
+            # Recorded, not counted: a state-transfer commit never was.
+            self.mark("commit", block.block_hash, epoch=block.epoch, height=block.height)
         self._execute_ready()

@@ -22,7 +22,6 @@ from __future__ import annotations
 from ..core.protocol import AlterBFTReplica
 from ..types.block import make_block
 from ..errors import ConfigError, VerificationError
-from ..obs.recorder import MARK_PAYLOAD, MARK_PROPOSE
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
@@ -90,15 +89,9 @@ class SyncHotStuffReplica(AlterBFTReplica):
         )
         self._inflight.append((block.height, block.block_hash))
         self._proposed_in_epoch = True
-        self.trace("propose", epoch=self.epoch, height=block.height, txs=len(batch))
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_PROPOSE,
-                block.block_hash,
-                epoch=self.epoch,
-                height=block.height,
-                txs=len(batch),
-            )
+        self.event(
+            "propose", block.block_hash, epoch=self.epoch, height=block.height, txs=len(batch)
+        )
         self.broadcast(msg)
 
     # -- receiving ------------------------------------------------------------
@@ -113,8 +106,8 @@ class SyncHotStuffReplica(AlterBFTReplica):
         block_hash = msg.block.block_hash
         # Payload first so voting can proceed as soon as the header lands
         # (and so the relay can rebuild the proposal from the store).
-        if self.store.add_payload(block_hash, msg.block.payload) and self.obs is not None:
-            self.obs_mark(MARK_PAYLOAD, block_hash)
+        if self.store.add_payload(block_hash, msg.block.payload):
+            self.mark("payload_deliver", block_hash)
         if msg.block.epoch > self.epoch:
             self._future_headers.append((msg.block.epoch, header_msg))
             return

@@ -91,16 +91,10 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
         results = check_all(cluster)
     if row.extra_check is not None:
         results.append(row.extra_check(cluster))
-    ledger_state = b"".join(
-        block_hash
-        for replica in cluster.replicas
-        if replica.replica_id in cluster.honest_ids
-        for block_hash in replica.ledger.all_hashes()
-    )
     return ScenarioResult(
         scenario=scenario,
         results=tuple(results),
-        fingerprint=cluster.trace.fingerprint(extra=ledger_state),
+        fingerprint=cluster.fingerprint(),
         committed_blocks=cluster.collector.committed_blocks(),
     )
 

@@ -34,7 +34,7 @@ class Context(Protocol):
 
     def set_timer(self, delay: float, tag: str, payload: Any = None) -> TimerHandle: ...
 
-    def trace(self, kind: str, **detail: Any) -> None: ...
+    def trace(self, kind: str) -> None: ...
 
 
 #: Signature of the timer callback a context fires: (tag, payload).
@@ -79,8 +79,8 @@ class SimContext:
     def _fire_timer(self, tag: str, payload: Any) -> None:
         self._timer_callback(tag, payload)
 
-    def trace(self, kind: str, **detail: Any) -> None:
-        # Counted by kind in the network's trace; the detail is not kept.
+    def trace(self, kind: str) -> None:
+        """Count one ``kind`` in the network's trace."""
         self._network.trace.emit(kind)
 
 

@@ -76,10 +76,9 @@ class BaseReplica:
         return tuple(p for p in WIRE_PHASE_NAMES if p in observed)
 
     #: Observability sink (set by the cluster builder when the experiment
-    #: enables observability).  ``None`` means every instrumentation site
-    #: is a single attribute test — the disabled hot path does no obs
-    #: work, and recording never touches RNG, scheduler, or the
-    #: fingerprint counters (the inertness guarantee).
+    #: enables observability).  Only :meth:`event` and :meth:`mark` read
+    #: it; recording never touches RNG, scheduler, or the fingerprint
+    #: counters (the inertness guarantee).
     obs: Optional[SpanRecorder] = None
 
     def __init__(
@@ -196,8 +195,7 @@ class BaseReplica:
             handler(src, msg)
         except VerificationError:
             # Evidence of a faulty peer — drop the message, keep running.
-            if self.ctx is not None:
-                self.ctx.trace("verification_failed", src=src, msg=type(msg).__name__)
+            self.event("verification_failed", src=src, msg=type(msg).__name__)
 
     # -- convenience ------------------------------------------------------------
 
@@ -214,21 +212,25 @@ class BaseReplica:
         assert self.ctx is not None
         self.ctx.broadcast(msg, include_self=include_self)
 
-    def trace(self, kind: str, **detail: Any) -> None:
+    # -- instrumentation ---------------------------------------------------------
+
+    def event(self, kind: str, block: Optional[Digest] = None, **attrs: Any) -> None:
+        """Count one ``kind`` through the context and, when a recorder is
+        attached, record it with ``block`` and ``attrs`` under the same name.
+
+        The count does not depend on the recorder, so attaching one cannot
+        change a fingerprint.
+        """
         if self.ctx is not None:
-            self.ctx.trace(kind, **detail)
+            self.ctx.trace(kind)
+            if self.obs is not None:
+                self.obs.mark(self.ctx.now, kind, self.replica_id, block, **attrs)
 
-    # -- observability -----------------------------------------------------------
-
-    def obs_mark(self, kind: str, block_hash: Digest, **attrs: Any) -> None:
-        """Record a block-lifecycle milestone (no-op unless observed)."""
+    def mark(self, kind: str, block: Optional[Digest] = None, **attrs: Any) -> None:
+        """Record, never count: for the milestones no fingerprint has ever
+        counted (:data:`repro.obs.recorder.RECORDED_ONLY`)."""
         if self.obs is not None:
-            self.obs.mark(self.now, kind, self.replica_id, block_hash, **attrs)
-
-    def obs_event(self, kind: str, **attrs: Any) -> None:
-        """Record an epoch/view-level event (no-op unless observed)."""
-        if self.obs is not None:
-            self.obs.event(self.now, kind, self.replica_id, **attrs)
+            self.obs.mark(self.now, kind, self.replica_id, block, **attrs)
 
     def is_leader(self, epoch: int) -> bool:
         return self.validators.leader_of(epoch) == self.replica_id
@@ -335,7 +337,7 @@ class BaseReplica:
             voter = pairs[index][0]
             del bucket[voter]
             self._excluded_voters.add(voter)
-            self.trace("bad_vote_attributed", voter=voter, epoch=vote.epoch, phase=vote.phase)
+            self.event("bad_vote_attributed", voter=voter, epoch=vote.epoch, phase=vote.phase)
         return len(bucket) >= self.validators.quorum
 
     def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[Certificate]:
@@ -422,14 +424,12 @@ class BaseReplica:
         headers = self.store.chain_between(block_hash, head_hash)
         blocks = [self.store.block(h.block_hash) for h in headers]
         self.ledger.commit_chain(blocks, self.now)
-        observed = self.obs is not None
         for block in blocks:
             self.mempool.remove_committed(block.payload.transactions)
-            self.trace("commit", height=block.height, txs=len(block.payload))
-            if observed:
-                self.obs_mark(
-                    "commit", block.block_hash, epoch=block.epoch, height=block.height
-                )
+            self.event(
+                "commit", block.block_hash, epoch=block.epoch, height=block.height,
+                txs=len(block.payload),
+            )
         self._fire("on_committed", blocks)
         self.advance_horizon()
         return blocks

@@ -61,22 +61,6 @@ from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
 from ..errors import BlockStoreError, ConfigError, VerificationError
 from ..mempool.mempool import Mempool
-from ..obs.recorder import (
-    EVENT_BLAME,
-    EVENT_EPOCH_CHANGE,
-    EVENT_EPOCH_ENTER,
-    EVENT_EPOCH_TIMEOUT,
-    EVENT_EQUIVOCATION,
-    EVENT_FORK,
-    EVENT_RECOVERY_REPLAY,
-    EVENT_RECOVERY_RESTART,
-    MARK_CERTIFY,
-    MARK_HEADER,
-    MARK_PAYLOAD,
-    MARK_PROPOSE,
-    MARK_VOTE,
-    MARK_WINDOW,
-)
 from ..recovery.wal import WalEpochRecord
 from ..types.block import Block, BlockHeader, BlockPayload, make_block
 from ..types.certificates import BLAME, VOTE, Blame, Certificate, Vote, genesis_qc
@@ -294,16 +278,10 @@ class AlterBFTReplica(BaseReplica):
         )
         self._inflight.append((block.height, block.block_hash))
         self._proposed_in_epoch = True
-        self.trace("propose", epoch=self.epoch, height=block.height, txs=len(batch))
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_PROPOSE,
-                block.block_hash,
-                epoch=self.epoch,
-                height=block.height,
-                txs=len(batch),
-                inflight=len(self._inflight),
-            )
+        self.event(
+            "propose", block.block_hash, epoch=self.epoch, height=block.height,
+            txs=len(batch), inflight=len(self._inflight),
+        )
         # Header first (small, Δ-timely), payload second (large).
         self.broadcast(header_msg)
         self.send_payload(block)
@@ -394,13 +372,9 @@ class AlterBFTReplica(BaseReplica):
         # ancestry of whichever branch survives the epoch change.
         first_time = self.store.add_header(header)
         if first_time:
-            if self.obs is not None:
-                self.obs_mark(
-                    MARK_HEADER,
-                    header.block_hash,
-                    epoch=header.epoch,
-                    height=header.height,
-                )
+            self.mark(
+                "header_deliver", header.block_hash, epoch=header.epoch, height=header.height
+            )
             self._header_msgs[header.block_hash] = msg
             self._update_high_qc(msg.justify)
             self._unpark(self._parked_on_header, header.block_hash)
@@ -472,8 +446,7 @@ class AlterBFTReplica(BaseReplica):
         if epoch in self._equivocated:
             return
         self._equivocated.add(epoch)
-        self.trace("equivocation_detected", epoch=epoch, leader=first.header.proposer)
-        self.obs_event(EVENT_EQUIVOCATION, epoch=epoch, leader=first.header.proposer)
+        self.event("equivocation_detected", epoch=epoch, leader=first.header.proposer)
         self.broadcast(EquivocationProofMsg(first=first, second=second), include_self=False)
         self._send_blame(epoch)
 
@@ -489,8 +462,7 @@ class AlterBFTReplica(BaseReplica):
         if h1.epoch in self._equivocated:
             return
         self._equivocated.add(h1.epoch)
-        self.trace("equivocation_learned", epoch=h1.epoch)
-        self.obs_event(EVENT_EQUIVOCATION, epoch=h1.epoch, learned=True)
+        self.event("equivocation_learned", epoch=h1.epoch)
         self.broadcast(msg, include_self=False)
         self._send_blame(h1.epoch)
 
@@ -523,8 +495,7 @@ class AlterBFTReplica(BaseReplica):
             raise VerificationError("payload does not match header commitment")
         if not self.store.add_payload(block_hash, payload):
             return
-        if self.obs is not None:
-            self.obs_mark(MARK_PAYLOAD, block_hash)
+        self.mark("payload_deliver", block_hash)
         if header is not None:
             self._maybe_vote_chain(header.epoch)
         self._unpark(self._parked_on_payload, block_hash)
@@ -544,7 +515,7 @@ class AlterBFTReplica(BaseReplica):
         if header is None:
             return
         self._payload_requested.add(block_hash)
-        self.trace("payload_fetch", height=header.height)
+        self.event("payload_fetch", height=header.height)
         self.broadcast(
             PayloadRequestMsg(block_hash=block_hash, height=header.height), include_self=False
         )
@@ -594,11 +565,7 @@ class AlterBFTReplica(BaseReplica):
         # Journal before broadcast: a restart replays this and can
         # never emit a second vote at (or below) the same height.
         self._fire("journal", vote)
-        self.trace("vote", epoch=header.epoch, height=header.height)
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_VOTE, header.block_hash, epoch=header.epoch, height=header.height
-            )
+        self.event("vote", header.block_hash, epoch=header.epoch, height=header.height)
         self.broadcast(VoteMsg(vote=vote))
         # Open the 2Δ equivocation-detection window.
         assert self.ctx is not None
@@ -642,10 +609,7 @@ class AlterBFTReplica(BaseReplica):
         qc = self.record_vote(msg.vote)
         if qc is None:
             return
-        if self.obs is not None:
-            self.obs_mark(
-                MARK_CERTIFY, qc.block_hash, epoch=qc.epoch, height=qc.height
-            )
+        self.mark("certify", qc.block_hash, epoch=qc.epoch, height=qc.height)
         self._update_high_qc(qc)
         if self.pacemaker is not None and qc.epoch == self.epoch:
             self.pacemaker.record_progress()
@@ -676,8 +640,7 @@ class AlterBFTReplica(BaseReplica):
             return
         if self.epoch == epoch and self.state != ACTIVE:
             return
-        if self.obs is not None:
-            self.obs_mark(MARK_WINDOW, block_hash, epoch=epoch)
+        self.mark("window_clean", block_hash, epoch=epoch)
         self._window_clean.add((epoch, block_hash))
         self._try_commit(epoch, block_hash)
 
@@ -733,10 +696,8 @@ class AlterBFTReplica(BaseReplica):
                 # Unreachable for a correct protocol run; reachable in the
                 # E10 ablations — halt participation and leave the fork
                 # for the harness's cross-replica safety checker.
-                self.trace("fork_detected", height=self.store.header(block_hash).height)
-                self.obs_event(
-                    EVENT_FORK, epoch=epoch, height=self.store.header(block_hash).height
-                )
+                height = self.store.header(block_hash).height
+                self.event("fork_detected", epoch=epoch, height=height)
                 self._fork_detected = True
                 self._window_clean.clear()
                 # Halt entirely: any further participation could only
@@ -785,7 +746,7 @@ class AlterBFTReplica(BaseReplica):
         missing = last.parent
         if missing not in self._header_requested:
             self._header_requested.add(missing)
-            self.trace("header_fetch", below_height=last.height)
+            self.event("header_fetch", below_height=last.height)
             self.broadcast(BlockRequestMsg(block_hash=missing), include_self=False)
         return missing
 
@@ -830,15 +791,14 @@ class AlterBFTReplica(BaseReplica):
 
     def _on_epoch_timeout(self, epoch: int) -> None:
         if epoch == self.epoch and self.state == ACTIVE:
-            self.trace("epoch_timeout", epoch=epoch)
-            self.obs_event(EVENT_EPOCH_TIMEOUT, epoch=epoch)
+            self.event("epoch_timeout", epoch=epoch)
             self._send_blame(epoch)
 
     def _send_blame(self, epoch: int) -> None:
         if epoch in self._blamed_epochs or epoch < self.epoch:
             return
         self._blamed_epochs.add(epoch)
-        self.obs_event(EVENT_BLAME, epoch=epoch)
+        self.mark("blame", epoch=epoch)
         blame = Blame.create(self.signer, self.protocol_name, epoch)
         self.broadcast(BlameMsg(blame=blame))
 
@@ -882,8 +842,7 @@ class AlterBFTReplica(BaseReplica):
             return
         self._processed_blame_certs.add(cert.epoch)
         self._blame_cert_log[cert.epoch] = cert
-        self.trace("epoch_change", epoch=cert.epoch)
-        self.obs_event(EVENT_EPOCH_CHANGE, epoch=cert.epoch)
+        self.event("epoch_change", epoch=cert.epoch)
         # Gossip the certificate so every honest replica quits within Δ.
         self.broadcast(BlameCertMsg(cert=cert), include_self=False)
         self.state = QUITTING
@@ -898,7 +857,7 @@ class AlterBFTReplica(BaseReplica):
             return
         self.epoch = new_epoch
         self.state = ACTIVE
-        self.obs_event(EVENT_EPOCH_ENTER, epoch=new_epoch)
+        self.mark("epoch_enter", epoch=new_epoch)
         self._begin_epoch()
         self._proposed_in_epoch = False
         # Resolve the in-flight window: the certified prefix survives via
@@ -996,8 +955,7 @@ class AlterBFTReplica(BaseReplica):
         self.pacemaker = self._new_pacemaker()
         self.state = RECOVERING
         self._replay_wal(records)
-        self.trace("recovery_restart", epoch=self.epoch, wal_records=len(records))
-        self.obs_event(EVENT_RECOVERY_RESTART, epoch=self.epoch, wal_records=len(records))
+        self.event("recovery_restart", epoch=self.epoch, wal_records=len(records))
 
     def _replay_wal(self, records: List[object]) -> None:
         """Restore epoch, entry rank, high_qc, and vote floor from the WAL."""
@@ -1032,8 +990,7 @@ class AlterBFTReplica(BaseReplica):
         self._proposed_in_epoch = True
         assert self.pacemaker is not None
         self.pacemaker.enter_epoch(self.epoch, made_progress=True)
-        self.trace("recovery_replay", epoch=self.epoch)
-        self.obs_event(EVENT_RECOVERY_REPLAY, epoch=self.epoch)
+        self.event("recovery_replay", epoch=self.epoch)
         # Replay blame certificates buffered while recovering: an epoch
         # change that raced the rejoin would otherwise be lost for good.
         pending_certs, self._pending_blame_certs = self._pending_blame_certs, []

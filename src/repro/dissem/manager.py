@@ -141,7 +141,7 @@ class DisseminationManager:
             state.shares[index] = shares[index]
             state.proofs[index] = tree.prove(index)
         state.done = True
-        replica.trace(
+        replica.event(
             "dissem_encode",
             height=block.height,
             shares=self.n,
@@ -194,7 +194,7 @@ class DisseminationManager:
         ):
             # A bit-flipped (or mis-indexed) share: note it, keep the pull
             # machinery running so the honest copy arrives from a peer.
-            self.replica.trace(
+            self.replica.event(
                 "chunk_corrupt", height=msg.height, index=msg.index, src=src
             )
             state = self._state_for(msg.block_hash, msg.epoch, msg.height)
@@ -305,7 +305,7 @@ class DisseminationManager:
             raise VerificationError("chunk response proof shape mismatch")
         expanded = expand_multiproof(state.chunk_root, msg.shares, msg.proof)
         if expanded is None:
-            self.replica.trace("chunk_corrupt", height=msg.height, src=src)
+            self.replica.event("chunk_corrupt", height=msg.height, src=src)
             raise VerificationError("chunk response fails Merkle verification")
         stored = False
         for index, share in zip(msg.indexes, msg.shares):
@@ -409,7 +409,7 @@ class DisseminationManager:
             return  # stale timer, or the payload landed meanwhile
         # The provider never answered usefully: rotate past it.
         state.provider_idx += 1
-        self.replica.trace(
+        self.replica.event(
             "dissem_rotate", height=state.height, provider_idx=state.provider_idx
         )
         self._send_request(state)
@@ -427,16 +427,16 @@ class DisseminationManager:
             data = decode_shares(state.shares, self.k, header.payload_size)
             payload = codec_decode(data)
         except (CodecError, CryptoError):
-            replica.trace("dissem_decode_failed", height=state.height)
+            replica.event("dissem_decode_failed", height=state.height)
             state.done = True  # more shares cannot change a bad encoding
             return
         if not isinstance(payload, BlockPayload):
-            replica.trace("dissem_decode_failed", height=state.height)
+            replica.event("dissem_decode_failed", height=state.height)
             state.done = True
             return
         state.done = True
         state.attempt += 1  # invalidate any retry timer in flight
-        replica.trace(
+        replica.event(
             "dissem_reconstructed", height=state.height, shares=len(state.shares)
         )
         try:
@@ -445,7 +445,7 @@ class DisseminationManager:
             # Decoded bytes don't match the header commitment: the coder
             # encoded a different payload than it proposed.  Nothing more
             # to pull — liveness comes from the blame path.
-            replica.trace("dissem_mismatch", height=state.height)
+            replica.event("dissem_mismatch", height=state.height)
 
     # -- housekeeping ------------------------------------------------------
 

@@ -228,10 +228,7 @@ def _apply_crash_recover(
     t_down, t_up = when
 
     def down() -> None:
-        from ..obs.recorder import EVENT_RECOVERY_DOWN
-
-        replica.trace("recovery_down")
-        replica.obs_event(EVENT_RECOVERY_DOWN)
+        replica.event("recovery_down")
         replica.crashed = True
         network.take_down(replica.replica_id)
         if replica.pacemaker is not None:
@@ -270,8 +267,8 @@ class _OutboundContext:
     def set_timer(self, delay: float, tag: str, payload=None):  # type: ignore[no-untyped-def]
         return self._inner.set_timer(delay, tag, payload)
 
-    def trace(self, kind: str, **detail) -> None:  # type: ignore[no-untyped-def]
-        self._inner.trace(kind, **detail)
+    def trace(self, kind: str) -> None:
+        self._inner.trace(kind)
 
 
 def _filter_outbound(replica: BaseReplica, send, broadcast) -> None:  # type: ignore[no-untyped-def]
@@ -389,7 +386,7 @@ def _apply_equivocate(replica: BaseReplica, *_: object) -> None:
         )
         replica._proposed_in_epoch = True
         _split_brain(replica, block_a, block_b, _proposal_and_vote(replica, justify))
-        replica.trace("byz_equivocate", epoch=replica.epoch, height=justify.height + 1)
+        replica.event("byz_equivocate", epoch=replica.epoch, height=justify.height + 1)
 
     replica._propose_block = propose_twice  # type: ignore[method-assign]
 
@@ -435,7 +432,7 @@ def _apply_equivocate_inflight(replica: BaseReplica, *_: object) -> None:
         replica._inflight.append((block_a.height, block_a.block_hash))
         replica._proposed_in_epoch = True
         _split_brain(replica, block_a, block_b, _proposal_and_vote(replica, justify))
-        replica.trace(
+        replica.event(
             "byz_equivocate_inflight", epoch=replica.epoch, height=parent_height + 1
         )
 
@@ -480,7 +477,7 @@ def _apply_withhold_suffix(replica: BaseReplica, *_: object) -> None:
         # header, payload, or vote ever leaves this replica.
         replica._inflight.append((block.height, block.block_hash))
         replica._proposed_in_epoch = True
-        replica.trace("byz_withhold_suffix", epoch=replica.epoch, height=block.height)
+        replica.event("byz_withhold_suffix", epoch=replica.epoch, height=block.height)
 
     replica._emit_proposal = emit  # type: ignore[method-assign]
 
@@ -511,7 +508,7 @@ def _apply_withhold_payload(replica: BaseReplica, *_: object) -> None:
             justify=justify,
         )
         replica._proposed_in_epoch = True
-        replica.trace("byz_withhold", epoch=replica.epoch, height=block.height)
+        replica.event("byz_withhold", epoch=replica.epoch, height=block.height)
         replica.broadcast(header_msg, include_self=False)
         # The payload is dropped here, never stored: the leader has
         # nothing to answer a payload-repair request with either.
@@ -622,7 +619,7 @@ def _apply_equivocate_hotstuff(replica: BaseReplica, *_: object) -> None:
                     block.block_hash,
                 )
                 replica.send(next_leader, VoteMsg(vote=vote))
-        replica.trace("byz_equivocate", view=replica.view, height=justify.height + 1)
+        replica.event("byz_equivocate", epoch=replica.view, height=justify.height + 1)
 
     replica._propose = propose_twice  # type: ignore[method-assign]
 
@@ -669,7 +666,7 @@ def _apply_equivocate_pbft(replica: BaseReplica, *_: object) -> None:
             for dst in range(replica.validators.n):
                 if dst != replica.replica_id:
                     replica.send(dst, PBFTPrepareMsg(vote=vote))
-        replica.trace("byz_equivocate", view=replica.view, seq=seq)
+        replica.event("byz_equivocate", epoch=replica.view, height=seq)
 
     replica._propose_next = propose_twice  # type: ignore[method-assign]
 

@@ -34,15 +34,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..errors import VerificationError
 from ..measure.calibration import recommend_delta
 from ..measure.stats import RollingTail
-from ..obs.recorder import (
-    EVENT_GUARD_ADJUST_CERTIFIED,
-    EVENT_GUARD_ADJUST_PROPOSED,
-    EVENT_GUARD_AT_RISK_COMMIT,
-    EVENT_GUARD_DELTA_INSTALLED,
-    EVENT_GUARD_STABILIZED,
-    EVENT_GUARD_SUSPECTED,
-    EVENT_GUARD_VIOLATION,
-)
 from ..types.certificates import DELTA_ADJUST, Certificate, DeltaAdjust, signing_bytes
 from ..types.messages import (
     DeltaAdjustCertMsg,
@@ -223,10 +214,7 @@ class SynchronyMonitor:
             and now - self.last_violation_at >= self.stable_window
         ):
             self.suspected_since = None
-            self.replica.trace("guard_stabilized", rung=self.rung)
-            self.replica.obs_event(
-                EVENT_GUARD_STABILIZED, rung=self.rung, delta=self.effective_delta
-            )
+            self.replica.event("guard_stabilized", rung=self.rung, delta=self.effective_delta)
         if (
             not self.suspected
             and self.rung > 0
@@ -262,15 +250,8 @@ class SynchronyMonitor:
         self.violations.append(violation)
         self.violation_count += 1
         self.last_violation_at = now
-        self.replica.trace(
-            "delta_violation", src=src, latency_us=int(latency * 1e6), bound_us=int(bound * 1e6)
-        )
-        self.replica.obs_event(
-            EVENT_GUARD_VIOLATION,
-            src=src,
-            latency=latency,
-            bound=bound,
-            msg_type=violation.msg_type,
+        self.replica.event(
+            "delta_violation", src=src, latency=latency, bound=bound, msg_type=violation.msg_type
         )
         if not self.suspected:
             self._enter_suspicion(now, reason="observed")
@@ -287,10 +268,7 @@ class SynchronyMonitor:
         # flag its commits, forever.
         if self.last_violation_at is None or self.last_violation_at < now:
             self.last_violation_at = now
-        self.replica.trace("guard_suspected", reason=reason)
-        self.replica.obs_event(
-            EVENT_GUARD_SUSPECTED, reason=reason, delta=self.effective_delta
-        )
+        self.replica.event("guard_suspected", reason=reason, delta=self.effective_delta)
         # Retroactive honesty: commits finalized just before detection
         # relied on messages the violation may already have been delaying.
         horizon = now - RETRO_FLAG_WINDOW_DELTAS * self.effective_delta
@@ -323,12 +301,8 @@ class SynchronyMonitor:
             replica.signer, replica.protocol_name, self.installs, rung
         )
         self._proposed[key] = adjust
-        replica.trace("delta_adjust_proposed", seq=self.installs, rung=rung)
-        replica.obs_event(
-            EVENT_GUARD_ADJUST_PROPOSED,
-            seq=self.installs,
-            rung=rung,
-            delta=self.ladder(rung),
+        replica.event(
+            "delta_adjust_proposed", seq=self.installs, rung=rung, delta=self.ladder(rung)
         )
         # include_self: our own adjustment joins the tally via loopback,
         # so aggregation lives in exactly one code path.
@@ -385,12 +359,8 @@ class SynchronyMonitor:
         """A certificate is in hand: schedule install, spread the word."""
         replica = self.replica
         self.pending_cert = cert
-        replica.trace("delta_adjust_certified", seq=cert.seq, rung=cert.rung)
-        replica.obs_event(
-            EVENT_GUARD_ADJUST_CERTIFIED,
-            seq=cert.seq,
-            rung=cert.rung,
-            delta=self.ladder(cert.rung),
+        replica.event(
+            "delta_adjust_certified", seq=cert.seq, rung=cert.rung, delta=self.ladder(cert.rung)
         )
         replica.broadcast(DeltaAdjustCertMsg(cert=cert), include_self=False)
         # Force the install point: blame the current epoch.  f+1 honest
@@ -415,11 +385,8 @@ class SynchronyMonitor:
         self.installs += 1
         now = self.replica.now
         self.delta_history.append((now, self.effective_delta))
-        self.replica.trace(
-            "delta_installed", epoch=new_epoch, rung=self.rung, seq=cert.seq
-        )
-        self.replica.obs_event(
-            EVENT_GUARD_DELTA_INSTALLED,
+        self.replica.event(
+            "delta_installed",
             epoch=new_epoch,
             rung=self.rung,
             seq=cert.seq,
@@ -488,5 +455,4 @@ class SynchronyMonitor:
     def _flag(self, height: int, retro: bool) -> None:
         self.replica.ledger.flag_at_risk(height)
         self.at_risk_total += 1
-        self.replica.trace("commit_at_risk", height=height, retro=retro)
-        self.replica.obs_event(EVENT_GUARD_AT_RISK_COMMIT, height=height, retro=retro)
+        self.replica.event("commit_at_risk", height=height, retro=retro)

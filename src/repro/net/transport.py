@@ -156,7 +156,7 @@ class AsyncioContext:
             delay, self._node.replica.on_timer, tag, payload
         )
 
-    def trace(self, kind: str, **detail: object) -> None:
+    def trace(self, kind: str) -> None:
         # A trace kind is counted, as the simulator's Trace does, so a
         # dropped forgery or an epoch change still shows in the registry.
         metrics = self._node.metrics
@@ -186,9 +186,9 @@ class AsyncReplicaNode:
             closed on a malformed frame (``transport/bad_frames_total``),
             client transactions shed by a full mempool
             (``transport/mempool_rejects_total``) and every event the
-            replica traces, by kind (``trace/verification_failed``,
-            ``trace/epoch_change``, …).  ``None`` keeps every site a
-            single attribute test.
+            replica counts (``BaseReplica.event``), by kind
+            (``trace/verification_failed``, ``trace/epoch_change``, …).
+            ``None`` keeps every site a single attribute test.
         wire: optional :class:`~repro.obs.wire.WireAccountant` tapping
             every :meth:`send` once, for all the peers the frame goes to
             (codec bytes, excluding the 4-byte length prefix, matching

@@ -67,7 +67,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .recorder import SpanRecorder
+from .recorder import EVENT_GUARD_AT_RISK_COMMIT, EVENT_GUARD_DELTA_INSTALLED, SpanRecorder
 from .wire import (
     WIRE_PHASE_NAMES,
     chunk_rows,
@@ -116,12 +116,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
     cluster.start()
     cluster.run()
     assert cluster.obs is not None
-    ledger_state = b"".join(
-        h
-        for replica in cluster.replicas
-        if replica.replica_id in cluster.honest_ids
-        for h in replica.ledger.all_hashes()
-    )
     meta = {
         "protocol": config.protocol,
         "seed": config.seed,
@@ -131,7 +125,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         "duration": args.duration,
         "delta": config.protocol_config.delta,
         "small_threshold": config.network_config.small_threshold,
-        "fingerprint": cluster.trace.fingerprint(extra=ledger_state),
+        "fingerprint": cluster.fingerprint(),
     }
     os.makedirs(args.out_dir, exist_ok=True)
     jsonl_path = os.path.join(args.out_dir, "trace.jsonl")
@@ -229,8 +223,11 @@ def _cmd_block(args: argparse.Namespace) -> int:
     print(f"block {life.hex}")
     print(f"height={life.height} epoch={life.epoch} proposer={life.proposer}")
     committer = life.first_committer()
-    if committer is None:
-        print("never committed in this trace")
+    durations = None if committer is None else phase_durations(life.milestones_at(committer[0]))
+    if durations is None:
+        # No propose mark: an equivocating leader's variants are sent, not proposed.
+        print("never committed in this trace" if committer is None
+              else "committed, but its proposal was never recorded: no phase breakdown")
         mark_rows = [
             {"replica": node, **{k: round(t, 6) for k, t in sorted(kinds.items())}}
             for node, kinds in sorted(life.marks.items())
@@ -238,8 +235,6 @@ def _cmd_block(args: argparse.Namespace) -> int:
         print(format_table(mark_rows))
         return 0
     node, committed = committer
-    durations = phase_durations(life.milestones_at(node))
-    assert durations is not None
     print(f"first commit: replica {node} at t={committed:.6f}s "
           f"(e2e {(committed - life.propose_time) * 1e3:.3f} ms)")
     print()
@@ -306,8 +301,8 @@ def _cmd_guard(args: argparse.Namespace) -> int:
         print("no synchrony-guard events in trace (guard disabled, or Δ never drifted)")
         return 0
     print(format_table(rows))
-    installs = [r for r in rows if r["event"] == "guard_delta_installed"]
-    at_risk = sum(int(r["count"]) for r in rows if r["event"] == "guard_at_risk_commit")
+    installs = [r for r in rows if r["event"] == EVENT_GUARD_DELTA_INSTALLED]
+    at_risk = sum(int(r["count"]) for r in rows if r["event"] == EVENT_GUARD_AT_RISK_COMMIT)
     print(f"\nΔ installs: {len(installs)}; at-risk commits: {at_risk}")
     return 0
 

@@ -253,7 +253,7 @@ def epoch_timeline(events: Iterable[ObsEvent]) -> List[Dict[str, object]]:
             entry(epoch)["timeouts"].add(event.node)
         elif event.kind == "blame":
             entry(epoch)["blamers"].add(event.node)
-        elif event.kind == "equivocation":
+        elif event.kind in ("equivocation_detected", "equivocation_learned"):
             entry(epoch)["equivocation_seen_by"].add(event.node)
         elif event.kind == "epoch_change":
             e = entry(epoch)

@@ -6,10 +6,10 @@ Design constraints (see DESIGN.md "Observability"):
   no scheduler posts, no writes to the fingerprint-bearing
   :class:`~repro.sim.tracing.Trace` counters.  The recorder only appends
   to Python lists.
-* **Free when disabled.**  Instrumentation sites hold the recorder as an
-  attribute that is ``None`` by default and guard with a single
-  ``is not None`` check, so a run without observability executes no
-  extra calls on the hot path.
+* **Free when disabled.**  A replica reports each occurrence with one
+  call (``BaseReplica.event`` counts and records, ``BaseReplica.mark``
+  only records); both test the recorder attribute, ``None`` by default,
+  so a run without observability builds no :class:`ObsEvent`.
 * **Cheap when enabled.**  One small object append per mark; span
   assembly, histogram filling, and export all happen *after* the run
   (:mod:`repro.obs.analyze`).
@@ -54,20 +54,17 @@ BLOCK_MILESTONES = (
     MARK_COMMIT,
 )
 
-#: Epoch/view-level event kinds (non-exhaustive; recorders accept any).
-EVENT_EPOCH_TIMEOUT = "epoch_timeout"
-EVENT_BLAME = "blame"
-EVENT_EQUIVOCATION = "equivocation"
-EVENT_EPOCH_CHANGE = "epoch_change"
-EVENT_EPOCH_ENTER = "epoch_enter"
-EVENT_VIEW_TIMEOUT = "view_timeout"
-EVENT_FORK = "fork_detected"
+#: The kinds a replica records without counting (``BaseReplica.mark``):
+#: no fingerprint has ever counted them.  Every other kind a replica
+#: records it also counts, under the same name (``BaseReplica.event``);
+#: PBFT alone also marks its prepare vote and a state-transfer commit.
+RECORDED_ONLY = (MARK_HEADER, MARK_PAYLOAD, MARK_CERTIFY, MARK_WINDOW, "blame", "epoch_enter")
 
 #: Recovery lifecycle event kinds, in canonical order (repro.recovery).
 EVENT_RECOVERY_DOWN = "recovery_down"
 EVENT_RECOVERY_RESTART = "recovery_restart"
 EVENT_RECOVERY_STATUS = "recovery_status"
-EVENT_RECOVERY_SNAPSHOT = "recovery_snapshot_fetch"
+EVENT_RECOVERY_SNAPSHOT = "recovery_snapshot"
 EVENT_RECOVERY_REPLAY = "recovery_replay"
 EVENT_RECOVERY_CAUGHT_UP = "recovery_caught_up"
 
@@ -81,12 +78,12 @@ RECOVERY_MILESTONES = (
 )
 
 #: Synchrony-guard lifecycle event kinds, in canonical order (repro.guard).
-EVENT_GUARD_VIOLATION = "guard_violation"
+EVENT_GUARD_VIOLATION = "delta_violation"
 EVENT_GUARD_SUSPECTED = "guard_suspected"
-EVENT_GUARD_ADJUST_PROPOSED = "guard_adjust_proposed"
-EVENT_GUARD_ADJUST_CERTIFIED = "guard_adjust_certified"
-EVENT_GUARD_DELTA_INSTALLED = "guard_delta_installed"
-EVENT_GUARD_AT_RISK_COMMIT = "guard_at_risk_commit"
+EVENT_GUARD_ADJUST_PROPOSED = "delta_adjust_proposed"
+EVENT_GUARD_ADJUST_CERTIFIED = "delta_adjust_certified"
+EVENT_GUARD_DELTA_INSTALLED = "delta_installed"
+EVENT_GUARD_AT_RISK_COMMIT = "commit_at_risk"
 EVENT_GUARD_STABILIZED = "guard_stabilized"
 
 GUARD_MILESTONES = (
@@ -134,17 +131,15 @@ class SpanRecorder:
         self.events: List[ObsEvent] = []
         self.messages: List[MsgSample] = []
 
-    # The hot path calls exactly one of these three methods per site.
-
     def mark(
         self,
         time: float,
         kind: str,
         node: int,
-        block: bytes,
+        block: Optional[bytes],
         **attrs: Any,
     ) -> None:
-        """Record a block-lifecycle milestone."""
+        """Record a block-lifecycle milestone (or, without ``block``, an event)."""
         self.events.append(ObsEvent(time=time, kind=kind, node=node, block=block, attrs=attrs))
 
     def event(self, time: float, kind: str, node: int, **attrs: Any) -> None:

@@ -56,11 +56,6 @@ from ..types.messages import (
     StatusRequestMsg,
     StatusResponseMsg,
 )
-from ..obs.recorder import (
-    EVENT_RECOVERY_CAUGHT_UP,
-    EVENT_RECOVERY_SNAPSHOT,
-    EVENT_RECOVERY_STATUS,
-)
 
 #: Catchup phases, in order.
 IDLE = "idle"
@@ -163,10 +158,7 @@ class RecoveryManager:
             and self.replica.ledger.height >= self._target_height
         ):
             self.caught_up_at = self.replica.now
-            self.replica.trace("recovery_caught_up", height=self.replica.ledger.height)
-            self.replica.obs_event(
-                EVENT_RECOVERY_CAUGHT_UP, height=self.replica.ledger.height
-            )
+            self.replica.event("recovery_caught_up", height=self.replica.ledger.height)
 
     def _emit_checkpoint_vote(self, block: Block) -> None:
         vote = CheckpointVote.create(
@@ -209,7 +201,7 @@ class RecoveryManager:
         self._cp_votes = {
             key: bucket for key, bucket in self._cp_votes.items() if key[0] > cert.height
         }
-        self.replica.trace("checkpoint", height=cert.height)
+        self.replica.event("checkpoint", height=cert.height)
         self._maybe_prune()
 
     def _maybe_prune(self) -> None:
@@ -227,7 +219,7 @@ class RecoveryManager:
         removed = self.replica.store.prune_below(bound)
         if removed:
             self.replica.drop_block_indexes(removed)
-            self.replica.trace("checkpoint_prune", below=bound, pruned=len(removed))
+            self.replica.event("checkpoint_prune", below=bound, pruned=len(removed))
 
     # ======================================================================
     # Catchup (rejoin)
@@ -241,7 +233,7 @@ class RecoveryManager:
         self._providers = []
         self._provider_idx = 0
         self.caught_up_at = None
-        self.replica.trace("recovery_status_request")
+        self.replica.event("recovery_status_request")
         self.replica.broadcast(
             StatusRequestMsg(sender=self.replica.replica_id), include_self=False
         )
@@ -341,16 +333,11 @@ class RecoveryManager:
             self._status_responses, key=lambda rid: (-self._status_responses[rid].ledger_height, rid)
         )
         self._provider_idx = 0
-        self.replica.trace(
+        self.replica.event(
             "recovery_status",
             join_epoch=self._join_epoch,
             target_height=self._target_height,
             checkpoint=self._target_cert.height if self._target_cert else 0,
-        )
-        self.replica.obs_event(
-            EVENT_RECOVERY_STATUS,
-            join_epoch=self._join_epoch,
-            target_height=self._target_height,
         )
         if (
             self._target_cert is not None
@@ -415,10 +402,7 @@ class RecoveryManager:
             (c for c in (self.latest_cert, cert) if c is not None),
             key=lambda c: c.height,
         )
-        self.replica.trace("recovery_snapshot", height=ledger.height, blocks=len(msg.blocks))
-        self.replica.obs_event(
-            EVENT_RECOVERY_SNAPSHOT, height=ledger.height, blocks=len(msg.blocks)
-        )
+        self.replica.event("recovery_snapshot", height=ledger.height, blocks=len(msg.blocks))
         self._enter_range_phase()
 
     # -- block range phase ----------------------------------------------------
@@ -475,7 +459,7 @@ class RecoveryManager:
             if block.validate_payload():
                 self.replica.store.add_payload(block.block_hash, block.payload)
         self.replica._update_high_qc(msg.justify)
-        self.replica.trace(
+        self.replica.event(
             "recovery_range", tip_height=msg.justify.height, blocks=len(msg.blocks)
         )
         self._finish()

@@ -57,6 +57,17 @@ class Cluster:
         """The run's wire-byte accountant: the one its trace carries."""
         return self.trace.wire
 
+    def fingerprint(self) -> str:
+        """The run's fingerprint: the trace's counts and wire tally with
+        the honest replicas' ledger hashes folded in (what replay compares)."""
+        ledger = b"".join(
+            block_hash
+            for replica in self.replicas
+            if replica.replica_id in self.honest_ids
+            for block_hash in replica.ledger.all_hashes()
+        )
+        return self.trace.fingerprint(extra=ledger)
+
     def start(self) -> None:
         """Schedule protocol start and workload generation at t=0."""
         for replica in self.replicas:

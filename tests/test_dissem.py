@@ -41,16 +41,6 @@ def _run(config):
     return cluster
 
 
-def _fingerprint(cluster) -> str:
-    ledger = b"".join(
-        h
-        for replica in cluster.replicas
-        if replica.replica_id in cluster.honest_ids
-        for h in replica.ledger.all_hashes()
-    )
-    return cluster.trace.fingerprint(extra=ledger)
-
-
 def _kinds(cluster) -> Counter:
     return cluster.trace.counters
 
@@ -79,7 +69,7 @@ def test_dissemination_off_is_byte_identical_golden():
     cluster = _run(cfg)
     for replica in cluster.replicas:
         assert replica.subsystems.get("dissem") is None
-    assert _fingerprint(cluster) == GOLDEN_FINGERPRINT
+    assert cluster.fingerprint() == GOLDEN_FINGERPRINT
 
 
 def test_dissemination_on_changes_the_trace():
@@ -91,7 +81,7 @@ def test_dissemination_on_changes_the_trace():
     cluster = _run(cfg)
     for replica in cluster.replicas:
         assert replica.subsystems.get("dissem") is not None
-    assert _fingerprint(cluster) != GOLDEN_FINGERPRINT
+    assert cluster.fingerprint() != GOLDEN_FINGERPRINT
 
 
 def test_dissemination_rejected_on_other_protocols():

@@ -280,6 +280,44 @@ def test_the_wire_accountant_is_the_only_message_counter():
     assert len(fields) == 10
 
 
+# -- each replica event is one call -------------------------------------------
+
+#: The recording verbs a replica had beside its counter.
+RETIRED_VERBS = ("obs_mark", "obs_event")
+
+
+def _functions_named(path: Path, name: str) -> Iterator[ast.FunctionDef]:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            yield node
+
+
+def test_each_replica_event_is_one_call():
+    """No second recording verb, and every context's ``trace`` takes the
+    kind and nothing else: what a recording carries goes through
+    ``BaseReplica.event`` / ``mark``."""
+    traces = []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        text = path.read_text(encoding="utf-8")
+        for verb in RETIRED_VERBS:
+            assert verb not in text, f"{name} mentions {verb}"
+        for method in _functions_named(path, "trace"):
+            args = method.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            assert params == ["self", "kind"] and not (args.vararg or args.kwarg), (
+                f"{name}:{method.lineno} trace takes more than the kind"
+            )
+            traces.append(name)
+    # Context, SimContext, AsyncioContext, the fault layer's outbound filter.
+    assert sorted(traces) == [
+        "consensus/context.py",
+        "consensus/context.py",
+        "faults/behaviors.py",
+        "net/transport.py",
+    ]
+
+
 # -- one way to say a run -----------------------------------------------------
 
 REPO = SRC.parent.parent

@@ -87,6 +87,29 @@ class TestCli:
         assert "slowest phase" in out
         assert "per-replica milestones" in out
 
+    @pytest.mark.parametrize("protocol", ["alterbft", "hotstuff"])
+    def test_block_committed_without_a_proposal(self, protocol, tmp_path, capsys):
+        """An equivocating leader sends its variants without proposing
+        them, so the committed one has no propose mark: the drill-down
+        prints the per-replica milestones instead of a phase breakdown."""
+        out_dir = tmp_path / protocol
+        rc = obs_main(
+            ["record", "--protocol", protocol, "--rate", "300", "--duration", "1.5",
+             "--seed", "3", "--fault", "1:equivocate", "--out-dir", str(out_dir)]
+        )
+        assert rc == 0
+        _, recorder = read_jsonl(str(out_dir / "trace.jsonl"))
+        unproposed = [
+            life for life in assemble_lifecycles(recorder.events).values()
+            if life.first_committer() is not None and life.propose_time is None
+        ]
+        assert unproposed
+        capsys.readouterr()
+        rc = obs_main(["block", str(out_dir / "trace.jsonl"), unproposed[0].hex[:12]])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "proposal was never recorded" in out and "commit" in out
+
     def test_block_unknown_prefix(self, recorded, capsys):
         rc = obs_main(["block", str(recorded / "trace.jsonl"), "ffffffffffff"])
         assert rc == 1

@@ -106,13 +106,7 @@ class TestDepthOneUnchanged:
         cluster = build_cluster(cfg)
         cluster.start()
         cluster.run()
-        ledger = b"".join(
-            h
-            for replica in cluster.replicas
-            if replica.replica_id in cluster.honest_ids
-            for h in replica.ledger.all_hashes()
-        )
-        assert cluster.trace.fingerprint(extra=ledger) == GOLDEN_FINGERPRINT
+        assert cluster.fingerprint() == GOLDEN_FINGERPRINT
 
     def test_depth1_leader_is_serial(self, signers3, validators3):
         replica = AlterBFTReplica(1, validators3, _pipelined_config(1), signers3[1])

@@ -282,13 +282,7 @@ def test_recovery_attachments_are_observationally_inert():
         assert replica.subsystems["recovery"].interval == 0
     cluster.start()
     cluster.run()
-    ledger = b"".join(
-        h
-        for replica in cluster.replicas
-        if replica.replica_id in cluster.honest_ids
-        for h in replica.ledger.all_hashes()
-    )
-    assert cluster.trace.fingerprint(extra=ledger) == GOLDEN_FINGERPRINT
+    assert cluster.fingerprint() == GOLDEN_FINGERPRINT
     # The WAL did its job silently: votes were journaled all along.
     assert all(len(r.subsystems["recovery"].wal) > 0 for r in cluster.replicas)
 

@@ -540,7 +540,6 @@ def test_caches_at_their_working_set_hit_as_often(monkeypatch):
     exactly as often on a seeded n = 7 run as at their old bounds of
     65,536 and 32,768 — and the run is the same run."""
     from repro.crypto import hashing, signatures
-    from tests.test_perf_hotpath import _fingerprint
 
     full = []
 
@@ -552,7 +551,7 @@ def test_caches_at_their_working_set_hit_as_often(monkeypatch):
         scheme = cluster.replicas[0].signer.scheme
         memo = signatures._domain_hash_cached.cache_info()
         full.append(scheme.cache_evictions > 0 and memo.currsize == memo.maxsize)
-        return scheme.cache_hits, memo.hits, _fingerprint(cluster)
+        return scheme.cache_hits, memo.hits, cluster.fingerprint()
 
     assert signatures.VERIFY_CACHE_DEFAULT == signatures._domain_hash_cached.cache_info().maxsize
     assert signatures.VERIFY_CACHE_DEFAULT == 1024

@@ -560,10 +560,12 @@ class TestBadFrames:
         """Peer 1 sends ``hostile_msgs`` and then a transaction, peer 0 a
         transaction, to replica 2 — whose link to peer 1 must stay up.
 
-        Returns (the node's registry, (kind, message class) of every trace,
-        the replica, contexts passed to the loop's exception handler).
+        Returns (the node's registry, (kind, message class) of every event
+        the replica recorded, the replica, contexts passed to the loop's
+        exception handler).
         """
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.recorder import SpanRecorder
 
         async def run():
             loop = asyncio.get_running_loop()
@@ -574,14 +576,7 @@ class TestBadFrames:
             replica = make_replica(2)  # not the first leader: nothing leaves the pool
             node = AsyncReplicaNode(replica, peers, metrics=registry)
             await node.start()
-            traced = []
-            count = replica.ctx.trace
-
-            def trace(kind, **detail):
-                traced.append((kind, detail.get("msg")))
-                count(kind, **detail)
-
-            replica.ctx.trace = trace
+            replica.obs = SpanRecorder()
             try:
                 _, hostile = await asyncio.open_connection(*peers[2])
                 _, good = await asyncio.open_connection(*peers[2])
@@ -605,6 +600,7 @@ class TestBadFrames:
             await asyncio.sleep(0)
             gc.collect()
             await asyncio.sleep(0)
+            traced = [(event.kind, event.attrs.get("msg")) for event in replica.obs.events]
             return registry, traced, replica, unhandled
 
         return asyncio.run(run())
@@ -650,7 +646,7 @@ class TestBadFrames:
         from repro.net.transport import AsyncioContext
 
         node = AsyncReplicaNode(make_replica(2), free_peer_map(3))
-        AsyncioContext(node).trace("epoch_change", epoch=2)
+        AsyncioContext(node).trace("epoch_change")
 
 
 class TestLiveCluster:

@@ -102,15 +102,6 @@ def _run_cluster():
     return cluster
 
 
-def _ledger_state(cluster) -> bytes:
-    return b"".join(
-        h
-        for replica in cluster.replicas
-        if replica.replica_id in cluster.honest_ids
-        for h in replica.ledger.all_hashes()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Phase classification and the declared per-protocol contract
 # ---------------------------------------------------------------------------
@@ -540,10 +531,7 @@ class TestLiveRun:
 
     def test_fingerprint_agrees_with_trace(self, counted_run):
         cluster, counts = counted_run
-        ledger = _ledger_state(cluster)
-        assert cluster.trace.fingerprint(extra=ledger) == counts.fingerprint(
-            cluster.trace.counters, extra=ledger
-        )
+        assert cluster.trace.fingerprint() == counts.fingerprint(cluster.trace.counters)
 
     def test_observed_phases_within_declared_contract(self, cluster):
         observed = {p for p, n in cluster.wire.phase_bytes.items() if n}
@@ -574,7 +562,7 @@ class TestInertness:
         """Read from the accountant, the fingerprint of the golden run is
         the one pinned when the trace counted messages itself."""
         cluster = _run_cluster()
-        assert cluster.trace.fingerprint(extra=_ledger_state(cluster)) == GOLDEN_FINGERPRINT
+        assert cluster.fingerprint() == GOLDEN_FINGERPRINT
 
     def test_accountant_always_present(self):
         cluster = build_cluster(GOLDEN_RUN)
