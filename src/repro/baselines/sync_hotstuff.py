@@ -113,12 +113,11 @@ class SyncHotStuffReplica(AlterBFTReplica):
             return
         self._accept_header(header_msg)
 
-    def _relay_proposal(self, msg: ProposalHeaderMsg) -> None:
+    def _relay_form(self, msg: ProposalHeaderMsg) -> SHProposalMsg:
         """Sync HotStuff relays the entire proposal — a *large* message.
 
         This relay is precisely why the classical model must bound large
         messages: equivocation detection rides on it.
         """
         block = self.store.block(msg.header.block_hash)
-        full = SHProposalMsg(block=block, signature=msg.signature, justify=msg.justify)
-        self.broadcast(full, include_self=False)
+        return SHProposalMsg(block=block, signature=msg.signature, justify=msg.justify)

@@ -8,9 +8,13 @@ context provides the clock, message primitives, and named timers.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Tuple, Union
 
 from ..sim.scheduler import EventHandle, Scheduler
+
+#: Where ``Context.send`` delivers: one replica id, or a tuple of distinct
+#: ids — one offer, sized and accounted once, as a broadcast is.
+Destination = Union[int, Tuple[int, ...]]
 
 
 class TimerHandle(Protocol):
@@ -28,7 +32,7 @@ class Context(Protocol):
     @property
     def now(self) -> float: ...
 
-    def send(self, dst: int, msg: object) -> None: ...
+    def send(self, dst: Destination, msg: object) -> None: ...
 
     def broadcast(self, msg: object, include_self: bool = True) -> None: ...
 
@@ -67,7 +71,7 @@ class SimContext:
     def now(self) -> float:
         return self._scheduler.now
 
-    def send(self, dst: int, msg: object) -> None:
+    def send(self, dst: Destination, msg: object) -> None:
         self._network.send(self.node_id, dst, msg)
 
     def broadcast(self, msg: object, include_self: bool = True) -> None:

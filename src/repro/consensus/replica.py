@@ -29,7 +29,7 @@ from ..types.certificates import (
 )
 from ..types.messages import proposal_signing_bytes, PROPOSAL_DOMAIN
 from .blockstore import BlockStore
-from .context import Context
+from .context import Context, Destination
 from .ledger import Ledger
 from .validators import ValidatorSet
 
@@ -204,7 +204,7 @@ class BaseReplica:
         assert self.ctx is not None, "replica not bound to a context"
         return self.ctx.now
 
-    def send(self, dst: int, msg: object) -> None:
+    def send(self, dst: Destination, msg: object) -> None:
         assert self.ctx is not None
         self.ctx.send(dst, msg)
 

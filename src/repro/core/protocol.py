@@ -13,9 +13,10 @@ Steady state in epoch ``e`` with leader ``L``:
 1. ``L`` broadcasts a signed header for block ``B_k`` (small) and the
    payload (large) as separate messages; the header carries a quorum
    certificate for its parent.
-2. Every replica relays the first header it sees per (epoch, height), so
-   conflicting leader-signed proposals reach all honest replicas at most
-   Δ after any honest replica saw either one.
+2. Every replica relays the first header it sees per (epoch, height) to
+   every replica but itself and the proposer, so conflicting
+   leader-signed proposals reach all honest replicas at most Δ after any
+   honest replica saw either one.
 3. A replica votes (broadcast, small) once it holds header *and* matching
    payload and the header passes the chain rules below, then starts a
    **2Δ commit window**.
@@ -405,9 +406,21 @@ class AlterBFTReplica(BaseReplica):
         self._maybe_vote_chain(header.epoch)
 
     def _relay_proposal(self, msg: ProposalHeaderMsg) -> None:
-        """Re-broadcast a first-seen proposal (overridden by Sync HotStuff
-        to relay the full block, which is what its model requires)."""
-        self.broadcast(msg, include_self=False)
+        """Pass a first-seen proposal on, as one offer, to every replica but
+        this one and its proposer — the two that already hold it — so a
+        proposer never relays its own.  Two conflicting headers still meet
+        at every honest replica: each honest receiver passes its own on."""
+        proposer = msg.header.proposer
+        if proposer != self.replica_id:
+            others = tuple(
+                r for r in range(self.validators.n) if r != self.replica_id and r != proposer
+            )
+            self.send(others, self._relay_form(msg))
+
+    def _relay_form(self, msg: ProposalHeaderMsg) -> object:
+        """What a relay carries: the header (overridden by Sync HotStuff to
+        relay the full block, which is what its model requires)."""
+        return msg
 
     def _find_conflict(self, msg: ProposalHeaderMsg) -> Optional[ProposalHeaderMsg]:
         """Return a recorded proposal that conflicts with ``msg``, if any.

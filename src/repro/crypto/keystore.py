@@ -9,19 +9,22 @@ deterministic key pair per replica, registers them all in a shared
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..errors import ConfigError
 from .schnorr import SchnorrSignatureScheme
 from .signatures import HashSignatureScheme, KeyRegistry, SignatureScheme, Signer
 
 
-def make_scheme(name: str, registry: KeyRegistry) -> SignatureScheme:
-    """Instantiate a signature scheme by registry name."""
+def make_scheme(
+    name: str, registry: KeyRegistry, cache_size: Optional[int] = None
+) -> SignatureScheme:
+    """Instantiate a signature scheme by registry name.  ``cache_size``
+    bounds its verify cache (None: the default; 0: off)."""
     if name == "hashsig":
-        return HashSignatureScheme(registry)
+        return HashSignatureScheme(registry, cache_size=cache_size)
     if name == "schnorr":
-        return SchnorrSignatureScheme()
+        return SchnorrSignatureScheme(cache_size=cache_size)
     raise ConfigError(f"unknown signature scheme {name!r}")
 
 
@@ -29,16 +32,17 @@ def build_cluster_keys(
     scheme_name: str,
     n: int,
     seed: bytes = b"repro-cluster",
+    cache_size: Optional[int] = None,
 ) -> List[Signer]:
     """Derive and register keys for an ``n``-replica cluster.
 
     Returns one :class:`Signer` per replica id ``0..n-1``, all sharing one
-    registry (the simulated PKI).
+    registry (the simulated PKI) and one scheme, built with ``cache_size``.
     """
     if n < 1:
         raise ConfigError("cluster must have at least one replica")
     registry = KeyRegistry()
-    scheme = make_scheme(scheme_name, registry)
+    scheme = make_scheme(scheme_name, registry, cache_size)
     signers: List[Signer] = []
     for replica_id in range(n):
         pair = scheme.keygen(seed + replica_id.to_bytes(4, "big"))

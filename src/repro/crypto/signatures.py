@@ -38,12 +38,12 @@ from .hashing import Digest, domain_hash, sha256
 #: signatures so message-size accounting is scheme-independent.
 SIGNATURE_SIZE = 64
 
-#: Default bound on the hashsig verification cache (entries).  Quorum
-#: checks re-verify the same (signer, digest, signature) triple across
-#: every replica that relays a certificate; the cache makes the repeat
-#: verifications O(1) dict lookups.  Repeats come within a few heights, and
-#: 1,024 entries hit exactly as often as 65,536 did.  Module-level so tests
-#: can force 0 (cache off) for A/B determinism runs.
+#: Default bound on a scheme's verification cache (entries).  A replica
+#: meets the same (signer, digest, signature) triple again in a relayed
+#: copy of a message and in the certificate the next header carries; the
+#: cache makes the repeat verifications O(1) dict lookups.  Repeats come
+#: within a few heights, and 1,024 entries hit exactly as often as 65,536
+#: did.  Module-level so tests can force 0 (cache off) for A/B runs.
 VERIFY_CACHE_DEFAULT = 1 << 10
 
 
@@ -73,9 +73,28 @@ class SignatureScheme:
     only overrides what it can accelerate: Schnorr batches floods into
     one multi-exponentiation and half-aggregates certificate signatures;
     hashsig collapses a certificate to a single combined-key MAC.
+
+    Every check goes through one bounded LRU of verdicts keyed by the
+    *full* ``(public, message, signature)`` triple — an aggregate's key is
+    ``(publics, message, aggregate)``.  Keying on all of it is what makes
+    the cache sound against a Byzantine signer: a vote by the same signer
+    for a different digest, or a forged signature over a cached digest,
+    forms a different key and is always checked; a hit can only repeat
+    the verdict on the identical input, and every check is deterministic.
+    A scheme implements the uncached checks (``_verify``,
+    ``_batch_verify``, ``_find_invalid``, ``_verify_aggregate``) and the
+    public methods here consult the cache around them.  ``cache_size=0``
+    disables the cache.
     """
 
     name = "abstract"
+
+    def __init__(self, cache_size: Optional[int] = None) -> None:
+        self.cache_size = VERIFY_CACHE_DEFAULT if cache_size is None else cache_size
+        self._verify_cache: "OrderedDict[tuple, bool]" = OrderedDict()
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_evictions = 0
 
     def keygen(self, seed: bytes) -> KeyPair:
         """Derive a key pair deterministically from ``seed``."""
@@ -87,28 +106,98 @@ class SignatureScheme:
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         """Return True iff ``signature`` is valid for ``message``."""
+        key = (public, message, signature)
+        verdict = self._cached(key)
+        if verdict is None:
+            verdict = self._verify(public, message, signature)
+            self._remember(key, verdict)
+        return verdict
+
+    def _verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+        """The check itself, uncached."""
         raise NotImplementedError
+
+    # -- the verdict cache ----------------------------------------------------
+
+    def _cached(self, key: tuple) -> Optional[bool]:
+        """The cached verdict on ``key``, or None (always, with the cache off)."""
+        if self.cache_size <= 0:
+            return None
+        verdict = self._verify_cache.get(key)
+        if verdict is None:
+            self.cache_misses += 1
+            return None
+        self._verify_cache.move_to_end(key)
+        self.cache_hits += 1
+        return verdict
+
+    def _remember(self, key: tuple, verdict: bool) -> None:
+        if self.cache_size <= 0:
+            return
+        cache = self._verify_cache
+        cache[key] = verdict
+        if len(cache) > self.cache_size:
+            cache.popitem(last=False)
+            self.cache_evictions += 1
 
     # -- batch verification ---------------------------------------------------
 
     def batch_verify(self, items: Sequence[Tuple[bytes, bytes, bytes]]) -> bool:
         """True iff every ``(public, message, signature)`` triple verifies.
 
-        Reference implementation: serial short-circuiting verification —
+        A triple cached as valid is not checked again and one cached as
+        invalid fails the batch at once; the rest are checked together by
+        ``_batch_verify``, and cached as valid when that passes.
+        """
+        pending = []
+        for public, message, signature in items:
+            key = (public, message, signature)
+            verdict = self._cached(key)
+            if verdict is None:
+                pending.append(key)
+            elif not verdict:
+                return False
+        if not pending:
+            return True
+        if not self._batch_verify(pending):
+            return False
+        for key in pending:
+            self._remember(key, True)
+        return True
+
+    def _batch_verify(self, items: Sequence[Tuple[bytes, bytes, bytes]]) -> bool:
+        """Reference implementation: serial short-circuiting verification —
         behaviorally identical to ``all(verify(...))``, so a scheme-level
         batch override must agree with it on every input (the
         property-based battery in ``tests/test_crypto_batch.py`` pins
         this equivalence).
         """
-        return all(self.verify(p, m, s) for p, m, s in items)
+        return all(self._verify(p, m, s) for p, m, s in items)
 
     def find_invalid(self, items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[int]:
         """Indices of the invalid triples (exact attribution, no more).
 
-        Reference implementation: linear scan.  Schemes with a cheap
-        batch check override this with bisection.
+        Cached verdicts are reused; the other triples go to
+        ``_find_invalid``, and their verdicts are cached.
         """
-        return [i for i, (p, m, s) in enumerate(items) if not self.verify(p, m, s)]
+        keys = [(p, m, s) for p, m, s in items]
+        invalid: List[int] = []
+        pending: List[int] = []
+        for index, key in enumerate(keys):
+            verdict = self._cached(key)
+            if verdict is None:
+                pending.append(index)
+            elif not verdict:
+                invalid.append(index)
+        found = {pending[i] for i in self._find_invalid([keys[i] for i in pending])}
+        for index in pending:
+            self._remember(keys[index], index not in found)
+        return sorted(invalid + list(found))
+
+    def _find_invalid(self, items: Sequence[Tuple[bytes, bytes, bytes]]) -> List[int]:
+        """Reference implementation: linear scan.  Schemes with a cheap
+        batch check override this with bisection."""
+        return [i for i, (p, m, s) in enumerate(items) if not self._verify(p, m, s)]
 
     # -- aggregation ----------------------------------------------------------
 
@@ -127,6 +216,16 @@ class SignatureScheme:
         self, publics: Sequence[bytes], message: bytes, aggregate: bytes
     ) -> bool:
         """Check an :meth:`aggregate` blob against its signer set."""
+        key = (tuple(publics), message, aggregate)
+        verdict = self._cached(key)
+        if verdict is None:
+            verdict = self._verify_aggregate(publics, message, aggregate)
+            self._remember(key, verdict)
+        return verdict
+
+    def _verify_aggregate(
+        self, publics: Sequence[bytes], message: bytes, aggregate: bytes
+    ) -> bool:
         raise CryptoError(f"scheme {self.name!r} does not support aggregation")
 
 
@@ -180,28 +279,15 @@ class KeyRegistry:
 
 
 class HashSignatureScheme(SignatureScheme):
-    """HMAC-based simulated signatures (see module docstring).
-
-    Verification results are memoized in a bounded LRU cache keyed by the
-    full ``(public, message, signature)`` triple.  Keying on all three is
-    what makes the cache sound against a Byzantine signer: a vote by the
-    same signer for a *different* digest, or a forged signature over a
-    cached digest, forms a different key and is always recomputed — a
-    cache hit can only ever repeat a verification of the identical
-    triple.  ``cache_size=0`` disables caching entirely.
-    """
+    """HMAC-based simulated signatures (see module docstring)."""
 
     name = "hashsig"
 
     def __init__(
         self, registry: Optional[KeyRegistry] = None, cache_size: Optional[int] = None
     ) -> None:
+        super().__init__(cache_size)
         self.registry = registry if registry is not None else KeyRegistry()
-        self.cache_size = VERIFY_CACHE_DEFAULT if cache_size is None else cache_size
-        self._verify_cache: "OrderedDict[Tuple[bytes, bytes, bytes], bool]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
         self._agg_secret_cache: Dict[Tuple[bytes, ...], bytes] = {}
 
     def keygen(self, seed: bytes) -> KeyPair:
@@ -214,27 +300,9 @@ class HashSignatureScheme(SignatureScheme):
         # Pad to the common SIGNATURE_SIZE so wire sizes match schnorr.
         return mac + sha256(mac + message)
 
-    def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
+    def _verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         if len(signature) != SIGNATURE_SIZE:
             return False
-        if self.cache_size <= 0:
-            return self._verify_uncached(public, message, signature)
-        key = (public, message, signature)
-        cache = self._verify_cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        result = self._verify_uncached(public, message, signature)
-        cache[key] = result
-        if len(cache) > self.cache_size:
-            cache.popitem(last=False)
-            self.cache_evictions += 1
-        return result
-
-    def _verify_uncached(self, public: bytes, message: bytes, signature: bytes) -> bool:
         secret = self._secret_for_public(public)
         if secret is None:
             return False
@@ -288,7 +356,7 @@ class HashSignatureScheme(SignatureScheme):
             raise CryptoError("aggregate includes an unregistered public key")
         return hmac.new(combined, message, hashlib.sha256).digest()
 
-    def verify_aggregate(
+    def _verify_aggregate(
         self, publics: Sequence[bytes], message: bytes, aggregate: bytes
     ) -> bool:
         if not publics or len(aggregate) != 32:

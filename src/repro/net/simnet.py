@@ -1,7 +1,8 @@
 """The simulated network.
 
 Connects node message handlers through the scheduler: ``send`` and
-``broadcast`` offer one message to one or to every attached node.  An
+``broadcast`` offer one message to one node, to a tuple of nodes, or to
+every attached node.  An
 offer measures the message's real wire size once (``encoded_size``: the
 encoder's walk with the chunk lengths summed, so ``len(encode(msg))`` by
 construction, memoized per message object) and counts it once, in the
@@ -17,7 +18,7 @@ the genuine wire size.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from ..codec import encoded_size
 from ..errors import SimulationError
@@ -179,14 +180,15 @@ class SimNetwork:
     # obs sample and the heap push — in that order, so a seeded run draws
     # and schedules exactly what a copy-at-a-time send path would.
 
-    def send(self, src: int, dst: int, msg: object) -> None:
-        """Send one message; wire size is the real encoded size.
+    def send(self, src: int, dst: Union[int, Tuple[int, ...]], msg: object) -> None:
+        """Offer one message to one node or to a tuple of distinct nodes;
+        wire size is the real encoded size.
 
         Routed through :func:`~repro.codec.encoded_size`, so the size is
         the encoder's and is memoized on the message object — a header
         relayed many times is sized once.
         """
-        self._offer(src, (dst,), msg)
+        self._offer(src, dst if type(dst) is tuple else (dst,), msg)
 
     def broadcast(self, src: int, msg: object, include_self: bool = True) -> None:
         """Send ``msg`` to every attached node (sizing and accounting once)."""
@@ -250,8 +252,10 @@ class SimNetwork:
             arrival = departure + delay
             if obs is not None:
                 # Latency as the receiver experiences it: egress queueing at
-                # the sender plus the sampled network delay.
-                obs.message(now, src, dst, type(msg).__name__, size, arrival - now)
+                # the sender plus the sampled network delay — summed, not
+                # ``arrival - now``, whose rounding would put a delay capped
+                # at the small-message bound just above it.
+                obs.message(now, src, dst, type(msg).__name__, size, departure - now + delay)
             if dst in observers:
                 post_at(arrival, deliver_observed, src, dst, msg, size, arrival - now)
             else:

@@ -145,7 +145,7 @@ class AsyncioContext:
     def now(self) -> float:
         return self._node.loop.time()
 
-    def send(self, dst: int, msg: object) -> None:
+    def send(self, dst: Union[int, Tuple[int, ...]], msg: object) -> None:
         self._node.send(dst, msg)
 
     def broadcast(self, msg: object, include_self: bool = True) -> None:

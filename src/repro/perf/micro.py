@@ -216,11 +216,13 @@ def bench_crypto_batch(reps: int) -> List[BenchResult]:
     quorum-sized floods, and verifying one aggregate signature must beat
     verifying the f+1 raw signatures a certificate otherwise carries.
     Schnorr is the scheme whose verify cost dominates (real elliptic-curve
-    arithmetic); reps are low because single ops are milliseconds.
+    arithmetic); reps are low because single ops are milliseconds.  Every
+    scheme here has its verify cache off (``cache_size=0``): each
+    repetition checks the same triples, and a cache would time lookups.
     """
     from ..crypto.schnorr import SchnorrSignatureScheme
 
-    scheme = SchnorrSignatureScheme()
+    scheme = SchnorrSignatureScheme(cache_size=0)
     max_n = max(BATCH_FLOOD_SIZES)
     pairs = [scheme.keygen(bytes([i, 0x5A])) for i in range(max_n)]
     message = b"perf-batch-flood"
@@ -247,7 +249,7 @@ def bench_crypto_batch(reps: int) -> List[BenchResult]:
     # Certificate-level: one aggregate signature vs f+1 raw signatures.
     # _verify_uncached bypasses the per-object memo so every call does
     # the cryptographic work the wire format implies.
-    signers = build_cluster_keys("schnorr", CERT_QUORUM)
+    signers = build_cluster_keys("schnorr", CERT_QUORUM, cache_size=0)
     votes = tuple(
         Vote.create(signers[i], "alterbft", 3, 7, b"\x07" * 32)
         for i in range(CERT_QUORUM)

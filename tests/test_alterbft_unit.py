@@ -5,9 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ProtocolConfig
+from repro.consensus.context import SimContext
 from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import ACTIVE, QUITTING, AlterBFTReplica
+from repro.crypto.keystore import build_cluster_keys
 from repro.errors import VerificationError
+from repro.net.delay import UniformDelayModel
+from repro.net.simnet import SimNetwork
+from repro.sim.rng import RngFactory
+from repro.sim.scheduler import Scheduler
 from repro.types.block import make_block
 from repro.types.certificates import (
     Blame,
@@ -127,12 +133,56 @@ class TestVoting:
         assert [v.vote.height for v in ctx.sent_of_type(VoteMsg)] == [2]
 
     def test_header_relayed_once(self, setup):
+        """A follower relays a first-seen header once, as one offer, to the
+        peers other than itself and the proposer."""
         replica, ctx, signers = setup
         header_msg, _, _ = make_proposal(signers[1], 1, 1, gen_qc(replica))
         replica.handle(1, header_msg)
         replica.handle(2, header_msg)
-        relays = [m for m in ctx.broadcasts if isinstance(m, ProposalHeaderMsg)]
-        assert len(relays) == 1
+        relays = [(dst, m) for dst, m in ctx.sent if isinstance(m, ProposalHeaderMsg)]
+        assert relays == [((2,), header_msg)]
+        assert not [m for m in ctx.broadcasts if isinstance(m, ProposalHeaderMsg)]
+
+    def test_proposer_never_relays_its_own_header(self, signers3, validators3):
+        config = ProtocolConfig(n=3, f=1, delta=DELTA, epoch_timeout=1.0, idle_propose_delay=0.0)
+        leader = AlterBFTReplica(1, validators3, config, signers3[1])
+        ctx = FakeContext(node_id=1, n=3)
+        ctx.bind_replica(leader)
+        leader.on_start()  # proposes height 1 and hears its own broadcast
+        proposals = [m for m in ctx.broadcasts if isinstance(m, ProposalHeaderMsg)]
+        assert [m.header.height for m in proposals] == [1]
+        assert leader.store.has_header(proposals[0].header.block_hash)
+        assert not [m for _, m in ctx.sent if isinstance(m, ProposalHeaderMsg)]
+
+
+def test_split_headers_meet_at_every_follower_within_delta():
+    """At n = 5 the leader of epoch 5 (replica 0) sends h1 to {1, 2} and h2
+    to {3, 4}.  No relay goes back to the proposer, yet every honest replica
+    holds both headers, and has recorded the equivocation, Δ after its
+    first receipt."""
+    n, epoch = 5, 5
+    signers = build_cluster_keys("hashsig", n)
+    config = ProtocolConfig(n=n, f=2, delta=DELTA, epoch_timeout=1.0)
+    scheduler = Scheduler()
+    network = SimNetwork(scheduler, UniformDelayModel(DELTA, DELTA), RngFactory(1))
+    replicas = []
+    for replica_id in range(n):
+        replica = AlterBFTReplica(
+            replica_id, ValidatorSet.synchronous(n, 2), config, signers[replica_id]
+        )
+        replica.epoch = epoch
+        network.attach(replica_id, replica.handle)
+        replica.bind(SimContext(replica_id, n, scheduler, network, replica.on_timer))
+        replicas.append(replica)
+    genesis = gen_qc(replicas[0])
+    h1, _, _ = make_proposal(signers[0], epoch, 1, genesis, seq=0)
+    h2, _, _ = make_proposal(signers[0], epoch, 1, genesis, seq=50)
+    network.send(0, (1, 2), h1)
+    network.send(0, (3, 4), h2)
+    scheduler.run(until=2 * DELTA)  # first receipts at Δ, relays by 2Δ
+    assert [epoch in r._equivocated for r in replicas] == [False, True, True, True, True]
+    assert network.trace.counters["equivocation_detected"] == 4
+    assert not replicas[0].store.has_header(h1.header.block_hash)
 
 
 class TestHeaderValidation:

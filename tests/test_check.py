@@ -171,11 +171,13 @@ class TestCertifiedChain:
 #: held at the end of the run; the log, which replicas feed as they form or
 #: accept certificates, must certify exactly the same blocks.  (Before the
 #: log this pinned the certificates themselves: a pin on retention, not on
-#: what the invariant decides.)
+#: what the invariant decides.)  The fault-free AlterBFT and Sync HotStuff
+#: rows were re-pinned when header relays stopped going to the proposer,
+#: which changes those runs.
 PARENT_CERTIFICATES = {
-    ("alterbft", False): (429, "5eab4b6d844f67ebd40e3cd45e28266a533eede52c52c491a3c75b2a2932dd0c"),
+    ("alterbft", False): (420, "c009ccba51889c699979263dab8cf316ee0c118d688b2d07642f43fc0a86a318"),
     ("alterbft", True): (47, "a1b2a8e2cef9311ac137b409b7bf0705b1fd5d72717fedb296d513675e38bafd"),
-    ("sync-hotstuff", False): (447, "7c9bcb08d796451b161b71d6e2e9c78f2802b38d1966105abb0c487dccbe3779"),
+    ("sync-hotstuff", False): (438, "3f7fa4232d26e09a654b323692a51fa0249b3eddbcf978ae98717b98fc21e9e9"),
     ("sync-hotstuff", True): (47, "a1b2a8e2cef9311ac137b409b7bf0705b1fd5d72717fedb296d513675e38bafd"),
     ("hotstuff", False): (627, "0d9edc0f65d440c99515918a9b977790c4a41fac8f07fe23e9c44447994a58ab"),
     ("hotstuff", True): (136, "249c8d07afedabdeb70c7316248a41ee8a13dd81d3183d31e2bbb662da220cfc"),
@@ -574,7 +576,7 @@ class TestSweep:
 #: sha256 over the sorted ``"<scenario id> <fingerprint>"`` lines of the
 #: 116 ``python -m repro.check --smoke`` scenarios, and the E10 demo's
 #: fingerprint.  A behaviour-neutral change leaves both untouched.
-SMOKE_GRID_DIGEST = "572f5326b209daf30c5bec0211c50e439df3de1f0f75e3352a2821c28982cc29"
+SMOKE_GRID_DIGEST = "53bfda561a0d8df4e29d073e75f4074c9b60414cb66a6ec6a1480623d5da9b51"
 E10_DEMO_FINGERPRINT = "3c21890852d8dc38d523e63c1c41cadfdfcb2ed4c39d8842bebc17da195ef4ef"
 
 

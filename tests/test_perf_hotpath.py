@@ -37,14 +37,16 @@ from repro.codec import (
     size_cache_stats,
 )
 from repro.codec.core import BYTES_CACHE_ATTR, SIZE_CACHE_ATTR
-from repro.crypto.signatures import HashSignatureScheme, KeyRegistry
+from repro.consensus.validators import ValidatorSet
+from repro.crypto.keystore import build_cluster_keys, make_scheme
+from repro.crypto.signatures import KeyRegistry
 from repro.errors import SimulationError
 from repro.perf.compare import compare_results, load_baseline, results_document
 from repro.perf.timing import BenchResult, measure, measure_rate, summarize
 from repro.runner.cluster import build_cluster
 from repro.sim.scheduler import Scheduler
 from repro.types.block import BlockHeader, genesis_block, make_block
-from repro.types.certificates import Vote
+from repro.types.certificates import Certificate, Vote
 from repro.types.messages import PayloadMsg, VoteMsg
 from repro.types.transaction import make_transaction
 from tests.test_codec import _struct_strategy
@@ -157,9 +159,9 @@ def test_encode_cached_installs_both_memos(signers3):
 # -- verification cache -------------------------------------------------------
 
 
-def _scheme_with_keys(n=2, cache_size=None):
+def _scheme_with_keys(name="hashsig", n=2, cache_size=None):
     registry = KeyRegistry()
-    scheme = HashSignatureScheme(registry, cache_size=cache_size)
+    scheme = make_scheme(name, registry, cache_size)
     pairs = [scheme.keygen(b"seed-%d" % i) for i in range(n)]
     for i, pair in enumerate(pairs):
         registry.register(i, pair)
@@ -167,8 +169,16 @@ def _scheme_with_keys(n=2, cache_size=None):
 
 
 class TestVerifyCache:
+    """The verify cache every scheme shares, under hashsig here and under
+    schnorr in :class:`TestSchnorrVerifyCache`, which re-runs each case."""
+
+    SCHEME = "hashsig"
+
+    def _scheme(self, n=2, cache_size=None):
+        return _scheme_with_keys(self.SCHEME, n, cache_size)
+
     def test_hit_miss_counters(self):
-        scheme, (pair, _) = _scheme_with_keys()
+        scheme, (pair, _) = self._scheme()
         msg = b"message"
         sig = scheme.sign(pair.secret, msg)
         assert scheme.cache_hits == scheme.cache_misses == 0
@@ -178,7 +188,7 @@ class TestVerifyCache:
         assert (scheme.cache_hits, scheme.cache_misses) == (1, 1)
 
     def test_eviction_bound(self):
-        scheme, (pair, _) = _scheme_with_keys(cache_size=4)
+        scheme, (pair, _) = self._scheme(cache_size=4)
         msgs = [b"m%d" % i for i in range(10)]
         for m in msgs:
             scheme.verify(pair.public, m, scheme.sign(pair.secret, m))
@@ -191,7 +201,7 @@ class TestVerifyCache:
 
     def test_byzantine_double_vote_never_served_from_cache(self):
         """Same signer, different digest → different key → fresh verification."""
-        scheme, (pair, _) = _scheme_with_keys()
+        scheme, (pair, _) = self._scheme()
         digest_a = b"\xaa" * 32
         digest_b = b"\xbb" * 32
         sig_a = scheme.sign(pair.secret, digest_a)
@@ -208,7 +218,7 @@ class TestVerifyCache:
         assert scheme.cache_misses == misses_before + 1
 
     def test_forged_signature_rejected_cached_and_uncached(self):
-        scheme, (pair, other) = _scheme_with_keys()
+        scheme, (pair, other) = self._scheme()
         msg = b"payload"
         forged = scheme.sign(other.secret, msg)  # wrong key
         assert not scheme.verify(pair.public, msg, forged)
@@ -216,22 +226,91 @@ class TestVerifyCache:
         assert scheme.cache_hits >= 1
 
     def test_cache_disabled(self):
-        scheme, (pair, _) = _scheme_with_keys(cache_size=0)
+        scheme, pairs = self._scheme(cache_size=0)
         msg = b"m"
-        sig = scheme.sign(pair.secret, msg)
+        items = [(p.public, msg, scheme.sign(p.secret, msg)) for p in pairs]
         for _ in range(3):
-            assert scheme.verify(pair.public, msg, sig)
+            assert scheme.verify(*items[0])
+            assert scheme.batch_verify(items)
+            assert scheme.find_invalid(items) == []
         assert scheme.cache_hits == scheme.cache_misses == 0
         assert len(scheme._verify_cache) == 0
 
-    def test_vote_verify_memo_tracks_scheme_identity(self, signers3):
-        vote = Vote.create(signers3[0], "alterbft", 2, 5, b"\x01" * 32)
-        assert vote.verify(signers3[1])
+    def test_vote_verify_memo_tracks_scheme_identity(self):
+        signers = build_cluster_keys(self.SCHEME, 3)
+        vote = Vote.create(signers[0], "alterbft", 2, 5, b"\x01" * 32)
+        assert vote.verify(signers[1])
         memo = vote.__dict__.get("_verify_memo")
         assert memo is not None and memo[-1] is True
         # Same scheme instance: memo is reused, result unchanged.
-        assert vote.verify(signers3[2])
+        assert vote.verify(signers[2])
         assert vote.__dict__.get("_verify_memo") is memo
+
+
+class TestSchnorrVerifyCache(TestVerifyCache):
+    """Every case above under schnorr, plus what a real signature adds: a
+    batch or a certificate over triples this replica already checked costs
+    lookups, and a forgery never rides on a cached verdict."""
+
+    SCHEME = "schnorr"
+
+    def test_forged_signature_over_a_cached_message_rejected(self):
+        scheme, (pair, other) = self._scheme()
+        msg = b"vote digest"
+        assert scheme.verify(pair.public, msg, scheme.sign(pair.secret, msg))
+        forged = scheme.sign(other.secret, msg)
+        misses_before = scheme.cache_misses
+        assert not scheme.verify(pair.public, msg, forged)
+        assert scheme.cache_misses == misses_before + 1  # checked, not served
+
+    def test_batch_mixing_a_cached_valid_triple_with_a_bad_one(self):
+        scheme, pairs = self._scheme(n=3)
+        msg = b"certificate digest"
+        items = [(p.public, msg, scheme.sign(p.secret, msg)) for p in pairs]
+        assert scheme.verify(*items[0])
+        public, _, sig = items[2]
+        items[2] = (public, msg, sig[:-1] + bytes([sig[-1] ^ 0x01]))
+        hits_before = scheme.cache_hits
+        assert not scheme.batch_verify(items)
+        assert scheme.cache_hits == hits_before + 1  # the cached triple
+        assert scheme.find_invalid(items) == [2]
+        # The failed batch cached nothing it had not checked one by one.
+        assert scheme.batch_verify(items[:2])
+        assert not scheme.verify(*items[2])
+
+    def test_certificate_over_checked_votes_costs_lookups(self):
+        signers = build_cluster_keys("schnorr", 3)
+        votes = [Vote.create(s, "alterbft", 2, 5, b"\x02" * 32) for s in signers]
+        verifier = signers[0]
+        assert all(vote.verify(verifier) for vote in votes)
+        scheme = verifier.scheme
+        checked = scheme.cache_misses
+        qc = Certificate.assemble(votes, verifier, aggregate=False)
+        assert qc._verify_uncached(verifier, ValidatorSet.synchronous(3, 1))
+        assert scheme.cache_misses == checked  # every triple was a hit
+
+
+def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
+    """``bench_crypto_batch`` checks the same triples every repetition, so
+    with a verify cache its rows would time dict lookups."""
+    from repro.crypto.signatures import SignatureScheme
+    from repro.perf import micro
+
+    built = []
+    init = SignatureScheme.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(SignatureScheme, "__init__", recording_init)
+    monkeypatch.setattr(micro, "BATCH_FLOOD_SIZES", (2,))
+    monkeypatch.setattr(micro, "CERT_QUORUM", 3)
+    names = {result.name for result in micro.bench_crypto_batch(reps=1)}
+    assert {"crypto.qc_verify_raw", "crypto.qc_verify_agg"} <= names
+    assert [scheme.name for scheme in built] == ["schnorr", "schnorr"]
+    assert all(scheme.cache_size == 0 for scheme in built)
+    assert sum(scheme.cache_hits + scheme.cache_misses for scheme in built) == 0
 
 
 # -- determinism: optimizations are observationally inert ---------------------
@@ -239,7 +318,7 @@ class TestVerifyCache:
 #: Fingerprint of make_config("alterbft", f=1, rate=500, duration=1.5,
 #: seed=7), recorded with all optimizations active.  Any change to this
 #: value means an "optimization" altered simulation behavior.
-GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290ce77d05"
+GOLDEN_FINGERPRINT = "74e6400cf602201d70f226dab10cffac95514005ef663f95bb16244a050ce426"
 
 #: The same seeded run with the certificate-bearing optional layers on:
 #: lazily batch-verified votes, aggregate-form quorum and checkpoint
@@ -248,7 +327,7 @@ GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290c
 FLAGS_ON = dict(
     crypto_batch=True, crypto_aggregate=True, guard_enabled=True, checkpoint_interval=4
 )
-GOLDEN_FINGERPRINT_FLAGS_ON = "54585f0c98739710c55a43bed2ee19059aec7cd6b01e5dd3ec3e23e92088be44"
+GOLDEN_FINGERPRINT_FLAGS_ON = "780dd75024a6b6e4d6cf85b8aa7f72a76ebe5d9ae526686b39985719599ef5b4"
 
 
 def _build_cluster(f=1, duration=1.5, faults=(), observability=False, **protocol_overrides):
@@ -312,7 +391,7 @@ FENCE_A = dict(
     pipeline_depth=2,
     faults=((1, "crash-recover@1.0:2.0"), (3, "slow-link@0.6:1.6")),
 )
-FENCE_A_FINGERPRINT = "07afddb5439f5c3046a1b34e2a2ab150ff2c476a533d8f4d0003135586fbd433"
+FENCE_A_FINGERPRINT = "b29194b02ab0da65db5936900e42aaf924ad46ea5adc93b4db7ee7eb5d5e78af"
 #: B — chunked dissemination + checkpointing, pipelined: the rejoiner
 #: reconstructs the payloads it missed from peers' shares.
 FENCE_B = dict(
@@ -323,7 +402,7 @@ FENCE_B = dict(
     pipeline_depth=2,
     faults=((1, "crash-recover@1.0:2.0"),),
 )
-FENCE_B_FINGERPRINT = "fa51a99d1d60c59060370d8d42623f746396ad1b786c7e825d5a37a5c5343752"
+FENCE_B_FINGERPRINT = "5a412e21406ae7b53c76f919949deead7c62eeaa30dc9e36593a0470f60b669d"
 
 
 def test_fence_guard_ladder_survives_restart():
@@ -333,7 +412,7 @@ def test_fence_guard_ladder_survives_restart():
     assert rejoiner.subsystems["recovery"].caught_up_at is not None
     assert rejoiner.subsystems["guard"].rung == 2
     assert rejoiner._delta() == pytest.approx(0.02)
-    assert [r.ledger.height for r in cluster.replicas] == [698, 696, 698, 698, 698]
+    assert [r.ledger.height for r in cluster.replicas] == [691, 689, 691, 691, 691]
 
 
 def test_fence_dissemination_rejoin():
@@ -341,7 +420,7 @@ def test_fence_dissemination_rejoin():
     assert cluster.fingerprint() == FENCE_B_FINGERPRINT
     assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
     assert cluster.trace.counters["dissem_reconstructed"] == 392
-    assert [r.ledger.height for r in cluster.replicas] == [98] * 5
+    assert [r.ledger.height for r in cluster.replicas] == [97, 98, 98, 98, 98]
 
 
 def test_dispatch_table_with_every_subsystem_attached():

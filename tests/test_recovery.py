@@ -11,7 +11,9 @@ from repro.recovery import FileWal, MemoryWal, WalEpochRecord
 from repro.runner.cluster import build_cluster, check_safety
 from repro.types.certificates import Vote, genesis_qc
 from repro.types.messages import (
+    BlockRangeRequestMsg,
     BlockRangeResponseMsg,
+    SnapshotRequestMsg,
     SnapshotResponseMsg,
     StatusResponseMsg,
 )
@@ -184,20 +186,31 @@ def test_no_double_vote_across_restart(seed, t_down, t_up):
 
 class TestByzantineProviders:
     def test_withholding_provider_is_rotated_past(self):
-        """One provider silently withholds snapshots/ranges: catchup must
-        retry onto an alternate provider and still complete."""
+        """The first provider the joiner asks silently withholds snapshots
+        and ranges: catchup must retry onto an alternate provider and still
+        complete.  Withholding whoever is asked first, not a fixed replica,
+        makes the retry certain whatever order the status replies took."""
         config = _crash_recover_config(seed=11)
         cluster = build_cluster(config)
-        cluster.network.add_filter(
-            lambda src, dst, msg, size: not (
-                src == 0
+        withholder = []
+
+        def withhold_first_provider(src, dst, msg, size):
+            if src == 1 and isinstance(msg, (SnapshotRequestMsg, BlockRangeRequestMsg)):
+                if not withholder:
+                    withholder.append(dst)
+                return True
+            return not (
+                withholder
+                and src == withholder[0]
                 and isinstance(msg, (SnapshotResponseMsg, BlockRangeResponseMsg))
             )
-        )
+
+        cluster.network.add_filter(withhold_first_provider)
         cluster.start()
         cluster.run()
         joiner = cluster.replicas[1]
         manager = joiner.subsystems["recovery"]
+        assert withholder
         assert manager.caught_up_at is not None
         assert manager.fetch_retries >= 1
         assert check_recovery(cluster).ok
@@ -321,17 +334,19 @@ def test_rejoiner_ends_on_the_clusters_delta():
 
 @pytest.mark.xfail(strict=True, reason="a rejoiner is stranded at its snapshot")
 def test_rejoiner_catches_up_with_every_subsystem_on():
-    """Replica 1 finishes catch-up at height 44/46, votes twice, parks a
-    commit window on a header every peer has already pruned, and ends at 44
-    against 196–197 with ``caught_up_at`` still ``None``.  Removing any one
-    of the four flags lets it recover."""
+    """Replica 1 finishes catch-up at height 44, parks a commit window on a
+    header every peer has already pruned, and ends at 44 against 196–197
+    with ``caught_up_at`` still ``None``.  Removing any one of the four
+    flags lets it recover.  Seed 10 strands it identically before and after
+    header relays stopped going to the proposer; seed 7, which stranded it
+    before, no longer does."""
     cluster = _run(
         make_config(
             "alterbft",
             f=2,
             rate=500.0,
             duration=4.0,
-            seed=7,
+            seed=10,
             faults=REJOIN_UNDER_SLOW_LINK,
             guard_enabled=True,
             checkpoint_interval=4,

@@ -140,6 +140,22 @@ class TestScheme:
         assert not scheme.verify(pair.public, b"m", b"\xff" * SIGNATURE_SIZE)
         assert not scheme.verify(pair.public, b"m", b"short")
 
+    def test_known_answer(self):
+        """Signing with a key this scheme generated reuses its public key;
+        the bytes must be the ones recomputing sk·G gives (a scheme that
+        never saw the key)."""
+        expected = bytes.fromhex(
+            "aaf892f9a4e70d914cc2652491777c96067bc16cf3adf450100ebab26e09ae1d"
+            "0b8c2fead24152b0177e72280cb72c2818111db7dbf7aeb396f6d8998cc35216"
+        )
+        scheme = SchnorrSignatureScheme()
+        pair = scheme.keygen(b"known-answer")
+        assert pair.public.hex() == (
+            "020cc9a99625dcc1d66b9f6fb5b35f4978e12633947ea923104c2deab8dc955972"
+        )
+        assert scheme.sign(pair.secret, b"known answer") == expected
+        assert SchnorrSignatureScheme().sign(pair.secret, b"known answer") == expected
+
     def test_distinct_messages_distinct_signatures(self):
         scheme = SchnorrSignatureScheme()
         pair = scheme.keygen(b"seed")

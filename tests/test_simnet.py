@@ -65,6 +65,26 @@ class TestDelivery:
         assert net.wire.msgs_total == 1
         assert net.wire.bytes_total > 0
 
+    def test_send_to_a_tuple_is_one_offer(self):
+        scheduler, net, inboxes = make_net(n=4)
+        net.send(0, (1, 3), "relay")
+        scheduler.run()
+        assert [len(inboxes[i]) for i in range(4)] == [0, 1, 0, 1]
+        assert net.wire.msgs_total == 2
+        assert net.wire.sender_bytes[0] == net.wire.bytes_total
+
+    def test_recorded_latency_is_the_sampled_delay(self):
+        """A delay at the model's bound is recorded at exactly the bound,
+        whatever the send time: a headroom check against that bound then
+        sees no violation by construction."""
+        from repro.obs.recorder import SpanRecorder
+
+        obs = SpanRecorder()
+        scheduler, net, _ = make_net(low=0.005, high=0.005, obs=obs)
+        scheduler.post_at(0.1, net.send, 0, 1, "late")
+        scheduler.run()
+        assert [sample.latency for sample in obs.messages] == [0.005]
+
 
 class TestPartitions:
     def test_partition_drops_cross_group(self):

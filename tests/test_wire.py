@@ -67,10 +67,8 @@ from repro.crypto.keystore import build_cluster_keys
 from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Scheduler
 from repro.sim.tracing import Trace
+from tests.test_perf_hotpath import GOLDEN_FINGERPRINT
 from tests.wire_oracle import OracleAccountant, OracleNetwork, count_offers
-
-#: Must match tests/test_perf_hotpath.py — the one golden fingerprint.
-GOLDEN_FINGERPRINT = "7e7170ae58fb379b5a660462abd2ddc779bfdc9f2e9defd4ec5163290ce77d05"
 
 ALL_REPLICA_CLASSES = (AlterBFTReplica, SyncHotStuffReplica, HotStuffReplica, PBFTReplica)
 

@@ -336,14 +336,17 @@ class OracleNetwork(SimNetwork):
         super().__init__(*args, **kwargs)
         self.counts = ParentCounts()
 
-    def send(self, src: int, dst: int, msg: object) -> None:
-        """Send one message; wire size is the real encoded size.
+    def send(self, src: int, dst: Any, msg: object) -> None:
+        """Send one message to one node or to each of a tuple of nodes;
+        wire size is the real encoded size.
 
         Routed through :func:`~repro.codec.encoded_size`, so the size is
         computed without materializing bytes and is memoized on the
         message object — a header relayed many times is sized once.
         """
-        self._send_sized(src, dst, msg, encoded_size(msg))
+        size = encoded_size(msg)
+        for each in dst if type(dst) is tuple else (dst,):
+            self._send_sized(src, each, msg, size)
 
     def broadcast(self, src: int, msg: object, include_self: bool = True) -> None:
         """Send ``msg`` to every attached node (sizing once per object)."""
