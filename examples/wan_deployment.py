@@ -24,7 +24,7 @@ def main() -> None:
     topology = three_regions(3)
     wan = WanDelayModel(network, topology)
 
-    delta_small = wan.worst_case_small_bound()
+    delta_small = wan.small_message_bound()
     delta_big = wan.worst_case_bound(128 * 1024)
     print("region placement:", dict(enumerate(topology.placements)))
     print(f"Δ_small (worst pair) = {delta_small * 1e3:.1f} ms, "

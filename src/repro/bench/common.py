@@ -73,7 +73,6 @@ def make_config(
     seed: int = 1,
     network: NetworkConfig = DEFAULT_NETWORK,
     faults: Tuple[Tuple[int, str], ...] = (),
-    topology: str = "single-az",
     wire_accounting: bool = False,
     **protocol_overrides,
 ) -> ExperimentConfig:
@@ -103,7 +102,6 @@ def make_config(
         max_sim_time=duration,
         warmup=warmup,
         faults=faults,
-        topology=topology,
     )
 
 

@@ -23,7 +23,7 @@ def run(fast: bool = True) -> ExperimentOutput:
     for protocol in ALL_PROTOCOLS:
         n = {"alterbft": 3, "sync-hotstuff": 3, "hotstuff": 4, "pbft": 4}[protocol]
         wan = WanDelayModel(DEFAULT_NETWORK, three_regions(n))
-        d_small = wan.worst_case_small_bound()
+        d_small = wan.small_message_bound()
         d_big = wan.worst_case_bound(block_bytes(max_batch, tx_size))
         pconf = standard_protocol_config(
             protocol, f=1, delta_small=d_small, delta_big=d_big, max_batch=max_batch

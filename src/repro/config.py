@@ -205,8 +205,11 @@ class NetworkConfig:
             Pareto-tailed extra delay.
         slowdown_scale: scale of the Pareto extra delay, seconds.
         slowdown_alpha: Pareto tail index (smaller = heavier tail).
-        drop_probability: probability a message is silently dropped
-            (0 in the paper's model; exposed for robustness testing).
+
+    Links are reliable, as the paper's model assumes: the delay models
+    delay every message and drop none.  Drops are fault injection,
+    through :meth:`repro.net.simnet.SimNetwork.add_filter` and delay
+    policies.
     """
 
     base_delay: float = 0.0005
@@ -218,7 +221,6 @@ class NetworkConfig:
     slowdown_probability: float = 0.05
     slowdown_scale: float = 0.015
     slowdown_alpha: float = 2.5
-    drop_probability: float = 0.0
 
     def validate(self) -> None:
         _require(self.base_delay >= 0, "base_delay must be >= 0")
@@ -230,7 +232,6 @@ class NetworkConfig:
         _require(0 <= self.slowdown_probability <= 1, "slowdown_probability in [0,1]")
         _require(self.slowdown_scale >= 0, "slowdown_scale must be >= 0")
         _require(self.slowdown_alpha > 0, "slowdown_alpha must be positive")
-        _require(0 <= self.drop_probability < 1, "drop_probability in [0,1)")
 
     def with_(self, **overrides) -> "NetworkConfig":
         """Return a copy with the given fields replaced."""
@@ -246,24 +247,17 @@ class WorkloadConfig:
         rate: offered load in transactions/second (aggregate, open loop).
             ``None`` means closed-loop saturation: the mempool is refilled
             so every block is full.
-        num_clients: number of logical clients stamping transactions.
         duration: simulated seconds of workload to generate.
-        burst_factor: >1 turns the arrival process into on/off bursts with
-            the given peak-to-mean ratio.
     """
 
     tx_size: int = 256
     rate: Optional[float] = None
-    num_clients: int = 16
     duration: float = 20.0
-    burst_factor: float = 1.0
 
     def validate(self) -> None:
         _require(self.tx_size >= 8, "tx_size must be >= 8 bytes")
         _require(self.rate is None or self.rate > 0, "rate must be positive or None")
-        _require(self.num_clients >= 1, "num_clients must be >= 1")
         _require(self.duration > 0, "duration must be positive")
-        _require(self.burst_factor >= 1.0, "burst_factor must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,12 @@ class Pacemaker:
         base_timeout: float,
         growth: float,
         on_timeout: TimeoutCallback,
-        adaptive: bool = True,
         timeout_scale: Optional[Callable[[], float]] = None,
     ) -> None:
         self.ctx = ctx
         self.base_timeout = base_timeout
         self.growth = growth
         self.on_timeout = on_timeout
-        self.adaptive = adaptive
         #: Optional multiplicative scale sampled at every (re)arm — the
         #: synchrony guard hooks this so a re-calibrated Δ stretches the
         #: progress timeout proportionally (the base timeout was
@@ -46,10 +44,8 @@ class Pacemaker:
         self._fired_for_epoch: Optional[int] = None
 
     def current_timeout(self) -> float:
-        """The timeout in force, after back-off."""
+        """The timeout in force, after back-off (none at ``growth=1.0``)."""
         scale = 1.0 if self.timeout_scale is None else self.timeout_scale()
-        if not self.adaptive:
-            return self.base_timeout * scale
         return self.base_timeout * (self.growth**self.consecutive_failures) * scale
 
     def enter_epoch(self, epoch: int, made_progress: bool) -> None:

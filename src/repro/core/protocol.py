@@ -257,13 +257,17 @@ class AlterBFTReplica(BaseReplica):
             self._emit_proposal()
             force = False
 
+    def pipeline_tip(self) -> Tuple[int, Digest]:
+        """(height, hash) the next proposal extends: the last in-flight
+        proposal, else the highest certified block."""
+        if self._inflight:
+            return self._inflight[-1]
+        return self.high_qc.height, self.high_qc.block_hash
+
     def _emit_proposal(self) -> None:
         """Build and disseminate one block extending the pipeline tip."""
         justify = self.high_qc
-        if self._inflight:
-            parent_height, parent_hash = self._inflight[-1]
-        else:
-            parent_height, parent_hash = justify.height, justify.block_hash
+        parent_height, parent_hash = self.pipeline_tip()
         batch = self.mempool.take_batch(self.config.max_batch, self.config.max_payload_bytes)
         block = make_block(
             epoch=self.epoch,

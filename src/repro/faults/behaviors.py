@@ -420,10 +420,7 @@ def _apply_equivocate_inflight(replica: BaseReplica, *_: object) -> None:
             return
         attacked_epochs.add(replica.epoch)
         justify = replica.high_qc
-        if replica._inflight:
-            parent_height, parent_hash = replica._inflight[-1]
-        else:
-            parent_height, parent_hash = justify.height, justify.block_hash
+        parent_height, parent_hash = replica.pipeline_tip()
         block_a, block_b = _poisoned_variants(
             replica, replica.epoch, parent_height + 1, parent_hash
         )
@@ -457,11 +454,7 @@ def _apply_withhold_suffix(replica: BaseReplica, *_: object) -> None:
         if replica.high_qc.epoch != replica.epoch:
             original_emit()
             return
-        justify = replica.high_qc
-        if replica._inflight:
-            parent_height, parent_hash = replica._inflight[-1]
-        else:
-            parent_height, parent_hash = justify.height, justify.block_hash
+        parent_height, parent_hash = replica.pipeline_tip()
         batch = replica.mempool.take_batch(
             replica.config.max_batch, replica.config.max_payload_bytes
         )

@@ -16,6 +16,12 @@ from typing import Dict, List, Sequence
 from ..config import NetworkConfig
 from .stats import mean, percentile
 
+#: The percentile of the measured delays a deployment bounds.
+CALIBRATION_PERCENTILE = 99.99
+
+#: Multiplier applied to a measured tail to derive a protocol Δ.
+SAFETY_MARGIN = 1.25
+
 
 @dataclass(frozen=True)
 class CalibrationReport:
@@ -38,35 +44,28 @@ class CalibrationReport:
         )
 
 
-def recommend_delta(
-    samples: Sequence[float],
-    tail_percentile: float = 99.0,
-    safety_margin: float = 1.25,
-) -> float:
+def recommend_delta(samples: Sequence[float], quantile: float, margin: float) -> float:
     """The Δ a deployment should provision given observed small delays.
 
     The online single-class counterpart of :func:`calibrate`'s
     ``delta_small`` derivation, used by the synchrony guard when it
-    re-calibrates at runtime: margin times the observed tail.
+    re-calibrates at runtime: ``margin`` times the observed
+    ``quantile``-th percentile.
     """
     if not samples:
         raise ValueError("need at least one sample to recommend a delta")
-    return safety_margin * percentile(samples, min(tail_percentile, 100.0))
+    return margin * percentile(samples, min(quantile, 100.0))
 
 
-def calibrate(
-    samples_by_size: Dict[int, List[float]],
-    small_threshold: int,
-    tail_percentile: float = 99.99,
-    safety_margin: float = 1.25,
-) -> CalibrationReport:
+def calibrate(samples_by_size: Dict[int, List[float]], small_threshold: int) -> CalibrationReport:
     """Fit network parameters from per-size delay samples.
 
     Args:
         samples_by_size: one-way delay samples keyed by message size.
         small_threshold: size boundary between small and large messages.
-        tail_percentile: the percentile a deployment would bound.
-        safety_margin: multiplier applied when deriving protocol Δs.
+
+    Protocol Δs are :data:`SAFETY_MARGIN` times the
+    :data:`CALIBRATION_PERCENTILE` of the delays they must cover.
     """
     small_sizes = sorted(s for s in samples_by_size if s <= small_threshold)
     large_sizes = sorted(s for s in samples_by_size if s > small_threshold)
@@ -79,7 +78,7 @@ def calibrate(
     base_delay = min(small_all)
     jitter_scale = max(mean(small_all) - base_delay, 1e-6)
     small_bound = max(small_all)
-    delta_small = safety_margin * percentile(small_all, min(tail_percentile, 100.0))
+    delta_small = SAFETY_MARGIN * percentile(small_all, CALIBRATION_PERCENTILE)
 
     # Bandwidth: least-squares slope of median delay vs size over the
     # large sizes (the size-proportional component dominates there).
@@ -99,8 +98,8 @@ def calibrate(
     # over every size measured.
     worst_tail = 0.0
     for size, samples in samples_by_size.items():
-        worst_tail = max(worst_tail, percentile(samples, min(tail_percentile, 100.0)))
-    delta_big = safety_margin * worst_tail
+        worst_tail = max(worst_tail, percentile(samples, CALIBRATION_PERCENTILE))
+    delta_big = SAFETY_MARGIN * worst_tail
 
     return CalibrationReport(
         base_delay=base_delay,

@@ -140,9 +140,10 @@ def cdf_points(samples: Sequence[float], points: int = 100) -> List[tuple]:
     ordered = sorted(samples)
     n = len(ordered)
     step = max(1, n // points)
-    out = []
-    for i in range(0, n, step):
-        out.append((ordered[i], (i + 1) / n))
-    if out[-1][0] != ordered[-1]:
+    indices = range(0, n, step)
+    out = [(ordered[i], (i + 1) / n) for i in indices]
+    # Close on the last index, not the last value: ties at the maximum
+    # would otherwise leave the curve ending below 1.
+    if indices[-1] != n - 1:
         out.append((ordered[-1], 1.0))
     return out

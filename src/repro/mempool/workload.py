@@ -5,8 +5,7 @@ replica's mempool (clients submit to all replicas so whichever replica
 leads can propose the transaction — the standard open-loop BFT benchmark
 setup).  Two modes:
 
-* **open loop** (``rate`` set): Poisson arrivals at the offered rate,
-  optionally modulated into on/off bursts.
+* **open loop** (``rate`` set): Poisson arrivals at the offered rate.
 * **closed loop / saturation** (``rate`` is None): mempools are topped up
   before every proposal so blocks are always full — used for peak
   throughput measurements.
@@ -21,6 +20,10 @@ from ..mempool.mempool import Mempool, TxKey, tx_key
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.transaction import Transaction, make_transaction
+
+#: Logical clients stamping transactions: arrivals pick one at random,
+#: saturation top-ups take them round-robin.
+NUM_CLIENTS = 16
 
 
 class WorkloadGenerator:
@@ -38,7 +41,7 @@ class WorkloadGenerator:
         self.mempools = list(mempools)
         self.config = config
         self._rng = rng_factory.stream("workload")
-        self._next_seq: Dict[int, int] = {c: 0 for c in range(config.num_clients)}
+        self._next_seq: Dict[int, int] = {c: 0 for c in range(NUM_CLIENTS)}
         self.submitted: Dict[TxKey, Transaction] = {}
         self._saturation_counter = 0
 
@@ -52,28 +55,15 @@ class WorkloadGenerator:
         self._schedule_next_arrival()
 
     def _schedule_next_arrival(self) -> None:
-        rate = self._current_rate()
-        gap = self._rng.expovariate(rate)
+        assert self.config.rate is not None
+        gap = self._rng.expovariate(self.config.rate)
         when = self.scheduler.now + gap
         if when > self.config.duration:
             return
         self.scheduler.at(when, self._arrive)
 
-    def _current_rate(self) -> float:
-        """Offered rate, modulated into bursts when burst_factor > 1."""
-        assert self.config.rate is not None
-        if self.config.burst_factor <= 1.0:
-            return self.config.rate
-        # On/off bursts with 1-second period: on for 1/burst_factor of the
-        # time at burst_factor × rate, keeping the mean at `rate`.
-        phase = self.scheduler.now % 1.0
-        on_fraction = 1.0 / self.config.burst_factor
-        if phase < on_fraction:
-            return self.config.rate * self.config.burst_factor
-        return max(self.config.rate * 0.01, 1e-6)
-
     def _arrive(self) -> None:
-        client = self._rng.randrange(self.config.num_clients)
+        client = self._rng.randrange(NUM_CLIENTS)
         tx = self._make_tx(client)
         for mempool in self.mempools:
             mempool.add(tx)
@@ -90,7 +80,7 @@ class WorkloadGenerator:
         """
         added = 0
         while mempool.pending_count < target_pending:
-            client = self._saturation_counter % self.config.num_clients
+            client = self._saturation_counter % NUM_CLIENTS
             self._saturation_counter += 1
             tx = self._make_tx(client)
             for pool in self.mempools:

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from ..config import NetworkConfig
 from ..errors import ConfigError
+
+#: The far-tail quantile a synchronous deployment bounds large messages
+#: at (see :meth:`HybridCloudDelayModel.worst_case_bound`).
+WORST_CASE_QUANTILE = 0.999
 
 
 class DelayModel:
@@ -30,18 +33,20 @@ class DelayModel:
 
     Implementations must be pure functions of ``(rng, src, dst, size)`` —
     all randomness comes from the supplied stream, keeping runs
-    deterministic.
+    deterministic.  Links are reliable: every message is delayed, none
+    is dropped (drops are fault injection, see
+    :meth:`repro.net.simnet.SimNetwork.add_filter`).
     """
 
-    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> Optional[float]:
-        """One-way delay in seconds, or None if the message is dropped."""
+    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> float:
+        """One-way delay in seconds."""
         raise NotImplementedError
 
-    def small_message_bound(self, src: int = 0, dst: int = 0) -> float:
-        """The Δ that small messages between ``src`` and ``dst`` respect."""
+    def small_message_bound(self) -> float:
+        """The Δ that small messages between every pair of nodes respect."""
         raise NotImplementedError
 
-    def worst_case_bound(self, max_size: int, src: int = 0, dst: int = 0) -> float:
+    def worst_case_bound(self, max_size: int) -> float:
         """A bound that *every* message up to ``max_size`` bytes respects.
 
         This is the Δ a classical synchronous protocol (Sync HotStuff)
@@ -62,13 +67,13 @@ class UniformDelayModel(DelayModel):
         self.low = low
         self.high = high
 
-    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> Optional[float]:
+    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> float:
         return rng.uniform(self.low, self.high)
 
-    def small_message_bound(self, src: int = 0, dst: int = 0) -> float:
+    def small_message_bound(self) -> float:
         return self.high
 
-    def worst_case_bound(self, max_size: int, src: int = 0, dst: int = 0) -> float:
+    def worst_case_bound(self, max_size: int) -> float:
         return self.high
 
 
@@ -88,15 +93,12 @@ class HybridCloudDelayModel(DelayModel):
         config.validate()
         self.config = config
         # The config is frozen: what every draw needs is read out once.
-        self._drop_probability = config.drop_probability
         self._base_delay = config.base_delay
         self._jitter_rate = 1.0 / config.jitter_scale
         self._small_threshold = config.small_threshold
         self._small_bound = config.small_bound
 
-    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> Optional[float]:
-        if self._drop_probability and rng.random() < self._drop_probability:
-            return None
+    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> float:
         delay = self._base_delay + rng.expovariate(self._jitter_rate)
         if size <= self._small_threshold:
             # The cloud keeps small messages under the empirical bound;
@@ -108,28 +110,26 @@ class HybridCloudDelayModel(DelayModel):
             delay += cfg.slowdown_scale * rng.paretovariate(cfg.slowdown_alpha)
         return delay
 
-    def small_message_bound(self, src: int = 0, dst: int = 0) -> float:
+    def small_message_bound(self) -> float:
         return self.config.small_bound
 
-    def worst_case_bound(
-        self, max_size: int, src: int = 0, dst: int = 0, quantile: float = 0.999
-    ) -> float:
+    def worst_case_bound(self, max_size: int) -> float:
         """High-percentile bound for messages up to ``max_size``.
 
         Slowdowns strike with probability ``p_slow``, so the overall
         q-quantile of the extra delay is the Pareto quantile at
-        ``1 - (1-q)/p_slow`` (zero when ``1-q >= p_slow``).  The default
-        q = 0.999 mirrors what a synchronous deployment in a cloud
-        actually does: the distribution has no finite bound, so the
-        operator picks a far-tail percentile and accepts that the model is
-        occasionally violated — exactly the risk the paper's hybrid model
-        eliminates for the messages that matter.
+        ``1 - (1-q)/p_slow`` (zero when ``1-q >= p_slow``).  q =
+        :data:`WORST_CASE_QUANTILE` mirrors what a synchronous deployment
+        in a cloud actually does: the distribution has no finite bound,
+        so the operator picks a far-tail percentile and accepts that the
+        model is occasionally violated — exactly the risk the paper's
+        hybrid model eliminates for the messages that matter.
         """
         cfg = self.config
         if max_size <= cfg.small_threshold:
             return cfg.small_bound
         tail_quantile = 0.0
-        miss = 1.0 - quantile
+        miss = 1.0 - WORST_CASE_QUANTILE
         if cfg.slowdown_probability > 0 and miss < cfg.slowdown_probability:
             conditional = miss / cfg.slowdown_probability
             tail_quantile = cfg.slowdown_scale * math.pow(
@@ -155,32 +155,30 @@ class WanDelayModel(DelayModel):
     def _base(self, src: int, dst: int) -> float:
         return self.config.base_delay + self.topology.propagation(src, dst)
 
-    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> Optional[float]:
+    def _pair_small_bound(self, src: int, dst: int) -> float:
+        return self._base(src, dst) + self.config.small_bound
+
+    def sample(self, rng: random.Random, src: int, dst: int, size: int) -> float:
         cfg = self.config
-        if cfg.drop_probability and rng.random() < cfg.drop_probability:
-            return None
         base = self._base(src, dst)
         jitter_scale = cfg.jitter_scale * (1.0 + 4.0 * self.topology.is_cross_region(src, dst))
         delay = base + rng.expovariate(1.0 / jitter_scale)
         if size <= cfg.small_threshold:
-            return min(delay, self.small_message_bound(src, dst))
+            return min(delay, self._pair_small_bound(src, dst))
         delay += size / self.topology.bandwidth(src, dst, cfg.bandwidth)
         if rng.random() < cfg.slowdown_probability:
             delay += cfg.slowdown_scale * rng.paretovariate(cfg.slowdown_alpha)
         return delay
 
-    def small_message_bound(self, src: int = 0, dst: int = 0) -> float:
-        return self._base(src, dst) + self.config.small_bound
-
-    def worst_case_small_bound(self) -> float:
+    def small_message_bound(self) -> float:
         """Δ covering small messages between *every* pair — what a
         synchronous protocol deployed across regions must use."""
         n = self.topology.n
         return max(
-            self.small_message_bound(a, b) for a in range(n) for b in range(n) if a != b
+            self._pair_small_bound(a, b) for a in range(n) for b in range(n) if a != b
         )
 
-    def worst_case_bound(self, max_size: int, src: int = 0, dst: int = 0) -> float:
+    def worst_case_bound(self, max_size: int) -> float:
         cfg = self.config
         base_model = HybridCloudDelayModel(cfg)
         n = self.topology.n

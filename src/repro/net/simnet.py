@@ -43,7 +43,7 @@ MessageFilter = Callable[[int, int, object, int], bool]
 #: the previous one, and the first None drops the message.  This is the
 #: layering point for adversarial schedulers (repro.check) and gray-failure
 #: behaviors (repro.faults).
-DelayPolicy = Callable[[int, int, object, int, Optional[float]], Optional[float]]
+DelayPolicy = Callable[[int, int, object, int, float], Optional[float]]
 
 #: Delay-observer signature: observer(src, msg, size, latency).  Called at
 #: delivery time on the *receiving* node's behalf, with the one-way latency
@@ -124,10 +124,6 @@ class SimNetwork:
     def add_filter(self, fn: MessageFilter) -> None:
         """Install a drop filter (fault injection hook)."""
         self._filters.append(fn)
-
-    def set_delay_policy(self, fn: Optional[DelayPolicy]) -> None:
-        """Replace the whole delay-policy chain with ``fn`` (None clears)."""
-        self._delay_policies = [] if fn is None else [fn]
 
     def add_delay_policy(self, fn: DelayPolicy, prepend: bool = False) -> None:
         """Append (or prepend) a delay policy to the composition chain.

@@ -12,6 +12,10 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ConfigError
 
+#: Multiplier applied to per-flow bandwidth across regions: WAN links are
+#: thinner than the intra-zone fabric.
+CROSS_REGION_BANDWIDTH_FACTOR = 0.25
+
 
 class Topology:
     """Replica-to-region placement with pairwise network parameters.
@@ -20,20 +24,13 @@ class Topology:
         placements: region name per replica id.
         region_delays: one-way propagation seconds between region pairs
             (symmetric; missing same-region pairs default to 0).
-        cross_region_bandwidth_factor: multiplier (< 1 slows) applied to
-            per-flow bandwidth across regions.
     """
 
     def __init__(
-        self,
-        placements: Sequence[str],
-        region_delays: Dict[Tuple[str, str], float],
-        cross_region_bandwidth_factor: float = 0.25,
+        self, placements: Sequence[str], region_delays: Dict[Tuple[str, str], float]
     ) -> None:
         if not placements:
             raise ConfigError("topology needs at least one replica")
-        if not 0 < cross_region_bandwidth_factor <= 1:
-            raise ConfigError("cross_region_bandwidth_factor must be in (0, 1]")
         self.placements: Tuple[str, ...] = tuple(placements)
         self._delays: Dict[Tuple[str, str], float] = {}
         for (a, b), d in region_delays.items():
@@ -41,7 +38,6 @@ class Topology:
                 raise ConfigError("propagation delays must be non-negative")
             self._delays[(a, b)] = d
             self._delays[(b, a)] = d
-        self.cross_region_bandwidth_factor = cross_region_bandwidth_factor
 
     @property
     def n(self) -> int:
@@ -63,7 +59,7 @@ class Topology:
     def bandwidth(self, src: int, dst: int, base_bandwidth: float) -> float:
         """Per-flow bandwidth between the two replicas."""
         if self.is_cross_region(src, dst):
-            return base_bandwidth * self.cross_region_bandwidth_factor
+            return base_bandwidth * CROSS_REGION_BANDWIDTH_FACTOR
         return base_bandwidth
 
     def regions(self) -> List[str]:

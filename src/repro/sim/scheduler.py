@@ -54,8 +54,8 @@ _FIRE_AND_FORGET = EventHandle(0.0, -1, None)
 class Scheduler:
     """The simulation event loop."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, EventHandle, Callable[..., None], tuple]] = []
         self._seq = itertools.count()
         self._events_processed = 0
@@ -132,12 +132,6 @@ class Scheduler:
                 f"cannot schedule event at {time:.6f}, now is {self._now:.6f}"
             )
         heapq.heappush(self._queue, (time, next(self._seq), _FIRE_AND_FORGET, fn, args))
-
-    def post_after(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`after` (see :meth:`post_at`)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        self.post_at(self._now + delay, fn, *args)
 
     def step(self) -> bool:
         """Execute the next non-cancelled event; False when queue is empty."""

@@ -310,13 +310,10 @@ class TestBoundedGap:
 
 
 class TestAdversary:
-    def _adversary(self, profile, start_time=0.0, seed=7):
-        return ModelBoundedAdversary(
-            profile,
-            NetworkConfig(),
-            Scheduler(start_time=start_time),
-            random.Random(seed),
-        )
+    def _adversary(self, profile, now=0.0, seed=7):
+        scheduler = Scheduler()
+        scheduler.run(until=now)
+        return ModelBoundedAdversary(profile, NetworkConfig(), scheduler, random.Random(seed))
 
     def test_calibrated_installs_no_policy(self):
         assert self._adversary("calibrated").policy() is None
@@ -344,7 +341,7 @@ class TestAdversary:
         assert draws(1) != draws(2)
 
     def test_stall_large_holds_cross_cut_messages(self):
-        adversary = self._adversary("stall-large", start_time=1.2)
+        adversary = self._adversary("stall-large", now=1.2)
         policy = adversary.policy()
         # Crossing the even/odd cut inside the window: held past window end.
         held = policy(0, 1, object(), 50_000, 0.002)
@@ -354,7 +351,7 @@ class TestAdversary:
         assert adversary.stalled == 1
 
     def test_stall_large_outside_window_untouched(self):
-        policy = self._adversary("stall-large", start_time=3.0).policy()
+        policy = self._adversary("stall-large", now=3.0).policy()
         assert policy(0, 1, object(), 50_000, 0.002) == 0.002
 
     def test_adversarial_large_adds_bounded_extra(self):

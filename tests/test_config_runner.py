@@ -72,7 +72,6 @@ class TestNetworkConfig:
             ("egress_bandwidth", 0),
             ("slowdown_probability", 1.5),
             ("slowdown_alpha", 0),
-            ("drop_probability", 1.0),
         ],
     )
     def test_invalid_fields(self, field, value):

@@ -323,20 +323,29 @@ def test_each_replica_event_is_one_call():
 REPO = SRC.parent.parent
 
 #: Where a run gets configured outside the tests: the code that has to
-#: give a ``ProtocolConfig`` field a second value for it to stay a field.
+#: give a config field a second value for it to stay a field
+#: (``measure`` fits ``NetworkConfig`` values from measurements).
 CONFIG_CALLERS = (
     SRC / "bench",
     SRC / "check",
+    SRC / "measure",
     SRC / "runner",
     SRC / "obs",
     REPO / "benchmarks" / "system",
     REPO / "examples",
 )
 
+_PARETO_TAIL = (
+    "the Pareto tail of the calibrated environment model, set together with "
+    "slowdown_probability, which E10 varies"
+)
+
 #: Fields nothing outside the tests sets, and why they stay fields.
 UNSET_ON_PURPOSE = {
     "max_payload_bytes": "deployment cap on a block's size, like an address or a path",
     "idle_propose_delay": "pacing of empty blocks; unit tests turn it off to count proposals",
+    "slowdown_scale": _PARETO_TAIL,
+    "slowdown_alpha": _PARETO_TAIL,
 }
 
 
@@ -366,15 +375,20 @@ def _fields_given_a_second_value(roots, defaults) -> set:  # type: ignore[no-unt
 
 
 def test_every_protocol_config_field_has_a_second_value_in_use():
+    """The rule for every config dataclass: a field is something two
+    callers set differently; anything else is a constant."""
     import dataclasses
 
-    from repro.config import ProtocolConfig
+    from repro.config import ExperimentConfig, NetworkConfig, ProtocolConfig, WorkloadConfig
 
-    defaults = {
-        f.name: None if f.default is dataclasses.MISSING else f.default
-        for f in dataclasses.fields(ProtocolConfig)
-    }
-    assert len(defaults) == 18
+    counts = {ProtocolConfig: 18, NetworkConfig: 9, WorkloadConfig: 3, ExperimentConfig: 10}
+    defaults = {}
+    for cls, count in counts.items():
+        fields = dataclasses.fields(cls)
+        assert len(fields) == count, cls.__name__
+        for f in fields:
+            defaults[f.name] = None if f.default is dataclasses.MISSING else f.default
+    assert len(defaults) == sum(counts.values())  # no name in two dataclasses
     for root in CONFIG_CALLERS:
         assert root.is_dir(), root
     never_set = set(defaults) - _fields_given_a_second_value(CONFIG_CALLERS, defaults)

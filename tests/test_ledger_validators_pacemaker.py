@@ -101,10 +101,10 @@ class TestValidatorSet:
 
 
 class TestPacemaker:
-    def make(self, adaptive=True):
+    def make(self, growth=2.0):
         ctx = FakeContext()
         fired = []
-        pm = Pacemaker(ctx, base_timeout=1.0, growth=2.0, on_timeout=fired.append, adaptive=adaptive)
+        pm = Pacemaker(ctx, base_timeout=1.0, growth=growth, on_timeout=fired.append)
         return ctx, pm, fired
 
     def test_timeout_fires_for_current_epoch(self):
@@ -135,7 +135,7 @@ class TestPacemaker:
         assert pm.current_timeout() == 1.0
 
     def test_non_adaptive_fixed(self):
-        ctx, pm, fired = self.make(adaptive=False)
+        ctx, pm, fired = self.make(growth=1.0)
         pm.enter_epoch(1, made_progress=False)
         pm.enter_epoch(2, made_progress=False)
         assert pm.current_timeout() == 1.0

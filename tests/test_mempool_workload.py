@@ -212,7 +212,7 @@ class TestWorkload:
         assert scheduler.now <= 1.01
 
     def test_all_tx_keys_unique(self):
-        scheduler, pools, gen = self.make(rate=2000.0, duration=1.0, num_clients=4)
+        scheduler, pools, gen = self.make(rate=2000.0, duration=1.0)
         gen.start()
         scheduler.run()
         assert len(gen.submitted) == gen.total_submitted
@@ -225,13 +225,6 @@ class TestWorkload:
         # Top-ups offer the same transactions to every pool.
         assert pools[0].pending_count >= 500
         assert added >= 0
-
-    def test_burst_factor_changes_rate(self):
-        scheduler, pools, gen = self.make(rate=1000.0, duration=2.0, burst_factor=4.0)
-        gen.start()
-        scheduler.run()
-        # The mean rate stays around `rate` (on/off duty cycle compensates).
-        assert 800 < gen.total_submitted < 3200
 
     def test_invalid_config(self):
         with pytest.raises(Exception):

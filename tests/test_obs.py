@@ -14,12 +14,16 @@ import json
 
 import pytest
 
+from repro.bench.common import make_config
 from repro.obs.analyze import (
     PHASE_NAMES,
     assemble_lifecycles,
     delta_headroom,
     epoch_timeline,
+    guard_timeline,
     phase_durations,
+    recovery_timeline,
+    span_overlap_rows,
     straggler_rows,
     summarize_recording,
 )
@@ -454,3 +458,41 @@ class TestLiveRecording:
         result = run_experiment(quick_config("alterbft", duration=2.0))
         assert result.obs is None
         assert result.phase_breakdown_rows() == []
+
+
+# ---------------------------------------------------------------------------
+# Drill-down analyses on the recordings CI's layer-smoke rows make
+# ---------------------------------------------------------------------------
+
+
+def _recording(duration, **kwargs):
+    """The events ``python -m repro.obs record`` writes for this run."""
+    config = make_config("alterbft", duration=duration, warmup=min(1.0, duration / 4), **kwargs)
+    cluster = build_cluster(dataclasses.replace(config, observability=True))
+    cluster.start()
+    cluster.run()
+    return cluster.obs.events
+
+
+class TestDrillDowns:
+    def test_recovery_timeline_shows_the_rejoiner_caught_up(self):
+        events = _recording(
+            5.0, f=2, rate=400.0, seed=11, faults=((1, "crash-recover@1.0:3.0"),),
+            checkpoint_interval=3,
+        )
+        [row] = recovery_timeline(events)
+        assert row["replica"] == 1
+        assert row["caught_up"] is True
+
+    def test_guard_timeline_shows_the_install_and_the_at_risk_commits(self):
+        events = _recording(
+            4.5, rate=300.0, seed=3, faults=((1, "slow-link@1.5:3.0"),), guard_enabled=True
+        )
+        kinds = {row["event"] for row in guard_timeline(events)}
+        assert {"delta_installed", "commit_at_risk"} <= kinds
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_span_overlap_sees_the_pipeline_depth(self, depth):
+        events = _recording(1.5, rate=2000.0, seed=7, pipeline_depth=depth)
+        rows = span_overlap_rows(assemble_lifecycles(events))
+        assert max(int(row["max_inflight"]) for row in rows) == depth

@@ -65,7 +65,7 @@ class TestWan:
         pconf = standard_protocol_config(
             protocol,
             f=1,
-            delta_small=wan.worst_case_small_bound(),
+            delta_small=wan.small_message_bound(),
             delta_big=wan.worst_case_bound(block_bytes(100, 256)),
             max_batch=100,
         )

@@ -487,9 +487,9 @@ class TestSchedulerPost:
         seen = []
 
         def chain():
-            scheduler.post_after(0.5, lambda: seen.append(scheduler.now))
+            scheduler.post_at(scheduler.now + 0.5, lambda: seen.append(scheduler.now))
 
-        scheduler.post_after(1.0, chain)
+        scheduler.post_at(scheduler.now + 1.0, chain)
         scheduler.run()
         assert seen == [1.5]
 
@@ -503,7 +503,7 @@ class TestSchedulerPost:
     def test_post_after_negative_rejected(self):
         scheduler = Scheduler()
         with pytest.raises(SimulationError):
-            scheduler.post_after(-0.1, lambda: None)
+            scheduler.post_at(scheduler.now - 0.1, lambda: None)
 
     def test_run_until_stops_clock(self):
         scheduler = Scheduler()

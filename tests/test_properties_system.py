@@ -13,7 +13,7 @@ import random
 import pytest
 
 from repro.runner.cluster import build_cluster, check_safety
-from repro.runner.experiment import run_experiment
+from repro.runner.experiment import run_experiment, summarize
 from tests.conftest import quick_config
 
 BEHAVIORS = ("crash@1.0", "silent", "equivocate", "withhold_payload", "delay_send")
@@ -94,11 +94,11 @@ class TestRandomizedLiveness:
     def test_alterbft_survives_message_drops(self):
         """Outside the formal model (drops), the repair paths still make
         progress with a lossy network."""
-        from repro.config import NetworkConfig
-
-        network = NetworkConfig(drop_probability=0.01)
-        result = run_experiment(
-            quick_config("alterbft", duration=8.0, network=network, rate=200.0)
-        )
+        cluster = build_cluster(quick_config("alterbft", duration=8.0, rate=200.0))
+        rng = random.Random(1)
+        cluster.network.add_filter(lambda src, dst, msg, size: rng.random() >= 0.01)
+        cluster.start()
+        cluster.run()
+        result = summarize(cluster)
         assert result.safety_ok
         assert result.committed_txs > 50

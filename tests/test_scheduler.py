@@ -30,7 +30,8 @@ class TestOrdering:
         assert fired == list("abcde")
 
     def test_after_relative(self):
-        s = Scheduler(start_time=10.0)
+        s = Scheduler()
+        s.run(until=10.0)
         fired = []
         s.after(0.5, fired.append, s)
         s.run()
@@ -109,7 +110,8 @@ class TestCancellation:
 
 class TestErrors:
     def test_scheduling_in_past_rejected(self):
-        s = Scheduler(start_time=5.0)
+        s = Scheduler()
+        s.run(until=5.0)
         with pytest.raises(SimulationError):
             s.at(4.0, lambda: None)
 

@@ -236,25 +236,6 @@ class TestDelayPolicyComposition:
         assert inboxes[1] == []
         assert policy_calls == []
 
-    def test_set_delay_policy_replaces_chain(self):
-        _, net, _ = make_net()
-
-        def p1(src, dst, msg, size, delay):
-            return delay
-
-        def p2(src, dst, msg, size, delay):
-            return delay
-
-        def p3(src, dst, msg, size, delay):
-            return delay
-
-        net.add_delay_policy(p1)
-        net.add_delay_policy(p2)
-        net.set_delay_policy(p3)
-        assert net.delay_policies == (p3,)
-        net.set_delay_policy(None)
-        assert net.delay_policies == ()
-
     def test_identity_policy_preserves_delivery_schedule(self):
         """Installing a pass-through policy must not perturb the RNG
         stream or the delivery times other components see."""

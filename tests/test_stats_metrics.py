@@ -67,6 +67,9 @@ class TestSummary:
         assert values == sorted(values)
         assert cdf_points([]) == []
 
+    def test_cdf_ends_at_one_when_the_maximum_repeats(self):
+        assert cdf_points([1, 2, 3, 3], points=2) == [(1, 0.25), (3, 0.75), (3, 1.0)]
+
 
 def tx_at(client, seq, t):
     return Transaction(client_id=client, seq=seq, submitted_at=t, payload=b"x")

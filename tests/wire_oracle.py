@@ -363,7 +363,7 @@ class OracleNetwork(SimNetwork):
         self.wire.account(src, dst, msg, size)
         scheduler = self.scheduler
         if src == dst:
-            scheduler.post_after(LOOPBACK_DELAY, self._deliver, src, dst, msg)
+            scheduler.post_at(scheduler.now + LOOPBACK_DELAY, self._deliver, src, dst, msg)
             return
         if self._partition is not None and self._crosses_partition(src, dst):
             self.trace.emit("msg_partitioned")
