@@ -18,8 +18,6 @@ import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-#: Drill-downs that read the wire snapshot; the rest read the span trace.
-WIRE_DRILLS = ("wire", "bandwidth", "chunks", "queues")
 
 
 def run(module: str, *args: str) -> None:
@@ -57,11 +55,9 @@ def main() -> None:
         run("pytest", *files, "--benchmark-disable")
     if args.record:
         run("repro.obs", "record", *shlex.split(args.record), "--out-dir", str(out))
-        exported = ("trace.jsonl", "trace_chrome.json", "wire.jsonl")
-        run("repro.obs", "validate", *(str(out / name) for name in exported))
+        run("repro.obs", "validate", str(out / "trace.jsonl"))
     for drill in filter(None, args.drill.split(",")):
-        source = "wire.jsonl" if drill in WIRE_DRILLS else "trace.jsonl"
-        run("repro.obs", drill, str(out / source))
+        run("repro.obs", drill, str(out / "trace.jsonl"))
 
 
 if __name__ == "__main__":

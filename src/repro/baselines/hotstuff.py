@@ -22,7 +22,7 @@ Implemented rules (event-driven formulation, Algorithm 4/5 of the paper):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set
 
 from ..codec import encode
 from ..consensus.pacemaker import Pacemaker
@@ -45,9 +45,6 @@ class HotStuffReplica(BaseReplica):
     """One chained HotStuff replica (see module docstring)."""
 
     protocol_name = "hotstuff"
-
-    #: Declared wire-phase contract (checked against HANDLERS in tests).
-    WIRE_PHASES = ("propose", "vote", "epoch_change")
 
     HANDLERS = {
         HSProposalMsg: "on_proposal",

@@ -63,9 +63,6 @@ class PBFTReplica(BaseReplica):
 
     protocol_name = "pbft"
 
-    #: Declared wire-phase contract (checked against HANDLERS in tests).
-    WIRE_PHASES = ("propose", "vote", "epoch_change", "repair")
-
     HANDLERS = {
         PBFTPrePrepareMsg: "on_preprepare",
         PBFTPrepareMsg: "on_prepare",

@@ -40,12 +40,9 @@ class SyncHotStuffReplica(AlterBFTReplica):
 
     protocol_name = "sync-hotstuff"
 
-    #: Declared core wire-phase contract (checked against HANDLERS in
-    #: tests).  Unlike AlterBFT there is no separate "payload" phase: Sync
-    #: HotStuff ships the full block inside its proposal, which is the
-    #: size asymmetry the paper's comparison turns on.
-    WIRE_PHASES = ("propose", "vote", "epoch_change", "repair")
-
+    #: No ``PayloadMsg`` and so no "payload" wire phase: Sync HotStuff
+    #: ships the full block inside its proposal, which is the size
+    #: asymmetry the paper's comparison turns on.
     HANDLERS = {
         SHProposalMsg: "on_sh_proposal",
         VoteMsg: "on_vote",

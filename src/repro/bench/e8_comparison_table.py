@@ -44,6 +44,7 @@ def run(fast: bool = True) -> ExperimentOutput:
         config = make_config(protocol, f=1, rate=1000.0, tx_size=512, duration=duration)
         result = run_experiment(config)
         blocks = max(result.committed_blocks, 1)
+        totals = result.wire["totals"]
         row = {
             "protocol": protocol,
             **ANALYTIC[protocol],
@@ -51,8 +52,8 @@ def run(fast: bool = True) -> ExperimentOutput:
             "tput_tps": round(result.throughput_tps, 1),
             "lat_p50_ms": round(result.latency.p50 * 1e3, 2),
             "lat_p99_ms": round(result.latency.p99 * 1e3, 2),
-            "msgs_per_block": round(result.messages / blocks, 1),
-            "kb_per_block": round(result.bytes_total / blocks / 1024, 1),
+            "msgs_per_block": round(totals["msgs"] / blocks, 1),
+            "kb_per_block": round(totals["bytes"] / blocks / 1024, 1),
             "safety_ok": result.safety_ok,
         }
         rows.append(row)

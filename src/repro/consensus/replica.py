@@ -17,7 +17,7 @@ from ..crypto.signatures import Signer
 from ..errors import ConfigError, VerificationError
 from ..mempool.mempool import Mempool
 from ..obs.recorder import SpanRecorder
-from ..types.block import Block, BlockHeader
+from ..types.block import Block
 from ..types.certificates import (
     BLAME,
     VOTE,
@@ -53,22 +53,17 @@ class BaseReplica:
     #: Message-class → handler-method-name mapping (subclass declares).
     HANDLERS: Dict[Type, str] = {}
 
-    #: Wire phases this protocol's own traffic may occupy (subclass
-    #: declares; names from :data:`repro.obs.wire.WIRE_PHASE_NAMES`).
-    #: With the phase of every subsystem the protocol can carry
-    #: (``runner.registry.wire_phases_for``) this is its *declared*
-    #: bandwidth contract: the ``repro.obs wire`` drill-down flags any
-    #: observed phase outside it, and a unit test pins each declaration
-    #: against :meth:`handled_wire_phases` so the two cannot drift silently.
-    WIRE_PHASES: Tuple[str, ...] = ()
-
     @classmethod
     def handled_wire_phases(cls) -> Tuple[str, ...]:
-        """Wire phases derived from :attr:`HANDLERS`, in canonical order.
+        """Wire phases derived from :attr:`HANDLERS`, in canonical order
+        (names from :data:`repro.obs.wire.WIRE_PHASE_NAMES`).
 
         Every message class a replica can *receive* is also one its peers
-        *send*, so the handler map doubles as the ground truth for which
-        phases the protocol's wire traffic can occupy.
+        *send*, so the handler map is the ground truth for which phases
+        the protocol's own traffic can occupy.  With the phase of every
+        subsystem the protocol can carry (``runner.registry.wire_phases_for``)
+        this is its bandwidth contract: the ``repro.obs wire`` drill-down
+        flags any observed phase outside it.
         """
         from ..obs.wire import WIRE_PHASE_NAMES, classify_phase
 

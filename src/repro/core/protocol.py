@@ -93,10 +93,6 @@ class AlterBFTReplica(BaseReplica):
 
     protocol_name = "alterbft"
 
-    #: Declared wire-phase contract of the core protocol (checked against
-    #: HANDLERS in tests).
-    WIRE_PHASES = ("propose", "payload", "vote", "epoch_change", "repair")
-
     #: Multiplier on ``config.delta`` in force.  A synchrony guard writes
     #: it at its epoch-atomic install; ``__init__`` deliberately does not,
     #: so the bound a replica crashed with is the bound it restarts with.

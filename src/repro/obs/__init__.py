@@ -14,14 +14,15 @@ The subsystem instruments the consensus hot path end to end:
 * :mod:`repro.obs.analyze` — assembles recorded marks into per-block
   lifecycles, phase-latency breakdowns, epoch-change timelines,
   straggler detection, and Δ-headroom analysis.
-* :mod:`repro.obs.export` — Chrome-trace (Perfetto-compatible) JSON and
-  JSONL exporters plus the matching loaders/validators.
+* :mod:`repro.obs.export` — the run file (``trace.jsonl``: recording
+  plus wire snapshot) with its one writer and reader, and the
+  Chrome-trace (Perfetto-compatible) view derived from it.
 * :mod:`repro.obs.wire` — wire-level bandwidth accounting: the
   :class:`WireAccountant` taps every send in the simulated network and
   the real transport, attributing bytes to link, message class, protocol
-  phase, δ/Δ size class, and block height/epoch, with telescoping-sum
-  validation, JSONL + Prometheus-text snapshots, and the
-  ``python -m repro.obs wire|bandwidth|queues`` drill-downs.
+  phase, δ/Δ size class, and block height/epoch, with a telescoping-sum
+  validated snapshot that feeds the
+  ``python -m repro.obs wire|bandwidth|chunks|queues`` drill-downs.
 * ``python -m repro.obs`` — the trace-analysis CLI ("why was this block
   slow"); see :mod:`repro.obs.__main__`.
 """
@@ -60,10 +61,7 @@ from .wire import (
     QueueSample,
     WireAccountant,
     classify_phase,
-    read_wire_jsonl,
-    to_prometheus_text,
     validate_wire_snapshot,
-    write_wire_jsonl,
 )
 
 __all__ = [
@@ -90,13 +88,10 @@ __all__ = [
     "WireAccountant",
     "classify_phase",
     "read_jsonl",
-    "read_wire_jsonl",
     "summarize_recording",
     "to_chrome_trace",
-    "to_prometheus_text",
     "validate_chrome_trace",
     "validate_wire_snapshot",
     "write_chrome_trace",
     "write_jsonl",
-    "write_wire_jsonl",
 ]

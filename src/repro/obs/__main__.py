@@ -1,12 +1,11 @@
 """``python -m repro.obs`` — the trace-analysis CLI.
 
-Subcommands:
+``record`` writes one run file, ``trace.jsonl`` (the span recording and
+the wire snapshot; :mod:`repro.obs.export`), plus its derived Chrome
+view ``trace_chrome.json``.  Every other subcommand reads that one file:
 
-* ``record`` — run a seeded scenario with observability enabled and
-  export the recording (JSONL + Chrome trace) and the wire snapshot
-  (``wire.jsonl`` + Prometheus text) to a directory.
 * ``report`` — per-block phase-latency breakdown plus aggregate phase
-  histogram statistics for an exported trace.
+  histogram statistics.
 * ``block`` — "why was this block slow": per-replica milestones and the
   phase decomposition for one block (hash prefix).
 * ``epochs`` — epoch-change timeline with triggering blames.
@@ -18,33 +17,28 @@ Subcommands:
 * ``overlap`` — pipelining evidence: per-epoch overlap between
   consecutive blocks' in-flight spans and peak in-flight concurrency.
 * ``headroom`` — observed small-message delay vs the configured Δ.
-* ``wire`` — wire-level bandwidth drill-down for a ``wire.jsonl``
-  snapshot: telescoping-sum validation, per-class and per-phase byte
-  tables, and a cross-check of observed phases against the protocol's
-  declared ``WIRE_PHASES`` contract.
+* ``wire`` — wire-level bandwidth drill-down: telescoping-sum
+  validation, per-class and per-phase byte tables, and a cross-check of
+  observed phases against the protocol's wire-phase contract
+  (:func:`repro.runner.registry.wire_phases_for`).
 * ``bandwidth`` — who sent the bytes: per-node egress, heaviest links,
   and the leader-egress share the paper's bandwidth argument turns on.
 * ``chunks`` — chunked-dissemination drill-down: per-chunk-class bytes
   vs the blob payload path, share sizes, and the push/pull split.
 * ``queues`` — egress backpressure samples (simulated bandwidth-limit
   queueing) per node.
-* ``validate`` — structural validation of JSONL, Chrome-trace, and wire
-  snapshot files; obs JSONL is also round-tripped through the Chrome
-  exporter, wire JSONL through the telescoping validator.
-
-``report``/``block``/... operate on the JSONL export (the lossless
-format); ``wire``/``bandwidth``/``queues`` on the ``wire.jsonl``
-``record`` writes; ``validate`` accepts all formats.
+* ``validate`` — reads each file (any malformed line or field is a
+  problem, not a crash), renders its recording as a Chrome trace and
+  validates that, and checks its wire snapshot's telescoping sums.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..runner.cli import add_scenario_arguments, config_from_args
 from ..runner.report import format_table
@@ -67,7 +61,7 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .recorder import EVENT_GUARD_AT_RISK_COMMIT, EVENT_GUARD_DELTA_INSTALLED, SpanRecorder
+from .recorder import EVENT_GUARD_AT_RISK_COMMIT, EVENT_GUARD_DELTA_INSTALLED
 from .wire import (
     WIRE_PHASE_NAMES,
     chunk_rows,
@@ -75,32 +69,42 @@ from .wire import (
     link_rows,
     phase_rows,
     queue_rows,
-    read_wire_jsonl,
     sender_rows,
-    to_prometheus_text,
     validate_wire_snapshot,
-    write_wire_jsonl,
 )
 
 #: Float tolerance when cross-checking phase sums vs end-to-end latency.
 SUM_TOLERANCE_MS = 1e-6
 
 
-def _load(path: str) -> Tuple[Dict[str, Any], SpanRecorder]:
-    meta, recorder = read_jsonl(path)
-    return meta, recorder
-
-
-def _bounds_from_meta(meta: Dict[str, Any]) -> Tuple[float, int]:
-    delta = float(meta.get("delta", 0.0))
-    threshold = int(meta.get("small_threshold", 4096))
-    return delta, threshold
-
-
 def _round_row(row: Dict[str, object], digits: int = 3) -> Dict[str, object]:
     return {
         k: (round(v, digits) if isinstance(v, float) else v) for k, v in row.items()
     }
+
+
+def phase_table(rows: Sequence[Dict[str, object]]) -> str:
+    """The aggregate phase-latency table (``report``, and
+    ``alterbft-bench run --obs`` for its run's ``ObsSummary.phase_rows``)."""
+    return format_table([_round_row(r) for r in rows])
+
+
+def wire_tables(snapshot: Dict[str, object]) -> str:
+    """The per-class and per-phase byte tables of a wire snapshot
+    (``wire``, and ``alterbft-bench run --obs`` for its run's wire)."""
+    return "\n".join(
+        [
+            "bytes by message class:",
+            format_table(
+                class_rows(snapshot),
+                ["class", "phase", "msgs", "bytes", "share_%", "small_B", "large_B",
+                 "mean_B", "max_B"],
+            ),
+            "",
+            "bytes by protocol phase:",
+            format_table(phase_rows(snapshot)),
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -126,37 +130,21 @@ def _cmd_record(args: argparse.Namespace) -> int:
         "delta": config.protocol_config.delta,
         "small_threshold": config.network_config.small_threshold,
         "fingerprint": cluster.fingerprint(),
+        "committed_blocks": cluster.collector.committed_blocks(),
     }
+    snapshot = cluster.wire.snapshot(meta)
     os.makedirs(args.out_dir, exist_ok=True)
     jsonl_path = os.path.join(args.out_dir, "trace.jsonl")
     chrome_path = os.path.join(args.out_dir, "trace_chrome.json")
-    write_jsonl(jsonl_path, cluster.obs, meta)
+    write_jsonl(jsonl_path, cluster.obs, snapshot)
     write_chrome_trace(chrome_path, cluster.obs, meta)
     print(
         f"recorded {len(cluster.obs.events)} events, "
-        f"{len(cluster.obs.messages)} message samples"
+        f"{len(cluster.obs.messages)} message samples, "
+        f"{snapshot['totals']['msgs']} messages / {snapshot['totals']['bytes']} wire bytes"
     )
     print(f"wrote {jsonl_path}")
     print(f"wrote {chrome_path}")
-    snapshot = cluster.wire.snapshot(
-        meta={
-            "protocol": config.protocol,
-            "seed": config.seed,
-            "committed_blocks": cluster.collector.committed_blocks(),
-            "fingerprint": meta["fingerprint"],
-        }
-    )
-    wire_jsonl = os.path.join(args.out_dir, "wire.jsonl")
-    wire_prom = os.path.join(args.out_dir, "wire.prom")
-    write_wire_jsonl(wire_jsonl, snapshot)
-    with open(wire_prom, "w", encoding="utf-8") as fh:
-        fh.write(to_prometheus_text(snapshot))
-    print(
-        f"accounted {snapshot['totals']['msgs']} messages / "
-        f"{snapshot['totals']['bytes']} wire bytes"
-    )
-    print(f"wrote {wire_jsonl}")
-    print(f"wrote {wire_prom}")
     return 0
 
 
@@ -166,9 +154,10 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    meta, recorder = _load(args.trace)
-    delta, threshold = _bounds_from_meta(meta)
-    summary = summarize_recording(recorder, delta=delta, small_threshold=threshold)
+    meta, recorder, wire = read_jsonl(args.trace)
+    summary = summarize_recording(
+        recorder, delta=float(meta.get("delta", 0.0)), small_threshold=wire["small_threshold"]
+    )
     if not summary.block_rows:
         print("no committed blocks in trace")
         return 1
@@ -188,7 +177,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(format_table([_round_row(r) for r in block_rows], columns))
     print()
     print("== aggregate phase latency (first committer, all blocks) ==")
-    print(format_table([_round_row(r, 3) for r in summary.phase_rows]))
+    print(phase_table(summary.phase_rows))
     print()
     print(
         f"phase-sum check: max |sum(phases) - e2e| = {worst_gap:.9f} ms "
@@ -208,7 +197,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_block(args: argparse.Namespace) -> int:
-    meta, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     lifecycles = assemble_lifecycles(recorder.events)
     matches = [
         life for life in lifecycles.values() if life.hex.startswith(args.block.lower())
@@ -270,7 +259,7 @@ def _cmd_block(args: argparse.Namespace) -> int:
 
 
 def _cmd_epochs(args: argparse.Namespace) -> int:
-    _, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     rows = epoch_timeline(recorder.events)
     if not rows:
         print("no epoch changes in trace")
@@ -280,7 +269,7 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
-    _, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     rows = recovery_timeline(recorder.events)
     if not rows:
         print("no recovery events in trace")
@@ -295,7 +284,7 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_guard(args: argparse.Namespace) -> int:
-    _, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     rows = guard_timeline(recorder.events)
     if not rows:
         print("no synchrony-guard events in trace (guard disabled, or Δ never drifted)")
@@ -308,7 +297,7 @@ def _cmd_guard(args: argparse.Namespace) -> int:
 
 
 def _cmd_stragglers(args: argparse.Namespace) -> int:
-    _, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     rows = straggler_rows(assemble_lifecycles(recorder.events), threshold=args.threshold)
     if not rows:
         print("no per-replica data in trace")
@@ -320,7 +309,7 @@ def _cmd_stragglers(args: argparse.Namespace) -> int:
 
 
 def _cmd_overlap(args: argparse.Namespace) -> int:
-    _, recorder = _load(args.trace)
+    _, recorder, _ = read_jsonl(args.trace)
     rows = span_overlap_rows(assemble_lifecycles(recorder.events))
     if not rows:
         print("no consecutive committed heights in trace")
@@ -333,14 +322,12 @@ def _cmd_overlap(args: argparse.Namespace) -> int:
 
 
 def _cmd_headroom(args: argparse.Namespace) -> int:
-    meta, recorder = _load(args.trace)
-    delta, threshold = _bounds_from_meta(meta)
-    if args.delta is not None:
-        delta = args.delta
+    meta, recorder, wire = read_jsonl(args.trace)
+    delta = float(meta.get("delta", 0.0)) if args.delta is None else args.delta
     if delta <= 0:
         print("no Δ in trace metadata; pass --delta SECONDS")
         return 1
-    result = delta_headroom(recorder.messages, delta, threshold)
+    result = delta_headroom(recorder.messages, delta, wire["small_threshold"])
     by_class = result.pop("by_class")
     print(format_table([_round_row(result)]))
     print()
@@ -360,14 +347,14 @@ def _cmd_headroom(args: argparse.Namespace) -> int:
 
 
 def _cmd_wire(args: argparse.Namespace) -> int:
-    snapshot = read_wire_jsonl(args.snapshot)
+    meta, _, snapshot = read_jsonl(args.trace)
     problems = validate_wire_snapshot(snapshot)
-    meta = snapshot.get("meta") or {}
     protocol = meta.get("protocol")
 
-    # Cross-check observed phases against the protocol's declared
-    # WIRE_PHASES contract: traffic in an undeclared phase means either
-    # the contract or the classifier is stale.
+    # Cross-check observed phases against the protocol's wire-phase
+    # contract, the phases of every message its replicas and subsystems
+    # handle: traffic outside it is a class no receiver of this protocol
+    # handles, or one the classifier does not know.
     observed = {row["phase"] for row in snapshot["phases"] if row["bytes"]}
     if protocol is not None:
         from ..errors import ConfigError
@@ -380,8 +367,7 @@ def _cmd_wire(args: argparse.Namespace) -> int:
             declared = observed
         for phase in sorted(observed - declared):
             problems.append(
-                f"observed phase {phase!r} outside {protocol}'s declared "
-                f"WIRE_PHASES contract"
+                f"observed phase {phase!r} outside {protocol}'s wire-phase contract"
             )
 
     print(f"== wire accounting ({protocol or '?'}) ==")
@@ -389,14 +375,7 @@ def _cmd_wire(args: argparse.Namespace) -> int:
           f"(of which {snapshot['totals']['loopback_msgs']} loopback msgs / "
           f"{snapshot['totals']['loopback_bytes']} bytes never leave the host)")
     print()
-    print("bytes by message class:")
-    print(format_table(
-        class_rows(snapshot),
-        ["class", "phase", "msgs", "bytes", "share_%", "small_B", "large_B", "mean_B", "max_B"],
-    ))
-    print()
-    print("bytes by protocol phase:")
-    print(format_table(phase_rows(snapshot)))
+    print(wire_tables(snapshot))
     if problems:
         print()
         print("INVALID:")
@@ -410,7 +389,7 @@ def _cmd_wire(args: argparse.Namespace) -> int:
 
 
 def _cmd_bandwidth(args: argparse.Namespace) -> int:
-    snapshot = read_wire_jsonl(args.snapshot)
+    meta, _, snapshot = read_jsonl(args.trace)
     print("per-node egress:")
     print(format_table(sender_rows(snapshot)))
     print()
@@ -418,14 +397,14 @@ def _cmd_bandwidth(args: argparse.Namespace) -> int:
     print(format_table(link_rows(snapshot, top=args.top)))
     print()
     print(f"leader egress share: {snapshot['leader_egress_share']:.4f}")
-    committed = (snapshot.get("meta") or {}).get("committed_blocks")
+    committed = meta.get("committed_blocks")
     if committed:
         print(f"bytes per commit   : {snapshot['totals']['bytes'] / committed:.1f}")
     return 0
 
 
 def _cmd_chunks(args: argparse.Namespace) -> int:
-    snapshot = read_wire_jsonl(args.snapshot)
+    _, _, snapshot = read_jsonl(args.trace)
     rows = chunk_rows(snapshot)
     if not rows:
         print("no dissemination traffic in snapshot (flag off, or a blob run)")
@@ -450,7 +429,7 @@ def _cmd_chunks(args: argparse.Namespace) -> int:
 
 
 def _cmd_queues(args: argparse.Namespace) -> int:
-    snapshot = read_wire_jsonl(args.snapshot)
+    _, _, snapshot = read_jsonl(args.trace)
     rows = queue_rows(snapshot)
     if not rows:
         print("no egress queueing observed (bandwidth limit off or never saturated)")
@@ -466,37 +445,10 @@ def _cmd_queues(args: argparse.Namespace) -> int:
 
 def _validate_one(path: str) -> List[str]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            first_line = fh.readline()
-    except OSError as exc:
+        meta, recorder, wire = read_jsonl(path)
+    except (ValueError, OSError) as exc:
         return [str(exc)]
-    try:
-        head = json.loads(first_line)
-    except json.JSONDecodeError:
-        head = None  # multi-line JSON document (e.g. indented Chrome trace)
-    # Wire snapshot JSONL: first line is its wire_meta header.
-    if isinstance(head, dict) and head.get("record") == "wire_meta":
-        try:
-            return validate_wire_snapshot(read_wire_jsonl(path))
-        except (ValueError, KeyError, OSError) as exc:
-            return [str(exc)]
-    # Both remaining formats start with "{": a JSONL export's first line
-    # is its meta header, while a Chrome trace's first line opens the
-    # document.
-    if not (isinstance(head, dict) and head.get("record") == "meta"):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, OSError) as exc:
-            return [f"not valid JSON: {exc}"]
-        return validate_chrome_trace(doc)
-    # Otherwise: JSONL.  Parse it, then round-trip through the Chrome
-    # exporter so a JSONL that cannot render as a timeline also fails.
-    try:
-        meta, recorder = read_jsonl(path)
-    except (ValueError, KeyError, OSError) as exc:
-        return [str(exc)]
-    return validate_chrome_trace(to_chrome_trace(recorder, meta))
+    return validate_chrome_trace(to_chrome_trace(recorder, meta)) + validate_wire_snapshot(wire)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -520,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="python -m repro.obs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    record_p = sub.add_parser("record", help="run a seeded scenario and export its trace")
+    record_p = sub.add_parser("record", help="run a seeded scenario and write its run file")
     record_p.add_argument("--protocol", default="alterbft")
     add_scenario_arguments(record_p, rate=500.0, duration=2.0, seed=7)
     record_p.add_argument("--out-dir", default="obs_trace")
@@ -568,29 +520,29 @@ def build_parser() -> argparse.ArgumentParser:
     wire_p = sub.add_parser(
         "wire", help="wire-byte drill-down: classes, phases, telescoping check"
     )
-    wire_p.add_argument("snapshot", help="wire.jsonl from `record`")
+    wire_p.add_argument("trace")
     wire_p.set_defaults(func=_cmd_wire)
 
     bandwidth_p = sub.add_parser(
         "bandwidth", help="who sent the bytes: per-node egress and heaviest links"
     )
-    bandwidth_p.add_argument("snapshot", help="wire.jsonl from `record`")
+    bandwidth_p.add_argument("trace")
     bandwidth_p.add_argument("--top", type=int, default=10, help="links shown")
     bandwidth_p.set_defaults(func=_cmd_bandwidth)
 
     chunks_p = sub.add_parser(
         "chunks", help="chunked-dissemination drill-down: push/pull byte split"
     )
-    chunks_p.add_argument("snapshot", help="wire.jsonl from `record`")
+    chunks_p.add_argument("trace")
     chunks_p.set_defaults(func=_cmd_chunks)
 
     queues_p = sub.add_parser(
         "queues", help="egress backpressure samples per node"
     )
-    queues_p.add_argument("snapshot", help="wire.jsonl from `record`")
+    queues_p.add_argument("trace")
     queues_p.set_defaults(func=_cmd_queues)
 
-    validate_p = sub.add_parser("validate", help="validate exported trace files")
+    validate_p = sub.add_parser("validate", help="validate run files")
     validate_p.add_argument("traces", nargs="+")
     validate_p.set_defaults(func=_cmd_validate)
     return parser

@@ -149,14 +149,13 @@ def assemble_lifecycles(events: Iterable[ObsEvent]) -> Dict[bytes, BlockLifecycl
 
 
 def block_phase_rows(
-    lifecycles: Dict[bytes, BlockLifecycle],
-    registry: Optional[MetricsRegistry] = None,
+    lifecycles: Dict[bytes, BlockLifecycle], registry: MetricsRegistry
 ) -> List[Dict[str, object]]:
     """Per-block phase breakdown at the first committer, in commit order.
 
-    When ``registry`` is given, each phase duration is also observed into
+    Each phase duration is also observed into ``registry``'s
     ``phase_latency/<phase>`` and the end-to-end latency into
-    ``block_latency/e2e``.
+    ``block_latency/e2e`` (what :func:`phase_summary_rows` reads).
     """
     rows: List[Dict[str, object]] = []
     order = sorted(
@@ -182,11 +181,9 @@ def block_phase_rows(
         row["total_ms"] = sum(durations.values()) * 1e3
         row["e2e_ms"] = e2e * 1e3
         rows.append(row)
-        if registry is not None:
-            for phase in PHASE_NAMES:
-                registry.histogram(f"phase_latency/{phase}").observe(durations[phase])
-            registry.histogram("block_latency/e2e").observe(e2e)
-            registry.counter(f"commits_by_replica/{node}").inc()
+        for phase in PHASE_NAMES:
+            registry.histogram(f"phase_latency/{phase}").observe(durations[phase])
+        registry.histogram("block_latency/e2e").observe(e2e)
     return rows
 
 
@@ -611,20 +608,10 @@ class ObsSummary:
     epoch_rows: List[Dict[str, object]]
     straggler_rows: List[Dict[str, object]]
     headroom: Dict[str, object]
-    registry: MetricsRegistry
 
     @property
     def committed_blocks(self) -> int:
         return len(self.block_rows)
-
-
-def fill_message_metrics(
-    registry: MetricsRegistry, messages: Sequence[MsgSample]
-) -> None:
-    """Per-message-class delay histograms and counters."""
-    for sample in messages:
-        registry.counter(f"msg_count/{sample.cls}").inc()
-        registry.histogram(f"msg_latency/{sample.cls}").observe(sample.latency)
 
 
 def summarize_recording(
@@ -636,14 +623,10 @@ def summarize_recording(
     registry = MetricsRegistry()
     lifecycles = assemble_lifecycles(recorder.events)
     block_rows = block_phase_rows(lifecycles, registry)
-    fill_message_metrics(registry, recorder.messages)
-    for event in recorder.events:
-        registry.counter(f"events/{event.kind}").inc()
     return ObsSummary(
         block_rows=block_rows,
         phase_rows=phase_summary_rows(registry),
         epoch_rows=epoch_timeline(recorder.events),
         straggler_rows=straggler_rows(lifecycles),
         headroom=delta_headroom(recorder.messages, delta, small_threshold),
-        registry=registry,
     )

@@ -1,16 +1,17 @@
-"""Trace exporters and loaders: Chrome-trace JSON and JSONL.
+"""The run file (``trace.jsonl``) and its Chrome-trace view.
 
-Two formats serve two audiences:
-
+* **JSONL** (``trace.jsonl``, schema 2) — what one recorded run *is*:
+  a meta header (the run's meta and the wire snapshot's totals), one
+  JSON object per mark/event/message sample, then one object per row of
+  the :class:`~repro.obs.wire.WireAccountant` snapshot.  Lossless:
+  :func:`read_jsonl` gives back the :class:`~repro.obs.recorder.SpanRecorder`
+  and a snapshot equal to the one written, and every ``python -m
+  repro.obs`` analysis (:mod:`repro.obs.__main__`) reads this file.
 * **Chrome trace** (``trace_chrome.json``) — the Trace Event Format
-  consumed by ``chrome://tracing`` and Perfetto.  Each replica is a
-  process; block-lifecycle phases become complete (``"X"``) duration
-  events on a per-height track, epoch events become instants (``"i"``).
-  This is a *view* of the recording: derived spans, lossy by design.
-* **JSONL** (``trace.jsonl``) — the lossless event log: a header record
-  followed by one JSON object per mark/event/message sample.  The CLI
-  analyses (:mod:`repro.obs.__main__`) operate on this format, and it
-  round-trips back into a :class:`~repro.obs.recorder.SpanRecorder`.
+  consumed by ``chrome://tracing`` and Perfetto, derived from the
+  recording.  Each replica is a process; block-lifecycle phases become
+  complete (``"X"``) duration events on a per-height track, epoch events
+  become instants (``"i"``).  A *view*: derived spans, lossy by design.
 
 Timestamps in Chrome traces are **microseconds**; the recorder's are
 simulation seconds.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .analyze import PHASE_NAMES, assemble_lifecycles, phase_durations
+from .analyze import PHASE_NAMES, assemble_lifecycles
 from .recorder import (
     BLOCK_MILESTONES,
     MARK_COMMIT,
@@ -31,7 +32,7 @@ from .recorder import (
     SpanRecorder,
 )
 
-JSONL_SCHEMA = 1
+JSONL_SCHEMA = 2
 
 #: Chrome-trace event names this exporter may produce, the validator's
 #: reference vocabulary.
@@ -176,8 +177,27 @@ def _is_hex(s: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSONL
+# JSONL: the run file
 # ---------------------------------------------------------------------------
+
+#: Wire-snapshot axes in file order: (snapshot key, record name of a row).
+WIRE_RECORDS: Tuple[Tuple[str, str], ...] = (
+    ("links", "link"),
+    ("classes", "class"),
+    ("phases", "phase"),
+    ("size_classes", "size_class"),
+    ("senders", "sender"),
+    ("receivers", "receiver"),
+    ("heights", "height"),
+    ("epochs", "epoch"),
+    ("queues", "queue"),
+)
+
+#: Header keys the file format owns; every other header key is run meta.
+_HEADER_KEYS = ("record", "schema", "events", "messages", "wire")
+
+_NUMBER = (int, float)
+_TYPE_NAMES = {_NUMBER: "a number", int: "an integer", str: "a string", dict: "an object"}
 
 
 def _jsonable_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
@@ -186,16 +206,17 @@ def _jsonable_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def jsonl_records(
-    recorder: SpanRecorder, meta: Optional[Dict[str, Any]] = None
-) -> Iterable[Dict[str, Any]]:
-    """The JSONL document as an iterable of records (header first)."""
+def jsonl_records(recorder: SpanRecorder, wire: Dict[str, Any]) -> Iterable[Dict[str, Any]]:
+    """The run file as an iterable of records: the meta header, every
+    event and message sample, then every row of the wire snapshot."""
+    axes = {key for key, _ in WIRE_RECORDS}
     yield {
+        **_jsonable_attrs(wire["meta"]),
         "record": "meta",
         "schema": JSONL_SCHEMA,
         "events": len(recorder.events),
         "messages": len(recorder.messages),
-        **_jsonable_attrs(dict(meta or {})),
+        "wire": {k: v for k, v in wire.items() if k not in axes and k != "meta"},
     }
     for event in recorder.events:
         record: Dict[str, Any] = {
@@ -219,77 +240,125 @@ def jsonl_records(
             "size": sample.size,
             "latency": sample.latency,
         }
+    for key, name in WIRE_RECORDS:
+        for row in wire[key]:
+            yield {"record": name, **row}
 
 
-def write_jsonl(path: str, recorder: SpanRecorder, meta: Optional[Dict[str, Any]] = None) -> None:
+def write_jsonl(path: str, recorder: SpanRecorder, wire: Dict[str, Any]) -> None:
+    """Write one run: ``recorder``'s events and messages and the wire
+    snapshot ``wire``, whose ``meta`` becomes the file's meta header."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in jsonl_records(recorder, meta):
+        for record in jsonl_records(recorder, wire):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_jsonl(path: str) -> Tuple[Dict[str, Any], SpanRecorder]:
-    """Load a JSONL export back into (meta, recorder).
+def _field(record: Dict[str, Any], key: str, want: Any, where: str) -> Any:
+    """``record[key]``, which must be of type ``want`` (bools are not numbers)."""
+    if key not in record:
+        raise ValueError(f"{where}: missing field {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, want):
+        raise ValueError(f"{where}: field {key!r} is {value!r}, not {_TYPE_NAMES[want]}")
+    return value
 
-    Raises ``ValueError`` on structural problems — the CLI's ``validate``
-    command surfaces these as validation failures.
+
+def _header(record: Dict[str, Any], where: str) -> Dict[str, Any]:
+    if record.get("record") != "meta":
+        raise ValueError(f"{where}: first record must be the meta header")
+    if record.get("schema") != JSONL_SCHEMA:
+        raise ValueError(f"{where}: unsupported schema {record.get('schema')!r}")
+    _field(record, "events", int, where)
+    _field(record, "messages", int, where)
+    wire = _field(record, "wire", dict, where)
+    _field(wire, "small_threshold", int, where)
+    _field(wire, "leader_egress_share", _NUMBER, where)
+    totals = _field(wire, "totals", dict, where)
+    for key in totals:
+        _field(totals, key, int, where)
+    return record
+
+
+def _event(record: Dict[str, Any], where: str) -> ObsEvent:
+    block = record.get("block")
+    if block is not None:
+        _field(record, "block", str, where)
+        try:
+            block = bytes.fromhex(block)
+        except ValueError:
+            raise ValueError(f"{where}: field 'block' is {block!r}, not hex") from None
+    return ObsEvent(
+        time=float(_field(record, "t", _NUMBER, where)),
+        kind=_field(record, "kind", str, where),
+        node=_field(record, "node", int, where),
+        block=block,
+        attrs=dict(_field(record, "attrs", dict, where)) if "attrs" in record else {},
+    )
+
+
+def _msg(record: Dict[str, Any], where: str) -> MsgSample:
+    return MsgSample(
+        time=float(_field(record, "t", _NUMBER, where)),
+        src=_field(record, "src", int, where),
+        dst=_field(record, "dst", int, where),
+        cls=_field(record, "cls", str, where),
+        size=_field(record, "size", int, where),
+        latency=float(_field(record, "latency", _NUMBER, where)),
+    )
+
+
+def _wire_row(record: Dict[str, Any], where: str) -> Dict[str, Any]:
+    row = {k: v for k, v in record.items() if k != "record"}
+    for key in row:
+        if key in ("class", "phase", "size_class"):
+            _field(row, key, str, where)
+        else:
+            _field(row, key, dict if key == "hist" else _NUMBER, where)
+    return row
+
+
+def read_jsonl(path: str) -> Tuple[Dict[str, Any], SpanRecorder, Dict[str, Any]]:
+    """Load a run file back into (meta, recorder, wire snapshot).
+
+    Raises ``ValueError`` naming ``path:line`` on any line that is not a
+    JSON object or holds an ill-typed field, and on a header whose counts
+    disagree with the body — the CLI's ``validate`` command surfaces these
+    as validation failures.
     """
     recorder = SpanRecorder()
-    meta: Dict[str, Any] = {}
+    header: Optional[Dict[str, Any]] = None
+    rows: Dict[str, List[Dict[str, Any]]] = {key: [] for key, _ in WIRE_RECORDS}
+    axis_of = {name: key for key, name in WIRE_RECORDS}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from exc
+                raise ValueError(f"{where}: not JSON ({exc})") from exc
+            if not isinstance(record, dict):
+                raise ValueError(f"{where}: not a JSON object")
             kind = record.get("record")
-            if lineno == 1:
-                if kind != "meta":
-                    raise ValueError(f"{path}: first record must be the meta header")
-                if record.get("schema") != JSONL_SCHEMA:
-                    raise ValueError(
-                        f"{path}: unsupported schema {record.get('schema')!r}"
-                    )
-                meta = {
-                    k: v for k, v in record.items() if k not in ("record", "schema")
-                }
+            if header is None:
+                header = _header(record, where)
             elif kind == "event":
-                block = record.get("block")
-                recorder.events.append(
-                    ObsEvent(
-                        time=float(record["t"]),
-                        kind=str(record["kind"]),
-                        node=int(record["node"]),
-                        block=bytes.fromhex(block) if block is not None else None,
-                        attrs=dict(record.get("attrs", {})),
-                    )
-                )
+                recorder.events.append(_event(record, where))
             elif kind == "msg":
-                recorder.messages.append(
-                    MsgSample(
-                        time=float(record["t"]),
-                        src=int(record["src"]),
-                        dst=int(record["dst"]),
-                        cls=str(record["cls"]),
-                        size=int(record["size"]),
-                        latency=float(record["latency"]),
-                    )
-                )
+                recorder.messages.append(_msg(record, where))
+            elif kind in axis_of:
+                rows[axis_of[kind]].append(_wire_row(record, where))
             else:
-                raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
-    if meta.get("events") not in (None, len(recorder.events)):
-        raise ValueError(
-            f"{path}: header declares {meta.get('events')} events, found "
-            f"{len(recorder.events)}"
-        )
-    if meta.get("messages") not in (None, len(recorder.messages)):
-        raise ValueError(
-            f"{path}: header declares {meta.get('messages')} messages, found "
-            f"{len(recorder.messages)}"
-        )
-    return meta, recorder
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    for key, found in (("events", recorder.events), ("messages", recorder.messages)):
+        if header[key] != len(found):
+            raise ValueError(f"{path}: header declares {header[key]} {key}, found {len(found)}")
+    meta = {k: v for k, v in header.items() if k not in _HEADER_KEYS}
+    return meta, recorder, {**header["wire"], "meta": dict(meta), **rows}
 
 
 def write_chrome_trace(

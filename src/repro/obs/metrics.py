@@ -1,18 +1,18 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
-The registry is the aggregation layer between raw recordings
-(:mod:`repro.obs.recorder`) and human-facing reports: analysis fills it
-with per-phase, per-message-class, and per-replica instruments, and the
-report/CLI layers render whatever it holds.  Histograms use **fixed**
-bucket bounds so two registries filled from different runs (or different
-replicas) can be merged bucket-by-bucket without resampling — the same
-property Prometheus-style systems rely on.
+A :class:`MetricsRegistry` holds named instruments created on first use:
+the real transport counts its health (reconnects, queue drops, bad
+frames) into one per node, and analysis observes per-phase latencies into
+one to summarize them (:func:`repro.obs.analyze.phase_summary_rows`).
+Histograms use **fixed** bucket bounds, so quantiles are estimated the
+same way whichever run filled them; the wire accountant's per-class size
+histograms (:mod:`repro.obs.wire`) are the same :class:`Histogram`.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): 0.25 ms … ~8 s, doubling.  Chosen
 #: to straddle everything the simulator produces — sub-millisecond
@@ -33,9 +33,6 @@ class Counter:
             raise ValueError("counters only go up")
         self.value += n
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "counter", "value": self.value}
-
 
 class Gauge:
     """Last-write-wins instantaneous value."""
@@ -47,9 +44,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -122,18 +116,6 @@ class Histogram:
             prev_bound = bound
         return self.max  # overflow bucket (or q=1)
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram with identical bounds into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.overflow += other.overflow
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "type": "histogram",
@@ -154,7 +136,7 @@ class MetricsRegistry:
     """Named instruments, created on first use.
 
     Names are slash-separated paths (``phase_latency/vote``,
-    ``msg_latency/VoteMsg``); re-requesting a name returns the existing
+    ``transport/reconnects_total``); re-requesting a name returns the existing
     instrument, and requesting it with a different type is an error.
     """
 
@@ -183,46 +165,5 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(name, lambda: Histogram(bounds), Histogram)
 
-    def names(self, prefix: str = "") -> List[str]:
-        return sorted(n for n in self._instruments if n.startswith(prefix))
-
     def get(self, name: str) -> Optional[object]:
         return self._instruments.get(name)
-
-    def histograms(self, prefix: str = "") -> List[Tuple[str, Histogram]]:
-        return [
-            (n, inst)
-            for n in self.names(prefix)
-            if isinstance((inst := self._instruments[n]), Histogram)
-        ]
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry into this one, instrument by instrument.
-
-        Counters **sum** (a name present on only one side keeps its
-        value — merging over disjoint label sets is the common case when
-        combining per-replica registries).  Histograms merge
-        bucket-by-bucket and raise ``ValueError`` on mismatched bucket
-        layouts, the same contract as :meth:`Histogram.merge`.  Gauges
-        are instantaneous values with no meaningful sum, so the merge is
-        **peak-preserving**: the larger value wins.  A name registered
-        with different instrument types on the two sides raises
-        ``TypeError``.  Returns ``self`` for chaining.
-        """
-        for name in other.names():
-            instrument = other.get(name)
-            if isinstance(instrument, Counter):
-                self.counter(name).inc(instrument.value)
-            elif isinstance(instrument, Histogram):
-                # Requesting with the incoming bounds creates a matching
-                # histogram when absent; an existing one keeps its own
-                # bounds and merge() raises on a layout mismatch.
-                self.histogram(name, instrument.bounds).merge(instrument)
-            elif isinstance(instrument, Gauge):
-                gauge = self.gauge(name)
-                gauge.set(max(gauge.value, instrument.value))
-        return self
-
-    def as_dict(self) -> Dict[str, Dict[str, object]]:
-        """Everything in the registry, JSON-serializable."""
-        return {name: self._instruments[name].to_dict() for name in self.names()}

@@ -142,10 +142,6 @@ class SpanRecorder:
         """Record a block-lifecycle milestone (or, without ``block``, an event)."""
         self.events.append(ObsEvent(time=time, kind=kind, node=node, block=block, attrs=attrs))
 
-    def event(self, time: float, kind: str, node: int, **attrs: Any) -> None:
-        """Record an epoch/view-level event."""
-        self.events.append(ObsEvent(time=time, kind=kind, node=node, attrs=attrs))
-
     def message(
         self, time: float, src: int, dst: int, cls: str, size: int, latency: float
     ) -> None:

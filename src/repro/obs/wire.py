@@ -21,10 +21,11 @@ Each axis *telescopes*: its per-key byte (and message) counters sum
 exactly to the wire totals, so a drill-down never silently loses traffic
 — :func:`validate_wire_snapshot` asserts this, and the test suite pins it
 for seeded runs.  Per-class log₂ size histograms and egress queueing
-(backpressure) samples complete the picture the future real-cluster mode
-needs on day one; :func:`to_prometheus_text` renders the standard text
-exposition for that mode's scrapers, and the JSONL snapshot feeds the
-``python -m repro.obs wire|bandwidth|queues`` drill-downs.
+(backpressure) samples complete the picture.  :meth:`WireAccountant.snapshot`
+is the one export: ``python -m repro.obs record`` writes it into the run's
+``trace.jsonl`` (:mod:`repro.obs.export`), and the ``*_rows`` views below
+render it for the ``python -m repro.obs wire|bandwidth|chunks|queues``
+drill-downs.
 
 Every axis but the block coordinates is a pure function of the tally's
 key, so it is computed when someone reads it, not once per copy: what a
@@ -42,11 +43,10 @@ it cannot change what a seeded run does, only count it.
 
 from __future__ import annotations
 
-import json
 from collections import Counter as TallyCounter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import Histogram
 
 #: Snapshot schema version (bumped on incompatible layout changes).
 WIRE_SCHEMA = 1
@@ -223,7 +223,7 @@ class WireAccountant:
     ``class_size_bytes``, ``sender_*``, ``receiver_bytes``,
     ``size_class_*``, ``phase_*``, ``size_hist`` — is a **view**: a
     ``Counter`` (``size_hist``: class → :class:`Histogram`) rebuilt from
-    the tally on the first read after any offer or merge, and therefore
+    the tally on the first read after any offer, and therefore
     correct whenever it is read.  A view is a fresh object; writing to
     one changes nothing.
     """
@@ -354,44 +354,7 @@ class WireAccountant:
             return 0.0
         return max(self.sender_bytes.values()) / self.bytes_total
 
-    # -- aggregation --------------------------------------------------------
-
-    def merge(self, other: "WireAccountant") -> "WireAccountant":
-        """Fold another run's accounting into this one (sweep totals)."""
-        if other.small_threshold != self.small_threshold:
-            raise ValueError("cannot merge accountants with different size thresholds")
-        self.bytes_total += other.bytes_total
-        self.msgs_total += other.msgs_total
-        self.loopback_bytes += other.loopback_bytes
-        self.loopback_msgs += other.loopback_msgs
-        self.height_bytes.update(other.height_bytes)
-        self.epoch_bytes.update(other.epoch_bytes)
-        self._tally.update(other._tally)
-        self._views = None
-        self.queue_samples.extend(other.queue_samples)
-        return self
-
     # -- exposure -----------------------------------------------------------
-
-    def fill_registry(self, registry: MetricsRegistry) -> MetricsRegistry:
-        """Export every axis into a metrics registry (``wire/...`` names)."""
-        registry.counter("wire/bytes_total").inc(self.bytes_total)
-        registry.counter("wire/msgs_total").inc(self.msgs_total)
-        registry.counter("wire/loopback_bytes").inc(self.loopback_bytes)
-        for (src, dst), n in sorted(self.link_bytes.items()):
-            registry.counter(f"wire/link_bytes/{src}->{dst}").inc(n)
-        for cls, n in sorted(self.class_bytes.items()):
-            registry.counter(f"wire/class_bytes/{cls}").inc(n)
-        for node, n in sorted(self.sender_bytes.items()):
-            registry.counter(f"wire/sender_bytes/{node}").inc(n)
-        for size_class, n in sorted(self.size_class_bytes.items()):
-            registry.counter(f"wire/size_class_bytes/{size_class}").inc(n)
-        for phase, n in sorted(self.phase_bytes.items()):
-            registry.counter(f"wire/phase_bytes/{phase}").inc(n)
-        registry.gauge("wire/leader_egress_share").set(self.leader_egress_share())
-        for cls, hist in sorted(self.size_hist.items()):
-            registry.histogram(f"wire/msg_size/{cls}", hist.bounds).merge(hist)
-        return registry
 
     def snapshot(self, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The full accounting as one JSON-serializable document."""
@@ -560,136 +523,7 @@ def validate_wire_snapshot(snapshot: Dict[str, Any]) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Exporters: JSONL snapshot + Prometheus-style text exposition
-# ---------------------------------------------------------------------------
-
-#: Row-record axes, in emission order: (snapshot key, record name).
-_JSONL_AXES: Tuple[Tuple[str, str], ...] = (
-    ("links", "link"),
-    ("classes", "class"),
-    ("phases", "phase"),
-    ("size_classes", "size_class"),
-    ("senders", "sender"),
-    ("receivers", "receiver"),
-    ("heights", "height"),
-    ("epochs", "epoch"),
-    ("queues", "queue"),
-)
-
-
-def write_wire_jsonl(path: str, snapshot: Dict[str, Any]) -> None:
-    """One meta line, then one self-describing line per attribution row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "record": "wire_meta",
-            "schema": snapshot["schema"],
-            "small_threshold": snapshot["small_threshold"],
-            "meta": snapshot["meta"],
-            "totals": snapshot["totals"],
-            "leader_egress_share": snapshot["leader_egress_share"],
-        }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for key, record in _JSONL_AXES:
-            for row in snapshot[key]:
-                fh.write(json.dumps({"record": record, **row}, sort_keys=True) + "\n")
-
-
-def read_wire_jsonl(path: str) -> Dict[str, Any]:
-    """Reassemble a snapshot written by :func:`write_wire_jsonl`."""
-    record_to_key = {record: key for key, record in _JSONL_AXES}
-    snapshot: Optional[Dict[str, Any]] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            record = row.pop("record", None)
-            if line_no == 1:
-                if record != "wire_meta":
-                    raise ValueError(f"{path}: first record is {record!r}, not wire_meta")
-                snapshot = {**row, **{key: [] for key, _ in _JSONL_AXES}}
-                continue
-            assert snapshot is not None
-            key = record_to_key.get(record)
-            if key is None:
-                raise ValueError(f"{path}:{line_no}: unknown record {record!r}")
-            snapshot[key].append(row)
-    if snapshot is None:
-        raise ValueError(f"{path}: empty file")
-    # Links arrive as lists after the JSON round trip; normalize to ints.
-    for row in snapshot["links"]:
-        row["src"], row["dst"] = int(row["src"]), int(row["dst"])
-    return snapshot
-
-
-def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
-    """Standard Prometheus text exposition of the snapshot.
-
-    The future real-cluster mode serves exactly this from an HTTP
-    endpoint; until then it documents the stable metric names.
-    """
-    lines: List[str] = []
-
-    def counter(name: str, value: Any, labels: str = "") -> None:
-        lines.append(f"{name}{labels} {value}")
-
-    totals = snapshot["totals"]
-    lines.append("# TYPE repro_wire_bytes_total counter")
-    counter("repro_wire_bytes_total", totals["bytes"])
-    lines.append("# TYPE repro_wire_messages_total counter")
-    counter("repro_wire_messages_total", totals["msgs"])
-    lines.append("# TYPE repro_wire_leader_egress_share gauge")
-    counter("repro_wire_leader_egress_share", snapshot["leader_egress_share"])
-    lines.append("# TYPE repro_wire_link_bytes_total counter")
-    for row in snapshot["links"]:
-        counter(
-            "repro_wire_link_bytes_total",
-            row["bytes"],
-            f'{{src="{row["src"]}",dst="{row["dst"]}"}}',
-        )
-    lines.append("# TYPE repro_wire_class_bytes_total counter")
-    for row in snapshot["classes"]:
-        counter(
-            "repro_wire_class_bytes_total",
-            row["bytes"],
-            f'{{class="{row["class"]}",phase="{row["phase"]}"}}',
-        )
-    lines.append("# TYPE repro_wire_phase_bytes_total counter")
-    for row in snapshot["phases"]:
-        counter("repro_wire_phase_bytes_total", row["bytes"], f'{{phase="{row["phase"]}"}}')
-    lines.append("# TYPE repro_wire_size_class_bytes_total counter")
-    for row in snapshot["size_classes"]:
-        counter(
-            "repro_wire_size_class_bytes_total",
-            row["bytes"],
-            f'{{size_class="{row["size_class"]}"}}',
-        )
-    lines.append("# TYPE repro_wire_sender_bytes_total counter")
-    for row in snapshot["senders"]:
-        counter("repro_wire_sender_bytes_total", row["bytes"], f'{{node="{row["node"]}"}}')
-    lines.append("# TYPE repro_wire_message_size_bytes histogram")
-    for row in snapshot["classes"]:
-        hist, label = row["hist"], row["class"]
-        cumulative = 0
-        for bound, count in zip(hist["bounds"], hist["buckets"]):
-            cumulative += count
-            counter(
-                "repro_wire_message_size_bytes_bucket",
-                cumulative,
-                f'{{class="{label}",le="{bound:g}"}}',
-            )
-        counter(
-            "repro_wire_message_size_bytes_bucket",
-            cumulative + hist["overflow"],
-            f'{{class="{label}",le="+Inf"}}',
-        )
-        counter("repro_wire_message_size_bytes_sum", hist["sum"], f'{{class="{label}"}}')
-        counter("repro_wire_message_size_bytes_count", hist["count"], f'{{class="{label}"}}')
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Report rows (consumed by runner/report.py and the obs CLI)
+# Report rows (rendered by the obs CLI)
 # ---------------------------------------------------------------------------
 
 

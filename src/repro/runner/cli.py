@@ -28,7 +28,7 @@ from ..measure.stats import LatencySummary
 from ..net.delay import HybridCloudDelayModel
 from .experiment import run_experiment
 from .registry import protocol_names
-from .report import bandwidth_breakdown_table, format_table, phase_breakdown_table
+from .report import format_table
 
 
 def _parse_fault(spec: str) -> Tuple[int, str]:
@@ -118,10 +118,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(format_table([result.row()]))
     print(f"latency (ms): {result.latency.as_millis()}")
     if args.obs:
+        from ..obs.__main__ import phase_table, wire_tables
+
         print("\nphase-latency breakdown:")
-        print(phase_breakdown_table(result))
+        print(phase_table(result.obs.phase_rows))
         print("\nbandwidth breakdown:")
-        print(bandwidth_breakdown_table(result))
+        print(wire_tables(result.wire))
     return 0 if result.safety_ok else 1
 
 

@@ -7,7 +7,7 @@ distill an :class:`~repro.runner.metrics.ExperimentResult`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List
 
 from ..config import ExperimentConfig, ProtocolConfig
 from ..measure.stats import LatencySummary
@@ -83,9 +83,6 @@ def summarize(cluster: Cluster) -> ExperimentResult:
         latency=LatencySummary.from_samples(latencies),
         block_latency=LatencySummary.from_samples(collector.block_latencies()),
         epoch_changes=epoch_changes,
-        messages=wire.msgs_total,
-        bytes_total=wire.bytes_total,
-        bytes_per_node=dict(wire.sender_bytes),
         wire=wire.snapshot(
             meta={
                 "protocol": config.protocol,

@@ -133,9 +133,6 @@ class ExperimentResult:
     latency: LatencySummary
     block_latency: LatencySummary
     epoch_changes: int
-    messages: int
-    bytes_total: int
-    bytes_per_node: Dict[int, int]
     #: Wire-accounting snapshot (:meth:`repro.obs.wire.WireAccountant.snapshot`).
     wire: Dict[str, object]
     safety_ok: bool
@@ -145,10 +142,6 @@ class ExperimentResult:
     #: stragglers, Δ-headroom); present iff the run enabled
     #: ``ExperimentConfig.observability``.
     obs: Optional["ObsSummary"] = None
-
-    def phase_breakdown_rows(self) -> List[Dict[str, object]]:
-        """Aggregate per-phase latency stats (empty without observability)."""
-        return list(self.obs.phase_rows) if self.obs is not None else []
 
     def row(self) -> Dict[str, object]:
         """Flat dict for report tables."""

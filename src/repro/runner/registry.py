@@ -56,11 +56,11 @@ def subsystems_for(protocol: str) -> Tuple[type, ...]:
 
 
 def wire_phases_for(protocol: str) -> Set[str]:
-    """The protocol's declared wire contract: its replica class's core
-    phases plus the phase of every subsystem it can carry.  ``repro.obs
-    wire`` flags observed traffic outside it."""
+    """The protocol's wire contract: the phases its replica class handles
+    plus the phase of every subsystem it can carry.  ``repro.obs wire``
+    flags observed traffic outside it."""
     carried = {subsystem.WIRE_PHASE for subsystem in subsystems_for(protocol)}
-    return set(replica_class_for(protocol).WIRE_PHASES) | carried
+    return set(replica_class_for(protocol).handled_wire_phases()) | carried
 
 
 def attach_subsystems(

@@ -6,7 +6,7 @@ deliberately dependency-free ASCII so output is diffable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .metrics import ExperimentResult
 
@@ -53,58 +53,6 @@ def results_table(results: Iterable[ExperimentResult], extra_cols: Sequence[str]
     ]
     columns.extend(extra_cols)
     return format_table(rows, columns)
-
-
-def phase_breakdown_table(result: ExperimentResult) -> str:
-    """Per-phase latency table for an observability-enabled run.
-
-    Renders the aggregate phase histograms the ``repro.obs`` registry
-    accumulated (propose → header → payload → vote → certify → 2Δ-wait →
-    commit, plus the end-to-end row); empty-string when the run was not
-    observed.
-    """
-    rows = result.phase_breakdown_rows()
-    if not rows:
-        return ""
-    rounded = [
-        {k: (round(v, 3) if isinstance(v, float) else v) for k, v in row.items()}
-        for row in rows
-    ]
-    return format_table(
-        rounded, ["phase", "count", "mean_ms", "p50_ms", "p99_ms", "max_ms", "share_%"]
-    )
-
-
-def bandwidth_breakdown_table(result: ExperimentResult) -> str:
-    """Per-message-class bandwidth table for a run.
-
-    Renders the :class:`~repro.obs.wire.WireAccountant` snapshot the run
-    carried: bytes/messages per class with phase and δ/Δ small-large
-    split, a per-phase rollup, and the leader-egress / bytes-per-commit
-    headline the paper's bandwidth argument turns on.
-    """
-    from ..obs.wire import class_rows, phase_rows
-
-    snapshot = result.wire
-    parts = [
-        "bytes by message class:",
-        format_table(
-            class_rows(snapshot),
-            ["class", "phase", "msgs", "bytes", "share_%", "small_B", "large_B", "mean_B"],
-        ),
-        "",
-        "bytes by protocol phase:",
-        format_table(phase_rows(snapshot), ["phase", "msgs", "bytes", "share_%"]),
-        "",
-        f"total wire bytes     : {snapshot['totals']['bytes']}",
-        f"leader egress share  : {snapshot['leader_egress_share']:.4f}",
-    ]
-    committed = result.committed_blocks
-    if committed:
-        parts.append(
-            f"bytes per commit     : {snapshot['totals']['bytes'] / committed:.1f}"
-        )
-    return "\n".join(parts)
 
 
 def speedup(base: float, other: float) -> float:

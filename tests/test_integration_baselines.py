@@ -109,8 +109,8 @@ class TestPBFT:
         """PBFT sends clearly more messages per block than HotStuff."""
         pbft = run_experiment(quick_config("pbft", duration=4.0))
         hs = run_experiment(quick_config("hotstuff", duration=4.0))
-        pbft_per_block = pbft.messages / max(pbft.committed_blocks, 1)
-        hs_per_block = hs.messages / max(hs.committed_blocks, 1)
+        pbft_per_block = pbft.wire["totals"]["msgs"] / max(pbft.committed_blocks, 1)
+        hs_per_block = hs.wire["totals"]["msgs"] / max(hs.committed_blocks, 1)
         assert pbft_per_block > hs_per_block
 
     def test_view_change_on_crashed_leader(self):

@@ -52,6 +52,7 @@ from repro.obs.recorder import (
     MsgSample,
     SpanRecorder,
 )
+from repro.obs.wire import WireAccountant
 from repro.runner.cluster import build_cluster
 from repro.runner.experiment import run_experiment
 from tests.conftest import quick_config
@@ -110,76 +111,14 @@ class TestMetrics:
         for q in (0.0, 0.5, 0.99, 1.0):
             assert h.quantile(q) == pytest.approx(0.25)
 
-    def test_histogram_merge(self):
-        a = Histogram((1.0, 2.0))
-        b = Histogram((1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        a.merge(b)
-        assert a.count == 2 and a.max == 1.5
-        with pytest.raises(ValueError):
-            a.merge(Histogram((1.0, 3.0)))
-
     def test_registry_types_and_prefixes(self):
         reg = MetricsRegistry()
         reg.counter("a/x").inc()
         reg.histogram("h/y").observe(1.0)
         with pytest.raises(TypeError):
             reg.histogram("a/x")
-        assert reg.names("a/") == ["a/x"]
-        assert [name for name, _ in reg.histograms("h/")] == ["h/y"]
-
-    def test_registry_merge_counters_disjoint_label_sets(self):
-        """Merging per-replica registries: names present on only one
-        side keep their value, shared names sum."""
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("drops/peer_1").inc(3)
-        a.counter("shared").inc(2)
-        b.counter("drops/peer_2").inc(5)
-        b.counter("shared").inc(7)
-        assert a.merge(b) is a
-        assert a.counter("drops/peer_1").value == 3
-        assert a.counter("drops/peer_2").value == 5
-        assert a.counter("shared").value == 9
-
-    def test_registry_merge_histograms_and_empty_layouts(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", (1.0, 2.0)).observe(0.5)
-        b.histogram("lat", (1.0, 2.0)).observe(1.5)
-        # A histogram absent on the left is created with the incoming
-        # bounds — merging into an empty registry works.
-        b.histogram("only_b", (4.0, 8.0)).observe(5.0)
-        a.merge(b)
-        assert a.histogram("lat", (1.0, 2.0)).count == 2
-        only_b = a.get("only_b")
-        assert only_b is not None and only_b.bounds == (4.0, 8.0) and only_b.count == 1
-        # Merging an empty histogram changes nothing.
-        c = MetricsRegistry()
-        c.histogram("lat", (1.0, 2.0))
-        a.merge(c)
-        assert a.histogram("lat", (1.0, 2.0)).count == 2
-
-    def test_registry_merge_mismatched_histogram_bounds_raises(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("lat", (1.0, 2.0)).observe(0.5)
-        b.histogram("lat", (1.0, 3.0)).observe(0.5)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_registry_merge_gauges_peak_preserving_and_type_conflicts(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(4.0)
-        b.gauge("depth").set(2.0)
-        a.merge(b)
-        assert a.gauge("depth").value == 4.0
-        b.gauge("depth").set(9.0)
-        a.merge(b)
-        assert a.gauge("depth").value == 9.0
-        c = MetricsRegistry()
-        c.counter("depth").inc()
-        with pytest.raises(TypeError):
-            a.merge(c)
-
+        assert reg.get("a/x").value == 1 and reg.get("h/y").count == 1
+        assert reg.get("h/x") is None
 
 # ---------------------------------------------------------------------------
 # Phase assembly and clamping
@@ -251,13 +190,13 @@ class TestAnalyze:
 
     def test_epoch_timeline_causes(self):
         rec = SpanRecorder()
-        rec.event(1.0, "epoch_timeout", 0, epoch=1)
-        rec.event(1.0, "blame", 0, epoch=1)
-        rec.event(1.1, "blame", 1, epoch=1)
-        rec.event(1.2, "epoch_change", 0, epoch=1)
-        rec.event(1.3, "epoch_enter", 0, epoch=2)
-        rec.event(5.0, "equivocation_detected", 2, epoch=4)
-        rec.event(5.1, "epoch_change", 2, epoch=4)
+        rec.mark(1.0, "epoch_timeout", 0, None, epoch=1)
+        rec.mark(1.0, "blame", 0, None, epoch=1)
+        rec.mark(1.1, "blame", 1, None, epoch=1)
+        rec.mark(1.2, "epoch_change", 0, None, epoch=1)
+        rec.mark(1.3, "epoch_enter", 0, None, epoch=2)
+        rec.mark(5.0, "equivocation_detected", 2, None, epoch=4)
+        rec.mark(5.1, "epoch_change", 2, None, epoch=4)
         rows = epoch_timeline(rec.events)
         assert [r["epoch"] for r in rows] == [1, 4]
         assert rows[0]["cause"] == "timeout"
@@ -300,13 +239,17 @@ class TestAnalyze:
 # ---------------------------------------------------------------------------
 
 
+def _wire_snapshot(meta):
+    return WireAccountant(small_threshold=4096).snapshot(meta)
+
+
 class TestExport:
     def _recording(self):
         rec = SpanRecorder()
         block = b"\x03" * 32
         rec.mark(1.0, MARK_PROPOSE, 0, block, epoch=1, height=1)
         _mark_all(rec, block, 0, (1.01, 1.02, 1.03, 1.05, 1.09, 1.10))
-        rec.event(2.0, "epoch_change", 1, epoch=1)
+        rec.mark(2.0, "epoch_change", 1, None, epoch=1)
         rec.message(1.0, 0, 1, "VoteMsg", 200, 0.004)
         return rec
 
@@ -332,16 +275,18 @@ class TestExport:
     def test_jsonl_roundtrip(self, tmp_path):
         rec = self._recording()
         path = str(tmp_path / "trace.jsonl")
-        write_jsonl(path, rec, {"protocol": "alterbft", "delta": 0.005})
-        meta, loaded = read_jsonl(path)
-        assert meta["protocol"] == "alterbft"
+        wire = _wire_snapshot({"protocol": "alterbft", "delta": 0.005})
+        write_jsonl(path, rec, wire)
+        meta, loaded, loaded_wire = read_jsonl(path)
+        assert meta == {"protocol": "alterbft", "delta": 0.005}
         assert loaded.events == rec.events
         assert loaded.messages == rec.messages
+        assert loaded_wire == wire
 
     def test_jsonl_header_mismatch_rejected(self, tmp_path):
         rec = self._recording()
         path = str(tmp_path / "trace.jsonl")
-        write_jsonl(path, rec, {})
+        write_jsonl(path, rec, _wire_snapshot({}))
         lines = open(path).read().splitlines()
         header = json.loads(lines[0])
         header["events"] += 1
@@ -355,6 +300,16 @@ class TestExport:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"record": "meta", "schema": 99}\n')
         with pytest.raises(ValueError, match="schema"):
+            read_jsonl(str(path))
+
+    def test_schema_1_trace_rejected(self, tmp_path):
+        """A trace from before the run file carried its wire snapshot."""
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"events": 1, "messages": 0, "record": "meta", "schema": 1}\n'
+            '{"kind": "epoch_change", "node": 1, "record": "event", "t": 2.0}\n'
+        )
+        with pytest.raises(ValueError, match="unsupported schema 1"):
             read_jsonl(str(path))
 
 
@@ -457,7 +412,6 @@ class TestLiveRecording:
     def test_disabled_run_has_no_recorder(self):
         result = run_experiment(quick_config("alterbft", duration=2.0))
         assert result.obs is None
-        assert result.phase_breakdown_rows() == []
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.obs.__main__ import main as obs_main
 from repro.obs.analyze import assemble_lifecycles
-from repro.obs.export import read_jsonl
+from repro.obs.export import read_jsonl, to_chrome_trace, write_jsonl
+from repro.obs.wire import validate_wire_snapshot
 
 
 @pytest.fixture(scope="module")
@@ -34,14 +36,41 @@ def recorded(tmp_path_factory):
     return out_dir
 
 
+def _corrupt(recorded, tmp_path, record, corrupt):
+    """A copy of the recorded trace with its first ``record`` line replaced
+    by ``corrupt(that record)``; returns the copy and that line's number."""
+    lines = (recorded / "trace.jsonl").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if f'"record": "{record}"' in line)
+    lines[i] = json.dumps(corrupt(json.loads(lines[i])))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    return bad, i + 1
+
+
 class TestCli:
     def test_record_writes_both_formats(self, recorded):
-        assert (recorded / "trace.jsonl").exists()
-        assert (recorded / "trace_chrome.json").exists()
-        meta, recorder = read_jsonl(str(recorded / "trace.jsonl"))
+        assert sorted(p.name for p in recorded.iterdir()) == ["trace.jsonl", "trace_chrome.json"]
+        meta, recorder, wire = read_jsonl(str(recorded / "trace.jsonl"))
         assert meta["protocol"] == "alterbft"
-        assert meta["delta"] > 0
+        assert meta["delta"] > 0 and meta["committed_blocks"] > 0
         assert len(recorder.events) > 0 and len(recorder.messages) > 0
+        assert wire["meta"] == meta and validate_wire_snapshot(wire) == []
+
+    def test_trace_carries_the_runs_wire_snapshot(self, recorded):
+        """The snapshot read back is the one the recorded run's accountant
+        gives for the file's meta."""
+        from repro.obs.__main__ import build_parser
+        from repro.runner.cli import config_from_args
+        from repro.runner.cluster import build_cluster
+
+        args = build_parser().parse_args(
+            ["record", "--rate", "300", "--duration", "1.5", "--seed", "7"]
+        )
+        cluster = build_cluster(dataclasses.replace(config_from_args(args), observability=True))
+        cluster.start()
+        cluster.run()
+        meta, _, wire = read_jsonl(str(recorded / "trace.jsonl"))
+        assert wire == cluster.wire.snapshot(meta)
 
     def test_report_passes_sum_check(self, recorded, capsys):
         rc = obs_main(["report", str(recorded / "trace.jsonl")])
@@ -52,31 +81,51 @@ class TestCli:
         assert "2d_wait" in out
 
     def test_validate_both_formats(self, recorded, capsys):
-        rc = obs_main(
-            [
-                "validate",
-                str(recorded / "trace.jsonl"),
-                str(recorded / "trace_chrome.json"),
-            ]
-        )
+        """``validate`` checks the run file, and the Chrome view ``record``
+        wrote beside it is the rendering ``validate`` checks."""
+        rc = obs_main(["validate", str(recorded / "trace.jsonl")])
         out = capsys.readouterr().out
         assert rc == 0
-        assert out.count(": ok") == 2
+        assert out.count(": ok") == 1
+        meta, recorder, _ = read_jsonl(str(recorded / "trace.jsonl"))
+        chrome = json.loads((recorded / "trace_chrome.json").read_text())
+        assert chrome == json.loads(json.dumps(to_chrome_trace(recorder, meta)))
 
     def test_validate_rejects_corruption(self, recorded, tmp_path, capsys):
-        doc = json.loads((recorded / "trace_chrome.json").read_text())
-        for event in doc["traceEvents"]:
-            if event["ph"] == "X":
-                event["name"] = "not-a-phase"
-                break
-        bad = tmp_path / "bad_chrome.json"
-        bad.write_text(json.dumps(doc))
+        """An event before time zero renders as a Chrome event with a
+        negative timestamp, which the Chrome validator rejects."""
+        bad, _ = _corrupt(recorded, tmp_path, "event", lambda event: {**event, "t": -1.0})
         rc = obs_main(["validate", str(bad)])
         assert rc == 1
-        assert "INVALID" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "INVALID" in out and "non-negative" in out
+
+    @pytest.mark.parametrize(
+        "record, corrupt, problem",
+        [
+            ("event", lambda event: [1, 2], "{where}: not a JSON object"),
+            ("event", lambda event: {**event, "t": None},
+             "{where}: field 't' is None, not a number"),
+            ("class", lambda row: {**row, "bytes": row["bytes"] + 1},
+             "telescoping violated on 'classes'"),
+        ],
+        ids=["not-an-object", "null-time", "class-row-one-byte-over"],
+    )
+    def test_validate_reports_a_bad_line(
+        self, recorded, tmp_path, capsys, record, corrupt, problem
+    ):
+        """A malformed line, or a row that breaks the wire telescoping, is
+        a validation failure, not a crash."""
+        bad, lineno = _corrupt(recorded, tmp_path, record, corrupt)
+        rc = obs_main(["validate", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert f"{bad}: INVALID" in captured.out
+        assert problem.format(where=f"{bad}:{lineno}") in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_block_drilldown(self, recorded, capsys):
-        _, recorder = read_jsonl(str(recorded / "trace.jsonl"))
+        _, recorder, _ = read_jsonl(str(recorded / "trace.jsonl"))
         lifecycles = assemble_lifecycles(recorder.events)
         committed = next(
             life for life in lifecycles.values() if life.first_committer() is not None
@@ -98,7 +147,7 @@ class TestCli:
              "--seed", "3", "--fault", "1:equivocate", "--out-dir", str(out_dir)]
         )
         assert rc == 0
-        _, recorder = read_jsonl(str(out_dir / "trace.jsonl"))
+        _, recorder, _ = read_jsonl(str(out_dir / "trace.jsonl"))
         unproposed = [
             life for life in assemble_lifecycles(recorder.events).values()
             if life.first_committer() is not None and life.propose_time is None
@@ -138,11 +187,12 @@ class TestCli:
         assert rc == 2
 
     def test_wire_with_an_unregistered_protocol_skips_the_contract(self, tmp_path, capsys):
-        from repro.obs.wire import WireAccountant, write_wire_jsonl
+        from repro.obs.recorder import SpanRecorder
+        from repro.obs.wire import WireAccountant
 
-        path = str(tmp_path / "wire.jsonl")
+        path = str(tmp_path / "trace.jsonl")
         snapshot = WireAccountant(small_threshold=4096).snapshot(meta={"protocol": "nope"})
-        write_wire_jsonl(path, snapshot)
+        write_jsonl(path, SpanRecorder(), snapshot)
         assert obs_main(["wire", path]) == 0
         assert "contract not checked" in capsys.readouterr().out
 

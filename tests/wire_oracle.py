@@ -12,13 +12,13 @@ only one, and the fingerprint it hashed them into, kept here verbatim.
 :func:`count_offers` puts the same counter beside a shipped network.
 
 ``tests/test_wire.py`` pins the relation between the pairs: fed the
-copies of the same offers one by one, every public axis, ``snapshot()``,
-the Prometheus text and ``leader_egress_share()`` of ``OracleAccountant``
-equal those the shipped accountant derives from its tally; for the same
-seed and the same faults installed, ``OracleNetwork`` leaves the same
-event counts and the same scheduler entries as the shipped network's one
-loop; and the trace's fingerprint, read from the accountant, equals the
-one ``ParentCounts`` hashes from its own counters.
+copies of the same offers one by one, every public axis, ``snapshot()``
+and ``leader_egress_share()`` of ``OracleAccountant`` equal those the
+shipped accountant derives from its tally; for the same seed and the
+same faults installed, ``OracleNetwork`` leaves the same event counts
+and the same scheduler entries as the shipped network's one loop; and
+the trace's fingerprint, read from the accountant, equals the one
+``ParentCounts`` hashes from its own counters.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.codec import encoded_size
 from repro.net.simnet import LOOPBACK_DELAY, SimNetwork
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.wire import (
     SIZE_HISTOGRAM_BOUNDS,
     UNATTRIBUTED,
@@ -139,62 +139,7 @@ class OracleAccountant:
             return 0.0
         return max(self.sender_bytes.values()) / self.bytes_total
 
-    # -- aggregation --------------------------------------------------------
-
-    def merge(self, other: "OracleAccountant") -> "OracleAccountant":
-        """Fold another run's accounting into this one (sweep totals)."""
-        if other.small_threshold != self.small_threshold:
-            raise ValueError("cannot merge accountants with different size thresholds")
-        self.bytes_total += other.bytes_total
-        self.msgs_total += other.msgs_total
-        self.loopback_bytes += other.loopback_bytes
-        self.loopback_msgs += other.loopback_msgs
-        for mine, theirs in (
-            (self.link_bytes, other.link_bytes),
-            (self.link_msgs, other.link_msgs),
-            (self.class_bytes, other.class_bytes),
-            (self.class_msgs, other.class_msgs),
-            (self.class_size_bytes, other.class_size_bytes),
-            (self.sender_bytes, other.sender_bytes),
-            (self.sender_msgs, other.sender_msgs),
-            (self.receiver_bytes, other.receiver_bytes),
-            (self.size_class_bytes, other.size_class_bytes),
-            (self.size_class_msgs, other.size_class_msgs),
-            (self.phase_bytes, other.phase_bytes),
-            (self.phase_msgs, other.phase_msgs),
-            (self.height_bytes, other.height_bytes),
-            (self.epoch_bytes, other.epoch_bytes),
-        ):
-            mine.update(theirs)
-        for cls, hist in other.size_hist.items():
-            mine_hist = self.size_hist.get(cls)
-            if mine_hist is None:
-                mine_hist = self.size_hist[cls] = Histogram(hist.bounds)
-            mine_hist.merge(hist)
-        self.queue_samples.extend(other.queue_samples)
-        return self
-
     # -- exposure -----------------------------------------------------------
-
-    def fill_registry(self, registry: MetricsRegistry) -> MetricsRegistry:
-        """Export every axis into a metrics registry (``wire/...`` names)."""
-        registry.counter("wire/bytes_total").inc(self.bytes_total)
-        registry.counter("wire/msgs_total").inc(self.msgs_total)
-        registry.counter("wire/loopback_bytes").inc(self.loopback_bytes)
-        for (src, dst), n in sorted(self.link_bytes.items()):
-            registry.counter(f"wire/link_bytes/{src}->{dst}").inc(n)
-        for cls, n in sorted(self.class_bytes.items()):
-            registry.counter(f"wire/class_bytes/{cls}").inc(n)
-        for node, n in sorted(self.sender_bytes.items()):
-            registry.counter(f"wire/sender_bytes/{node}").inc(n)
-        for size_class, n in sorted(self.size_class_bytes.items()):
-            registry.counter(f"wire/size_class_bytes/{size_class}").inc(n)
-        for phase, n in sorted(self.phase_bytes.items()):
-            registry.counter(f"wire/phase_bytes/{phase}").inc(n)
-        registry.gauge("wire/leader_egress_share").set(self.leader_egress_share())
-        for cls, hist in sorted(self.size_hist.items()):
-            registry.histogram(f"wire/msg_size/{cls}", hist.bounds).merge(hist)
-        return registry
 
     def snapshot(self, meta: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The full accounting as one JSON-serializable document."""
