@@ -55,6 +55,19 @@ class BlockHeader:
         """Digest identifying the block (votes sign this)."""
         return domain_hash("block-header", encode(self))
 
+    def well_formed(self) -> bool:
+        """Every field has exactly its declared type.
+
+        The decoder checks a struct's field count, not its field types, so
+        a header from the wire may hold any canonical value in any field;
+        a handler checks this before it compares or does arithmetic on one.
+        """
+        return (
+            type(self.epoch), type(self.height), type(self.parent),
+            type(self.payload_root), type(self.payload_size),
+            type(self.payload_count), type(self.proposer),
+        ) == (int, int, bytes, bytes, int, int, int)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Header(e={self.epoch}, h={self.height}, "
