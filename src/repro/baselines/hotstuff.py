@@ -204,6 +204,8 @@ class HotStuffReplica(BaseReplica):
 
     def on_proposal(self, src: int, msg: HSProposalMsg) -> None:
         block = msg.block
+        if type(block) is not Block or not block.well_formed():
+            raise VerificationError("ill-typed proposal block")
         if block.epoch < 1 or block.header.proposer != self.validators.leader_of(block.epoch):
             raise VerificationError("proposal from a non-leader")
         if not self.verify_proposal_signature(
@@ -312,7 +314,7 @@ class HotStuffReplica(BaseReplica):
     # ------------------------------------------------------------------
 
     def on_vote(self, src: int, msg: VoteMsg) -> None:
-        qc = self.record_vote(msg.vote)
+        qc = self.record_vote(src, msg.vote)
         if qc is None:
             return
         self._update_chain_state(qc)

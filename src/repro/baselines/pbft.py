@@ -175,6 +175,8 @@ class PBFTReplica(BaseReplica):
 
     def on_preprepare(self, src: int, msg: PBFTPrePrepareMsg) -> None:
         block = msg.block
+        if type(block) is not Block or not block.well_formed():
+            raise VerificationError("ill-typed pre-prepare block")
         if msg.view != block.epoch or msg.seq != block.height:
             raise VerificationError("pre-prepare view/seq does not match its block")
         if block.header.proposer != self.validators.leader_of(msg.view):
@@ -252,7 +254,7 @@ class PBFTReplica(BaseReplica):
     def on_prepare(self, src: int, msg: PBFTPrepareMsg) -> None:
         if not VOTE.is_signed(msg.vote) or msg.vote.phase != PREPARE_PHASE:
             raise VerificationError("prepare message with wrong phase")
-        qc = self.record_vote(msg.vote)
+        qc = self.record_vote(src, msg.vote)
         if qc is None:
             return
         self._on_prepared(qc)
@@ -304,7 +306,7 @@ class PBFTReplica(BaseReplica):
     def on_commit(self, src: int, msg: PBFTCommitMsg) -> None:
         if not VOTE.is_signed(msg.vote) or msg.vote.phase != COMMIT_PHASE:
             raise VerificationError("commit message with wrong phase")
-        qc = self.record_vote(msg.vote)
+        qc = self.record_vote(src, msg.vote)
         if qc is None:
             return
         block = self._accepted.get(qc.epoch, {}).get(qc.height)

@@ -20,7 +20,7 @@ and relays are full blocks.
 from __future__ import annotations
 
 from ..core.protocol import AlterBFTReplica
-from ..types.block import make_block
+from ..types.block import Block, make_block
 from ..errors import ConfigError, VerificationError
 from ..types.messages import (
     BlameCertMsg,
@@ -94,6 +94,8 @@ class SyncHotStuffReplica(AlterBFTReplica):
     # -- receiving ------------------------------------------------------------
 
     def on_sh_proposal(self, src: int, msg: SHProposalMsg) -> None:
+        if type(msg.block) is not Block or not msg.block.well_formed():
+            raise VerificationError("ill-typed proposal block")
         header_msg = ProposalHeaderMsg(
             header=msg.block.header, signature=msg.signature, justify=msg.justify
         )

@@ -141,14 +141,12 @@ SWEPT: Dict[str, SweptBehavior] = {
         ),
         bounded_gap=False,
     ),
-    # The corrupted flood runs with the lazy batched verifier *and*
-    # aggregate certificates on: bisection must attribute it to exactly
-    # the faulty voter (no false, no missed attribution) and exclude it,
-    # and the certificates the honest quorum still forms ride the
-    # aggregate wire format.
+    # The corrupted flood runs with the lazy batched verifier on:
+    # bisection must attribute it to exactly the faulty voter (no false,
+    # no missed attribution) and exclude it.
     "bad-vote": SweptBehavior(
         "bad-vote",
-        {"crypto_batch": True, "crypto_aggregate": True},
+        {"crypto_batch": True},
         extra_check=partial(check_bad_vote_attribution, faulty_id=FAULTY_ID),
     ),
     # A leader shipping fewer shares than the reconstruction threshold

@@ -69,10 +69,12 @@ class ProtocolConfig:
             bisection attribution (and exclusion) of bad signatures when
             the batch fails.  Off by default: the eager per-vote path is
             kept byte-identical for the golden trace fingerprint.
-        crypto_aggregate: form certificates as the aggregate wire
-            variants (one aggregate signature + signer bitmap) instead of
-            f+1 raw signatures — smaller certificate messages, single
-            aggregate verification.  Off by default (golden fingerprint).
+        crypto_aggregate: True, and only True.  Every certificate is an
+            aggregate (one aggregate signature + signer bitmap), the
+            smallest proof of a quorum; the raw signature-list form is
+            retired.  The keyword stays only because the frozen system
+            benchmark catalogue passes it; :meth:`validate` refuses
+            False, and the field goes once the catalogue drops it.
         dissemination: AlterBFT only — disseminate payloads as
             erasure-coded, Merkle-rooted chunk shares instead of one
             blob broadcast: the leader sends each replica one share of
@@ -115,7 +117,7 @@ class ProtocolConfig:
     vote_requires_payload: bool = True
     signature_scheme: str = "hashsig"
     crypto_batch: bool = False
-    crypto_aggregate: bool = False
+    crypto_aggregate: bool = True
     dissemination: bool = False
     checkpoint_interval: int = 0
     guard_enabled: bool = False
@@ -146,6 +148,9 @@ class ProtocolConfig:
         _require(
             self.signature_scheme in ("hashsig", "schnorr"),
             f"unknown signature scheme {self.signature_scheme!r}",
+        )
+        _require(
+            self.crypto_aggregate, "crypto_aggregate=False is retired: certificates are aggregates"
         )
         _require(self.checkpoint_interval >= 0, "checkpoint_interval must be >= 0")
         _require(self.guard_probe_interval > 0, "guard_probe_interval must be positive")

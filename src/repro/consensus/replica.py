@@ -270,13 +270,17 @@ class BaseReplica:
 
     # -- vote accounting -----------------------------------------------------------
 
-    def record_vote(self, vote: Vote) -> Optional[Certificate]:
-        """Validate and store a vote; returns a fresh QC exactly once.
+    def record_vote(self, src: int, vote: Vote) -> Optional[Certificate]:
+        """Validate and store a vote ``src`` sent; returns a fresh QC
+        exactly once.
 
-        The returned certificate is produced the moment the quorum is
-        reached; its bucket goes with it, and later votes for the same
-        statement are checked and dropped, never stored — as is a vote at
-        or below the retention horizon.
+        A vote counts only from its own voter: no protocol relays votes,
+        so one that ``src`` sends in another replica's name is refused
+        before anything reads its signature (else a forgery could get the
+        named voter excluded below).  The returned certificate is produced
+        the moment the quorum is reached; its bucket goes with it, and
+        later votes for the same statement are checked and dropped, never
+        stored — as is a vote at or below the retention horizon.
 
         With ``crypto_batch`` enabled, signature checking is deferred:
         votes are bucketed unverified and the whole flood is checked in
@@ -287,6 +291,8 @@ class BaseReplica:
         """
         if not VOTE.is_signed(vote):
             raise VerificationError("not a well-formed vote")
+        if vote.voter != src:
+            raise VerificationError(f"vote of replica {vote.voter} sent by {src}")
         if vote.protocol != self.protocol_name:
             raise VerificationError("vote for a different protocol")
         if not self.validators.is_valid_replica(vote.voter):
@@ -310,9 +316,7 @@ class BaseReplica:
             return None
         if lazy and not self._batch_check_bucket(vote, bucket):
             return None  # bad votes excluded; quorum no longer met
-        qc = Certificate.assemble(
-            bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
-        )
+        qc = Certificate.assemble(bucket.values(), self.signer)
         self._qcs[key] = qc
         del self._votes[key]
         self._fire("on_certificate", qc)
@@ -341,9 +345,9 @@ class BaseReplica:
     def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).
 
-        Accepts both proof forms; anything that is not a well-formed
-        vote certificate at all is simply invalid.  ``on_certificate``
-        hears of each valid one, as of every QC this replica forms.
+        Anything that is not a well-formed vote certificate at all is
+        simply invalid.  ``on_certificate`` hears of each valid one, as
+        of every QC this replica forms.
         """
         if not VOTE.is_certificate(qc):
             return False
@@ -390,9 +394,7 @@ class BaseReplica:
             return None
         bucket[blame.blamer] = blame
         if len(bucket) == self.validators.quorum and blame.epoch not in self._blame_certs:
-            cert = Certificate.assemble(
-                bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
-            )
+            cert = Certificate.assemble(bucket.values(), self.signer)
             self._blame_certs[blame.epoch] = cert
             return cert
         return None

@@ -645,7 +645,7 @@ class AlterBFTReplica(BaseReplica):
         return None
 
     def on_vote(self, src: int, msg: VoteMsg) -> None:
-        qc = self.record_vote(msg.vote)
+        qc = self.record_vote(src, msg.vote)
         if qc is None:
             return
         self.mark("certify", qc.block_hash, epoch=qc.epoch, height=qc.height)

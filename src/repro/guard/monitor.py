@@ -331,9 +331,7 @@ class SynchronyMonitor:
             return
         bucket[adjust.proposer] = adjust
         if len(bucket) == replica.validators.quorum and adjust.seq not in self._certs:
-            cert = Certificate.assemble(
-                bucket.values(), replica.signer, aggregate=replica.config.crypto_aggregate
-            )
+            cert = Certificate.assemble(bucket.values(), replica.signer)
             self._certs[adjust.seq] = cert
             self._certify(cert)
 

@@ -12,12 +12,12 @@ hook hands it, before the replica acts on it; after a crash
 **Checkpointing** (steady state).  Every ``checkpoint_interval``
 committed blocks, the replica signs a checkpoint vote over
 ``(height, block_hash, cumulative state digest)`` and broadcasts it — a
-*small* message.  f+1 matching votes aggregate into a
-:class:`~repro.types.certificates.CheckpointCertificate`: because at
-least one signer is honest and honest replicas only attest committed
-prefixes, the certificate is a *transferable commit proof* — something
-AlterBFT's temporal 2Δ commit rule otherwise never produces.  A fresh
-certificate lets the block store prune everything below it.
+*small* message.  f+1 matching votes aggregate into one
+:class:`~repro.types.certificates.AggregateCheckpointCertificate`:
+because at least one signer is honest and honest replicas only attest
+committed prefixes, the certificate is a *transferable commit proof* —
+something AlterBFT's temporal 2Δ commit rule otherwise never produces.
+A fresh certificate lets the block store prune everything below it.
 
 **Catchup** (rejoin).  A replica restarted from its WAL broadcasts a
 small ``StatusRequest``; from f+1 responses it learns (a) a safe epoch
@@ -187,12 +187,7 @@ class RecoveryManager:
             return
         bucket[vote.voter] = vote
         if len(bucket) == self._quorum:
-            replica = self.replica
-            self._record_cert(
-                Certificate.assemble(
-                    bucket.values(), replica.signer, aggregate=replica.config.crypto_aggregate
-                )
-            )
+            self._record_cert(Certificate.assemble(bucket.values(), self.replica.signer))
 
     def _record_cert(self, cert: Certificate) -> None:
         if self.latest_cert is not None and cert.height <= self.latest_cert.height:

@@ -4,7 +4,7 @@ A replica journals three kinds of records *before* acting on them:
 
 * its own :class:`~repro.types.certificates.Vote` objects (appended
   before the vote is broadcast — so a restart can never double-vote),
-* every :class:`~repro.types.certificates.QuorumCertificate` that
+* every :class:`~repro.types.certificates.AggregateQuorumCertificate` that
   improved its ``high_qc`` (so a restart never regresses below its
   certified state), and
 * :class:`WalEpochRecord` entries marking each epoch entry (so a

@@ -133,6 +133,15 @@ class Block:
     def parent(self) -> Digest:
         return self.header.parent
 
+    def well_formed(self) -> bool:
+        """A well-formed header and a payload, each of its declared type
+        (the decoder does not type fields; see :meth:`BlockHeader.well_formed`)."""
+        return (
+            type(self.header) is BlockHeader
+            and self.header.well_formed()
+            and type(self.payload) is BlockPayload
+        )
+
     def validate_payload(self) -> bool:
         """Check the payload matches the header's commitment."""
         return (

@@ -10,19 +10,20 @@ protocols; only the quorum size differs (f+1 under n=2f+1 synchrony,
 
 Two behaviours and no more: a :class:`SignedStatement` is statement
 fields + signer id + signature; a :class:`Certificate` is statement
-fields + a proof, either a sorted ``(id, signature)`` list or a signer
-bitmap + one aggregate signature — the same proof in a smaller message
-(the quantity AlterBFT's synchrony bet is calibrated against).  The codec
-wants one class per type id, so the twelve wire classes below are field
-declarations over those two.  The aggregate forms are separate wire
-types: a replica built with ``crypto_aggregate`` disabled never emits (or
-even constructs) one, so the default wire traffic is byte-identical to
-the pre-aggregation format.
+fields + a signer bitmap + one aggregate signature.  Certificates ride
+the small-message class the synchrony bound is calibrated against, and
+the aggregate is the smallest proof of a quorum, so it is the only form
+a quorum travels in.  The codec wants one class per type id, so the wire
+classes below are field declarations over those two.  The retired list
+form, ``(id, signature)`` pairs where the bitmap and aggregate are, keeps
+its four wire ids as :class:`UnsignedCertificate`: its list must be
+empty, so it proves nothing, and the genesis certificate is the one
+instance any replica builds.
 
 Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
 per-signer challenges bind each public key individually, so a key
 registered as a function of honest keys gains nothing.  On top of that,
-both proof forms name the signer set explicitly and verification resolves
+the bitmap names the signer set explicitly and verification resolves
 public keys through the shared registry — a certificate cannot smuggle in
 an unregistered key at all.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
-from typing import TYPE_CHECKING, ClassVar, Dict, Iterable, Tuple, Type
+from typing import TYPE_CHECKING, ClassVar, Iterable, Tuple, Type
 
 from ..codec import encode, register
 from ..crypto.hashing import Digest, short_hex
@@ -97,8 +98,8 @@ class Statement:
         self.domain = domain
         self.fields: Tuple[str, ...] = tuple(fields)
         self.types: Tuple[type, ...] = tuple(fields.values())
-        #: ``aggregate`` flag → certificate wire class, filled in as defined.
-        self.certificate_forms: Dict[bool, Type["Certificate"]] = {}
+        #: The certificate wire class over this statement, set as defined.
+        self.certificate: Type["Certificate"]
 
     def is_signed(self, obj: object) -> bool:
         """True iff ``obj`` is a well-formed signed statement of this kind."""
@@ -106,7 +107,7 @@ class Statement:
 
     def is_certificate(self, obj: object) -> bool:
         """True iff ``obj`` is a well-formed certificate over this kind
-        of statement, in either proof form."""
+        of statement."""
         return isinstance(obj, Certificate) and obj.KIND is self and obj.well_formed()
 
 
@@ -149,7 +150,7 @@ class _OverStatement:
         cls.statement = property(attrgetter(*names[:count]), doc="The statement fields.")
         cls.proof = property(attrgetter(*names[count:]), doc="The trailing field(s).")
         cls._fields = property(attrgetter(*names))
-        # A raw certificate's pair list counts as one tuple here.
+        # The list form's pair tuple is one field.
         cls._TYPES = kind.types + ((int, bytes) if len(names) == count + 2 else (tuple,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -203,43 +204,31 @@ class SignedStatement(_OverStatement):
 
 
 class Certificate(_OverStatement):
-    """Statement fields + a proof that a quorum signed them.
-
-    The proof is the trailing field(s): one tuple of voter-sorted
-    ``(id, signature)`` pairs (ids 15, 17, 19, 111), or ``signer_bits`` +
-    ``agg_signature`` (ids 120–123).  Chain logic never needs to know
-    which: ``signer_count`` / ``signer_ids`` / ``verify`` cover both.
+    """Statement fields + a proof that a quorum signed them: the trailing
+    ``signer_bits`` + ``agg_signature`` (ids 120–123).
     """
-
-    AGGREGATE: ClassVar[bool]
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls.AGGREGATE = "signer_bits" in cls.__annotations__
-        cls.KIND.certificate_forms[cls.AGGREGATE] = cls
+        if "signer_bits" in cls.__annotations__:
+            cls.KIND.certificate = cls
 
     @staticmethod
-    def assemble(
-        signed: Iterable[SignedStatement], signer: Signer, aggregate: bool
-    ) -> "Certificate":
+    def assemble(signed: Iterable[SignedStatement], signer: Signer) -> "Certificate":
         """Build the certificate a quorum of signed statements proves.
 
-        ``aggregate`` picks the proof form — this is the one place the
-        choice is made.  The aggregate form needs ``signer`` to resolve
-        ids to public keys for the aggregation transcript.  Callers
-        verify the statements *before* assembling: aggregation is a
-        compression step, and an invalid input signature yields an
-        aggregate that fails verification, losing the attribution a
-        statement-level check provides.
+        ``signer`` resolves ids to public keys for the aggregation
+        transcript.  Callers verify the statements *before* assembling:
+        aggregation is a compression step, and an invalid input signature
+        yields an aggregate that fails verification, losing the
+        attribution a statement-level check provides.
         """
         signed = tuple(signed)
         kind, statement = signed[0].KIND, signed[0].statement
         if any(s.KIND is not kind or s.statement != statement for s in signed):
             raise VerificationError(f"cannot certify divergent {kind.domain} statements")
         pairs = tuple(sorted(s.proof for s in signed))
-        if not aggregate:
-            return kind.certificate_forms[False](*statement, pairs)
-        return kind.certificate_forms[True](
+        return kind.certificate(
             *statement,
             pack_signer_bits(signer_id for signer_id, _ in pairs),
             signer.aggregate_digest(kind.domain, signing_bytes(*statement), pairs),
@@ -253,34 +242,26 @@ class Certificate(_OverStatement):
     @property
     def signer_count(self) -> int:
         """Number of distinct signers backing this certificate."""
-        return bin(self.proof[0]).count("1") if self.AGGREGATE else len(self.proof)
+        return bin(self.signer_bits).count("1")
 
     @property
     def signer_ids(self) -> Tuple[int, ...]:
         """Sorted replica ids of the signers."""
-        if self.AGGREGATE:
-            return unpack_signer_bits(self.proof[0])
-        return tuple(signer_id for signer_id, _ in self.proof)
+        return unpack_signer_bits(self.signer_bits)
 
     def well_formed(self) -> bool:
-        """Every field has its declared type, the proof included.
+        """Every field has its declared type, and the bitmap is not negative.
 
         Checked before anything iterates, hashes or compares a received
         certificate: a well-framed, canonical frame can still carry an
-        ``int`` where the pair list belongs.
+        ``int`` where the signature belongs.
         """
-        if not super().well_formed():
-            return False
-        if self.AGGREGATE:
-            return self.proof[0] >= 0
-        return all(
-            type(pair) is tuple and tuple(map(type, pair)) == (int, bytes)
-            for pair in self.proof
-        )
+        return super().well_formed() and self.signer_bits >= 0
 
     def verify(self, signer: Signer, validators: "ValidatorSet") -> bool:
-        """Check shape, quorum, signer distinctness and membership, and
-        the signatures — the one place a received certificate is checked.
+        """Check shape, quorum and membership of the signer set, and the
+        aggregate signature — the one place a received certificate is
+        checked.
 
         Memoized per (scheme, registry, validator set) on the certificate
         object — see :meth:`SignedStatement.verify` for why this is sound
@@ -299,25 +280,31 @@ class Certificate(_OverStatement):
         return ok
 
     def _verify_uncached(self, signer: Signer, validators: "ValidatorSet") -> bool:
-        if not self.well_formed():
+        # A bitmap naming a non-member is rejected before the unpacking,
+        # which it also bounds to n bits.
+        if not self.well_formed() or not validators.covers_bits(self.signer_bits):
             return False
-        domain, message = self.KIND.domain, signing_bytes(*self.statement)
-        if self.AGGREGATE:
-            # A bitmap naming a non-member is rejected here, which also
-            # bounds the unpacking below to n bits.
-            bits, signature = self.proof
-            if not validators.covers_bits(bits):
-                return False
-            signer_ids = unpack_signer_bits(bits)
-            return len(signer_ids) >= validators.quorum and signer.verify_aggregate_digest(
-                signer_ids, domain, message, signature
-            )
-        signer_ids = [signer_id for signer_id, _ in self.proof]
-        return (
-            len(set(signer_ids)) == len(signer_ids) >= validators.quorum
-            and all(map(validators.is_valid_replica, signer_ids))
-            and signer.batch_verify_digest(domain, message, self.proof)
+        signer_ids = unpack_signer_bits(self.signer_bits)
+        return len(signer_ids) >= validators.quorum and signer.verify_aggregate_digest(
+            signer_ids, self.KIND.domain, signing_bytes(*self.statement), self.agg_signature
         )
+
+
+class UnsignedCertificate(Certificate):
+    """The retired list form (ids 15, 17, 19, 111): statement fields + the
+    tuple that held voter-sorted ``(id, signature)`` pairs.
+
+    The tuple must be empty — a list naming any signer is not well
+    formed — so an instance names no signer and never reaches a quorum.
+    Only :func:`genesis_qc` builds one; a peer that sends one carrying
+    signatures is refused like any other malformed certificate.
+    """
+
+    #: The empty signer set, read as every certificate's is.
+    signer_bits = 0
+
+    def well_formed(self) -> bool:
+        return super().well_formed() and self.proof == ()
 
 
 @register(14)
@@ -360,27 +347,27 @@ class Vote(SignedStatement, kind=VOTE):
 
 @register(15)
 @dataclass(frozen=True, repr=False)
-class QuorumCertificate(Certificate, kind=VOTE):
-    """A quorum of votes for one block in one epoch/phase.
-
-    Certificates are ranked lexicographically by ``(epoch, height)``; the
-    chain-selection and locking rules of every protocol here compare
-    certificates by that rank.
-    """
+class QuorumCertificate(UnsignedCertificate, kind=VOTE):
+    """The genesis certificate's form (see :func:`genesis_qc`); a quorum
+    of votes travels as an :class:`AggregateQuorumCertificate`."""
 
     protocol: str
     phase: int
     epoch: int
     height: int
     block_hash: Digest
-    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
-
+    votes: Tuple[Tuple[int, bytes], ...]  # always ()
 
 
 @register(120)
 @dataclass(frozen=True, repr=False)
 class AggregateQuorumCertificate(Certificate, kind=VOTE):
-    """A :class:`QuorumCertificate` carried as bitmap + aggregate signature."""
+    """A quorum of votes for one block in one epoch/phase.
+
+    Certificates are ranked lexicographically by ``(epoch, height)``; the
+    chain-selection and locking rules of every protocol here compare
+    certificates by that rank.
+    """
 
     protocol: str
     phase: int
@@ -421,18 +408,18 @@ class Blame(SignedStatement, kind=BLAME):
 
 @register(17)
 @dataclass(frozen=True, repr=False)
-class BlameCertificate(Certificate, kind=BLAME):
-    """f+1 blames proving epoch ``epoch`` must be abandoned."""
+class BlameCertificate(UnsignedCertificate, kind=BLAME):
+    """The retired list form of a blame certificate; never built."""
 
     protocol: str
     epoch: int
-    blames: Tuple[Tuple[int, bytes], ...]  # (blamer id, signature), sorted
+    blames: Tuple[Tuple[int, bytes], ...]  # always ()
 
 
 @register(121)
 @dataclass(frozen=True, repr=False)
 class AggregateBlameCertificate(Certificate, kind=BLAME):
-    """A :class:`BlameCertificate` carried as bitmap + aggregate signature."""
+    """f+1 blames proving epoch ``epoch`` must be abandoned."""
 
     protocol: str
     epoch: int
@@ -462,28 +449,27 @@ class CheckpointVote(SignedStatement, kind=CHECKPOINT):
 
 @register(19)
 @dataclass(frozen=True, repr=False)
-class CheckpointCertificate(Certificate, kind=CHECKPOINT):
-    """f+1 matching checkpoint votes: a transferable commit proof for a
-    ledger prefix.
-
-    Unlike a :class:`QuorumCertificate` (which in AlterBFT certifies but
-    does not commit — commitment is a temporal 2Δ condition), a
-    checkpoint certificate *is* a commit proof: f+1 signers include at
-    least one honest replica that committed the prefix.
-    """
+class CheckpointCertificate(UnsignedCertificate, kind=CHECKPOINT):
+    """The retired list form of a checkpoint certificate; never built."""
 
     protocol: str
     height: int
     block_hash: Digest
     state_digest: Digest
-    votes: Tuple[Tuple[int, bytes], ...]  # (voter id, signature), voter-sorted
-
+    votes: Tuple[Tuple[int, bytes], ...]  # always ()
 
 
 @register(122)
 @dataclass(frozen=True, repr=False)
 class AggregateCheckpointCertificate(Certificate, kind=CHECKPOINT):
-    """A :class:`CheckpointCertificate` carried as bitmap + aggregate signature."""
+    """f+1 matching checkpoint votes: a transferable commit proof for a
+    ledger prefix.
+
+    Unlike a vote certificate (which in AlterBFT certifies but does not
+    commit — commitment is a temporal 2Δ condition), a checkpoint
+    certificate *is* a commit proof: f+1 signers include at least one
+    honest replica that committed the prefix.
+    """
 
     protocol: str
     height: int
@@ -519,7 +505,18 @@ class DeltaAdjust(SignedStatement, kind=DELTA_ADJUST):
 
 @register(111)
 @dataclass(frozen=True, repr=False)
-class DeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
+class DeltaAdjustCertificate(UnsignedCertificate, kind=DELTA_ADJUST):
+    """The retired list form of a Δ-adjust certificate; never built."""
+
+    protocol: str
+    seq: int
+    rung: int
+    adjusts: Tuple[Tuple[int, bytes], ...]  # always ()
+
+
+@register(123)
+@dataclass(frozen=True, repr=False)
+class AggregateDeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
     """f+1 matching Δ-adjustments: authority to install a new ladder rung.
 
     f+1 signers include at least one honest replica whose local delay
@@ -528,18 +525,6 @@ class DeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
     its next epoch boundary, making the switch atomic across the cluster
     (epoch entry is itself synchronized within Δ by the blame machinery).
     """
-
-    protocol: str
-    seq: int
-    rung: int
-    adjusts: Tuple[Tuple[int, bytes], ...]  # (proposer id, signature), sorted
-
-
-
-@register(123)
-@dataclass(frozen=True, repr=False)
-class AggregateDeltaAdjustCertificate(Certificate, kind=DELTA_ADJUST):
-    """A :class:`DeltaAdjustCertificate` carried as bitmap + aggregate signature."""
 
     protocol: str
     seq: int

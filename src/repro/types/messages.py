@@ -4,16 +4,19 @@ Messages are registered dataclasses (see :mod:`repro.codec`), so their
 wire size — which drives the hybrid synchronous delay model — is their
 genuine encoded size.  Type-id allocation:
 
-* 10–19  core data types (transaction, block, certificates)
+* 10–19  core data types (transaction, block, signed statements and
+  the unsigned list form of their certificates)
 * 20–39  AlterBFT / shared consensus messages
 * 40–59  Sync HotStuff (Merkle proofs live in :mod:`repro.crypto.merkle`
   at 41–42)
 * 60–79  HotStuff
 * 80–99  PBFT
 * 100–109 measurement probes and client traffic
-* 110–119 synchrony guard (Δ-adjust certificates live in
-  :mod:`repro.types.certificates` at 110–111; guard wire messages here
-  at 112–115) and payload dissemination (chunk messages at 116–118)
+* 110–119 synchrony guard (the signed Δ-adjustment and its unsigned
+  certificate form live in :mod:`repro.types.certificates` at 110–111;
+  guard wire messages here at 112–115) and payload dissemination (chunk
+  messages at 116–118)
+* 120–123 certificates (:mod:`repro.types.certificates`)
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ from repro.sim.rng import RngFactory
 from repro.sim.scheduler import Scheduler
 from repro.types.block import make_block
 from repro.types.certificates import (
+    AggregateBlameCertificate,
+    AggregateQuorumCertificate,
     Blame,
-    BlameCertificate,
     Certificate,
-    QuorumCertificate,
     Vote,
     genesis_qc,
 )
@@ -74,7 +74,7 @@ def qc_over(signers, block, phase=0):
         Vote.create(s, "alterbft", block.epoch, block.height, block.block_hash, phase=phase)
         for s in signers
     )
-    return Certificate.assemble(votes, signers[0], aggregate=False)
+    return Certificate.assemble(votes, signers[0])
 
 
 def gen_qc(replica):
@@ -217,13 +217,14 @@ class TestHeaderValidation:
     def test_invalid_justify_qc_rejected(self, setup):
         replica, ctx, signers = setup
         h1, p1, b1 = make_proposal(signers[1], 1, 1, gen_qc(replica))
-        fake_qc = QuorumCertificate(
+        fake_qc = AggregateQuorumCertificate(
             protocol="alterbft",
             phase=0,
             epoch=1,
             height=1,
             block_hash=b1.block_hash,
-            votes=((0, b"\x00" * 64), (1, b"\x01" * 64)),
+            signer_bits=0b11,
+            agg_signature=b"\x00" * 32,
         )
         h2, _, _ = make_proposal(signers[1], 1, 2, fake_qc)
         with pytest.raises(VerificationError):
@@ -256,7 +257,7 @@ class TestEquivocation:
         qc1 = qc_over(signers[:2], b1)
         # Epoch 2: anchor X extends qc1 (height 2)...
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(1, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")
@@ -341,7 +342,7 @@ class TestCommit:
         replica, ctx, signers = setup
         self.commit_block(replica, ctx, signers)
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("commit_wait")
@@ -395,7 +396,7 @@ class TestEpochChange:
     def test_blame_cert_quits_epoch(self, setup):
         replica, ctx, signers = setup
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         assert replica.state == QUITTING
@@ -421,7 +422,9 @@ class TestEpochChange:
 
     def test_invalid_blame_cert_rejected(self, setup):
         replica, ctx, signers = setup
-        bogus = BlameCertificate(protocol="alterbft", epoch=1, blames=((0, b"\x00" * 64),))
+        bogus = AggregateBlameCertificate(
+            protocol="alterbft", epoch=1, signer_bits=0b1, agg_signature=b"\x00" * 32
+        )
         with pytest.raises(VerificationError):
             replica.on_blame_cert(2, BlameCertMsg(cert=bogus))
 
@@ -434,7 +437,7 @@ class TestEpochChange:
         replica.handle(2, h_future)
         assert not replica.store.has_header(h_future.header.block_hash)
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")
@@ -450,7 +453,7 @@ class TestEpochChange:
         replica.handle(1, VoteMsg(vote=Vote.create(signers[1], "alterbft", 1, 1, b1.block_hash)))
         assert replica.high_qc.rank == (1, 1)
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")

@@ -1,6 +1,6 @@
 """Signed statements and certificates: one behaviour battery for every
-kind × proof form × scheme, and the hostile shapes a Byzantine peer can
-put in a well-framed message.
+kind × scheme, the retired list form refused, and the hostile shapes a
+Byzantine peer can put in a well-framed message.
 
 ``tests/test_wire_compat.py`` pins the bytes; this file pins the verdicts.
 """
@@ -32,9 +32,13 @@ from repro.types.certificates import (
     VOTE,
     AggregateQuorumCertificate,
     Blame,
+    BlameCertificate,
     Certificate,
+    CheckpointCertificate,
     CheckpointVote,
     DeltaAdjust,
+    DeltaAdjustCertificate,
+    QuorumCertificate,
     Vote,
     genesis_qc,
     is_genesis_qc,
@@ -53,6 +57,7 @@ from repro.types.messages import (
     PBFTCommitMsg,
     PBFTNewViewMsg,
     PBFTPrepareMsg,
+    PBFTPrePrepareMsg,
     PBFTSyncReplyMsg,
     PBFTViewChangeMsg,
     ProposalHeaderMsg,
@@ -115,15 +120,39 @@ def kind(request):
     return request.param
 
 
+def certify(kind, signers, ids, **changes):
+    return Certificate.assemble([signed_by(kind, signers[i], **changes) for i in ids], signers[0])
+
+
+#: Kind of statement → its retired list form (``(id, signature)`` pairs
+#: where the bitmap and aggregate now are), kept only unsigned.
+LIST_FORMS = {
+    VOTE: QuorumCertificate,
+    BLAME: BlameCertificate,
+    CHECKPOINT: CheckpointCertificate,
+    DELTA_ADJUST: DeltaAdjustCertificate,
+}
+
+
+def assert_list_form_refused(kind, signers):
+    """A valid quorum in the retired list form, as a peer can still send
+    it, is not a well-formed certificate and does not verify."""
+    signed = [signed_by(kind, s) for s in signers[:3]]
+    pairs = tuple(sorted(s.proof for s in signed))
+    cert = decode(encode(LIST_FORMS[kind](*signed[0].statement, pairs)))
+    assert not kind.is_certificate(cert)
+    assert not cert.verify(signers[1], VALIDATORS)
+
+
 @pytest.fixture(params=[False, True], ids=["raw", "aggregate"])
-def aggregate(request):
+def aggregate(request, kind, signers):
+    """The proof form.  The raw ``(id, signature)`` list is retired, so the
+    raw variant of each test first holds that a valid quorum in it is
+    refused (in every kind, under both schemes); every body then runs on
+    the aggregate form, the only one assembled."""
+    if not request.param:
+        assert_list_form_refused(kind, signers)
     return request.param
-
-
-def certify(kind, signers, ids, aggregate, **changes):
-    return Certificate.assemble(
-        [signed_by(kind, signers[i], **changes) for i in ids], signers[0], aggregate=aggregate
-    )
 
 
 class TestSignedStatements:
@@ -157,8 +186,8 @@ class TestSignedStatements:
 
 class TestCertificates:
     def test_quorum_verifies_in_the_form_asked_for(self, kind, aggregate, signers):
-        cert = certify(kind, signers, (3, 0, 2), aggregate)
-        assert type(cert) is kind.certificate_forms[aggregate] and cert.AGGREGATE is aggregate
+        cert = certify(kind, signers, (3, 0, 2))
+        assert type(cert) is kind.certificate and cert.signer_bits == 0b1101
         assert cert.statement == tuple(KINDS[kind][1].values())
         assert cert.signer_ids == (0, 2, 3) and cert.signer_count == 3
         assert kind.is_certificate(cert) and cert.verify(signers[1], VALIDATORS)
@@ -166,30 +195,22 @@ class TestCertificates:
         assert received == cert and received.verify(signers[4], VALIDATORS)
 
     def test_below_quorum_rejected(self, kind, aggregate, signers):
-        assert not certify(kind, signers, (0, 1), aggregate).verify(signers[1], VALIDATORS)
+        assert not certify(kind, signers, (0, 1)).verify(signers[1], VALIDATORS)
 
     def test_duplicate_signer_rejected(self, kind, aggregate, signers):
-        cert = certify(kind, signers, (0, 1), aggregate)
-        if aggregate:
-            # A bitmap cannot say "twice"; claiming a third signer for a
-            # two-signer aggregate is the nearest forgery.
-            padded = dataclasses.replace(cert, signer_bits=0b111)
-        else:
-            padded = type(cert)(*cert.statement, (cert.proof[0], *cert.proof))
+        # A bitmap cannot say "twice"; claiming a third signer for a
+        # two-signer aggregate is the nearest forgery.
+        padded = dataclasses.replace(certify(kind, signers, (0, 1)), signer_bits=0b111)
         assert padded.signer_count == 3
         assert not padded.verify(signers[1], VALIDATORS)
 
     def test_forged_signature_rejected(self, kind, aggregate, signers):
-        cert = certify(kind, signers, (0, 1, 2), aggregate)
-        if aggregate:
-            forged = dataclasses.replace(cert, agg_signature=flip(cert.agg_signature))
-        else:
-            (signer_id, signature), *rest = cert.proof
-            forged = type(cert)(*cert.statement, ((signer_id, flip(signature)), *rest))
+        cert = certify(kind, signers, (0, 1, 2))
+        forged = dataclasses.replace(cert, agg_signature=flip(cert.agg_signature))
         assert not forged.verify(signers[1], VALIDATORS)
 
     def test_every_field_is_covered_by_the_proof(self, kind, aggregate, signers):
-        cert = certify(kind, signers, (0, 1, 2), aggregate)
+        cert = certify(kind, signers, (0, 1, 2))
         for field in kind.fields:
             forged = dataclasses.replace(cert, **{field: tampered(getattr(cert, field))})
             assert kind.is_certificate(forged), field
@@ -198,35 +219,29 @@ class TestCertificates:
     def test_signer_outside_the_validator_set_rejected(self, kind, aggregate, signers):
         # Replica 5 holds a registered key and signs validly, but the
         # validator set has five members: ids 0..4.
-        outsider = certify(kind, signers, (0, 1, 5), aggregate)
+        outsider = certify(kind, signers, (0, 1, 5))
         assert not outsider.verify(signers[1], VALIDATORS)
         assert outsider.verify(signers[1], ValidatorSet.synchronous(6, 2))
-        cert = certify(kind, signers, (0, 1, 2), aggregate)
-        if aggregate:
-            unknown = dataclasses.replace(cert, signer_bits=cert.signer_bits | 1 << 40)
-        else:
-            unknown = type(cert)(*cert.statement, (*cert.proof, (40, cert.proof[0][1])))
+        cert = certify(kind, signers, (0, 1, 2))
+        unknown = dataclasses.replace(cert, signer_bits=cert.signer_bits | 1 << 40)
         assert not unknown.verify(signers[1], ValidatorSet(n=64, f=2, quorum=3))
 
     def test_proof_from_another_domain_rejected(self, kind, aggregate, signers):
         """Domain separation: the same bytes signed as another kind of
         statement prove nothing about this one."""
-        cert = certify(kind, signers, (0, 1, 2), aggregate)
+        cert = certify(kind, signers, (0, 1, 2))
         message = signing_bytes(*cert.statement)
         for other in KINDS:
             if other is kind:
                 continue
             pairs = [(s.replica_id, s.digest_and_sign(other.domain, message)) for s in signers[:3]]
-            if aggregate:
-                lifted = dataclasses.replace(
-                    cert, agg_signature=signers[0].aggregate_digest(other.domain, message, pairs)
-                )
-            else:
-                lifted = type(cert)(*cert.statement, tuple(pairs))
+            lifted = dataclasses.replace(
+                cert, agg_signature=signers[0].aggregate_digest(other.domain, message, pairs)
+            )
             assert not lifted.verify(signers[1], VALIDATORS), other.domain
 
     def test_memo_is_per_registry_and_per_validator_set(self, kind, aggregate, signers):
-        cert = certify(kind, signers, (0, 1, 2), aggregate)
+        cert = certify(kind, signers, (0, 1, 2))
         stricter = ValidatorSet(n=5, f=1, quorum=4)
         strangers = build_cluster_keys(signers[0].scheme.name, 5, seed=b"another-cluster")
         assert cert.verify(signers[1], VALIDATORS)
@@ -245,10 +260,40 @@ class TestCertificates:
             changed = tampered(getattr(votes[0], field))
             odd = signed_by(kind, signers[3], **{field: changed})
             with pytest.raises(VerificationError):
-                Certificate.assemble(votes + [odd], signers[0], aggregate=aggregate)
+                Certificate.assemble(votes + [odd], signers[0])
         foreign = signed_by(next(k for k in KINDS if k is not kind), signers[3])
         with pytest.raises(VerificationError):
-            Certificate.assemble(votes + [foreign], signers[0], aggregate=aggregate)
+            Certificate.assemble(votes + [foreign], signers[0])
+
+
+@pytest.mark.parametrize("protocol", ["alterbft", "sync-hotstuff", "hotstuff", "pbft"])
+def test_every_certificate_a_run_forms_is_an_aggregate(protocol, monkeypatch):
+    """A run with the epoch-1 leader crashed; on the AlterBFT family also
+    checkpointing and the guard, with a slow link that moves Δ — so every
+    kind of certificate the protocol has is formed, and each is the
+    aggregate form."""
+    from repro.bench.common import make_config
+    from repro.runner.cluster import build_cluster
+
+    formed = []
+    assemble = Certificate.assemble
+
+    def recording(signed, signer):
+        formed.append(assemble(signed, signer))
+        return formed[-1]
+
+    monkeypatch.setattr(Certificate, "assemble", staticmethod(recording))
+    family = protocol in ("alterbft", "sync-hotstuff")
+    flags = dict(f=2, guard_enabled=True, checkpoint_interval=4) if family else {}
+    faults = ((1, "crash@0.8"),) + (((2, "slow-link@0.3:1.0"),) if family else ())
+    cluster = build_cluster(
+        make_config(protocol, rate=500.0, duration=2.0, seed=7, faults=faults, **flags)
+    )
+    cluster.start()
+    cluster.run()
+    assert all(type(cert) is cert.KIND.certificate for cert in formed)
+    kinds = {cert.KIND for cert in formed}
+    assert kinds == ({VOTE, BLAME, CHECKPOINT, DELTA_ADJUST} if family else {VOTE})
 
 
 class TestGenesisCertificate:
@@ -261,9 +306,9 @@ class TestGenesisCertificate:
 
     def test_only_an_unsigned_rank_zero_certificate_is_genesis(self):
         signers = signers_for("hashsig")
-        assert not is_genesis_qc(certify(VOTE, signers, (0, 1, 2), False))
+        assert not is_genesis_qc(certify(VOTE, signers, (0, 1, 2)))
         signed = Certificate.assemble(
-            [signed_by(VOTE, s, epoch=0, height=0) for s in signers[:3]], signers[0], False
+            [signed_by(VOTE, s, epoch=0, height=0) for s in signers[:3]], signers[0]
         )
         assert not is_genesis_qc(signed)
         assert not is_genesis_qc(dataclasses.replace(genesis_qc("alterbft", b""), height=1))
@@ -293,7 +338,7 @@ def hostile_signed(kind, **claims):
     shapes = {
         "not-an-object": 5,
         "none": None,
-        "a-certificate": certify(kind, CLUSTER, (1, 2, 3), False, **claims),
+        "a-certificate": certify(kind, CLUSTER, (1, 2, 3), **claims),
         "another-kind": signed_by(another, CLUSTER[1], protocol=claims["protocol"]),
         "signer-str": dataclasses.replace(signed, **{id_field: "x"}),
         "signer-list": dataclasses.replace(signed, **{id_field: []}),
@@ -307,9 +352,10 @@ def hostile_signed(kind, **claims):
     return shapes
 
 
-def hostile_certificate(kind, aggregate, **claims):
-    """Ill-typed variants of a certificate in one proof form."""
-    cert = certify(kind, CLUSTER, (1, 2, 3), aggregate, **claims)
+def hostile_certificate(kind, **claims):
+    """Ill-typed variants of a certificate, and the retired list form
+    carrying anything at all (a valid quorum included)."""
+    cert = certify(kind, CLUSTER, (1, 2, 3), **claims)
     signature = signed_by(kind, CLUSTER[1], **claims).signature
     another = BLAME if kind is VOTE else VOTE
     protocol = claims["protocol"]
@@ -317,38 +363,34 @@ def hostile_certificate(kind, aggregate, **claims):
         "not-an-object": 5,
         "none": None,
         "a-signed-statement": signed_by(kind, CLUSTER[1], **claims),
-        "another-kind": certify(another, CLUSTER, (1, 2, 3), aggregate, protocol=protocol),
+        "another-kind": certify(another, CLUSTER, (1, 2, 3), protocol=protocol),
+        "signature-int": dataclasses.replace(cert, agg_signature=5),
+        "signature-none": dataclasses.replace(cert, agg_signature=None),
+        "bits-str": dataclasses.replace(cert, signer_bits="x"),
+        "bits-negative": dataclasses.replace(cert, signer_bits=-6),
+        "bits-bool": dataclasses.replace(cert, signer_bits=True),
+        "bits-list": dataclasses.replace(cert, signer_bits=[1, 2, 3]),
     }
-    if aggregate:
-        shapes.update(
-            {
-                "signature-int": dataclasses.replace(cert, agg_signature=5),
-                "signature-none": dataclasses.replace(cert, agg_signature=None),
-                "bits-str": dataclasses.replace(cert, signer_bits="x"),
-                "bits-negative": dataclasses.replace(cert, signer_bits=-6),
-                "bits-bool": dataclasses.replace(cert, signer_bits=True),
-                "bits-list": dataclasses.replace(cert, signer_bits=[1, 2, 3]),
-            }
-        )
-    else:
-        proofs = {
-            "proof-int": 5,
-            "proof-none": None,
-            "proof-bytes": signature,
-            "proof-list": [[1, signature], [2, signature], [3, signature]],
-            "pairs-int": (1,),
-            "pairs-short": ((1,), (2,), (3,)),
-            "pairs-long": ((1, signature, 0), (2, signature, 0), (3, signature, 0)),
-            "pairs-lists": ([1, signature], [2, signature], [3, signature]),
-            "id-list": (([], signature), ([], signature), ([], signature)),
-            "id-str": (("1", signature), ("2", signature), ("3", signature)),
-            "id-bool": ((True, signature), (2, signature), (3, signature)),
-            "id-huge": ((1 << 70, signature), (2, signature), (3, signature)),
-            "signature-int": ((0, 5), (1, 5), (2, 5)),
-            "signature-none": ((1, None), (2, signature), (3, signature)),
-        }
-        for name, proof in proofs.items():
-            shapes[name] = type(cert)(*cert.statement, proof)
+    pairs = tuple(signed_by(kind, CLUSTER[i], **claims).proof for i in (1, 2, 3))
+    proofs = {
+        "signed": pairs,
+        "proof-int": 5,
+        "proof-none": None,
+        "proof-bytes": signature,
+        "proof-list": [[1, signature], [2, signature], [3, signature]],
+        "pairs-int": (1,),
+        "pairs-short": ((1,), (2,), (3,)),
+        "pairs-long": ((1, signature, 0), (2, signature, 0), (3, signature, 0)),
+        "pairs-lists": ([1, signature], [2, signature], [3, signature]),
+        "id-list": (([], signature), ([], signature), ([], signature)),
+        "id-str": (("1", signature), ("2", signature), ("3", signature)),
+        "id-bool": ((True, signature), (2, signature), (3, signature)),
+        "id-huge": ((1 << 70, signature), (2, signature), (3, signature)),
+        "signature-int": ((0, 5), (1, 5), (2, 5)),
+        "signature-none": ((1, None), (2, signature), (3, signature)),
+    }
+    for name, proof in proofs.items():
+        shapes[f"list-{name}"] = LIST_FORMS[kind](*cert.statement, proof)
     for field in kind.fields:
         for name, value in (("list", []), ("none", None), ("float", 1.5), ("dict", {})):
             shapes[f"{field}-{name}"] = dataclasses.replace(cert, **{field: value})
@@ -474,11 +516,7 @@ def test_hostile_shapes_are_dropped_by_every_handler(protocol):
     for kind, is_certificate, build, *claims in carriers(replica):
         claims = dict(*claims, protocol=replica.protocol_name)
         if is_certificate:
-            shapes = {
-                f"{form}-{name}": shape
-                for form, aggregate in (("raw", False), ("aggregate", True))
-                for name, shape in hostile_certificate(kind, aggregate, **claims).items()
-            }
+            shapes = hostile_certificate(kind, **claims)
         else:
             shapes = hostile_signed(kind, **claims)
         for name, shape in shapes.items():
@@ -495,6 +533,46 @@ def test_hostile_shapes_are_dropped_by_every_handler(protocol):
             delivered += 1
     assert delivered > 100
     assert not replica.crashed and replica.ledger.height == 0
+
+
+#: protocol → its proposal message around a block (every other field valid).
+BLOCK_CARRIERS = {
+    "sync-hotstuff": lambda block, signature, tip: SHProposalMsg(
+        block=block, signature=signature, justify=tip
+    ),
+    "hotstuff": lambda block, signature, tip: HSProposalMsg(
+        block=block, signature=signature, justify=tip
+    ),
+    "pbft": lambda block, signature, tip: PBFTPrePrepareMsg(
+        view=1, seq=1, block=block, signature=signature
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol", list(BLOCK_CARRIERS))
+def test_an_ill_typed_proposal_block_is_refused(protocol):
+    """The baselines' proposals carry a whole block; one that is not a
+    block, or holds a header or payload of the wrong type, is a failed
+    verification, not an exception out of ``handle``."""
+    cls, quorum_style, _ = PROTOCOLS[protocol]
+    replica, ctx = build_replica(cls, quorum_style)
+    block, signature = signed_block(replica, 1, 1, proposer=1)
+    tip = genesis_qc(replica.protocol_name, replica.store.genesis.block_hash)
+    shapes = [
+        5,
+        None,
+        (block.header, block.payload),
+        dataclasses.replace(block, header=5),
+        dataclasses.replace(block, header=dataclasses.replace(block.header, epoch="1")),
+        dataclasses.replace(block, payload=5),
+    ]
+    stored = len(replica.store)
+    for shape in shapes:
+        msg = decode(encode(BLOCK_CARRIERS[protocol](shape, signature, tip)))
+        before = len(ctx.traced)
+        replica.handle(1, msg)  # must not raise
+        assert ctx.traced[before:] == ["verification_failed"], repr(shape)
+    assert len(replica.store) == stored
 
 
 def test_divergent_vote_in_a_quorum_bucket_is_dropped():

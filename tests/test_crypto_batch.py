@@ -8,10 +8,8 @@ Three kinds of guarantee are pinned here:
 * **Soundness** — the aggregate form resists the classic attacks on
   naive signature aggregation: rogue-key cancellation, signer-set
   substitution, and aggregate tampering.
-* **Inertness** — with the ``crypto_batch`` / ``crypto_aggregate``
-  config flags at their defaults (off), a seeded cluster reproduces the
-  golden trace fingerprint byte for byte; with them on, runs stay
-  deterministic.
+* **One form** — every certificate is an aggregate: the retired list
+  form cannot be configured.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.crypto.schnorr import (
     point_mul,
 )
 from repro.crypto.signatures import HashSignatureScheme, KeyRegistry
-from repro.errors import CryptoError
+from repro.errors import ConfigError, CryptoError
 
 #: A shared key pool: schnorr keygen is a full point multiplication, so
 #: the battery reuses one pool instead of regenerating keys per case.
@@ -294,39 +292,17 @@ class TestHashsigBatchEquivalence:
         assert scheme.find_invalid(items) == [2]
 
 
-class TestConfigInertness:
-    def test_flags_default_off(self):
-        pconf = ProtocolConfig(n=3, f=1, delta=0.01, epoch_timeout=1.0)
-        assert pconf.crypto_batch is False
-        assert pconf.crypto_aggregate is False
+def test_the_retired_list_form_cannot_be_configured():
+    """Every certificate is an aggregate; ``crypto_aggregate`` is a
+    True-only keyword, and asking for the list form fails at assembly."""
+    from repro.bench.common import make_config
+    from repro.runner.cluster import build_cluster
 
-    def test_golden_fingerprint_with_crypto_flags_default(self):
-        """The whole layer is observationally inert while switched off."""
-        from tests.test_perf_hotpath import GOLDEN_FINGERPRINT, _run_fingerprint
-
-        assert _run_fingerprint() == GOLDEN_FINGERPRINT
-
-    def test_enabled_run_is_deterministic(self):
-        from repro.bench.common import make_config
-        from repro.runner.cluster import build_cluster
-
-        def run() -> str:
-            cfg = make_config(
-                "alterbft",
-                f=1,
-                rate=500.0,
-                duration=1.5,
-                seed=7,
-                crypto_batch=True,
-                crypto_aggregate=True,
-            )
-            cluster = build_cluster(cfg)
-            cluster.start()
-            cluster.run()
-            return cluster.fingerprint()
-
-        first, second = run(), run()
-        assert first == second
+    assert ProtocolConfig(n=3, f=1).crypto_aggregate is True
+    with pytest.raises(ConfigError, match="crypto_aggregate"):
+        ProtocolConfig(n=3, f=1, crypto_aggregate=False).validate()
+    with pytest.raises(ConfigError, match="crypto_aggregate"):
+        build_cluster(make_config("alterbft", crypto_aggregate=False))
 
 
 def _negate(point):

@@ -360,7 +360,7 @@ def test_reconstructed_payloads_share_the_mempools_transactions():
     assert len({id(tx) for tx in committed}) == len(keys)
     # Pinned: which objects a payload holds must not move the run.
     assert cluster.fingerprint() == (
-        "c65fc26f2de3b717a82533bd30821d4f66a4313a518551ce0ab05085a2bbbab1"
+        "a82caf2229048a196eee511f0ea690f13575a4eab40ee4f7ac5f8f0aff82ede3"
     )
 
 

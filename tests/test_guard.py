@@ -18,7 +18,7 @@ from repro.errors import VerificationError
 from repro.guard.monitor import MAX_RUNG, STABLE_WINDOW, CommitRecord
 from repro.runner.cluster import build_cluster, check_safety
 from repro.runner.registry import attach_subsystems
-from repro.types.certificates import Certificate, DeltaAdjust, DeltaAdjustCertificate
+from repro.types.certificates import Certificate, DeltaAdjust
 from repro.types.messages import DeltaAdjustCertMsg, DeltaAdjustMsg
 from tests.conftest import FakeContext
 
@@ -57,7 +57,7 @@ class TestDeltaAdjustTypes:
         adjusts = tuple(
             DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=1) for i in (0, 2)
         )
-        cert = Certificate.assemble(adjusts, signers[0], aggregate=False)
+        cert = Certificate.assemble(adjusts, signers[0])
         assert cert.verify(signers[1], VALIDATORS)
         assert decode(encode(cert)) == cert
 
@@ -66,19 +66,15 @@ class TestDeltaAdjustTypes:
         cert = Certificate.assemble(
             (DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1),),
             signers[0],
-            aggregate=False,
         )
         assert not cert.verify(signers[1], VALIDATORS)
 
     def test_duplicate_proposer_rejected(self):
         signers = build_cluster_keys("hashsig", 3)
         adjust = DeltaAdjust.create(signers[0], "alterbft", seq=0, rung=1)
-        cert = DeltaAdjustCertificate(
-            protocol="alterbft",
-            seq=0,
-            rung=1,
-            adjusts=((0, adjust.signature), (0, adjust.signature)),
-        )
+        # A bitmap cannot name proposer 0 twice; naming a second proposer
+        # who never signed is the nearest forgery.
+        cert = dataclasses.replace(Certificate.assemble((adjust,), signers[0]), signer_bits=0b11)
         assert not cert.verify(signers[1], VALIDATORS)
 
     def test_divergent_adjusts_cannot_aggregate(self):
@@ -90,7 +86,6 @@ class TestDeltaAdjustTypes:
                     DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=2),
                 ),
                 signers[0],
-                aggregate=False,
             )
 
 
@@ -141,7 +136,6 @@ class TestMonitorMeasurement:
         guard.pending_cert = Certificate.assemble(
             (DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2) for i in (1, 2)),
             signers[0],
-            aggregate=False,
         )
         guard.on_epoch_enter(2)
         assert guard.effective_delta == pytest.approx(4 * DELTA)
@@ -237,7 +231,6 @@ class TestMonitorRecalibration:
         cert = Certificate.assemble(
             (DeltaAdjust.create(signers[i], "alterbft", seq=0, rung=2) for i in (1, 2)),
             signers[0],
-            aggregate=False,
         )
         ctx.advance(1.0)
         guard.on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))
@@ -255,7 +248,6 @@ class TestMonitorRecalibration:
         cert = Certificate.assemble(
             (DeltaAdjust.create(signers[1], "alterbft", seq=0, rung=1),),
             signers[0],
-            aggregate=False,
         )
         with pytest.raises(VerificationError):
             replica.subsystems["guard"].on_delta_adjust_cert(1, DeltaAdjustCertMsg(cert=cert))

@@ -43,7 +43,7 @@ def qc_over(signers, block, view=None):
     votes = tuple(
         Vote.create(s, "hotstuff", view, block.height, block.block_hash) for s in signers
     )
-    return Certificate.assemble(votes, signers[0], aggregate=False)
+    return Certificate.assemble(votes, signers[0])
 
 
 def gen_qc(replica):

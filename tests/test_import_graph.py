@@ -344,6 +344,8 @@ _PARETO_TAIL = (
 UNSET_ON_PURPOSE = {
     "max_payload_bytes": "deployment cap on a block's size, like an address or a path",
     "idle_propose_delay": "pacing of empty blocks; unit tests turn it off to count proposals",
+    "crypto_aggregate": "True-only: certificates are aggregates, and the frozen benchmark "
+    "catalogue still passes the keyword; the field goes when the catalogue drops it",
     "slowdown_scale": _PARETO_TAIL,
     "slowdown_alpha": _PARETO_TAIL,
 }

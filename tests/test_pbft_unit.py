@@ -183,10 +183,10 @@ class TestViewChange:
         b1 = make_block(1, 1, genesis_block().block_hash, (), 1)
         b3 = make_block(1, 3, b"\x07" * 32, (), 1)
         qc1 = Certificate.assemble(
-            (vote(s, 1, 1, b1.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
+            (vote(s, 1, 1, b1.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0]
         )
         qc3 = Certificate.assemble(
-            (vote(s, 1, 3, b3.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
+            (vote(s, 1, 3, b3.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0]
         )
         vc = PBFTViewChangeMsg(
             sender=0,
@@ -204,10 +204,10 @@ class TestViewChange:
         b_old = make_block(1, 1, genesis_block().block_hash, (), 1)
         b_new = make_block(2, 1, genesis_block().block_hash, (), 2)
         qc_old = Certificate.assemble(
-            (vote(s, 1, 1, b_old.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
+            (vote(s, 1, 1, b_old.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0]
         )
         qc_new = Certificate.assemble(
-            (vote(s, 2, 1, b_new.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0], aggregate=False
+            (vote(s, 2, 1, b_new.block_hash, PREPARE_PHASE) for s in signers4[:3]), signers4[0]
         )
         vc1 = PBFTViewChangeMsg(0, 3, 0, None, ((1, qc_old, b_old),), b"")
         vc2 = PBFTViewChangeMsg(1, 3, 0, None, ((1, qc_new, b_new),), b"")

@@ -285,9 +285,13 @@ class TestSchnorrVerifyCache(TestVerifyCache):
         assert all(vote.verify(verifier) for vote in votes)
         scheme = verifier.scheme
         checked = scheme.cache_misses
-        qc = Certificate.assemble(votes, verifier, aggregate=False)
-        assert qc._verify_uncached(verifier, ValidatorSet.synchronous(3, 1))
-        assert scheme.cache_misses == checked  # every triple was a hit
+        qc = Certificate.assemble(votes, verifier)
+        assert scheme.cache_misses == checked  # assembling checks nothing
+        validators = ValidatorSet.synchronous(3, 1)
+        assert qc._verify_uncached(verifier, validators)
+        assert scheme.cache_misses == checked + 1  # one aggregate check
+        assert decode(encode(qc))._verify_uncached(verifier, validators)
+        assert scheme.cache_misses == checked + 1  # a received copy is a lookup
 
 
 def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
@@ -307,7 +311,7 @@ def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
     monkeypatch.setattr(micro, "BATCH_FLOOD_SIZES", (2,))
     monkeypatch.setattr(micro, "CERT_QUORUM", 3)
     names = {result.name for result in micro.bench_crypto_batch(reps=1)}
-    assert {"crypto.qc_verify_raw", "crypto.qc_verify_agg"} <= names
+    assert "crypto.qc_verify_agg" in names and "crypto.qc_verify_raw" not in names
     assert [scheme.name for scheme in built] == ["schnorr", "schnorr"]
     assert all(scheme.cache_size == 0 for scheme in built)
     assert sum(scheme.cache_hits + scheme.cache_misses for scheme in built) == 0
@@ -318,15 +322,13 @@ def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
 #: Fingerprint of make_config("alterbft", f=1, rate=500, duration=1.5,
 #: seed=7), recorded with all optimizations active.  Any change to this
 #: value means an "optimization" altered simulation behavior.
-GOLDEN_FINGERPRINT = "74e6400cf602201d70f226dab10cffac95514005ef663f95bb16244a050ce426"
+GOLDEN_FINGERPRINT = "c8f71948e02304598aa527bc5e309954d82e490d985901c90bb7c7fcba1cc357"
 
 #: The same seeded run with the certificate-bearing optional layers on:
-#: lazily batch-verified votes, aggregate-form quorum and checkpoint
-#: certificates, guard probes.  Pins the flags-on path to a value, where
-#: the per-layer tests only compare it run against run.
-FLAGS_ON = dict(
-    crypto_batch=True, crypto_aggregate=True, guard_enabled=True, checkpoint_interval=4
-)
+#: lazily batch-verified votes, checkpoint certificates, guard probes.
+#: Pins the flags-on path to a value, where the per-layer tests only
+#: compare it run against run.
+FLAGS_ON = dict(crypto_batch=True, guard_enabled=True, checkpoint_interval=4)
 GOLDEN_FINGERPRINT_FLAGS_ON = "780dd75024a6b6e4d6cf85b8aa7f72a76ebe5d9ae526686b39985719599ef5b4"
 
 
@@ -378,14 +380,13 @@ def test_golden_fingerprint_with_flags_on():
 #: no restart and never leaves rung 0 of the Δ ladder; these two runs add
 #: exactly those, through a crash and rejoin of replica 1.
 #:
-#: A — guard + checkpointing + batched/aggregate crypto, pipelined: the
+#: A — guard + checkpointing + batched crypto, pipelined: the
 #: cluster installs rung 2 at t ≈ 0.62, replica 1 crashes at 1.0 and
 #: restarts at 2.0 still on rung 2 (Δ = 20 ms), and catches up.
 FENCE_A = dict(
     f=2,
     duration=3.0,
     crypto_batch=True,
-    crypto_aggregate=True,
     guard_enabled=True,
     checkpoint_interval=4,
     pipeline_depth=2,
@@ -402,7 +403,7 @@ FENCE_B = dict(
     pipeline_depth=2,
     faults=((1, "crash-recover@1.0:2.0"),),
 )
-FENCE_B_FINGERPRINT = "5a412e21406ae7b53c76f919949deead7c62eeaa30dc9e36593a0470f60b669d"
+FENCE_B_FINGERPRINT = "7dd5b693b593e0c9683b54c5d80ac70248309cc86ec4d0ed02e0bb607f79a75c"
 
 
 def test_fence_guard_ladder_survives_restart():

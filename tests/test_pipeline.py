@@ -197,7 +197,7 @@ class TestPipelinedLeader:
         _vote_for(replica, ctx, signers[0], 1, b1.block_hash)
         assert len(replica._inflight) == 4
         cert = Certificate.assemble(
-            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0], aggregate=False
+            tuple(Blame.create(s, "alterbft", 1) for s in signers[:2]), signers[0]
         )
         replica.handle(2, BlameCertMsg(cert=cert))
         ctx.fire_timer("enter_epoch")

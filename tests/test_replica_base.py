@@ -24,9 +24,9 @@ from repro.runner.registry import SUBSYSTEMS, attach_subsystems
 from repro.types.block import make_block
 from repro.types.certificates import (
     VOTE,
+    AggregateQuorumCertificate,
     Blame,
     Certificate,
-    QuorumCertificate,
     Vote,
     genesis_qc,
 )
@@ -47,7 +47,7 @@ class EchoReplica(BaseReplica):
 
     def on_vote(self, src, msg):
         self.seen.append((src, msg))
-        self.record_vote(msg.vote)
+        self.record_vote(src, msg.vote)
 
 
 @pytest.fixture
@@ -94,36 +94,60 @@ class TestDispatch:
 
 class TestVoteAccounting:
     def test_quorum_forms_once(self, replica, signers3):
-        assert replica.record_vote(make_vote(signers3[1])) is None
-        qc = replica.record_vote(make_vote(signers3[2]))
-        assert isinstance(qc, QuorumCertificate)
-        assert replica.record_vote(make_vote(signers3[0])) is None  # already formed
+        assert replica.record_vote(1, make_vote(signers3[1])) is None
+        qc = replica.record_vote(2, make_vote(signers3[2]))
+        assert isinstance(qc, AggregateQuorumCertificate)
+        assert replica.record_vote(0, make_vote(signers3[0])) is None  # already formed
+
+    def test_a_vote_sent_in_another_replicas_name_is_refused(self, replica, signers3):
+        with pytest.raises(VerificationError, match="sent by 2"):
+            replica.record_vote(2, make_vote(signers3[1]))
+        assert replica._votes == {}
+
+    def test_a_forgery_in_a_peers_name_cannot_exclude_the_peer(self, signers3, validators3):
+        """With batched checks, replica 2 sends a forged vote in replica 1's
+        name, then its own.  Were the forgery counted, bisection would
+        blame replica 1 and drop its votes for the rest of the run: with
+        replica 2 withholding, no later quorum could form at n = 3."""
+        config = ProtocolConfig(n=3, f=1, crypto_batch=True)
+        replica = EchoReplica(0, validators3, config, signers3[0])
+        FakeContext().bind_replica(replica)
+        impostor = make_vote(signers3[1])
+        forged = dataclasses.replace(impostor, signature=bytes(len(impostor.signature)))
+        replica.handle(2, VoteMsg(vote=forged))
+        replica.handle(2, VoteMsg(vote=make_vote(signers3[2])))
+        assert replica._excluded_voters == set()
+        following = b"\x06" * 32
+        for voter in (1, 0):  # replica 2 withholds
+            vote = make_vote(signers3[voter], height=2, block_hash=following)
+            replica.handle(voter, VoteMsg(vote=vote))
+        assert replica.qc_for(0, 1, following) is not None
 
     def test_duplicate_votes_ignored(self, replica, signers3):
-        assert replica.record_vote(make_vote(signers3[1])) is None
-        assert replica.record_vote(make_vote(signers3[1])) is None
+        assert replica.record_vote(1, make_vote(signers3[1])) is None
+        assert replica.record_vote(1, make_vote(signers3[1])) is None
 
     def test_wrong_protocol_rejected(self, replica, signers3):
         vote = Vote.create(signers3[1], "pbft", 1, 1, b"\x05" * 32)
         with pytest.raises(VerificationError):
-            replica.record_vote(vote)
+            replica.record_vote(1, vote)
 
     def test_invalid_voter_rejected(self, replica, signers3):
         import dataclasses
 
         vote = dataclasses.replace(make_vote(signers3[1]), voter=7)
         with pytest.raises(VerificationError):
-            replica.record_vote(vote)
+            replica.record_vote(7, vote)
 
     def test_qc_lookup(self, replica, signers3):
-        replica.record_vote(make_vote(signers3[1]))
-        replica.record_vote(make_vote(signers3[2]))
+        replica.record_vote(1, make_vote(signers3[1]))
+        replica.record_vote(2, make_vote(signers3[2]))
         assert replica.qc_for(0, 1, b"\x05" * 32) is not None
         assert replica.qc_for(0, 2, b"\x05" * 32) is None
 
     def test_verify_qc(self, replica, signers3):
-        replica.record_vote(make_vote(signers3[1]))
-        qc = replica.record_vote(make_vote(signers3[2]))
+        replica.record_vote(1, make_vote(signers3[1]))
+        qc = replica.record_vote(2, make_vote(signers3[2]))
         assert replica.verify_qc(qc)
         assert replica.verify_qc(genesis_qc("alterbft", replica.store.genesis.block_hash))
         assert not replica.verify_qc(genesis_qc("alterbft", b"\x00" * 32))
@@ -154,9 +178,7 @@ def parent_record_vote(self, vote):
         return None
     if lazy and not self._batch_check_bucket(vote, bucket):
         return None  # bad votes excluded; quorum no longer met
-    qc = Certificate.assemble(
-        bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
-    )
+    qc = Certificate.assemble(bucket.values(), self.signer)
     self._qcs[key] = qc
     return qc
 
@@ -220,7 +242,7 @@ class TestRecordVoteOracle:
         oracle, oracle_ctx = _traced_replica(batch)
         for drawn in stream:
             vote = _make_stream_vote(*drawn, batch)
-            got = _outcome(replica.record_vote, vote)
+            got = _outcome(replica.record_vote, vote.voter, vote)
             assert got == _outcome(parent_record_vote, oracle, vote)
             assert replica._qcs == oracle._qcs
             assert ctx.traced == oracle_ctx.traced
@@ -232,14 +254,14 @@ class TestRecordVoteOracle:
             }
 
     def test_post_quorum_votes_are_checked_then_dropped(self, replica, signers3):
-        replica.record_vote(make_vote(signers3[1]))
-        assert replica.record_vote(make_vote(signers3[2])) is not None
+        replica.record_vote(1, make_vote(signers3[1]))
+        assert replica.record_vote(2, make_vote(signers3[2])) is not None
         assert replica._votes == {}
         vote = make_vote(signers3[0])
         forged = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
         with pytest.raises(VerificationError):
-            replica.record_vote(forged)
-        assert replica.record_vote(make_vote(signers3[0])) is None
+            replica.record_vote(0, forged)
+        assert replica.record_vote(0, make_vote(signers3[0])) is None
         assert replica._votes == {}
 
 
@@ -269,9 +291,7 @@ def unreleased_record_vote(self, vote):
         return None
     if lazy and not self._batch_check_bucket(vote, bucket):
         return None  # bad votes excluded; quorum no longer met
-    qc = Certificate.assemble(
-        bucket.values(), self.signer, aggregate=self.config.crypto_aggregate
-    )
+    qc = Certificate.assemble(bucket.values(), self.signer)
     self._qcs[key] = qc
     del self._votes[key]
     return qc
@@ -401,7 +421,7 @@ class TestRecordVoteAcrossTheHorizon:
             vote = _horizon_vote(kind, voter, height, variant, chain, batch)
             settled = vote.height <= replica.horizon
             before = _buckets(replica)
-            got = _outcome(replica.record_vote, vote)
+            got = _outcome(replica.record_vote, vote.voter, vote)
             assert got == _outcome(unreleased_record_vote, oracle, vote)
             if settled:
                 assert _buckets(replica) == before  # no bucket opens or grows
@@ -430,14 +450,14 @@ class TestRecordVoteAcrossTheHorizon:
         ((replica, _), _), chain = _horizon_pair(batch=False, depth=1, checkpoints=False)
         for voter in range(3):
             vote = Vote.create(ORACLE_KEYS[voter], "alterbft", 1, 2, chain[1].block_hash)
-            replica.record_vote(vote)
+            replica.record_vote(voter, vote)
         replica.commit_through(chain[1].block_hash)
         assert replica.horizon == 1 and replica._qcs and not replica._votes
         stale = Vote.create(ORACLE_KEYS[3], "alterbft", 1, 1, chain[0].block_hash)
         forged = dataclasses.replace(stale, signature=bytes(len(stale.signature)))
         with pytest.raises(VerificationError):
-            replica.record_vote(forged)
-        assert replica.record_vote(stale) is None
+            replica.record_vote(3, forged)
+        assert replica.record_vote(3, stale) is None
         assert replica._votes == {}
 
     def test_a_late_quorum_below_the_horizon_is_not_assembled(self):
@@ -447,14 +467,17 @@ class TestRecordVoteAcrossTheHorizon:
         one here.  Its QC could serve nothing: the block is committed."""
         ((replica, _), (oracle, _)), chain = _horizon_pair(batch=False, depth=1, checkpoints=False)
         late = [Vote.create(ORACLE_KEYS[v], "alterbft", 1, 1, chain[0].block_hash) for v in range(3)]
-        for each, record in ((replica, BaseReplica.record_vote), (oracle, unreleased_record_vote)):
+        def record_from_voter(each, vote):
+            return each.record_vote(vote.voter, vote)
+
+        for each, record in ((replica, record_from_voter), (oracle, unreleased_record_vote)):
             assert record(each, late[0]) is None
             for voter in range(3):
                 vote = Vote.create(ORACLE_KEYS[voter], "alterbft", 1, 2, chain[1].block_hash)
                 record(each, vote)
             each.commit_through(chain[1].block_hash)
         assert [unreleased_record_vote(oracle, v) for v in late[1:]][-1] is not None
-        assert [replica.record_vote(v) for v in late[1:]] == [None, None]
+        assert [replica.record_vote(v.voter, v) for v in late[1:]] == [None, None]
         assert replica._votes == {}  # the short bucket went with the horizon
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.crypto.hashing import ZERO_DIGEST
@@ -15,9 +17,7 @@ from repro.types.block import (
 from repro.consensus.validators import ValidatorSet
 from repro.types.certificates import (
     Blame,
-    BlameCertificate,
     Certificate,
-    QuorumCertificate,
     Vote,
     genesis_qc,
     is_genesis_qc,
@@ -96,38 +96,27 @@ class TestVotesAndQCs:
         votes = tuple(
             Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2]
         )
-        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
+        qc = Certificate.assemble(votes, signers3[0])
         assert qc.verify(signers3[2], validators3)
         assert qc.rank == (1, 1)
 
     def test_qc_below_quorum_rejected(self, signers3, validators3):
         votes = (Vote.create(signers3[0], "alterbft", 1, 1, b"\x09" * 32),)
-        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
+        qc = Certificate.assemble(votes, signers3[0])
         assert not qc.verify(signers3[1], validators3)
 
     def test_qc_duplicate_voters_rejected(self, signers3, validators3):
         vote = Vote.create(signers3[0], "alterbft", 1, 1, b"\x09" * 32)
-        qc = QuorumCertificate(
-            protocol="alterbft",
-            phase=0,
-            epoch=1,
-            height=1,
-            block_hash=b"\x09" * 32,
-            votes=((0, vote.signature), (0, vote.signature)),
-        )
+        # A bitmap cannot name voter 0 twice; naming a voter who never
+        # signed is the nearest forgery.
+        qc = dataclasses.replace(Certificate.assemble((vote,), signers3[0]), signer_bits=0b11)
         assert not qc.verify(signers3[1], validators3)
 
     def test_qc_forged_signature_rejected(self, signers3, validators3):
         votes = tuple(Vote.create(s, "alterbft", 1, 1, b"\x09" * 32) for s in signers3[:2])
-        qc = Certificate.assemble(votes, signers3[0], aggregate=False)
-        forged = QuorumCertificate(
-            protocol=qc.protocol,
-            phase=qc.phase,
-            epoch=qc.epoch,
-            height=qc.height,
-            block_hash=b"\x08" * 32,  # different block, same signatures
-            votes=qc.votes,
-        )
+        qc = Certificate.assemble(votes, signers3[0])
+        # A different block, the same aggregate.
+        forged = dataclasses.replace(qc, block_hash=b"\x08" * 32)
         assert not forged.verify(signers3[2], validators3)
 
     def test_rank_ordering(self):
@@ -153,15 +142,11 @@ class TestBlames:
 
     def test_blame_cert(self, signers3, validators3):
         blames = tuple(Blame.create(s, "alterbft", 4) for s in signers3[:2])
-        cert = Certificate.assemble(blames, signers3[0], aggregate=False)
+        cert = Certificate.assemble(blames, signers3[0])
         assert cert.verify(signers3[2], validators3)
         assert not cert.verify(signers3[2], ValidatorSet(n=3, f=0, quorum=3))
 
     def test_blame_cert_duplicates_rejected(self, signers3, validators3):
         blame = Blame.create(signers3[0], "alterbft", 4)
-        cert = BlameCertificate(
-            protocol="alterbft",
-            epoch=4,
-            blames=((0, blame.signature), (0, blame.signature)),
-        )
+        cert = dataclasses.replace(Certificate.assemble((blame,), signers3[0]), signer_bits=0b11)
         assert not cert.verify(signers3[1], validators3)

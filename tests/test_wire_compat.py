@@ -156,7 +156,8 @@ def test_genesis_digest_golden():
 def _statement_instances():
     """One deterministic instance of each of the twelve signed-statement /
     certificate wire types: five hashsig signers, certificates over all
-    five, the aggregate forms built by signer 0."""
+    five built by signer 0, and each quorum in its retired list form too
+    — bytes a peer can still send, refused once they name a signer."""
     signers = build_cluster_keys("hashsig", 5)
     votes = tuple(Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers)
     blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
@@ -173,15 +174,16 @@ def _statement_instances():
         (adjusts, DeltaAdjustCertificate, AggregateDeltaAdjustCertificate),
     ):
         instances[type(signed[0])] = signed[0]
-        instances[raw_cls] = Certificate.assemble(signed, signers[0], aggregate=False)
-        instances[aggregate_cls] = Certificate.assemble(signed, signers[0], aggregate=True)
+        instances[raw_cls] = raw_cls(*signed[0].statement, tuple(s.proof for s in signed))
+        instances[aggregate_cls] = Certificate.assemble(signed, signers[0])
     assert all(type(instance) is cls for cls, instance in instances.items())
     return instances
 
 
 class TestStatementBytePins:
     """Exact wire bytes of votes, blames, checkpoint votes, Δ-adjustments
-    and the certificates over them, in both proof forms.  These are the
+    and the certificates over them, in both proof forms (the list form
+    retired, see ``_statement_instances``).  These are the
     small messages AlterBFT's synchrony bound is calibrated against; a
     changed size or digest here is a wire-format break, not a refactor."""
 
@@ -230,7 +232,7 @@ class TestStatementBytePins:
     def test_schnorr_aggregate_qc_bytes_pinned(self):
         signers = build_cluster_keys("schnorr", 5)
         votes = [Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers]
-        qc = Certificate.assemble(votes, signers[0], aggregate=True)
+        qc = Certificate.assemble(votes, signers[0])
         assert self._pin(encode(qc)) == self.SCHNORR_AGG_QC_PIN
 
     def test_signing_bytes_pinned(self, hashsig_instances):
@@ -250,8 +252,9 @@ class TestAggregateCertWire:
     is ``tests/test_certificates.py``)."""
 
     def test_aggregate_qc_smaller_than_raw_on_wire(self):
-        """The point of aggregation: fewer certificate bytes at every
-        quorum size the sweep uses (and the gap widens with n)."""
+        """Why it is the only form: fewer certificate bytes than the
+        retired raw list at every quorum size the sweep uses (and the gap
+        widens with n)."""
         previous_saving = 0
         for n in (5, 9, 17):
             signers = build_cluster_keys("schnorr", n)
@@ -259,8 +262,9 @@ class TestAggregateCertWire:
                 Vote.create(signers[i], "alterbft", 2, 5, b"\x11" * 32)
                 for i in range(n)
             )
-            raw = len(encode(Certificate.assemble(votes, signers[0], aggregate=False)))
-            agg = len(encode(Certificate.assemble(votes, signers[0], aggregate=True)))
+            pairs = tuple(vote.proof for vote in votes)
+            raw = len(encode(QuorumCertificate(*votes[0].statement, pairs)))
+            agg = len(encode(Certificate.assemble(votes, signers[0])))
             assert agg < raw, f"n={n}: aggregate {agg}B not smaller than raw {raw}B"
             assert raw - agg > previous_saving
             previous_saving = raw - agg
@@ -283,7 +287,7 @@ class TestPipelinedHeaderWire:
         justify_votes = tuple(
             Vote.create(s, "alterbft", 2, 2, b"\x24" * 32) for s in signers[:2]
         )
-        justify = Certificate.assemble(justify_votes, signers[0], aggregate=False)
+        justify = Certificate.assemble(justify_votes, signers[0])
         block = make_block(2, 5, b"\x42" * 32, (), 1)
         signature = signers[1].digest_and_sign(
             PROPOSAL_DOMAIN, proposal_signing_bytes(block.block_hash)
