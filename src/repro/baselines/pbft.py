@@ -175,8 +175,6 @@ class PBFTReplica(BaseReplica):
 
     def on_preprepare(self, src: int, msg: PBFTPrePrepareMsg) -> None:
         block = msg.block
-        if type(block) is not Block or not block.well_formed():
-            raise VerificationError("ill-typed pre-prepare block")
         if msg.view != block.epoch or msg.seq != block.height:
             raise VerificationError("pre-prepare view/seq does not match its block")
         if block.header.proposer != self.validators.leader_of(msg.view):
@@ -387,7 +385,7 @@ class PBFTReplica(BaseReplica):
         if msg.last_committed > 0:
             proof = msg.commit_proof
             if (
-                not self.verify_qc(proof)  # first: nothing else may touch an ill-typed one
+                not self.verify_qc(proof)  # first: it may be None
                 or proof.phase != COMMIT_PHASE
                 or proof.height != msg.last_committed
             ):

@@ -12,9 +12,12 @@ types).  The same encoding serves two purposes:
 
 Dataclasses participate by registration (:func:`register`): each gets a
 stable numeric type id, and its fields are encoded positionally in
-declaration order.  Decoding reconstructs the dataclass.  Encoding is
-deterministic (dict keys are sorted), so digests of encoded values are
-stable across runs and platforms.
+declaration order.  Decoding reconstructs the dataclass and holds every
+field to its annotation: what a field of a peer's message may hold is
+decided here and nowhere else, and a field of another type is a
+``CodecError`` like any other malformed frame.  Encoding is deterministic
+(dict keys are sorted), so digests of encoded values are stable across
+runs and platforms.
 
 A value's *size* is the length of its encoding, and the simulator needs
 sizes far more often than bytes.  Two per-instance memos on frozen
@@ -43,10 +46,11 @@ its user.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 import struct
 import typing
-from typing import Any, Callable, Dict, List, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, FrozenSet, List, Tuple, Type, TypeVar
 
 from ..errors import CodecError
 
@@ -100,6 +104,15 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
     Type ids must be unique library-wide; the allocation map is the
     docstring of :mod:`repro.types.messages`.
 
+    **Field types.**  Every field's annotation is a wire type, and the
+    decoder refuses a frame whose field holds a value of another one:
+    ``int``, ``float``, ``bytes`` (``Digest``), ``str``, ``bool``, a class
+    (a registered class, or a base such as ``Certificate`` that admits
+    every registered subclass), ``Optional[X]`` (``None`` or an X),
+    ``Tuple[X, ...]`` and fixed ``Tuple[A, B]``.  ``bool`` is not an
+    ``int`` and a list is not a tuple.  The annotations are resolved when the class's decoder is
+    first built, so they may name classes registered later.
+
     **Self-encoded classes.**  A class that defines a ``from_wire``
     classmethod keeps its canonical encoding instead of having it rebuilt
     from its fields.  Its fields must all be annotated ``int``, ``float`` or
@@ -111,8 +124,8 @@ def register(type_id: int) -> Callable[[Type[_T]], Type[_T]]:
     * the codec encodes an instance by appending ``instance.wire`` and sizes
       it as ``len(instance.wire)``;
     * the codec decodes one by checking the bytes where they lie — struct
-      tag, type id, field count, then each field's tag, so a field of
-      another type is a ``CodecError``, with every varint minimal — slicing
+      tag, type id, field count, then each field's tag, as for any
+      registered class, with every varint minimal — slicing
       them out once and calling ``cls.from_wire(wire, *ints)``.  ``ints`` are
       the values of the ``int`` fields in declaration order (checking walks
       them anyway); ``float`` and ``bytes`` fields are not materialised, the
@@ -550,47 +563,95 @@ _DECODER_BY_TAG: Dict[int, Callable[[bytes, int, int], Tuple[Any, int]]] = {
 _DECODERS = tuple(_DECODER_BY_TAG.get(tag, _dec_unknown) for tag in range(256))
 
 
-#: How the decoder of a self-encoded class steps over one field of each
-#: type.  ``{i}`` is the field's index; only an ``int`` leaves a value.
-_CHECKED_READ = {
-    int: [
-        f"    if data[pos] != {_TAG_INT}:",
-        "        raise CodecError('{name} is not an int')",
-        "    v{i} = data[pos + 1]",
-        "    if v{i} < 0x80:",
-        "        pos += 2",
-        "    else:",
-        "        v{i}, pos = read_varint(data, pos + 1)",
-    ],
-    float: [
-        f"    if data[pos] != {_TAG_FLOAT}:",
-        "        raise CodecError('{name} is not a float')",
-        "    pos += 9",
-    ],
-    bytes: [
-        f"    if data[pos] != {_TAG_BYTES}:",
-        "        raise CodecError('{name} is not bytes')",
-        "    length = data[pos + 1]",
-        "    if length < 0x80:",
-        "        pos += 2",
-        "    else:",
-        "        length, pos = read_varint(data, pos + 1)",
-        "    pos += length",
-    ],
+# -- typed struct decoding -----------------------------------------------------
+#
+# A registered class's decoder holds every field to the class's annotation,
+# so what a field of a peer's message may hold is decided here, once: a
+# frame whose fields are not of their declared types is a ``CodecError``
+# like any other malformed frame, and a handler never sees it.  Scalars are
+# read inline by the generated decoder from :data:`_CHECKED_READ`; anything
+# else (a struct, an ``Optional``, a tuple) by a *reader* built from the
+# annotation (:func:`_reader`).  A reader is ``(data, pos, room) -> (value,
+# pos)`` with ``pos`` *at* the value's tag byte, since the tag is what it
+# checks first.
+
+#: How a struct's decoder reads one field of each scalar type, ``{i}`` the
+#: field's index and ``{name}`` its label: the lines that check the tag and
+#: step over the field (an ``int`` leaves its varint in ``v{i}``), then the
+#: lines that make its value in ``v{i}``.  A self-encoded class's decoder
+#: (see :func:`register`) takes the steps and only an ``int``'s value — its
+#: ``float`` and ``bytes`` stay in ``wire`` — and checks once, after the
+#: last field, that no step ran past the end; every other decoder takes
+#: both, so no value is made from bytes that are not there.
+_CHECKED_READ: Dict[type, Tuple[List[str], List[str]]] = {
+    int: (
+        [
+            f"    if data[pos] != {_TAG_INT}:",
+            "        raise CodecError('{name} is not an int')",
+            "    v{i} = data[pos + 1]",
+            "    if v{i} < 0x80:",
+            "        pos += 2",
+            "    else:",
+            "        v{i}, pos = read_varint(data, pos + 1)",
+        ],
+        ["    v{i} = (v{i} >> 1) ^ -(v{i} & 1)"],
+    ),
+    float: (
+        [
+            f"    if data[pos] != {_TAG_FLOAT}:",
+            "        raise CodecError('{name} is not a float')",
+            "    pos += 9",
+        ],
+        ["    v{i} = unpack_double(data, pos - 8)[0]"],
+    ),
+    bytes: (
+        [
+            f"    if data[pos] != {_TAG_BYTES}:",
+            "        raise CodecError('{name} is not bytes')",
+            "    length = data[pos + 1]",
+            "    if length < 0x80:",
+            "        pos += 2",
+            "    else:",
+            "        length, pos = read_varint(data, pos + 1)",
+            "    pos += length",
+        ],
+        [
+            "    v{i} = data[pos - length:pos]",
+            "    if len(v{i}) != length:",
+            "        raise CodecError('truncated message')",
+        ],
+    ),
+    str: (
+        [
+            f"    if data[pos] != {_TAG_STR}:",
+            "        raise CodecError('{name} is not a str')",
+            "    v{i}, pos = dec_str(data, pos + 1, room)",
+        ],
+        [],
+    ),
+    bool: (
+        [
+            "    v{i} = data[pos]",
+            f"    if v{{i}} != {_TAG_TRUE} and v{{i}} != {_TAG_FALSE}:",
+            "        raise CodecError('{name} is not a bool')",
+            "    pos += 1",
+        ],
+        [f"    v{{i}} = v{{i}} == {_TAG_TRUE}"],
+    ),
 }
 
 
-def _struct_decoder_source(cls: Type) -> str:
+def _struct_decoder_source(cls: Type, hints: Dict[str, Any]) -> str:
     """Source of the decoder for the registered class ``cls``.
 
     Entered from :func:`_dec_struct` with ``pos`` just past the type id.
     The field reads are unrolled and handed to the constructor positionally
     — no value list, no loop, no ``*args`` call — which is worth about a
-    fifth of the time to decode a four-field struct.  For a self-encoded
-    class (see :func:`register`) no field is decoded: each is checked and
-    stepped over, and the span goes to ``from_wire`` in one slice.  A step
-    that overshoots the end of ``data`` is caught by the next read or, after
-    the last field, by the slice coming out short.
+    fifth of the time to decode a four-field struct.  Field ``i`` of a type
+    that is not a scalar is read by the reader ``r{i}``.  For a self-encoded
+    class (see :func:`register`) no field but an ``int`` is decoded: each is
+    checked and stepped over, and the span goes to ``from_wire`` in one
+    slice, which comes out short if a step overshot the end of ``data``.
     """
     names = _field_names[cls]
     name, count = cls.__name__, len(names)
@@ -605,11 +666,29 @@ def _struct_decoder_source(cls: Type) -> str:
         f"        raise CodecError('{name}: expected {count} fields, wire has %d' % count)",
         "    if not room:",
         "        raise CodecError(nesting_error)",
+        "    room -= 1",
     ]
-    if cls not in _self_encoded:
-        lines.append("    room -= 1")
-        for i in range(count):
-            lines.append(f"    v{i}, pos = decoders[data[pos]](data, pos + 1, room)")
+    self_encoded = cls in _self_encoded
+    if self_encoded:
+        lines.append(f"    start = pos - {len(_self_encoded[cls][0])}")  # the prefix ends here
+    for i, field in enumerate(names):
+        hint = hints[field]
+        if hint in _CHECKED_READ:
+            steps, value = _CHECKED_READ[hint]
+            if self_encoded and hint is not int:
+                value = []
+            lines += [line.format(i=i, name=f"{name}.{field}") for line in steps + value]
+        else:
+            lines.append(f"    v{i}, pos = r{i}(data, pos, room)")
+    if self_encoded:
+        ints = "".join(f", v{i}" for i, field in enumerate(names) if hints[field] is int)
+        lines += [
+            "    wire = data[start:pos]",
+            "    if len(wire) != pos - start:",
+            "        raise CodecError('truncated message')",
+            f"    return from_wire(wire{ints}), pos",
+        ]
+    else:
         values = ", ".join(f"v{i}" for i in range(count))
         lines += [
             "    try:",
@@ -617,45 +696,133 @@ def _struct_decoder_source(cls: Type) -> str:
             "    except (TypeError, ValueError) as exc:",
             f"        raise CodecError('cannot reconstruct {name}: %s' % exc) from exc",
         ]
-    else:
-        prefix, kinds = _self_encoded[cls]
-        lines.append(f"    start = pos - {len(prefix)}")  # the field count ends the prefix
-        for i, kind in enumerate(kinds):
-            lines += [line.format(i=i, name=f"{name}.{names[i]}") for line in _CHECKED_READ[kind]]
-        ints = "".join(f", (v{i} >> 1) ^ -(v{i} & 1)" for i, kind in enumerate(kinds) if kind is int)
-        lines += [
-            "    wire = data[start:pos]",
-            "    if len(wire) != pos - start:",
-            "        raise CodecError('truncated message')",
-            f"    return from_wire(wire{ints}), pos",
-        ]
     return "\n".join(lines)
+
+
+#: The decoding environment of every generated function.
+_GENERATED_GLOBALS = {
+    "read_varint": _read_varint,
+    "unpack_double": _unpack_double,
+    "dec_str": _dec_str,
+    "nesting_error": _NESTING_ERROR,
+    "CodecError": CodecError,
+}
 
 
 def _build_struct_decoder(type_id: int) -> Callable[[bytes, int, int], Tuple[Any, int]]:
     """Specialize a decoder for one registered dataclass.
 
-    The encoder's counterpart: class, field count and constructor are
-    bound once.  Unlike the encoder it is built on first use, not by
-    :func:`register`: compiling one for each of the 58 registered classes
-    added 23 ms (9 %) to process start-up, and a run decodes about ten of
-    them.
+    The encoder's counterpart: class, field count, field types and
+    constructor are bound once.  Unlike the encoder it is built on first
+    use, not by :func:`register`: compiling one for each of the 54
+    registered classes added 23 ms (9 %) to process start-up, and a run
+    decodes about ten of them.  The annotations are resolved here too, so
+    a class may name one registered after it.
     """
     cls = _registry_by_id.get(type_id)
     if cls is None:
         raise CodecError(f"unknown wire type id {type_id}")
-    source = _struct_decoder_source(cls)
-    namespace = {
-        "cls": cls,
-        "decoders": _DECODERS,
-        "read_varint": _read_varint,
-        "from_wire": getattr(cls, "from_wire", None),
-        "nesting_error": _NESTING_ERROR,
-        "CodecError": CodecError,
-    }
-    exec(source, namespace)  # built from the class's shape; nothing from the wire
+    hints = typing.get_type_hints(cls)
+    namespace = dict(_GENERATED_GLOBALS, cls=cls, from_wire=getattr(cls, "from_wire", None))
+    for i, field in enumerate(_field_names[cls]):
+        if hints[field] not in _CHECKED_READ:
+            namespace[f"r{i}"] = _reader(hints[field])
+    # Built from the class's shape; nothing from the wire.
+    exec(_struct_decoder_source(cls, hints), namespace)
     decoder = _STRUCT_DECODERS[type_id] = namespace["decode_struct"]
     return decoder
+
+
+_Reader = Callable[[bytes, int, int], Tuple[Any, int]]
+
+
+@functools.lru_cache(maxsize=None)  # one reader per annotation
+def _reader(hint: Any) -> _Reader:
+    """The reader of a value annotated ``hint``: one of the wire types
+    :func:`register` lists, or a ``CodecError`` when the first decoder
+    that needs it is built.  A class admits every registered class that is
+    it or a subclass of it."""
+    if hint in _CHECKED_READ:
+        steps, value = _CHECKED_READ[hint]
+        lines = ["def read(data, pos, room):"] + steps + value + ["    return v0, pos"]
+        namespace = dict(_GENERATED_GLOBALS)
+        exec("\n".join(line.format(i=0, name=hint.__name__) for line in lines), namespace)
+        return namespace["read"]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union and len(args) == 2 and type(None) in args:
+        return _optional_reader(_reader(args[0] if args[1] is type(None) else args[1]))
+    if origin is tuple and args:
+        variadic = args[1:] == (Ellipsis,)
+        return _tuple_reader(tuple(map(_reader, args[:1] if variadic else args)), variadic)
+    if isinstance(hint, type):
+        ids = frozenset(i for i, cls in _registry_by_id.items() if issubclass(cls, hint))
+        if ids:
+            return _struct_reader(ids, hint.__name__)
+    raise CodecError(f"no wire type for the annotation {hint!r}")
+
+
+def _struct_reader(ids: FrozenSet[int], what: str) -> _Reader:
+    def read(data: bytes, pos: int, room: int) -> Tuple[Any, int]:
+        if data[pos] != _TAG_STRUCT:
+            raise CodecError(f"expected a {what}")
+        type_id = data[pos + 1]
+        if type_id < 0x80:
+            pos += 2
+        else:
+            type_id, pos = _read_varint(data, pos + 1)
+        if type_id not in ids:
+            raise CodecError(f"expected a {what}, wire has type id {type_id}")
+        try:
+            decoder = _STRUCT_DECODERS[type_id]
+        except KeyError:
+            decoder = _build_struct_decoder(type_id)
+        return decoder(data, pos, room)
+
+    return read
+
+
+def _optional_reader(inner: _Reader) -> _Reader:
+    def read(data: bytes, pos: int, room: int) -> Tuple[Any, int]:
+        if data[pos] == _TAG_NONE:
+            return None, pos + 1
+        return inner(data, pos, room)
+
+    return read
+
+
+def _tuple_reader(items: Tuple[_Reader, ...], variadic: bool) -> _Reader:
+    """Reader of ``Tuple[X, ...]`` (``items`` is X's reader alone) or of a
+    fixed ``Tuple[A, B, ...]`` (one reader per item)."""
+
+    def read(data: bytes, pos: int, room: int) -> Tuple[tuple, int]:
+        if data[pos] != _TAG_TUPLE:
+            raise CodecError("expected a tuple")
+        if not room:
+            raise CodecError(_NESTING_ERROR)
+        room -= 1
+        count = data[pos + 1]
+        if count < 0x80:
+            pos += 2
+        else:
+            count, pos = _read_varint(data, pos + 1)
+        if not variadic and count != len(items):
+            raise CodecError(f"expected a tuple of {len(items)}, wire has {count} items")
+        values: List[Any] = []
+        append = values.append
+        if variadic:
+            item = items[0]
+            # Each item consumes at least its tag byte, so a hostile count
+            # runs off the end of ``data`` after at most ``len(data)`` items.
+            for _ in range(count):
+                value, pos = item(data, pos, room)
+                append(value)
+        else:
+            for item in items:
+                value, pos = item(data, pos, room)
+                append(value)
+        return tuple(values), pos
+
+    return read
 
 
 def field_of(wire: bytes, index: int) -> Any:
@@ -681,10 +848,12 @@ def field_of(wire: bytes, index: int) -> Any:
 def decode(data: bytes) -> Any:
     """Decode bytes produced by :func:`encode`.
 
-    Canonical: anything other than exactly what :func:`encode` emits for
-    some value — trailing bytes, a non-minimal varint, dict keys out of
-    order, nesting beyond :data:`MAX_NESTING` — is refused, and
-    ``CodecError`` is the only exception hostile bytes can raise.
+    Canonical and typed: anything other than exactly what :func:`encode`
+    emits for some value — trailing bytes, a non-minimal varint, dict keys
+    out of order, nesting beyond :data:`MAX_NESTING` — is refused, and so
+    is a registered class with a field of another type than its annotation
+    (see :func:`register`).  ``CodecError`` is the only exception hostile
+    bytes can raise.
     """
     if type(data) is not bytes:
         data = bytes(data)  # slices of it become values: keep them immutable

@@ -329,20 +329,7 @@ class AlterBFTReplica(BaseReplica):
             (self.signer.scheme, self.signer.registry, self.validators),
         )
 
-    @staticmethod
-    def _check_proposal_shape(msg: object) -> None:
-        """Refuse anything but a proposal over a well-typed header (the
-        decoder does not type fields, so a peer may send any value)."""
-        if not (
-            type(msg) is ProposalHeaderMsg
-            and type(msg.header) is BlockHeader
-            and msg.header.well_formed()
-            and type(msg.signature) is bytes
-        ):
-            raise VerificationError("ill-typed proposal header")
-
     def _verify_header_msg_uncached(self, msg: ProposalHeaderMsg) -> None:
-        self._check_proposal_shape(msg)
         header = msg.header
         if header.epoch < 1 or not self.validators.is_valid_replica(header.proposer):
             raise VerificationError("malformed header epoch/proposer")
@@ -478,8 +465,6 @@ class AlterBFTReplica(BaseReplica):
 
     def on_equivocation_proof(self, src: int, msg: EquivocationProofMsg) -> None:
         m1, m2 = msg.first, msg.second
-        self._check_proposal_shape(m1)
-        self._check_proposal_shape(m2)
         h1, h2 = m1.header, m2.header
         if h1.epoch != h2.epoch:
             raise VerificationError("equivocation proof spans epochs")
@@ -514,17 +499,7 @@ class AlterBFTReplica(BaseReplica):
     # Payload handling
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _check_payload_shape(block_hash: object, payload: object) -> None:
-        """Refuse a payload from the wire that is not a :class:`BlockPayload`
-        for a digest: stored, it would trip up the header arriving later.
-        (Its transactions need no check here: a payload that is not a tuple
-        of them has no Merkle root, so it matches no header.)"""
-        if type(payload) is not BlockPayload or type(block_hash) is not bytes:
-            raise VerificationError("ill-typed payload")
-
     def on_payload(self, src: int, msg: PayloadMsg) -> None:
-        self._check_payload_shape(msg.block_hash, msg.payload)
         self._store_payload(msg.block_hash, msg.payload)
 
     def _store_payload(self, block_hash: Digest, payload: BlockPayload) -> None:
@@ -568,7 +543,6 @@ class AlterBFTReplica(BaseReplica):
             )
 
     def on_payload_response(self, src: int, msg: PayloadResponseMsg) -> None:
-        self._check_payload_shape(msg.block_hash, msg.payload)
         if self.store.get_header(msg.block_hash) is None:
             return
         self._store_payload(msg.block_hash, msg.payload)
@@ -803,8 +777,6 @@ class AlterBFTReplica(BaseReplica):
     def on_block_response(self, src: int, msg: BlockResponseMsg) -> None:
         self._verify_header_msg(msg.proposal)
         header = msg.proposal.header
-        if msg.payload is not None:
-            self._check_payload_shape(header.block_hash, msg.payload)
         if header.epoch > self.epoch:
             self._future_headers.append((header.epoch, msg.proposal))
         else:

@@ -50,7 +50,6 @@ from ..config import CATCHUP_RETRY
 from ..crypto.erasure import decode_shares, encode_shares
 from ..crypto.hashing import Digest
 from ..crypto.merkle import (
-    MerkleMultiProof,
     MerkleProof,
     MerkleTree,
     combine_proofs,
@@ -63,55 +62,6 @@ from ..types.messages import ChunkRequestMsg, ChunkResponseMsg, ChunkShareMsg
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..consensus.replica import BaseReplica
-
-
-# The decoder checks a struct's field count, not its field types, so a
-# peer's chunk message may carry any canonical value in any field.  Each
-# handler holds its message to these shapes before reading a field, and
-# refuses anything else as a faulty peer's (``VerificationError``).  A
-# chain ``type(a) is type(b) is int`` holds iff both are ints.
-
-
-def _share_ok(msg: ChunkShareMsg) -> bool:
-    proof = msg.proof
-    return (
-        type(msg.epoch) is type(msg.height) is type(msg.index) is int
-        and type(msg.k) is type(msg.n) is int
-        and type(msg.block_hash) is type(msg.chunk_root) is type(msg.share) is bytes
-        and type(proof) is MerkleProof
-        and type(proof.index) is int
-        and type(proof.path) is tuple
-        and all(
-            type(step) is tuple
-            and len(step) == 2
-            and type(step[0]) is bytes
-            and type(step[1]) is bool
-            for step in proof.path
-        )
-    )
-
-
-def _request_ok(msg: ChunkRequestMsg) -> bool:
-    return (
-        type(msg.sender) is type(msg.epoch) is type(msg.height) is int
-        and type(msg.block_hash) is bytes
-        and type(msg.have) is tuple
-        and all(type(index) is int for index in msg.have)
-    )
-
-
-def _response_ok(msg: ChunkResponseMsg) -> bool:
-    proof = msg.proof
-    return (
-        type(msg.epoch) is type(msg.height) is type(msg.k) is type(msg.n) is int
-        and type(msg.block_hash) is type(msg.chunk_root) is bytes
-        and type(proof) is MerkleMultiProof
-        and type(proof.leaf_count) is int
-        and type(msg.indexes) is type(msg.shares) is tuple
-        and type(proof.indexes) is type(proof.path) is tuple
-        and all(type(index) is int for index in msg.indexes + proof.indexes)
-        and all(type(blob) is bytes for blob in msg.shares + proof.path)
-    )
 
 
 @dataclass
@@ -236,8 +186,6 @@ class DisseminationManager:
             self._begin_pull(state)
 
     def on_chunk_share(self, src: int, msg: ChunkShareMsg) -> None:
-        if not _share_ok(msg):
-            raise VerificationError("ill-typed chunk share")
         self._check_params(msg.k, msg.n)
         if not 0 <= msg.index < self.n:
             raise VerificationError(f"chunk share index {msg.index} out of range")
@@ -269,8 +217,6 @@ class DisseminationManager:
             self._begin_pull(state)
 
     def on_chunk_request(self, src: int, msg: ChunkRequestMsg) -> None:
-        if not _request_ok(msg):
-            raise VerificationError("ill-typed chunk request")
         state = self._blocks.get(msg.block_hash)
         if state is None:
             return  # unknown hash: never materialize state for a request
@@ -345,8 +291,6 @@ class DisseminationManager:
                 del state.pending[requester]
 
     def on_chunk_response(self, src: int, msg: ChunkResponseMsg) -> None:
-        if not _response_ok(msg):
-            raise VerificationError("ill-typed chunk response")
         self._check_params(msg.k, msg.n)
         if not msg.indexes or len(msg.indexes) != len(msg.shares):
             raise VerificationError("malformed chunk response")

@@ -96,29 +96,25 @@ class Mempool:
             self._pending.pop(key, None)
             self._mark_committed(*key)
 
-    def resolve(self, transactions: object) -> object:
+    def resolve(self, transactions: Tuple[Transaction, ...]) -> Tuple[Transaction, ...]:
         """``transactions`` with each one this pool holds swapped for its copy.
 
         A held transaction (pending or in flight) replaces a decoded one
         with the same key and the same ``wire``, so a payload rebuilt from
         the wire shares the pool's objects instead of holding a second copy
-        of each.  Anything else stays as given: an unknown key, different
-        bytes, an element that is not a :class:`Transaction`, and a
-        ``transactions`` that is not a tuple, which comes back unchanged.
-        The result encodes, hashes and compares exactly as the input does.
+        of each.  A transaction with an unknown key or different bytes stays
+        as given, so the result encodes, hashes and compares exactly as the
+        input does.
         """
-        if type(transactions) is not tuple:
-            return transactions
         pending, inflight = self._pending, self._inflight
         resolved = []
         for tx in transactions:
-            if type(tx) is Transaction:
-                key = (tx.client_id, tx.seq)
-                held = pending.get(key)
-                if held is None:
-                    held = inflight.get(key)
-                if held is not None and held.wire == tx.wire:
-                    tx = held
+            key = (tx.client_id, tx.seq)
+            held = pending.get(key)
+            if held is None:
+                held = inflight.get(key)
+            if held is not None and held.wire == tx.wire:
+                tx = held
             resolved.append(tx)
         return tuple(resolved)
 

@@ -9,8 +9,8 @@ The subsystem instruments the consensus hot path end to end:
   fingerprint-bearing :class:`~repro.sim.tracing.Trace` counters, so a
   seeded run produces byte-identical fingerprints with observability on
   or off (the inertness guarantee; see DESIGN.md "Observability").
-* :mod:`repro.obs.metrics` — a dependency-free metrics registry with
-  counters, gauges, and fixed-bucket latency histograms.
+* :mod:`repro.obs.metrics` — a dependency-free registry of counters and
+  gauges, and fixed-bucket histograms.
 * :mod:`repro.obs.analyze` — assembles recorded marks into per-block
   lifecycles, phase-latency breakdowns, epoch-change timelines,
   straggler detection, and Δ-headroom analysis.

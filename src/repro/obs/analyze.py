@@ -8,7 +8,7 @@ into per-block **lifecycles** and derives:
   the block first (propose is always the proposer's clock — the same
   convention :class:`~repro.runner.metrics.MetricsCollector` uses for
   block latency, so the phase sum equals the reported commit latency);
-* aggregate **phase histograms** in a :class:`~repro.obs.metrics.MetricsRegistry`;
+* per-phase **statistics** over those rows, with exact percentiles;
 * the **epoch-change timeline** with the blames/equivocations that
   triggered each change;
 * the **recovery timeline** — per-replica crash/restart/catchup
@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
+from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram
 from .recorder import (
     BLOCK_MILESTONES,
     EVENT_GUARD_AT_RISK_COMMIT,
@@ -148,15 +148,8 @@ def assemble_lifecycles(events: Iterable[ObsEvent]) -> Dict[bytes, BlockLifecycl
 # ---------------------------------------------------------------------------
 
 
-def block_phase_rows(
-    lifecycles: Dict[bytes, BlockLifecycle], registry: MetricsRegistry
-) -> List[Dict[str, object]]:
-    """Per-block phase breakdown at the first committer, in commit order.
-
-    Each phase duration is also observed into ``registry``'s
-    ``phase_latency/<phase>`` and the end-to-end latency into
-    ``block_latency/e2e`` (what :func:`phase_summary_rows` reads).
-    """
+def block_phase_rows(lifecycles: Dict[bytes, BlockLifecycle]) -> List[Dict[str, object]]:
+    """Per-block phase breakdown at the first committer, in commit order."""
     rows: List[Dict[str, object]] = []
     order = sorted(
         (life for life in lifecycles.values() if life.first_committer() is not None),
@@ -168,7 +161,6 @@ def block_phase_rows(
         durations = phase_durations(milestones)
         if durations is None:
             continue
-        e2e = committed - life.propose_time
         row: Dict[str, object] = {
             "block": life.hex[:12],
             "height": life.height,
@@ -179,30 +171,31 @@ def block_phase_rows(
         for phase in PHASE_NAMES:
             row[f"{phase}_ms"] = durations[phase] * 1e3
         row["total_ms"] = sum(durations.values()) * 1e3
-        row["e2e_ms"] = e2e * 1e3
+        row["e2e_ms"] = (committed - life.propose_time) * 1e3
         rows.append(row)
-        for phase in PHASE_NAMES:
-            registry.histogram(f"phase_latency/{phase}").observe(durations[phase])
-        registry.histogram("block_latency/e2e").observe(e2e)
     return rows
 
 
-def phase_summary_rows(registry: MetricsRegistry) -> List[Dict[str, object]]:
-    """Aggregate phase statistics from the registry's histograms."""
+def phase_summary_rows(block_rows: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    """Per-phase statistics over :func:`block_phase_rows`' rows, with exact
+    percentiles of the per-block durations."""
+    # Not at module level: the measure package imports the network, which
+    # imports this package.
+    from ..measure.stats import mean, percentile
+
     rows = []
     for phase in PHASE_NAMES + ("e2e",):
-        name = "block_latency/e2e" if phase == "e2e" else f"phase_latency/{phase}"
-        hist = registry.get(name)
-        if not isinstance(hist, Histogram) or hist.count == 0:
+        samples = [row[f"{phase}_ms"] for row in block_rows]
+        if not samples:
             continue
         rows.append(
             {
                 "phase": phase,
-                "count": hist.count,
-                "mean_ms": hist.mean * 1e3,
-                "p50_ms": hist.quantile(0.5) * 1e3,
-                "p99_ms": hist.quantile(0.99) * 1e3,
-                "max_ms": hist.max * 1e3,
+                "count": len(samples),
+                "mean_ms": mean(samples),
+                "p50_ms": percentile(samples, 50),
+                "p99_ms": percentile(samples, 99),
+                "max_ms": max(samples),
                 "share_%": 0.0,  # filled below
             }
         )
@@ -620,12 +613,11 @@ def summarize_recording(
     small_threshold: int,
 ) -> ObsSummary:
     """Full analysis of one recording (the post-run entry point)."""
-    registry = MetricsRegistry()
     lifecycles = assemble_lifecycles(recorder.events)
-    block_rows = block_phase_rows(lifecycles, registry)
+    block_rows = block_phase_rows(lifecycles)
     return ObsSummary(
         block_rows=block_rows,
-        phase_rows=phase_summary_rows(registry),
+        phase_rows=phase_summary_rows(block_rows),
         epoch_rows=epoch_timeline(recorder.events),
         straggler_rows=straggler_rows(lifecycles),
         headroom=delta_headroom(recorder.messages, delta, small_threshold),

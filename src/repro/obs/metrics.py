@@ -1,12 +1,11 @@
 """Dependency-free metrics primitives: counters, gauges, histograms.
 
-A :class:`MetricsRegistry` holds named instruments created on first use:
-the real transport counts its health (reconnects, queue drops, bad
-frames) into one per node, and analysis observes per-phase latencies into
-one to summarize them (:func:`repro.obs.analyze.phase_summary_rows`).
-Histograms use **fixed** bucket bounds, so quantiles are estimated the
-same way whichever run filled them; the wire accountant's per-class size
-histograms (:mod:`repro.obs.wire`) are the same :class:`Histogram`.
+A :class:`MetricsRegistry` holds named counters and gauges created on
+first use: the real transport counts its health (reconnects, queue drops,
+bad frames) into one per node.  Histograms use **fixed** bucket bounds, so
+quantiles are estimated the same way whichever run filled them; the wire
+accountant's per-class size histograms (:mod:`repro.obs.wire`) and the
+Δ-headroom summary (:mod:`repro.obs.analyze`) are :class:`Histogram`.
 """
 
 from __future__ import annotations
@@ -133,9 +132,9 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments, created on first use.
+    """Named counters and gauges, created on first use.
 
-    Names are slash-separated paths (``phase_latency/vote``,
+    Names are slash-separated paths (``trace/verification_failed``,
     ``transport/reconnects_total``); re-requesting a name returns the existing
     instrument, and requesting it with a different type is an error.
     """
@@ -143,11 +142,10 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
 
-    def _get(self, name: str, factory, cls):
+    def _get(self, name: str, cls):
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
+            instrument = self._instruments[name] = cls()
         elif not isinstance(instrument, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(instrument).__name__}"
@@ -155,15 +153,10 @@ class MetricsRegistry:
         return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, Counter)
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, Gauge)
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-    ) -> Histogram:
-        return self._get(name, lambda: Histogram(bounds), Histogram)
+        return self._get(name, Gauge)
 
     def get(self, name: str) -> Optional[object]:
         return self._instruments.get(name)

@@ -113,7 +113,6 @@ def _phase_map() -> Dict[str, str]:
         "ProbeMsg": "measure",
         "ProbeAckMsg": "measure",
         # Client traffic over the real transport.
-        "ClientRequestMsg": "client",
         "ClientReplyMsg": "client",
     }
     # An optional subsystem owns its wire classes (the keys of its

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..codec import encode, encoded_size, register
 from ..crypto.hashing import Digest, ZERO_DIGEST, domain_hash, short_hex
@@ -55,19 +55,6 @@ class BlockHeader:
         """Digest identifying the block (votes sign this)."""
         return domain_hash("block-header", encode(self))
 
-    def well_formed(self) -> bool:
-        """Every field has exactly its declared type.
-
-        The decoder checks a struct's field count, not its field types, so
-        a header from the wire may hold any canonical value in any field;
-        a handler checks this before it compares or does arithmetic on one.
-        """
-        return (
-            type(self.epoch), type(self.height), type(self.parent),
-            type(self.payload_root), type(self.payload_size),
-            type(self.payload_count), type(self.proposer),
-        ) == (int, int, bytes, bytes, int, int, int)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Header(e={self.epoch}, h={self.height}, "
@@ -83,23 +70,14 @@ class BlockPayload:
     transactions: Tuple[Transaction, ...]
 
     @cached_property
-    def merkle_root(self) -> Optional[Digest]:
+    def merkle_root(self) -> Digest:
         """Merkle root the header commits to.
 
         The leaves are the transactions' encodings, which each of them
         already holds (``tx.wire``): nothing is encoded here, whether the
         payload was built locally or came off the wire.
-
-        The decoder checks a struct's field count, not its field types, so
-        ``transactions`` of a payload from the wire may be anything.  One
-        that is not a tuple of :class:`Transaction` has no root — ``None``,
-        which equals no header's commitment, so every path that checks a
-        payload against a header refuses it before reading anything else.
         """
-        transactions = self.transactions
-        if type(transactions) is not tuple or not set(map(type, transactions)) <= {Transaction}:
-            return None
-        return MerkleTree([tx.wire for tx in transactions]).root
+        return MerkleTree([tx.wire for tx in self.transactions]).root
 
     def __len__(self) -> int:
         return len(self.transactions)
@@ -132,15 +110,6 @@ class Block:
     @property
     def parent(self) -> Digest:
         return self.header.parent
-
-    def well_formed(self) -> bool:
-        """A well-formed header and a payload, each of its declared type
-        (the decoder does not type fields; see :meth:`BlockHeader.well_formed`)."""
-        return (
-            type(self.header) is BlockHeader
-            and self.header.well_formed()
-            and type(self.payload) is BlockPayload
-        )
 
     def validate_payload(self) -> bool:
         """Check the payload matches the header's commitment."""

@@ -14,11 +14,15 @@ fields + a signer bitmap + one aggregate signature.  Certificates ride
 the small-message class the synchrony bound is calibrated against, and
 the aggregate is the smallest proof of a quorum, so it is the only form
 a quorum travels in.  The codec wants one class per type id, so the wire
-classes below are field declarations over those two.  The retired list
-form, ``(id, signature)`` pairs where the bitmap and aggregate are, keeps
-its four wire ids as :class:`UnsignedCertificate`: its list must be
-empty, so it proves nothing, and the genesis certificate is the one
-instance any replica builds.
+classes below are field declarations over those two.  The one exception is
+:class:`QuorumCertificate` (id 15), the form of the genesis certificate:
+the retired list form of a vote certificate, ``(id, signature)`` pairs
+where the bitmap and aggregate are, whose list must be empty.
+
+The codec holds every field of a decoded object to its annotation, so
+what is checked here are values only: that a certificate is of the kind
+asked for, that its bitmap is not negative and names members, and that a
+genesis-form list is empty.
 
 Rogue-key safety lives in the scheme (see ``crypto/aggregate.py``):
 per-signer challenges bind each public key individually, so a key
@@ -85,44 +89,39 @@ def signing_bytes(*statement) -> bytes:
 
 
 class Statement:
-    """One kind of thing replicas sign: a signing domain + typed fields.
+    """One kind of thing replicas sign: a signing domain + named fields.
 
     The field order is both the signing order and the leading wire order
-    of every class over the statement.  The types are what
-    ``well_formed`` holds a decoded object to — the decoder itself does
-    not type fields, so a Byzantine peer can put any canonical value in
-    any slot.
+    of every class over the statement; their types are those classes'
+    annotations.
     """
 
-    def __init__(self, domain: str, **fields: type) -> None:
+    def __init__(self, domain: str, *fields: str) -> None:
         self.domain = domain
-        self.fields: Tuple[str, ...] = tuple(fields)
-        self.types: Tuple[type, ...] = tuple(fields.values())
+        self.fields: Tuple[str, ...] = fields
         #: The certificate wire class over this statement, set as defined.
         self.certificate: Type["Certificate"]
 
     def is_signed(self, obj: object) -> bool:
-        """True iff ``obj`` is a well-formed signed statement of this kind."""
-        return isinstance(obj, SignedStatement) and obj.KIND is self and obj.well_formed()
+        """True iff ``obj`` is a signed statement of this kind."""
+        return isinstance(obj, SignedStatement) and obj.KIND is self
 
     def is_certificate(self, obj: object) -> bool:
-        """True iff ``obj`` is a well-formed certificate over this kind
-        of statement."""
-        return isinstance(obj, Certificate) and obj.KIND is self and obj.well_formed()
+        """True iff ``obj`` is a certificate over this kind of statement
+        whose proof names no impossible signer set."""
+        return isinstance(obj, Certificate) and obj.KIND is self and obj.proof_is_sound()
 
 
 #: Votes are shared across protocols; the phase field separates
 #: multi-phase protocols like PBFT/HotStuff.  Including the protocol name
 #: (here and in every statement) prevents cross-protocol replay when two
 #: protocols share a key registry inside one test process.
-VOTE = Statement("vote", protocol=str, phase=int, epoch=int, height=int, block_hash=bytes)
+VOTE = Statement("vote", "protocol", "phase", "epoch", "height", "block_hash")
 
-BLAME = Statement("blame", protocol=str, epoch=int)
+BLAME = Statement("blame", "protocol", "epoch")
 
 #: Recovery subsystem.
-CHECKPOINT = Statement(
-    "checkpoint", protocol=str, height=int, block_hash=bytes, state_digest=bytes
-)
+CHECKPOINT = Statement("checkpoint", "protocol", "height", "block_hash", "state_digest")
 
 #: Guard subsystem.  ``seq`` is the count of adjustments the proposer has
 #: already installed, so a certificate for one rung switch cannot be
@@ -130,7 +129,7 @@ CHECKPOINT = Statement(
 #: Δ ladder (effective Δ = ``base_delta * 2**rung``).  Agreeing on a
 #: discrete rung rather than a raw float lets replicas with slightly
 #: divergent local tail estimates still produce *matching* adjustments.
-DELTA_ADJUST = Statement("delta-adjust", protocol=str, seq=int, rung=int)
+DELTA_ADJUST = Statement("delta-adjust", "protocol", "seq", "rung")
 
 
 class _OverStatement:
@@ -149,18 +148,11 @@ class _OverStatement:
         cls.KIND = kind
         cls.statement = property(attrgetter(*names[:count]), doc="The statement fields.")
         cls.proof = property(attrgetter(*names[count:]), doc="The trailing field(s).")
-        cls._fields = property(attrgetter(*names))
-        # The list form's pair tuple is one field.
-        cls._TYPES = kind.types + ((int, bytes) if len(names) == count + 2 else (tuple,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = " ".join(short_hex(v) if type(v) is bytes else str(v) for v in self.statement)
         by = f"x{self.signer_count}" if isinstance(self, Certificate) else f"by {self.proof[0]}"
         return f"{type(self).__name__}({shown} {by})"
-
-    def well_formed(self) -> bool:
-        """Every field has exactly its declared type (see :class:`Statement`)."""
-        return tuple(map(type, self._fields)) == self._TYPES
 
 
 class SignedStatement(_OverStatement):
@@ -178,7 +170,7 @@ class SignedStatement(_OverStatement):
         return cls(*statement, signer.replica_id, signature)
 
     def verify(self, signer: Signer) -> bool:
-        """Check shape and signature (``signer`` supplies the key registry).
+        """Check the signature (``signer`` supplies the key registry).
 
         The verdict is memoized on the object per (scheme, registry): a
         broadcast vote reaches every replica of a simulated cluster as
@@ -196,7 +188,7 @@ class SignedStatement(_OverStatement):
         ):
             return memo[2]
         signer_id, signature = self.proof
-        ok = self.well_formed() and signer.verify_digest(
+        ok = signer.verify_digest(
             signer_id, self.KIND.domain, signing_bytes(*self.statement), signature
         )
         object.__setattr__(self, "_verify_memo", (signer.scheme, signer.registry, ok))
@@ -249,17 +241,12 @@ class Certificate(_OverStatement):
         """Sorted replica ids of the signers."""
         return unpack_signer_bits(self.signer_bits)
 
-    def well_formed(self) -> bool:
-        """Every field has its declared type, and the bitmap is not negative.
-
-        Checked before anything iterates, hashes or compares a received
-        certificate: a well-framed, canonical frame can still carry an
-        ``int`` where the signature belongs.
-        """
-        return super().well_formed() and self.signer_bits >= 0
+    def proof_is_sound(self) -> bool:
+        """The bitmap is not negative (unpacking one would never end)."""
+        return self.signer_bits >= 0
 
     def verify(self, signer: Signer, validators: "ValidatorSet") -> bool:
-        """Check shape, quorum and membership of the signer set, and the
+        """Check soundness, quorum and membership of the signer set, and the
         aggregate signature — the one place a received certificate is
         checked.
 
@@ -282,29 +269,12 @@ class Certificate(_OverStatement):
     def _verify_uncached(self, signer: Signer, validators: "ValidatorSet") -> bool:
         # A bitmap naming a non-member is rejected before the unpacking,
         # which it also bounds to n bits.
-        if not self.well_formed() or not validators.covers_bits(self.signer_bits):
+        if not self.proof_is_sound() or not validators.covers_bits(self.signer_bits):
             return False
         signer_ids = unpack_signer_bits(self.signer_bits)
         return len(signer_ids) >= validators.quorum and signer.verify_aggregate_digest(
             signer_ids, self.KIND.domain, signing_bytes(*self.statement), self.agg_signature
         )
-
-
-class UnsignedCertificate(Certificate):
-    """The retired list form (ids 15, 17, 19, 111): statement fields + the
-    tuple that held voter-sorted ``(id, signature)`` pairs.
-
-    The tuple must be empty — a list naming any signer is not well
-    formed — so an instance names no signer and never reaches a quorum.
-    Only :func:`genesis_qc` builds one; a peer that sends one carrying
-    signatures is refused like any other malformed certificate.
-    """
-
-    #: The empty signer set, read as every certificate's is.
-    signer_bits = 0
-
-    def well_formed(self) -> bool:
-        return super().well_formed() and self.proof == ()
 
 
 @register(14)
@@ -347,9 +317,16 @@ class Vote(SignedStatement, kind=VOTE):
 
 @register(15)
 @dataclass(frozen=True, repr=False)
-class QuorumCertificate(UnsignedCertificate, kind=VOTE):
+class QuorumCertificate(Certificate, kind=VOTE):
     """The genesis certificate's form (see :func:`genesis_qc`); a quorum
-    of votes travels as an :class:`AggregateQuorumCertificate`."""
+    of votes travels as an :class:`AggregateQuorumCertificate`.
+
+    The retired list form: ``votes`` held the voter-sorted ``(id,
+    signature)`` pairs.  It must be empty — a list naming any signer is
+    not sound — so an instance names no signer and never reaches a
+    quorum.  A peer that sends one carrying signatures is refused like any
+    other unsound certificate.
+    """
 
     protocol: str
     phase: int
@@ -357,6 +334,12 @@ class QuorumCertificate(UnsignedCertificate, kind=VOTE):
     height: int
     block_hash: Digest
     votes: Tuple[Tuple[int, bytes], ...]  # always ()
+
+    #: The empty signer set, read as every certificate's is.
+    signer_bits = 0
+
+    def proof_is_sound(self) -> bool:
+        return self.votes == ()
 
 
 @register(120)
@@ -406,16 +389,6 @@ class Blame(SignedStatement, kind=BLAME):
     signature: bytes
 
 
-@register(17)
-@dataclass(frozen=True, repr=False)
-class BlameCertificate(UnsignedCertificate, kind=BLAME):
-    """The retired list form of a blame certificate; never built."""
-
-    protocol: str
-    epoch: int
-    blames: Tuple[Tuple[int, bytes], ...]  # always ()
-
-
 @register(121)
 @dataclass(frozen=True, repr=False)
 class AggregateBlameCertificate(Certificate, kind=BLAME):
@@ -445,18 +418,6 @@ class CheckpointVote(SignedStatement, kind=CHECKPOINT):
     voter: int
     signature: bytes
 
-
-
-@register(19)
-@dataclass(frozen=True, repr=False)
-class CheckpointCertificate(UnsignedCertificate, kind=CHECKPOINT):
-    """The retired list form of a checkpoint certificate; never built."""
-
-    protocol: str
-    height: int
-    block_hash: Digest
-    state_digest: Digest
-    votes: Tuple[Tuple[int, bytes], ...]  # always ()
 
 
 @register(122)
@@ -501,17 +462,6 @@ class DeltaAdjust(SignedStatement, kind=DELTA_ADJUST):
     proposer: int
     signature: bytes
 
-
-
-@register(111)
-@dataclass(frozen=True, repr=False)
-class DeltaAdjustCertificate(UnsignedCertificate, kind=DELTA_ADJUST):
-    """The retired list form of a Δ-adjust certificate; never built."""
-
-    protocol: str
-    seq: int
-    rung: int
-    adjusts: Tuple[Tuple[int, bytes], ...]  # always ()
 
 
 @register(123)

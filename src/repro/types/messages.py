@@ -5,17 +5,16 @@ wire size — which drives the hybrid synchronous delay model — is their
 genuine encoded size.  Type-id allocation:
 
 * 10–19  core data types (transaction, block, signed statements and
-  the unsigned list form of their certificates)
+  the genesis certificate's form)
 * 20–39  AlterBFT / shared consensus messages
 * 40–59  Sync HotStuff (Merkle proofs live in :mod:`repro.crypto.merkle`
   at 41–42)
 * 60–79  HotStuff
 * 80–99  PBFT
 * 100–109 measurement probes and client traffic
-* 110–119 synchrony guard (the signed Δ-adjustment and its unsigned
-  certificate form live in :mod:`repro.types.certificates` at 110–111;
-  guard wire messages here at 112–115) and payload dissemination (chunk
-  messages at 116–118)
+* 110–119 synchrony guard (the signed Δ-adjustment lives in
+  :mod:`repro.types.certificates` at 110; guard wire messages here at
+  112–115) and payload dissemination (chunk messages at 116–118)
 * 120–123 certificates (:mod:`repro.types.certificates`)
 """
 
@@ -416,14 +415,6 @@ class ProbeAckMsg:
     probe_id: int
     sent_at: float
     received_at: float
-
-
-@register(102)
-@dataclass(frozen=True)
-class ClientRequestMsg:
-    """A client transaction submitted to a replica's mempool."""
-
-    transaction: "object"  # Transaction; typed loosely to avoid import cycle
 
 
 @register(103)

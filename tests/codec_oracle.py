@@ -6,14 +6,17 @@ which builds every struct field by field (it knows no self-encoded class).
 It is *lenient* where the shipped decoder is canonical (it accepts
 non-minimal varints and unordered or duplicate dict keys) and it leaks
 untyped exceptions on some hostile input (``UnicodeDecodeError``,
-``TypeError``, ``RecursionError``).  ``tests/test_codec_oracle.py`` pins
-the relation between the two: whenever the shipped decoder accepts a
-frame, this one returns the same value.
+``TypeError``, ``RecursionError``).  It does not type fields either:
+:func:`well_typed` is its own, separate reading of the annotations, which
+the shipped decoder enforces while it decodes.  ``tests/test_codec_oracle.py``
+pins the relation between the two: whenever the shipped decoder accepts a
+frame, this one returns the same value, and that value is well typed.
 """
 
 from __future__ import annotations
 
 import struct
+import typing
 from typing import Any
 
 from repro.codec.core import (
@@ -162,3 +165,56 @@ def encode(value: Any) -> bytes:
     names = _field_names[type(value)]
     head = bytes([_TAG_STRUCT]) + _varint(_registry_by_type[type(value)]) + _varint(len(names))
     return head + b"".join(encode(getattr(value, name)) for name in names)
+
+
+# -- the annotations, read independently of the shipped decoder ---------------
+
+
+def matches(value: Any, hint: Any) -> bool:
+    if hint is type(None):
+        return value is None
+    if hint in (bool, int, float, bytes, str):
+        return type(value) is hint  # so True is not an int
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return any(matches(value, arg) for arg in args)
+    if origin is tuple:
+        if type(value) is not tuple:
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(matches(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(matches, value, args))
+    if isinstance(hint, type):
+        return isinstance(value, hint) and type(value) in _registry_by_type and well_typed(value)
+    raise TypeError(f"no reading for the annotation {hint!r}")
+
+
+def well_typed(value: Any) -> bool:
+    """True iff every field of every registered struct in ``value`` holds a
+    value of its annotation: exact scalar types, a tuple (never a list)
+    where a tuple is declared, any registered subclass of a declared class."""
+    cls = type(value)
+    if cls in (list, tuple):
+        return all(map(well_typed, value))
+    if cls is dict:
+        return all(well_typed(key) and well_typed(item) for key, item in value.items())
+    if cls not in _registry_by_type:
+        return True
+    hints = typing.get_type_hints(cls)
+    return all(matches(getattr(value, name), hints[name]) for name in _field_names[cls])
+
+
+def minimal(hint: Any) -> Any:
+    """The smallest well-typed value of ``hint``: zeros, empties and None,
+    and the registered class with the lowest type id for a class."""
+    zero = {type(None): None, bool: False, int: 0, float: 0.0, bytes: b"", str: ""}
+    if hint in zero:
+        return zero[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Union:
+        return None if type(None) in args else minimal(args[0])
+    if origin is tuple:
+        return () if args[-1:] == (Ellipsis,) else tuple(minimal(arg) for arg in args)
+    cls = next(c for _, c in sorted(_registry_by_id.items()) if issubclass(c, hint))
+    hints = typing.get_type_hints(cls)
+    return cls(*(minimal(hints[name]) for name in _field_names[cls]))

@@ -12,7 +12,7 @@ from repro.consensus.context import SimContext
 from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import ACTIVE, QUITTING, AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
-from repro.errors import VerificationError
+from repro.errors import CodecError, VerificationError
 from repro.net.delay import UniformDelayModel
 from repro.net.simnet import SimNetwork
 from repro.sim.rng import RngFactory
@@ -497,68 +497,55 @@ class TestPayloadRepair:
 
 
 class TestIllTypedFields:
-    """The decoder checks a struct's field count, not its field types, so
-    a peer can put any canonical value where a header or payload belongs.
-    Each such message is refused as a faulty peer's, never raised past."""
+    """A peer can put any canonical value where a header or payload
+    belongs.  The codec holds each field to its annotation, so each such
+    message is a ``CodecError`` at decode and never reaches a handler."""
 
     @staticmethod
-    def from_wire(msg):
-        return decode(encode(msg))
+    def assert_refused(msg):
+        with pytest.raises(CodecError):
+            decode(encode(msg))
 
     def test_header_that_is_not_a_header(self, setup):
         replica, ctx, signers = setup
         header_msg, _, _ = make_proposal(signers[1], 1, 1, gen_qc(replica))
-        junk = self.from_wire(
+        self.assert_refused(
             ProposalHeaderMsg(header=5, signature=header_msg.signature, justify=gen_qc(replica))
         )
-        with pytest.raises(VerificationError):
-            replica.on_proposal_header(1, junk)
-        replica.handle(1, junk)  # dropped, not raised
 
     def test_header_with_an_ill_typed_field(self, setup):
         replica, ctx, signers = setup
         header_msg, _, _ = make_proposal(signers[1], 1, 1, gen_qc(replica))
         header = dataclasses.replace(header_msg.header, epoch="1")
-        junk = self.from_wire(dataclasses.replace(header_msg, header=header))
-        with pytest.raises(VerificationError):
-            replica.on_proposal_header(1, junk)
+        self.assert_refused(dataclasses.replace(header_msg, header=header))
 
     @pytest.mark.parametrize("member", ["not-a-proposal", "not-a-header"])
     def test_equivocation_proof_with_a_junk_member(self, setup, member):
         replica, ctx, signers = setup
         h1, _, _ = make_proposal(signers[1], 1, 1, gen_qc(replica), seq=0)
         junk = 5 if member == "not-a-proposal" else dataclasses.replace(h1, header=5)
-        proof = self.from_wire(EquivocationProofMsg(first=h1, second=junk))
-        with pytest.raises(VerificationError):
-            replica.on_equivocation_proof(2, proof)
-        replica.handle(2, proof)
+        self.assert_refused(EquivocationProofMsg(first=h1, second=junk))
         assert 1 not in replica._equivocated
 
     def test_junk_payload_before_its_header_is_not_stored(self, setup):
         """Stored, the junk would trip the honest header's vote later."""
         replica, ctx, signers = setup
         header_msg, payload_msg, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
-        junk = self.from_wire(dataclasses.replace(payload_msg, payload=5))
-        with pytest.raises(VerificationError):
-            replica.on_payload(2, junk)
+        self.assert_refused(dataclasses.replace(payload_msg, payload=5))
         assert not replica.store.has_payload(block.block_hash)
-        replica.handle(1, header_msg)
-        replica.handle(1, payload_msg)
+        replica.handle(1, decode(encode(header_msg)))
+        replica.handle(1, decode(encode(payload_msg)))
         assert [v.vote.block_hash for v in ctx.sent_of_type(VoteMsg)] == [block.block_hash]
 
     def test_junk_payload_response(self, setup):
         replica, ctx, signers = setup
         header_msg, _, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
         replica.handle(1, header_msg)
-        junk = self.from_wire(PayloadResponseMsg(block_hash=block.block_hash, payload=5))
-        with pytest.raises(VerificationError):
-            replica.on_payload_response(2, junk)
+        self.assert_refused(PayloadResponseMsg(block_hash=block.block_hash, payload=5))
         assert not replica.store.has_payload(block.block_hash)
 
     def test_junk_payload_in_a_block_response(self, setup):
         replica, ctx, signers = setup
         header_msg, _, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
-        junk = self.from_wire(BlockResponseMsg(proposal=header_msg, payload=5))
-        with pytest.raises(VerificationError):
-            replica.on_block_response(2, junk)
+        self.assert_refused(BlockResponseMsg(proposal=header_msg, payload=5))
         assert not replica.store.has_payload(block.block_hash)

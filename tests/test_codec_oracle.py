@@ -5,13 +5,15 @@ every registered wire type, and for byte-level mutations of valid frames,
 the shipped decoder must do one of two things:
 
 * raise ``CodecError`` — never anything else — or
-* return the oracle's value, with ``encode(value) == frame`` (canonical
-  form) and ``encoded_size(value) == len(frame)`` whether the size memo is
-  present or not.
+* return the oracle's value, well typed by the oracle's own reading of
+  the annotations, with ``encode(value) == frame`` (canonical form) and
+  ``encoded_size(value) == len(frame)`` whether the size memo is present
+  or not.
 
-The converse is pinned too: a frame the oracle accepts *and* that is in
-canonical form (it re-encodes to itself) must not be refused — nesting
-beyond ``MAX_NESTING`` excepted, which the mutations here cannot reach.
+The converse is pinned too: a frame the oracle accepts, that is in
+canonical form (it re-encodes to itself) and whose value is well typed
+must not be refused — nesting beyond ``MAX_NESTING`` excepted, which the
+mutations here cannot reach.
 """
 
 from __future__ import annotations
@@ -60,17 +62,19 @@ def check_against_oracle(frame: bytes) -> bool:
         accepted, reference = _oracle(frame)
         if accepted:
             # Refusing is only right for a frame encode() could not have
-            # produced: one that re-encodes differently, or not at all
-            # (unorderable dict keys).
+            # produced — one that re-encodes differently, or not at all
+            # (unorderable dict keys) — or one with an ill-typed field.
             try:
                 canonical = encode(reference) == frame
             except CodecError:
                 canonical = False
-            assert not canonical, f"canonical frame refused: {frame.hex()}"
+            well_typed = codec_oracle.well_typed(reference)
+            assert not (canonical and well_typed), f"canonical frame refused: {frame.hex()}"
         return False
     accepted, reference = _oracle(frame)
     assert accepted, f"oracle refuses what the decoder accepted: {frame.hex()}"
     assert _same(value, reference)
+    assert codec_oracle.well_typed(value), f"ill-typed value accepted: {frame.hex()}"
     assert encode(value) == frame
     assert codec_oracle.encode(value) == frame  # rebuilt field by field: same bytes
     assert SIZE_CACHE_ATTR not in getattr(value, "__dict__", {})
@@ -131,12 +135,10 @@ def test_non_minimal_struct_header_refused(cls):
 
     count = len(dataclasses.fields(cls))
     type_id, fields = _varint(registered_type_id(cls)), _varint(count)
-    if hasattr(cls, "from_wire"):  # self-encoded: its decoder checks the field types
-        zero = {int: b"\x03\x00", float: b"\x04" + b"\x00" * 8, bytes: b"\x05\x00"}
-        hints = typing.get_type_hints(cls)
-        body = b"".join(zero[hints[f.name]] for f in dataclasses.fields(cls))
-    else:
-        body = b"\x00" * count  # every field None
+    hints = typing.get_type_hints(cls)
+    body = b"".join(
+        codec_oracle.encode(codec_oracle.minimal(hints[f.name])) for f in dataclasses.fields(cls)
+    )
     assert check_against_oracle(b"\x0a" + type_id + fields + body)
     for head in (padded(type_id) + fields, type_id + padded(fields)):
         frame = b"\x0a" + head + body

@@ -19,7 +19,7 @@ Four contracts, mirroring the subsystem's acceptance criteria:
   link carries more peak bytes than the blob baseline's leader links.
 
 Then the hostile inputs — garbage that reconstructs, ill-typed chunk
-messages — and the memory contract: a reconstructed payload holds the
+messages, which the codec refuses — and the memory contract: a reconstructed payload holds the
 mempool's transaction objects, one per transaction across the cluster.
 """
 
@@ -35,7 +35,7 @@ from repro.check.invariants import check_all, install_certificate_log, violation
 from repro.codec import decode, encode
 from repro.crypto.erasure import encode_shares
 from repro.crypto.merkle import MerkleTree
-from repro.errors import ConfigError
+from repro.errors import CodecError, ConfigError
 from repro.mempool import Mempool
 from repro.runner.cluster import build_cluster
 from repro.types.block import BlockHeader, BlockPayload
@@ -388,12 +388,11 @@ def test_resolve_keeps_other_bytes_and_anything_else_as_given():
     pool.add(held)
     other = make_transaction(1, 0, 0.75, 32)  # same key, other bytes
     assert pool.resolve((other,))[0] is other
+    # Anything but a tuple of transactions never reaches resolve: a
+    # reconstructed payload carrying it does not decode.
     for junk in (5, None, b"xx", [held], (held, 7, b"x", (1, 0))):
-        resolved = pool.resolve(junk)
-        if type(junk) is tuple:
-            assert resolved[0] is held and resolved[1:] == junk[1:]
-        else:
-            assert resolved is junk
+        with pytest.raises(CodecError):
+            decode(encode(BlockPayload(transactions=junk)))
 
 
 #: A transaction replica 2's pool holds in the reconstruction tests.
@@ -424,11 +423,14 @@ def test_same_key_other_bytes_checks_against_the_header_as_before(committed_to):
     ids=["int", "none", "bytes", "tuple-of-junk", "held-then-int"],
 )
 def test_junk_transactions_still_end_in_a_mismatch(junk):
+    """Junk where the transactions belong ends before the header check
+    now: the reconstructed bytes are a ``CodecError``, a decode failure."""
     cluster = _dissem_cluster()
     cluster.replicas[2].mempool.add(HELD)
     stored, kinds = _reconstruct(cluster, encode(BlockPayload(transactions=junk)))
     assert stored is None
-    assert kinds["dissem_reconstructed"] == 1 and kinds["dissem_mismatch"] == 1
+    assert kinds["dissem_decode_failed"] == 1
+    assert kinds["dissem_reconstructed"] == 0 and kinds["dissem_mismatch"] == 0
 
 
 # -- ill-typed chunk messages ---------------------------------------------------
@@ -460,14 +462,11 @@ def _chunk_messages(manager, block_hash):
     ],
 )
 def test_ill_typed_chunk_fields_are_refused_not_raised(which, field, value):
+    """The codec refuses each at decode; the well-typed original decodes."""
     cluster = _dissem_cluster()
-    replica = cluster.replicas[2]
-    manager = replica.subsystems["dissem"]
-    block_hash = b"\x42" * 32
-    manager._state_for(block_hash, 1, 1)  # a request for an unknown hash is ignored
-    share, request, response = _chunk_messages(manager, block_hash)
+    manager = cluster.replicas[2].subsystems["dissem"]
+    share, request, response = _chunk_messages(manager, b"\x42" * 32)
     msg = {"share": share, "request": request, "response": response}[which]
-    msg = decode(encode(dataclasses.replace(msg, **{field: value})))
-    before = _kinds(cluster)["verification_failed"]
-    replica.handle(1, msg)
-    assert _kinds(cluster)["verification_failed"] == before + 1
+    assert decode(encode(msg)) == msg
+    with pytest.raises(CodecError):
+        decode(encode(dataclasses.replace(msg, **{field: value})))

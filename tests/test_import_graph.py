@@ -280,6 +280,58 @@ def test_the_wire_accountant_is_the_only_message_counter():
     assert len(fields) == 10
 
 
+# -- field types are the codec's decision ------------------------------------
+
+#: The method that held a decoded message's fields to their types outside
+#: the codec, and the word its refusals used, spelt in halves so a grep for
+#: the whole names comes back empty, this file included.
+RETIRED_CHECK = "well" "_formed"
+REFUSAL_WORD = "ill" "-typed"
+
+
+def _shape_checks(path: Path) -> Iterator[str]:
+    """A ``well_formed`` or ``_check_*_shape`` function or call in ``path``,
+    and every ``VerificationError`` whose message says "ill-typed"."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        name = None
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name == RETIRED_CHECK or (name or "").startswith("_check_") and name.endswith("_shape"):
+            yield f"{node.lineno}: {name}"
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "VerificationError"
+            and any(REFUSAL_WORD in text for text in _string_literals(node))
+        ):
+            yield f"{node.lineno}: VerificationError({REFUSAL_WORD})"
+
+
+def test_field_types_are_checked_by_the_codec_alone():
+    """The codec holds every field to its annotation; no handler, type or
+    subsystem checks a field's type a second time."""
+    files = [p for p in sorted(SRC.rglob("*.py")) if p.relative_to(SRC).parts[0] != "codec"]
+    assert len(files) > 80
+    for path in files:
+        found = list(_shape_checks(path))
+        assert not found, f"{path.relative_to(SRC)} checks field types: {found}"
+
+
+def test_the_shape_check_finder_sees_each_form(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        f"def {RETIRED_CHECK}(self):\n"
+        "    return True\n"
+        "def _check_payload_shape(payload):\n"
+        f"    raise VerificationError('{REFUSAL_WORD} payload')\n"
+        f"ok = header.{RETIRED_CHECK}()\n"
+        "raise VerificationError('bad signature')\n"
+    )
+    assert [line.split(":")[0] for line in _shape_checks(probe)] == ["1", "3", "4", "5"]
+
+
 # -- each replica event is one call -------------------------------------------
 
 #: The recording verbs a replica had beside its counter.

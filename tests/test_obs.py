@@ -114,11 +114,11 @@ class TestMetrics:
     def test_registry_types_and_prefixes(self):
         reg = MetricsRegistry()
         reg.counter("a/x").inc()
-        reg.histogram("h/y").observe(1.0)
+        reg.gauge("g/y").set(1.0)
         with pytest.raises(TypeError):
-            reg.histogram("a/x")
-        assert reg.get("a/x").value == 1 and reg.get("h/y").count == 1
-        assert reg.get("h/x") is None
+            reg.gauge("a/x")
+        assert reg.get("a/x").value == 1 and reg.get("g/y").value == 1.0
+        assert reg.get("g/x") is None
 
 # ---------------------------------------------------------------------------
 # Phase assembly and clamping
@@ -386,6 +386,22 @@ class TestLiveRecording:
         # The 2Δ wait dominates AlterBFT commit latency (the paper's story).
         by_phase = {r["phase"]: r for r in result.obs.phase_rows}
         assert by_phase["2d_wait"]["mean_ms"] > by_phase["certify"]["mean_ms"]
+
+    def test_phase_rows_are_exact_percentiles_of_the_block_rows(self):
+        from repro.measure.stats import percentile
+
+        result = _observed_result("alterbft")
+        rows = result.obs.block_rows
+        assert len(rows) > 10
+        by_phase = {r["phase"]: r for r in result.obs.phase_rows}
+        assert set(by_phase) == set(PHASE_NAMES) | {"e2e"}
+        for phase, row in by_phase.items():
+            samples = [block[f"{phase}_ms"] for block in rows]
+            assert row["count"] == len(samples)
+            assert row["p50_ms"] == percentile(samples, 50), phase
+            assert row["p99_ms"] == percentile(samples, 99), phase
+            assert row["max_ms"] == max(samples), phase
+            assert row["mean_ms"] == pytest.approx(sum(samples) / len(samples)), phase
 
     @pytest.mark.parametrize("protocol", ["hotstuff", "pbft", "sync-hotstuff"])
     def test_baselines_record_lifecycles(self, protocol):

@@ -607,22 +607,25 @@ class TestBadFrames:
 
     def test_ill_typed_certificate_costs_one_message_not_the_reader(self):
         """A well-framed, canonical message with an ``int`` where a
-        certificate's pair list belongs is a failed verification: that
-        message is dropped, the link it came on stays up, and no reader
-        task dies of an exception nobody retrieves."""
+        certificate's pair list belongs is a ``CodecError``, the rule for
+        any malformed frame: the link it came on is closed and counted once,
+        the other peer's link still delivers, and no reader task dies of an
+        exception nobody retrieves."""
         from repro.types.certificates import QuorumCertificate
-        from repro.types.messages import BlameCertMsg, StatusMsg
+        from repro.types.messages import BlameCertMsg, SnapshotRequestMsg, StatusMsg
 
         qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
-        registry, traced, replica, unhandled = self._drive_kept_link(
-            [StatusMsg(sender=1, new_epoch=1, high_qc=qc), BlameCertMsg(cert=5)]
-        )
-        assert traced == [
-            ("verification_failed", "StatusMsg"),
-            ("verification_failed", "BlameCertMsg"),
+        hostile = [
+            StatusMsg(sender=1, new_epoch=1, high_qc=qc),
+            BlameCertMsg(cert=5),
+            SnapshotRequestMsg(sender=1, from_height="x", to_height=0),
         ]
-        assert len(replica.mempool) == 2, "both links, the hostile peer's included, still deliver"
-        assert registry.counter("transport/bad_frames_total").value == 0 and unhandled == []
+        closed, bad_frames, pooled, unhandled = self._drive(
+            b"".join(encode_frame(msg) for msg in hostile)
+        )
+        assert closed and bad_frames == 1
+        assert pooled == 1, "the second peer's link must be unaffected"
+        assert unhandled == []
 
     def test_forged_vote_is_dropped_and_counted(self):
         """A validly framed vote whose signature does not verify costs that

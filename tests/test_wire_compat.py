@@ -23,12 +23,9 @@ from repro.types.certificates import (
     AggregateDeltaAdjustCertificate,
     AggregateQuorumCertificate,
     Blame,
-    BlameCertificate,
     Certificate,
-    CheckpointCertificate,
     CheckpointVote,
     DeltaAdjust,
-    DeltaAdjustCertificate,
     QuorumCertificate,
     Vote,
     signing_bytes,
@@ -42,7 +39,6 @@ from repro.types.messages import (
     ChunkResponseMsg,
     ChunkShareMsg,
     ClientReplyMsg,
-    ClientRequestMsg,
     EquivocationProofMsg,
     HSNewViewMsg,
     HSProposalMsg,
@@ -73,9 +69,7 @@ EXPECTED_IDS = {
     Vote: 14,
     QuorumCertificate: 15,
     Blame: 16,
-    BlameCertificate: 17,
     CheckpointVote: 18,
-    CheckpointCertificate: 19,
     ProposalHeaderMsg: 20,
     PayloadMsg: 21,
     VoteMsg: 23,
@@ -101,10 +95,8 @@ EXPECTED_IDS = {
     PBFTSyncReplyMsg: 86,
     ProbeMsg: 100,
     ProbeAckMsg: 101,
-    ClientRequestMsg: 102,
     ClientReplyMsg: 103,
     DeltaAdjust: 110,
-    DeltaAdjustCertificate: 111,
     ChunkShareMsg: 116,
     ChunkRequestMsg: 117,
     ChunkResponseMsg: 118,
@@ -154,10 +146,10 @@ def test_genesis_digest_golden():
 
 
 def _statement_instances():
-    """One deterministic instance of each of the twelve signed-statement /
+    """One deterministic instance of each of the nine signed-statement /
     certificate wire types: five hashsig signers, certificates over all
-    five built by signer 0, and each quorum in its retired list form too
-    — bytes a peer can still send, refused once they name a signer."""
+    five built by signer 0, and the vote quorum in its retired list form
+    too — bytes a peer can still send, refused once they name a signer."""
     signers = build_cluster_keys("hashsig", 5)
     votes = tuple(Vote.create(s, "alterbft", 2, 5, b"\x11" * 32) for s in signers)
     blames = tuple(Blame.create(s, "alterbft", 4) for s in signers)
@@ -167,23 +159,21 @@ def _statement_instances():
     )
     adjusts = tuple(DeltaAdjust.create(s, "alterbft", 1, 2) for s in signers)
     instances = {}
-    for signed, raw_cls, aggregate_cls in (
-        (votes, QuorumCertificate, AggregateQuorumCertificate),
-        (blames, BlameCertificate, AggregateBlameCertificate),
-        (checkpoints, CheckpointCertificate, AggregateCheckpointCertificate),
-        (adjusts, DeltaAdjustCertificate, AggregateDeltaAdjustCertificate),
-    ):
+    for signed in (votes, blames, checkpoints, adjusts):
         instances[type(signed[0])] = signed[0]
-        instances[raw_cls] = raw_cls(*signed[0].statement, tuple(s.proof for s in signed))
-        instances[aggregate_cls] = Certificate.assemble(signed, signers[0])
+        certificate = Certificate.assemble(signed, signers[0])
+        instances[type(certificate)] = certificate
+    instances[QuorumCertificate] = QuorumCertificate(
+        *votes[0].statement, tuple(s.proof for s in votes)
+    )
     assert all(type(instance) is cls for cls, instance in instances.items())
     return instances
 
 
 class TestStatementBytePins:
     """Exact wire bytes of votes, blames, checkpoint votes, Δ-adjustments
-    and the certificates over them, in both proof forms (the list form
-    retired, see ``_statement_instances``).  These are the
+    and the certificates over them, and the vote quorum's retired list
+    form (see ``_statement_instances``).  These are the
     small messages AlterBFT's synchrony bound is calibrated against; a
     changed size or digest here is a wire-format break, not a refactor."""
 
@@ -193,13 +183,10 @@ class TestStatementBytePins:
         QuorumCertificate: (405, "faf5c22b125710e398362dbec6c1c34b26f926e8ac5811c4786e8c5ecfd07e15"),
         AggregateQuorumCertificate: (89, "4dec2e3158a47f7efc58bf8f6586515bcd116701355630205236f84c78eda915"),
         Blame: (83, "457077b27542cac2eddaecb8a3766e0ef10de9508ba6f517c57fb975c96c977d"),
-        BlameCertificate: (367, "507ec19fb1da2adb42c9bf58a38a3a4a7e8f410fbf39092b1f4048e4833db987"),
         AggregateBlameCertificate: (51, "9801fe2f0c097d96cb4101c9a8f3f72e50ed4091778de8a0ae8ea17574265c9d"),
         CheckpointVote: (151, "2b650414ba2d77e077d4a4c87ea006933e165414a504c20cc60449ca0ec56f62"),
-        CheckpointCertificate: (435, "288a54cd6f0f45b6322ffc3f1984917af0cc69432e6bb8fc59f7a140b62039dd"),
         AggregateCheckpointCertificate: (119, "ef019e84de905f7b35f52e17b03575789060d5419bfc83523aaab332109446b6"),
         DeltaAdjust: (85, "21c8d9a54d9ab445bf3de1782b16090281132cce5dca8bc8ffd63018eed86fd4"),
-        DeltaAdjustCertificate: (369, "5a2edf49f837f4e19a56db4ec00d73cf053b5dc120e8a9f75b0ca2412b16c3ad"),
         AggregateDeltaAdjustCertificate: (53, "62fbfb6b0a861d425b8e5470721ed00f64703fb086515494476919576ebfbd2e"),
     }
 
