@@ -12,12 +12,17 @@ keys are not used; we keep full compressed points for simplicity):
     verify(P, m, (R, s)):  s*G == R + e*P
 
 Deterministic nonces make signing reproducible, which the deterministic
-simulator relies on.  Signing takes about 7 ms — one scalar
-multiplication, as the scheme remembers the public key of each key it
-generated for the challenge hash — and verifying about 15 ms, two
-(CPython 3.11, one core of a 2-vCPU Xeon, fastest of 40 calls) — fine
-for tests and small runs, too slow for large throughput sweeps, which
-use hashsig instead.
+simulator relies on.  Signing costs about two scalar multiplications,
+not one.  The parity packing needs s < 2^255, about half the nonces give
+s ≥ 2^255, and ``sign``'s loop re-derives those (1.8–2.2 multiplications
+per ``sign`` over 200 messages, across four keys).  The public key the
+challenge hashes costs none: the scheme remembers it per secret.
+Even-y normalisation of R would remove the retry, but it changes the
+signature bytes ``test_known_answer`` pins, so it waits for the rework
+of the curve arithmetic.  Medians: sign 25 ms, verify 27 ms (CPython
+3.11, one core of a shared 2-vCPU Xeon, 60 calls each; a sign without
+a retry takes 12 ms) — fine for tests and small runs, too slow for
+large throughput sweeps, which use hashsig instead.
 """
 
 from __future__ import annotations
@@ -154,9 +159,9 @@ class SchnorrSignatureScheme(SignatureScheme):
 
     def __init__(self, cache_size: Optional[int] = None) -> None:
         super().__init__(cache_size)
-        # The encoded public key of each secret this scheme generated: the
-        # challenge hashes it, and recomputing sk·G would double the cost
-        # of signing.
+        # The encoded public key of each secret this scheme generated or
+        # signed with: the challenge hashes it, and recomputing sk·G would
+        # double the cost of signing.
         self._public_of: Dict[bytes, bytes] = {}
 
     def keygen(self, seed: bytes) -> KeyPair:
@@ -169,13 +174,18 @@ class SchnorrSignatureScheme(SignatureScheme):
         self._public_of[pair.secret] = pair.public
         return pair
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
+    def _public_from_secret(self, secret: bytes) -> bytes:
+        public = self._public_of.get(secret)
+        if public is None:
+            public = encode_point(point_mul(int.from_bytes(secret, "big")))
+            self._public_of[secret] = public
+        return public
+
+    def _sign(self, secret: bytes, message: bytes) -> bytes:
         sk = int.from_bytes(secret, "big")
         if not 0 < sk < N:
             raise CryptoError("secret key out of range")
-        public = self._public_of.get(secret)
-        if public is None:
-            public = encode_point(point_mul(sk))
+        public = self._public_from_secret(secret)
         k = _hash_to_scalar(b"schnorr-nonce", secret, message)
         if k == 0:
             k = 1
@@ -221,7 +231,7 @@ class SchnorrSignatureScheme(SignatureScheme):
 
         return find_invalid(items)
 
-    def aggregate(
+    def _aggregate(
         self, publics: Sequence[bytes], message: bytes, signatures: Sequence[bytes]
     ) -> bytes:
         from .aggregate import schnorr_aggregate

@@ -40,8 +40,9 @@ SIGNATURE_SIZE = 64
 
 #: Default bound on a scheme's verification cache (entries).  A replica
 #: meets the same (signer, digest, signature) triple again in a relayed
-#: copy of a message and in the certificate the next header carries; the
-#: cache makes the repeat verifications O(1) dict lookups.  Repeats come
+#: copy of a message, in the certificate the next header carries, and in
+#: the loopback copy of what it signed itself; the cache makes the repeat
+#: verifications O(1) dict lookups.  Repeats come
 #: within a few heights, and 1,024 entries hit exactly as often as 65,536
 #: did.  Module-level so tests can force 0 (cache off) for A/B runs.
 VERIFY_CACHE_DEFAULT = 1 << 10
@@ -81,10 +82,30 @@ class SignatureScheme:
     for a different digest, or a forged signature over a cached digest,
     forms a different key and is always checked; a hit can only repeat
     the verdict on the identical input, and every check is deterministic.
-    A scheme implements the uncached checks (``_verify``,
-    ``_batch_verify``, ``_find_invalid``, ``_verify_aggregate``) and the
-    public methods here consult the cache around them.  ``cache_size=0``
-    disables the cache.
+    A scheme implements the uncached operations (``_sign``, ``_verify``,
+    ``_batch_verify``, ``_find_invalid``, ``_aggregate``,
+    ``_verify_aggregate``) and the public methods here consult the cache
+    around them.  ``cache_size=0`` disables the cache.
+
+    Two operations *vouch*: they enter a verdict as valid without
+    computing it, because the check could only repeat what the operation
+    just did.
+
+    * :meth:`sign` vouches for ``(public, message, signature)``, where
+      ``public`` is the key the scheme derives from the secret itself
+      (``_public_from_secret``), never one a caller supplies.  Every
+      signature ``_sign`` returns verifies under that key.
+    * :meth:`aggregate` vouches for ``(publics, message, aggregate)`` only
+      if every input triple is held as valid at that moment — checked one
+      by one, in a passing batch, or vouched by signing.  An aggregate of
+      valid signatures verifies, so no caller has to promise that it
+      checked its inputs.
+
+    A vouched key is a full triple like any other, so a forged signature,
+    another digest or a bit-flipped copy is a different key and is still
+    checked; nothing is trusted on a sender's claimed id.  The property
+    battery in ``tests/test_crypto_batch.py`` pins both completeness
+    assumptions for every scheme.  With the cache off nothing is vouched.
     """
 
     name = "abstract"
@@ -101,7 +122,19 @@ class SignatureScheme:
         raise NotImplementedError
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        """Sign ``message``; returns a ``SIGNATURE_SIZE``-byte signature."""
+        """Sign ``message``; returns a ``SIGNATURE_SIZE``-byte signature,
+        vouched for in the cache under the secret's own public key."""
+        signature = self._sign(secret, message)
+        if self.cache_size > 0:
+            self._remember((self._public_from_secret(secret), message, signature), True)
+        return signature
+
+    def _sign(self, secret: bytes, message: bytes) -> bytes:
+        """The signature itself, unvouched."""
+        raise NotImplementedError
+
+    def _public_from_secret(self, secret: bytes) -> bytes:
+        """The public key the scheme derives from ``secret``."""
         raise NotImplementedError
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
@@ -206,10 +239,23 @@ class SignatureScheme:
     ) -> bytes:
         """Combine per-signer signatures over one ``message`` into one blob.
 
-        Inputs are parallel sequences in canonical signer order.  Callers
-        must have verified the individual signatures first: aggregation
-        is a compression step, not a validity filter.
+        Inputs are parallel sequences in canonical signer order.
+        Aggregation is a compression step, not a validity filter: an
+        invalid input yields an aggregate that fails verification.  The
+        aggregate is vouched for when every input is held as valid.
         """
+        aggregate = self._aggregate(publics, message, signatures)
+        cache = self._verify_cache
+        if self.cache_size > 0 and all(
+            cache.get((public, message, signature)) is True
+            for public, signature in zip(publics, signatures)
+        ):
+            self._remember((tuple(publics), message, aggregate), True)
+        return aggregate
+
+    def _aggregate(
+        self, publics: Sequence[bytes], message: bytes, signatures: Sequence[bytes]
+    ) -> bytes:
         raise CryptoError(f"scheme {self.name!r} does not support aggregation")
 
     def verify_aggregate(
@@ -292,10 +338,12 @@ class HashSignatureScheme(SignatureScheme):
 
     def keygen(self, seed: bytes) -> KeyPair:
         secret = sha256(b"hashsig-secret" + seed)
-        public = sha256(b"hashsig-public" + secret)
-        return KeyPair(public=public, secret=secret)
+        return KeyPair(public=self._public_from_secret(secret), secret=secret)
 
-    def sign(self, secret: bytes, message: bytes) -> bytes:
+    def _public_from_secret(self, secret: bytes) -> bytes:
+        return sha256(b"hashsig-public" + secret)
+
+    def _sign(self, secret: bytes, message: bytes) -> bytes:
         mac = hmac.new(secret, message, hashlib.sha256).digest()
         # Pad to the common SIGNATURE_SIZE so wire sizes match schnorr.
         return mac + sha256(mac + message)
@@ -306,7 +354,7 @@ class HashSignatureScheme(SignatureScheme):
         secret = self._secret_for_public(public)
         if secret is None:
             return False
-        expected = self.sign(secret, message)
+        expected = self._sign(secret, message)
         return hmac.compare_digest(expected, signature)
 
     def _secret_for_public(self, public: bytes) -> Optional[bytes]:
@@ -346,7 +394,7 @@ class HashSignatureScheme(SignatureScheme):
         self._agg_secret_cache[publics] = combined
         return combined
 
-    def aggregate(
+    def _aggregate(
         self, publics: Sequence[bytes], message: bytes, signatures: Sequence[bytes]
     ) -> bytes:
         if not publics or len(publics) != len(signatures):

@@ -213,7 +213,10 @@ class Certificate(_OverStatement):
         transcript.  Callers verify the statements *before* assembling:
         aggregation is a compression step, and an invalid input signature
         yields an aggregate that fails verification, losing the
-        attribution a statement-level check provides.
+        attribution a statement-level check provides.  The scheme vouches
+        for the aggregate in its verify cache only if it holds every input
+        as valid itself (``SignatureScheme.aggregate``), so soundness
+        never rests on a caller having checked.
         """
         signed = tuple(signed)
         kind, statement = signed[0].KIND, signed[0].statement

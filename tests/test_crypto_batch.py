@@ -8,6 +8,10 @@ Three kinds of guarantee are pinned here:
 * **Soundness** — the aggregate form resists the classic attacks on
   naive signature aggregation: rogue-key cancellation, signer-set
   substitution, and aggregate tampering.
+* **Completeness** — what ``sign`` returns verifies, and an aggregate of
+  verified signatures verifies over any signer subset: the assumptions a
+  scheme's verify cache rests on when signing and aggregation vouch for
+  their output.
 * **One form** — every certificate is an aggregate: the retired list
   form cannot be configured.
 """
@@ -17,6 +21,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ProtocolConfig
 from repro.crypto import (
@@ -290,6 +296,49 @@ class TestHashsigBatchEquivalence:
         items[2] = (items[2][0], items[2][1], b"\x00" * len(items[2][2]))
         assert not scheme.batch_verify(items)
         assert scheme.find_invalid(items) == [2]
+
+
+def _cache_off(scheme_name: str):
+    """A scheme with its verify cache off, and a pool of its keys: every
+    verdict below is computed, none vouched for."""
+    if scheme_name == "schnorr":
+        return SchnorrSignatureScheme(cache_size=0), POOL
+    registry = KeyRegistry()
+    scheme = HashSignatureScheme(registry, cache_size=0)
+    pairs = [scheme.keygen(b"complete-%d" % i) for i in range(len(POOL))]
+    for i, pair in enumerate(pairs):
+        registry.register(i, pair)
+    return scheme, pairs
+
+
+@pytest.mark.parametrize("scheme_name", ["hashsig", "schnorr"])
+class TestCompleteness:
+    """Signing and aggregation vouch for their output in a scheme's verify
+    cache (``SignatureScheme``), which is sound only if checking that
+    output could never fail.  Schnorr examples cost tens of ms each."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(message=st.binary(max_size=48), index=st.integers(0, len(POOL) - 1))
+    def test_every_signature_sign_returns_verifies(self, scheme_name, message, index):
+        scheme, pairs = _cache_off(scheme_name)
+        pair = pairs[index]
+        assert scheme.verify(pair.public, message, scheme.sign(pair.secret, message))
+        assert scheme.cache_hits == scheme.cache_misses == 0
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        message=st.binary(max_size=48),
+        subset=st.sets(st.integers(0, len(POOL) - 1), min_size=1),
+    )
+    def test_every_aggregate_of_verified_signatures_verifies(self, scheme_name, message, subset):
+        scheme, pairs = _cache_off(scheme_name)
+        signers = [pairs[i] for i in sorted(subset)]
+        publics = [pair.public for pair in signers]
+        signatures = [scheme.sign(pair.secret, message) for pair in signers]
+        assert all(map(scheme.verify, publics, [message] * len(publics), signatures))
+        aggregate = scheme.aggregate(publics, message, signatures)
+        assert scheme.verify_aggregate(publics, message, aggregate)
+        assert len(scheme._verify_cache) == 0
 
 
 def test_the_retired_list_form_cannot_be_configured():

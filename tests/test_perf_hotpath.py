@@ -177,10 +177,15 @@ class TestVerifyCache:
     def _scheme(self, n=2, cache_size=None):
         return _scheme_with_keys(self.SCHEME, n, cache_size)
 
+    def _elsewhere(self):
+        """A cache-off instance of the scheme: what it signs is a peer's
+        signature, never vouched for in the scheme under test."""
+        return make_scheme(self.SCHEME, KeyRegistry(), 0)
+
     def test_hit_miss_counters(self):
         scheme, (pair, _) = self._scheme()
         msg = b"message"
-        sig = scheme.sign(pair.secret, msg)
+        sig = self._elsewhere().sign(pair.secret, msg)
         assert scheme.cache_hits == scheme.cache_misses == 0
         assert scheme.verify(pair.public, msg, sig)
         assert (scheme.cache_hits, scheme.cache_misses) == (0, 1)
@@ -189,14 +194,15 @@ class TestVerifyCache:
 
     def test_eviction_bound(self):
         scheme, (pair, _) = self._scheme(cache_size=4)
+        elsewhere = self._elsewhere()
         msgs = [b"m%d" % i for i in range(10)]
         for m in msgs:
-            scheme.verify(pair.public, m, scheme.sign(pair.secret, m))
+            scheme.verify(pair.public, m, elsewhere.sign(pair.secret, m))
         assert len(scheme._verify_cache) <= 4
         assert scheme.cache_evictions == 6
         # The oldest entries were evicted: verifying them again is a miss.
         misses_before = scheme.cache_misses
-        scheme.verify(pair.public, msgs[0], scheme.sign(pair.secret, msgs[0]))
+        scheme.verify(pair.public, msgs[0], elsewhere.sign(pair.secret, msgs[0]))
         assert scheme.cache_misses == misses_before + 1
 
     def test_byzantine_double_vote_never_served_from_cache(self):
@@ -211,8 +217,9 @@ class TestVerifyCache:
         misses_before = scheme.cache_misses
         assert not scheme.verify(pair.public, digest_b, sig_a)
         assert scheme.cache_misses == misses_before + 1
-        # A legitimate signature over digest B is also a fresh computation.
-        sig_b = scheme.sign(pair.secret, digest_b)
+        # A legitimate signature over digest B, made elsewhere, is also a
+        # fresh computation.
+        sig_b = self._elsewhere().sign(pair.secret, digest_b)
         misses_before = scheme.cache_misses
         assert scheme.verify(pair.public, digest_b, sig_b)
         assert scheme.cache_misses == misses_before + 1
@@ -224,6 +231,16 @@ class TestVerifyCache:
         assert not scheme.verify(pair.public, msg, forged)
         assert not scheme.verify(pair.public, msg, forged)  # cached False stays False
         assert scheme.cache_hits >= 1
+
+    def test_signing_vouches_for_its_own_signature(self):
+        """What this scheme signed enters the cache as valid under the
+        secret's own public key: checking it is a hit, not a miss."""
+        scheme, (pair, _) = self._scheme()
+        sig = scheme.sign(pair.secret, b"own vote")
+        assert scheme._verify_cache == {(pair.public, b"own vote", sig): True}
+        assert scheme.cache_hits == scheme.cache_misses == 0
+        assert scheme.verify(pair.public, b"own vote", sig)
+        assert (scheme.cache_hits, scheme.cache_misses) == (1, 0)
 
     def test_cache_disabled(self):
         scheme, pairs = self._scheme(cache_size=0)
@@ -265,8 +282,9 @@ class TestSchnorrVerifyCache(TestVerifyCache):
 
     def test_batch_mixing_a_cached_valid_triple_with_a_bad_one(self):
         scheme, pairs = self._scheme(n=3)
+        elsewhere = self._elsewhere()
         msg = b"certificate digest"
-        items = [(p.public, msg, scheme.sign(p.secret, msg)) for p in pairs]
+        items = [(p.public, msg, elsewhere.sign(p.secret, msg)) for p in pairs]
         assert scheme.verify(*items[0])
         public, _, sig = items[2]
         items[2] = (public, msg, sig[:-1] + bytes([sig[-1] ^ 0x01]))
@@ -279,9 +297,13 @@ class TestSchnorrVerifyCache(TestVerifyCache):
         assert not scheme.verify(*items[2])
 
     def test_certificate_over_checked_votes_costs_lookups(self):
-        signers = build_cluster_keys("schnorr", 3)
-        votes = [Vote.create(s, "alterbft", 2, 5, b"\x02" * 32) for s in signers]
-        verifier = signers[0]
+        """The replica that assembled a certificate from votes it checked
+        pays no aggregate check for it; one that never held the votes
+        pays exactly one.  Each ``build_cluster_keys`` call is a separate
+        scheme instance over the same keys, as on sockets."""
+        peers = build_cluster_keys("schnorr", 3)
+        votes = [Vote.create(s, "alterbft", 2, 5, b"\x02" * 32) for s in peers]
+        verifier = build_cluster_keys("schnorr", 3)[0]
         assert all(vote.verify(verifier) for vote in votes)
         scheme = verifier.scheme
         checked = scheme.cache_misses
@@ -289,14 +311,89 @@ class TestSchnorrVerifyCache(TestVerifyCache):
         assert scheme.cache_misses == checked  # assembling checks nothing
         validators = ValidatorSet.synchronous(3, 1)
         assert qc._verify_uncached(verifier, validators)
-        assert scheme.cache_misses == checked + 1  # one aggregate check
+        assert scheme.cache_misses == checked  # the assembler vouched for it
         assert decode(encode(qc))._verify_uncached(verifier, validators)
-        assert scheme.cache_misses == checked + 1  # a received copy is a lookup
+        assert scheme.cache_misses == checked  # a received copy is a lookup
+        stranger = build_cluster_keys("schnorr", 3)[1]
+        assert decode(encode(qc))._verify_uncached(stranger, validators)
+        assert (stranger.scheme.cache_hits, stranger.scheme.cache_misses) == (0, 1)
+
+
+def _flipped(vote):
+    """``vote`` with the last byte of its signature flipped."""
+    sig = vote.signature
+    return dataclasses.replace(vote, signature=sig[:-1] + bytes([sig[-1] ^ 0x01]))
+
+
+@pytest.mark.parametrize("scheme_name", ["hashsig", "schnorr"])
+class TestVouching:
+    """An aggregate is vouched for only over inputs held as valid, and
+    with the cache off nothing is.  ``build_cluster_keys`` calls are
+    separate scheme instances over the same keys: ``peers`` sign, the
+    replica under test (id 0) holds its own scheme, as on sockets."""
+
+    VALIDATORS = ValidatorSet.synchronous(3, 1)
+
+    @staticmethod
+    def _votes(signers, block_hash=b"\x03" * 32):
+        return [Vote.create(s, "alterbft", 1, 4, block_hash) for s in signers]
+
+    def test_an_input_never_verified_here_is_not_vouched(self, scheme_name):
+        peers = build_cluster_keys(scheme_name, 3)
+        me = build_cluster_keys(scheme_name, 3)[0]
+        own, checked, unchecked = self._votes([me, peers[1], peers[2]])
+        assert checked.verify(me)
+        qc = Certificate.assemble([own, checked, unchecked], me)
+        misses = me.scheme.cache_misses
+        assert qc._verify_uncached(me, self.VALIDATORS)
+        assert me.scheme.cache_misses == misses + 1  # checked, not vouched
+        if scheme_name == "schnorr":
+            # A hashsig aggregate is a MAC under the signers' combined
+            # secret and does not depend on the member signatures, so
+            # only a half-aggregate can show a forged member.
+            forged = Certificate.assemble([own, checked, _flipped(unchecked)], me)
+            assert not forged._verify_uncached(me, self.VALIDATORS)
+            assert me.scheme.cache_misses == misses + 2
+
+    def test_an_evicted_input_is_not_vouched(self, scheme_name):
+        peers = build_cluster_keys(scheme_name, 3)
+        me = build_cluster_keys(scheme_name, 3, cache_size=2)[0]
+        first, second = self._votes(peers[1:])
+        assert first.verify(me) and second.verify(me)
+        (own,) = self._votes([me])  # vouched; evicts ``first``
+        assert me.scheme.cache_evictions == 1
+        qc = Certificate.assemble([own, first, second], me)
+        misses = me.scheme.cache_misses
+        assert qc._verify_uncached(me, self.VALIDATORS)
+        assert me.scheme.cache_misses == misses + 1
+
+    def test_a_certificate_over_held_inputs_is_vouched(self, scheme_name):
+        peers = build_cluster_keys(scheme_name, 3)
+        me = build_cluster_keys(scheme_name, 3)[0]
+        votes = self._votes([me, peers[1], peers[2]])
+        assert all(vote.verify(me) for vote in votes)
+        qc = Certificate.assemble(votes, me)
+        hits, misses = me.scheme.cache_hits, me.scheme.cache_misses
+        assert decode(encode(qc))._verify_uncached(me, self.VALIDATORS)
+        assert (me.scheme.cache_hits, me.scheme.cache_misses) == (hits + 1, misses)
+
+    def test_nothing_is_vouched_with_the_cache_off(self, scheme_name):
+        signers = build_cluster_keys(scheme_name, 3, cache_size=0)
+        votes = self._votes(signers)
+        assert all(vote.verify(signers[0]) for vote in votes)
+        qc = Certificate.assemble(votes, signers[0])
+        assert qc._verify_uncached(signers[0], self.VALIDATORS)
+        scheme = signers[0].scheme
+        assert len(scheme._verify_cache) == 0
+        assert scheme.cache_hits == scheme.cache_misses == 0
 
 
 def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
     """``bench_crypto_batch`` checks the same triples every repetition, so
-    with a verify cache its rows would time dict lookups."""
+    with a verify cache its rows would time dict lookups.  ``bench_crypto``
+    keeps one cached scheme for its hit row: there, a timed ``sign``
+    enters nothing in any cache, a miss row's every check is computed, and
+    a hit row's every check is a lookup."""
     from repro.crypto.signatures import SignatureScheme
     from repro.perf import micro
 
@@ -315,6 +412,38 @@ def test_batch_micro_builds_its_schemes_with_the_cache_off(monkeypatch):
     assert [scheme.name for scheme in built] == ["schnorr", "schnorr"]
     assert all(scheme.cache_size == 0 for scheme in built)
     assert sum(scheme.cache_hits + scheme.cache_misses for scheme in built) == 0
+
+    writes = []
+    remember = SignatureScheme._remember
+
+    def recording_remember(self, key, verdict):
+        if self.cache_size > 0:
+            writes.append(key)
+        remember(self, key, verdict)
+
+    def totals():
+        """(hits, misses, cache writes), summed over every scheme built."""
+        hits = sum(scheme.cache_hits for scheme in built)
+        return hits, sum(scheme.cache_misses for scheme in built), len(writes)
+
+    moved = {}
+    measure = micro.measure
+
+    def observing_measure(name, fn, *args, **kwargs):
+        before = totals()
+        fn()
+        moved[name] = tuple(after - was for after, was in zip(totals(), before))
+        return measure(name, fn, *args, **kwargs)
+
+    built.clear()
+    monkeypatch.setattr(SignatureScheme, "_remember", recording_remember)
+    monkeypatch.setattr(micro, "measure", observing_measure)
+    micro.bench_crypto(reps=1, inner=3)
+    assert moved == {
+        "crypto.sign": (0, 0, 0),
+        "crypto.verify_miss": (0, 3, 3),
+        "crypto.verify_hit": (3, 0, 0),
+    }
 
 
 # -- determinism: optimizations are observationally inert ---------------------

@@ -33,7 +33,7 @@ from repro.types.certificates import (
 from repro.types.messages import BlameMsg, VoteMsg
 from repro.types.transaction import make_transaction
 from tests.conftest import FakeContext
-from tests.test_perf_hotpath import FENCE_A, _build_cluster
+from tests.test_perf_hotpath import FENCE_A, _build_cluster, _flipped
 
 
 class EchoReplica(BaseReplica):
@@ -151,6 +151,58 @@ class TestVoteAccounting:
         assert replica.verify_qc(qc)
         assert replica.verify_qc(genesis_qc("alterbft", replica.store.genesis.block_hash))
         assert not replica.verify_qc(genesis_qc("alterbft", b"\x00" * 32))
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["eager", "crypto_batch"])
+@pytest.mark.parametrize("scheme_name", ["hashsig", "schnorr"])
+@pytest.mark.parametrize("forgery", ["flipped-byte", "other-digest"])
+class TestForgeriesInThisReplicasName:
+    """What this replica signed is vouched for in its verify cache, keyed
+    by the full (public, digest, signature) triple.  A vote in its name
+    that it did not sign therefore never rides on that entry, whatever
+    id its sender claims.  Peers sign on their own scheme instance."""
+
+    OTHER = b"\x06" * 32
+
+    def _setup(self, scheme_name, batch, forgery):
+        mine = build_cluster_keys(scheme_name, 3)[0]
+        peers = build_cluster_keys(scheme_name, 3)
+        replica = EchoReplica(
+            0, ValidatorSet.synchronous(3, 1), ProtocolConfig(n=3, f=1, crypto_batch=batch), mine
+        )
+        FakeContext().bind_replica(replica)
+        own = make_vote(mine)
+        if forgery == "flipped-byte":
+            forged = _flipped(own)
+        else:  # this replica's signature over another digest
+            forged = dataclasses.replace(own, block_hash=self.OTHER)
+        return replica, peers, own, forged
+
+    def test_sent_by_a_peer(self, scheme_name, batch, forgery):
+        replica, _, _, forged = self._setup(scheme_name, batch, forgery)
+        with pytest.raises(VerificationError, match="sent by 1"):
+            replica.on_vote(1, VoteMsg(vote=forged))
+        assert replica._votes == {}
+
+    def test_sent_under_this_replicas_id(self, scheme_name, batch, forgery):
+        replica, peers, own, forged = self._setup(scheme_name, batch, forgery)
+        scheme = replica.signer.scheme
+        if not batch:
+            misses = scheme.cache_misses
+            with pytest.raises(VerificationError, match="bad vote signature from 0"):
+                replica.on_vote(0, VoteMsg(vote=forged))
+            assert scheme.cache_misses == misses + 1  # checked, not served
+            hits = scheme.cache_hits
+            replica.on_vote(0, VoteMsg(vote=own))  # the genuine vote: a lookup
+            assert scheme.cache_hits == hits + 1 and scheme.cache_misses == misses + 1
+            return
+        # Batched checks defer every signature to quorum time, where the
+        # forgery fails the batch and bisection excises it: no certificate.
+        replica.on_vote(0, VoteMsg(vote=forged))
+        peer = make_vote(peers[1], block_hash=forged.block_hash)
+        replica.on_vote(1, VoteMsg(vote=peer))
+        assert replica.qc_for(0, 1, forged.block_hash) is None
+        assert replica._votes[(0, 1, forged.block_hash)] == {1: peer}
 
 
 def parent_record_vote(self, vote):
