@@ -93,9 +93,11 @@ def check_agreement(cluster: "Cluster") -> InvariantResult:
 
 
 class CertificateLog:
-    """The first certificate per block hash any replica of a run formed or
-    accepted (``on_certificate``), as replicas release theirs at the
-    retention horizon: one log per cluster, not a copy per replica."""
+    """The first certificate per block hash any replica of a run formed
+    (its vote collector's, ``BaseReplica.votes``) or accepted
+    (``verify_qc``), heard through ``on_certificate``, as replicas release
+    theirs at the retention horizon: one log per cluster, not a copy per
+    replica."""
 
     name = "certificate-log"
     HANDLERS: Dict[type, str] = {}
@@ -319,7 +321,7 @@ def check_bad_vote_attribution(cluster: "Cluster", faulty_id: int) -> InvariantR
     if not honest:
         return InvariantResult(BAD_VOTE_ATTRIBUTION, False, "no honest replicas")
     false_positives = sorted(
-        {voter for replica in honest for voter in replica._excluded_voters} - {faulty_id}
+        {voter for replica in honest for voter in replica.votes.excluded} - {faulty_id}
     )
     if false_positives:
         return InvariantResult(
@@ -327,7 +329,7 @@ def check_bad_vote_attribution(cluster: "Cluster", faulty_id: int) -> InvariantR
             False,
             f"honest voters falsely attributed: {false_positives}",
         )
-    attributed = [r.replica_id for r in honest if faulty_id in r._excluded_voters]
+    attributed = [r.replica_id for r in honest if faulty_id in r.votes.excluded]
     if not attributed:
         return InvariantResult(
             BAD_VOTE_ATTRIBUTION,

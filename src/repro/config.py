@@ -167,16 +167,6 @@ class ProtocolConfig:
         )
         return tuple(name for name, asked in flags if asked)
 
-    @property
-    def quorum_2f1(self) -> int:
-        """Votes needed for a certificate under n = 2f+1 resilience."""
-        return self.f + 1
-
-    @property
-    def quorum_3f1(self) -> int:
-        """Votes needed for a certificate under n = 3f+1 resilience."""
-        return 2 * self.f + 1
-
     def with_(self, **overrides) -> "ProtocolConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **overrides)

@@ -1,7 +1,7 @@
 """Replica base class shared by all four protocols.
 
 Provides message dispatch, the block store / ledger / mempool wiring,
-vote and blame accounting, and small helpers (signing proposals, checking
+vote and blame quorums, and small helpers (signing proposals, checking
 proposer signatures).  Subclasses declare their handlers in a class-level
 ``HANDLERS`` mapping from message class to method name; optional
 subsystems add theirs through :meth:`BaseReplica.attach`.
@@ -9,7 +9,7 @@ subsystems add theirs through :meth:`BaseReplica.attach`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
@@ -18,19 +18,12 @@ from ..errors import ConfigError, VerificationError
 from ..mempool.mempool import Mempool
 from ..obs.recorder import SpanRecorder
 from ..types.block import Block
-from ..types.certificates import (
-    BLAME,
-    VOTE,
-    Blame,
-    Certificate,
-    Vote,
-    is_genesis_qc,
-    signing_bytes,
-)
+from ..types.certificates import BLAME, VOTE, Certificate, Vote, is_genesis_qc
 from ..types.messages import proposal_signing_bytes, PROPOSAL_DOMAIN
 from .blockstore import BlockStore
 from .context import Context, Destination
 from .ledger import Ledger
+from .quorum import QuorumCollector
 from .validators import ValidatorSet
 
 #: The hooks a subsystem may implement — exactly the call sites the
@@ -106,19 +99,12 @@ class BaseReplica:
         #: outside the replica reaches one (``subsystems.get("guard")``).
         self.subsystems: Dict[str, Any] = {}
         self._hooks: Dict[str, List[Callable[..., None]]] = {hook: [] for hook in HOOKS}
-        # Vote accounting: (phase, epoch, block_hash) → {voter → Vote} until
-        # its QC; the QC until the retention horizon (advance_horizon).
-        self._votes: Dict[Tuple[int, int, Digest], Dict[int, Vote]] = {}
-        self._qcs: Dict[Tuple[int, int, Digest], Certificate] = {}
+        # Quorums (DESIGN.md → "Quorums"): a vote until its QC, the QC
+        # until the retention horizon (advance_horizon); a blame until its
+        # epoch's certificate.
+        self.votes = QuorumCollector(self, VOTE, batch=config.crypto_batch)
+        self.blames = QuorumCollector(self, BLAME)
         self.horizon = -config.pipeline_depth
-        # Blame accounting: epoch → {blamer → Blame}.
-        self._blames: Dict[int, Dict[int, Blame]] = {}
-        self._blame_certs: Dict[int, Certificate] = {}
-        # Voters attributed a bad signature by batch bisection
-        # (crypto_batch only).  Their future votes are dropped outright,
-        # so one Byzantine signer cannot re-trigger the bisection on
-        # every flood.
-        self._excluded_voters: Set[int] = set()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -271,90 +257,43 @@ class BaseReplica:
     # -- vote accounting -----------------------------------------------------------
 
     def record_vote(self, src: int, vote: Vote) -> Optional[Certificate]:
-        """Validate and store a vote ``src`` sent; returns a fresh QC
-        exactly once.
+        """Check a vote ``src`` sent and count it toward its QC; returns
+        the QC exactly once.
 
-        A vote counts only from its own voter: no protocol relays votes,
-        so one that ``src`` sends in another replica's name is refused
-        before anything reads its signature (else a forgery could get the
-        named voter excluded below).  The returned certificate is produced
-        the moment the quorum is reached; its bucket goes with it, and
-        later votes for the same statement are checked and dropped, never
-        stored — as is a vote at or below the retention horizon.
-
-        With ``crypto_batch`` enabled, signature checking is deferred:
-        votes are bucketed unverified and the whole flood is checked in
-        one scheme-level batch at quorum time — one multi-exponentiation
-        under schnorr instead of f+1 scalar pairs.  A failing batch is
-        bisected to the exact bad signatures; those voters are excluded
-        (and traced for blame) and the quorum waits for honest votes.
+        :attr:`votes` checks it (a vote counts only from its own voter)
+        and buckets it by its whole statement, so a validly signed vote
+        for the same block at another height is a statement of its own
+        and cannot spoil the block's quorum.  What is this replica's is
+        the retention horizon: a vote at or below it is checked and
+        dropped, never stored.  With ``crypto_batch`` the signatures are
+        checked together at quorum time; a voter caught with a bad one is
+        excluded (and traced for blame) and the quorum waits for honest
+        votes.
         """
-        if not VOTE.is_signed(vote):
-            raise VerificationError("not a well-formed vote")
-        if vote.voter != src:
-            raise VerificationError(f"vote of replica {vote.voter} sent by {src}")
-        if vote.protocol != self.protocol_name:
-            raise VerificationError("vote for a different protocol")
-        if not self.validators.is_valid_replica(vote.voter):
-            raise VerificationError(f"vote from unknown replica {vote.voter}")
-        lazy = self.config.crypto_batch
-        if lazy:
-            if vote.voter in self._excluded_voters:
-                return None
-        elif not vote.verify(self.signer):
-            raise VerificationError(f"bad vote signature from {vote.voter}")
+        self.votes.check(src, vote)
         if vote.height <= self.horizon:
             return None
-        key = (vote.phase, vote.epoch, vote.block_hash)
-        if key in self._qcs:
-            return None
-        bucket = self._votes.setdefault(key, {})
-        if vote.voter in bucket:
-            return None
-        bucket[vote.voter] = vote
-        if len(bucket) < self.validators.quorum:
-            return None
-        if lazy and not self._batch_check_bucket(vote, bucket):
-            return None  # bad votes excluded; quorum no longer met
-        qc = Certificate.assemble(bucket.values(), self.signer)
-        self._qcs[key] = qc
-        del self._votes[key]
-        self._fire("on_certificate", qc)
+        qc = self.votes.add(vote)
+        if qc is not None:
+            self._fire("on_certificate", qc)
         return qc
 
-    def _batch_check_bucket(self, vote: Vote, bucket: Dict[int, Vote]) -> bool:
-        """Batch-verify a quorum bucket; excise and attribute bad votes.
-
-        Returns True when the (possibly pruned) bucket still holds a
-        quorum of batch-verified votes.
-        """
-        message = signing_bytes(*vote.statement)
-        pairs = [v.proof for v in bucket.values()]
-        if self.signer.batch_verify_digest(VOTE.domain, message, pairs):
-            return True
-        for index in self.signer.find_invalid_digest(VOTE.domain, message, pairs):
-            voter = pairs[index][0]
-            del bucket[voter]
-            self._excluded_voters.add(voter)
-            self.event("bad_vote_attributed", voter=voter, epoch=vote.epoch, phase=vote.phase)
-        return len(bucket) >= self.validators.quorum
-
-    def qc_for(self, phase: int, epoch: int, block_hash: Digest) -> Optional[Certificate]:
-        return self._qcs.get((phase, epoch, block_hash))
+    def qc_for(
+        self, phase: int, epoch: int, height: int, block_hash: Digest
+    ) -> Optional[Certificate]:
+        """The QC this replica formed for the statement, until the horizon."""
+        return self.votes.certified.get((self.protocol_name, phase, epoch, height, block_hash))
 
     def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).
 
-        Anything that is not a well-formed vote certificate at all is
-        simply invalid.  ``on_certificate`` hears of each valid one, as
-        of every QC this replica forms.
+        ``on_certificate`` hears of each valid one, as of every QC this
+        replica forms.
         """
-        if not VOTE.is_certificate(qc):
-            return False
-        if is_genesis_qc(qc):
+        if VOTE.is_certificate(qc) and is_genesis_qc(qc):
             valid = qc.block_hash == self.store.genesis.block_hash
         else:
-            valid = qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators)
+            valid = self.votes.certifies(qc)
         if valid:
             self._fire("on_certificate", qc)
         return valid
@@ -371,40 +310,7 @@ class BaseReplica:
         if horizon <= self.horizon:
             return
         self.horizon = horizon
-        self._qcs = {key: qc for key, qc in self._qcs.items() if qc.height > horizon}
-        self._votes = {
-            key: bucket for key, bucket in self._votes.items()
-            if any(vote.height > horizon for vote in bucket.values())
-        }
-
-    # -- blame accounting ------------------------------------------------------------
-
-    def record_blame(self, blame: Blame) -> Optional[Certificate]:
-        """Validate and store a blame; returns a fresh cert exactly once."""
-        if not BLAME.is_signed(blame):
-            raise VerificationError("not a well-formed blame")
-        if blame.protocol != self.protocol_name:
-            raise VerificationError("blame for a different protocol")
-        if not self.validators.is_valid_replica(blame.blamer):
-            raise VerificationError(f"blame from unknown replica {blame.blamer}")
-        if not blame.verify(self.signer):
-            raise VerificationError(f"bad blame signature from {blame.blamer}")
-        bucket = self._blames.setdefault(blame.epoch, {})
-        if blame.blamer in bucket:
-            return None
-        bucket[blame.blamer] = blame
-        if len(bucket) == self.validators.quorum and blame.epoch not in self._blame_certs:
-            cert = Certificate.assemble(bucket.values(), self.signer)
-            self._blame_certs[blame.epoch] = cert
-            return cert
-        return None
-
-    def verify_blame_cert(self, cert: Certificate) -> bool:
-        return (
-            BLAME.is_certificate(cert)
-            and cert.protocol == self.protocol_name
-            and cert.verify(self.signer, self.validators)
-        )
+        self.votes.release(horizon)
 
     # -- commit helper ------------------------------------------------------------
 

@@ -145,11 +145,11 @@ class AlterBFTReplica(BaseReplica):
         self._window_clean: Set[Tuple[int, Digest]] = set()
         # Epoch change.
         self._blamed_epochs: Set[int] = set()
-        self._processed_blame_certs: Set[int] = set()
         # Blame certificates received while RECOVERING, replayed on rejoin.
         self._pending_blame_certs: List[Certificate] = []
-        # Processed certificates by epoch, kept to unstick stragglers
-        # that blame an epoch the cluster already abandoned.
+        # Processed blame certificates by epoch: each epoch's is handled
+        # once, and kept to unstick stragglers that blame an epoch the
+        # cluster already abandoned.
         self._blame_cert_log: Dict[int, Certificate] = {}
         self._proposed_in_epoch = False
         # Leader pipeline: (height, hash) of proposals streamed but not yet
@@ -649,7 +649,7 @@ class AlterBFTReplica(BaseReplica):
 
     def _timer_commit_wait(self, payload: Tuple[int, Digest]) -> None:
         epoch, block_hash = payload
-        if epoch in self._equivocated or epoch in self._processed_blame_certs:
+        if epoch in self._equivocated or epoch in self._blame_cert_log:
             return
         if self.epoch == epoch and self.state != ACTIVE:
             return
@@ -672,7 +672,7 @@ class AlterBFTReplica(BaseReplica):
         """Commit ``block_hash`` and ancestors if certified and available."""
         if (epoch, block_hash) not in self._window_clean:
             return
-        if epoch in self._processed_blame_certs:
+        if epoch in self._blame_cert_log:
             # Quit-epoch rule: pending windows of an abandoned epoch are
             # cancelled; the block still commits later as an ancestor if
             # its chain survives the epoch change.
@@ -684,7 +684,7 @@ class AlterBFTReplica(BaseReplica):
         if self.ledger.is_committed(header):  # as an ancestor; its QC may be gone
             self._window_clean.discard((epoch, block_hash))
             return
-        if self.qc_for(0, epoch, block_hash) is None:
+        if self.qc_for(0, epoch, header.height, block_hash) is None:
             return
         head_hash = self.ledger.head.block_hash
         if header.height <= self.ledger.height:
@@ -816,33 +816,33 @@ class AlterBFTReplica(BaseReplica):
         self.broadcast(BlameMsg(blame=blame))
 
     def on_blame(self, src: int, msg: BlameMsg) -> None:
-        if not BLAME.is_signed(msg.blame):
-            raise VerificationError("not a well-formed blame")
+        blame = msg.blame
+        self.blames.check(src, blame)
         # A blame for an epoch this replica already abandoned marks the
         # sender as a straggler (e.g. a rejoiner that missed the change
         # while down).  Re-offer the stored certificate — nobody ever
         # re-broadcasts an old one otherwise, and the straggler cannot
         # leave the dead epoch without it.
-        if msg.blame.epoch < self.epoch:
-            stored = self._blame_cert_log.get(msg.blame.epoch)
+        if blame.epoch < self.epoch:
+            stored = self._blame_cert_log.get(blame.epoch)
             if stored is not None:
                 self.send(src, BlameCertMsg(cert=stored))
             return
-        cert = self.record_blame(msg.blame)
+        cert = self.blames.add(blame)
         if cert is not None:
             self._handle_blame_cert(cert)
 
     def on_blame_cert(self, src: int, msg: BlameCertMsg) -> None:
         if not BLAME.is_certificate(msg.cert):
             raise VerificationError("not a well-formed blame certificate")
-        if msg.cert.epoch in self._processed_blame_certs:
+        if msg.cert.epoch in self._blame_cert_log:
             return
-        if not self.verify_blame_cert(msg.cert):
+        if not self.blames.certifies(msg.cert):
             raise VerificationError("invalid blame certificate")
         self._handle_blame_cert(msg.cert)
 
     def _handle_blame_cert(self, cert: Certificate) -> None:
-        if cert.epoch in self._processed_blame_certs or cert.epoch < self.epoch:
+        if cert.epoch in self._blame_cert_log or cert.epoch < self.epoch:
             return
         if self.state == RECOVERING:
             # Epoch changes are suspended during catchup, but the
@@ -853,7 +853,6 @@ class AlterBFTReplica(BaseReplica):
             # replay once catchup finishes.
             self._pending_blame_certs.append(cert)
             return
-        self._processed_blame_certs.add(cert.epoch)
         self._blame_cert_log[cert.epoch] = cert
         self.event("epoch_change", epoch=cert.epoch)
         # Gossip the certificate so every honest replica quits within Δ.

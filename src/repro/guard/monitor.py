@@ -31,6 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
+from ..consensus.quorum import QuorumCollector
 from ..errors import VerificationError
 from ..measure.calibration import recommend_delta
 from ..measure.stats import RollingTail
@@ -144,8 +145,8 @@ class SynchronyMonitor:
         self.at_risk_total = 0
         self.probe_seq = 0
         self.echoes_seen = 0
-        # Adjustment aggregation: (seq, rung) → {proposer → DeltaAdjust}.
-        self._adjusts: Dict[Tuple[int, int], Dict[int, DeltaAdjust]] = {}
+        #: Adjustments until their certificate.
+        self.adjusts = QuorumCollector(replica, DELTA_ADJUST)
         # Own proposals, one per (seq, rung).
         self._proposed: Dict[Tuple[int, int], DeltaAdjust] = {}
         # Certificates by seq (formed locally or received).
@@ -310,39 +311,24 @@ class SynchronyMonitor:
 
     def on_delta_adjust(self, src: int, msg: DeltaAdjustMsg) -> None:
         adjust = msg.adjust
-        replica = self.replica
-        if not DELTA_ADJUST.is_signed(adjust):
-            raise VerificationError("not a well-formed delta adjustment")
-        if adjust.protocol != replica.protocol_name:
-            raise VerificationError("delta adjustment for a different protocol")
-        if not replica.validators.is_valid_replica(adjust.proposer):
-            raise VerificationError(f"delta adjustment from unknown replica {adjust.proposer}")
-        if not adjust.verify(replica.signer):
-            raise VerificationError(f"bad delta-adjustment signature from {adjust.proposer}")
+        self.adjusts.check(src, adjust)
         if adjust.seq != self.installs or not 0 <= adjust.rung <= self.max_rung:
             return  # stale/future seq or off-ladder: ignore
         if adjust.rung > self.rung and not self.suspected:
             # A peer's signed claim of violation is itself grounds for
             # degradation: a Byzantine replica abusing this only buys
             # spurious at-risk labels, never a safety loss.
-            self._enter_suspicion(replica.now, reason=f"peer-{adjust.proposer}")
-        bucket = self._adjusts.setdefault((adjust.seq, adjust.rung), {})
-        if adjust.proposer in bucket:
-            return
-        bucket[adjust.proposer] = adjust
-        if len(bucket) == replica.validators.quorum and adjust.seq not in self._certs:
-            cert = Certificate.assemble(bucket.values(), replica.signer)
+            self._enter_suspicion(self.replica.now, reason=f"peer-{adjust.proposer}")
+        if adjust.seq in self._certs:
+            return  # one certificate per seq
+        cert = self.adjusts.add(adjust)
+        if cert is not None:
             self._certs[adjust.seq] = cert
             self._certify(cert)
 
     def on_delta_adjust_cert(self, src: int, msg: DeltaAdjustCertMsg) -> None:
         cert = msg.cert
-        replica = self.replica
-        if not DELTA_ADJUST.is_certificate(cert):
-            raise VerificationError("not a well-formed delta-adjust certificate")
-        if cert.protocol != replica.protocol_name:
-            raise VerificationError("delta-adjust certificate for a different protocol")
-        if not cert.verify(replica.signer, replica.validators):
+        if not self.adjusts.certifies(cert):
             raise VerificationError("invalid delta-adjust certificate")
         if cert.seq != self.installs or not 0 <= cert.rung <= self.max_rung:
             return
@@ -350,7 +336,7 @@ class SynchronyMonitor:
             return
         self._certs.setdefault(cert.seq, cert)
         if cert.rung > self.rung and not self.suspected:
-            self._enter_suspicion(replica.now, reason="certificate")
+            self._enter_suspicion(self.replica.now, reason="certificate")
         self._certify(cert)
 
     def _certify(self, cert: Certificate) -> None:

@@ -43,8 +43,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..config import CATCHUP_RETRY
-from ..crypto.hashing import Digest, sha256
-from ..errors import VerificationError
+from ..consensus.quorum import QuorumCollector
+from ..crypto.hashing import sha256
 from ..types.block import Block, BlockHeader
 from ..types.certificates import CHECKPOINT, Certificate, CheckpointVote
 from ..types.messages import (
@@ -93,8 +93,8 @@ class RecoveryManager:
         self.retry_timeout = max(CATCHUP_RETRY, 3 * replica.config.delta)
         #: Highest checkpoint certificate known (served to rejoiners).
         self.latest_cert: Optional[Certificate] = None
-        # Vote aggregation: (height, block_hash, digest) → voter → vote.
-        self._cp_votes: Dict[Tuple[int, Digest, Digest], Dict[int, CheckpointVote]] = {}
+        #: Checkpoint votes until their certificate; pruned at the latest.
+        self.checkpoints = QuorumCollector(replica, CHECKPOINT)
         # Catchup state.
         self.state = IDLE
         self._status_responses: Dict[int, StatusResponseMsg] = {}
@@ -172,30 +172,16 @@ class RecoveryManager:
         self.replica.broadcast(CheckpointVoteMsg(vote=vote))
 
     def on_checkpoint_vote(self, src: int, msg: CheckpointVoteMsg) -> None:
-        vote = msg.vote
-        if not CHECKPOINT.is_signed(vote):
-            raise VerificationError("not a well-formed checkpoint vote")
-        if vote.protocol != self.replica.protocol_name:
-            return
-        if not self.replica.validators.is_valid_replica(vote.voter):
-            return
-        if not vote.verify(self.replica.signer):
-            return
-        key = (vote.height, vote.block_hash, vote.state_digest)
-        bucket = self._cp_votes.setdefault(key, {})
-        if vote.voter in bucket:
-            return
-        bucket[vote.voter] = vote
-        if len(bucket) == self._quorum:
-            self._record_cert(Certificate.assemble(bucket.values(), self.replica.signer))
+        self.checkpoints.check(src, msg.vote)
+        cert = self.checkpoints.add(msg.vote)
+        if cert is not None:
+            self._record_cert(cert)
 
     def _record_cert(self, cert: Certificate) -> None:
         if self.latest_cert is not None and cert.height <= self.latest_cert.height:
             return
         self.latest_cert = cert
-        self._cp_votes = {
-            key: bucket for key, bucket in self._cp_votes.items() if key[0] > cert.height
-        }
+        self.checkpoints.release(cert.height)
         self.replica.event("checkpoint", height=cert.height)
         self._maybe_prune()
 
@@ -309,7 +295,7 @@ class RecoveryManager:
             return
         if not self.replica.verify_qc(msg.tip):
             return
-        if msg.checkpoint is not None and not self._verify_cert(msg.checkpoint):
+        if msg.checkpoint is not None and not self.checkpoints.certifies(msg.checkpoint):
             return
         self._status_responses[src] = msg
         if len(self._status_responses) < self._quorum:
@@ -342,13 +328,6 @@ class RecoveryManager:
             self._send_snapshot_request()
         else:
             self._enter_range_phase()
-
-    def _verify_cert(self, cert: Certificate) -> bool:
-        return (
-            CHECKPOINT.is_certificate(cert)
-            and cert.protocol == self.replica.protocol_name
-            and cert.verify(self.replica.signer, self.replica.validators)
-        )
 
     # -- snapshot phase -------------------------------------------------------
 

@@ -210,13 +210,16 @@ class Certificate(_OverStatement):
         """Build the certificate a quorum of signed statements proves.
 
         ``signer`` resolves ids to public keys for the aggregation
-        transcript.  Callers verify the statements *before* assembling:
-        aggregation is a compression step, and an invalid input signature
-        yields an aggregate that fails verification, losing the
-        attribution a statement-level check provides.  The scheme vouches
-        for the aggregate in its verify cache only if it holds every input
-        as valid itself (``SignatureScheme.aggregate``), so soundness
-        never rests on a caller having checked.
+        transcript.  The one caller is the quorum collector
+        (``consensus/quorum.py``), which checks the statements *before*
+        assembling: aggregation is a compression step, and an invalid input
+        signature yields an aggregate that fails verification, losing the
+        attribution a statement-level check provides.  The collector
+        buckets by the whole statement, so divergent statements never
+        reach here from it; refusing them stays the type's own guard.  The
+        scheme vouches for the aggregate in its verify cache only if it
+        holds every input as valid itself (``SignatureScheme.aggregate``),
+        so soundness never rests on a caller having checked.
         """
         signed = tuple(signed)
         kind, statement = signed[0].KIND, signed[0].statement
@@ -250,8 +253,8 @@ class Certificate(_OverStatement):
 
     def verify(self, signer: Signer, validators: "ValidatorSet") -> bool:
         """Check soundness, quorum and membership of the signer set, and the
-        aggregate signature — the one place a received certificate is
-        checked.
+        aggregate signature (called through
+        ``QuorumCollector.certifies``, with the kind and protocol checks).
 
         Memoized per (scheme, registry, validator set) on the certificate
         object — see :meth:`SignedStatement.verify` for why this is sound

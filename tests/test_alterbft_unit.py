@@ -380,14 +380,14 @@ class TestCommit:
         replica.handle(1, h1)
         replica.handle(1, p1)
         certify(b1)
-        assert replica.qc_for(0, 1, b1.block_hash) is not None
+        assert replica.qc_for(0, 1, 1, b1.block_hash) is not None
         h2, p2, b2 = make_proposal(signers[1], 1, 2, qc_over(signers[:2], b1), seq=10)
         replica.handle(1, h2)
         replica.handle(1, p2)
         certify(b2)
         ctx.fire_timer("commit_wait", index=1)  # the height-2 window commits both
         assert replica.ledger.height == 2
-        replica._qcs.pop((0, 1, b1.block_hash), None)  # released
+        replica.votes.certified.pop(("alterbft", 0, 1, 1, b1.block_hash), None)  # released
         ctx.fire_timer("commit_wait", index=0)  # the height-1 window, late
         assert replica._window_clean == set()
 

@@ -418,10 +418,11 @@ class RecordingContext(FakeContext):
         self.traced.append(kind)
 
 
-def build_replica(cls, quorum_style):
+def build_replica(cls, quorum_style, **flags):
     validators = getattr(ValidatorSet, quorum_style)(N, F)
     config = ProtocolConfig(
-        n=N, f=F, delta=0.005, epoch_timeout=1.0, guard_enabled=True, checkpoint_interval=4
+        n=N, f=F, delta=0.005, epoch_timeout=1.0, guard_enabled=True, checkpoint_interval=4,
+        **flags,
     )
     replica = cls(0, validators, config, CLUSTER[0])
     ctx = RecordingContext(0, N)
@@ -592,14 +593,63 @@ def test_an_ill_typed_proposal_block_is_refused(protocol):
     assert honest.block == block
 
 
-def test_divergent_vote_in_a_quorum_bucket_is_dropped():
-    """Votes are bucketed by (phase, epoch, block hash); a validly signed
-    vote for the same hash at another height completes the count but not
-    the certificate, and must not raise out of ``handle`` either."""
-    replica, ctx = build_replica(AlterBFTReplica, "synchronous")
+@pytest.mark.parametrize("batch", [False, True], ids=["eager", "crypto_batch"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+def test_divergent_vote_in_a_quorum_bucket_is_dropped(protocol, batch):
+    """Votes are bucketed by their whole statement: a validly signed vote
+    for the block's hash at another height, arriving first, is a statement
+    of its own.  Nothing is refused, and the honest quorum that follows
+    still certifies the block."""
+    cls, quorum_style, _ = PROTOCOLS[protocol]
+    replica, ctx = build_replica(cls, quorum_style, crypto_batch=batch)
+    carrier, phase = (PBFTPrepareMsg, PREPARE_PHASE) if protocol == "pbft" else (VoteMsg, 0)
     block_hash = b"\x07" * 32
-    replica.handle(1, VoteMsg(vote=Vote.create(CLUSTER[1], "alterbft", 1, 1, block_hash)))
+
+    def vote(voter, height):
+        signed = Vote.create(CLUSTER[voter], protocol, 1, height, block_hash, phase=phase)
+        return carrier(vote=signed)
+
+    replica.handle(1, vote(1, 2))  # the block is at height 1
+    for voter in range(1, 1 + replica.validators.quorum):
+        replica.handle(voter, vote(voter, 1))
     assert ctx.traced == []
-    replica.handle(2, VoteMsg(vote=Vote.create(CLUSTER[2], "alterbft", 1, 2, block_hash)))
-    assert ctx.traced == ["verification_failed"]
-    assert replica.qc_for(0, 1, block_hash) is None
+    assert replica.qc_for(phase, 1, 1, block_hash) is not None
+    assert replica.qc_for(phase, 1, 2, block_hash) is None
+
+
+def _votes_a_height_ahead_first(replica):
+    """Make ``replica`` broadcast, before each vote it casts, a validly
+    signed vote for the same block one height up."""
+    broadcast = replica.broadcast
+
+    def wrapped(msg, include_self=True):
+        if isinstance(msg, VoteMsg):
+            vote = msg.vote
+            ahead = Vote.create(
+                replica.signer, vote.protocol, vote.epoch, vote.height + 1, vote.block_hash
+            )
+            broadcast(VoteMsg(vote=ahead), include_self)
+        broadcast(msg, include_self)
+
+    replica.broadcast = wrapped
+
+
+def test_wrong_height_votes_cannot_block_a_cluster():
+    """n = 3, replica 2 sends a vote a height ahead before each of its
+    votes.  While votes were bucketed by (phase, epoch, hash) the first
+    one spoiled every bucket it reached: a few dozen commits and an epoch
+    change after another, against 1,200 heights in the clean run."""
+    from repro.bench.common import make_config
+    from repro.runner.cluster import build_cluster
+
+    runs = []
+    for attacked in (False, True):
+        cluster = build_cluster(make_config("alterbft", f=1, rate=500.0, duration=4.0, seed=3))
+        if attacked:
+            _votes_a_height_ahead_first(cluster.replicas[2])
+        cluster.start()
+        cluster.run()
+        runs.append((cluster.trace.counters, [r.ledger.height for r in cluster.replicas[:2]]))
+    (_, clean), (counters, attacked) = runs
+    assert counters["epoch_change"] == 0 and counters["verification_failed"] == 0
+    assert min(attacked) >= max(clean) > 1000

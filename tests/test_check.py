@@ -270,7 +270,7 @@ def test_every_committed_height_has_a_verified_certificate(build):
     assert committed <= certified
     assert check_certified_chain(cluster).ok
     # The replicas themselves hold next to none of those certificates.
-    assert max(len(replica._qcs) for replica in honest) < len(committed) // 4
+    assert max(len(replica.votes.certified) for replica in honest) < len(committed) // 4
 
 
 class TestBoundedGap:

@@ -49,9 +49,8 @@ class TestProtocolConfig:
             ProtocolConfig(n=3, f=1, **{field: value}).validate("2f+1")
 
     def test_quorums(self):
-        config = ProtocolConfig(n=7, f=2)
-        assert config.quorum_2f1 == 3
-        assert config.quorum_3f1 == 5
+        assert validator_set_for("alterbft", 7, 2).quorum == 3
+        assert validator_set_for("hotstuff", 7, 2).quorum == 5
 
     def test_with_override(self):
         config = ProtocolConfig(n=3, f=1)

@@ -216,7 +216,7 @@ class TestMonitorRecalibration:
         )
         guard.on_delta_adjust(1, DeltaAdjustMsg(adjust=high))
         assert guard.pending_cert is None
-        assert not guard._adjusts
+        assert not guard.adjusts.pending
 
     def test_forged_adjust_rejected(self):
         replica, _, signers = guarded_replica(replica_id=0)

@@ -15,6 +15,8 @@ import ast
 from pathlib import Path
 from typing import Iterator, Tuple
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
@@ -479,3 +481,115 @@ def test_only_the_tables_know_a_behavior_by_name():
     ]
     # parse → look up → call: no branch on the name is left in it.
     assert not [n for n in ast.walk(apply_behavior) if isinstance(n, (ast.If, ast.Compare))]
+
+
+# -- one quorum -----------------------------------------------------------------
+
+#: Where a quorum is collected and a certificate checked, and the one file
+#: beside it that assembles a certificate: the micro benchmark's timed
+#: certificate row.
+QUORUM_COLLECTOR = "consensus/quorum.py"
+QUORUM_EXCEPTIONS = {"perf/micro.py": ["assemble"]}
+
+
+def _signer_fields() -> set:
+    """The signer-id field of every signed-statement class (``voter``,
+    ``blamer``, ``proposer``): what a bucket keyed by signer indexes with."""
+    from repro.types.certificates import SignedStatement
+
+    return {
+        list(cls.__annotations__)[len(cls.KIND.fields)] for cls in SignedStatement.__subclasses__()
+    }
+
+
+def _quorum_sites(path: Path) -> Iterator[str]:
+    """Each place ``path`` assembles a certificate (``.assemble(``),
+    verifies a quorum member or a certificate (``.verify(`` with one or two
+    arguments, or a batch of member signatures), or files a statement
+    under its signer (``bucket[vote.voter] = ...``), in line order."""
+    signer_fields = _signer_fields()
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name == "verify" and len(node.args) in (1, 2):
+                sites.append((node.lineno, "verify"))
+            elif name in ("assemble", "batch_verify_digest", "find_invalid_digest"):
+                sites.append((node.lineno, name))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Subscript)
+                    and isinstance(target.slice, ast.Attribute)
+                    and target.slice.attr in signer_fields
+                ):
+                    sites.append((node.lineno, f"bucket by {target.slice.attr}"))
+    for line, what in sorted(sites):
+        yield f"{line}: {what}"
+
+
+def test_one_collector_collects_every_quorum():
+    """Only the collector assembles a certificate, checks a quorum member
+    or a received certificate, or keeps statements by signer."""
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 80
+    for path in files:
+        name = path.relative_to(SRC).as_posix()
+        kinds = [site.split(": ")[1] for site in _quorum_sites(path)]
+        if name == QUORUM_COLLECTOR:
+            assert sorted(set(kinds)) == [
+                "assemble", "batch_verify_digest", "find_invalid_digest", "verify"
+            ]
+        else:
+            assert kinds == QUORUM_EXCEPTIONS.get(name, []), f"{name} collects a quorum: {kinds}"
+
+
+#: The four hand-written collectors and certificate checks the tree had,
+#: abridged: owner → (source, the finder's sites in it).
+RETIRED_COLLECTORS = {
+    "record_vote+verify_qc": (
+        "if not vote.verify(self.signer):\n"
+        "    raise VerificationError('bad vote signature')\n"
+        "bucket = self._votes.setdefault(key, {})\n"
+        "bucket[vote.voter] = vote\n"
+        "if lazy and not self.signer.batch_verify_digest(VOTE.domain, message, pairs):\n"
+        "    bad = self.signer.find_invalid_digest(VOTE.domain, message, pairs)\n"
+        "qc = Certificate.assemble(bucket.values(), self.signer)\n"
+        "valid = qc.protocol == self.protocol_name and qc.verify(self.signer, self.validators)\n",
+        ["1: verify", "4: bucket by voter", "5: batch_verify_digest", "6: find_invalid_digest",
+         "7: assemble", "8: verify"],
+    ),
+    "record_blame+verify_blame_cert": (
+        "if not blame.verify(self.signer):\n"
+        "    raise VerificationError('bad blame signature')\n"
+        "bucket[blame.blamer] = blame\n"
+        "cert = Certificate.assemble(bucket.values(), self.signer)\n"
+        "ok = cert.verify(self.signer, self.validators)\n",
+        ["1: verify", "3: bucket by blamer", "4: assemble", "5: verify"],
+    ),
+    "recovery.on_checkpoint_vote+_verify_cert": (
+        "if not vote.verify(self.replica.signer):\n"
+        "    return\n"
+        "bucket[vote.voter] = vote\n"
+        "self._record_cert(Certificate.assemble(bucket.values(), self.replica.signer))\n"
+        "ok = cert.verify(self.replica.signer, self.replica.validators)\n",
+        ["1: verify", "3: bucket by voter", "4: assemble", "5: verify"],
+    ),
+    "guard.on_delta_adjust+on_delta_adjust_cert": (
+        "if not adjust.verify(replica.signer):\n"
+        "    raise VerificationError('bad delta-adjustment signature')\n"
+        "bucket[adjust.proposer] = adjust\n"
+        "cert = Certificate.assemble(bucket.values(), replica.signer)\n"
+        "if not cert.verify(replica.signer, replica.validators):\n"
+        "    raise VerificationError('invalid delta-adjust certificate')\n",
+        ["1: verify", "3: bucket by proposer", "4: assemble", "5: verify"],
+    ),
+}
+
+
+@pytest.mark.parametrize("owner", list(RETIRED_COLLECTORS))
+def test_the_quorum_finder_sees_each_retired_collector(tmp_path, owner):
+    source, sites = RETIRED_COLLECTORS[owner]
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert list(_quorum_sites(probe)) == sites

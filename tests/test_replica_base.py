@@ -102,7 +102,7 @@ class TestVoteAccounting:
     def test_a_vote_sent_in_another_replicas_name_is_refused(self, replica, signers3):
         with pytest.raises(VerificationError, match="sent by 2"):
             replica.record_vote(2, make_vote(signers3[1]))
-        assert replica._votes == {}
+        assert replica.votes.pending == {}
 
     def test_a_forgery_in_a_peers_name_cannot_exclude_the_peer(self, signers3, validators3):
         """With batched checks, replica 2 sends a forged vote in replica 1's
@@ -116,12 +116,12 @@ class TestVoteAccounting:
         forged = dataclasses.replace(impostor, signature=bytes(len(impostor.signature)))
         replica.handle(2, VoteMsg(vote=forged))
         replica.handle(2, VoteMsg(vote=make_vote(signers3[2])))
-        assert replica._excluded_voters == set()
+        assert replica.votes.excluded == set()
         following = b"\x06" * 32
         for voter in (1, 0):  # replica 2 withholds
             vote = make_vote(signers3[voter], height=2, block_hash=following)
             replica.handle(voter, VoteMsg(vote=vote))
-        assert replica.qc_for(0, 1, following) is not None
+        assert replica.qc_for(0, 1, 2, following) is not None
 
     def test_duplicate_votes_ignored(self, replica, signers3):
         assert replica.record_vote(1, make_vote(signers3[1])) is None
@@ -142,8 +142,8 @@ class TestVoteAccounting:
     def test_qc_lookup(self, replica, signers3):
         replica.record_vote(1, make_vote(signers3[1]))
         replica.record_vote(2, make_vote(signers3[2]))
-        assert replica.qc_for(0, 1, b"\x05" * 32) is not None
-        assert replica.qc_for(0, 2, b"\x05" * 32) is None
+        assert replica.qc_for(0, 1, 1, b"\x05" * 32) is not None
+        assert replica.qc_for(0, 2, 1, b"\x05" * 32) is None
 
     def test_verify_qc(self, replica, signers3):
         replica.record_vote(1, make_vote(signers3[1]))
@@ -182,7 +182,7 @@ class TestForgeriesInThisReplicasName:
         replica, _, _, forged = self._setup(scheme_name, batch, forgery)
         with pytest.raises(VerificationError, match="sent by 1"):
             replica.on_vote(1, VoteMsg(vote=forged))
-        assert replica._votes == {}
+        assert replica.votes.pending == {}
 
     def test_sent_under_this_replicas_id(self, scheme_name, batch, forgery):
         replica, peers, own, forged = self._setup(scheme_name, batch, forgery)
@@ -201,13 +201,14 @@ class TestForgeriesInThisReplicasName:
         replica.on_vote(0, VoteMsg(vote=forged))
         peer = make_vote(peers[1], block_hash=forged.block_hash)
         replica.on_vote(1, VoteMsg(vote=peer))
-        assert replica.qc_for(0, 1, forged.block_hash) is None
-        assert replica._votes[(0, 1, forged.block_hash)] == {1: peer}
+        assert replica.qc_for(0, 1, 1, forged.block_hash) is None
+        assert replica.votes.pending[peer.statement] == {1: peer}
 
 
 def parent_record_vote(self, vote):
     """``BaseReplica.record_vote`` as it was while every vote bucket was
-    kept for the whole run, body verbatim: the oracle for the current one."""
+    kept for the whole run, body verbatim but for the bucket key, the
+    whole statement: the oracle for the current one."""
     if not VOTE.is_signed(vote):
         raise VerificationError("not a well-formed vote")
     if vote.protocol != self.protocol_name:
@@ -220,7 +221,7 @@ def parent_record_vote(self, vote):
             return None
     elif not vote.verify(self.signer):
         raise VerificationError(f"bad vote signature from {vote.voter}")
-    key = (vote.phase, vote.epoch, vote.block_hash)
+    key = vote.statement
     bucket = self._votes.setdefault(key, {})
     if vote.voter in bucket:
         return None
@@ -257,10 +258,10 @@ stream_votes = st.lists(
 )
 
 
-def _traced_replica(batch):
+def _traced_replica(batch, cls=EchoReplica):
     config = ProtocolConfig(n=ORACLE_N, f=ORACLE_F, crypto_batch=batch)
     validators = ValidatorSet.synchronous(ORACLE_N, ORACLE_F)
-    replica = EchoReplica(0, validators, config, ORACLE_KEYS[0])
+    replica = cls(0, validators, config, ORACLE_KEYS[0])
     ctx = FakeContext()
     ctx.traced = []
     ctx.trace = lambda kind, **detail: ctx.traced.append((kind, detail))
@@ -291,35 +292,36 @@ class TestRecordVoteOracle:
     @given(stream=stream_votes, batch=st.booleans())
     def test_agrees_with_the_keep_everything_body(self, stream, batch):
         replica, ctx = _traced_replica(batch)
-        oracle, oracle_ctx = _traced_replica(batch)
+        oracle, oracle_ctx = _traced_replica(batch, KeepEverything)
         for drawn in stream:
             vote = _make_stream_vote(*drawn, batch)
             got = _outcome(replica.record_vote, vote.voter, vote)
             assert got == _outcome(parent_record_vote, oracle, vote)
-            assert replica._qcs == oracle._qcs
+            assert replica.votes.certified == oracle._qcs
             assert ctx.traced == oracle_ctx.traced
-            assert replica._excluded_voters == oracle._excluded_voters
+            assert replica.votes.excluded == oracle._excluded_voters
             # Kept until the quorum, and not a vote longer.
-            assert not set(replica._votes) & set(replica._qcs)
-            assert replica._votes == {
+            assert not set(replica.votes.pending) & set(replica.votes.certified)
+            assert replica.votes.pending == {
                 key: bucket for key, bucket in oracle._votes.items() if key not in oracle._qcs
             }
 
     def test_post_quorum_votes_are_checked_then_dropped(self, replica, signers3):
         replica.record_vote(1, make_vote(signers3[1]))
         assert replica.record_vote(2, make_vote(signers3[2])) is not None
-        assert replica._votes == {}
+        assert replica.votes.pending == {}
         vote = make_vote(signers3[0])
         forged = dataclasses.replace(vote, signature=bytes(len(vote.signature)))
         with pytest.raises(VerificationError):
             replica.record_vote(0, forged)
         assert replica.record_vote(0, make_vote(signers3[0])) is None
-        assert replica._votes == {}
+        assert replica.votes.pending == {}
 
 
 def unreleased_record_vote(self, vote):
     """``BaseReplica.record_vote`` as it was before the retention horizon
-    (buckets released at their quorum, every QC kept), body verbatim."""
+    (buckets released at their quorum, every QC kept), body verbatim but
+    for the bucket key, the whole statement."""
     if not VOTE.is_signed(vote):
         raise VerificationError("not a well-formed vote")
     if vote.protocol != self.protocol_name:
@@ -332,7 +334,7 @@ def unreleased_record_vote(self, vote):
             return None
     elif not vote.verify(self.signer):
         raise VerificationError(f"bad vote signature from {vote.voter}")
-    key = (vote.phase, vote.epoch, vote.block_hash)
+    key = vote.statement
     if key in self._qcs:
         return None
     bucket = self._votes.setdefault(key, {})
@@ -350,7 +352,15 @@ def unreleased_record_vote(self, vote):
 
 
 class KeepEverything(EchoReplica):
-    """The oracle's replica: commits like any other, releases nothing."""
+    """The oracles' replica: commits like any other, releases nothing, and
+    holds its buckets and QCs where the retired bodies kept them.  It
+    excludes and batch-checks through its collector."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._votes, self._qcs = {}, {}
+        self._excluded_voters = self.votes.excluded
+        self._batch_check_bucket = self.votes._batch_check
 
     def advance_horizon(self):
         pass
@@ -442,7 +452,7 @@ def _horizon_vote(kind, voter, height, variant, chain, batch):
 
 
 def _buckets(replica):
-    return {key: dict(bucket) for key, bucket in replica._votes.items()}
+    return {key: dict(bucket) for key, bucket in replica.votes.pending.items()}
 
 
 class TestRecordVoteAcrossTheHorizon:
@@ -459,7 +469,7 @@ class TestRecordVoteAcrossTheHorizon:
             if action == "commit":
                 certified = 0
                 while certified < len(chain) and (
-                    (0, 1, chain[certified].block_hash) in oracle._qcs
+                    ("alterbft", 0, 1, certified + 1, chain[certified].block_hash) in oracle._qcs
                 ):
                     certified += 1
                 if certified > replica.ledger.height:
@@ -478,12 +488,12 @@ class TestRecordVoteAcrossTheHorizon:
             if settled:
                 assert _buckets(replica) == before  # no bucket opens or grows
             horizon = replica.horizon
-            assert replica._qcs == {
+            assert replica.votes.certified == {
                 key: qc for key, qc in oracle._qcs.items() if qc.height > horizon
             }
             assert ctx.traced == oracle_ctx.traced
-            assert replica._excluded_voters == oracle._excluded_voters
-            for key, bucket in replica._votes.items():
+            assert replica.votes.excluded == oracle._excluded_voters
+            for key, bucket in replica.votes.pending.items():
                 if key in oracle._qcs:
                     # A released statement reopened by a vote claiming a
                     # height above the horizon: only the Byzantine signer
@@ -493,7 +503,7 @@ class TestRecordVoteAcrossTheHorizon:
                     assert bucket == oracle._votes[key]
             for key, bucket in oracle._votes.items():
                 if key not in oracle._qcs and any(v.height > horizon for v in bucket.values()):
-                    assert key in replica._votes
+                    assert key in replica.votes.pending
         assert replica.horizon <= replica.ledger.height - depth
         if checkpoints:
             assert replica.horizon <= replica.store.floor
@@ -504,13 +514,13 @@ class TestRecordVoteAcrossTheHorizon:
             vote = Vote.create(ORACLE_KEYS[voter], "alterbft", 1, 2, chain[1].block_hash)
             replica.record_vote(voter, vote)
         replica.commit_through(chain[1].block_hash)
-        assert replica.horizon == 1 and replica._qcs and not replica._votes
+        assert replica.horizon == 1 and replica.votes.certified and not replica.votes.pending
         stale = Vote.create(ORACLE_KEYS[3], "alterbft", 1, 1, chain[0].block_hash)
         forged = dataclasses.replace(stale, signature=bytes(len(stale.signature)))
         with pytest.raises(VerificationError):
             replica.record_vote(3, forged)
         assert replica.record_vote(3, stale) is None
-        assert replica._votes == {}
+        assert replica.votes.pending == {}
 
     def test_a_late_quorum_below_the_horizon_is_not_assembled(self):
         """The one place the horizon differs from keeping everything: a
@@ -530,7 +540,7 @@ class TestRecordVoteAcrossTheHorizon:
             each.commit_through(chain[1].block_hash)
         assert [unreleased_record_vote(oracle, v) for v in late[1:]][-1] is not None
         assert [replica.record_vote(v.voter, v) for v in late[1:]] == [None, None]
-        assert replica._votes == {}  # the short bucket went with the horizon
+        assert replica.votes.pending == {}  # the short bucket went with the horizon
 
 
 #: Seeded runs whose per-height state must not grow with their length: an
@@ -570,22 +580,22 @@ def exclusive_bytes(cluster, structures):
 @functools.lru_cache(maxsize=None)
 def _sampled_run(name):
     """Run one of :data:`BOUNDED_RUNS`, sampling every replica at every
-    commit; returns (heights, peak buckets, peak QCs, _qcs B/height)."""
+    commit; returns (heights, peak buckets, peak QCs, held QCs' B/height)."""
     cluster = _build_cluster(**BOUNDED_RUNS[name])
     peaks = {"votes": 0, "qcs": 0}
     for replica in cluster.replicas:
 
         def sample(block, now, replica=replica):
-            peaks["votes"] = max(peaks["votes"], len(replica._votes))
-            peaks["qcs"] = max(peaks["qcs"], len(replica._qcs))
-            assert all(qc.height > replica.horizon for qc in replica._qcs.values())
+            peaks["votes"] = max(peaks["votes"], len(replica.votes.pending))
+            peaks["qcs"] = max(peaks["qcs"], len(replica.votes.certified))
+            assert all(qc.height > replica.horizon for qc in replica.votes.certified.values())
 
         # Listeners outlive a restart, so the rejoiner keeps being sampled.
         replica.ledger.add_listener(sample)
     cluster.start()
     cluster.run()
     heights = [r.ledger.height for r in cluster.replicas]
-    qcs = exclusive_bytes(cluster, [r._qcs for r in cluster.replicas]) / sum(heights)
+    qcs = exclusive_bytes(cluster, [r.votes.certified for r in cluster.replicas]) / sum(heights)
     return min(heights), peaks["votes"], peaks["qcs"], qcs
 
 
@@ -639,17 +649,23 @@ def test_caches_at_their_working_set_hit_as_often(monkeypatch):
     assert counts() == now
 
 
+def record_blame(replica, signer):
+    blame = Blame.create(signer, replica.protocol_name, 1)
+    replica.blames.check(signer.replica_id, blame)
+    return replica.blames.add(blame)
+
+
 class TestBlameAccounting:
     def test_blame_cert_forms_once(self, replica, signers3):
-        assert replica.record_blame(Blame.create(signers3[1], "alterbft", 1)) is None
-        cert = replica.record_blame(Blame.create(signers3[2], "alterbft", 1))
+        assert record_blame(replica, signers3[1]) is None
+        cert = record_blame(replica, signers3[2])
         assert cert is not None
-        assert replica.verify_blame_cert(cert)
-        assert replica.record_blame(Blame.create(signers3[0], "alterbft", 1)) is None
+        assert replica.blames.certifies(cert)
+        assert record_blame(replica, signers3[0]) is None
 
     def test_wrong_protocol_blame_rejected(self, replica, signers3):
         with pytest.raises(VerificationError):
-            replica.record_blame(Blame.create(signers3[1], "hotstuff", 1))
+            replica.blames.check(1, Blame.create(signers3[1], "hotstuff", 1))
 
 
 class TestCommitHelper:

@@ -641,7 +641,7 @@ class TestBadFrames:
         registry, traced, replica, unhandled = self._drive_kept_link([VoteMsg(vote=forged)])
         assert traced == [("verification_failed", "VoteMsg")]
         assert registry.counter("trace/verification_failed").value == 1
-        assert replica._votes == {}, "the forged vote was not recorded"
+        assert replica.votes.pending == {}, "the forged vote was not recorded"
         assert len(replica.mempool) == 2, "both links, the hostile peer's included, still deliver"
         assert registry.counter("transport/bad_frames_total").value == 0 and unhandled == []
 
