@@ -31,7 +31,7 @@ from ..consensus.validators import ValidatorSet
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
-from ..errors import BlockStoreError, ConfigError, VerificationError
+from ..errors import BlockStoreError, VerificationError
 from ..mempool.mempool import Mempool
 from ..types.block import Block, make_block
 from ..types.certificates import Certificate, Vote, genesis_qc
@@ -61,11 +61,6 @@ class HotStuffReplica(BaseReplica):
         mempool: Optional[Mempool] = None,
     ) -> None:
         super().__init__(replica_id, validators, config, signer, mempool)
-        if config.pipeline_depth > 1:
-            raise ConfigError(
-                "pipeline_depth > 1 is only supported by alterbft "
-                f"(got {config.pipeline_depth} for {self.protocol_name})"
-            )
         self.view = 1
         self.high_qc: Certificate = genesis_qc(
             self.protocol_name, self.store.genesis.block_hash
@@ -82,8 +77,8 @@ class HotStuffReplica(BaseReplica):
         # Commit decisions whose ancestor blocks are still in flight
         # (large proposals are only *eventually* timely).
         self._pending_commits: Set[Digest] = set()
-        #: Number of view timeouts this replica experienced (reporting).
-        self.view_timeouts = 0
+        #: View timeouts so far: views advance every block, so these count.
+        self.epoch_changes = 0
 
     # ------------------------------------------------------------------
     # Lifecycle and pacemaker
@@ -116,7 +111,7 @@ class HotStuffReplica(BaseReplica):
     def _on_view_timeout(self, view: int) -> None:
         if view != self.view:
             return
-        self.view_timeouts += 1
+        self.epoch_changes += 1
         self.event("view_timeout", epoch=view)
         next_view = self.view + 1
         self._advance_view(next_view, made_progress=False)

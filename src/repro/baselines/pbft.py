@@ -35,7 +35,7 @@ from ..consensus.validators import ValidatorSet
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
-from ..errors import ConfigError, VerificationError
+from ..errors import VerificationError
 from ..mempool.mempool import Mempool
 from ..types.block import Block, make_block
 from ..types.certificates import VOTE, Certificate, Vote
@@ -82,11 +82,6 @@ class PBFTReplica(BaseReplica):
         mempool: Optional[Mempool] = None,
     ) -> None:
         super().__init__(replica_id, validators, config, signer, mempool)
-        if config.pipeline_depth > 1:
-            raise ConfigError(
-                "pipeline_depth > 1 is only supported by alterbft "
-                f"(got {config.pipeline_depth} for {self.protocol_name})"
-            )
         self.view = 1
         self.in_view_change = False
         self.pacemaker: Optional[Pacemaker] = None
@@ -110,6 +105,10 @@ class PBFTReplica(BaseReplica):
         self._installed_views: Set[int] = set()
         self._sync_requested = False
         self._vc_target = 0
+
+    @property
+    def epoch_changes(self) -> int:
+        return self.view - 1
 
     # ------------------------------------------------------------------
     # Lifecycle

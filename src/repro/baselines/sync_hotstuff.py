@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from ..core.protocol import AlterBFTReplica
 from ..types.block import make_block
-from ..errors import ConfigError, VerificationError
+from ..errors import VerificationError
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
@@ -54,22 +54,15 @@ class SyncHotStuffReplica(AlterBFTReplica):
         PayloadResponseMsg: "on_payload_response",
     }
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if self.config.pipeline_depth > 1:
-            # Only AlterBFT implements the chained leader; failing loudly
-            # beats silently running the baseline unpipelined.
-            raise ConfigError(
-                "pipeline_depth > 1 is only supported by alterbft "
-                f"(got {self.config.pipeline_depth} for {self.protocol_name})"
-            )
+    #: No chained leader and no chunked payloads: one combined proposal.
+    FEATURES = ("recovery", "guard")
 
     # -- proposing ------------------------------------------------------------
 
     def _emit_proposal(self) -> None:
         """Same block construction as AlterBFT, one combined message.
 
-        ``pipeline_depth`` is pinned to 1 above, so the in-flight window
+        The class carries no ``pipeline``, so the in-flight window
         is empty whenever this runs and the tip is always ``high_qc``.
         """
         justify = self.high_qc

@@ -260,31 +260,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         if depth < 2:
             raise ConfigError(f"--depths entries must be >= 2, got {depth}")
 
-    parts = {
-        name: grid(
-            families=(name,),
-            seeds=args.seeds,
-            smoke=args.smoke,
-            protocols=args.protocols,
-            behaviors=args.behaviors,
-            profiles=profiles,
-            depths=depths,
-        )
-        for name in FAMILIES
-        if name in args.family
-    }
+    selection = dict(seeds=args.seeds, smoke=args.smoke, protocols=args.protocols,
+                     behaviors=args.behaviors, profiles=profiles, depths=depths)
+    parts = {name: grid(families=(name,), **selection) for name in FAMILIES if name in args.family}
     scenarios = [scenario for part in parts.values() for scenario in part]
     if args.list:
         for scenario in scenarios:
             print(scenario.scenario_id)
         return 0
-    if not scenarios:
+    selected = len(grid(families=tuple(parts), carried_only=False, **selection))
+    if not selected:
         raise ConfigError(
             "empty scenario grid — check --family/--seeds/--protocols/--behaviors/--profiles"
         )
 
     counts = " + ".join(f"{len(part)} {name}" for name, part in parts.items())
     print(f"repro.check: sweeping {len(scenarios)} scenarios ({counts}, jobs={args.jobs})")
+    if selected > len(scenarios):
+        print(f"  {selected - len(scenarios)} left out: not carried by their protocol")
     results = run_sweep(scenarios, jobs=args.jobs)
     failures = _print_report(results)
 

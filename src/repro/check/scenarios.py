@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..config import ExperimentConfig, NetworkConfig, ProtocolConfig, WorkloadConfig
 from ..errors import ConfigError
 from ..runner.experiment import standard_protocol_config
-from ..runner.registry import protocol_names
 from .adversary import PROFILES
 from .invariants import InvariantResult, check_bad_vote_attribution, check_guard_flagging
 
@@ -169,8 +168,6 @@ def swept_row(behavior: str) -> SweptBehavior:
 class Family:
     """One row of :data:`FAMILIES`: what :func:`grid` crosses with the profiles."""
 
-    #: Protocols that can run the family; ``--protocols`` picks among them.
-    protocols: Tuple[str, ...]
     #: Names in :data:`SWEPT`, in sweep order.
     behaviors: Tuple[str, ...]
     #: Pipeline depths swept.
@@ -188,8 +185,8 @@ _MAIN = (
     "withhold_payload", "delay_send", "slow-link", "bad-vote",
 )
 
-#: The scenario families, in sweep order.  ``main``: any protocol, and on
-#: the default :data:`PROTOCOLS` 2 × 8 × 3 × 7 = 336 scenarios, clearing
+#: The scenario families, in sweep order, each on the protocols that carry
+#: it (:func:`grid`).  ``main``: on :data:`PROTOCOLS` 2 × 8 × 3 × 7 = 336, clearing
 #: the 200-scenario acceptance floor.  ``pipelined``: equivocation, blame
 #: and epoch change across a window of in-flight blocks is the fault
 #: surface pipelining opens, so every behavior runs at every depth, plus
@@ -198,14 +195,12 @@ _MAIN = (
 #: ``dissem``: the blob-free payload path must hold both for the plain
 #: leader and composed with the chained one — 3 × 3 × 2 × 2 = 36.
 FAMILIES: Dict[str, Family] = {
-    "main": Family(protocol_names(), _MAIN, (1,), (7, 2)),
+    "main": Family(_MAIN, (1,), (7, 2)),
     "pipelined": Family(
-        ("alterbft",), _MAIN + ("equivocate-inflight", "withhold-suffix"), (2, 4), (2, 1),
-        takes_depths=True,
+        _MAIN + ("equivocate-inflight", "withhold-suffix"), (2, 4), (2, 1), takes_depths=True
     ),
     "dissem": Family(
-        ("alterbft",), ("none", "withhold_chunks", "corrupt_chunk"), (1, 2), (2, 1),
-        dissemination=True,
+        ("none", "withhold_chunks", "corrupt_chunk"), (1, 2), (2, 1), dissemination=True
     ),
 }
 
@@ -340,13 +335,15 @@ def grid(
     behaviors: Optional[Sequence[str]] = None,
     profiles: Sequence[str] = PROFILES,
     depths: Optional[Sequence[int]] = None,
+    carried_only: bool = True,
 ) -> List[Scenario]:
     """The scenarios of ``families``: per :data:`FAMILIES` row, protocols ×
     behaviors × profiles × depths × seeds, seed-major within a combo.
 
     ``seeds`` unset means each family's own count, set means that many in
     every family; ``smoke`` caps either at the family's smoke count.
-    ``protocols`` and ``behaviors`` pick among the family's own.
+    ``behaviors`` picks among the family's own.  Unless ``carried_only``
+    is False, a scenario its protocol does not carry is left out.
     """
     scenarios = []
     for family in map(FAMILIES.__getitem__, families):
@@ -354,7 +351,7 @@ def grid(
         if smoke:
             count = min(count, family.seeds[1])
         combos = product(
-            [p for p in protocols if p in family.protocols],
+            protocols,
             [b for b in behaviors or family.behaviors if b in family.behaviors],
             profiles,
             depths if depths and family.takes_depths else family.depths,
@@ -364,7 +361,15 @@ def grid(
             Scenario(p, b, profile, seed, pipeline_depth=depth, dissemination=family.dissemination)
             for p, b, profile, depth, seed in combos
         ]
-    return scenarios
+    return [s for s in scenarios if not carried_only or _carried(s)]
+
+
+def _carried(scenario: Scenario) -> bool:
+    try:
+        build_config(scenario).refuse_uncarried()
+    except ConfigError:
+        return False
+    return True
 
 
 def e10_demo_scenario(seed: int) -> Scenario:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError
 
@@ -51,10 +51,9 @@ class ProtocolConfig:
         max_batch: maximum number of transactions batched into one block.
         max_payload_bytes: cap on serialized payload size per block.
         pipeline_depth: number of certified-but-uncommitted proposals a
-            leader may have in flight (1 = strictly sequential).  Only
-            AlterBFT implements the chained leader; depths > 1 on any
-            baseline raise at assembly time rather than silently running
-            unpipelined.
+            leader may have in flight (1 = strictly sequential).  A depth
+            > 1 asks for the ``pipeline`` feature (:meth:`features`),
+            which only AlterBFT carries.
         idle_propose_delay: when the mempool is empty, a leader waits this
             long before proposing an (empty) block instead of spinning at
             network speed.  0 disables pacing.
@@ -75,7 +74,7 @@ class ProtocolConfig:
             retired.  The keyword stays only because the frozen system
             benchmark catalogue passes it; :meth:`validate` refuses
             False, and the field goes once the catalogue drops it.
-        dissemination: AlterBFT only — disseminate payloads as
+        dissemination: the ``dissem`` feature — disseminate payloads as
             erasure-coded, Merkle-rooted chunk shares instead of one
             blob broadcast: the leader sends each replica one share of
             size payload/(f+1) and replicas pull the remaining shares
@@ -155,17 +154,21 @@ class ProtocolConfig:
         _require(self.checkpoint_interval >= 0, "checkpoint_interval must be >= 0")
         _require(self.guard_probe_interval > 0, "guard_probe_interval must be positive")
 
-    def required_subsystems(self) -> Tuple[str, ...]:
-        """Names of the optional subsystems these flags ask for — the one
-        reading of them: :func:`repro.runner.registry.attach_subsystems`
-        attaches these, and an AlterBFT-family replica refuses to start
-        without them."""
+    def features(self, restarts: bool = False) -> Dict[str, str]:
+        """The one reading of the flags: each optional feature they (or a
+        fault that ``restarts`` a replica) ask for → the setting that asks.
+        A replica class refuses any it does not carry (``FEATURES``); the
+        registry attaches each one's subsystem (``pipeline`` has none)."""
         flags = (
-            ("recovery", self.checkpoint_interval > 0),
-            ("guard", self.guard_enabled),
-            ("dissem", self.dissemination),
+            ("pipeline", "pipeline_depth", self.pipeline_depth > 1),
+            ("recovery", "checkpoint_interval", self.checkpoint_interval > 0),
+            ("guard", "guard_enabled", self.guard_enabled),
+            ("dissem", "dissemination", self.dissemination),
         )
-        return tuple(name for name, asked in flags if asked)
+        asked = {name: f"{field}={getattr(self, field)!r}" for name, field, on in flags if on}
+        if restarts:
+            asked.setdefault("recovery", "a fault that restarts a replica")
+        return asked
 
     def with_(self, **overrides) -> "ProtocolConfig":
         """Return a copy with the given fields replaced."""
@@ -299,30 +302,31 @@ class ExperimentConfig:
     observability: bool = False
 
     def validate(self) -> None:
-        from .faults.behaviors import resolve_behavior  # local imports: avoid cycles
-        from .runner.registry import quorum_style_for
+        from .runner.registry import quorum_style_for  # local import: avoids a cycle
 
         self.protocol_config.validate(quorum_style_for(self.protocol))
-        _require(
-            self.protocol == "alterbft" or self.protocol_config.pipeline_depth == 1,
-            "pipeline_depth > 1 is only supported by alterbft "
-            f"(got {self.protocol_config.pipeline_depth} for {self.protocol!r})",
-        )
-        _require(
-            self.protocol == "alterbft" or not self.protocol_config.dissemination,
-            f"dissemination is only supported by alterbft (got {self.protocol!r})",
-        )
         self.network_config.validate()
         self.workload.validate()
         _require(self.max_sim_time > 0, "max_sim_time must be positive")
         _require(0 <= self.warmup < self.max_sim_time, "warmup must fall inside the run")
-        for replica_id, behavior in self.faults:
+        for replica_id, _ in self.faults:
             _require(
                 0 <= replica_id < self.protocol_config.n,
                 f"fault target {replica_id} out of range",
             )
-            resolve_behavior(behavior, self.protocol, self.protocol_config)
+        self.refuse_uncarried()
         _require(
             self.topology in ("single-az", "three-regions"),
             f"unknown topology {self.topology!r}",
         )
+
+    def refuse_uncarried(self) -> None:
+        """The protocol's one feature check (``BaseReplica.refuse_uncarried``)
+        on this run: its flags, and recovery if a fault restarts a replica."""
+        from .faults.behaviors import resolve_behavior  # local imports: avoid cycles
+        from .runner.registry import replica_class_for
+
+        rows = [resolve_behavior(spec, self.protocol, self.protocol_config)[0]
+                for _, spec in self.faults]
+        replica_class_for(self.protocol).refuse_uncarried(
+            self.protocol_config, any(row.restarts for row in rows))

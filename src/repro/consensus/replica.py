@@ -36,8 +36,8 @@ HOOKS = ("on_start", "on_epoch_enter", "on_committed", "on_header", "on_certific
 class BaseReplica:
     """Common machinery for a consensus replica.
 
-    Subclasses set :attr:`protocol_name`, :attr:`HANDLERS`, and implement
-    :meth:`on_start` plus their message/timer handlers.
+    Subclasses set :attr:`protocol_name`, :attr:`HANDLERS`, :attr:`FEATURES`,
+    ``epoch_changes``, and implement :meth:`on_start` and their handlers.
     """
 
     #: Short protocol name, used in signatures and reports.
@@ -45,6 +45,20 @@ class BaseReplica:
 
     #: Message-class → handler-method-name mapping (subclass declares).
     HANDLERS: Dict[Type, str] = {}
+
+    #: The optional features this protocol carries, named as in
+    #: :meth:`ProtocolConfig.features`; HotStuff and PBFT carry none.
+    FEATURES: Tuple[str, ...] = ()
+
+    @classmethod
+    def refuse_uncarried(cls, config: ProtocolConfig, restarts: bool = False) -> None:
+        """The one check of :attr:`FEATURES`: refuse, naming the setting,
+        each feature ``config`` asks for (and recovery, for a run that
+        ``restarts`` a replica) that this class does not carry."""
+        asked = config.features(restarts)
+        uncarried = [f"{name} ({why})" for name, why in asked.items() if name not in cls.FEATURES]
+        if uncarried:
+            raise ConfigError(f"{cls.protocol_name} does not carry {', '.join(uncarried)}")
 
     @classmethod
     def handled_wire_phases(cls) -> Tuple[str, ...]:
@@ -77,6 +91,7 @@ class BaseReplica:
         signer: Signer,
         mempool: Optional[Mempool] = None,
     ) -> None:
+        self.refuse_uncarried(config)
         self.replica_id = replica_id
         self.validators = validators
         self.config = config

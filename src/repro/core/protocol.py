@@ -112,6 +112,8 @@ class AlterBFTReplica(BaseReplica):
         BlockResponseMsg: "on_block_response",
     }
 
+    FEATURES = ("pipeline", "recovery", "guard", "dissem")
+
     def __init__(
         self,
         replica_id: int,
@@ -177,8 +179,13 @@ class AlterBFTReplica(BaseReplica):
     # Lifecycle
     # ------------------------------------------------------------------
 
+    @property
+    def epoch_changes(self) -> int:
+        return self.epoch - 1
+
     def on_start(self) -> None:
-        missing = [s for s in self.config.required_subsystems() if s not in self.subsystems]
+        # The chained leader is this class's own; the rest are subsystems.
+        missing = [s for s in self.config.features() if s not in {*self.subsystems, "pipeline"}]
         if missing:
             # A flag nobody acted on would run the plain protocol and
             # report the flagged one.

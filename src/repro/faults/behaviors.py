@@ -14,8 +14,8 @@ Available behaviors:
   timers at time ``t`` (default 0: never participates).
 * ``crash-recover@t_down:t_up`` — crash at ``t_down``, then at ``t_up``
   reconstruct the replica from its write-ahead log and re-enter via the
-  catchup protocol (requires an AlterBFT-family replica; the replica
-  builder attaches the ``repro.recovery`` subsystem it runs on).
+  catchup protocol (requires a protocol that carries recovery; the
+  replica builder attaches the ``repro.recovery`` subsystem it runs on).
 * ``silent`` — Byzantine silence: processes everything, sends nothing.
 * ``equivocate`` — a Byzantine leader proposes two conflicting blocks at
   every height it leads, sending each to half the cluster.  Supported for
@@ -218,13 +218,9 @@ def _apply_crash_recover(
     scheduler: Scheduler,
     when: Tuple[float, float],
 ) -> None:
-    """Crash at ``t_down``; restart from the WAL + catch up at ``t_up``."""
-    manager = replica.subsystems.get("recovery")
-    if manager is None:
-        raise ConfigError(
-            "crash-recover behavior requires the recovery subsystem, which only "
-            "AlterBFT-family replicas carry (runner.registry.attach_subsystems)"
-        )
+    """Crash at ``t_down``; restart from the WAL + catch up at ``t_up``.
+    The row's ``restarts`` gets every replica the recovery subsystem."""
+    manager = replica.subsystems["recovery"]
     t_down, t_up = when
 
     def down() -> None:
@@ -792,9 +788,9 @@ _ALL = _FAMILY + ("hotstuff", "pbft")
 #: the module docstring for what each one does).
 BEHAVIORS: Dict[str, Behavior] = {
     "crash": Behavior(dict.fromkeys(_ALL, _apply_crash), shape=INSTANT),
-    # Only the AlterBFT family carries the recovery subsystem.
+    # Runs wherever recovery is carried: ``restarts`` asks for it.
     "crash-recover": Behavior(
-        dict.fromkeys(_FAMILY, _apply_crash_recover), shape=RANGE, restarts=True
+        dict.fromkeys(_ALL, _apply_crash_recover), shape=RANGE, restarts=True
     ),
     "silent": Behavior(dict.fromkeys(_ALL, _apply_silent)),
     "equivocate": Behavior(

@@ -121,11 +121,6 @@ class SynchronyMonitor:
         self.small_threshold = small_threshold
         self.base_delta: float = config.delta
         self.probe_interval: float = config.guard_probe_interval
-        self.violation_threshold: int = VIOLATION_THRESHOLD
-        self.quantile: float = QUANTILE
-        self.margin: float = MARGIN
-        self.max_rung: int = MAX_RUNG
-        self.stable_window: float = STABLE_WINDOW
 
         #: Current position on the Δ ladder; effective Δ = base * 2**rung.
         self.rung = 0
@@ -212,7 +207,7 @@ class SynchronyMonitor:
         if (
             self.suspected_since is not None
             and self.last_violation_at is not None
-            and now - self.last_violation_at >= self.stable_window
+            and now - self.last_violation_at >= STABLE_WINDOW
         ):
             self.suspected_since = None
             self.replica.event("guard_stabilized", rung=self.rung, delta=self.effective_delta)
@@ -223,10 +218,10 @@ class SynchronyMonitor:
             and self.tail.full
             and (
                 self.last_violation_at is None
-                or now - self.last_violation_at >= self.stable_window
+                or now - self.last_violation_at >= STABLE_WINDOW
             )
         ):
-            recommended = recommend_delta(self.tail.samples, self.quantile, self.margin)
+            recommended = recommend_delta(self.tail.samples, QUANTILE, MARGIN)
             target = self.rung
             while target > 0 and recommended <= self.ladder(target - 1):
                 target -= 1
@@ -256,8 +251,8 @@ class SynchronyMonitor:
         )
         if not self.suspected:
             self._enter_suspicion(now, reason="observed")
-        recent = sum(1 for v in self.violations if v.time > now - self.stable_window)
-        if recent >= self.violation_threshold:
+        recent = sum(1 for v in self.violations if v.time > now - STABLE_WINDOW)
+        if recent >= VIOLATION_THRESHOLD:
             self._propose_upward()
 
     def _enter_suspicion(self, now: float, reason: str) -> None:
@@ -285,10 +280,10 @@ class SynchronyMonitor:
     def _propose_upward(self) -> None:
         target = self.rung + 1
         if len(self.tail):
-            recommended = recommend_delta(self.tail.samples, self.quantile, self.margin)
-            while target < self.max_rung and self.ladder(target) < recommended:
+            recommended = recommend_delta(self.tail.samples, QUANTILE, MARGIN)
+            while target < MAX_RUNG and self.ladder(target) < recommended:
                 target += 1
-        target = min(target, self.max_rung)
+        target = min(target, MAX_RUNG)
         if target <= self.rung:
             return  # already at the top of the ladder
         self._propose(target)
@@ -312,7 +307,7 @@ class SynchronyMonitor:
     def on_delta_adjust(self, src: int, msg: DeltaAdjustMsg) -> None:
         adjust = msg.adjust
         self.adjusts.check(src, adjust)
-        if adjust.seq != self.installs or not 0 <= adjust.rung <= self.max_rung:
+        if adjust.seq != self.installs or not 0 <= adjust.rung <= MAX_RUNG:
             return  # stale/future seq or off-ladder: ignore
         if adjust.rung > self.rung and not self.suspected:
             # A peer's signed claim of violation is itself grounds for
@@ -330,7 +325,7 @@ class SynchronyMonitor:
         cert = msg.cert
         if not self.adjusts.certifies(cert):
             raise VerificationError("invalid delta-adjust certificate")
-        if cert.seq != self.installs or not 0 <= cert.rung <= self.max_rung:
+        if cert.seq != self.installs or not 0 <= cert.rung <= MAX_RUNG:
             return
         if self.pending_cert is not None and self.pending_cert.seq == cert.seq:
             return

@@ -8,9 +8,9 @@ transport-agnostic, and usable as the starting point of a real
 deployment (add TLS and persistent storage).
 
 Frame format: ``4-byte big-endian length || codec bytes``.  The first
-frame on every outgoing connection is a hello carrying the dialer's
-replica id; deployments that need authenticated channels should wrap the
-socket in TLS with per-replica certificates.
+frame on every connection is a hello carrying the dialer's id, another
+peer's or -1 for a client; deployments that need authenticated channels
+should wrap the socket in TLS with per-replica certificates.
 
 Receiving is buffered per connection (:class:`FrameReader`): one socket
 read brings in whatever has arrived, up to :data:`READ_CHUNK`, and frames
@@ -306,6 +306,9 @@ class AsyncReplicaNode:
             ):
                 raise TransportError("peer did not identify itself")
             src = hello[1]
+            # Our own copies never touch a socket: only a peer or a client dials.
+            if src != -1 and (src == self.replica.replica_id or src not in self.peers):
+                raise TransportError(f"hello from impossible id {src}")
             while not self._stopped:
                 msg = await read_frame(frames)
                 if isinstance(msg, tuple) and msg and msg[0] == "client-tx":
@@ -320,6 +323,8 @@ class AsyncReplicaNode:
                         if self.metrics is not None:
                             self.metrics.counter("transport/mempool_rejects_total").inc()
                     continue
+                if src == -1:
+                    raise TransportError("a client connection carries only client-tx")
                 self.replica.handle(src, msg)
         except (CodecError, TransportError):
             # Undecodable, oversized, or not what it claims to be.  Nothing

@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 from ..bench.common import make_config
 from ..bench.suite import render_experiments_md, run_suite
 from ..config import ExperimentConfig, NetworkConfig
+from ..errors import ConfigError
 from ..measure.probe import DEFAULT_PROBE_SIZES, sample_delay_model
 from ..measure.stats import LatencySummary
 from ..net.delay import HybridCloudDelayModel
@@ -207,7 +208,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return check_main(argv[1:])
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -64,13 +64,6 @@ def summarize(cluster: Cluster) -> ExperimentResult:
         ]
     extra.append(("leader_egress_share", round(wire.leader_egress_share(), 4)))
 
-    if config.protocol in ("alterbft", "sync-hotstuff"):
-        epoch_changes = max(r.epoch for r in honest_replicas) - 1
-    elif config.protocol == "pbft":
-        epoch_changes = max(r.view for r in honest_replicas) - 1
-    else:  # hotstuff: views advance every block; count timeouts instead
-        epoch_changes = max(getattr(r, "view_timeouts", 0) for r in honest_replicas)
-
     return ExperimentResult(
         protocol=config.protocol,
         n=config.protocol_config.n,
@@ -82,7 +75,7 @@ def summarize(cluster: Cluster) -> ExperimentResult:
         throughput_tps=committed / window,
         latency=LatencySummary.from_samples(latencies),
         block_latency=LatencySummary.from_samples(collector.block_latencies()),
-        epoch_changes=epoch_changes,
+        epoch_changes=max(r.epoch_changes for r in honest_replicas),
         wire=wire.snapshot(
             meta={
                 "protocol": config.protocol,

@@ -1,5 +1,5 @@
-"""Protocol registry: names → replica classes, resilience styles, and the
-optional subsystems each protocol can carry."""
+"""Protocol registry: names → replica classes and resilience styles, and
+the optional subsystems a replica carries (its class's ``FEATURES``)."""
 
 from __future__ import annotations
 
@@ -20,13 +20,12 @@ from ..recovery import MemoryWal, RecoveryManager
 #: Every optional subsystem, in attach order — the order hooks fire in.
 SUBSYSTEMS: Tuple[type, ...] = (RecoveryManager, SynchronyMonitor, DisseminationManager)
 
-#: name → (replica class, quorum style, subsystems it can carry, in
-#: ``SUBSYSTEMS`` order).
-_REGISTRY: Dict[str, Tuple[Type[BaseReplica], str, Tuple[type, ...]]] = {
-    "alterbft": (AlterBFTReplica, "2f+1", SUBSYSTEMS),
-    "sync-hotstuff": (SyncHotStuffReplica, "2f+1", (RecoveryManager, SynchronyMonitor)),
-    "hotstuff": (HotStuffReplica, "3f+1", ()),
-    "pbft": (PBFTReplica, "3f+1", ()),
+#: name → (replica class, quorum style).
+_REGISTRY: Dict[str, Tuple[Type[BaseReplica], str]] = {
+    "alterbft": (AlterBFTReplica, "2f+1"),
+    "sync-hotstuff": (SyncHotStuffReplica, "2f+1"),
+    "hotstuff": (HotStuffReplica, "3f+1"),
+    "pbft": (PBFTReplica, "3f+1"),
 }
 
 
@@ -35,7 +34,7 @@ def protocol_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def _entry(protocol: str) -> Tuple[Type[BaseReplica], str, Tuple[type, ...]]:
+def _entry(protocol: str) -> Tuple[Type[BaseReplica], str]:
     try:
         return _REGISTRY[protocol]
     except KeyError:
@@ -50,17 +49,13 @@ def quorum_style_for(protocol: str) -> str:
     return _entry(protocol)[1]
 
 
-def subsystems_for(protocol: str) -> Tuple[type, ...]:
-    """The subsystem classes ``protocol`` can carry."""
-    return _entry(protocol)[2]
-
-
 def wire_phases_for(protocol: str) -> Set[str]:
     """The protocol's wire contract: the phases its replica class handles
-    plus the phase of every subsystem it can carry.  ``repro.obs wire``
+    plus the phase of every subsystem it carries.  ``repro.obs wire``
     flags observed traffic outside it."""
-    carried = {subsystem.WIRE_PHASE for subsystem in subsystems_for(protocol)}
-    return set(replica_class_for(protocol).handled_wire_phases()) | carried
+    cls = replica_class_for(protocol)
+    carried = {s.WIRE_PHASE for s in SUBSYSTEMS if s.name in cls.FEATURES}
+    return set(cls.handled_wire_phases()) | carried
 
 
 def attach_subsystems(
@@ -76,15 +71,14 @@ def attach_subsystems(
     snapshot and range requests.  ``small_threshold`` is the network's
     small/large boundary, which the guard measures against.
     """
-    wanted = set(replica.config.required_subsystems())
-    if restartable:
-        wanted.add(RecoveryManager.name)
+    replica.refuse_uncarried(replica.config, restartable)
+    wanted = replica.config.features(restartable)
     construct = {
         RecoveryManager: lambda: RecoveryManager(replica, MemoryWal()),
         SynchronyMonitor: lambda: SynchronyMonitor(replica, small_threshold),
         DisseminationManager: lambda: DisseminationManager(replica),
     }
-    for subsystem in subsystems_for(replica.protocol_name):
+    for subsystem in SUBSYSTEMS:
         if subsystem.name in wanted:
             replica.attach(construct[subsystem]())
 

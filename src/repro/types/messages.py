@@ -488,7 +488,7 @@ class DeltaAdjustCertMsg:
 
 
 # --------------------------------------------------------------------------
-# Payload dissemination (AlterBFT family; see repro.dissem)
+# Payload dissemination (AlterBFT; see repro.dissem)
 #
 # The leader erasure-codes each payload into n Merkle-rooted shares and
 # sends every replica one share; replicas pull the rest from peers.  A

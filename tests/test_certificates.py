@@ -420,14 +420,13 @@ class RecordingContext(FakeContext):
 
 def build_replica(cls, quorum_style, **flags):
     validators = getattr(ValidatorSet, quorum_style)(N, F)
-    config = ProtocolConfig(
-        n=N, f=F, delta=0.005, epoch_timeout=1.0, guard_enabled=True, checkpoint_interval=4,
-        **flags,
-    )
+    if "guard" in cls.FEATURES:  # recovery + guard where carried, nothing elsewhere
+        flags = dict(guard_enabled=True, checkpoint_interval=4, **flags)
+    config = ProtocolConfig(n=N, f=F, delta=0.005, epoch_timeout=1.0, **flags)
     replica = cls(0, validators, config, CLUSTER[0])
     ctx = RecordingContext(0, N)
     ctx.bind_replica(replica)
-    attach_subsystems(replica)  # recovery + guard on the AlterBFT family, nothing elsewhere
+    attach_subsystems(replica)
     replica.on_start()
     return replica, ctx
 

@@ -143,7 +143,7 @@ class TestNewView:
         dst, msg = sent[0]
         assert msg.view == 2 and dst == 2
         assert replica.view == 2
-        assert replica.view_timeouts == 1
+        assert replica.epoch_changes == 1
 
     def test_leader_proposes_on_new_view_quorum(self, signers4):
         validators = ValidatorSet.partially_synchronous(N, F)

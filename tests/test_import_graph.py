@@ -593,3 +593,142 @@ def test_the_quorum_finder_sees_each_retired_collector(tmp_path, owner):
     probe = tmp_path / "probe.py"
     probe.write_text(source)
     assert list(_quorum_sites(probe)) == sites
+
+
+# -- one protocol table -------------------------------------------------------
+
+#: What names an optional feature: a piece of its name or its setting's in
+#: a message, or the setting (or the attached subsystems) read in code.
+FEATURE_WORDS = ("pipelin", "checkpoint", "guard", "dissem", "recovery")
+FEATURE_ATTRS = {
+    "pipeline_depth", "checkpoint_interval", "guard_enabled", "dissemination", "subsystems"
+}
+#: What names a protocol: its name in a message, or the name read in code.
+PROTOCOL_WORDS = ("alterbft", "hotstuff", "pbft")
+PROTOCOL_ATTRS = {"protocol", "protocol_name"}
+
+
+def _reads(node: ast.AST) -> Tuple[bool, bool]:
+    """(names a feature, names a protocol), anywhere under ``node``."""
+    texts = {text.lower() for text in _string_literals(node)}
+    names = {
+        n.attr if isinstance(n, ast.Attribute) else n.id
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Attribute, ast.Name))
+    }
+    feature = bool(names & FEATURE_ATTRS) or any(w in t for t in texts for w in FEATURE_WORDS)
+    protocol = bool(names & PROTOCOL_ATTRS) or any(w in t for t in texts for w in PROTOCOL_WORDS)
+    return feature, protocol
+
+
+def _carry_refusals(path: Path) -> Iterator[str]:
+    """Each ``ConfigError(...)`` or ``_require(...)`` in ``path`` that,
+    with the tests of the ``if`` statements around it, names both a
+    feature and a protocol: a refusal of a feature some protocol does not
+    carry."""
+
+    def walk(node: ast.AST, guards: Tuple[ast.AST, ...]) -> Iterator[str]:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in ("ConfigError", "_require"):
+                found = [_reads(n) for n in (node,) + guards]
+                if any(f for f, _ in found) and any(p for _, p in found):
+                    yield f"{node.lineno}: {node.func.id}"
+        inner = guards + ((node.test,) if isinstance(node, ast.If) else ())
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), ())
+
+
+def _protocol_comparisons(path: Path) -> Iterator[str]:
+    """Each comparison in ``path`` against a protocol's name."""
+    from repro.runner.registry import protocol_names
+
+    names = set(protocol_names())
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if _string_literals(ast.Tuple(elts=operands)) & names or any(
+                isinstance(o, ast.Attribute) and o.attr in PROTOCOL_ATTRS for o in operands
+            ):
+                lines.add(node.lineno)
+    for line in sorted(lines):
+        yield f"{line}: compare"
+
+
+def test_one_check_refuses_an_uncarried_feature():
+    """The feature declarations (``FEATURES``) and ``refuse_uncarried``
+    are the only code that says which protocol carries what: no other
+    refusal names a feature and a protocol, and the config compares no
+    protocol name."""
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 80
+    for path in files:
+        found = list(_carry_refusals(path))
+        assert not found, f"{path.relative_to(SRC)} refuses a feature by protocol: {found}"
+    assert list(_protocol_comparisons(SRC / "config.py")) == []
+    from repro.runner import registry
+
+    assert all(len(entry) == 2 for entry in registry._REGISTRY.values())
+
+
+#: The places that said which protocol carries a feature before the table,
+#: abridged: where → (source, the finder's sites in it).
+RETIRED_CARRY_CHECKS = {
+    "ExperimentConfig.validate": (
+        "_require(\n"
+        "    self.protocol == 'alterbft' or self.protocol_config.pipeline_depth == 1,\n"
+        "    'pipeline_depth > 1 is only supported by alterbft '\n"
+        "    f'(got {self.protocol_config.pipeline_depth} for {self.protocol!r})',\n"
+        ")\n"
+        "_require(\n"
+        "    self.protocol == 'alterbft' or not self.protocol_config.dissemination,\n"
+        "    f'dissemination is only supported by alterbft (got {self.protocol!r})',\n"
+        ")\n",
+        ["1: _require", "6: _require"],
+    ),
+    "baseline constructors": (
+        "if config.pipeline_depth > 1:\n"
+        "    raise ConfigError(\n"
+        "        'pipeline_depth > 1 is only supported by alterbft '\n"
+        "        f'(got {config.pipeline_depth} for {self.protocol_name})'\n"
+        "    )\n",
+        ["2: ConfigError"],
+    ),
+    "_apply_crash_recover": (
+        "manager = replica.subsystems.get('recovery')\n"
+        "if manager is None:\n"
+        "    raise ConfigError(\n"
+        "        'crash-recover behavior requires the recovery subsystem, which only '\n"
+        "        'AlterBFT-family replicas carry (runner.registry.attach_subsystems)'\n"
+        "    )\n",
+        ["3: ConfigError"],
+    ),
+    "a guard on the protocol's name": (
+        "if self.protocol != 'alterbft':\n"
+        "    if self.config.dissemination:\n"
+        "        raise ConfigError('no')\n"
+        "raise ConfigError('pipeline_depth must be >= 1')\n",
+        ["3: ConfigError"],
+    ),
+}
+
+
+@pytest.mark.parametrize("where", list(RETIRED_CARRY_CHECKS))
+def test_the_carry_finder_sees_each_retired_check(tmp_path, where):
+    source, sites = RETIRED_CARRY_CHECKS[where]
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert list(_carry_refusals(probe)) == sites
+
+
+def test_the_comparison_finder_sees_a_protocol_name(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "ok = self.protocol == 'alterbft' or depth == 1\n"
+        "if protocol in ('hotstuff', 'pbft'):\n"
+        "    pass\n"
+        "same = self.topology in ('single-az', 'three-regions')\n"
+    )
+    assert list(_protocol_comparisons(probe)) == ["1: compare", "2: compare"]

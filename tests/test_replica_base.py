@@ -40,6 +40,8 @@ class EchoReplica(BaseReplica):
     protocol_name = "alterbft"  # reuse a real protocol name for signatures
 
     HANDLERS = {VoteMsg: "on_vote"}
+    # The horizon tests run it pipelined and checkpointing, as AlterBFT.
+    FEATURES = AlterBFTReplica.FEATURES
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -840,22 +842,22 @@ class TestBareFamilyReplica:
 
     def test_builder_and_start_check_read_one_answer(self, signers3, validators3):
         config = ProtocolConfig(n=3, f=1, **ALL_SUBSYSTEM_FLAGS)
-        assert config.required_subsystems() == tuple(s.name for s in SUBSYSTEMS)
-        assert ProtocolConfig(n=3, f=1).required_subsystems() == ()
+        assert tuple(config.features()) == tuple(s.name for s in SUBSYSTEMS)
+        assert ProtocolConfig(n=3, f=1).features() == {}
         replica, _ = _family_replica(
             AlterBFTReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS
         )
         attach_subsystems(replica)
-        assert tuple(replica.subsystems) == config.required_subsystems()
-        # Sync HotStuff cannot carry dissemination: the builder leaves it
-        # out and the start check says so, where it used to run the blob path.
-        replica, _ = _family_replica(
-            SyncHotStuffReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS
-        )
+        assert tuple(replica.subsystems) == tuple(config.features())
+        # Sync HotStuff cannot carry dissemination: it is refused where the
+        # replica is built, not left out by the builder for the start check.
+        with pytest.raises(ConfigError, match="sync-hotstuff does not carry dissem"):
+            _family_replica(SyncHotStuffReplica, signers3, validators3, **ALL_SUBSYSTEM_FLAGS)
+        flags = dict(ALL_SUBSYSTEM_FLAGS, dissemination=False)
+        replica, _ = _family_replica(SyncHotStuffReplica, signers3, validators3, **flags)
         attach_subsystems(replica)
         assert tuple(replica.subsystems) == ("recovery", "guard")
-        with pytest.raises(ConfigError, match="dissem"):
-            replica.on_start()
+        replica.on_start()
 
     def test_restart_re_registers_every_subsystem(self, signers3, validators3):
         replica, ctx = _family_replica(

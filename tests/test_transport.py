@@ -518,11 +518,30 @@ class TestBadFrames:
             pytest.param(("hello", "one"), id="non-integer-id"),
             pytest.param(("hullo", 1), id="wrong-greeting"),
             pytest.param(17, id="not-a-tuple"),
+            # The node under test is replica 0 of {0, 1, 2}: its own copies
+            # never touch a socket, and no one else can dial in honestly.
+            pytest.param(("hello", 0), id="own-id"),
+            pytest.param(("hello", 7), id="id-not-in-the-peer-map"),
+            pytest.param(("hello", -2), id="negative-id-not-a-client"),
         ],
     )
     def test_bad_hello(self, hello):
         closed, bad_frames, pooled, unhandled = self._drive(encode_frame(hello), hello=False)
         assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
+
+    def test_a_client_connection_carries_only_client_transactions(self):
+        from repro.types.certificates import Vote
+        from repro.types.messages import VoteMsg
+
+        vote = Vote.create(build_cluster_keys("hashsig", 3)[1], "alterbft", 1, 1, b"\x01" * 32)
+        frames = (
+            encode_frame(("hello", -1))
+            + encode_frame(("client-tx", make_transaction(9, 0, 0.0, 32)))
+            + encode_frame(VoteMsg(vote=vote))
+        )
+        closed, bad_frames, pooled, unhandled = self._drive(frames, hello=False)
+        assert closed and bad_frames == 1 and unhandled == []
+        assert pooled == 2, "the client's transaction ahead of the vote, and the peer's"
 
     def test_full_mempool_sheds_the_transaction_not_the_link(self):
         from repro.obs.metrics import MetricsRegistry
