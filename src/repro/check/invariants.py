@@ -38,13 +38,11 @@ runner (:mod:`repro.check.runner`) aggregates them across scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crypto.hashing import Digest, short_hex
+from ..runner.cluster import Cluster, first_conflict
 from ..types.certificates import Certificate, Vote
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner.cluster import Cluster
 
 #: Canonical invariant names, in report order.
 AGREEMENT = "agreement"
@@ -71,25 +69,17 @@ class InvariantResult:
 
 
 def check_agreement(cluster: "Cluster") -> InvariantResult:
-    """No two honest replicas commit conflicting blocks at any height."""
-    honest = [r for r in cluster.replicas if r.replica_id in cluster.honest_ids]
-    for height in range(max((r.ledger.height for r in honest), default=0) + 1):
-        seen = {}
-        for replica in honest:
-            block_hash = replica.ledger.committed_hash_at(height)
-            if block_hash is None:
-                continue
-            other = seen.get(block_hash)
-            if other is None:
-                seen[block_hash] = replica.replica_id
-        if len(seen) > 1:
-            pairs = ", ".join(
-                f"replica {rid}={short_hex(h)}" for h, rid in sorted(seen.items(), key=lambda i: i[1])
-            )
-            return InvariantResult(
-                AGREEMENT, False, f"conflicting commits at height {height}: {pairs}"
-            )
-    return InvariantResult(AGREEMENT, True)
+    """No two honest replicas commit conflicting blocks at any height
+    (:func:`repro.runner.cluster.first_conflict`, the scan ``check_safety``
+    runs too)."""
+    conflict = first_conflict(cluster.replicas, cluster.honest_ids)
+    if conflict is None:
+        return InvariantResult(AGREEMENT, True)
+    height, seen = conflict
+    pairs = ", ".join(
+        f"replica {rid}={short_hex(h)}" for h, rid in sorted(seen.items(), key=lambda i: i[1])
+    )
+    return InvariantResult(AGREEMENT, False, f"conflicting commits at height {height}: {pairs}")
 
 
 class CertificateLog:

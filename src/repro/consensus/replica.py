@@ -60,23 +60,6 @@ class BaseReplica:
         if uncarried:
             raise ConfigError(f"{cls.protocol_name} does not carry {', '.join(uncarried)}")
 
-    @classmethod
-    def handled_wire_phases(cls) -> Tuple[str, ...]:
-        """Wire phases derived from :attr:`HANDLERS`, in canonical order
-        (names from :data:`repro.obs.wire.WIRE_PHASE_NAMES`).
-
-        Every message class a replica can *receive* is also one its peers
-        *send*, so the handler map is the ground truth for which phases
-        the protocol's own traffic can occupy.  With the phase of every
-        subsystem the protocol can carry (``runner.registry.wire_phases_for``)
-        this is its bandwidth contract: the ``repro.obs wire`` drill-down
-        flags any observed phase outside it.
-        """
-        from ..obs.wire import WIRE_PHASE_NAMES, classify_phase
-
-        observed = {classify_phase(m.__name__) for m in cls.HANDLERS}
-        return tuple(p for p in WIRE_PHASE_NAMES if p in observed)
-
     #: Observability sink (set by the cluster builder when the experiment
     #: enables observability).  Only :meth:`event` and :meth:`mark` read
     #: it; recording never touches RNG, scheduler, or the fingerprint

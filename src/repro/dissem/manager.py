@@ -99,10 +99,6 @@ class DisseminationManager:
     """
 
     name = "dissem"
-    #: Every class in ``HANDLERS`` is accounted to this wire phase
-    #: (:mod:`repro.obs.wire`), so a new chunk message cannot silently
-    #: land in "other".
-    WIRE_PHASE = "dissemination"
     HANDLERS = {
         ChunkShareMsg: "on_chunk_share",
         ChunkRequestMsg: "on_chunk_request",

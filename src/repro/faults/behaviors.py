@@ -43,12 +43,13 @@ Available behaviors:
   honestly.  The Merkle check must reject the flipped share on arrival
   and the victim must reconstruct entirely from peer pulls — no epoch
   change, no liveness loss.
-* ``bad-vote`` — Byzantine voter: every outbound vote carries a
-  corrupted (well-formed but invalid) signature.  Against an eager
-  verifier each vote is rejected on arrival; against the lazy batched
-  verifier (``ProtocolConfig.crypto_batch``) the whole flood fails its
-  batch check and bisection must attribute the corruption to this
-  replica, excluding it from future quorums.
+* ``bad-vote`` — Byzantine voter: every outbound ``vote``-phase message
+  (votes; PBFT's prepares and commits) carries a corrupted (well-formed
+  but invalid) signature.  Against an eager verifier each vote is
+  rejected on arrival; against the lazy batched verifier
+  (``ProtocolConfig.crypto_batch``) the whole flood fails its batch
+  check and bisection must attribute the corruption to this replica,
+  excluding it from future quorums.
 * ``equivocate-inflight`` — cross-in-flight equivocation (pipelined
   AlterBFT): the Byzantine leader proposes honestly until its epoch owns
   a certificate, then — while the certified block's 2Δ commit window is
@@ -664,22 +665,17 @@ def _apply_equivocate_pbft(replica: BaseReplica, *_: object) -> None:
 # Proposal suppression (withholding for combined-proposal protocols)
 # ----------------------------------------------------------------------
 
-#: Message types a withholding leader suppresses: everything that carries
-#: or repairs a proposal's payload.  Small control traffic (votes, blames,
-#: view changes) still flows — the leader looks live but proposes nothing.
-_WITHHOLDABLE_TYPES = (
-    SHProposalMsg,
-    HSProposalMsg,
-    PBFTPrePrepareMsg,
-    PayloadMsg,
-)
+#: Wire phases a withholding leader suppresses: its proposals and their
+#: payloads.  Small control traffic (votes, blames, view changes) still
+#: flows — the leader looks live but proposes nothing.
+_WITHHELD_PHASES = ("propose", "payload")
 
 
 def _apply_withhold_proposals(replica: BaseReplica, network: SimNetwork, *_: object) -> None:
     faulty_id = replica.replica_id
 
     def suppress(src: int, dst: int, msg: object, size: int) -> bool:
-        return src != faulty_id or not isinstance(msg, _WITHHOLDABLE_TYPES)
+        return src != faulty_id or getattr(msg, "WIRE_PHASE", None) not in _WITHHELD_PHASES
 
     network.add_filter(suppress)
 
@@ -708,7 +704,9 @@ def _apply_delay_send(
 
 
 def _apply_bad_vote(replica: BaseReplica, *_: object) -> None:
-    """Byzantine voter: every outbound vote carries a corrupted signature.
+    """Byzantine voter: the vote of every outbound ``vote``-phase message
+    (AlterBFT's and the HotStuffs' votes, PBFT's prepares and commits)
+    carries a corrupted signature.
 
     The vote is otherwise well-formed (valid voter id, right length), so
     an eager verifier rejects it one message at a time, while a lazy
@@ -718,10 +716,10 @@ def _apply_bad_vote(replica: BaseReplica, *_: object) -> None:
     """
 
     def corrupt(msg: object) -> object:
-        if isinstance(msg, VoteMsg):
-            vote = msg.vote
+        if getattr(msg, "WIRE_PHASE", None) == "vote":
+            vote = msg.vote  # type: ignore[attr-defined]
             bad_sig = vote.signature[:-1] + bytes([vote.signature[-1] ^ 0x01])
-            return VoteMsg(vote=dataclasses.replace(vote, signature=bad_sig))
+            return dataclasses.replace(msg, vote=dataclasses.replace(vote, signature=bad_sig))
         return msg
 
     _filter_outbound(

@@ -103,10 +103,6 @@ class SynchronyMonitor:
     replica (``replica.attach(monitor)``; see module docstring)."""
 
     name = "guard"
-    #: Every class in ``HANDLERS`` is accounted to this wire phase
-    #: (:mod:`repro.obs.wire`), so a new guard message cannot silently
-    #: land in "other".
-    WIRE_PHASE = "guard"
     HANDLERS = {
         GuardProbeMsg: "on_guard_probe",
         GuardProbeEchoMsg: "on_guard_probe_echo",

@@ -40,7 +40,7 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from ..runner.cli import add_scenario_arguments, config_from_args
+from ..runner.cli import add_scenario_arguments, config_from_args, dispatch
 from ..runner.report import format_table
 from .analyze import (
     PHASE_NAMES,
@@ -549,8 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    return args.func(args)
+    return dispatch(build_parser().parse_args(sys.argv[1:] if argv is None else argv))
 
 
 if __name__ == "__main__":

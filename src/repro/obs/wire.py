@@ -46,6 +46,8 @@ from __future__ import annotations
 from collections import Counter as TallyCounter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
+from ..types import messages
+from ..types.messages import WIRE_PHASE_NAMES
 from .metrics import Histogram
 
 #: Snapshot schema version (bumped on incompatible layout changes).
@@ -63,76 +65,12 @@ SIZE_HISTOGRAM_BOUNDS: Tuple[float, ...] = tuple(float(2 ** i) for i in range(4,
 #: axes telescope to the same total as every other axis.
 UNATTRIBUTED = -1
 
-#: Canonical phase order for reports.
-WIRE_PHASE_NAMES: Tuple[str, ...] = (
-    "propose",
-    "payload",
-    "dissemination",
-    "vote",
-    "epoch_change",
-    "repair",
-    "recovery",
-    "guard",
-    "measure",
-    "client",
-    "other",
-)
-
-
-def _phase_map() -> Dict[str, str]:
-    from ..runner.registry import SUBSYSTEMS
-
-    mapping = {
-        # Leader dissemination: the proposal itself.
-        "ProposalHeaderMsg": "propose",
-        "SHProposalMsg": "propose",
-        "HSProposalMsg": "propose",
-        "PBFTPrePrepareMsg": "propose",
-        # Large-payload dissemination (AlterBFT's split proposal).
-        "PayloadMsg": "payload",
-        # Vote floods.
-        "VoteMsg": "vote",
-        "PBFTPrepareMsg": "vote",
-        "PBFTCommitMsg": "vote",
-        # Leader replacement.
-        "BlameMsg": "epoch_change",
-        "BlameCertMsg": "epoch_change",
-        "EquivocationProofMsg": "epoch_change",
-        "StatusMsg": "epoch_change",
-        "HSNewViewMsg": "epoch_change",
-        "PBFTViewChangeMsg": "epoch_change",
-        "PBFTNewViewMsg": "epoch_change",
-        # On-demand repair of missed proposals/payloads.
-        "PayloadRequestMsg": "repair",
-        "PayloadResponseMsg": "repair",
-        "BlockRequestMsg": "repair",
-        "BlockResponseMsg": "repair",
-        "PBFTSyncRequestMsg": "repair",
-        "PBFTSyncReplyMsg": "repair",
-        # Delay characterization probes (repro.measure).
-        "ProbeMsg": "measure",
-        "ProbeAckMsg": "measure",
-        # Client traffic over the real transport.
-        "ClientReplyMsg": "client",
-    }
-    # An optional subsystem owns its wire classes (the keys of its
-    # HANDLERS) and names their phase — the map follows, so a new
-    # subsystem message cannot silently land in "other".
-    for subsystem in SUBSYSTEMS:
-        for msg_cls in subsystem.HANDLERS:
-            mapping[msg_cls.__name__] = subsystem.WIRE_PHASE
-    return mapping
-
-
-_PHASE_OF: Optional[Dict[str, str]] = None
-
 
 def classify_phase(class_name: str) -> str:
-    """Protocol phase for a wire message class ("other" if unknown)."""
-    global _PHASE_OF
-    if _PHASE_OF is None:
-        _PHASE_OF = _phase_map()
-    return _PHASE_OF.get(class_name, "other")
+    """Protocol phase of a wire message class: the ``WIRE_PHASE`` its
+    class in :mod:`repro.types.messages` declares ("other" for a name
+    that declares none)."""
+    return getattr(getattr(messages, class_name, None), "WIRE_PHASE", "other")
 
 
 def _build_ref_extractor(msg: object) -> Callable[[Any], Tuple[int, int]]:

@@ -69,7 +69,6 @@ class RecoveryManager:
     """Per-replica journal, checkpointing + catchup state machine."""
 
     name = "recovery"
-    WIRE_PHASE = "recovery"
     HANDLERS = {
         CheckpointVoteMsg: "on_checkpoint_vote",
         StatusRequestMsg: "on_status_request",

@@ -10,7 +10,8 @@ Subcommands:
 
 :func:`add_scenario_arguments` / :func:`config_from_args` are the one
 place a command line becomes an :class:`~repro.config.ExperimentConfig`;
-``python -m repro.obs record`` builds its run through the same pair.
+``python -m repro.obs record`` builds its run through the same pair, and
+both commands report a bad configuration through :func:`dispatch`.
 """
 
 from __future__ import annotations
@@ -113,6 +114,17 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     )
 
 
+def dispatch(args: argparse.Namespace) -> int:
+    """Run the subcommand ``args`` names (``args.func``).  A
+    :class:`ConfigError` is the command line's to fix: it is printed as
+    ``error: …`` and the exit code is 2."""
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = dataclasses.replace(config_from_args(args), observability=args.obs)
     result = run_experiment(config)
@@ -207,12 +219,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from ..check import main as check_main
 
         return check_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

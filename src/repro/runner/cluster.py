@@ -9,11 +9,12 @@ whole exercise is about.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ExperimentConfig
 from ..consensus.context import SimContext
 from ..consensus.replica import BaseReplica
+from ..crypto.hashing import Digest
 from ..crypto.keystore import build_cluster_keys
 from ..faults.behaviors import apply_behavior, resolve_behavior
 from ..mempool.mempool import Mempool
@@ -201,14 +202,24 @@ def _instrument(replica: BaseReplica, collector: MetricsCollector, scheduler: Sc
     replica.sign_proposal = sign_and_note  # type: ignore[method-assign]
 
 
+def first_conflict(
+    replicas: Sequence[BaseReplica], honest_ids: Set[int]
+) -> Optional[Tuple[int, Dict[Digest, int]]]:
+    """The lowest height at which two honest committed ledgers hold
+    different blocks, with each block hash committed there → the first
+    replica (in ``replicas`` order) that holds it; None when every honest
+    ledger is a prefix of the longest."""
+    ledgers = [(r.replica_id, r.ledger.all_hashes()) for r in replicas if r.replica_id in honest_ids]
+    for height in range(max((len(chain) for _, chain in ledgers), default=0)):
+        seen: Dict[Digest, int] = {}
+        for replica_id, chain in ledgers:
+            if height < len(chain):
+                seen.setdefault(chain[height], replica_id)
+        if len(seen) > 1:
+            return height, seen
+    return None
+
+
 def check_safety(replicas: Sequence[BaseReplica], honest_ids: Set[int]) -> bool:
     """True iff all honest committed ledgers are prefix-consistent."""
-    ledgers = [r.ledger.all_hashes() for r in replicas if r.replica_id in honest_ids]
-    if not ledgers:
-        return True
-    max_height = max(len(chain) for chain in ledgers)
-    for height in range(max_height):
-        seen = {chain[height] for chain in ledgers if height < len(chain)}
-        if len(seen) > 1:
-            return False
-    return True
+    return first_conflict(replicas, honest_ids) is None

@@ -50,12 +50,14 @@ def quorum_style_for(protocol: str) -> str:
 
 
 def wire_phases_for(protocol: str) -> Set[str]:
-    """The protocol's wire contract: the phases its replica class handles
-    plus the phase of every subsystem it carries.  ``repro.obs wire``
-    flags observed traffic outside it."""
+    """The protocol's wire contract: the declared ``WIRE_PHASE`` of every
+    message class its replica class or a subsystem it carries handles.
+    Every class a replica can receive is one its peers send, so this is
+    every phase its traffic can occupy; ``repro.obs wire`` flags observed
+    traffic outside it."""
     cls = replica_class_for(protocol)
-    carried = {s.WIRE_PHASE for s in SUBSYSTEMS if s.name in cls.FEATURES}
-    return set(cls.handled_wire_phases()) | carried
+    carried = [s for s in SUBSYSTEMS if s.name in cls.FEATURES]
+    return {m.WIRE_PHASE for owner in (cls, *carried) for m in owner.HANDLERS}
 
 
 def attach_subsystems(

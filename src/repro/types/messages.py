@@ -16,12 +16,18 @@ genuine encoded size.  Type-id allocation:
   :mod:`repro.types.certificates` at 110; guard wire messages here at
   112–115) and payload dissemination (chunk messages at 116–118)
 * 120–123 certificates (:mod:`repro.types.certificates`)
+
+Each message class declares its protocol phase once, as ``WIRE_PHASE``
+next to its fields.  Wire accounting (:func:`repro.obs.wire.classify_phase`),
+each protocol's wire contract (``runner.registry.wire_phases_for``) and
+the Byzantine behaviours (:mod:`repro.faults.behaviors`) all read that
+declaration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from ..codec import register
 from ..crypto.hashing import Digest
@@ -31,6 +37,26 @@ from .certificates import Blame, Certificate, CheckpointVote, DeltaAdjust, Vote
 
 #: Signing domain for proposal headers/blocks (the proposer's signature).
 PROPOSAL_DOMAIN = "proposal"
+
+#: Every ``WIRE_PHASE`` a message class may declare, in report order:
+#: the leader's proposal, AlterBFT's separate large payload, chunked
+#: payload shares, vote floods, leader replacement, on-demand repair of
+#: missed proposals/payloads, recovery/state transfer, the synchrony
+#: guard, delay probes and client traffic.  "other" is what a class
+#: that declares none is accounted to.
+WIRE_PHASE_NAMES: Tuple[str, ...] = (
+    "propose",
+    "payload",
+    "dissemination",
+    "vote",
+    "epoch_change",
+    "repair",
+    "recovery",
+    "guard",
+    "measure",
+    "client",
+    "other",
+)
 
 
 # --------------------------------------------------------------------------
@@ -54,6 +80,7 @@ class ProposalHeaderMsg:
         justify: certificate for the parent block this header extends.
     """
 
+    WIRE_PHASE: ClassVar[str] = "propose"
     header: BlockHeader
     signature: bytes
     justify: Certificate
@@ -64,6 +91,7 @@ class ProposalHeaderMsg:
 class PayloadMsg:
     """AlterBFT block payload — a *large* message, eventually timely."""
 
+    WIRE_PHASE: ClassVar[str] = "payload"
     epoch: int
     height: int
     block_hash: Digest
@@ -75,6 +103,7 @@ class PayloadMsg:
 class VoteMsg:
     """A vote, broadcast (AlterBFT/Sync HotStuff) or sent to the leader."""
 
+    WIRE_PHASE: ClassVar[str] = "vote"
     vote: Vote
 
 
@@ -83,6 +112,7 @@ class VoteMsg:
 class BlameMsg:
     """A signed blame against the current epoch's leader."""
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     blame: Blame
 
 
@@ -91,6 +121,7 @@ class BlameMsg:
 class BlameCertMsg:
     """A blame certificate; receiving one forces an epoch change."""
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     cert: Certificate
 
 
@@ -108,6 +139,7 @@ class EquivocationProofMsg:
     check the justify certificates that define anchors.
     """
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     first: "ProposalHeaderMsg"
     second: "ProposalHeaderMsg"
 
@@ -117,6 +149,7 @@ class EquivocationProofMsg:
 class StatusMsg:
     """Epoch-change status report: the sender's highest certificate."""
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     sender: int
     new_epoch: int
     high_qc: Certificate
@@ -127,6 +160,7 @@ class StatusMsg:
 class PayloadRequestMsg:
     """Ask a peer for the payload of a known header (repair path)."""
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     block_hash: Digest
     height: int
 
@@ -136,6 +170,7 @@ class PayloadRequestMsg:
 class PayloadResponseMsg:
     """Answer to :class:`PayloadRequestMsg`."""
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     block_hash: Digest
     payload: BlockPayload
 
@@ -150,6 +185,7 @@ class BlockRequestMsg:
     partitioned).
     """
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     block_hash: Digest
 
 
@@ -159,6 +195,7 @@ class BlockResponseMsg:
     """Answer to :class:`BlockRequestMsg`: the original proposal message,
     plus the payload when the responder has it."""
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     proposal: "ProposalHeaderMsg"
     payload: Optional[BlockPayload]
 
@@ -179,6 +216,7 @@ class BlockResponseMsg:
 class CheckpointVoteMsg:
     """Broadcast checkpoint attestation — a *small* message."""
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     vote: CheckpointVote
 
 
@@ -187,6 +225,7 @@ class CheckpointVoteMsg:
 class StatusRequestMsg:
     """A rejoining replica asks everyone where the chain is — small."""
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     sender: int
 
 
@@ -204,6 +243,7 @@ class StatusResponseMsg:
         tip: responder's highest quorum certificate.
     """
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     sender: int
     epoch: int
     ledger_height: int
@@ -217,6 +257,7 @@ class SnapshotRequestMsg:
     """Ask one provider for committed blocks in (from_height, to_height]
     — a small request for a large reply."""
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     sender: int
     from_height: int
     to_height: int
@@ -228,6 +269,7 @@ class SnapshotResponseMsg:
     """Answer to :class:`SnapshotRequestMsg`: the requested committed
     blocks in height order — a *large* message, eventually timely."""
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     from_height: int
     blocks: Tuple[Block, ...]
 
@@ -238,6 +280,7 @@ class BlockRangeRequestMsg:
     """Ask one provider for the certified-but-uncommitted suffix above
     ``from_height`` — a small request for a large reply."""
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     sender: int
     from_height: int
 
@@ -254,6 +297,7 @@ class BlockRangeResponseMsg:
     AlterBFT's temporal commit rule).
     """
 
+    WIRE_PHASE: ClassVar[str] = "recovery"
     justify: Certificate
     blocks: Tuple[Block, ...]
     headers: Tuple[BlockHeader, ...]
@@ -273,6 +317,7 @@ class SHProposalMsg:
     model must bound, which is why Sync HotStuff's Δ must be large.
     """
 
+    WIRE_PHASE: ClassVar[str] = "propose"
     block: Block
     signature: bytes
     justify: Certificate
@@ -288,6 +333,7 @@ class SHProposalMsg:
 class HSProposalMsg:
     """Chained HotStuff proposal for one view."""
 
+    WIRE_PHASE: ClassVar[str] = "propose"
     block: Block
     signature: bytes
     justify: Certificate
@@ -298,6 +344,7 @@ class HSProposalMsg:
 class HSNewViewMsg:
     """Timeout/new-view message carrying the sender's highest QC."""
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     sender: int
     view: int
     high_qc: Certificate
@@ -314,6 +361,7 @@ class HSNewViewMsg:
 class PBFTPrePrepareMsg:
     """Leader's ordering proposal for sequence number ``seq``."""
 
+    WIRE_PHASE: ClassVar[str] = "propose"
     view: int
     seq: int
     block: Block
@@ -325,6 +373,7 @@ class PBFTPrePrepareMsg:
 class PBFTPrepareMsg:
     """Prepare-phase vote (phase 1)."""
 
+    WIRE_PHASE: ClassVar[str] = "vote"
     vote: Vote
 
 
@@ -333,6 +382,7 @@ class PBFTPrepareMsg:
 class PBFTCommitMsg:
     """Commit-phase vote (phase 2)."""
 
+    WIRE_PHASE: ClassVar[str] = "vote"
     vote: Vote
 
 
@@ -353,6 +403,7 @@ class PBFTViewChangeMsg:
         signature: sender's signature over (new_view, last_committed).
     """
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     sender: int
     new_view: int
     last_committed: int
@@ -371,6 +422,7 @@ class PBFTNewViewMsg:
     to (and cannot convincingly) pick different ones.
     """
 
+    WIRE_PHASE: ClassVar[str] = "epoch_change"
     new_view: int
     view_changes: Tuple[PBFTViewChangeMsg, ...]
     signature: bytes
@@ -381,6 +433,7 @@ class PBFTNewViewMsg:
 class PBFTSyncRequestMsg:
     """State transfer: ask for committed blocks above ``from_height``."""
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     from_height: int
 
 
@@ -389,6 +442,7 @@ class PBFTSyncRequestMsg:
 class PBFTSyncReplyMsg:
     """State transfer reply: (block, commit certificate) pairs in order."""
 
+    WIRE_PHASE: ClassVar[str] = "repair"
     entries: Tuple[Tuple[Block, Certificate], ...]
 
 
@@ -402,6 +456,7 @@ class PBFTSyncReplyMsg:
 class ProbeMsg:
     """One-way delay probe of a configurable size."""
 
+    WIRE_PHASE: ClassVar[str] = "measure"
     probe_id: int
     sent_at: float
     padding: bytes
@@ -412,6 +467,7 @@ class ProbeMsg:
 class ProbeAckMsg:
     """Acknowledgment carrying both timestamps for RTT estimation."""
 
+    WIRE_PHASE: ClassVar[str] = "measure"
     probe_id: int
     sent_at: float
     received_at: float
@@ -422,6 +478,7 @@ class ProbeAckMsg:
 class ClientReplyMsg:
     """Commit notification sent back to a client."""
 
+    WIRE_PHASE: ClassVar[str] = "client"
     client_id: int
     seq: int
     committed_at: float
@@ -447,6 +504,7 @@ class GuardProbeMsg:
     peer's name to poison that peer's measured delay distribution.
     """
 
+    WIRE_PHASE: ClassVar[str] = "guard"
     sender: int
     seq: int
     sent_at: float
@@ -463,6 +521,7 @@ class GuardProbeEchoMsg:
     RTT-style cross-checks.
     """
 
+    WIRE_PHASE: ClassVar[str] = "guard"
     sender: int
     seq: int
     probe_sender: int
@@ -475,6 +534,7 @@ class GuardProbeEchoMsg:
 class DeltaAdjustMsg:
     """A broadcast :class:`repro.types.certificates.DeltaAdjust` proposal."""
 
+    WIRE_PHASE: ClassVar[str] = "guard"
     adjust: DeltaAdjust
 
 
@@ -484,6 +544,7 @@ class DeltaAdjustCertMsg:
     """A gossiped Δ-adjustment certificate; receiving one schedules the
     new rung for installation at the next epoch boundary."""
 
+    WIRE_PHASE: ClassVar[str] = "guard"
     cert: Certificate
 
 
@@ -516,6 +577,7 @@ class ChunkShareMsg:
         proof: inclusion proof of ``share`` under ``chunk_root``.
     """
 
+    WIRE_PHASE: ClassVar[str] = "dissemination"
     epoch: int
     height: int
     block_hash: Digest
@@ -541,6 +603,7 @@ class ChunkRequestMsg:
             answers with verified shares outside this set.
     """
 
+    WIRE_PHASE: ClassVar[str] = "dissemination"
     sender: int
     epoch: int
     height: int
@@ -558,6 +621,7 @@ class ChunkResponseMsg:
     whose every pushed share was lost or corrupt can verify and decode.
     """
 
+    WIRE_PHASE: ClassVar[str] = "dissemination"
     epoch: int
     height: int
     block_hash: Digest

@@ -191,3 +191,31 @@ class TestBehaviorTargets:
         # withholding degenerates to suppressing the leader's proposals.
         apply_behavior("equivocate", pbft, network, scheduler)
         apply_behavior("withhold_payload", pbft, network, scheduler)
+
+
+class TestBadVote:
+    def test_pbft_prepares_and_commits_carry_corrupted_signatures(self):
+        """``bad-vote`` corrupts every vote-phase message a replica sends,
+        PBFT's prepares and commits included; honest replicas' verify."""
+        from repro.bench.common import make_config
+        from repro.runner.cluster import build_cluster
+        from repro.types.messages import PBFTCommitMsg, PBFTPrepareMsg
+
+        cluster = build_cluster(
+            make_config("pbft", f=1, rate=200, duration=2.0, seed=1, faults=((1, "bad-vote"),))
+        )
+        sent = {}  # (sender, class) → every vote it carried
+
+        def tap(src, dst, msg, size):
+            if isinstance(msg, (PBFTPrepareMsg, PBFTCommitMsg)):
+                sent.setdefault((src, type(msg)), []).append(msg.vote)
+            return True
+
+        cluster.network.add_filter(tap)
+        cluster.start()
+        cluster.run()
+        signer = cluster.replicas[0].signer
+        for cls in (PBFTPrepareMsg, PBFTCommitMsg):
+            assert sent.get((1, cls)), cls.__name__
+            assert not any(vote.verify(signer) for vote in sent[(1, cls)]), cls.__name__
+            assert all(vote.verify(signer) for vote in sent[(0, cls)]), cls.__name__

@@ -732,3 +732,109 @@ def test_the_comparison_finder_sees_a_protocol_name(tmp_path):
         "same = self.topology in ('single-az', 'three-regions')\n"
     )
     assert list(_protocol_comparisons(probe)) == ["1: compare", "2: compare"]
+
+
+# -- one phase table ----------------------------------------------------------
+
+#: The one module that says which wire phase a message class is in.
+PHASE_DECLARATIONS = "types/messages.py"
+
+
+def _class_named(node: ast.AST) -> str:
+    """The message class ``node`` names — a class (``VoteMsg``,
+    ``messages.VoteMsg``) or its name as a string — or ""."""
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value
+    else:
+        return ""
+    return name if name.endswith("Msg") else ""
+
+
+def _phase_mappings(path: Path) -> Iterator[str]:
+    """Each place ``path`` ties a message class to a wire phase: a
+    ``WIRE_PHASE`` assignment, a dict entry from a class (or its name) to
+    a phase, or a phase stored into a mapping, in line order."""
+    from repro.types.messages import WIRE_PHASE_NAMES
+
+    phases = set(WIRE_PHASE_NAMES) - {"other"}
+
+    def is_phase(node: ast.AST) -> bool:
+        if isinstance(node, ast.Constant):
+            return node.value in phases
+        return isinstance(node, ast.Attribute) and node.attr == "WIRE_PHASE"
+
+    sites = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                named = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+                if named == "WIRE_PHASE":
+                    sites.append((node.lineno, "declares WIRE_PHASE"))
+                elif isinstance(target, ast.Subscript) and is_phase(node.value):
+                    sites.append((node.lineno, "stores a phase"))
+        elif isinstance(node, ast.Dict):
+            for key, value in zip(node.keys, node.values):
+                if key is not None and _class_named(key) and is_phase(value):
+                    sites.append((key.lineno, f"maps {_class_named(key)}"))
+    for line, what in sorted(sites):
+        yield f"{line}: {what}"
+
+
+def test_each_message_class_declares_its_phase_in_one_place():
+    """Only the message module ties a class to a phase, once per class;
+    wire accounting reads the declarations and knows no runner."""
+    from repro.codec import registered_types
+
+    messages = [c for c in registered_types().values() if c.__name__.endswith("Msg")]
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) > 80
+    for path in files:
+        name = path.relative_to(SRC).as_posix()
+        found = list(_phase_mappings(path))
+        if name == PHASE_DECLARATIONS:
+            assert [site.split(": ")[1] for site in found] == ["declares WIRE_PHASE"] * len(messages)
+        else:
+            assert not found, f"{name} maps a message class to a phase: {found}"
+    for module, name in _imports(SRC / "obs" / "wire.py"):
+        assert not any(_within(c, "repro.runner") for c in _names(module, name)), module
+
+
+#: The phase tables the tree had before each class declared its own,
+#: abridged: where → (source, the finder's sites in it).
+RETIRED_PHASE_MAPS = {
+    "obs/wire._phase_map": (
+        "mapping = {\n"
+        "    'ProposalHeaderMsg': 'propose',\n"
+        "    'PayloadMsg': 'payload',\n"
+        "    'PBFTCommitMsg': 'vote',\n"
+        "}\n"
+        "for subsystem in SUBSYSTEMS:\n"
+        "    for msg_cls in subsystem.HANDLERS:\n"
+        "        mapping[msg_cls.__name__] = subsystem.WIRE_PHASE\n",
+        ["2: maps ProposalHeaderMsg", "3: maps PayloadMsg", "4: maps PBFTCommitMsg",
+         "8: stores a phase"],
+    ),
+    "a subsystem's phase": (
+        "class RecoveryManager:\n"
+        "    name = 'recovery'\n"
+        "    WIRE_PHASE = 'recovery'\n",
+        ["3: declares WIRE_PHASE"],
+    ),
+    "a table keyed by class": (
+        "PHASES = {VoteMsg: 'vote', messages.GuardProbeMsg: 'guard', Vote: 'vote'}\n",
+        ["1: maps GuardProbeMsg", "1: maps VoteMsg"],
+    ),
+}
+
+
+@pytest.mark.parametrize("where", list(RETIRED_PHASE_MAPS))
+def test_the_phase_finder_sees_each_retired_table(tmp_path, where):
+    source, sites = RETIRED_PHASE_MAPS[where]
+    probe = tmp_path / "probe.py"
+    probe.write_text(source)
+    assert list(_phase_mappings(probe)) == sites

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.common import make_config
 from repro.runner.cluster import build_cluster, check_safety
 from repro.runner.experiment import run_experiment
 from tests.conftest import quick_config
@@ -91,6 +92,25 @@ class TestHotStuff:
     def test_safety_across_seeds(self, seed):
         result = run_experiment(quick_config("hotstuff", seed=seed, duration=4.0))
         assert result.safety_ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="liveness hole (ROADMAP item 4): variant B is certified without replica 0, "
+        "which parks its commit on a block it never receives, and HotStuff has no ancestor fetch",
+    )
+    def test_every_honest_replica_commits_under_equivocation(self):
+        """A Byzantine leader sends variant A to the lower half and B to the
+        upper half.  Safety holds, but replica 0 has committed nothing by
+        the end of the run while replicas 2 and 3 have."""
+        cluster = build_cluster(
+            make_config("hotstuff", f=1, rate=500, duration=8, seed=1, faults=((1, "equivocate"),))
+        )
+        cluster.start()
+        cluster.run()
+        assert check_safety(cluster.replicas, cluster.honest_ids)
+        heights = {r.replica_id: r.ledger.height for r in cluster.replicas
+                   if r.replica_id in cluster.honest_ids}
+        assert all(heights.values()), heights
 
 
 class TestPBFT:

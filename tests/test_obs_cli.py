@@ -163,6 +163,14 @@ class TestCli:
         rc = obs_main(["block", str(recorded / "trace.jsonl"), "ffffffffffff"])
         assert rc == 1
 
+    def test_record_refuses_an_uncarried_flag(self, tmp_path, capsys):
+        """A flag the protocol does not carry is the run command's error
+        message and exit code 2, not a traceback."""
+        rc = obs_main(["record", "--protocol", "pbft", "--guard", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: pbft does not carry guard (guard_enabled=True)\n"
+        assert not list(tmp_path.iterdir())
+
     def test_epochs(self, recorded, capsys):
         rc = obs_main(["epochs", str(recorded / "trace.jsonl")])
         assert rc == 0  # honest run: typically "no epoch changes"

@@ -11,9 +11,12 @@ The load-bearing properties pinned here:
   counters ``Trace`` used to keep beside it (``tests/wire_oracle.py``).
 * **Inertness** — the trace fingerprint, read from the accountant, is
   the golden fingerprint pinned when the trace counted messages itself.
-* **Contract** — each subsystem's ``WIRE_PHASE`` is the phase of every
-  message it handles, a protocol's full contract is the phases its
-  ``HANDLERS`` map handles plus those of the subsystems it carries, and
+* **Phase table** — every registered message class declares its
+  ``WIRE_PHASE`` in ``repro.types.messages``, and ``classify_phase``
+  reads that declaration; the whole class → phase table is pinned.
+* **Contract** — the messages a subsystem handles share one phase no
+  other owner handles, a protocol's full contract is the declared phases
+  of what its ``HANDLERS`` map and its carried subsystems' handle, and
   live traffic stays inside it.
 """
 
@@ -49,6 +52,7 @@ from repro.net.delay import HybridCloudDelayModel
 from repro.net.simnet import SimNetwork
 from repro.config import NetworkConfig
 from repro.runner.cluster import build_cluster
+from repro.codec import registered_types
 from repro.runner.registry import SUBSYSTEMS, wire_phases_for
 from repro.types.block import BlockHeader
 from repro.types.messages import (
@@ -102,7 +106,67 @@ def _run_cluster():
 # ---------------------------------------------------------------------------
 
 
+#: Every registered message class → its phase: the table the accountant
+#: classified by before each class declared its own phase.
+PHASE_TABLE = {
+    "ProposalHeaderMsg": "propose",
+    "PayloadMsg": "payload",
+    "VoteMsg": "vote",
+    "BlameMsg": "epoch_change",
+    "BlameCertMsg": "epoch_change",
+    "EquivocationProofMsg": "epoch_change",
+    "StatusMsg": "epoch_change",
+    "PayloadRequestMsg": "repair",
+    "PayloadResponseMsg": "repair",
+    "BlockRequestMsg": "repair",
+    "BlockResponseMsg": "repair",
+    "CheckpointVoteMsg": "recovery",
+    "StatusRequestMsg": "recovery",
+    "StatusResponseMsg": "recovery",
+    "SnapshotRequestMsg": "recovery",
+    "SnapshotResponseMsg": "recovery",
+    "BlockRangeRequestMsg": "recovery",
+    "BlockRangeResponseMsg": "recovery",
+    "SHProposalMsg": "propose",
+    "HSProposalMsg": "propose",
+    "HSNewViewMsg": "epoch_change",
+    "PBFTPrePrepareMsg": "propose",
+    "PBFTPrepareMsg": "vote",
+    "PBFTCommitMsg": "vote",
+    "PBFTViewChangeMsg": "epoch_change",
+    "PBFTNewViewMsg": "epoch_change",
+    "PBFTSyncRequestMsg": "repair",
+    "PBFTSyncReplyMsg": "repair",
+    "ProbeMsg": "measure",
+    "ProbeAckMsg": "measure",
+    "ClientReplyMsg": "client",
+    "GuardProbeMsg": "guard",
+    "GuardProbeEchoMsg": "guard",
+    "DeltaAdjustMsg": "guard",
+    "DeltaAdjustCertMsg": "guard",
+    "ChunkShareMsg": "dissemination",
+    "ChunkRequestMsg": "dissemination",
+    "ChunkResponseMsg": "dissemination",
+}
+
+
+def _phases(owner) -> set:
+    """The declared phases of the classes ``owner`` (a replica class or a
+    subsystem) handles."""
+    return {msg_cls.WIRE_PHASE for msg_cls in owner.HANDLERS}
+
+
 class TestPhaseContract:
+    def test_every_message_class_declares_its_phase(self):
+        """Each registered ``*Msg`` class declares a real phase on itself,
+        and the accountant classifies by exactly that declaration; every
+        other registered type (blocks, votes, certificates) reads "other"."""
+        messages = {c.__name__: c for c in registered_types().values() if c.__name__.endswith("Msg")}
+        assert {name: cls.__dict__["WIRE_PHASE"] for name, cls in messages.items()} == PHASE_TABLE
+        for cls in registered_types().values():
+            assert classify_phase(cls.__name__) == PHASE_TABLE.get(cls.__name__, "other")
+        assert set(PHASE_TABLE.values()) == set(WIRE_PHASE_NAMES) - {"other"}
+
     def test_every_handled_class_has_a_phase(self):
         """No consensus message class may fall into 'other'."""
         for owner in ALL_REPLICA_CLASSES + SUBSYSTEMS:
@@ -112,16 +176,16 @@ class TestPhaseContract:
                 assert phase in WIRE_PHASE_NAMES
 
     def test_a_subsystem_owns_one_phase(self):
-        """Every message a subsystem handles is accounted to its WIRE_PHASE,
-        and no two subsystems (or a subsystem and a core protocol) share one."""
+        """Every message a subsystem handles declares one phase, and no two
+        subsystems (or a subsystem and a core protocol) share one."""
+        owned = []
         for subsystem in SUBSYSTEMS:
             assert subsystem.HANDLERS, subsystem.name
-            for msg_cls in subsystem.HANDLERS:
-                assert classify_phase(msg_cls.__name__) == subsystem.WIRE_PHASE
-        phases = [s.WIRE_PHASE for s in SUBSYSTEMS]
-        assert len(set(phases)) == len(phases)
+            (phase,) = _phases(subsystem)
+            owned.append(phase)
+        assert owned == ["recovery", "guard", "dissemination"]
         for cls in ALL_REPLICA_CLASSES:
-            assert not set(phases) & set(cls.handled_wire_phases())
+            assert not set(owned) & _phases(cls)
 
     def test_full_contract_is_core_plus_carried_subsystems(self):
         """What ``repro.obs wire`` holds observed traffic to — pinned to the
@@ -129,7 +193,7 @@ class TestPhaseContract:
         so the contract can never silently get weaker."""
         for cls in ALL_REPLICA_CLASSES:
             carried = [s for s in SUBSYSTEMS if s.name in cls.FEATURES]
-            expected = set(cls.handled_wire_phases()) | {s.WIRE_PHASE for s in carried}
+            expected = _phases(cls).union(*map(_phases, carried))
             assert wire_phases_for(cls.protocol_name) == expected
         assert wire_phases_for("alterbft") == {
             "propose",
@@ -158,8 +222,8 @@ class TestPhaseContract:
     def test_alterbft_has_separate_payload_phase(self):
         """The split the paper turns on: AlterBFT disseminates payloads
         outside the Δ-bounded propose phase; Sync HotStuff cannot."""
-        assert "payload" in AlterBFTReplica.handled_wire_phases()
-        assert "payload" not in SyncHotStuffReplica.handled_wire_phases()
+        assert "payload" in _phases(AlterBFTReplica)
+        assert "payload" not in _phases(SyncHotStuffReplica)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +618,7 @@ class TestSnapshotIO:
         assert obs_main(record + flags + ["--seed", "7", "--out-dir", str(tmp_path)]) == 0
         path = os.path.join(tmp_path, "trace.jsonl")
         observed = {r["phase"] for r in read_jsonl(path)[2]["phases"] if r["bytes"]}
-        assert {s.WIRE_PHASE for s in SUBSYSTEMS} <= observed
+        assert set().union(*map(_phases, SUBSYSTEMS)) <= observed
         capsys.readouterr()
         assert obs_main(["wire", path]) == 0
         out = capsys.readouterr().out
