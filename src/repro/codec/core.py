@@ -395,10 +395,11 @@ def encode(value: Any) -> bytes:
 # Position-passing: every decoder is ``(data, pos, room) -> (value, pos)``
 # with ``pos`` just past the tag byte and ``room`` the nesting levels still
 # allowed.  No reader object, no per-byte method calls; one-byte varints
-# (every tag, count, type id and most ints) are read inline.  Running off
-# the end of ``data`` surfaces as ``IndexError``/``struct.error`` and is
-# turned into a ``CodecError`` once, in :func:`decode`; slices, which clamp
-# instead of raising, check their own length.
+# (every tag, count, type id and most ints) are read inline, and so are a
+# struct field's two-byte ones.  Running off the end of ``data`` surfaces
+# as ``IndexError``/``struct.error`` and is turned into a ``CodecError``
+# once, in :func:`decode`; slices, which clamp instead of raising, check
+# their own length.
 #
 # The decoder is *canonical*: it accepts exactly the bytes :func:`encode`
 # emits, so ``encode(decode(b)) == b`` for every ``b`` it accepts.  Varints
@@ -417,7 +418,8 @@ _unpack_double = struct.Struct(">d").unpack_from
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    """Multi-byte varint at ``pos``; callers inline the one-byte case."""
+    """Multi-byte varint at ``pos``; the generated struct decoders inline the
+    one- and two-byte cases, the other decoders the one-byte case."""
     value = data[pos] & 0x7F
     byte = data[pos + 1]
     if 0 < byte < 0x80:  # two bytes: any length or count up to 16383
@@ -575,6 +577,22 @@ _DECODERS = tuple(_DECODER_BY_TAG.get(tag, _dec_unknown) for tag in range(256))
 # pos)`` with ``pos`` *at* the value's tag byte, since the tag is what it
 # checks first.
 
+
+def _two_byte_varint(name: str) -> List[str]:
+    """Generated lines completing the read of the varint whose first byte,
+    already in ``name`` and at ``pos + 1``, is not below 0x80: a second
+    byte in 1..0x7F ends it inline (every 1 KiB length, every ``int`` from
+    64 to 8191), anything else goes to ``read_varint``, which refuses a
+    non-minimal one."""
+    return [
+        "    elif 0 < data[pos + 2] < 0x80:",
+        f"        {name} = ({name} & 0x7F) | (data[pos + 2] << 7)",
+        "        pos += 3",
+        "    else:",
+        f"        {name}, pos = read_varint(data, pos + 1)",
+    ]
+
+
 #: How a struct's decoder reads one field of each scalar type, ``{i}`` the
 #: field's index and ``{name}`` its label: the lines that check the tag and
 #: step over the field (an ``int`` leaves its varint in ``v{i}``), then the
@@ -591,8 +609,7 @@ _CHECKED_READ: Dict[type, Tuple[List[str], List[str]]] = {
             "    v{i} = data[pos + 1]",
             "    if v{i} < 0x80:",
             "        pos += 2",
-            "    else:",
-            "        v{i}, pos = read_varint(data, pos + 1)",
+            *_two_byte_varint("v{i}"),
         ],
         ["    v{i} = (v{i} >> 1) ^ -(v{i} & 1)"],
     ),
@@ -611,8 +628,7 @@ _CHECKED_READ: Dict[type, Tuple[List[str], List[str]]] = {
             "    length = data[pos + 1]",
             "    if length < 0x80:",
             "        pos += 2",
-            "    else:",
-            "        length, pos = read_varint(data, pos + 1)",
+            *_two_byte_varint("length"),
             "    pos += length",
         ],
         [
@@ -845,7 +861,31 @@ def field_of(wire: bytes, index: int) -> Any:
     return decoders[wire[pos]](wire, pos + 1, MAX_NESTING)[0]
 
 
-def decode(data: bytes) -> Any:
+_Shape = Tuple[Any, ...]
+
+#: Shapes :func:`decode` has been asked for: shape → (the encoding of
+#: everything before the class's fields, the class's struct decoder, the
+#: shape's leading values).  One entry per shape a caller names in its
+#: source, built on first use.
+_SHAPES: Dict[_Shape, Tuple[bytes, _Reader, _Shape]] = {}
+
+
+def _compile_shape(shape: _Shape) -> Tuple[bytes, _Reader, _Shape]:
+    if not (type(shape) is tuple and shape and shape[-1] in _registry_by_type):
+        raise CodecError(f"a shape is a tuple of values ending in a registered class: {shape!r}")
+    head, type_id = shape[:-1], _registry_by_type[shape[-1]]
+    out: List[bytes] = [_B_TUPLE]
+    _write_varint(out, len(shape))
+    for value in head:
+        _encode_into(value, out)
+    out.append(_B_STRUCT)
+    _write_varint(out, type_id)
+    decoder = _STRUCT_DECODERS.get(type_id) or _build_struct_decoder(type_id)
+    compiled = _SHAPES[shape] = (b"".join(out), decoder, head)
+    return compiled
+
+
+def decode(data: bytes, shape: Any = None) -> Any:
     """Decode bytes produced by :func:`encode`.
 
     Canonical and typed: anything other than exactly what :func:`encode`
@@ -854,11 +894,30 @@ def decode(data: bytes) -> Any:
     is a registered class with a field of another type than its annotation
     (see :func:`register`).  ``CodecError`` is the only exception hostile
     bytes can raise.
+
+    ``shape``, when given, is the one value shape the caller accepts: a
+    tuple of values ending in a registered class, such as
+    ``("client-tx", Transaction)`` — a tuple of that length whose leading
+    items encode exactly as the shape's do and whose last item is an
+    instance of exactly that class.  Decoding then compares the bytes of
+    everything before the instance's fields with the shape's, encoded once,
+    and runs the class's struct decoder from there, instead of walking the
+    frame tag by tag.  The result is exactly ``decode(data)`` when that
+    value has the shape, and a ``CodecError`` otherwise, whether or not
+    ``data`` decodes to some other value.
     """
     if type(data) is not bytes:
         data = bytes(data)  # slices of it become values: keep them immutable
     try:
-        value, pos = _DECODERS[data[0]](data, 1, MAX_NESTING)
+        if shape is None:
+            value, pos = _DECODERS[data[0]](data, 1, MAX_NESTING)
+        else:
+            prefix, decoder, head = _SHAPES.get(shape) or _compile_shape(shape)
+            if not data.startswith(prefix):
+                raise CodecError(f"not of the shape {shape!r}")
+            # The tuple's items nest one level down, as in _dec_tuple.
+            item, pos = decoder(data, len(prefix), MAX_NESTING - 1)
+            value = (*head, item)
     except (IndexError, struct.error):
         raise CodecError("truncated message") from None
     if pos != len(data):

@@ -375,6 +375,12 @@ class AlterBFTReplica(BaseReplica):
 
     def _accept_header(self, msg: ProposalHeaderMsg) -> None:
         header = msg.header
+        # A relayed copy of a recorded header is a no-op.  A conflict is
+        # found when the second *distinct* header arrives, so a copy of one
+        # already recorded can neither reveal a conflict nor enable a vote.
+        # Callers verify before they get here: a tampered relay is refused.
+        if self._epoch_headers.get(header.epoch, {}).get(header.height) == header.block_hash:
+            return
         # Store every leader-signed header regardless of conflicts: the
         # block tree is content-addressed and must be able to serve the
         # ancestry of whichever branch survives the epoch change.

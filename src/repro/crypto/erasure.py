@@ -98,6 +98,24 @@ def _lagrange_coefficient(points: Sequence[int], at: int, target: int) -> int:
     return _gf_div(num, den)
 
 
+#: (interpolation points, target) → the Lagrange coefficient of each
+#: point at ``target``, in the points' order.  Share indexes are below n
+#: (the dissemination layer refuses others before it keeps a share), so a
+#: cluster with threshold k meets at most C(n, k) point sets, each with
+#: fewer than n targets.
+_COEFFICIENTS: Dict[tuple, tuple] = {}
+
+
+def _coefficients(points: tuple, target: int) -> tuple:
+    key = (points, target)
+    coefficients = _COEFFICIENTS.get(key)
+    if coefficients is None:
+        coefficients = _COEFFICIENTS[key] = tuple(
+            _lagrange_coefficient(points, at, target) for at in points
+        )
+    return coefficients
+
+
 def share_length(data_len: int, k: int) -> int:
     """Length in bytes of each share for a ``data_len``-byte payload."""
     if k < 1:
@@ -118,13 +136,12 @@ def encode_shares(data: bytes, k: int, n: int) -> List[bytes]:
     padded = data.ljust(shard_len * k, b"\x00")
     shards = [padded[i * shard_len : (i + 1) * shard_len] for i in range(k)]
     shares = list(shards)
-    points = range(k)
+    points = tuple(range(k))
     for x in range(k, n):
         acc = bytes(shard_len)
-        for i in points:
-            c = _lagrange_coefficient(points, i, x)
+        for shard, c in zip(shards, _coefficients(points, x)):
             if c:
-                acc = _xor(acc, shards[i].translate(_mul_table(c)))
+                acc = _xor(acc, shard.translate(_mul_table(c)))
         shares.append(acc)
     return shares
 
@@ -141,7 +158,7 @@ def decode_shares(shares: Mapping[int, bytes], k: int, data_len: int) -> bytes:
         raise CryptoError(f"k must be in 1..{MAX_SHARES}, got {k}")
     if len(shares) < k:
         raise CryptoError(f"need {k} shares to decode, got {len(shares)}")
-    chosen = sorted(shares)[:k]
+    chosen = tuple(sorted(shares)[:k])
     if chosen[0] < 0 or chosen[-1] >= MAX_SHARES:
         raise CryptoError(f"share index out of range 0..{MAX_SHARES - 1}: {chosen}")
     shard_len = len(shares[chosen[0]])
@@ -158,8 +175,7 @@ def decode_shares(shares: Mapping[int, bytes], k: int, data_len: int) -> bytes:
             shards.append(shares[target])
             continue
         acc = bytes(shard_len)
-        for x in chosen:
-            c = _lagrange_coefficient(chosen, x, target)
+        for x, c in zip(chosen, _coefficients(chosen, target)):
             if c:
                 acc = _xor(acc, shares[x].translate(_mul_table(c)))
         shards.append(acc)

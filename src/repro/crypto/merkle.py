@@ -9,6 +9,7 @@ that splice an interior node in as a leaf.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -74,15 +75,17 @@ class MerkleTree:
         if self._count == 0:
             self._levels: List[List[Digest]] = [[ZERO_DIGEST]]
             return
-        level = [_leaf_hash(leaf) for leaf in leaves]
+        # _leaf_hash and _node_hash, one comprehension per level: a bulk
+        # block is a few hundred leaves, hashed by every replica.
+        h = hashlib.sha256
+        level = [h(_LEAF_PREFIX + leaf).digest() for leaf in leaves]
         levels = [level]
         while len(level) > 1:
-            nxt: List[Digest] = []
-            for i in range(0, len(level), 2):
-                left = level[i]
-                right = level[i + 1] if i + 1 < len(level) else level[i]
-                nxt.append(_node_hash(left, right))
-            level = nxt
+            paired = level + level[-1:] if len(level) % 2 else level  # odd node: itself
+            level = [
+                h(_NODE_PREFIX + left + right).digest()
+                for left, right in zip(paired[::2], paired[1::2])
+            ]
             levels.append(level)
         self._levels = levels
 

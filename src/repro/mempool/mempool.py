@@ -45,14 +45,21 @@ class Mempool:
 
     def add(self, tx: Transaction) -> bool:
         """Queue a transaction; False if it is a duplicate or already done."""
-        key = tx_key(tx)
-        if key in self._pending or key in self._inflight or self._is_committed(*key):
+        # Once per transaction a replica hears of: the key and the committed
+        # test are spelt out here rather than called (tx_key, _is_committed).
+        client_id, seq = key = (tx.client_id, tx.seq)
+        pending = self._pending
+        if key in pending or key in self._inflight:
             return False
-        if len(self._pending) >= self.capacity:
+        if 0 <= seq < self._committed_below.get(client_id, 0):
+            return False
+        beyond = self._committed_beyond.get(client_id)
+        if beyond is not None and seq in beyond:
+            return False
+        if len(pending) >= self.capacity:
             raise MempoolError("mempool is full")
-        was_empty = not self._pending
-        self._pending[key] = tx
-        if was_empty and self.wakeup is not None:
+        pending[key] = tx
+        if len(pending) == 1 and self.wakeup is not None:
             self.wakeup()
         return True
 
@@ -90,11 +97,16 @@ class Mempool:
 
     def remove_committed(self, txs: Iterable[Transaction]) -> None:
         """Drop committed transactions from pending and in-flight."""
+        pending, inflight = self._pending, self._inflight
+        below, beyond = self._committed_below, self._committed_beyond
         for tx in txs:
-            key = tx_key(tx)
-            self._inflight.pop(key, None)
-            self._pending.pop(key, None)
-            self._mark_committed(*key)
+            client_id, seq = key = (tx.client_id, tx.seq)
+            inflight.pop(key, None)
+            pending.pop(key, None)
+            if seq == below.get(client_id, 0) and not beyond.get(client_id):
+                below[client_id] = seq + 1  # the client's next in line
+            else:
+                self._mark_committed(client_id, seq)
 
     def resolve(self, transactions: Tuple[Transaction, ...]) -> Tuple[Transaction, ...]:
         """``transactions`` with each one this pool holds swapped for its copy.

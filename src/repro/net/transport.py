@@ -16,7 +16,9 @@ Receiving is buffered per connection (:class:`FrameReader`): one socket
 read brings in whatever has arrived, up to :data:`READ_CHUNK`, and frames
 are handed out of that chunk one :func:`read_frame` call at a time, so a
 burst of small frames costs one trip through the event loop, not two per
-frame.
+frame.  A client connection (hello -1) carries nothing but transactions,
+so each of its frames is decoded as :data:`CLIENT_TX` and anything else
+on it is a bad frame.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ MAX_FRAME = 64 * 1024 * 1024
 
 #: Most a :class:`FrameReader` asks the socket for at once.
 READ_CHUNK = 64 * 1024
+
+#: The one frame a client sends: a transaction for the mempool.  Also the
+#: shape every frame on a client connection is decoded as.
+CLIENT_TX = ("client-tx", Transaction)
 
 _frame_length = struct.Struct(">I").unpack_from
 
@@ -97,6 +103,22 @@ class FrameReader:
         self._data = b""
         self._pos = 0
 
+    def buffered_frame(self) -> Optional[bytes]:
+        """The next frame's bytes, without its length prefix, if the last
+        read brought all of them in; else ``None``, consuming nothing."""
+        data, pos = self._data, self._pos
+        if len(data) - pos < 4:
+            return None
+        start = pos + 4
+        stop = start + _frame_length(data, pos)[0]
+        if stop < len(data):
+            self._pos = stop
+            return data[start:stop]
+        if stop == len(data):
+            self._data, self._pos = b"", 0  # this frame uses the chunk up
+            return data[start:]
+        return None
+
     async def next_frame(self) -> bytes:
         """The next frame's bytes, without its length prefix.
 
@@ -105,30 +127,34 @@ class FrameReader:
         :data:`MAX_FRAME`, before reading any more of it, and
         ``asyncio.IncompleteReadError`` when the stream ends first.
         """
-        data, pos = self._data, self._pos
-        while len(data) - pos < 4:
+        while True:
+            frame = self.buffered_frame()
+            if frame is not None:
+                return frame
+            data, pos = self._data, self._pos
+            if len(data) - pos >= 4:
+                break  # a frame that overruns the chunk
             chunk = await self._stream.read(READ_CHUNK)
             if not chunk:
                 raise asyncio.IncompleteReadError(data[pos:], 4)
-            data, pos = data[pos:] + chunk, 0
+            self._data, self._pos = data[pos:] + chunk, 0
         (length,) = _frame_length(data, pos)
         if length > MAX_FRAME:
             raise TransportError(f"incoming frame of {length} bytes exceeds limit")
-        start = pos + 4
-        stop = start + length
-        if stop < len(data):
-            self._data, self._pos = data, stop
-            return data[start:stop]
-        self._data, self._pos = b"", 0  # this frame uses the chunk up
-        if stop == len(data):
-            return data[start:]
         # The rest of the frame, however large, in one read; the next chunk
         # then starts on a frame boundary.
-        return data[start:] + await self._stream.readexactly(stop - len(data))
+        self._data, self._pos = b"", 0
+        return data[pos + 4 :] + await self._stream.readexactly(pos + 4 + length - len(data))
 
 
-async def read_frame(frames: FrameReader) -> object:
-    return decode(await frames.next_frame())
+async def read_frame(frames: FrameReader, shape: Optional[tuple] = None) -> object:
+    """The next frame of ``frames``, decoded (as ``shape``, if given: see
+    :func:`repro.codec.decode`).  A frame already buffered is taken without
+    awaiting anything."""
+    frame = frames.buffered_frame()
+    if frame is None:
+        frame = await frames.next_frame()
+    return decode(frame, shape)
 
 
 class AsyncioContext:
@@ -309,23 +335,25 @@ class AsyncReplicaNode:
             # Our own copies never touch a socket: only a peer or a client dials.
             if src != -1 and (src == self.replica.replica_id or src not in self.peers):
                 raise TransportError(f"hello from impossible id {src}")
+            # A client's frames are each read as a transaction, so any other
+            # frame on its link fails to decode; a peer's may be either.
+            shape = CLIENT_TX if src == -1 else None
             while not self._stopped:
-                msg = await read_frame(frames)
-                if isinstance(msg, tuple) and msg and msg[0] == "client-tx":
-                    # Client traffic: feed the mempool directly.
+                msg = await read_frame(frames, shape)
+                if shape is None:
+                    if not (isinstance(msg, tuple) and msg and msg[0] == "client-tx"):
+                        self.replica.handle(src, msg)
+                        continue
                     if len(msg) != 2 or not isinstance(msg[1], Transaction):
                         raise TransportError("malformed client-tx frame")
-                    try:
-                        self.replica.mempool.add(msg[1])
-                    except MempoolError:
-                        # Pool full: shed the transaction, keep the link —
-                        # it may be a peer's and carry consensus traffic too.
-                        if self.metrics is not None:
-                            self.metrics.counter("transport/mempool_rejects_total").inc()
-                    continue
-                if src == -1:
-                    raise TransportError("a client connection carries only client-tx")
-                self.replica.handle(src, msg)
+                # Client traffic: feed the mempool directly.
+                try:
+                    self.replica.mempool.add(msg[1])
+                except MempoolError:
+                    # Pool full: shed the transaction, keep the link —
+                    # it may be a peer's and carry consensus traffic too.
+                    if self.metrics is not None:
+                        self.metrics.counter("transport/mempool_rejects_total").inc()
         except (CodecError, TransportError):
             # Undecodable, oversized, or not what it claims to be.  Nothing
             # behind a bad frame can be trusted to be framed at all, so the

@@ -22,7 +22,7 @@ from ..crypto.signatures import HashSignatureScheme, KeyRegistry
 from ..mempool.mempool import Mempool
 from ..net.delay import HybridCloudDelayModel
 from ..net.simnet import SimNetwork
-from ..net.transport import FrameReader, encode_frame, read_frame
+from ..net.transport import CLIENT_TX, FrameReader, encode_frame, read_frame
 from ..config import NetworkConfig
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
@@ -108,7 +108,7 @@ def bench_codec(reps: int, inner: int) -> List[BenchResult]:
         ),
         measure(
             "codec.decode_client_tx",
-            lambda: decode(client_frame),
+            lambda: decode(client_frame, CLIENT_TX),
             reps,
             inner,
             meta={"tx_bytes": BULK_TX_BYTES, "wire_bytes": len(client_frame)},
@@ -328,8 +328,9 @@ def bench_transport(reps: int) -> List[BenchResult]:
     """A client connection's receive loop, without the socket.
 
     Pre-framed ``("client-tx", tx)`` frames sit in an in-memory
-    ``StreamReader``; each goes ``FrameReader`` → ``read_frame`` →
-    ``Mempool.add``, as in ``AsyncReplicaNode._on_connection``.
+    ``StreamReader``; each goes ``FrameReader`` → ``read_frame(frames,
+    CLIENT_TX)`` → ``Mempool.add``, as on a client connection in
+    ``AsyncReplicaNode._on_connection``.
     """
     stream = b"".join(
         encode_frame(("client-tx", tx)) for tx in _make_transactions(INGEST_TXS, BULK_TX_BYTES)
@@ -343,7 +344,7 @@ def bench_transport(reps: int) -> List[BenchResult]:
         pool = Mempool()
         try:
             while True:
-                pool.add((await read_frame(frames))[1])
+                pool.add((await read_frame(frames, CLIENT_TX))[1])
         except asyncio.IncompleteReadError:
             pass
         if len(pool) != INGEST_TXS:

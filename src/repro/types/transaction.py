@@ -64,12 +64,14 @@ class Transaction:
         """The transaction whose encoding is ``wire`` (codec contract).
 
         ``wire`` is trusted: the decoder has checked it, byte for byte, and
-        nothing checks it again.
+        nothing checks it again.  Called once per transaction a replica
+        receives, so it fills the slots through their descriptors, bound
+        below, rather than by name.
         """
-        tx = cls.__new__(cls)
-        _set(tx, "wire", wire)
-        _set(tx, "client_id", client_id)
-        _set(tx, "seq", seq)
+        tx = _new(cls)
+        _set_wire(tx, wire)
+        _set_client_id(tx, client_id)
+        _set_seq(tx, seq)
         return tx
 
     @property
@@ -103,6 +105,12 @@ class Transaction:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tx(client={self.client_id}, seq={self.seq}, {len(self.payload)}B)"
+
+
+_new = object.__new__
+_set_wire = Transaction.__dict__["wire"].__set__
+_set_client_id = Transaction.__dict__["client_id"].__set__
+_set_seq = Transaction.__dict__["seq"].__set__
 
 
 def make_transaction(client_id: int, seq: int, now: float, payload_size: int) -> Transaction:

@@ -147,6 +147,38 @@ class TestVoting:
         assert relays == [((2,), header_msg)]
         assert not [m for m in ctx.broadcasts if isinstance(m, ProposalHeaderMsg)]
 
+    @pytest.mark.parametrize("payload_first", [False, True], ids=["not-yet-voted", "voted"])
+    def test_a_relayed_copy_of_a_recorded_header_is_a_no_op(self, setup, payload_first):
+        """A second delivery sends nothing, changes no replica state and
+        makes no vote attempt; a tampered copy is still refused."""
+        replica, ctx, signers = setup
+        header_msg, payload_msg, _ = make_proposal(signers[1], 1, 1, gen_qc(replica))
+        if payload_first:
+            replica.handle(1, payload_msg)
+        replica.handle(1, header_msg)
+        assert len(ctx.sent_of_type(VoteMsg)) == int(payload_first)
+
+        def state():
+            return {
+                name: value.copy() if isinstance(value, (dict, set, list)) else value
+                for name, value in vars(replica).items()
+            }
+
+        before = state()
+        sent, broadcasts, timers = len(ctx.sent), len(ctx.broadcasts), len(ctx.timers)
+        attempts = []
+        replica._maybe_vote_chain = attempts.append
+        replica.handle(2, header_msg)
+        del replica._maybe_vote_chain
+        assert attempts == []
+        assert state() == before
+        assert (len(ctx.sent), len(ctx.broadcasts), len(ctx.timers)) == (sent, broadcasts, timers)
+        forged = ProposalHeaderMsg(
+            header=header_msg.header, signature=b"\x00" * 64, justify=header_msg.justify
+        )
+        with pytest.raises(VerificationError):
+            replica.on_proposal_header(2, forged)
+
     def test_proposer_never_relays_its_own_header(self, signers3, validators3):
         config = ProtocolConfig(n=3, f=1, delta=DELTA, epoch_timeout=1.0, idle_propose_delay=0.0)
         leader = AlterBFTReplica(1, validators3, config, signers3[1])

@@ -147,3 +147,56 @@ def test_every_exact_subset_of_small_clusters(data, f):
     for combo in combinations(range(n), k):
         subset = {i: shares[i] for i in combo}
         assert decode_shares(subset, k, len(data)) == data
+
+
+def _reference_shares(data: bytes, k: int, n: int):
+    """``encode_shares`` with every coefficient computed afresh."""
+    from repro.crypto.erasure import _lagrange_coefficient, _mul_table, _xor
+
+    shard_len = share_length(len(data), k)
+    padded = data.ljust(shard_len * k, b"\x00")
+    shards = [padded[i * shard_len : (i + 1) * shard_len] for i in range(k)]
+    shares = list(shards)
+    for x in range(k, n):
+        acc = bytes(shard_len)
+        for i in range(k):
+            acc = _xor(acc, shards[i].translate(_mul_table(_lagrange_coefficient(range(k), i, x))))
+        shares.append(acc)
+    return shares
+
+
+def _reference_decode(shares, k: int, data_len: int) -> bytes:
+    """``decode_shares`` with every coefficient computed afresh."""
+    from repro.crypto.erasure import _lagrange_coefficient, _mul_table, _xor
+
+    chosen = sorted(shares)[:k]
+    shard_len = len(shares[chosen[0]])
+    shards = []
+    for target in range(k):
+        acc = bytes(shard_len)
+        for x in chosen:
+            c = _lagrange_coefficient(chosen, x, target)
+            acc = _xor(acc, shares[x].translate(_mul_table(c)))
+        shards.append(acc)
+    return b"".join(shards)[:data_len]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold-memo", "warm-memo"])
+def test_memoized_coefficients_change_no_byte(warm):
+    """Shares and reconstructions are those of the coefficients computed
+    afresh, for every k-subset of every n <= 9, memo empty or full."""
+    from itertools import combinations
+
+    from repro.crypto import erasure
+
+    if not warm:
+        erasure._COEFFICIENTS.clear()
+    data = bytes(range(7, 250, 3))
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            shares = encode_shares(data, k, n)
+            assert shares == _reference_shares(data, k, n)
+            for combo in combinations(range(n), k):
+                subset = {i: shares[i] for i in combo}
+                got = decode_shares(subset, k, len(data))
+                assert got == _reference_decode(subset, k, len(data)) == data

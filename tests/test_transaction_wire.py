@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.codec import decode, encode, encode_cached, encoded_size
 from repro.codec.core import encode_fields, field_of
 from repro.errors import CodecError
+from repro.net.transport import CLIENT_TX
 from repro.types.transaction import Transaction
 from tests import codec_oracle
 
@@ -186,6 +187,83 @@ def test_exhaustive_single_byte_mutations_of_one_transaction():
                     assert type(value) is Transaction and value.wire == mutant
                     accepted += 1
     assert accepted > 0  # e.g. any other byte inside the float or the payload
+
+
+def _shaped(data: bytes):
+    try:
+        return decode(data, CLIENT_TX)
+    except CodecError:
+        return None
+
+
+def _has_client_tx_shape(value) -> bool:
+    return (
+        type(value) is tuple
+        and len(value) == 2
+        and encode(value[0]) == encode("client-tx")
+        and type(value[1]) is Transaction
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _ints,
+    _ints,
+    _floats,
+    st.one_of(st.binary(max_size=24), st.sampled_from([b"\x07" * 200, b"\x01" * 1024])),
+    st.binary(min_size=1, max_size=8),
+)
+def test_a_client_frame_read_by_its_shape_is_the_generic_read_or_refused(
+    client_id, seq, submitted_at, payload, tail
+):
+    """Differential, over valid client frames with bytes flipped, cut short
+    or extended: ``decode(f, CLIENT_TX)`` is ``decode(f)`` when that is a
+    ``("client-tx", Transaction)``, and a ``CodecError`` otherwise."""
+    frame = encode(("client-tx", Transaction(client_id, seq, submitted_at, payload)))
+    mutants = [frame, frame + tail, frame + frame, tail + frame]
+    mutants += [frame[:cut] for cut in range(len(frame))]
+    for at in range(len(frame)):
+        for flip in (0x01, 0x80, 0xFF):
+            mutants.append(frame[:at] + bytes([frame[at] ^ flip]) + frame[at + 1 :])
+    shaped = 0
+    for mutant in mutants:
+        expected, got = _outcome(mutant), _shaped(mutant)
+        if _has_client_tx_shape(expected):
+            shaped += 1
+            assert type(got) is tuple and got == expected, mutant.hex()
+            assert type(got[1]) is Transaction and got[1].wire == expected[1].wire
+            assert (got[1].client_id, got[1].seq) == (expected[1].client_id, expected[1].seq)
+        else:
+            assert got is None, mutant.hex()
+    assert shaped >= 1  # the frame itself
+
+
+def _pad_varint(wire: bytes, at: int, width: int) -> bytes:
+    """``wire`` with the ``width``-byte varint at ``at`` one byte longer:
+    the same value, not minimal."""
+    varint = wire[at : at + width]
+    return wire[:at] + varint[:-1] + bytes([varint[-1] | 0x80, 0]) + wire[at + width :]
+
+
+@pytest.mark.parametrize(
+    "seq, payload, field, width",
+    [
+        pytest.param(64, b"\x02" * 1024, b"\x03\x80\x01", 2, id="two-byte-seq"),
+        pytest.param(64, b"\x02" * 1024, b"\x05\x80\x08", 2, id="two-byte-length"),
+        pytest.param(5, b"\x02" * 24, b"\x03\x0a", 1, id="one-byte-seq"),
+        pytest.param(5, b"\x02" * 24, b"\x05\x18", 1, id="one-byte-length"),
+    ],
+)
+def test_varints_read_inline_are_still_minimal(seq, payload, field, width):
+    """A 1 KiB payload's length and a ``seq`` from 64 to 8191 take two varint
+    bytes, read inline; one byte longer, the same value is refused."""
+    tx = Transaction(1, seq, 0.5, payload)
+    prefix = b"\x08\x02" + encode("client-tx")
+    assert decode(tx.wire) == tx and decode(prefix + tx.wire, CLIENT_TX)[1] == tx
+    padded = _pad_varint(tx.wire, tx.wire.index(field, 3) + 1, width)
+    for frame, shape in ((padded, None), (prefix + padded, CLIENT_TX)):
+        with pytest.raises(CodecError):
+            decode(frame, shape)
 
 
 def test_field_of_reads_any_registered_struct():

@@ -6,7 +6,7 @@ import asyncio
 import gc
 import random
 import socket
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import pytest
 
@@ -117,13 +117,16 @@ class _ScriptedStream:
         return self._take(n)
 
 
-async def _drain(stream) -> list:
-    """Every frame of ``stream`` in order; the terminal exception last."""
+async def _drain(stream, buffered_first: bool = False) -> list:
+    """Every frame of ``stream`` in order; the terminal exception last.
+    ``buffered_first`` takes each frame as ``read_frame`` does: out of the
+    buffer when it is there, from ``next_frame`` when it is not."""
     frames = FrameReader(stream)
     out = []
     try:
         while True:
-            out.append(await frames.next_frame())
+            frame = frames.buffered_frame() if buffered_first else None
+            out.append(frame if frame is not None else await frames.next_frame())
     except (asyncio.IncompleteReadError, TransportError) as exc:
         out.append(exc)
     return out
@@ -152,6 +155,26 @@ class TestFrameReader:
                 *frames, end = await _drain(_ScriptedStream(chunks))
                 assert frames == bodies, f"first cut at {first}"
                 assert isinstance(end, asyncio.IncompleteReadError) and end.partial == b""
+
+        asyncio.run(run())
+
+    def test_taking_buffered_frames_first_changes_no_frame_and_no_read(self):
+        """``read_frame``'s order — the buffer, then ``next_frame`` — yields
+        the frames ``next_frame`` alone does, from the same socket reads."""
+        rng = random.Random(6)
+        bodies = self._mixed_frames(rng)
+        stream = b"".join(len(body).to_bytes(4, "big") + body for body in bodies)
+
+        async def run():
+            for _ in range(40):
+                cuts = sorted({rng.randrange(1, len(stream)) for _ in range(rng.randrange(1, 60))})
+                edges = [0, *cuts, len(stream)]
+                chunks = [stream[a:b] for a, b in zip(edges, edges[1:]) if a < b]
+                plain, buffered = _ScriptedStream(chunks), _ScriptedStream(chunks)
+                *frames, end = await _drain(buffered, buffered_first=True)
+                assert frames == bodies and isinstance(end, asyncio.IncompleteReadError)
+                *plain_frames, _ = await _drain(plain)
+                assert plain_frames == frames and buffered.reads == plain.reads
 
         asyncio.run(run())
 
@@ -389,6 +412,14 @@ class TestReaderTasks:
         asyncio.run(run())
 
 
+def _on_both_links(cases):
+    """Each case as sent on a peer's link (hello 1, its id as it was) and on
+    a client's (hello -1), whose frames are all read as a transaction."""
+    return [pytest.param(*case.values, 1, id=case.id) for case in cases] + [
+        pytest.param(*case.values, -1, id=f"client-link-{case.id}") for case in cases
+    ]
+
+
 class TestBadFrames:
     """One bad frame costs its sender the connection and nobody else anything."""
 
@@ -396,8 +427,10 @@ class TestBadFrames:
     def _raw(payload: bytes) -> bytes:
         return len(payload).to_bytes(4, "big") + payload
 
-    def _drive(self, bad_frame: bytes, hello: bool = True):
-        """Send ``bad_frame`` as peer 1, then a transaction as peer 2.
+    def _drive(self, bad_frame: bytes, hello: Optional[int] = 1):
+        """Send ``bad_frame`` on a link that said hello as ``hello`` (peer 1
+        by default, -1 for a client, ``None`` for no hello), then a
+        transaction as peer 2.
 
         Returns (peer 1's link was closed, bad_frames_total, mempool size,
         contexts passed to the loop's exception handler).
@@ -416,8 +449,8 @@ class TestBadFrames:
                 bad_reader, bad_writer = await asyncio.open_connection(*peers[0])
                 _, good_writer = await asyncio.open_connection(*peers[0])
                 good_writer.write(encode_frame(("hello", 2)))
-                if hello:
-                    bad_writer.write(encode_frame(("hello", 1)))
+                if hello is not None:
+                    bad_writer.write(encode_frame(("hello", hello)))
                 bad_writer.write(bad_frame)
                 # The node hangs up on peer 1: EOF, not a timeout.
                 closed = await asyncio.wait_for(bad_reader.read(), timeout=5.0) == b""
@@ -456,37 +489,41 @@ class TestBadFrames:
         assert unhandled == []
 
     @pytest.mark.parametrize(
-        "msg",
-        [
-            pytest.param(("client-tx", 5), id="not-a-transaction"),
-            pytest.param(("client-tx",), id="no-transaction"),
-            pytest.param(("client-tx", None), id="none"),
-            pytest.param(
-                ("client-tx", make_transaction(1, 0, 0.0, 8), make_transaction(1, 1, 0.0, 8)),
-                id="two-transactions",
-            ),
-        ],
+        "msg, hello",
+        _on_both_links(
+            [
+                pytest.param(("client-tx", 5), id="not-a-transaction"),
+                pytest.param(("client-tx",), id="no-transaction"),
+                pytest.param(("client-tx", None), id="none"),
+                pytest.param(
+                    ("client-tx", make_transaction(1, 0, 0.0, 8), make_transaction(1, 1, 0.0, 8)),
+                    id="two-transactions",
+                ),
+            ]
+        ),
     )
-    def test_malformed_client_tuple(self, msg):
-        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(msg))
+    def test_malformed_client_tuple(self, msg, hello):
+        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(msg), hello)
         assert closed and bad_frames == 1
         assert pooled == 1, "only the well-formed transaction is pooled"
         assert unhandled == []
 
     @pytest.mark.parametrize(
-        "fields",
-        [
-            pytest.param(b"\x05\x017\x03\x00\x04" + b"\x00" * 8 + b"\x05\x00", id="client_id-bytes"),
-            pytest.param(b"\x03\x0e\x03\x00\x04" + b"\x00" * 8 + b"\x03\x12", id="payload-int"),
-            pytest.param(b"\x03\x0e\x02\x04" + b"\x00" * 8 + b"\x05\x00", id="seq-bool"),
-            pytest.param(b"\x03\x0e\x03\x00\x03\x02\x05\x00", id="submitted_at-int"),
-        ],
+        "fields, hello",
+        _on_both_links(
+            [
+                pytest.param(b"\x05\x017\x03\x00\x04" + b"\x00" * 8 + b"\x05\x00", id="client_id-bytes"),
+                pytest.param(b"\x03\x0e\x03\x00\x04" + b"\x00" * 8 + b"\x03\x12", id="payload-int"),
+                pytest.param(b"\x03\x0e\x02\x04" + b"\x00" * 8 + b"\x05\x00", id="seq-bool"),
+                pytest.param(b"\x03\x0e\x03\x00\x03\x02\x05\x00", id="submitted_at-int"),
+            ]
+        ),
     )
-    def test_ill_typed_client_transaction(self, fields):
+    def test_ill_typed_client_transaction(self, fields, hello):
         """Four fields, canonical, wrong types: refused by the decoder now,
         not pooled and tripped over at proposal time."""
         frame = self._raw(b"\x08\x02" + encode("client-tx") + b"\x0a\x0a\x04" + fields)
-        closed, bad_frames, pooled, unhandled = self._drive(frame)
+        closed, bad_frames, pooled, unhandled = self._drive(frame, hello)
         assert closed and bad_frames == 1
         assert pooled == 1, "only the second peer's transaction is pooled"
         assert unhandled == []
@@ -526,7 +563,7 @@ class TestBadFrames:
         ],
     )
     def test_bad_hello(self, hello):
-        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(hello), hello=False)
+        closed, bad_frames, pooled, unhandled = self._drive(encode_frame(hello), hello=None)
         assert closed and bad_frames == 1 and pooled == 1 and unhandled == []
 
     def test_a_client_connection_carries_only_client_transactions(self):
@@ -539,7 +576,7 @@ class TestBadFrames:
             + encode_frame(("client-tx", make_transaction(9, 0, 0.0, 32)))
             + encode_frame(VoteMsg(vote=vote))
         )
-        closed, bad_frames, pooled, unhandled = self._drive(frames, hello=False)
+        closed, bad_frames, pooled, unhandled = self._drive(frames, hello=None)
         assert closed and bad_frames == 1 and unhandled == []
         assert pooled == 2, "the client's transaction ahead of the vote, and the peer's"
 
