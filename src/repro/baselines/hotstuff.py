@@ -18,11 +18,14 @@ Implemented rules (event-driven formulation, Algorithm 4/5 of the paper):
 * **Pacemaker**: exponential back-off timeouts; on timeout a replica
   advances its view and sends its highest QC to the next leader, who
   proposes after collecting 2f + 1 new-view messages (or a fresh QC).
+* **Fetch**: a block unknown for a retry period (a proposal's parent, a
+  leader's chain) is fetched; at once if it is the other variant of a
+  proposal this replica holds, which an equivocating leader never sends.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from ..codec import encode
 from ..consensus.pacemaker import Pacemaker
@@ -33,7 +36,7 @@ from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
 from ..errors import BlockStoreError, VerificationError
 from ..mempool.mempool import Mempool
-from ..types.block import Block, make_block
+from ..types.block import Block, BlockHeader, make_block
 from ..types.certificates import Certificate, Vote, genesis_qc
 from ..types.messages import HSNewViewMsg, HSProposalMsg, VoteMsg
 
@@ -67,6 +70,8 @@ class HotStuffReplica(BaseReplica):
         )
         self.locked_qc: Certificate = self.high_qc
         self.last_voted_view = 0
+        # view → the first proposal received, for views above the last commit.
+        self._received: Dict[int, Digest] = {}
         self.pacemaker: Optional[Pacemaker] = None
         self._justify_of: Dict[Digest, Certificate] = {
             self.store.genesis.block_hash: self.high_qc
@@ -145,7 +150,8 @@ class HotStuffReplica(BaseReplica):
             # Votes can outrun the proposals they certify: part of the
             # uncommitted chain is still in flight.  Wait for it so we
             # can build on (and deduplicate against) the full prefix —
-            # on_proposal retriggers leading when the gap fills.
+            # on_proposal or a fetch retriggers leading when the gap fills.
+            self.fetch.want(justify.height, justify.block_hash, wait=True)
             return
         if not force and self.defer_if_idle(self.view):
             return
@@ -178,20 +184,14 @@ class HotStuffReplica(BaseReplica):
         caller must not propose yet.
         """
         keys: Set = set()
-        reached_known_base = False
         for header in self.store.walk_ancestors(tip_hash):
             if header.height == 0 or self.ledger.is_committed(header):
-                reached_known_base = True
-                break
+                return keys
             if not self.store.has_payload(header.block_hash):
                 return None
             for tx in self.store.payload(header.block_hash).transactions:
                 keys.add((tx.client_id, tx.seq))
-        if not reached_known_base and not self.store.has_header(tip_hash):
-            return None
-        if not reached_known_base:
-            return None  # walk ended at a header gap mid-chain
-        return keys
+        return None  # the walk ended at a header gap
 
     # ------------------------------------------------------------------
     # Proposal handling: chain state update, locking, commit, voting
@@ -212,7 +212,12 @@ class HotStuffReplica(BaseReplica):
         if not block.validate_payload():
             raise VerificationError("proposal payload mismatch")
 
+        if not self.store.has_header(block.parent):
+            # Usually in flight; never, if the other variant of one we hold.
+            other = self._received.get(msg.justify.epoch, block.parent) != block.parent
+            self.fetch.want(block.height - 1, block.parent, providers=(src,), wait=not other)
         self.store.add_block(block)
+        self._received.setdefault(block.epoch, block.block_hash)
         # Header and payload travel as one message in HotStuff; both
         # milestones land at delivery.
         self.mark("header_deliver", block.block_hash, epoch=block.epoch, height=block.height)
@@ -280,15 +285,28 @@ class HotStuffReplica(BaseReplica):
     def _commit_or_defer(self, block_hash: Digest) -> None:
         """Commit a decided block, deferring while ancestors are in flight."""
         header = self.store.get_header(block_hash)
-        if header is None or header.height <= self.ledger.height:
+        if header is None:
+            return
+        if header.height <= self.ledger.height:
+            self._pending_commits.discard(block_hash)
             return
         try:
             self.commit_through(block_hash)
             self._pending_commits.discard(block_hash)
+            self._received = {v: h for v, h in self._received.items() if v > header.epoch}
         except BlockStoreError:
             # An ancestor proposal is still in flight (eventually timely);
             # retried from on_proposal when the gap fills.
             self._pending_commits.add(block_hash)
+
+    def fetch_tip(self) -> Certificate:
+        return self.high_qc
+
+    def _fetched(self, justify: Certificate, chain: List[BlockHeader]) -> None:
+        """Learn the certificate; retry what waited for the fetched blocks."""
+        self._update_chain_state(justify)
+        self._retry_pending_commits()
+        self._maybe_lead()
 
     def _retry_pending_commits(self) -> None:
         pending = sorted(
@@ -296,10 +314,6 @@ class HotStuffReplica(BaseReplica):
             key=lambda h: self.store.header(h).height if self.store.has_header(h) else 0,
         )
         for block_hash in pending:
-            header = self.store.get_header(block_hash)
-            if header is not None and header.height <= self.ledger.height:
-                self._pending_commits.discard(block_hash)
-                continue
             self._commit_or_defer(block_hash)
 
     # ------------------------------------------------------------------

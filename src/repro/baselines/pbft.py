@@ -20,8 +20,9 @@ Adaptations, documented in DESIGN.md:
 * Re-proposals after a view change are *derived deterministically* by
   every replica from the 2f + 1 view-change messages, so the new leader
   cannot equivocate about them.
-* Lagging replicas catch up through an explicit state-transfer exchange
-  (sync request/reply with commit certificates).
+* A replica a new view shows behind a proven checkpoint fetches the chain
+  under its provider's head commit certificate, which with the hash links
+  proves the prefix (the checkpoint proof's own argument).
 """
 
 from __future__ import annotations
@@ -35,17 +36,15 @@ from ..consensus.validators import ValidatorSet
 from ..config import ProtocolConfig
 from ..crypto.hashing import Digest
 from ..crypto.signatures import Signer
-from ..errors import VerificationError
+from ..errors import BlockStoreError, VerificationError
 from ..mempool.mempool import Mempool
-from ..types.block import Block, make_block
+from ..types.block import Block, BlockHeader, make_block
 from ..types.certificates import VOTE, Certificate, Vote
 from ..types.messages import (
     PBFTCommitMsg,
     PBFTNewViewMsg,
     PBFTPrePrepareMsg,
     PBFTPrepareMsg,
-    PBFTSyncReplyMsg,
-    PBFTSyncRequestMsg,
     PBFTViewChangeMsg,
 )
 
@@ -63,14 +62,15 @@ class PBFTReplica(BaseReplica):
 
     protocol_name = "pbft"
 
+    #: A fetch is served under the head's commit certificate.
+    TIP_PHASE = COMMIT_PHASE
+
     HANDLERS = {
         PBFTPrePrepareMsg: "on_preprepare",
         PBFTPrepareMsg: "on_prepare",
         PBFTCommitMsg: "on_commit",
         PBFTViewChangeMsg: "on_view_change",
         PBFTNewViewMsg: "on_new_view",
-        PBFTSyncRequestMsg: "on_sync_request",
-        PBFTSyncReplyMsg: "on_sync_reply",
     }
 
     def __init__(
@@ -95,7 +95,8 @@ class PBFTReplica(BaseReplica):
         self._commit_voted: Set[Tuple[int, int]] = set()
         # Commit certificates awaiting in-order execution: seq → (block, qc).
         self._commit_ready: Dict[int, Tuple[Block, Certificate]] = {}
-        self._commit_qcs: Dict[int, Certificate] = {}
+        # The ledger head's commit certificate: checkpoint proof and fetch tip.
+        self._commit_qc: Optional[Certificate] = None
         # Certificates that formed before their pre-prepare arrived (votes
         # are small/fast; proposals are large/slower): block_hash → QC.
         self._orphan_prepare_qcs: Dict[Digest, Certificate] = {}
@@ -103,7 +104,6 @@ class PBFTReplica(BaseReplica):
         # View change accounting: view → sender → message.
         self._view_changes: Dict[int, Dict[int, PBFTViewChangeMsg]] = {}
         self._installed_views: Set[int] = set()
-        self._sync_requested = False
         self._vc_target = 0
 
     @property
@@ -322,13 +322,13 @@ class PBFTReplica(BaseReplica):
             seq = self.ledger.height + 1
             block, qc = self._commit_ready.pop(seq)
             self.ledger.commit(block, self.now)
-            self._commit_qcs[seq] = qc
+            self._commit_qc = qc
             self.mempool.remove_committed(block.payload.transactions)
             self.event(
                 "commit", block.block_hash, epoch=block.epoch, height=seq, txs=len(block.payload)
             )
             progressed = True
-        self.advance_horizon()  # after sync-reply commits too
+        self.advance_horizon()
         if progressed and self.pacemaker is not None:
             self.pacemaker.record_progress()
 
@@ -355,7 +355,7 @@ class PBFTReplica(BaseReplica):
             for seq, (qc, block) in sorted(self._prepared.items())
             if seq > self.ledger.height
         )
-        proof = self._commit_qcs.get(self.ledger.height)
+        proof = self._commit_qc
         msg = PBFTViewChangeMsg(
             sender=self.replica_id,
             new_view=new_view,
@@ -443,10 +443,9 @@ class PBFTReplica(BaseReplica):
         self.pacemaker.enter_epoch(self.view, made_progress=False)
 
         base, reproposals = self._derive_reproposals(msg.view_changes)
-        if base > self.ledger.height and not self._sync_requested:
-            # We are behind a proven checkpoint: fetch committed state.
-            self._sync_requested = True
-            self.send(src, PBFTSyncRequestMsg(from_height=self.ledger.height))
+        if base > self.ledger.height:
+            # We are behind a proven checkpoint: fetch the committed chain.
+            self.fetch.want(base, providers=(src,))
         for seq, block in reproposals:
             if seq <= self.ledger.height:
                 continue
@@ -501,37 +500,17 @@ class PBFTReplica(BaseReplica):
             seq += 1
         return base, result
 
-    # ------------------------------------------------------------------
-    # State transfer
-    # ------------------------------------------------------------------
+    def fetch_tip(self) -> Optional[Certificate]:
+        return self._commit_qc
 
-    def on_sync_request(self, src: int, msg: PBFTSyncRequestMsg) -> None:
-        entries = []
-        for height in range(msg.from_height + 1, self.ledger.height + 1):
-            qc = self._commit_qcs.get(height)
-            if qc is None:
-                break
-            entries.append((self.ledger.block_at(height), qc))
-        if entries:
-            self.send(src, PBFTSyncReplyMsg(entries=tuple(entries)))
-
-    def on_sync_reply(self, src: int, msg: PBFTSyncReplyMsg) -> None:
-        self._sync_requested = False
-        for block, qc in msg.entries:
-            if block.height != self.ledger.height + 1:
-                continue
-            if (
-                not self.verify_qc(qc)
-                or qc.phase != COMMIT_PHASE
-                or qc.height != block.height
-                or qc.block_hash != block.block_hash
-                or not block.validate_payload()
-            ):
-                raise VerificationError("sync reply entry fails verification")
-            self.store.add_block(block)
-            self.ledger.commit(block, self.now)
-            self._commit_qcs[block.height] = qc
-            self.mempool.remove_committed(block.payload.transactions)
-            # Recorded, not counted: a state-transfer commit never was.
-            self.mark("commit", block.block_hash, epoch=block.epoch, height=block.height)
+    def _fetched(self, justify: Certificate, chain: List[BlockHeader]) -> None:
+        """Commit the fetched chain (all of it or, lacking a payload, none),
+        then resume the pre-prepares that waited on it."""
+        try:
+            self.commit_through(justify.block_hash)
+        except BlockStoreError:
+            return
+        self._commit_qc = justify
+        self._drain_out_of_order(self.view)
+        self._send_commit_votes()
         self._execute_ready()

@@ -1,10 +1,10 @@
 """Replica base class shared by all four protocols.
 
 Provides message dispatch, the block store / ledger / mempool wiring,
-vote and blame quorums, and small helpers (signing proposals, checking
-proposer signatures).  Subclasses declare their handlers in a class-level
-``HANDLERS`` mapping from message class to method name; optional
-subsystems add theirs through :meth:`BaseReplica.attach`.
+vote and blame quorums, the block fetch, and small helpers (signing
+proposals, checking proposer signatures).  Subclasses declare their
+handlers in a class-level ``HANDLERS`` mapping from message class to
+method name; optional subsystems add theirs through :meth:`BaseReplica.attach`.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from ..types.certificates import BLAME, VOTE, Certificate, Vote, is_genesis_qc
 from ..types.messages import proposal_signing_bytes, PROPOSAL_DOMAIN
 from .blockstore import BlockStore
 from .context import Context, Destination
+from .fetch import Fetch
 from .ledger import Ledger
 from .quorum import QuorumCollector
 from .validators import ValidatorSet
@@ -30,14 +31,16 @@ from .validators import ValidatorSet
 #: protocols have, nothing speculative (DESIGN.md → "Attaching a
 #: subsystem").  Each fires in attach order.
 HOOKS = ("on_start", "on_epoch_enter", "on_committed", "on_header", "on_certificate",
-         "drop_blocks", "journal")
+         "on_fetched", "drop_blocks", "journal")
 
 
 class BaseReplica:
     """Common machinery for a consensus replica.
 
     Subclasses set :attr:`protocol_name`, :attr:`HANDLERS`, :attr:`FEATURES`,
-    ``epoch_changes``, and implement :meth:`on_start` and their handlers.
+    ``epoch_changes``, and implement :meth:`on_start`, their handlers and
+    the fetch's ``fetch_tip()`` (the certificate, of :attr:`TIP_PHASE`, its
+    chain is served under) and ``_fetched(justify, chain)`` (its one step).
     """
 
     #: Short protocol name, used in signatures and reports.
@@ -49,6 +52,9 @@ class BaseReplica:
     #: The optional features this protocol carries, named as in
     #: :meth:`ProtocolConfig.features`; HotStuff and PBFT carry none.
     FEATURES: Tuple[str, ...] = ()
+
+    #: The only vote phase a fetched chain is accepted under.
+    TIP_PHASE = 0
 
     @classmethod
     def refuse_uncarried(cls, config: ProtocolConfig, restarts: bool = False) -> None:
@@ -93,6 +99,9 @@ class BaseReplica:
             cls: getattr(self, name) for cls, name in self.HANDLERS.items()
         }
         self._timer_methods: Dict[str, Callable[[Any], None]] = {}
+        #: The one way to get blocks it lacks; rebuilt, like the quorums, by a restart.
+        self.fetch = Fetch(self)
+        self._bind(self.fetch)
         #: Attached subsystems by name, in attach order — also how anything
         #: outside the replica reaches one (``subsystems.get("guard")``).
         self.subsystems: Dict[str, Any] = {}
@@ -138,14 +147,18 @@ class BaseReplica:
         if taken:
             raise ConfigError(f"cannot attach {subsystem.name!r}: {taken} already owned")
         self.subsystems[subsystem.name] = subsystem
-        for msg_cls, method in subsystem.HANDLERS.items():
-            self._bound_handlers[msg_cls] = getattr(subsystem, method)
-        for tag, method in subsystem.TIMERS.items():
-            self._timer_methods[tag] = getattr(subsystem, method)
+        self._bind(subsystem)
         for hook, subscribers in self._hooks.items():
             method = getattr(subsystem, hook, None)
             if method is not None:
                 subscribers.append(method)
+
+    def _bind(self, owner: Any) -> None:
+        """Join ``owner``'s message handlers and timers to the dispatch tables."""
+        for msg_cls, method in owner.HANDLERS.items():
+            self._bound_handlers[msg_cls] = getattr(owner, method)
+        for tag, method in owner.TIMERS.items():
+            self._timer_methods[tag] = getattr(owner, method)
 
     def _fire(self, hook: str, *args: Any) -> None:
         for subscriber in self._hooks[hook]:

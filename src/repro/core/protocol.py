@@ -68,8 +68,6 @@ from ..types.certificates import BLAME, VOTE, Blame, Certificate, Vote, genesis_
 from ..types.messages import (
     BlameCertMsg,
     BlameMsg,
-    BlockRequestMsg,
-    BlockResponseMsg,
     EquivocationProofMsg,
     PayloadMsg,
     PayloadRequestMsg,
@@ -108,8 +106,6 @@ class AlterBFTReplica(BaseReplica):
         StatusMsg: "on_status",
         PayloadRequestMsg: "on_payload_request",
         PayloadResponseMsg: "on_payload_response",
-        BlockRequestMsg: "on_block_request",
-        BlockResponseMsg: "on_block_response",
     }
 
     FEATURES = ("pipeline", "recovery", "guard", "dissem")
@@ -158,14 +154,13 @@ class AlterBFTReplica(BaseReplica):
         # certified, oldest first, at most ``config.pipeline_depth`` long.
         # Depth 1 degenerates to the classic one-slot "awaiting QC" leader.
         self._inflight: List[Tuple[int, Digest]] = []
-        # Payload and ancestor repair.
+        # Payload repair.
         self._payload_requested: Set[Digest] = set()
-        self._header_requested: Set[Digest] = set()
         # Commit windows parked until a specific payload/header arrives —
         # avoids rescanning the chain on every event while data is absent.
         self._parked_on_payload: Dict[Digest, Set[Tuple[int, Digest]]] = {}
         self._parked_on_header: Dict[Digest, Set[Tuple[int, Digest]]] = {}
-        # Every verified proposal message by block hash (serves chain sync).
+        # Every verified proposal message by block hash (conflict detection).
         self._header_msgs: Dict[Digest, ProposalHeaderMsg] = {}
         # Buffered proposals from epochs we have not entered yet.
         self._future_headers: List[Tuple[int, ProposalHeaderMsg]] = []
@@ -538,13 +533,14 @@ class AlterBFTReplica(BaseReplica):
         if self.store.has_payload(block_hash) or block_hash in self._payload_requested:
             return
         header = self.store.get_header(block_hash)
-        if header is None:
-            return
-        self._payload_requested.add(block_hash)
-        self.event("payload_fetch", height=header.height)
-        self.broadcast(
-            PayloadRequestMsg(block_hash=block_hash, height=header.height), include_self=False
-        )
+        if header is not None:
+            self.event("payload_fetch", height=header.height)
+            self._request_payload(header)
+
+    def _request_payload(self, header: BlockHeader) -> None:
+        self._payload_requested.add(header.block_hash)
+        msg = PayloadRequestMsg(block_hash=header.block_hash, height=header.height)
+        self.broadcast(msg, include_self=False)
 
     def on_payload_request(self, src: int, msg: PayloadRequestMsg) -> None:
         if self.store.has_payload(msg.block_hash):
@@ -709,14 +705,13 @@ class AlterBFTReplica(BaseReplica):
         try:
             missing = self.store.missing_payloads(block_hash, head_hash)
         except BlockStoreError:
-            status = self._ancestry_status(block_hash)
+            status, lowest = self._ancestry_status(block_hash)
             if status == "gap":
-                # Chain sync: fetch the first missing ancestor proposal and
-                # park the window until it arrives.
-                needed = self._request_missing_ancestor(block_hash)
-                if needed is not None:
-                    self._window_clean.discard((epoch, block_hash))
-                    self._parked_on_header.setdefault(needed, set()).add((epoch, block_hash))
+                # Park the window on the first missing ancestor and fetch
+                # the certified chain above our committed head.
+                self._window_clean.discard((epoch, block_hash))
+                self._parked_on_header.setdefault(lowest.parent, set()).add((epoch, block_hash))
+                self.fetch.want(header.height, block_hash)
             elif status == "fork":
                 # The certified block conflicts with our committed chain.
                 # Unreachable for a correct protocol run; reachable in the
@@ -731,7 +726,7 @@ class AlterBFTReplica(BaseReplica):
                 self.crashed = True
                 if self.pacemaker is not None:
                     self.pacemaker.stop()
-            return  # ancestry gap; headers still in flight
+            return
         if missing:
             # Park the window on its missing payloads; it wakes when they
             # arrive (or never, if a Byzantine leader withheld them and no
@@ -740,12 +735,7 @@ class AlterBFTReplica(BaseReplica):
             for needed in missing:
                 self._parked_on_payload.setdefault(needed, set()).add((epoch, block_hash))
                 if needed not in self._payload_requested:
-                    self._payload_requested.add(needed)
-                    needed_header = self.store.get_header(needed)
-                    height = needed_header.height if needed_header else 0
-                    self.broadcast(
-                        PayloadRequestMsg(block_hash=needed, height=height), include_self=False
-                    )
+                    self._request_payload(self.store.header(needed))
             return
         self.commit_through(block_hash)
         self._window_clean.discard((epoch, block_hash))
@@ -758,58 +748,27 @@ class AlterBFTReplica(BaseReplica):
         self._window_clean.update(windows)
         self._try_commit_each(windows)
 
-    def _request_missing_ancestor(self, block_hash: Digest) -> Optional[Digest]:
-        """Ask peers for the first missing header below ``block_hash``.
+    def fetch_tip(self) -> Certificate:
+        return self.high_qc
 
-        Returns the missing block hash (whether or not a request was
-        actually sent this time), or None if there is no gap.
-        """
-        last = None
-        for header in self.store.walk_ancestors(block_hash):
-            last = header
-        if last is None or last.height == 0:
-            return None
-        missing = last.parent
-        if missing not in self._header_requested:
-            self._header_requested.add(missing)
-            self.event("header_fetch", below_height=last.height)
-            self.broadcast(BlockRequestMsg(block_hash=missing), include_self=False)
-        return missing
-
-    def on_block_request(self, src: int, msg: BlockRequestMsg) -> None:
-        proposal = self._header_msgs.get(msg.block_hash)
-        if proposal is None:
-            return
-        payload = (
-            self.store.payload(msg.block_hash)
-            if self.store.has_payload(msg.block_hash)
-            else None
-        )
-        self.send(src, BlockResponseMsg(proposal=proposal, payload=payload))
-
-    def on_block_response(self, src: int, msg: BlockResponseMsg) -> None:
-        self._verify_header_msg(msg.proposal)
-        header = msg.proposal.header
-        if header.epoch > self.epoch:
-            self._future_headers.append((header.epoch, msg.proposal))
-        else:
-            self._accept_header(msg.proposal)
-        if msg.payload is not None:
-            self._store_payload(header.block_hash, msg.payload)
-        self._header_requested.discard(header.block_hash)
+    def _fetched(self, justify: Certificate, chain: List[BlockHeader]) -> None:
+        """Certified is not committed: raise ``high_qc``, retry the windows."""
+        self._update_high_qc(justify)
+        for header in chain:
+            self._unpark(self._parked_on_header, header.block_hash)
         self._try_commit_ready()
 
-    def _ancestry_status(self, block_hash: Digest) -> str:
-        """Classify why a block's chain fails to reach the committed head:
-        "ok" (it does), "gap" (missing headers), or "fork"."""
+    def _ancestry_status(self, block_hash: Digest) -> Tuple[str, BlockHeader]:
+        """Whether a block's chain reaches the committed head ("ok"), misses
+        headers ("gap") or forks, with the lowest header the walk reached."""
         target_height = self.ledger.height
         head_hash = self.ledger.head.block_hash
         for header in self.store.walk_ancestors(block_hash):
             if header.height == target_height:
-                return "ok" if header.block_hash == head_hash else "fork"
+                return ("ok" if header.block_hash == head_hash else "fork"), header
             if header.height < target_height:
-                return "fork"
-        return "gap"
+                return "fork", header
+        return "gap", header
 
     # ------------------------------------------------------------------
     # Blames and epoch change
@@ -948,7 +907,6 @@ class AlterBFTReplica(BaseReplica):
         for block_hash in removed_set:
             self._header_msgs.pop(block_hash, None)
             self._payload_requested.discard(block_hash)
-            self._header_requested.discard(block_hash)
         self._window_clean = {w for w in self._window_clean if w[1] not in removed_set}
         self._fire("drop_blocks", removed_set)
 

@@ -57,7 +57,7 @@ BLOCK_MILESTONES = (
 #: The kinds a replica records without counting (``BaseReplica.mark``):
 #: no fingerprint has ever counted them.  Every other kind a replica
 #: records it also counts, under the same name (``BaseReplica.event``);
-#: PBFT alone also marks its prepare vote and a state-transfer commit.
+#: PBFT alone also marks its prepare vote.
 RECORDED_ONLY = (MARK_HEADER, MARK_PAYLOAD, MARK_CERTIFY, MARK_WINDOW, "blame", "epoch_enter")
 
 #: Recovery lifecycle event kinds, in canonical order (repro.recovery).

@@ -23,16 +23,16 @@ A fresh certificate lets the block store prune everything below it.
 small ``StatusRequest``; from f+1 responses it learns (a) a safe epoch
 to join — the (f+1)-th largest reported epoch is at most some honest
 replica's epoch — (b) the highest checkpoint certificate, and (c) the
-highest certified tip.  It then fetches the checkpoint snapshot and the
-certified block range as *large* messages from one provider at a time,
-with a per-provider timeout that rotates to an alternate provider so a
-Byzantine withholder cannot stall catchup.  The snapshot installs into
-the ledger only after its chained digest matches the certificate; range
-blocks install into the block store only — they commit later through
-normal consensus (certified ≠ committed).
+highest certified tip.  It then fetches the checkpoint snapshot as a
+*large* message from one provider at a time, with a per-provider timeout
+that rotates to an alternate provider so a Byzantine withholder cannot
+stall catchup, and installs it into the ledger only after its chained
+digest matches the certificate.  The certified suffix above comes through
+the block fetch (:mod:`repro.consensus.fetch`) into the block store only:
+it commits later through normal consensus (certified ≠ committed).
 
 The manager never imports ``repro.core.protocol``: it drives the replica
-through a narrow surface (``verify_qc``, ``_update_high_qc``,
+through a narrow surface (``verify_qc``, ``fetch``,
 ``drop_block_indexes``, ``restart_from_wal``, ``_finish_catchup``,
 send/broadcast/timers), which also keeps the import graph acyclic — a
 test walks the imports to hold both to it.
@@ -45,11 +45,9 @@ from typing import Dict, List, Optional, Tuple
 from ..config import CATCHUP_RETRY
 from ..consensus.quorum import QuorumCollector
 from ..crypto.hashing import sha256
-from ..types.block import Block, BlockHeader
+from ..types.block import Block
 from ..types.certificates import CHECKPOINT, Certificate, CheckpointVote
 from ..types.messages import (
-    BlockRangeRequestMsg,
-    BlockRangeResponseMsg,
     CheckpointVoteMsg,
     SnapshotRequestMsg,
     SnapshotResponseMsg,
@@ -75,8 +73,6 @@ class RecoveryManager:
         StatusResponseMsg: "on_status_response",
         SnapshotRequestMsg: "on_snapshot_request",
         SnapshotResponseMsg: "on_snapshot_response",
-        BlockRangeRequestMsg: "on_block_range_request",
-        BlockRangeResponseMsg: "on_block_range_response",
     }
     TIMERS = {"recovery_retry": "on_retry"}
 
@@ -108,7 +104,7 @@ class RecoveryManager:
         self.caught_up_at: Optional[float] = None
         #: Diagnostics for tests and E12.
         self.restarts = 0
-        self.fetch_retries = 0
+        self._retries = 0
 
     # -- small helpers -------------------------------------------------------
 
@@ -118,6 +114,11 @@ class RecoveryManager:
 
     def _current_provider(self) -> int:
         return self._providers[self._provider_idx % len(self._providers)]
+
+    @property
+    def fetch_retries(self) -> int:
+        """Status, snapshot and (since the restart) fetch requests re-sent."""
+        return self._retries + self.replica.fetch.retries
 
     def _arm_retry(self) -> None:
         self._fetch_attempt += 1
@@ -224,7 +225,7 @@ class RecoveryManager:
         phase, attempt = payload
         if phase != self.state or attempt != self._fetch_attempt:
             return  # stale timer: that request already succeeded
-        self.fetch_retries += 1
+        self._retries += 1
         if self.state == STATUS:
             self.replica.broadcast(
                 StatusRequestMsg(sender=self.replica.replica_id), include_self=False
@@ -233,9 +234,6 @@ class RecoveryManager:
         elif self.state == SNAPSHOT:
             self._provider_idx += 1
             self._send_snapshot_request()
-        elif self.state == RANGE:
-            self._provider_idx += 1
-            self._send_range_request()
 
     # -- serving (every replica with a manager answers these) ----------------
 
@@ -259,33 +257,6 @@ class RecoveryManager:
             self.replica.send(
                 src, SnapshotResponseMsg(from_height=msg.from_height, blocks=tuple(blocks))
             )
-
-    def on_block_range_request(self, src: int, msg: BlockRangeRequestMsg) -> None:
-        tip = self.replica.high_qc
-        store = self.replica.store
-        ledger = self.replica.ledger
-        if not store.has_header(tip.block_hash):
-            return
-        chain: List[BlockHeader] = []
-        for header in store.walk_ancestors(tip.block_hash):
-            if header.height <= msg.from_height:
-                break
-            chain.append(header)
-        chain.reverse()
-        # Checkpoint pruning may have cut the store walk short; the
-        # missing prefix is committed, so serve it from the ledger
-        # (which is never pruned).
-        lowest = chain[0].height if chain else tip.height + 1
-        if lowest - 1 > ledger.height:
-            return  # cannot bridge the gap; requester rotates providers
-        filled = ledger.blocks_in_range(msg.from_height, lowest - 1)
-        blocks = tuple(filled) + tuple(
-            store.block(h.block_hash) for h in chain if store.has_payload(h.block_hash)
-        )
-        bare = tuple(h for h in chain if not store.has_payload(h.block_hash))
-        self.replica.send(
-            src, BlockRangeResponseMsg(justify=tip, blocks=blocks, headers=bare)
-        )
 
     # -- status phase ---------------------------------------------------------
 
@@ -381,60 +352,22 @@ class RecoveryManager:
     # -- block range phase ----------------------------------------------------
 
     def _enter_range_phase(self) -> None:
-        # Fetch the certified suffix whenever anything certified lies
-        # above our committed head — whether we learned of it from a
-        # status response or from live traffic that arrived while we
-        # were catching up (our high_qc advances during recovery, but
-        # the *chain* below those certificates may still have holes
-        # only a range transfer can fill).
-        best = max(
-            (r.tip.height for r in self._status_responses.values()),
-            default=0,
-        )
-        target_height = max(best, self.replica.high_qc.height)
-        if target_height <= self.replica.ledger.height:
+        """Fetch the chain above our committed head whenever anything
+        certified lies above it (reported in status or learned from live
+        traffic since), the current provider first; any answer ends it."""
+        best = max((r.tip.height for r in self._status_responses.values()), default=0)
+        ledger_height = self.replica.ledger.height
+        if max(best, self.replica.high_qc.height) <= ledger_height:
             self._finish()
             return
         self.state = RANGE
-        self._send_range_request()
+        self.replica.fetch.want(ledger_height + 1, providers=(self._current_provider(),))
 
-    def _send_range_request(self) -> None:
-        self.replica.send(
-            self._current_provider(),
-            BlockRangeRequestMsg(
-                sender=self.replica.replica_id, from_height=self.replica.ledger.height
-            ),
-        )
-        self._arm_retry()
-
-    def on_block_range_response(self, src: int, msg: BlockRangeResponseMsg) -> None:
+    def on_fetched(self, justify: Certificate, blocks: Tuple[Block, ...]) -> None:
+        """Fetch hook: the range phase ends with the first chain installed."""
         if self.state != RANGE:
             return
-        if not self.replica.verify_qc(msg.justify):
-            return
-        # Merge blocks and bare headers into one height-ordered chain and
-        # check it links our committed head to the certified tip.
-        headers = sorted(
-            [b.header for b in msg.blocks] + list(msg.headers), key=lambda h: h.height
-        )
-        prev_hash = self.replica.ledger.head.block_hash
-        prev_height = self.replica.ledger.height
-        for header in headers:
-            if header.height != prev_height + 1 or header.parent != prev_hash:
-                return
-            prev_hash = header.block_hash
-            prev_height = header.height
-        if not headers or prev_hash != msg.justify.block_hash:
-            return
-        for header in headers:
-            self.replica.store.add_header(header)
-        for block in msg.blocks:
-            if block.validate_payload():
-                self.replica.store.add_payload(block.block_hash, block.payload)
-        self.replica._update_high_qc(msg.justify)
-        self.replica.event(
-            "recovery_range", tip_height=msg.justify.height, blocks=len(msg.blocks)
-        )
+        self.replica.event("recovery_range", tip_height=justify.height, blocks=len(blocks))
         self._finish()
 
     # -- completion ------------------------------------------------------------

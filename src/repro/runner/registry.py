@@ -9,6 +9,7 @@ from ..baselines.hotstuff import HotStuffReplica
 from ..baselines.pbft import PBFTReplica
 from ..baselines.sync_hotstuff import SyncHotStuffReplica
 from ..config import SMALL_MESSAGE_THRESHOLD
+from ..consensus.fetch import Fetch
 from ..consensus.replica import BaseReplica
 from ..consensus.validators import ValidatorSet
 from ..core.protocol import AlterBFTReplica
@@ -51,13 +52,13 @@ def quorum_style_for(protocol: str) -> str:
 
 def wire_phases_for(protocol: str) -> Set[str]:
     """The protocol's wire contract: the declared ``WIRE_PHASE`` of every
-    message class its replica class or a subsystem it carries handles.
+    message class its replica class, its fetch or a carried subsystem handles.
     Every class a replica can receive is one its peers send, so this is
     every phase its traffic can occupy; ``repro.obs wire`` flags observed
     traffic outside it."""
     cls = replica_class_for(protocol)
     carried = [s for s in SUBSYSTEMS if s.name in cls.FEATURES]
-    return {m.WIRE_PHASE for owner in (cls, *carried) for m in owner.HANDLERS}
+    return {m.WIRE_PHASE for owner in (cls, Fetch, *carried) for m in owner.HANDLERS}
 
 
 def attach_subsystems(

@@ -175,29 +175,34 @@ class PayloadResponseMsg:
     payload: BlockPayload
 
 
-@register(30)
-@dataclass(frozen=True)
-class BlockRequestMsg:
-    """Ask a peer for a missing ancestor *proposal* (header + justify).
+# --------------------------------------------------------------------------
+# The block fetch, every protocol's one way to ask for blocks it lacks
+# (see repro.consensus.fetch): a small request for a large answer.
+# --------------------------------------------------------------------------
 
-    The chain-sync repair path: used when a replica discovers a gap in
-    the ancestry of a certified block (e.g. it missed a proposal while
-    partitioned).
-    """
+
+@register(37)
+@dataclass(frozen=True)
+class BlockRangeRequestMsg:
+    """Ask one provider for its certified chain above ``from_height``.
+    ``sender`` is not read; it stays for the message's bytes."""
 
     WIRE_PHASE: ClassVar[str] = "repair"
-    block_hash: Digest
+    sender: int
+    from_height: int
 
 
-@register(31)
+@register(38)
 @dataclass(frozen=True)
-class BlockResponseMsg:
-    """Answer to :class:`BlockRequestMsg`: the original proposal message,
-    plus the payload when the responder has it."""
+class BlockRangeResponseMsg:
+    """Answer to :class:`BlockRangeRequestMsg`: the provider's tip
+    certificate (``justify``), full blocks where it holds the payload and
+    bare headers otherwise — a *large* message, eventually timely."""
 
     WIRE_PHASE: ClassVar[str] = "repair"
-    proposal: "ProposalHeaderMsg"
-    payload: Optional[BlockPayload]
+    justify: Certificate
+    blocks: Tuple[Block, ...]
+    headers: Tuple[BlockHeader, ...]
 
 
 # --------------------------------------------------------------------------
@@ -205,9 +210,9 @@ class BlockResponseMsg:
 #
 # The hybrid model applies to recovery too: checkpoint votes and
 # status requests/responses are *small* (Δ-bounded) control messages,
-# while snapshot and block-range responses carry full payloads and are
-# *large* (eventually timely) — exactly the split the paper's thesis
-# requires of every protocol message.
+# while snapshot responses (and the fetch's range responses above) carry
+# full payloads and are *large* (eventually timely) — exactly the split
+# the paper's thesis requires of every protocol message.
 # --------------------------------------------------------------------------
 
 
@@ -272,35 +277,6 @@ class SnapshotResponseMsg:
     WIRE_PHASE: ClassVar[str] = "recovery"
     from_height: int
     blocks: Tuple[Block, ...]
-
-
-@register(37)
-@dataclass(frozen=True)
-class BlockRangeRequestMsg:
-    """Ask one provider for the certified-but-uncommitted suffix above
-    ``from_height`` — a small request for a large reply."""
-
-    WIRE_PHASE: ClassVar[str] = "recovery"
-    sender: int
-    from_height: int
-
-
-@register(38)
-@dataclass(frozen=True)
-class BlockRangeResponseMsg:
-    """Answer to :class:`BlockRangeRequestMsg` — a *large* message.
-
-    Carries the provider's certified tip (``justify``), full blocks
-    where the provider holds payloads, and bare headers otherwise.  The
-    receiver installs them into its block store only; commitment still
-    happens through normal consensus (certified ≠ committed in
-    AlterBFT's temporal commit rule).
-    """
-
-    WIRE_PHASE: ClassVar[str] = "recovery"
-    justify: Certificate
-    blocks: Tuple[Block, ...]
-    headers: Tuple[BlockHeader, ...]
 
 
 # --------------------------------------------------------------------------
@@ -426,24 +402,6 @@ class PBFTNewViewMsg:
     new_view: int
     view_changes: Tuple[PBFTViewChangeMsg, ...]
     signature: bytes
-
-
-@register(85)
-@dataclass(frozen=True)
-class PBFTSyncRequestMsg:
-    """State transfer: ask for committed blocks above ``from_height``."""
-
-    WIRE_PHASE: ClassVar[str] = "repair"
-    from_height: int
-
-
-@register(86)
-@dataclass(frozen=True)
-class PBFTSyncReplyMsg:
-    """State transfer reply: (block, commit certificate) pairs in order."""
-
-    WIRE_PHASE: ClassVar[str] = "repair"
-    entries: Tuple[Tuple[Block, Certificate], ...]
 
 
 # --------------------------------------------------------------------------

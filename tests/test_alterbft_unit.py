@@ -29,7 +29,7 @@ from repro.types.certificates import (
 from repro.types.messages import (
     BlameCertMsg,
     BlameMsg,
-    BlockResponseMsg,
+    BlockRangeResponseMsg,
     EquivocationProofMsg,
     PayloadMsg,
     PayloadRequestMsg,
@@ -578,6 +578,7 @@ class TestIllTypedFields:
 
     def test_junk_payload_in_a_block_response(self, setup):
         replica, ctx, signers = setup
-        header_msg, _, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
-        self.assert_refused(BlockResponseMsg(proposal=header_msg, payload=5))
+        _, _, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
+        junk = dataclasses.replace(block, payload=5)
+        self.assert_refused(BlockRangeResponseMsg(justify=gen_qc(replica), blocks=(junk,), headers=()))
         assert not replica.store.has_payload(block.block_hash)

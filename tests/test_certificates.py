@@ -22,7 +22,7 @@ from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.errors import CodecError, VerificationError
-from repro.recovery.manager import RANGE, STATUS
+from repro.recovery.manager import STATUS
 from repro.runner.registry import attach_subsystems
 from repro.types.block import make_block
 from repro.types.certificates import (
@@ -55,7 +55,6 @@ from repro.types.messages import (
     PBFTNewViewMsg,
     PBFTPrepareMsg,
     PBFTPrePrepareMsg,
-    PBFTSyncReplyMsg,
     PBFTViewChangeMsg,
     ProposalHeaderMsg,
     SHProposalMsg,
@@ -456,10 +455,6 @@ def alterbft_carriers(replica):
             **{"sender": 1, "epoch": 1, "ledger_height": 0, "checkpoint": None, "tip": tip, **fields}
         )
 
-    def range_response(x):
-        replica.subsystems["recovery"].state = RANGE
-        return BlockRangeResponseMsg(justify=x, blocks=(), headers=())
-
     return [
         (VOTE, False, lambda x: VoteMsg(vote=x)),
         (VOTE, True, proposal),
@@ -475,6 +470,11 @@ def alterbft_carriers(replica):
     ]
 
 
+def range_response(x):
+    """The fetch's answer under ``x``, which every protocol handles."""
+    return BlockRangeResponseMsg(justify=x, blocks=(), headers=())
+
+
 def hotstuff_carriers(replica):
     block, signature = signed_block(replica, 1, 1, proposer=1)
     new_view = CLUSTER[1].digest_and_sign(HS_NEWVIEW_DOMAIN, encode(2))
@@ -482,6 +482,7 @@ def hotstuff_carriers(replica):
         (VOTE, False, lambda x: VoteMsg(vote=x)),
         (VOTE, True, lambda x: HSProposalMsg(block=block, signature=signature, justify=x)),
         (VOTE, True, lambda x: HSNewViewMsg(sender=1, view=2, high_qc=x, signature=new_view)),
+        (VOTE, True, range_response),
     ]
 
 
@@ -508,7 +509,7 @@ def pbft_carriers(replica):
         (VOTE, True, lambda x: view_change(last_committed=1, commit_proof=x), commit),
         (VOTE, True, lambda x: view_change(prepared=((1, x, block),)), prepare),
         (VOTE, True, new_view, prepare),
-        (VOTE, True, lambda x: PBFTSyncReplyMsg(entries=((block, x),)), commit),
+        (VOTE, True, range_response, commit),
     ]
 
 
@@ -544,9 +545,9 @@ def test_hostile_shapes_are_dropped_by_every_handler(protocol):
             replica.handle(1, msg)  # must not raise
             dropped = ctx.traced[before:]
             assert set(dropped) <= {"verification_failed"}, label
-            # Catch-up replies are dropped silently, like any other
-            # reply that fails verification there; so is a status report
-            # without a checkpoint.
+            # A status report is dropped silently when catch-up is not
+            # waiting for it or it lacks a checkpoint, and so is a fetched
+            # chain with nothing above the ledger head.
             if not isinstance(msg, (StatusResponseMsg, BlockRangeResponseMsg)):
                 assert dropped == ["verification_failed"], label
             delivered += 1

@@ -574,8 +574,17 @@ class TestSweep:
 #: sha256 over the sorted ``"<scenario id> <fingerprint>"`` lines of the
 #: 116 ``python -m repro.check --smoke`` scenarios, and the E10 demo's
 #: fingerprint.  A behaviour-neutral change leaves both untouched.
-SMOKE_GRID_DIGEST = "8877999f5bd766517c96074deb07f285e30d6eb096f99cc6798926c6eb0d1c32"
-E10_DEMO_FINGERPRINT = "21d967f3dcdc25327b9f714936fc284c26e787490d289be0b3e32663c26b6ee2"
+#:
+#: Re-pinned for one fetch path: a missing ancestor is now fetched as the
+#: chain above the ledger (``BlockRangeRequestMsg``, one provider) instead
+#: of a per-hash ``BlockRequestMsg`` broadcast.  Exactly the 16 scenarios
+#: that sent the old request moved — ``alterbft:equivocate`` (calibrated
+#: and adversarial, seeds 1 and 2, and seed 1 at pd2/pd4),
+#: ``alterbft:equivocate-inflight`` (calibrated and adversarial, seed 1,
+#: pd2/pd4) and ``sync-hotstuff:equivocate`` (all four) — and the E10
+#: demo, which fetched too.
+SMOKE_GRID_DIGEST = "bca911580ecffbb3d7662ccbf3775b533c062fb6aee3785c049f9720912b2885"
+E10_DEMO_FINGERPRINT = "6eea617493305c8947e4d5376d400c4f85a09fe4eca043106f5a823e696f95e7"
 
 
 @pytest.mark.slow

@@ -93,15 +93,10 @@ class TestHotStuff:
         result = run_experiment(quick_config("hotstuff", seed=seed, duration=4.0))
         assert result.safety_ok
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="liveness hole (ROADMAP item 4): variant B is certified without replica 0, "
-        "which parks its commit on a block it never receives, and HotStuff has no ancestor fetch",
-    )
     def test_every_honest_replica_commits_under_equivocation(self):
         """A Byzantine leader sends variant A to the lower half and B to the
-        upper half.  Safety holds, but replica 0 has committed nothing by
-        the end of the run while replicas 2 and 3 have."""
+        upper half.  B is certified without replica 0, which never receives
+        it; the fetch brings it, so replica 0 commits with the others."""
         cluster = build_cluster(
             make_config("hotstuff", f=1, rate=500, duration=8, seed=1, faults=((1, "equivocate"),))
         )

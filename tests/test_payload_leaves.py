@@ -30,10 +30,9 @@ from repro.runner.cluster import build_cluster
 from repro.types.block import Block, BlockPayload, genesis_block, make_block
 from repro.types.certificates import genesis_qc
 from repro.types.messages import (
-    BlockResponseMsg,
+    BlockRangeResponseMsg,
     PayloadMsg,
     PayloadResponseMsg,
-    ProposalHeaderMsg,
 )
 from repro.types.transaction import Transaction
 from tests import codec_oracle
@@ -91,7 +90,7 @@ _SHAPES = [
 
 
 @pytest.mark.parametrize("count, tx_bytes", _SHAPES)
-def test_bare_and_nested_payloads(count, tx_bytes, signers3):
+def test_bare_and_nested_payloads(count, tx_bytes):
     payload = _payload(count, tx_bytes)
     digest = b"\x07" * 32
     _assert_seeded(decode(encode(payload)), payload)
@@ -103,16 +102,10 @@ def test_bare_and_nested_payloads(count, tx_bytes, signers3):
         decode(encode(PayloadResponseMsg(block_hash=digest, payload=payload))).payload, payload
     )
     block = make_block(1, 1, digest, payload.transactions, proposer=0)
-    proposal = ProposalHeaderMsg(
-        header=block.header,
-        signature=signers3[0].digest_and_sign("proposal", block.block_hash),
-        justify=genesis_qc("alterbft", digest),
-    )
-    response = decode(encode(BlockResponseMsg(proposal=proposal, payload=payload)))
-    _assert_seeded(response.payload, payload)
-    assert Block(header=response.proposal.header, payload=response.payload).validate_payload()
-    # A whole block (recovery's block-range and snapshot responses carry them).
-    decoded_block = decode(encode(block))
+    # A whole block, as the fetch's range responses and snapshots carry them.
+    justify = genesis_qc("alterbft", digest)
+    response = decode(encode(BlockRangeResponseMsg(justify=justify, blocks=(block,), headers=())))
+    (decoded_block,) = response.blocks
     _assert_seeded(decoded_block.payload, payload)
     assert decoded_block.validate_payload()
 

@@ -572,22 +572,21 @@ def test_dispatch_table_with_every_subsystem_attached():
         m.StatusResponseMsg,
         m.SnapshotRequestMsg,
         m.SnapshotResponseMsg,
-        m.BlockRangeRequestMsg,
-        m.BlockRangeResponseMsg,
     }
+    fetch = {m.BlockRangeRequestMsg, m.BlockRangeResponseMsg}
     guard = {m.GuardProbeMsg, m.GuardProbeEchoMsg, m.DeltaAdjustMsg, m.DeltaAdjustCertMsg}
     dissem = {m.ChunkShareMsg, m.ChunkRequestMsg, m.ChunkResponseMsg}
-    alterbft = {m.ProposalHeaderMsg, m.PayloadMsg, m.BlockRequestMsg, m.BlockResponseMsg}
+    alterbft = {m.ProposalHeaderMsg, m.PayloadMsg}
 
     flags = dict(guard_enabled=True, checkpoint_interval=4)
     cluster = build_cluster(make_config("alterbft", dissemination=True, **flags))
     handled = set(cluster.replicas[0]._bound_handlers)
-    assert handled == core | alterbft | recovery | guard | dissem
-    assert len(handled) == 25
+    assert handled == core | fetch | alterbft | recovery | guard | dissem
+    assert len(handled) == 23
 
     cluster = build_cluster(make_config("sync-hotstuff", **flags))
     handled = set(cluster.replicas[0]._bound_handlers)
-    assert handled == core | {m.SHProposalMsg} | recovery | guard
+    assert handled == core | fetch | {m.SHProposalMsg} | recovery | guard
     assert len(handled) == 19
 
 

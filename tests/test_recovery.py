@@ -332,15 +332,8 @@ def test_rejoiner_ends_on_the_clusters_delta():
     assert len(set(deltas)) == 1, deltas
 
 
-@pytest.mark.xfail(strict=True, reason="a rejoiner is stranded at its snapshot")
-def test_rejoiner_catches_up_with_every_subsystem_on():
-    """Replica 1 finishes catch-up at height 44, parks a commit window on a
-    header every peer has already pruned, and ends at 44 against 196–197
-    with ``caught_up_at`` still ``None``.  Removing any one of the four
-    flags lets it recover.  Seed 10 strands it identically before and after
-    header relays stopped going to the proposer; seed 7, which stranded it
-    before, no longer does."""
-    cluster = _run(
+def _rejoin_with_every_subsystem_on():
+    return _run(
         make_config(
             "alterbft",
             f=2,
@@ -354,4 +347,26 @@ def test_rejoiner_catches_up_with_every_subsystem_on():
             pipeline_depth=2,
         )
     )
+
+
+def test_rejoiner_catches_up_with_every_subsystem_on():
+    """Replica 1 leaves its snapshot at height 44 with a commit window
+    parked on a header every peer has already pruned.  The fetch asks for
+    the chain above its ledger, a peer serves the pruned prefix from its
+    own ledger, and catch-up completes (at 57)."""
+    cluster = _rejoin_with_every_subsystem_on()
     assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a payload pull is served from the store only: the rejoiner's next block "
+    "has its payload below every peer's floor, where only their ledgers hold it",
+)
+def test_rejoiner_keeps_up_with_every_subsystem_on():
+    """After catch-up, replica 1 cannot vote for height 58: its payload's
+    shares and blocks are pruned at every peer (floors at 196), so its
+    payload requests go unanswered and it ends at 57 against 198."""
+    cluster = _rejoin_with_every_subsystem_on()
+    heights = [replica.ledger.height for replica in cluster.replicas]
+    assert heights[1] >= max(heights) - 10, heights

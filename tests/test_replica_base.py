@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.sync_hotstuff import SyncHotStuffReplica
 from repro.config import ProtocolConfig
+from repro.consensus.fetch import Fetch
 from repro.consensus.replica import HOOKS, BaseReplica
 from repro.consensus.validators import ValidatorSet
 from repro.core.protocol import AlterBFTReplica
@@ -815,10 +816,11 @@ def _family_replica(cls, signers3, validators3, **flags):
 
 
 class TestBareFamilyReplica:
-    @pytest.mark.parametrize("cls,core", [(AlterBFTReplica, 11), (SyncHotStuffReplica, 8)])
+    @pytest.mark.parametrize("cls,core", [(AlterBFTReplica, 11), (SyncHotStuffReplica, 10)])
     def test_dispatches_exactly_the_core_classes(self, cls, core, signers3, validators3):
+        """Its own classes and the fetch's, which every replica holds."""
         replica, ctx = _family_replica(cls, signers3, validators3)
-        assert set(replica._bound_handlers) == set(cls.HANDLERS)
+        assert set(replica._bound_handlers) == {*cls.HANDLERS, *Fetch.HANDLERS}
         assert len(replica._bound_handlers) == core
         replica.on_start()
         traced = list(ctx.traced)
@@ -865,15 +867,21 @@ class TestBareFamilyReplica:
         )
         attach_subsystems(replica)
         replica.on_start()
-        handlers = dict(replica._bound_handlers)
+        handlers = {
+            cls: handler
+            for cls, handler in replica._bound_handlers.items()
+            if cls not in Fetch.HANDLERS
+        }
         hooks = {hook: list(subs) for hook, subs in replica._hooks.items()}
         subsystems = dict(replica.subsystems)
         replica.delta_scale = 4.0  # as a guard install at rung 2 leaves it
         replica.crashed = True
         replica.subsystems["recovery"].restart()
         # Fresh dispatch tables, same owners: every handler, timer and hook
-        # is bound to the very subsystem object that outlived the crash.
-        assert replica._bound_handlers == handlers and len(handlers) == 25
+        # is bound to the very subsystem object that outlived the crash —
+        # and the fetch's to the fresh fetch, whose open request was volatile.
+        fetch = {cls: getattr(replica.fetch, m) for cls, m in Fetch.HANDLERS.items()}
+        assert replica._bound_handlers == {**handlers, **fetch} and len(handlers) == 21
         assert replica._hooks == hooks
         assert replica.subsystems == subsystems and list(replica.subsystems) == list(subsystems)
         for subsystem in subsystems.values():

@@ -53,6 +53,7 @@ from repro.net.simnet import SimNetwork
 from repro.config import NetworkConfig
 from repro.runner.cluster import build_cluster
 from repro.codec import registered_types
+from repro.consensus.fetch import Fetch
 from repro.runner.registry import SUBSYSTEMS, wire_phases_for
 from repro.types.block import BlockHeader
 from repro.types.messages import (
@@ -118,15 +119,13 @@ PHASE_TABLE = {
     "StatusMsg": "epoch_change",
     "PayloadRequestMsg": "repair",
     "PayloadResponseMsg": "repair",
-    "BlockRequestMsg": "repair",
-    "BlockResponseMsg": "repair",
+    "BlockRangeRequestMsg": "repair",
+    "BlockRangeResponseMsg": "repair",
     "CheckpointVoteMsg": "recovery",
     "StatusRequestMsg": "recovery",
     "StatusResponseMsg": "recovery",
     "SnapshotRequestMsg": "recovery",
     "SnapshotResponseMsg": "recovery",
-    "BlockRangeRequestMsg": "recovery",
-    "BlockRangeResponseMsg": "recovery",
     "SHProposalMsg": "propose",
     "HSProposalMsg": "propose",
     "HSNewViewMsg": "epoch_change",
@@ -135,8 +134,6 @@ PHASE_TABLE = {
     "PBFTCommitMsg": "vote",
     "PBFTViewChangeMsg": "epoch_change",
     "PBFTNewViewMsg": "epoch_change",
-    "PBFTSyncRequestMsg": "repair",
-    "PBFTSyncReplyMsg": "repair",
     "ProbeMsg": "measure",
     "ProbeAckMsg": "measure",
     "ClientReplyMsg": "client",
@@ -169,7 +166,7 @@ class TestPhaseContract:
 
     def test_every_handled_class_has_a_phase(self):
         """No consensus message class may fall into 'other'."""
-        for owner in ALL_REPLICA_CLASSES + SUBSYSTEMS:
+        for owner in (*ALL_REPLICA_CLASSES, Fetch, *SUBSYSTEMS):
             for msg_cls in owner.HANDLERS:
                 phase = classify_phase(msg_cls.__name__)
                 assert phase != "other", f"{msg_cls.__name__} unclassified"
@@ -184,7 +181,7 @@ class TestPhaseContract:
             (phase,) = _phases(subsystem)
             owned.append(phase)
         assert owned == ["recovery", "guard", "dissemination"]
-        for cls in ALL_REPLICA_CLASSES:
+        for cls in (*ALL_REPLICA_CLASSES, Fetch):
             assert not set(owned) & _phases(cls)
 
     def test_full_contract_is_core_plus_carried_subsystems(self):
@@ -193,7 +190,7 @@ class TestPhaseContract:
         so the contract can never silently get weaker."""
         for cls in ALL_REPLICA_CLASSES:
             carried = [s for s in SUBSYSTEMS if s.name in cls.FEATURES]
-            expected = _phases(cls).union(*map(_phases, carried))
+            expected = _phases(cls).union(_phases(Fetch), *map(_phases, carried))
             assert wire_phases_for(cls.protocol_name) == expected
         assert wire_phases_for("alterbft") == {
             "propose",
@@ -213,7 +210,7 @@ class TestPhaseContract:
             "recovery",
             "guard",
         }
-        assert wire_phases_for("hotstuff") == {"propose", "vote", "epoch_change"}
+        assert wire_phases_for("hotstuff") == {"propose", "vote", "epoch_change", "repair"}
         assert wire_phases_for("pbft") == {"propose", "vote", "epoch_change", "repair"}
 
     def test_unknown_class_is_other(self):

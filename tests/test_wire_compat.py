@@ -33,8 +33,8 @@ from repro.types.certificates import (
 from repro.types.messages import (
     BlameCertMsg,
     BlameMsg,
-    BlockRequestMsg,
-    BlockResponseMsg,
+    BlockRangeRequestMsg,
+    BlockRangeResponseMsg,
     ChunkRequestMsg,
     ChunkResponseMsg,
     ChunkShareMsg,
@@ -49,8 +49,6 @@ from repro.types.messages import (
     PBFTNewViewMsg,
     PBFTPrepareMsg,
     PBFTPrePrepareMsg,
-    PBFTSyncReplyMsg,
-    PBFTSyncRequestMsg,
     PBFTViewChangeMsg,
     ProbeAckMsg,
     ProbeMsg,
@@ -79,8 +77,8 @@ EXPECTED_IDS = {
     StatusMsg: 27,
     PayloadRequestMsg: 28,
     PayloadResponseMsg: 29,
-    BlockRequestMsg: 30,
-    BlockResponseMsg: 31,
+    BlockRangeRequestMsg: 37,
+    BlockRangeResponseMsg: 38,
     SHProposalMsg: 40,
     MerkleProof: 41,
     MerkleMultiProof: 42,
@@ -91,8 +89,6 @@ EXPECTED_IDS = {
     PBFTCommitMsg: 82,
     PBFTViewChangeMsg: 83,
     PBFTNewViewMsg: 84,
-    PBFTSyncRequestMsg: 85,
-    PBFTSyncReplyMsg: 86,
     ProbeMsg: 100,
     ProbeAckMsg: 101,
     ClientReplyMsg: 103,
