@@ -2,17 +2,18 @@
 
 A replica crashes at a fixed time, stays down while the cluster keeps
 committing, then restarts and runs the catchup protocol: WAL replay,
-status round, checkpoint-anchored snapshot install, certified block-range
-fetch.  Measured: *time-to-catchup* (restart → caught up) as a function
+status round, and one certified block-range fetch whose prefix up to the
+checkpoint installs into the ledger as the snapshot.  Measured: *time-to-catchup* (restart → caught up) as a function
 of how much history the replica missed and of the checkpoint cadence K,
 for AlterBFT and Sync HotStuff.  Safety is asserted post hoc on every
 run — including that the rejoined ledger equals the honest ledgers.
 
 The shape to expect: time-to-catchup is dominated by the large-message
 transfer of the missed blocks, so it grows with downtime but stays far
-below naive re-execution (the snapshot covers the checkpointed prefix in
-one round trip); K trades checkpoint-vote overhead against how much of
-the tail must be fetched block-by-block.
+below naive re-execution (one round trip brings the checkpointed prefix
+and the certified chain above it); K trades checkpoint-vote overhead
+against how much of that chain commits through consensus rather than
+installing as the snapshot.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def run(fast: bool = True) -> ExperimentOutput:
         },
         notes=(
             "Every rejoiner converges to the honest ledger; time-to-catchup "
-            "is a large-message transfer cost (snapshot + certified range), "
-            "tens of milliseconds at these scales, and grows with downtime "
-            "while staying insensitive to K except through the uncovered "
-            "tail fetched block-by-block."
+            "is a large-message transfer cost (one certified range, its "
+            "checkpointed prefix installed as the snapshot), tens of "
+            "milliseconds at these scales, and grows with downtime while "
+            "staying insensitive to K except through the tail above the "
+            "checkpoint, which commits through consensus."
         ),
     )

@@ -50,13 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 PROFILES = ("calibrated", "adversarial", "stall-large")
 
 #: Message types the adversary may drop: each has a request/repair path
-#: (payloads re-fetch via AlterBFTReplica.on_payload_request; snapshots and,
-#: in every protocol, range responses are re-asked on a retry timer that
-#: rotates providers), so a dropped copy is re-fetched and delivery survives.
+#: (payloads re-fetch via AlterBFTReplica.on_payload_request; range
+#: responses, in every protocol and in a rejoiner's catchup, are re-asked
+#: on a retry timer that rotates providers), so a dropped copy is
+#: re-fetched and delivery survives.
 _DROPPABLE_TYPES = (
     "PayloadMsg",
     "PayloadResponseMsg",
-    "SnapshotResponseMsg",
     "BlockRangeResponseMsg",
 )
 

@@ -186,14 +186,17 @@ def check_recovery(cluster: "Cluster") -> InvariantResult:
 
     Applies to replicas carrying a :class:`~repro.recovery.RecoveryManager`
     that actually restarted during the run (vacuously true otherwise).
-    Three claims per rejoiner:
+    Four claims per rejoiner:
 
     * **convergence** — its committed ledger is a prefix of (or equal to)
       the longest honest ledger; a rejoiner that installed a forged
       snapshot or fetched a fork would diverge here;
     * **caught up** — catchup completed (``caught_up_at`` set).  This is
       the harness's stall detector: a Byzantine quorum withholding
-      snapshots/ranges past every retry shows up as a violation;
+      ranges past every retry shows up as a violation;
+    * **keeps up** — its final ledger trails the longest honest ledger by
+      at most ``pipeline_depth + 2`` blocks (what may be in flight), so a
+      rejoiner that catches up and then stops voting is a violation;
     * **no double vote** — the write-ahead log never records two votes
       for the same (epoch, height) with different block hashes, i.e. the
       restart did not make the replica contradict its pre-crash self.
@@ -220,6 +223,13 @@ def check_recovery(cluster: "Cluster") -> InvariantResult:
                 False,
                 f"replica {rid}: catchup stalled (state={manager.state!r}, "
                 f"retries={manager.fetch_retries})",
+            )
+        lag = len(longest) - len(chain)
+        if lag > replica.config.pipeline_depth + 2:
+            return InvariantResult(
+                RECOVERY,
+                False,
+                f"replica {rid}: rejoined ledger trails the honest ledger by {lag} blocks",
             )
         voted = {}
         for vote in manager.wal.replay():

@@ -114,7 +114,10 @@ class Fetch:
         the headers above the ledger head link hash by hash from the head to
         ``justify``'s block, and each payload matches its header.  Then
         install and take the protocol's step.  An answer with nothing above
-        the head is stale and dropped silently."""
+        the head is stale and dropped silently; one that starts at the
+        head's height + 1 on another parent goes to the protocol's
+        ``_fetched_off_head``, which refuses it unless the protocol reads it
+        as a fork."""
         replica = self.replica
         justify, head = msg.justify, replica.ledger.head
         if not replica.verify_qc(justify) or justify.phase != replica.TIP_PHASE:
@@ -123,13 +126,16 @@ class Fetch:
             return
         headers = (*(b.header for b in msg.blocks), *msg.headers)
         chain = sorted((h for h in headers if h.height > head.height), key=lambda h: h.height)
-        prev = head
-        for header in chain:
-            if header.height != prev.height + 1 or header.parent != prev.block_hash:
-                raise VerificationError("fetched chain does not link to the ledger head")
-            prev = header
-        if prev.block_hash != justify.block_hash:
+        if not chain or chain[0].height != head.height + 1:
+            raise VerificationError("fetched chain does not start above the ledger head")
+        for below, header in zip(chain, chain[1:]):
+            if header.height != below.height + 1 or header.parent != below.block_hash:
+                raise VerificationError("fetched chain does not link hash by hash")
+        if chain[-1].block_hash != justify.block_hash:
             raise VerificationError("fetched chain does not end at its certificate")
+        if chain[0].parent != head.block_hash:
+            replica._fetched_off_head(justify, chain)
+            return
         fresh = [b for b in msg.blocks if b.height > head.height]
         if not all(block.validate_payload() for block in fresh):
             raise VerificationError("fetched payload does not match its header")

@@ -17,7 +17,7 @@ from ..crypto.signatures import Signer
 from ..errors import ConfigError, VerificationError
 from ..mempool.mempool import Mempool
 from ..obs.recorder import SpanRecorder
-from ..types.block import Block
+from ..types.block import Block, BlockHeader
 from ..types.certificates import BLAME, VOTE, Certificate, Vote, is_genesis_qc
 from ..types.messages import proposal_signing_bytes, PROPOSAL_DOMAIN
 from .blockstore import BlockStore
@@ -40,7 +40,8 @@ class BaseReplica:
     Subclasses set :attr:`protocol_name`, :attr:`HANDLERS`, :attr:`FEATURES`,
     ``epoch_changes``, and implement :meth:`on_start`, their handlers and
     the fetch's ``fetch_tip()`` (the certificate, of :attr:`TIP_PHASE`, its
-    chain is served under) and ``_fetched(justify, chain)`` (its one step).
+    chain is served under) and ``_fetched(justify, chain)`` (its one step
+    for a chain that links to the ledger head).
     """
 
     #: Short protocol name, used in signatures and reports.
@@ -294,6 +295,14 @@ class BaseReplica:
     ) -> Optional[Certificate]:
         """The QC this replica formed for the statement, until the horizon."""
         return self.votes.certified.get((self.protocol_name, phase, epoch, height, block_hash))
+
+    def _fetched_off_head(self, justify: Certificate, chain: List[BlockHeader]) -> None:
+        """The fetch's step for a certified chain that starts at the head's
+        height + 1 on another parent: refused like any chain that does not
+        link.  A provider's certified branch alone proves nothing against
+        this replica's commits; a protocol that can tie it to a block it
+        was about to commit may read it as a fork instead (AlterBFT does)."""
+        raise VerificationError("fetched chain does not link to the ledger head")
 
     def verify_qc(self, qc: Certificate) -> bool:
         """Verify a received certificate (genesis QC is valid by fiat).

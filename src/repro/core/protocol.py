@@ -164,11 +164,6 @@ class AlterBFTReplica(BaseReplica):
         self._header_msgs: Dict[Digest, ProposalHeaderMsg] = {}
         # Buffered proposals from epochs we have not entered yet.
         self._future_headers: List[Tuple[int, ProposalHeaderMsg]] = []
-        # Set when a certified chain conflicts with our committed chain —
-        # impossible for a correct protocol, reachable in the E10 safety
-        # ablations.  The replica halts consensus participation: anything
-        # it would do next could only deepen the fork.
-        self._fork_detected = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -543,13 +538,15 @@ class AlterBFTReplica(BaseReplica):
         self.broadcast(msg, include_self=False)
 
     def on_payload_request(self, src: int, msg: PayloadRequestMsg) -> None:
+        """Serve from the store, or from the ledger below the store's floor
+        (the fetch's ledger lookup, by height and hash)."""
         if self.store.has_payload(msg.block_hash):
-            self.send(
-                src,
-                PayloadResponseMsg(
-                    block_hash=msg.block_hash, payload=self.store.payload(msg.block_hash)
-                ),
-            )
+            payload = self.store.payload(msg.block_hash)
+        elif self.ledger.committed_hash_at(msg.height) == msg.block_hash:
+            payload = self.ledger.block_at(msg.height).payload
+        else:
+            return
+        self.send(src, PayloadResponseMsg(block_hash=msg.block_hash, payload=payload))
 
     def on_payload_response(self, src: int, msg: PayloadResponseMsg) -> None:
         if self.store.get_header(msg.block_hash) is None:
@@ -566,7 +563,7 @@ class AlterBFTReplica(BaseReplica):
             pass
 
     def _maybe_vote_once(self, epoch: int) -> bool:
-        if self._fork_detected:
+        if self.crashed:  # halted on a fork
             return False
         if self.state != ACTIVE or epoch != self.epoch or epoch in self._equivocated:
             return False
@@ -713,19 +710,8 @@ class AlterBFTReplica(BaseReplica):
                 self._parked_on_header.setdefault(lowest.parent, set()).add((epoch, block_hash))
                 self.fetch.want(header.height, block_hash)
             elif status == "fork":
-                # The certified block conflicts with our committed chain.
-                # Unreachable for a correct protocol run; reachable in the
-                # E10 ablations — halt participation and leave the fork
-                # for the harness's cross-replica safety checker.
-                height = self.store.header(block_hash).height
-                self.event("fork_detected", epoch=epoch, height=height)
-                self._fork_detected = True
-                self._window_clean.clear()
-                # Halt entirely: any further participation could only
-                # deepen the fork.  The ledger stays as evidence.
-                self.crashed = True
-                if self.pacemaker is not None:
-                    self.pacemaker.stop()
+                self._halt_on_fork(epoch, header.height)
+                self._window_clean.clear()  # no later window in this pass commits
             return
         if missing:
             # Park the window on its missing payloads; it wakes when they
@@ -758,9 +744,29 @@ class AlterBFTReplica(BaseReplica):
             self._unpark(self._parked_on_header, header.block_hash)
         self._try_commit_ready()
 
+    def _fetched_off_head(self, justify: Certificate, chain: List[BlockHeader]) -> None:
+        """A certified chain off the head that carries the missing ancestry
+        of a window parked to commit (certified, window clean) forks that
+        commit-grade block off the committed chain: the fork step.  Any
+        other such chain is refused, as in every protocol."""
+        if not any(header.block_hash in self._parked_on_header for header in chain):
+            super()._fetched_off_head(justify, chain)
+        self._halt_on_fork(justify.epoch, justify.height)
+
+    def _halt_on_fork(self, epoch: int, height: int) -> None:
+        """The one fork step: a certified block at ``height`` conflicts
+        with the committed chain.  Unreachable in a correct protocol run,
+        reachable in the E10 ablations.  Report it and halt entirely — any
+        further participation could only deepen the fork; the ledger stays
+        as evidence for the harness's cross-replica safety checker."""
+        self.event("fork_detected", epoch=epoch, height=height)
+        self.crashed = True
+
     def _ancestry_status(self, block_hash: Digest) -> Tuple[str, BlockHeader]:
         """Whether a block's chain reaches the committed head ("ok"), misses
-        headers ("gap") or forks, with the lowest header the walk reached."""
+        headers ("gap") or forks, with the lowest header the walk reached —
+        a fork also when that header sits just above the head on another
+        parent."""
         target_height = self.ledger.height
         head_hash = self.ledger.head.block_hash
         for header in self.store.walk_ancestors(block_hash):
@@ -768,7 +774,8 @@ class AlterBFTReplica(BaseReplica):
                 return ("ok" if header.block_hash == head_hash else "fork"), header
             if header.height < target_height:
                 return "fork", header
-        return "gap", header
+        off_head = header.height == target_height + 1 and header.parent != head_hash
+        return ("fork" if off_head else "gap"), header
 
     # ------------------------------------------------------------------
     # Blames and epoch change

@@ -23,13 +23,16 @@ A fresh certificate lets the block store prune everything below it.
 small ``StatusRequest``; from f+1 responses it learns (a) a safe epoch
 to join — the (f+1)-th largest reported epoch is at most some honest
 replica's epoch — (b) the highest checkpoint certificate, and (c) the
-highest certified tip.  It then fetches the checkpoint snapshot as a
-*large* message from one provider at a time, with a per-provider timeout
-that rotates to an alternate provider so a Byzantine withholder cannot
-stall catchup, and installs it into the ledger only after its chained
-digest matches the certificate.  The certified suffix above comes through
-the block fetch (:mod:`repro.consensus.fetch`) into the block store only:
-it commits later through normal consensus (certified ≠ committed).
+highest certified tip.  It then asks the block fetch
+(:mod:`repro.consensus.fetch`) for the certified chain above its ledger,
+the highest-ledger responders first; the fetch rotates to the next
+provider on a timeout, so a Byzantine withholder cannot stall catchup.
+The answer is a *large* message.  Its prefix up to the status-time
+checkpoint is the snapshot: it enters the ledger only when the block at
+the certificate's height is the certified block and the chained digest
+matches the certificate.  The rest of the chain (all of it, when the
+answer lacks that prefix or fails either check) stays in the block store
+and commits later through normal consensus (certified ≠ committed).
 
 The manager never imports ``repro.core.protocol``: it drives the replica
 through a narrow surface (``verify_qc``, ``fetch``,
@@ -47,18 +50,11 @@ from ..consensus.quorum import QuorumCollector
 from ..crypto.hashing import sha256
 from ..types.block import Block
 from ..types.certificates import CHECKPOINT, Certificate, CheckpointVote
-from ..types.messages import (
-    CheckpointVoteMsg,
-    SnapshotRequestMsg,
-    SnapshotResponseMsg,
-    StatusRequestMsg,
-    StatusResponseMsg,
-)
+from ..types.messages import CheckpointVoteMsg, StatusRequestMsg, StatusResponseMsg
 
 #: Catchup phases, in order.
 IDLE = "idle"
 STATUS = "status"
-SNAPSHOT = "snapshot"
 RANGE = "range"
 DONE = "done"
 
@@ -71,8 +67,6 @@ class RecoveryManager:
         CheckpointVoteMsg: "on_checkpoint_vote",
         StatusRequestMsg: "on_status_request",
         StatusResponseMsg: "on_status_response",
-        SnapshotRequestMsg: "on_snapshot_request",
-        SnapshotResponseMsg: "on_snapshot_response",
     }
     TIMERS = {"recovery_retry": "on_retry"}
 
@@ -81,10 +75,7 @@ class RecoveryManager:
         #: The durable medium: outlives every ``restart`` of the replica.
         self.wal = wal
         self.interval = replica.config.checkpoint_interval
-        # Retry must exceed a round trip of small messages; the large
-        # response itself is eventually timely, so rotating providers
-        # (rather than waiting forever on one) is what preserves
-        # liveness under withholding.
+        # Retry must exceed a round trip of small messages.
         self.retry_timeout = max(CATCHUP_RETRY, 3 * replica.config.delta)
         #: Highest checkpoint certificate known (served to rejoiners).
         self.latest_cert: Optional[Certificate] = None
@@ -93,8 +84,6 @@ class RecoveryManager:
         # Catchup state.
         self.state = IDLE
         self._status_responses: Dict[int, StatusResponseMsg] = {}
-        self._providers: List[int] = []
-        self._provider_idx = 0
         self._fetch_attempt = 0
         self._target_cert: Optional[Certificate] = None
         self._target_height = 0
@@ -112,12 +101,9 @@ class RecoveryManager:
     def _quorum(self) -> int:
         return self.replica.validators.quorum
 
-    def _current_provider(self) -> int:
-        return self._providers[self._provider_idx % len(self._providers)]
-
     @property
     def fetch_retries(self) -> int:
-        """Status, snapshot and (since the restart) fetch requests re-sent."""
+        """Status and (since the restart) fetch requests re-sent."""
         return self._retries + self.replica.fetch.retries
 
     def _arm_retry(self) -> None:
@@ -211,8 +197,6 @@ class RecoveryManager:
         self.restarts += 1
         self.state = STATUS
         self._status_responses.clear()
-        self._providers = []
-        self._provider_idx = 0
         self.caught_up_at = None
         self.replica.event("recovery_status_request")
         self.replica.broadcast(
@@ -221,19 +205,15 @@ class RecoveryManager:
         self._arm_retry()
 
     def on_retry(self, payload: Tuple[str, int]) -> None:
-        """Per-provider timeout: rotate to an alternate and re-request."""
+        """Status timeout: ask everyone again (the fetch retries itself)."""
         phase, attempt = payload
         if phase != self.state or attempt != self._fetch_attempt:
             return  # stale timer: that request already succeeded
         self._retries += 1
-        if self.state == STATUS:
-            self.replica.broadcast(
-                StatusRequestMsg(sender=self.replica.replica_id), include_self=False
-            )
-            self._arm_retry()
-        elif self.state == SNAPSHOT:
-            self._provider_idx += 1
-            self._send_snapshot_request()
+        self.replica.broadcast(
+            StatusRequestMsg(sender=self.replica.replica_id), include_self=False
+        )
+        self._arm_retry()
 
     # -- serving (every replica with a manager answers these) ----------------
 
@@ -248,15 +228,6 @@ class RecoveryManager:
                 tip=self.replica.high_qc,
             ),
         )
-
-    def on_snapshot_request(self, src: int, msg: SnapshotRequestMsg) -> None:
-        if msg.to_height > self.replica.ledger.height:
-            return  # we do not have that prefix; requester will rotate
-        blocks = self.replica.ledger.blocks_in_range(msg.from_height, msg.to_height)
-        if blocks:
-            self.replica.send(
-                src, SnapshotResponseMsg(from_height=msg.from_height, blocks=tuple(blocks))
-            )
 
     # -- status phase ---------------------------------------------------------
 
@@ -279,96 +250,62 @@ class RecoveryManager:
         self._target_height = max(r.ledger_height for r in responses)
         certs = [r.checkpoint for r in responses if r.checkpoint is not None]
         self._target_cert = max(certs, key=lambda c: c.height, default=None)
-        # Provider preference: highest ledger first; deterministic tiebreak.
-        self._providers = sorted(
-            self._status_responses, key=lambda rid: (-self._status_responses[rid].ledger_height, rid)
-        )
-        self._provider_idx = 0
         self.replica.event(
             "recovery_status",
             join_epoch=self._join_epoch,
             target_height=self._target_height,
             checkpoint=self._target_cert.height if self._target_cert else 0,
         )
-        if (
-            self._target_cert is not None
-            and self._target_cert.height > self.replica.ledger.height
-        ):
-            self.state = SNAPSHOT
-            self._send_snapshot_request()
-        else:
-            self._enter_range_phase()
-
-    # -- snapshot phase -------------------------------------------------------
-
-    def _send_snapshot_request(self) -> None:
-        assert self._target_cert is not None
-        self.replica.send(
-            self._current_provider(),
-            SnapshotRequestMsg(
-                sender=self.replica.replica_id,
-                from_height=self.replica.ledger.height,
-                to_height=self._target_cert.height,
-            ),
-        )
-        self._arm_retry()
-
-    def on_snapshot_response(self, src: int, msg: SnapshotResponseMsg) -> None:
-        if self.state != SNAPSHOT:
-            return
-        cert = self._target_cert
-        assert cert is not None
-        ledger = self.replica.ledger
-        if msg.from_height != ledger.height or not msg.blocks:
-            return
-        # Verify the chain links our head to exactly the certified
-        # checkpoint, and that the chained digest matches the
-        # certificate — a Byzantine provider cannot smuggle in a fake
-        # prefix, only withhold (which the retry timer handles).
-        prev = ledger.head
-        digest = ledger.state_digest(ledger.height)
-        for block in msg.blocks:
-            if block.height != prev.height + 1 or block.parent != prev.block_hash:
-                return
-            if not block.validate_payload():
-                return
-            digest = sha256(digest + block.block_hash)
-            prev = block
-        if prev.height != cert.height or prev.block_hash != cert.block_hash:
-            return
-        if digest != cert.state_digest:
-            return
-        ledger.install_snapshot(list(msg.blocks))
-        # The new head must be reachable in the block store so that
-        # chain_between / commit_through can anchor on it later.
-        self.replica.store.add_block(msg.blocks[-1])
-        self.latest_cert = max(
-            (c for c in (self.latest_cert, cert) if c is not None),
-            key=lambda c: c.height,
-        )
-        self.replica.event("recovery_snapshot", height=ledger.height, blocks=len(msg.blocks))
-        self._enter_range_phase()
-
-    # -- block range phase ----------------------------------------------------
-
-    def _enter_range_phase(self) -> None:
-        """Fetch the chain above our committed head whenever anything
-        certified lies above it (reported in status or learned from live
-        traffic since), the current provider first; any answer ends it."""
-        best = max((r.tip.height for r in self._status_responses.values()), default=0)
+        # Fetch the chain above our committed head whenever anything
+        # certified lies above it (reported in status or learned from live
+        # traffic since); any answer ends the range phase.
+        above = [r.tip.height for r in responses] + [self.replica.high_qc.height]
+        if self._target_cert is not None:
+            above.append(self._target_cert.height)
         ledger_height = self.replica.ledger.height
-        if max(best, self.replica.high_qc.height) <= ledger_height:
+        if max(above) <= ledger_height:
             self._finish()
             return
         self.state = RANGE
-        self.replica.fetch.want(ledger_height + 1, providers=(self._current_provider(),))
+        # Provider preference: highest ledger first; deterministic tiebreak.
+        providers = sorted(
+            self._status_responses, key=lambda rid: (-self._status_responses[rid].ledger_height, rid)
+        )
+        self.replica.fetch.want(ledger_height + 1, providers=providers)
+
+    # -- range phase ----------------------------------------------------------
 
     def on_fetched(self, justify: Certificate, blocks: Tuple[Block, ...]) -> None:
-        """Fetch hook: the range phase ends with the first chain installed."""
+        """Fetch hook: install the answer's prefix up to the status-time
+        checkpoint as the snapshot, then end the range phase."""
         if self.state != RANGE:
             return
+        self._install_snapshot(blocks)
         self.replica.event("recovery_range", tip_height=justify.height, blocks=len(blocks))
         self._finish()
+
+    def _install_snapshot(self, blocks: Tuple[Block, ...]) -> None:
+        """Adopt the fetched blocks up to the checkpoint into the ledger,
+        all of them or none.  The fetch's receiver check already linked
+        them to our head and matched each payload to its header; what is
+        left is the checkpoint's own claim: the block at its height is its
+        block, and the chained digest is its digest."""
+        cert, ledger = self._target_cert, self.replica.ledger
+        if cert is None or cert.height <= ledger.height:
+            return
+        by_height = {block.height: block for block in blocks}
+        prefix = [by_height.get(h) for h in range(ledger.height + 1, cert.height + 1)]
+        if None in prefix or prefix[-1].block_hash != cert.block_hash:
+            return
+        digest = ledger.state_digest(ledger.height)
+        for block in prefix:
+            digest = sha256(digest + block.block_hash)
+        if digest != cert.state_digest:
+            return
+        ledger.install_snapshot(prefix)
+        if self.latest_cert is None or cert.height > self.latest_cert.height:
+            self.latest_cert = cert
+        self.replica.event("recovery_snapshot", height=ledger.height, blocks=len(prefix))
 
     # -- completion ------------------------------------------------------------
 
@@ -377,5 +314,5 @@ class RecoveryManager:
         self._fetch_attempt += 1  # invalidate any pending retry timer
         self.replica._finish_catchup(self._join_epoch)
         # Already at the status-time target (e.g. nothing was missed, or
-        # the snapshot alone covered it): mark caught up immediately.
+        # the snapshot covered it): mark caught up immediately.
         self._note_if_caught_up()

@@ -70,9 +70,10 @@ def attach_subsystems(
     everything that builds a replica calls this once, before it starts.
 
     ``restartable`` adds recovery whatever the flags say, for a run that
-    restarts replicas: every peer must serve the rejoiner's status,
-    snapshot and range requests.  ``small_threshold`` is the network's
-    small/large boundary, which the guard measures against.
+    restarts replicas: every peer must answer the rejoiner's status
+    requests (its range requests go to the fetch every replica has).
+    ``small_threshold`` is the network's small/large boundary, which the
+    guard measures against.
     """
     replica.refuse_uncarried(replica.config, restartable)
     wanted = replica.config.features(restartable)

@@ -210,9 +210,9 @@ class BlockRangeResponseMsg:
 #
 # The hybrid model applies to recovery too: checkpoint votes and
 # status requests/responses are *small* (Δ-bounded) control messages,
-# while snapshot responses (and the fetch's range responses above) carry
-# full payloads and are *large* (eventually timely) — exactly the split
-# the paper's thesis requires of every protocol message.
+# while the state itself comes in the fetch's range responses above,
+# which carry full payloads and are *large* (eventually timely) — exactly
+# the split the paper's thesis requires of every protocol message.
 # --------------------------------------------------------------------------
 
 
@@ -254,29 +254,6 @@ class StatusResponseMsg:
     ledger_height: int
     checkpoint: Optional[Certificate]
     tip: Certificate
-
-
-@register(35)
-@dataclass(frozen=True)
-class SnapshotRequestMsg:
-    """Ask one provider for committed blocks in (from_height, to_height]
-    — a small request for a large reply."""
-
-    WIRE_PHASE: ClassVar[str] = "recovery"
-    sender: int
-    from_height: int
-    to_height: int
-
-
-@register(36)
-@dataclass(frozen=True)
-class SnapshotResponseMsg:
-    """Answer to :class:`SnapshotRequestMsg`: the requested committed
-    blocks in height order — a *large* message, eventually timely."""
-
-    WIRE_PHASE: ClassVar[str] = "recovery"
-    from_height: int
-    blocks: Tuple[Block, ...]
 
 
 # --------------------------------------------------------------------------

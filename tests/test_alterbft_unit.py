@@ -29,6 +29,7 @@ from repro.types.certificates import (
 from repro.types.messages import (
     BlameCertMsg,
     BlameMsg,
+    BlockRangeRequestMsg,
     BlockRangeResponseMsg,
     EquivocationProofMsg,
     PayloadMsg,
@@ -526,6 +527,90 @@ class TestPayloadRepair:
         with pytest.raises(VerificationError):
             replica.on_payload(1, forged)
         assert not ctx.sent_of_type(VoteMsg)
+
+    def test_serves_a_pruned_payload_from_the_ledger(self, setup):
+        """Below the store's floor the ledger answers, matched by height and
+        hash; a request naming another block at that height gets nothing."""
+        replica, ctx, signers = setup
+        _, _, block = make_proposal(signers[1], 1, 1, gen_qc(replica))
+        replica.ledger.commit(block, 0.0)
+        assert not replica.store.has_payload(block.block_hash)
+        _, _, other = make_proposal(signers[1], 1, 1, gen_qc(replica), seq=5)
+        replica.handle(2, PayloadRequestMsg(block_hash=other.block_hash, height=1))
+        replica.handle(2, PayloadRequestMsg(block_hash=block.block_hash, height=1))
+        responses = ctx.sent_of_type(PayloadResponseMsg)
+        assert [(r.block_hash, r.payload) for r in responses] == [
+            (block.block_hash, block.payload)
+        ]
+
+
+class TestFetchedFork:
+    """Replica 0 committed ``mine`` at height 1; the other branch is
+    ``theirs`` ← ``child`` ← ``grandchild``, each certified."""
+
+    @staticmethod
+    def _branches(replica, signers):
+        mine = make_proposal(signers[1], 1, 1, gen_qc(replica))[2]
+        replica.store.add_block(mine)
+        replica.ledger.commit(mine, 0.0)
+        theirs = make_proposal(signers[1], 1, 1, gen_qc(replica), seq=5)[2]
+        child = make_proposal(signers[1], 1, 2, qc_over(signers[:2], theirs), seq=6)[2]
+        grandchild = make_proposal(signers[1], 1, 3, qc_over(signers[:2], child), seq=7)[2]
+        answer = BlockRangeResponseMsg(
+            justify=qc_over(signers[:2], child), blocks=(child,), headers=()
+        )
+        return child, grandchild, answer
+
+    @staticmethod
+    def _clean_window(replica, signers, block):
+        """``block``'s header is held, certified, and its window ran clean."""
+        replica.store.add_header(block.header)
+        statement = ("alterbft", 0, block.epoch, block.height, block.block_hash)
+        replica.votes.certified[statement] = qc_over(signers[:2], block)
+        replica._window_clean.add((block.epoch, block.block_hash))
+        replica._try_commit(block.epoch, block.block_hash)
+
+    @staticmethod
+    def _trace(ctx):
+        traced = []
+        ctx.trace = lambda kind, **detail: traced.append(kind)
+        return traced
+
+    def test_a_window_just_above_the_head_on_another_parent_is_a_fork(self, setup):
+        """Its own store already shows the fork: no fetch, one fork step."""
+        replica, ctx, signers = setup
+        child, _, _ = self._branches(replica, signers)
+        traced = self._trace(ctx)
+        self._clean_window(replica, signers, child)
+        assert traced == ["fork_detected"]
+        assert replica.crashed and replica.ledger.height == 1
+        assert not ctx.sent_of_type(BlockRangeRequestMsg)
+
+    def test_a_fetched_chain_under_a_parked_window_is_a_fork(self, setup):
+        """The window parks on its missing parent and fetches; the chain
+        that comes back carries that parent but starts on another block
+        than the head: one fork step."""
+        replica, ctx, signers = setup
+        _, grandchild, answer = self._branches(replica, signers)
+        traced = self._trace(ctx)
+        self._clean_window(replica, signers, grandchild)
+        assert ctx.sent_of_type(BlockRangeRequestMsg) and not replica.crashed
+        replica.fetch.on_response(2, answer)
+        assert traced == ["fork_detected"]
+        assert replica.crashed and replica.ledger.height == 1
+
+    def test_a_chain_no_window_waits_on_is_refused(self, setup):
+        """A provider's certified branch proves no fork of a commit, not
+        even one holding a block fetched by hash: refused like any chain
+        that does not link, and the replica runs on."""
+        replica, ctx, signers = setup
+        _, grandchild, answer = self._branches(replica, signers)
+        replica.store.add_header(grandchild.header)
+        replica.fetch.want(3, grandchild.block_hash)
+        with pytest.raises(VerificationError):
+            replica.fetch.on_response(2, answer)
+        assert not replica.crashed
+        assert not replica.store.has_header(answer.blocks[0].block_hash)
 
 
 class TestIllTypedFields:

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines.pbft import PREPARE_PHASE
 from repro.bench.common import make_config
 from repro.runner.cluster import build_cluster, check_safety
-from repro.types.block import Block
+from repro.types.block import Block, make_block
 from repro.types.certificates import Blame, Certificate, Vote
 from repro.types.messages import BlockRangeRequestMsg, BlockRangeResponseMsg, SHProposalMsg
 
@@ -114,6 +114,17 @@ def _answer(provider, to):
     return answer
 
 
+def _behind(protocol):
+    """A cluster whose last replica stayed at genesis, and what replica 0
+    serves it."""
+    cluster = build_cluster(make_config(protocol, rate=200.0, duration=1.5, seed=7))
+    receiver = cluster.replicas[-1]
+    receiver.crashed = True
+    _run(cluster)
+    receiver.crashed = False
+    return cluster, receiver, _answer(cluster.replicas[0], receiver.replica_id)
+
+
 def _certificate(cluster, statements):
     return Certificate.assemble(statements, cluster.replicas[0].signer)
 
@@ -153,12 +164,7 @@ def test_a_byzantine_answer_is_refused(protocol):
     """A replica that stayed at genesis is offered its peer's chain, forged
     five ways (six for PBFT): each is refused and leaves nothing behind;
     the honest answer then installs, and PBFT commits it."""
-    cluster = build_cluster(make_config(protocol, rate=200.0, duration=1.5, seed=7))
-    receiver = cluster.replicas[-1]
-    receiver.crashed = True
-    _run(cluster)
-    receiver.crashed = False
-    honest = _answer(cluster.replicas[0], receiver.replica_id)
+    cluster, receiver, honest = _behind(protocol)
     top = honest.justify.block_hash
     refused = cluster.trace.counters["verification_failed"]
     for name, answer in _byzantine_answers(cluster, honest).items():
@@ -171,3 +177,23 @@ def test_a_byzantine_answer_is_refused(protocol):
     assert receiver.store.has_header(top)
     committed = honest.justify.height if protocol == "pbft" else 0
     assert receiver.ledger.height == committed
+
+
+@pytest.mark.parametrize("protocol", ["alterbft", "sync-hotstuff", "hotstuff", "pbft"])
+def test_a_certified_branch_off_the_head_is_refused(protocol):
+    """The receiver committed its own block at height 1 and asks by hash
+    for a block on its peer's chain, as HotStuff asks for a proposal's
+    parent.  The peer's certified chain from height 2 carries that block
+    but forks below the head: a provider's branch proves no fork of a
+    commit, so it is refused, nothing is stored, and the replica runs on."""
+    cluster, receiver, honest = _behind(protocol)
+    mine = make_block(1, 1, receiver.ledger.head.block_hash, (), receiver.replica_id)
+    assert mine.block_hash != honest.blocks[0].block_hash
+    receiver.ledger.commit(mine, cluster.scheduler.now)
+    top = honest.justify.block_hash
+    receiver.fetch.want(honest.justify.height, top, wait=True)
+    refused = cluster.trace.counters["verification_failed"]
+    receiver.handle(0, dataclasses.replace(honest, blocks=honest.blocks[1:]))
+    assert cluster.trace.counters["verification_failed"] == refused + 1
+    assert not receiver.crashed and not cluster.trace.counters.get("fork_detected")
+    assert receiver.ledger.height == 1 and not receiver.store.has_header(top)

@@ -512,6 +512,13 @@ def test_golden_fingerprint_with_flags_on():
 #: A — guard + checkpointing + batched crypto, pipelined: the
 #: cluster installs rung 2 at t ≈ 0.62, replica 1 crashes at 1.0 and
 #: restarts at 2.0 still on rung 2 (Δ = 20 ms), and catches up.
+#:
+#: Both re-pinned when the rejoiner's snapshot became the fetch's ledger
+#: half: one range request and answer now carry what a snapshot pair and
+#: a range pair did.  A sends 2 fewer messages and catches up 1.6 ms
+#: sooner, heights unchanged.  In B the one answer lands at another time,
+#: the rejoiner's chunk pulls shift (4 fewer messages, 101,646 fewer
+#: bytes), and replica 0 commits height 98 before the run ends (97 before).
 FENCE_A = dict(
     f=2,
     duration=3.0,
@@ -521,7 +528,7 @@ FENCE_A = dict(
     pipeline_depth=2,
     faults=((1, "crash-recover@1.0:2.0"), (3, "slow-link@0.6:1.6")),
 )
-FENCE_A_FINGERPRINT = "b29194b02ab0da65db5936900e42aaf924ad46ea5adc93b4db7ee7eb5d5e78af"
+FENCE_A_FINGERPRINT = "a8e1f88ed5e1dbe5dfd4e69f8ef894ed9196596df95ed84b2ecc4c23de57c613"
 #: B — chunked dissemination + checkpointing, pipelined: the rejoiner
 #: reconstructs the payloads it missed from peers' shares.
 FENCE_B = dict(
@@ -532,7 +539,7 @@ FENCE_B = dict(
     pipeline_depth=2,
     faults=((1, "crash-recover@1.0:2.0"),),
 )
-FENCE_B_FINGERPRINT = "7dd5b693b593e0c9683b54c5d80ac70248309cc86ec4d0ed02e0bb607f79a75c"
+FENCE_B_FINGERPRINT = "255e893421562e5fa326c922b2500428ec02bf717da647b6d35e77c4bf840a30"
 
 
 def test_fence_guard_ladder_survives_restart():
@@ -550,7 +557,7 @@ def test_fence_dissemination_rejoin():
     assert cluster.fingerprint() == FENCE_B_FINGERPRINT
     assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
     assert cluster.trace.counters["dissem_reconstructed"] == 392
-    assert [r.ledger.height for r in cluster.replicas] == [97, 98, 98, 98, 98]
+    assert [r.ledger.height for r in cluster.replicas] == [98, 98, 98, 98, 98]
 
 
 def test_dispatch_table_with_every_subsystem_attached():
@@ -570,8 +577,6 @@ def test_dispatch_table_with_every_subsystem_attached():
         m.CheckpointVoteMsg,
         m.StatusRequestMsg,
         m.StatusResponseMsg,
-        m.SnapshotRequestMsg,
-        m.SnapshotResponseMsg,
     }
     fetch = {m.BlockRangeRequestMsg, m.BlockRangeResponseMsg}
     guard = {m.GuardProbeMsg, m.GuardProbeEchoMsg, m.DeltaAdjustMsg, m.DeltaAdjustCertMsg}
@@ -582,12 +587,12 @@ def test_dispatch_table_with_every_subsystem_attached():
     cluster = build_cluster(make_config("alterbft", dissemination=True, **flags))
     handled = set(cluster.replicas[0]._bound_handlers)
     assert handled == core | fetch | alterbft | recovery | guard | dissem
-    assert len(handled) == 23
+    assert len(handled) == 21
 
     cluster = build_cluster(make_config("sync-hotstuff", **flags))
     handled = set(cluster.replicas[0]._bound_handlers)
     assert handled == core | fetch | {m.SHProposalMsg} | recovery | guard
-    assert len(handled) == 19
+    assert len(handled) == 17
 
 
 def test_golden_fingerprint_with_optimizations_off(monkeypatch):

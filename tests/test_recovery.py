@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.common import make_config
 from repro.check.invariants import RECOVERY, check_recovery
+from repro.consensus.ledger import Ledger
+from repro.core.protocol import AlterBFTReplica
 from repro.crypto.keystore import build_cluster_keys
 from repro.recovery import FileWal, MemoryWal, WalEpochRecord
+from repro.recovery.manager import RANGE, STATUS, RecoveryManager
 from repro.runner.cluster import build_cluster, check_safety
 from repro.types.certificates import Vote, genesis_qc
 from repro.types.messages import (
     BlockRangeRequestMsg,
     BlockRangeResponseMsg,
-    SnapshotRequestMsg,
-    SnapshotResponseMsg,
+    PayloadResponseMsg,
     StatusResponseMsg,
 )
 from tests.test_codec import UNTYPED_BEFORE
@@ -186,23 +190,24 @@ def test_no_double_vote_across_restart(seed, t_down, t_up):
 
 class TestByzantineProviders:
     def test_withholding_provider_is_rotated_past(self):
-        """The first provider the joiner asks silently withholds snapshots
-        and ranges: catchup must retry onto an alternate provider and still
-        complete.  Withholding whoever is asked first, not a fixed replica,
-        makes the retry certain whatever order the status replies took."""
+        """The first provider the joiner asks silently withholds the chain
+        it is asked for: catchup must retry onto an alternate provider and
+        still complete.  Withholding whoever is asked first, not a fixed
+        replica, makes the retry certain whatever order the status replies
+        took."""
         config = _crash_recover_config(seed=11)
         cluster = build_cluster(config)
         withholder = []
 
         def withhold_first_provider(src, dst, msg, size):
-            if src == 1 and isinstance(msg, (SnapshotRequestMsg, BlockRangeRequestMsg)):
+            if src == 1 and isinstance(msg, BlockRangeRequestMsg):
                 if not withholder:
                     withholder.append(dst)
                 return True
             return not (
                 withholder
                 and src == withholder[0]
-                and isinstance(msg, (SnapshotResponseMsg, BlockRangeResponseMsg))
+                and isinstance(msg, BlockRangeResponseMsg)
             )
 
         cluster.network.add_filter(withhold_first_provider)
@@ -223,10 +228,7 @@ class TestByzantineProviders:
         cluster.network.add_filter(
             lambda src, dst, msg, size: not (
                 dst == 1
-                and isinstance(
-                    msg,
-                    (StatusResponseMsg, SnapshotResponseMsg, BlockRangeResponseMsg),
-                )
+                and isinstance(msg, (StatusResponseMsg, BlockRangeResponseMsg))
             )
         )
         cluster.start()
@@ -237,6 +239,48 @@ class TestByzantineProviders:
         verdict = check_recovery(cluster)
         assert not verdict.ok
         assert "stalled" in verdict.detail
+
+
+# ---------------------------------------------------------------------------
+# The snapshot is the fetch's ledger half
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("forged", [None, "block_hash", "state_digest"])
+def test_snapshot_installs_only_what_the_checkpoint_certifies(monkeypatch, forged):
+    """The rejoiner's fetched prefix up to the status-time checkpoint
+    enters the ledger only if the block at the checkpoint's height is its
+    block and the chained digest is its digest.  With either claim forged
+    (after the status round verified the certificate), nothing is
+    installed, and the certified chain commits through consensus instead."""
+    installs = []
+    install = Ledger.install_snapshot
+
+    def recording_install(ledger, blocks):
+        installs.append(len(blocks))
+        install(ledger, blocks)
+
+    monkeypatch.setattr(Ledger, "install_snapshot", recording_install)
+    on_status_response = RecoveryManager.on_status_response
+
+    def forge_target(manager, src, msg):
+        before = manager.state
+        on_status_response(manager, src, msg)
+        if forged and before == STATUS and manager.state == RANGE:
+            cert = manager._target_cert
+            bogus = bytes(b ^ 0xFF for b in getattr(cert, forged))
+            manager._target_cert = dataclasses.replace(cert, **{forged: bogus})
+
+    monkeypatch.setattr(RecoveryManager, "on_status_response", forge_target)
+    cluster = _run(_crash_recover_config())
+    if forged:
+        assert installs == []
+    else:
+        assert len(installs) == 1 and installs[0] > 0
+    manager = cluster.replicas[1].subsystems["recovery"]
+    assert manager.caught_up_at is not None
+    verdict = check_recovery(cluster)
+    assert verdict.ok, verdict.detail
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +345,10 @@ def test_recovery_attachments_are_observationally_inert():
 
 
 # ---------------------------------------------------------------------------
-# Known composed defects, recorded (not fixed) while sizing the PR 19 fence.
-# Neither schedule is in the check grid, which runs one feature per family;
-# the fixing PR flips each xfail.
+# Composed schedules found while sizing the recovery fence: a rejoiner under
+# a slow link, with the guard (and then every subsystem) on.  Neither is in
+# the check grid, which runs one feature per family; the Δ-ladder defect is
+# still open, and its xfail flips when it is fixed.
 # ---------------------------------------------------------------------------
 
 REJOIN_UNDER_SLOW_LINK = ((1, "crash-recover@1.0:2.0"), (3, "slow-link@0.6:1.6"))
@@ -332,14 +377,14 @@ def test_rejoiner_ends_on_the_clusters_delta():
     assert len(set(deltas)) == 1, deltas
 
 
-def _rejoin_with_every_subsystem_on():
+def _rejoin_with_every_subsystem_on(seed=10):
     return _run(
         make_config(
             "alterbft",
             f=2,
             rate=500.0,
             duration=4.0,
-            seed=10,
+            seed=seed,
             faults=REJOIN_UNDER_SLOW_LINK,
             guard_enabled=True,
             checkpoint_interval=4,
@@ -350,23 +395,40 @@ def _rejoin_with_every_subsystem_on():
 
 
 def test_rejoiner_catches_up_with_every_subsystem_on():
-    """Replica 1 leaves its snapshot at height 44 with a commit window
-    parked on a header every peer has already pruned.  The fetch asks for
-    the chain above its ledger, a peer serves the pruned prefix from its
-    own ledger, and catch-up completes (at 57)."""
+    """Replica 1 leaves its snapshot with a commit window parked on a
+    header every peer has already pruned.  The fetch asks for the chain
+    above its ledger, a peer serves the pruned prefix from its own
+    ledger, and catch-up completes."""
     cluster = _rejoin_with_every_subsystem_on()
     assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a payload pull is served from the store only: the rejoiner's next block "
-    "has its payload below every peer's floor, where only their ledgers hold it",
-)
-def test_rejoiner_keeps_up_with_every_subsystem_on():
-    """After catch-up, replica 1 cannot vote for height 58: its payload's
-    shares and blocks are pruned at every peer (floors at 196), so its
-    payload requests go unanswered and it ends at 57 against 198."""
-    cluster = _rejoin_with_every_subsystem_on()
+@pytest.mark.parametrize("seed", [5, 10, 13, 15])
+def test_rejoiner_keeps_up_with_every_subsystem_on(seed):
+    """After catch-up the rejoiner's next payloads are below every peer's
+    checkpoint floor (seed 10: it resumes at 57, the floors are at 196).
+    A payload pull is answered from the ledger there, so the rejoiner
+    keeps voting; on seed 5 the same holds for replica 0, which never
+    crashed but stopped on the epoch-3 anchor's payload."""
+    cluster = _rejoin_with_every_subsystem_on(seed)
     heights = [replica.ledger.height for replica in cluster.replicas]
-    assert heights[1] >= max(heights) - 10, heights
+    assert all(height >= max(heights) - 10 for height in heights), heights
+    assert cluster.replicas[1].subsystems["recovery"].caught_up_at is not None
+
+
+def test_recovery_invariant_holds_a_rejoiner_to_the_clusters_height(monkeypatch):
+    """``recovery`` reports a rejoiner that catches up and then falls
+    behind.  Serving payload pulls from the store only — as before ledger
+    lookups — leaves seed 10's rejoiner at 57 against 198: a violation.
+    With the ledger lookup the same run passes."""
+    assert check_recovery(_rejoin_with_every_subsystem_on(10)).ok
+
+    def store_only(self, src, msg):
+        if self.store.has_payload(msg.block_hash):
+            payload = self.store.payload(msg.block_hash)
+            self.send(src, PayloadResponseMsg(block_hash=msg.block_hash, payload=payload))
+
+    monkeypatch.setattr(AlterBFTReplica, "on_payload_request", store_only)
+    verdict = check_recovery(_rejoin_with_every_subsystem_on(10))
+    assert not verdict.ok
+    assert "trails" in verdict.detail, verdict.detail

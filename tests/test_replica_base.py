@@ -881,7 +881,7 @@ class TestBareFamilyReplica:
         # is bound to the very subsystem object that outlived the crash —
         # and the fetch's to the fresh fetch, whose open request was volatile.
         fetch = {cls: getattr(replica.fetch, m) for cls, m in Fetch.HANDLERS.items()}
-        assert replica._bound_handlers == {**handlers, **fetch} and len(handlers) == 21
+        assert replica._bound_handlers == {**handlers, **fetch} and len(handlers) == 19
         assert replica._hooks == hooks
         assert replica.subsystems == subsystems and list(replica.subsystems) == list(subsystems)
         for subsystem in subsystems.values():

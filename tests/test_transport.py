@@ -668,13 +668,13 @@ class TestBadFrames:
         the other peer's link still delivers, and no reader task dies of an
         exception nobody retrieves."""
         from repro.types.certificates import QuorumCertificate
-        from repro.types.messages import BlameCertMsg, SnapshotRequestMsg, StatusMsg
+        from repro.types.messages import BlameCertMsg, BlockRangeRequestMsg, StatusMsg
 
         qc = QuorumCertificate("alterbft", 0, 1, 1, b"\x01" * 32, votes=5)
         hostile = [
             StatusMsg(sender=1, new_epoch=1, high_qc=qc),
             BlameCertMsg(cert=5),
-            SnapshotRequestMsg(sender=1, from_height="x", to_height=0),
+            BlockRangeRequestMsg(sender=1, from_height="x"),
         ]
         closed, bad_frames, pooled, unhandled = self._drive(
             b"".join(encode_frame(msg) for msg in hostile)

@@ -124,8 +124,6 @@ PHASE_TABLE = {
     "CheckpointVoteMsg": "recovery",
     "StatusRequestMsg": "recovery",
     "StatusResponseMsg": "recovery",
-    "SnapshotRequestMsg": "recovery",
-    "SnapshotResponseMsg": "recovery",
     "SHProposalMsg": "propose",
     "HSProposalMsg": "propose",
     "HSNewViewMsg": "epoch_change",
