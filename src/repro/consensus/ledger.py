@@ -6,11 +6,17 @@ previously committed block — and raises
 :class:`~repro.errors.SafetyViolation` if a protocol tries to violate it.
 Commit listeners (metrics, applications, clients) observe commits in
 order, exactly once.
+
+:func:`freeze_history` keeps CPython's cyclic collector off the history
+the ledgers hold: a committed block is never freed, so while a run runs
+each commit moves everything alive into the collector's permanent
+generation, and the run's end moves it back.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+import gc
+from typing import Callable, Iterable, List, Optional, Union
 
 from ..crypto.hashing import Digest, sha256
 from ..errors import LedgerError, SafetyViolation
@@ -137,3 +143,44 @@ class Ledger:
     @property
     def at_risk_count(self) -> int:
         return len(self._at_risk)
+
+
+def freeze_history(ledgers: Iterable[Ledger]) -> Callable[[], None]:
+    """Freeze the collector's heap at every commit of ``ledgers``, until
+    the returned thaw is called.
+
+    A commit calls ``gc.freeze()``: everything alive then, the committed
+    history with it, moves to the permanent generation, which no
+    collection scans, at O(1) cost and with the young-object count reset.
+    Lossless because a replica makes no cyclic garbage while it runs
+    (``tests/test_gc_freeze.py`` pins it for every protocol, flag and
+    check-grid scenario; a socket node's closed connections are the one
+    exception, and the node calls :func:`reclaim` for them), so what is
+    frozen stays alive. The thaw (``gc.unfreeze()``) moves it all back to
+    the oldest generation and leaves the listener inert: a restarted
+    replica carries its ledger's listeners over to the new ledger. Call
+    it when the run ends, on an exception too, so no later
+    ``gc.collect()`` misses anything.
+    """
+    running = True
+
+    def freeze(block: Block, now: float) -> None:
+        if running:
+            gc.freeze()
+
+    def thaw() -> None:
+        nonlocal running
+        running = False
+        gc.unfreeze()
+
+    for ledger in ledgers:
+        ledger.add_listener(freeze)
+    return thaw
+
+
+def reclaim() -> None:
+    """Thaw the heap and collect it in full, now; the next commit freezes
+    again. For the cyclic garbage a running replica does make: what died
+    while frozen is otherwise held until the thaw."""
+    gc.unfreeze()
+    gc.collect()

@@ -19,6 +19,17 @@ burst of small frames costs one trip through the event loop, not two per
 frame.  A client connection (hello -1) carries nothing but transactions,
 so each of its frames is decoded as :data:`CLIENT_TX` and anything else
 on it is a bad frame.
+
+A node keeps the cyclic collector off its committed history from
+:meth:`AsyncReplicaNode.start` to :meth:`AsyncReplicaNode.stop`: each
+commit freezes the heap and ``stop()`` thaws it, first thing, so a node
+that stopped leaves nothing frozen
+(:func:`~repro.consensus.ledger.freeze_history`).  The one cyclic
+garbage a node makes is a closed connection: CPython's socket transport
+keeps a bound method of itself.  A frozen heap would hold each one until
+``stop()``, so every :data:`CLOSED_PER_RECLAIM` connections that end,
+inbound or dialed, the heap is thawed and collected once
+(:func:`~repro.consensus.ledger.reclaim`).
 """
 
 from __future__ import annotations
@@ -27,9 +38,10 @@ import asyncio
 import random
 import struct
 from collections import deque
-from typing import Deque, Dict, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, Optional, Set, Tuple, Union
 
 from ..codec import decode, encode_cached
+from ..consensus.ledger import freeze_history, reclaim
 from ..consensus.replica import BaseReplica
 from ..errors import CodecError, MempoolError, TransportError
 from ..obs.metrics import MetricsRegistry
@@ -51,6 +63,11 @@ _frame_length = struct.Struct(">I").unpack_from
 #: First dial retry delay; doubles per attempt up to the cap.
 DIAL_BACKOFF_BASE = 0.05
 DIAL_BACKOFF_CAP = 2.0
+
+#: Connections ended per full collection of a frozen heap: bounds what
+#: short-lived client connections or a flapping peer leave behind (~0.6 KB
+#: each) to ~0.6 MB, at one full pass per thousand connections.
+CLOSED_PER_RECLAIM = 1024
 
 #: Frames buffered per disconnected peer before drop-oldest kicks in.
 #: Sized for a few epochs of consensus traffic — enough to bridge a
@@ -245,6 +262,10 @@ class AsyncReplicaNode:
         #: Per-peer count of frames discarded by drop-oldest overflow.
         self.dropped: Dict[int, int] = {}
         self._stopped = False
+        #: Ends the heap freeze :meth:`start` began; None until then.
+        self._thaw: Optional[Callable[[], None]] = None
+        #: Connections ended so far, inbound or dialed (:meth:`_connection_closed`).
+        self._closed = 0
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -261,6 +282,7 @@ class AsyncReplicaNode:
             if peer_id != self.replica.replica_id:
                 self._ensure_dialing(peer_id)
         self.replica.bind(AsyncioContext(self))
+        self._thaw = freeze_history([self.replica.ledger])
         self.replica.on_start()
 
     def _ensure_dialing(self, peer_id: int) -> None:
@@ -268,6 +290,8 @@ class AsyncReplicaNode:
         task = self._dial_tasks.get(peer_id)
         if task is not None and not task.done():
             return
+        if task is not None:
+            self._connection_closed()  # the link that dial made has died
         self._dial_tasks[peer_id] = self.loop.create_task(self._dial_loop(peer_id))
 
     async def _dial_loop(self, peer_id: int) -> None:
@@ -302,8 +326,17 @@ class AsyncReplicaNode:
             self._writers.pop(peer_id, None)
             self._ensure_dialing(peer_id)
 
+    def _connection_closed(self) -> None:
+        """Count a connection that ended: every :data:`CLOSED_PER_RECLAIM`
+        of them, collect the cycles they left in the frozen heap."""
+        self._closed += 1
+        if self._closed % CLOSED_PER_RECLAIM == 0:
+            reclaim()
+
     async def stop(self) -> None:
         self._stopped = True
+        if self._thaw is not None:
+            self._thaw()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -366,6 +399,7 @@ class AsyncReplicaNode:
         finally:
             self._reader_tasks.discard(task)
             writer.close()
+            self._connection_closed()
 
     # -- sending ------------------------------------------------------------
 

@@ -3,7 +3,10 @@
 :func:`build_cluster` turns an :class:`~repro.config.ExperimentConfig`
 into a ready-to-run simulated deployment; :func:`check_safety` validates
 post-run that every pair of honest ledgers agrees — the invariant the
-whole exercise is about.
+whole exercise is about.  :meth:`Cluster.run` keeps the cyclic collector
+off the committed history while it runs: the heap is frozen at each
+commit and thawed when the run returns, so a finished run leaves
+nothing frozen.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import ExperimentConfig
 from ..consensus.context import SimContext
+from ..consensus.ledger import freeze_history
 from ..consensus.replica import BaseReplica
 from ..crypto.hashing import Digest
 from ..crypto.keystore import build_cluster_keys
@@ -90,8 +94,17 @@ class Cluster:
         self.scheduler.at(0.0, topup)
 
     def run(self) -> None:
-        """Run the simulation to the configured horizon."""
-        self.scheduler.run(until=self.config.max_sim_time)
+        """Run the simulation to the configured horizon.
+
+        The collector's heap is frozen at every commit while it runs and
+        thawed when it returns, on an exception too
+        (:func:`~repro.consensus.ledger.freeze_history`).
+        """
+        thaw = freeze_history(replica.ledger for replica in self.replicas)
+        try:
+            self.scheduler.run(until=self.config.max_sim_time)
+        finally:
+            thaw()
 
 
 def make_delay_model(config: ExperimentConfig) -> DelayModel:

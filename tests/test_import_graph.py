@@ -262,6 +262,61 @@ def test_the_loop_check_sees_a_call_under_a_for(tmp_path):
     assert list(_method_calls(probe, "emit")) == [True]
 
 
+# -- one module freezes the collector's heap -----------------------------------
+
+#: The module that freezes and thaws the collector's heap around a run
+#: (``freeze_history``, ``reclaim``), and the one other that may call into
+#: ``gc``: the micro-benchmark timer, which keeps the collector out of a
+#: timed repetition.
+HEAP_FREEZER = "consensus/ledger.py"
+GC_CALLERS = {HEAP_FREEZER, "perf/timing.py"}
+
+
+def _gc_names(path: Path) -> Iterator[str]:
+    """Each name of ``gc`` that ``path`` uses: reached through the module
+    (``gc.freeze``, under any alias) or imported from it; a bare
+    ``import gc`` yields ``""``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "gc":
+                    bound.add(alias.asname or "gc")
+                    yield ""
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc" and not node.level:
+            yield from (alias.name for alias in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            yield node.attr
+
+
+def test_one_module_freezes_the_heap_and_one_other_calls_gc():
+    freezers, callers = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        names = set(_gc_names(path))
+        name = path.relative_to(SRC).as_posix()
+        if names:
+            callers.add(name)
+        if names & {"freeze", "unfreeze"}:
+            freezers.add(name)
+    assert freezers == {HEAP_FREEZER}
+    assert callers <= GC_CALLERS, f"{sorted(callers - GC_CALLERS)} call into gc"
+
+
+def test_the_gc_finder_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text(
+        "import gc\n"
+        "import gc as collector\n"
+        "from gc import unfreeze\n"
+        "gc.freeze()\n"
+        "collector.collect()\n"
+        "self.gc.freeze()\n"
+    )
+    assert sorted(_gc_names(probe)) == ["", "", "collect", "freeze", "unfreeze"]
+
+
 #: What counted a message beside the wire accountant, and the two run
 #: options that selected a counter, spelt in halves so a grep for the whole
 #: names comes back empty, this file included.
