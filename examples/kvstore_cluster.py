@@ -57,10 +57,12 @@ async def main() -> None:
         encode_command("get", "paper"),
     ]
     loop = asyncio.get_running_loop()
-    for seq, command in enumerate(commands):
-        tx = Transaction(client_id=7, seq=seq, submitted_at=loop.time(), payload=command)
-        for peer in peers.values():
-            await submit_transaction(peer, tx)
+    txs = [
+        Transaction(client_id=7, seq=seq, submitted_at=loop.time(), payload=command)
+        for seq, command in enumerate(commands)
+    ]
+    for peer in peers.values():  # one connection per replica, every command on it
+        await submit_transaction(peer, *txs)
 
     # Wait for commits to land everywhere.
     for _ in range(100):

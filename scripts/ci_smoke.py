@@ -32,8 +32,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", help="`python -m repro.check` arguments (adds --jobs 2 --no-demo)")
     parser.add_argument(
-        "--bench", help="comma-separated experiment ids whose benchmarks/bench_e<id>_*.py "
-        "paper-shape assertions run under pytest"
+        "--bench", help="comma-separated experiment ids for `python -m repro.bench --only` "
+        "(exits 1 when a declared claim verdict does not hold)"
     )
     parser.add_argument("--record", help="`python -m repro.obs record` arguments (adds --out-dir)")
     parser.add_argument("--drill", default="", help="comma-separated repro.obs drill-down subcommands")
@@ -45,14 +45,7 @@ def main() -> None:
     if args.check:
         run("repro.check", *shlex.split(args.check), "--jobs", "2", "--no-demo")
     if args.bench:
-        files = [
-            str(path.relative_to(ROOT))
-            for exp in args.bench.split(",")
-            for path in sorted(ROOT.glob(f"benchmarks/bench_{exp.strip().lower()}_*.py"))
-        ]
-        if not files:
-            sys.exit(f"error: no benchmark file for {args.bench!r}")
-        run("pytest", *files, "--benchmark-disable")
+        run("repro.bench", "--only", args.bench)
     if args.record:
         run("repro.obs", "record", *shlex.split(args.record), "--out-dir", str(out))
         run("repro.obs", "validate", str(out / "trace.jsonl"))

@@ -1,13 +1,12 @@
 """The experiment suite regenerating the paper's tables and figures."""
 
 from .common import ExperimentOutput, make_config
-from .suite import EXPERIMENTS, PAPER_EXPECTATIONS, render_experiments_md, run_suite
+from .suite import EXPERIMENTS, render_experiments_md, run_suite
 
 __all__ = [
     "ExperimentOutput",
     "make_config",
     "EXPERIMENTS",
-    "PAPER_EXPECTATIONS",
     "render_experiments_md",
     "run_suite",
 ]

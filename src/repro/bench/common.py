@@ -1,23 +1,26 @@
-"""Shared plumbing for the experiment suite (E1–E10).
+"""Shared plumbing for the experiment suite (E1–E13).
 
-Each experiment module exposes ``run(fast=True) -> ExperimentOutput``.
-``fast`` trims sweeps so the whole suite finishes in a few minutes; the
-full mode extends durations and sweep points for the numbers recorded in
-EXPERIMENTS.md.  All experiments derive their synchrony bounds from the
-*same* calibrated delay model, the way a real deployment would derive
-them from measurement (see :mod:`repro.measure`).
+Each experiment module exposes ``run(fast=True) -> ExperimentOutput`` and
+declares the paper claims its output is read against
+(:mod:`repro.bench.claims`).  ``fast`` trims sweeps so the whole suite
+finishes in a few minutes and is the mode EXPERIMENTS.md records; the
+full mode extends durations and sweep points.  All experiments derive
+their synchrony bounds from the *same* calibrated delay model, the way a
+real deployment would derive them from measurement (see
+:mod:`repro.measure`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import ExperimentConfig, NetworkConfig, ProtocolConfig, WorkloadConfig
 from ..net.delay import HybridCloudDelayModel
 from ..runner.experiment import run_experiment, standard_protocol_config
-from ..runner.metrics import ExperimentResult
-from ..runner.registry import cluster_size_for
+
+if TYPE_CHECKING:
+    from .claims import Claim
 
 #: The calibrated single-AZ cloud model every experiment shares.
 DEFAULT_NETWORK = NetworkConfig()
@@ -32,13 +35,14 @@ ALL_PROTOCOLS = ("alterbft", "sync-hotstuff", "hotstuff", "pbft")
 
 @dataclass
 class ExperimentOutput:
-    """What one experiment module produces."""
+    """What one experiment module produces: its table, its headline, and
+    the paper claims they are read against."""
 
     experiment_id: str
     title: str
     rows: List[Dict[str, object]]
     headline: Dict[str, object] = field(default_factory=dict)
-    notes: str = ""
+    claims: Tuple["Claim", ...] = ()
 
 
 def delay_model(network: NetworkConfig = DEFAULT_NETWORK) -> HybridCloudDelayModel:

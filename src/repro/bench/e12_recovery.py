@@ -3,17 +3,11 @@
 A replica crashes at a fixed time, stays down while the cluster keeps
 committing, then restarts and runs the catchup protocol: WAL replay,
 status round, and one certified block-range fetch whose prefix up to the
-checkpoint installs into the ledger as the snapshot.  Measured: *time-to-catchup* (restart → caught up) as a function
-of how much history the replica missed and of the checkpoint cadence K,
-for AlterBFT and Sync HotStuff.  Safety is asserted post hoc on every
-run — including that the rejoined ledger equals the honest ledgers.
-
-The shape to expect: time-to-catchup is dominated by the large-message
-transfer of the missed blocks, so it grows with downtime but stays far
-below naive re-execution (one round trip brings the checkpointed prefix
-and the certified chain above it); K trades checkpoint-vote overhead
-against how much of that chain commits through consensus rather than
-installing as the snapshot.
+checkpoint installs into the ledger as the snapshot.  Measured:
+*time-to-catchup* (restart → caught up) as a function of how much
+history the replica missed and of the checkpoint cadence K, for AlterBFT
+and Sync HotStuff.  Safety is checked post hoc on every run — including
+that the rejoined ledger equals the honest ledgers.
 """
 
 from __future__ import annotations
@@ -21,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..runner.cluster import build_cluster, check_safety
+from .claims import REPRODUCED, Check, Claim, failing, matching, most
 from .common import ExperimentOutput, make_config
 
 #: The crashing replica (leads epoch 1, so the crash also exercises an
@@ -109,33 +104,40 @@ def run(fast: bool = True) -> ExperimentOutput:
                 points.append((protocol, BASE_DOWNTIME, interval))
     rows = [_run_one(*point) for point in points]
 
-    def catchup_at(protocol: str, downtime: float, interval: int) -> object:
-        for row in rows:
-            if (
-                row["protocol"] == protocol
-                and row["downtime_s"] == downtime
-                and row["K"] == interval
-            ):
-                return row["catchup_ms"]
-        return "-"
+    def catchup_at(protocol: str) -> object:
+        (base,) = matching(rows, protocol=protocol, downtime_s=BASE_DOWNTIME, K=BASE_INTERVAL)
+        return base["catchup_ms"]
 
     return ExperimentOutput(
         experiment_id="E12",
         title="Crash recovery: time-to-catchup vs history missed and K",
         rows=rows,
         headline={
-            "alterbft_catchup_ms": catchup_at("alterbft", BASE_DOWNTIME, BASE_INTERVAL),
-            "sync_hotstuff_catchup_ms": catchup_at(
-                "sync-hotstuff", BASE_DOWNTIME, BASE_INTERVAL
-            ),
+            "alterbft_catchup_ms": catchup_at("alterbft"),
+            "sync_hotstuff_catchup_ms": catchup_at("sync-hotstuff"),
             "all_converged": all(bool(r["converged"]) for r in rows),
         },
-        notes=(
-            "Every rejoiner converges to the honest ledger; time-to-catchup "
-            "is a large-message transfer cost (one certified range, its "
-            "checkpointed prefix installed as the snapshot), tens of "
-            "milliseconds at these scales, and grows with downtime while "
-            "staying insensitive to K except through the tail above the "
-            "checkpoint, which commits through consensus."
-        ),
+        claims=CLAIMS,
     )
+
+
+CLAIMS = (
+    Claim(
+        "Crashed replicas rejoin via checkpoint-anchored state transfer "
+        "without re-executing history; catchup cost is a large-message "
+        "transfer, never a safety risk (reconstruction-specific extension).",
+        REPRODUCED,
+        (
+            Check("rejoiners not converged to the honest ledger", failing("converged"), "==", 0),
+            Check("stalled catchups", lambda o: len(matching(o.rows, catchup_ms="stalled")),
+                  "==", 0),
+            Check("slowest catchup, ms", most("catchup_ms"), "<", 2500.0),
+        ),
+        reading=(
+            "Sync HotStuff's 1 s-downtime outlier is the rejoin racing the "
+            "crash-triggered epoch change: the rejoiner misses the blame "
+            "certificate while down and gets it one epoch timeout later, in "
+            "answer to its own blame."
+        ),
+    ),
+)

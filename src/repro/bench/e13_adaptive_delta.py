@@ -14,12 +14,6 @@ for AlterBFT and Sync HotStuff with the synchrony guard off vs on:
   the network heals (the shrink path).
 * **recovery** — commit throughput after the window vs before it: the
   guard's Δ escalation must not leave the cluster permanently slow.
-
-The shape to expect: guard-off runs commit hundreds of blocks silently
-inside the window; guard-on runs flag every in-window commit until f+1
-replicas certify a Δ one-or-two rungs up, then commit cleanly under the
-new bound, and shrink back to the base Δ after stabilization — with
-post-window throughput within noise of pre-window.
 """
 
 from __future__ import annotations
@@ -27,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..runner.cluster import Cluster, build_cluster, check_safety
+from .claims import REPRODUCED, Check, Claim, headline, least, matching, most
 from .common import ExperimentOutput, make_config
 
 #: The replica whose uplink degrades.  Replica 1 leads epoch 1, so the
@@ -148,30 +143,50 @@ def run(fast: bool = True) -> ExperimentOutput:
         for guarded in (False, True)
     ]
 
-    def cell(protocol: str, guarded: bool, key: str) -> object:
-        for row in rows:
-            if row["protocol"] == protocol and row["guard"] == ("on" if guarded else "off"):
-                return row[key]
-        return "-"
-
+    off, on = matching(rows, protocol="alterbft")
     return ExperimentOutput(
         experiment_id="E13",
         title="Adaptive Δ: silent commits under synchrony violation, guard off vs on",
         rows=rows,
         headline={
-            "alterbft_silent_unguarded": cell("alterbft", False, "silent_during"),
-            "alterbft_silent_guarded": cell("alterbft", True, "silent_during"),
-            "alterbft_delta_path_ms": cell("alterbft", True, "delta_path_ms"),
-            "alterbft_post_vs_pre": cell("alterbft", True, "post_vs_pre_tput"),
+            "alterbft_silent_unguarded": off["silent_during"],
+            "alterbft_silent_guarded": on["silent_during"],
+            "alterbft_delta_path_ms": on["delta_path_ms"],
+            "alterbft_post_vs_pre": on["post_vs_pre_tput"],
             "all_safe": all(bool(r["safety_ok"]) for r in rows),
         },
-        notes=(
-            "With the guard off, every commit inside the violation window is "
-            "silent — the fixed-Δ protocol cannot tell its synchrony "
-            "assumption broke.  With the guard on, silent commits drop to "
-            "zero: in-window commits are flagged at-risk until f+1 replicas "
-            "certify a larger Δ, the new bound installs at an epoch "
-            "boundary, and after the link heals the ladder shrinks back with "
-            "post-window throughput comparable to pre-window."
-        ),
+        claims=CLAIMS,
     )
+
+
+ON, OFF = {"guard": "on"}, {"guard": "off"}
+
+CLAIMS = (
+    Claim(
+        "A fixed Δ is an unverified assumption: when the cloud drifts past "
+        "it, synchronous protocols commit with a broken safety argument and "
+        "no indication.  The synchrony guard detects the drift, degrades "
+        "honestly (at-risk flags), re-certifies Δ with f+1 signatures, and "
+        "recovers (reconstruction-specific extension).",
+        REPRODUCED,
+        (
+            Check("AlterBFT silent commits in the window, guard off",
+                  headline("alterbft_silent_unguarded"), ">", 0),
+            Check("AlterBFT silent commits in the window, guard on",
+                  headline("alterbft_silent_guarded"), "==", 0),
+            Check("fewest Δ installs, guard on (up, then down)", least("installs", **ON), ">=", 2),
+            Check("fewest at-risk flags, guard on", least("at_risk", **ON), ">", 0),
+            Check("highest final rung, guard on", most("final_rung", **ON), "==", 0),
+            Check("lowest post/pre-window throughput, guard on",
+                  least("post_vs_pre_tput", **ON), ">", 0.5),
+            Check("most Δ installs, guard off", most("installs", **OFF), "==", 0),
+            Check("most at-risk flags, guard off", most("at_risk", **OFF), "==", 0),
+            Check("all runs safe", headline("all_safe"), "==", True),
+        ),
+        reading=(
+            "Replica 1's small messages take 1.5–3× Δ during [1.5, 3.0) s. "
+            "The guard certifies 4× Δ, above the worst inflation, and its "
+            "longer epoch timeouts are why guarded runs commit more then."
+        ),
+    ),
+)

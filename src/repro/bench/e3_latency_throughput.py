@@ -1,20 +1,29 @@
 """E3 — Latency vs throughput (the paper's main result).
 
-Open-loop load sweep at equal fault budget f=1.  Expected shape:
-
-* AlterBFT: latency ≈ block transfer + 2Δ_small — tens of milliseconds,
-  flat until saturation.
-* Sync HotStuff: same throughput curve (pipelined certification), but
-  latency pinned above 2Δ_big — an order of magnitude or more higher.
-* HotStuff / PBFT: comparable latency to AlterBFT, but they run 3f+1
-  replicas, so the leader's fan-out is larger and saturation arrives at
-  lower throughput.
+Open-loop load sweep at equal fault budget f=1, all four protocols,
+plus a chained-leader depth sweep (1, 2, 4) at one point.  AlterBFT's
+latency is block transfer + 2Δ_small; Sync HotStuff's is pinned above
+2Δ_big; HotStuff / PBFT run 3f+1 replicas.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .claims import (
+    COMPARABLE,
+    COMPARABLE_X,
+    PARTLY,
+    REPRODUCED,
+    SAFE,
+    Check,
+    Claim,
+    Reader,
+    cell,
+    headline,
+    matching,
+    over,
+)
 from .common import ALL_PROTOCOLS, ExperimentOutput, make_config, ratio, run_and_row
 
 FAST_RATES: Sequence[float] = (500, 2000, 8000)
@@ -62,37 +71,76 @@ def run(fast: bool = True) -> ExperimentOutput:
         )
     rows.extend(depth_rows)
 
-    # Headline: latency ratio vs Sync HotStuff at the lightest load.
-    def p50_at(proto: str) -> float:
-        return next(
-            float(r["lat_p50_ms"]) for r in rows if r["protocol"] == proto and r["offered_tps"] == rates[0]
-        )
-
     def tput_at_depth(depth: int) -> float:
-        return next(
-            float(r["tput_tps"]) for r in depth_rows if r["pipeline_depth"] == depth
-        )
+        return float(matching(depth_rows, pipeline_depth=depth)[0]["tput_tps"])
 
-    alter = p50_at("alterbft")
-    return ExperimentOutput(
-        experiment_id="E3",
-        title="Latency vs offered load, f=1",
-        rows=rows,
-        headline={
-            "alterbft_p50_ms": alter,
-            "sync_hotstuff_over_alterbft_x": round(ratio(p50_at("sync-hotstuff"), alter), 1),
-            "hotstuff_over_alterbft_x": round(ratio(p50_at("hotstuff"), alter), 2),
-            "pbft_over_alterbft_x": round(ratio(p50_at("pbft"), alter), 2),
-            "pipelined_speedup_at_depth4_x": round(
-                ratio(tput_at_depth(4), tput_at_depth(1)), 2
-            ),
-        },
-        notes=(
-            "AlterBFT's latency is a small multiple of the small-message "
-            "bound; Sync HotStuff pays 2Δ_big; the partially synchronous "
-            "baselines are in AlterBFT's latency class but tolerate only "
-            "f < n/3.  The pipeline_depth rows chain the leader at the "
-            "r=2000 single-tx-block point: throughput scales with depth "
-            "at unchanged per-block commit latency."
+    output = ExperimentOutput("E3", "Latency vs offered load, f=1", rows, claims=CLAIMS)
+    # Headline: latency ratios vs AlterBFT at the lightest load.
+    p50 = {protocol: float(_p50(protocol)(output)) for protocol in ALL_PROTOCOLS}
+    alter = p50["alterbft"]
+    output.headline = {
+        "alterbft_p50_ms": alter,
+        "sync_hotstuff_over_alterbft_x": round(ratio(p50["sync-hotstuff"], alter), 1),
+        "hotstuff_over_alterbft_x": round(ratio(p50["hotstuff"], alter), 2),
+        "pbft_over_alterbft_x": round(ratio(p50["pbft"], alter), 2),
+        "pipelined_speedup_at_depth4_x": round(ratio(tput_at_depth(4), tput_at_depth(1)), 2),
+    }
+    return output
+
+
+def _p50(protocol: str) -> Reader:
+    """A protocol's p50 at the lightest load (the first rate of either sweep)."""
+    return cell("lat_p50_ms", protocol=protocol, offered_tps=FAST_RATES[0])
+
+
+def _lowest_tput_share_at_top(output: ExperimentOutput) -> float:
+    top = max(r["offered_tps"] for r in output.rows)
+    tputs = {r["protocol"]: r["tput_tps"] for r in matching(output.rows, offered_tps=top)}
+    return min(tputs.values()) / tputs["alterbft"]
+
+
+CLAIMS = (
+    Claim(
+        "AlterBFT achieves up to 15× lower latency than synchronous BFT at "
+        "similar throughput.",
+        REPRODUCED,
+        (
+            Check("Sync HotStuff p50 / AlterBFT p50, lightest load",
+                  headline("sync_hotstuff_over_alterbft_x"), ">", 5.0),
+            Check("lowest throughput / AlterBFT's, highest load",
+                  _lowest_tput_share_at_top, ">", 0.6),
+            SAFE,
         ),
-    )
+    ),
+    Claim(
+        "AlterBFT's latency is comparable to partially synchronous BFT's.",
+        PARTLY,
+        (
+            Check("AlterBFT p50 / HotStuff p50, lightest load",
+                  over(_p50("alterbft"), _p50("hotstuff")), "<=", COMPARABLE_X),
+            Check("AlterBFT p50 / PBFT p50, lightest load",
+                  over(_p50("alterbft"), _p50("pbft")), "<=", COMPARABLE_X, misses=True),
+            Check("HotStuff p50 / AlterBFT p50, same order of magnitude",
+                  headline("hotstuff_over_alterbft_x"), "()", (0.1, 5.0)),
+            Check("PBFT p50 / AlterBFT p50, same order of magnitude",
+                  headline("pbft_over_alterbft_x"), "()", (0.05, 5.0)),
+        ),
+        reading=COMPARABLE + " The same-order-of-magnitude bounds are a looser reading.",
+    ),
+    Claim(
+        "Chaining the leader multiplies the block rate where it binds "
+        "(reconstruction-specific extension).",
+        REPRODUCED,
+        (Check("throughput, depth 4 / 1", headline("pipelined_speedup_at_depth4_x"), ">=", 1.5),),
+        reading=(
+            "The `pipeline_depth` rows chain the leader at r = 2000 (seed 3) "
+            "with one transaction per block, so the certify round trip caps "
+            "the serial leader; at the default batch (400) batching already "
+            "hides it and depth does not matter. Block latency stays 2Δ at "
+            "every depth. Below depth 4 the chain falls behind the offered "
+            "load and transaction latency grows with the queue; at depth 4 "
+            "it keeps up, and 0.8 × offered is the run window's bias "
+            "(ROADMAP item 10)."
+        ),
+    ),
+)

@@ -13,6 +13,7 @@ from typing import Sequence, Tuple
 
 from ..config import ExperimentConfig, WorkloadConfig
 from ..runner.experiment import standard_protocol_config
+from .claims import REPRODUCED, SAFE, Check, Claim, descents, headline
 from .common import DEFAULT_NETWORK, ExperimentOutput, run_and_row
 
 ALTER_DELTAS: Sequence[float] = (0.0025, 0.005, 0.010, 0.020, 0.050)
@@ -56,9 +57,27 @@ def run(fast: bool = True) -> ExperimentOutput:
             "alterbft_latency_slope_vs_delta": round(slope_num / slope_den, 2),
             "expected_slope": 2.0,
         },
-        notes=(
-            "p50 latency tracks 2Δ for both protocols — confirming that "
-            "the *value* of Δ, hence which messages it must bound, is the "
-            "entire performance story."
-        ),
+        claims=CLAIMS,
     )
+
+
+CLAIMS = (
+    Claim(
+        "Commit latency tracks 2Δ linearly — the choice of which messages "
+        "Δ must bound is the whole game.",
+        REPRODUCED,
+        (
+            Check("AlterBFT p50 slope vs Δ",
+                  headline("alterbft_latency_slope_vs_delta"), "()", (1.2, 2.8)),
+            Check("steps where p50 falls as Δ grows, AlterBFT",
+                  descents("lat_p50_ms", "delta_ms", protocol="alterbft"), "==", 0),
+            Check("steps where p50 falls as Δ grows, Sync HotStuff",
+                  descents("lat_p50_ms", "delta_ms", protocol="sync-hotstuff"), "==", 0),
+            Check("lowest p50 / 2Δ",
+                  lambda o: min(float(r["lat_p50_ms"]) / (2 * float(r["delta_ms"]))
+                                for r in o.rows),
+                  ">=", 0.95),
+            SAFE,
+        ),
+    ),
+)

@@ -10,6 +10,18 @@ votes + n payload fan-out).
 from __future__ import annotations
 
 from ..runner.experiment import run_experiment
+from .claims import (
+    COMPARABLE,
+    COMPARABLE_X,
+    PARTLY,
+    REPRODUCED,
+    SAFE,
+    Check,
+    Claim,
+    Reader,
+    cell,
+    over,
+)
 from .common import ALL_PROTOCOLS, ExperimentOutput, make_config
 
 #: Static, analytic properties per protocol.
@@ -65,9 +77,40 @@ def run(fast: bool = True) -> ExperimentOutput:
             "alterbft_resilience": "f < n/2",
             "partial_sync_resilience": "f < n/3",
         },
-        notes=(
-            "AlterBFT keeps synchronous resilience (n = 2f+1) at "
-            "partially-synchronous latency — the paper's thesis in one "
-            "table."
-        ),
+        claims=CLAIMS,
     )
+
+
+def _p50(protocol: str) -> Reader:
+    return cell("lat_p50_ms", protocol=protocol)
+
+
+CLAIMS = (
+    Claim(
+        "AlterBFT keeps synchronous resilience (f < n/2) at partially synchronous latency.",
+        PARTLY,
+        (
+            Check("AlterBFT resilience", cell("resilience", protocol="alterbft"), "==", "f < n/2"),
+            Check("AlterBFT replicas at f = 1", cell("n_at_f1", protocol="alterbft"), "==", 3),
+            Check("HotStuff replicas at f = 1", cell("n_at_f1", protocol="hotstuff"), "==", 4),
+            Check("AlterBFT p50 / HotStuff p50",
+                  over(_p50("alterbft"), _p50("hotstuff")), "<=", COMPARABLE_X),
+            Check("AlterBFT p50 / PBFT p50",
+                  over(_p50("alterbft"), _p50("pbft")), "<=", COMPARABLE_X, misses=True),
+        ),
+        reading=COMPARABLE,
+    ),
+    Claim(
+        "PBFT pays quadratic messages; Sync HotStuff pays 2Δ_big.",
+        REPRODUCED,
+        (
+            Check("PBFT messages per block / HotStuff's",
+                  over(cell("msgs_per_block", protocol="pbft"),
+                       cell("msgs_per_block", protocol="hotstuff")),
+                  ">", 1.0),
+            Check("Sync HotStuff p50 / AlterBFT p50",
+                  over(_p50("sync-hotstuff"), _p50("alterbft")), ">", 5.0),
+            SAFE,
+        ),
+    ),
+)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Tuple
+from types import ModuleType
+from typing import Dict, List, Tuple
 
 from ..runner.report import format_table, markdown_table
 from . import (
@@ -21,74 +22,66 @@ from . import (
     e12_recovery,
     e13_adaptive_delta,
 )
+from .claims import Claim, number, verdict_of
 from .common import ExperimentOutput
 
-#: Experiment id → module run function, in presentation order.
-EXPERIMENTS: Tuple[Tuple[str, Callable[[bool], ExperimentOutput]], ...] = (
-    ("E1", e1_delay_characterization.run),
-    ("E2", e2_bound_violations.run),
-    ("E3", e3_latency_throughput.run),
-    ("E4", e4_payload_size.run),
-    ("E5", e5_scalability.run),
-    ("E6", e6_faults.run),
-    ("E7", e7_delta_sensitivity.run),
-    ("E8", e8_comparison_table.run),
-    ("E9", e9_wan.run),
-    ("E10", e10_ablation.run),
-    ("E11", e11_model_validation.run),
-    ("E12", e12_recovery.run),
-    ("E13", e13_adaptive_delta.run),
+#: Experiment id → its module (``run(fast)`` and the module's ``CLAIMS``),
+#: in presentation order.
+EXPERIMENTS: Tuple[Tuple[str, ModuleType], ...] = (
+    ("E1", e1_delay_characterization),
+    ("E2", e2_bound_violations),
+    ("E3", e3_latency_throughput),
+    ("E4", e4_payload_size),
+    ("E5", e5_scalability),
+    ("E6", e6_faults),
+    ("E7", e7_delta_sensitivity),
+    ("E8", e8_comparison_table),
+    ("E9", e9_wan),
+    ("E10", e10_ablation),
+    ("E11", e11_model_validation),
+    ("E12", e12_recovery),
+    ("E13", e13_adaptive_delta),
 )
 
-#: What the paper reports per experiment — the expected *shape*, recorded
-#: next to the measured numbers in EXPERIMENTS.md.
-PAPER_EXPECTATIONS: Dict[str, str] = {
-    "E1": "Cloud small-message delays are bounded at ms scale; large-message "
-    "delays are heavy-tailed — the hybrid model's empirical basis.",
-    "E2": "No single Δ serves both classes: any practical bound is violated "
-    "by large messages and vastly over-provisioned for small ones.",
-    "E3": "AlterBFT achieves up to 15× lower latency than synchronous BFT "
-    "at similar throughput; latency comparable to partially synchronous BFT.",
-    "E4": "The AlterBFT / Sync HotStuff latency gap widens with message "
-    "size (title claim).",
-    "E5": "At equal f, 2f+1-replica protocols out-scale 3f+1 ones: smaller "
-    "fan-out, higher throughput.",
-    "E6": "Faulty leaders cost one epoch change; recovery time is governed "
-    "by the epoch timer, not by Δ_big; safety always holds.",
-    "E7": "Commit latency tracks 2Δ linearly — the choice of which "
-    "messages Δ must bound is the whole game.",
-    "E8": "Summary: synchronous resilience (f < n/2) at partially "
-    "synchronous latency.",
-    "E9": "The advantage carries over to multi-region deployments.",
-    "E10": "Header relay, vote-after-payload, and adaptive timers are each "
-    "load-bearing (reconstruction-specific ablation).",
-    "E11": "The paper's latency decomposition predicts the measured numbers "
-    "(reconstruction-specific validation of the simulator).",
-    "E12": "Crashed replicas rejoin via checkpoint-anchored state transfer "
-    "without re-executing history; catchup cost is a large-message "
-    "transfer, never a safety risk (reconstruction-specific extension).",
-    "E13": "A fixed Δ is an unverified assumption: when the cloud drifts "
-    "past it, synchronous protocols commit with a broken safety argument "
-    "and no indication.  The synchrony guard detects the drift, degrades "
-    "honestly (at-risk flags), re-certifies Δ with f+1 signatures, and "
-    "recovers (reconstruction-specific extension).",
-}
+
+def _columns(rows: List[Dict[str, object]]) -> List[str]:
+    """Every column any row has, in order of first appearance: a variant
+    row (``pipeline_depth``, ``variant``) keeps its label in the table."""
+    return list(dict.fromkeys(key for row in rows for key in row))
 
 
 def run_suite(fast: bool = True, ids: Tuple[str, ...] = ()) -> List[ExperimentOutput]:
     """Run the suite (optionally a subset) and return the outputs."""
     outputs = []
-    for exp_id, fn in EXPERIMENTS:
+    for exp_id, module in EXPERIMENTS:
         if ids and exp_id not in ids:
             continue
         started = time.time()
-        output = fn(fast)
+        output = module.run(fast)
         print(f"\n=== {output.experiment_id}: {output.title} "
               f"({time.time() - started:.1f}s) ===")
-        print(format_table(output.rows))
+        print(format_table(output.rows, _columns(output.rows)))
         print(f"headline: {output.headline}")
+        for claim in output.claims:
+            print("\n".join(_claim_lines(claim, output)[2:]))
         outputs.append(output)
     return outputs
+
+
+def _claim_lines(claim: Claim, output: ExperimentOutput) -> List[str]:
+    """A claim as EXPERIMENTS.md shows it: the paper's sentence, the
+    verdict its checks read, and each number with its bound."""
+    read = [(check, *check.read_on(output)) for check in claim.checks]
+    verdict = verdict_of([met for _, _, met in read])
+    if verdict != claim.verdict:
+        verdict += f" (declared: {claim.verdict})"
+    lines = [f"**Paper:** {claim.paper}", "", f"**Measured: {verdict}.** {claim.reading}".rstrip()]
+    for check, value, met in read:
+        outcome = "holds" if met else "misses"
+        if met == check.misses:
+            outcome += f" (declared to {'miss' if check.misses else 'hold'})"
+        lines.append(f"- {check.what}: {number(value)} ({check.bound_text()}) — {outcome}")
+    return lines
 
 
 def render_experiments_md(outputs: List[ExperimentOutput], fast: bool) -> str:
@@ -97,17 +90,14 @@ def render_experiments_md(outputs: List[ExperimentOutput], fast: bool) -> str:
     lines = [
         "# EXPERIMENTS — paper vs measured",
         "",
-        "Regenerated by `python -m repro.bench --write-md` "
-        f"(mode: {mode}).  Absolute numbers come from the calibrated",
-        "simulator (see DESIGN.md substitutions); the *shape* of each",
-        "result is what reproduces the paper.",
-        "",
-        "Regeneration time: the hot-path overhaul (DESIGN.md →",
-        "Performance) cut seeded-run wall clock 2.1–4.3× at identical",
-        "trace fingerprints (E3 points: rate 2000 f=1 1.98 s → 0.90 s,",
-        "rate 8000 f=1 1.89 s → 0.92 s, rate 2000 f=3 8.71 s → 2.05 s).",
-        "`python -m repro.perf --compare BENCH_perf.json` guards against",
-        "regressions.",
+        f"Regenerated by `python -m repro.bench --write-md EXPERIMENTS.md` (mode: {mode});",
+        "a slow-tier test (`tests/test_bench_suite.py`) requires the committed",
+        "file to be exactly what that command writes.  Absolute numbers come",
+        "from the calibrated simulator (see DESIGN.md substitutions); the",
+        "*shape* of each result is what reproduces the paper.  Each claim is",
+        "declared once, in its experiment's module (`repro/bench/e*.py`), with",
+        "the checks that read it and the verdict they are declared to give;",
+        "the command exits 1 when a declared verdict does not hold.",
         "",
         "Phase breakdowns: any latency row here can be decomposed into",
         "per-phase times (header / payload / vote / certify / 2d_wait)",
@@ -120,18 +110,14 @@ def render_experiments_md(outputs: List[ExperimentOutput], fast: bool) -> str:
         "",
     ]
     for output in outputs:
-        lines.append(f"## {output.experiment_id} — {output.title}")
-        lines.append("")
-        lines.append(f"**Paper:** {PAPER_EXPECTATIONS.get(output.experiment_id, '—')}")
-        lines.append("")
-        lines.append(f"**Measured:** {output.notes}")
-        lines.append("")
+        lines += [f"## {output.experiment_id} — {output.title}", ""]
+        for claim in output.claims:
+            lines += _claim_lines(claim, output) + [""]
         if output.headline:
             lines.append(
                 "Headline: "
                 + ", ".join(f"{k} = {v}" for k, v in output.headline.items())
             )
             lines.append("")
-        lines.append(markdown_table(output.rows))
-        lines.append("")
+        lines += [markdown_table(output.rows, _columns(output.rows)), ""]
     return "\n".join(lines)

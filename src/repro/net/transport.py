@@ -460,10 +460,13 @@ def local_peer_map(n: int, base_port: int = 39000, host: str = "127.0.0.1") -> D
     return {i: (host, base_port + i) for i in range(n)}
 
 
-async def submit_transaction(peer: Tuple[str, int], tx: object) -> None:
-    """Open a short-lived client connection and submit one transaction."""
-    reader, writer = await asyncio.open_connection(*peer)
+async def submit_transaction(peer: Tuple[str, int], *txs: object) -> None:
+    """Submit transactions over one short-lived client connection, closed
+    before this returns: one connection per call, however many it carries."""
+    _, writer = await asyncio.open_connection(*peer)
     writer.write(encode_frame(("hello", -1)))  # -1: a client, not a replica
-    writer.write(encode_frame(("client-tx", tx)))
+    for tx in txs:
+        writer.write(encode_frame(("client-tx", tx)))
     await writer.drain()
     writer.close()
+    await writer.wait_closed()

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run`` — one simulated experiment with explicit parameters.
 * ``suite`` — the paper's experiment suite (delegates to
-  :mod:`repro.bench`).
+  ``python -m repro.bench``).
 * ``probe`` — the cloud delay characterization, printed as a table.
 * ``check`` — the verification sweep (delegates to :mod:`repro.check`).
 
@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 from typing import List, Optional, Tuple
 
 from ..bench.common import make_config
-from ..bench.suite import render_experiments_md, run_suite
 from ..config import ExperimentConfig, NetworkConfig
 from ..errors import ConfigError
 from ..measure.probe import DEFAULT_PROBE_SIZES, sample_delay_model
@@ -140,19 +140,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.safety_ok else 1
 
 
-def _cmd_suite(args: argparse.Namespace) -> int:
-    ids = tuple(x.strip() for x in args.only.split(",") if x.strip())
-    outputs = run_suite(fast=not args.full, ids=ids)
-    if args.write_md:
-        import pathlib
-
-        pathlib.Path(args.write_md).write_text(
-            render_experiments_md(outputs, fast=not args.full), encoding="utf-8"
-        )
-        print(f"wrote {args.write_md}")
-    return 0
-
-
 def _cmd_probe(args: argparse.Namespace) -> int:
     model = HybridCloudDelayModel(NetworkConfig())
     samples = sample_delay_model(
@@ -168,10 +155,16 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    from ..check import main as check_main
+#: Subcommands that are another module's whole command line: name →
+#: (the module whose ``main(argv)`` runs it, help).
+_DELEGATED = {
+    "suite": ("repro.bench.__main__", "the paper's experiment suite (python -m repro.bench)"),
+    "check": ("repro.check", "invariant sweep over seeded fault/adversary scenarios"),
+}
 
-    return check_main(args.check_args)
+
+def _delegate(command: str, argv: List[str]) -> int:
+    return importlib.import_module(_DELEGATED[command][0]).main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -191,34 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.set_defaults(func=_cmd_run)
 
-    suite_p = sub.add_parser("suite", help="run the paper's experiment suite")
-    suite_p.add_argument("--full", action="store_true")
-    suite_p.add_argument("--only", default="")
-    suite_p.add_argument("--write-md", default="")
-    suite_p.set_defaults(func=_cmd_suite)
-
     probe_p = sub.add_parser("probe", help="delay characterization table")
     probe_p.add_argument("--samples", type=int, default=5000)
     probe_p.set_defaults(func=_cmd_probe)
 
-    check_p = sub.add_parser(
-        "check",
-        help="invariant sweep over seeded fault/adversary scenarios",
-        add_help=False,
-    )
-    check_p.add_argument("check_args", nargs=argparse.REMAINDER)
-    check_p.set_defaults(func=_cmd_check)
+    for command, (_, help_text) in _DELEGATED.items():
+        delegated = sub.add_parser(command, help=help_text, add_help=False)
+        delegated.add_argument("args", nargs=argparse.REMAINDER)
+        delegated.set_defaults(func=lambda args, command=command: _delegate(command, args.args))
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse's REMAINDER refuses leading options (e.g. `check --smoke`),
-    # so the check subcommand is dispatched before the main parser runs.
-    if argv and argv[0] == "check":
-        from ..check import main as check_main
-
-        return check_main(argv[1:])
+    # so a delegated subcommand is dispatched before the main parser runs.
+    if argv and argv[0] in _DELEGATED:
+        return _delegate(argv[0], argv[1:])
     return dispatch(build_parser().parse_args(argv))
 
 

@@ -411,6 +411,35 @@ class TestReaderTasks:
 
         asyncio.run(run())
 
+    def test_one_call_is_one_connection(self):
+        """``submit_transaction(peer, *txs)`` sends every transaction it is
+        given over one connection: each call ends exactly one of the
+        node's connections, whether it carries 1 transaction or 16."""
+
+        async def run():
+            peers = free_peer_map(3)
+            replica = make_replica(2)  # not the first leader: nothing leaves the pool
+            node = AsyncReplicaNode(replica, peers)
+            await node.start()
+            submitted = 0
+            try:
+                for count in (1, 4, 16):
+                    closed = node._closed
+                    txs = [make_transaction(7, submitted + i, 0.0, 16) for i in range(count)]
+                    submitted += count
+                    await submit_transaction(peers[2], *txs)
+                    for _ in range(500):
+                        if node._closed > closed and len(replica.mempool) == submitted:
+                            break
+                        await asyncio.sleep(0.01)
+                    await asyncio.sleep(0.05)
+                    assert node._closed == closed + 1
+                    assert len(replica.mempool) == submitted
+            finally:
+                await node.stop()
+
+        asyncio.run(run())
+
 
 def _on_both_links(cases):
     """Each case as sent on a peer's link (hello 1, its id as it was) and on
