@@ -10,6 +10,7 @@ votes + n payload fan-out).
 from __future__ import annotations
 
 from ..runner.experiment import run_experiment
+from ..runner.metrics import ms_cell
 from .claims import (
     COMPARABLE,
     COMPARABLE_X,
@@ -62,8 +63,8 @@ def run(fast: bool = True) -> ExperimentOutput:
             **ANALYTIC[protocol],
             "n_at_f1": result.n,
             "tput_tps": round(result.throughput_tps, 1),
-            "lat_p50_ms": round(result.latency.p50 * 1e3, 2),
-            "lat_p99_ms": round(result.latency.p99 * 1e3, 2),
+            "lat_p50_ms": ms_cell(result.latency, "p50"),
+            "lat_p99_ms": ms_cell(result.latency, "p99"),
             "msgs_per_block": round(totals["msgs"] / blocks, 1),
             "kb_per_block": round(totals["bytes"] / blocks / 1024, 1),
             "safety_ok": result.safety_ok,

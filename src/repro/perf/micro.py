@@ -22,8 +22,9 @@ from ..crypto.signatures import HashSignatureScheme, KeyRegistry
 from ..mempool.mempool import Mempool
 from ..net.delay import HybridCloudDelayModel
 from ..net.simnet import SimNetwork
-from ..net.transport import CLIENT_TX, FrameReader, encode_frame, read_frame
-from ..config import NetworkConfig
+from ..net.transport import CLIENT_TX, READ_CHUNK, AsyncReplicaNode, InboundConnection, encode_frame
+from ..config import NetworkConfig, ProtocolConfig
+from ..core.protocol import AlterBFTReplica
 from ..sim.rng import RngFactory
 from ..sim.scheduler import Scheduler
 from ..types.block import make_block, BlockPayload, genesis_block
@@ -325,46 +326,43 @@ INGEST_TXS = 5 * BULK_PAYLOAD_TXS
 
 
 def bench_transport(reps: int) -> List[BenchResult]:
-    """A client connection's receive loop, without the socket.
+    """A client connection's receive path, without the socket.
 
-    Pre-framed ``("client-tx", tx)`` frames sit in an in-memory
-    ``StreamReader``; each goes ``FrameReader`` → ``read_frame(frames,
-    CLIENT_TX)`` → ``Mempool.add``, as on a client connection in
-    ``AsyncReplicaNode._on_connection``.
+    A hello and pre-framed ``("client-tx", tx)`` frames go to a node's
+    ``InboundConnection`` in ``READ_CHUNK``-sized reads, as a socket
+    hands them over: each read is cut into frames, decoded as
+    ``CLIENT_TX`` and added to the replica's mempool, as on a node.
     """
-    stream = b"".join(
+    stream = encode_frame(("hello", -1)) + b"".join(
         encode_frame(("client-tx", tx)) for tx in _make_transactions(INGEST_TXS, BULK_TX_BYTES)
     )
+    reads = [stream[i : i + READ_CHUNK] for i in range(0, len(stream), READ_CHUNK)]
+    signers = build_cluster_keys("hashsig", 3)
+    replica = AlterBFTReplica(0, ValidatorSet.synchronous(3, 1), ProtocolConfig(n=3, f=1), signers[0])
+    node = AsyncReplicaNode(replica, {i: ("127.0.0.1", 0) for i in range(3)})
 
-    async def ingest() -> None:
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
-        frames = FrameReader(reader)
-        pool = Mempool()
-        try:
-            while True:
-                pool.add((await read_frame(frames, CLIENT_TX))[1])
-        except asyncio.IncompleteReadError:
-            pass
-        if len(pool) != INGEST_TXS:
-            raise RuntimeError(f"pooled {len(pool)} of {INGEST_TXS} transactions")
+    def ingest() -> None:
+        replica.mempool = Mempool()
+        connection = InboundConnection(node)
+        # No socket behind it: a bad frame's close() would raise here.
+        connection.connection_made(asyncio.Transport())
+        for data in reads:
+            connection.data_received(data)
+        if len(replica.mempool) != INGEST_TXS:
+            raise RuntimeError(f"pooled {len(replica.mempool)} of {INGEST_TXS} transactions")
 
-    loop = asyncio.new_event_loop()
-    try:
-        return [
-            measure(
-                "transport.ingest_client_tx",
-                lambda: loop.run_until_complete(ingest()),
-                reps,
-                1,
-                scale=INGEST_TXS,
-                unit="s/tx",
-                meta={"txs": INGEST_TXS, "tx_bytes": BULK_TX_BYTES, "stream_bytes": len(stream)},
-            )
-        ]
-    finally:
-        loop.close()
+    return [
+        measure(
+            "transport.ingest_client_tx",
+            ingest,
+            reps,
+            1,
+            scale=INGEST_TXS,
+            unit="s/tx",
+            meta={"txs": INGEST_TXS, "tx_bytes": BULK_TX_BYTES, "stream_bytes": len(stream),
+                  "read_bytes": READ_CHUNK},
+        )
+    ]
 
 
 def run_micro(fast: bool) -> List[BenchResult]:

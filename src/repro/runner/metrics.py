@@ -118,6 +118,13 @@ class MetricsCollector:
         return max(gaps)
 
 
+def ms_cell(summary: LatencySummary, stat: str) -> Optional[float]:
+    """One statistic of ``summary`` in ms, rounded for a report cell; None
+    (a report table prints —) when the sample is empty, so that no sample
+    does not read as 0 ms."""
+    return round(getattr(summary, stat) * 1e3, 2) if summary.count else None
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     """Everything one simulated run reports."""
@@ -150,10 +157,10 @@ class ExperimentResult:
             "n": self.n,
             "f": self.f,
             "tput_tps": round(self.throughput_tps, 1),
-            "lat_p50_ms": round(self.latency.p50 * 1e3, 2),
-            "lat_mean_ms": round(self.latency.mean * 1e3, 2),
-            "lat_p99_ms": round(self.latency.p99 * 1e3, 2),
-            "blk_lat_p50_ms": round(self.block_latency.p50 * 1e3, 2),
+            "lat_p50_ms": ms_cell(self.latency, "p50"),
+            "lat_mean_ms": ms_cell(self.latency, "mean"),
+            "lat_p99_ms": ms_cell(self.latency, "p99"),
+            "blk_lat_p50_ms": ms_cell(self.block_latency, "p50"),
             "commits": self.committed_txs,
             "epoch_changes": self.epoch_changes,
             "safety_ok": self.safety_ok,

@@ -6,17 +6,23 @@ deliberately dependency-free ASCII so output is diffable.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from .metrics import ExperimentResult
 
 
+def _columns(rows: Sequence[Dict[str, object]]) -> List[str]:
+    """Every column any row has, in order of first appearance: a column
+    only later rows carry (a variant's label) is not dropped."""
+    return list(dict.fromkeys(key for row in rows for key in row))
+
+
 def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = ()) -> str:
-    """Render dict rows as an aligned ASCII table."""
+    """Render dict rows as an aligned ASCII table (columns: see :func:`_columns`)."""
     if not rows:
         return "(no rows)"
     if not columns:
-        columns = list(rows[0].keys())
+        columns = _columns(rows)
     cells = [[_fmt(row.get(col, "")) for col in columns] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in cells)) for i, col in enumerate(columns)
@@ -31,6 +37,8 @@ def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = ())
 
 
 def _fmt(value: object) -> str:
+    if value is None:  # no sample to measure (see ``runner.metrics.ms_cell``)
+        return "—"
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
@@ -63,11 +71,12 @@ def speedup(base: float, other: float) -> float:
 
 
 def markdown_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = ()) -> str:
-    """Render dict rows as a GitHub-flavored markdown table."""
+    """Render dict rows as a GitHub-flavored markdown table (columns: see
+    :func:`_columns`)."""
     if not rows:
         return "(no rows)"
     if not columns:
-        columns = list(rows[0].keys())
+        columns = _columns(rows)
     lines = [
         "| " + " | ".join(columns) + " |",
         "|" + "|".join("---" for _ in columns) + "|",

@@ -173,6 +173,24 @@ class TestReport:
         assert text.splitlines()[0] == "| x |"
         assert "1.50" in text
 
+    def test_columns_default_to_every_rows_keys_in_first_seen_order(self):
+        rows = [{"a": 1, "b": 2}, {"a": 3, "variant": "chunked", "b": 4}]
+        for text in (format_table(rows), markdown_table(rows)):
+            header = text.splitlines()[0]
+            assert [c for c in header.replace("|", " ").split()] == ["a", "b", "variant"]
+            assert "chunked" in text
+
+    def test_an_empty_latency_sample_prints_a_dash(self):
+        from repro.measure.stats import LatencySummary
+        from repro.runner.metrics import ms_cell
+
+        empty = LatencySummary.from_samples([])
+        measured = LatencySummary.from_samples([0.0, 0.0])
+        row = {"lat_p50_ms": ms_cell(empty, "p50"), "blk_lat_p50_ms": ms_cell(measured, "p50")}
+        assert row == {"lat_p50_ms": None, "blk_lat_p50_ms": 0.0}
+        assert format_table([row]).splitlines()[2].split() == ["—", "0.00"]
+        assert markdown_table([row]).splitlines()[2] == "| — | 0.00 |"
+
     def test_speedup(self):
         assert speedup(10.0, 2.0) == 5.0
         assert speedup(10.0, 0.0) == float("inf")

@@ -18,8 +18,11 @@ from repro.crypto.keystore import build_cluster_keys
 from repro.errors import CodecError, TransportError
 from repro.net.transport import (
     MAX_FRAME,
+    READ_CHUNK,
     AsyncReplicaNode,
     FrameReader,
+    FrameSplitter,
+    InboundConnection,
     backoff_delay,
     encode_frame,
     read_frame,
@@ -242,6 +245,112 @@ class TestFrameReader:
         asyncio.run(run())
 
 
+def _framed(bodies) -> bytes:
+    return b"".join(len(body).to_bytes(4, "big") + body for body in bodies)
+
+
+def _cut(splitter: FrameSplitter, reads) -> list:
+    """Every frame ``reads`` complete, fed one read at a time."""
+    return [frame for data in reads for frame in splitter.feed(data)]
+
+
+class _Socket:
+    """What an ``InboundConnection`` asks of its transport."""
+
+    def __init__(self) -> None:
+        self.closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+    def is_closing(self) -> bool:
+        return self.closed
+
+
+class TestFrameSplitter:
+    BODIES = [b"", b"a", b"bcd", bytes(range(256)), b"e" * 1000, b"f" * 4, b"g" * 70]
+
+    def test_any_cut_yields_the_frames_of_one_read(self):
+        stream = _framed(self.BODIES)
+        assert _cut(FrameSplitter(), [stream]) == self.BODIES
+        for offset in range(len(stream) + 1):
+            assert _cut(FrameSplitter(), [stream[:offset], stream[offset:]]) == self.BODIES, offset
+        assert _cut(FrameSplitter(), [stream[i : i + 1] for i in range(len(stream))]) == self.BODIES
+        assert _cut(FrameSplitter(), [_framed([body]) for body in self.BODIES]) == self.BODIES
+        rng = random.Random(9)
+        for _ in range(200):
+            edges = [0, *sorted(rng.sample(range(1, len(stream)), rng.randrange(1, 40))), len(stream)]
+            reads = [stream[a:b] for a, b in zip(edges, edges[1:])]
+            assert _cut(FrameSplitter(), reads) == self.BODIES
+
+    def test_a_frame_over_many_reads_is_gathered_then_joined_once(self):
+        big = random.Random(10).randbytes(400 * 1024)
+        stream = _framed([b"head", big, b"tail"])
+        for size in (7, 1000, READ_CHUNK):
+            splitter = FrameSplitter()
+            frames = []
+            for i in range(0, len(stream), size):
+                data = stream[i : i + size]
+                inside = splitter.need > len(data)
+                frames += splitter.feed(data)
+                if inside:
+                    # A read inside the body is held as it came, not copied.
+                    assert splitter._parts[-1] is data
+            assert frames == [b"head", big, b"tail"] and splitter.need == 0
+
+    def test_an_oversized_length_is_refused_at_its_header(self):
+        refused = (MAX_FRAME + 1).to_bytes(4, "big")
+        splitter = FrameSplitter()
+        cut = splitter.feed(_framed([b"ok"]) + refused + b"x" * 1000)
+        assert next(cut) == b"ok", "the frames ahead of it come first"
+        with pytest.raises(TransportError):
+            next(cut)
+        assert splitter.need == 0 and splitter._parts == [], "none of the body is held"
+        # A prefix cut across reads is refused when its last byte comes.
+        splitter = FrameSplitter()
+        assert _cut(splitter, [refused[:3]]) == []
+        with pytest.raises(TransportError):
+            _cut(splitter, [refused[3:] + b"x" * 100])
+        # Exactly at the limit is a frame still to come.
+        splitter = FrameSplitter()
+        assert _cut(splitter, [MAX_FRAME.to_bytes(4, "big") + b"x"]) == []
+        assert splitter.need == MAX_FRAME - 1
+
+    def test_read_frame_and_a_connection_cut_alike(self):
+        """Both read paths feed the one splitter: ``read_frame`` over a
+        ``StreamReader`` yields, for the same bytes in the same reads, the
+        frames a node's connection hands its replica."""
+        msgs = [("status", i, b"x" * size) for i, size in enumerate((0, 5, 1000, 70_000, 3, 300_000, 9))]
+        stream = b"".join(encode_frame(msg) for msg in msgs)
+        rng = random.Random(11)
+
+        async def run():
+            node = AsyncReplicaNode(make_replica(2), free_peer_map(3))
+            node.loop = asyncio.get_running_loop()
+            for _ in range(20):
+                edges = [0, *sorted(rng.sample(range(1, len(stream)), rng.randrange(1, 30))), len(stream)]
+                reads = [stream[a:b] for a, b in zip(edges, edges[1:])]
+                reader = asyncio.StreamReader()
+                for data in reads:
+                    reader.feed_data(data)
+                reader.feed_eof()
+                frames = FrameReader(reader)
+                read = []
+                with pytest.raises(asyncio.IncompleteReadError):
+                    while True:
+                        read.append(await read_frame(frames))
+                handled = []
+                node.replica.handle = lambda src, msg: handled.append(msg)
+                connection = InboundConnection(node)
+                connection.connection_made(_Socket())
+                for data in [encode_frame(("hello", 1)), *reads]:
+                    connection.data_received(data)
+                await asyncio.sleep(0)
+                assert read == handled == msgs
+
+        asyncio.run(run())
+
+
 class TestBackoff:
     def test_deterministic_given_rng(self):
         assert backoff_delay(3, rng=random.Random(42)) == backoff_delay(
@@ -382,8 +491,9 @@ class TestOutboundQueue:
 
 class TestReaderTasks:
     def test_only_open_connections_are_held(self):
-        """``submit_transaction`` opens a connection per transaction: a
-        replica fed by it must not keep a finished task for each."""
+        """``submit_transaction`` opens a connection per call: a node fed by
+        it holds only the connections still open, and ``stop()`` closes one
+        that is."""
 
         async def run():
             peers = free_peer_map(3)
@@ -397,16 +507,16 @@ class TestReaderTasks:
                 open_writer.write(encode_frame(("hello", 0)))
                 for _ in range(500):
                     await asyncio.sleep(0.01)
-                    if len(replica.mempool) == 200 and len(node._reader_tasks) == 1:
+                    if len(replica.mempool) == 200 and len(node._inbound) == 1:
                         break
                 assert len(replica.mempool) == 200
-                (live,) = node._reader_tasks
-                assert not live.done()
+                (live,) = node._inbound
+                assert not live._transport.is_closing()
             finally:
                 await node.stop()
+            assert live._transport.is_closing(), "stop() closes a connection that is still open"
             await asyncio.sleep(0.05)
-            assert live.done(), "stop() cancels a connection that is still open"
-            assert node._reader_tasks == set()
+            assert node._inbound == set()
             open_writer.close()
 
         asyncio.run(run())
@@ -435,6 +545,236 @@ class TestReaderTasks:
                     await asyncio.sleep(0.05)
                     assert node._closed == closed + 1
                     assert len(replica.mempool) == submitted
+            finally:
+                await node.stop()
+
+        asyncio.run(run())
+
+
+class TestInboundConnection:
+    def test_peer_frames_are_handled_one_turn_after_their_read(self):
+        """A read's transactions are pooled inside it; its consensus frames
+        reach the replica on the loop's next turn, in order, all of them
+        after every transaction of that read."""
+
+        async def run():
+            node = AsyncReplicaNode(make_replica(2), free_peer_map(3))
+            node.loop = asyncio.get_running_loop()
+            pool = node.replica.mempool
+            handled = []
+            node.replica.handle = lambda src, msg: handled.append((src, msg, len(pool)))
+            connection = InboundConnection(node)
+            connection.connection_made(_Socket())
+            connection.data_received(
+                encode_frame(("hello", 1))
+                + encode_frame(("status", 1))
+                + encode_frame(("client-tx", make_transaction(7, 0, 0.0, 32)))
+                + encode_frame(("status", 2))
+            )
+            connection.data_received(encode_frame(("client-tx", make_transaction(7, 1, 0.0, 32))))
+            assert handled == [] and len(pool) == 2
+            await asyncio.sleep(0)
+            assert handled == [(1, ("status", 1), 2), (1, ("status", 2), 2)]
+
+        asyncio.run(run())
+
+    def test_a_bad_frame_closes_the_link_after_the_frames_ahead_of_it(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        async def run():
+            registry = MetricsRegistry()
+            node = AsyncReplicaNode(make_replica(2), free_peer_map(3), metrics=registry)
+            node.loop = asyncio.get_running_loop()
+            handled = []
+            node.replica.handle = lambda src, msg: handled.append(msg)
+            socket_ = _Socket()
+            connection = InboundConnection(node)
+            connection.connection_made(socket_)
+            connection.data_received(
+                encode_frame(("hello", 1))
+                + encode_frame(("status", 1))
+                + (MAX_FRAME + 1).to_bytes(4, "big")
+                + b"x" * 100
+            )
+            assert socket_.closed
+            assert registry.counter("transport/bad_frames_total").value == 1
+            await asyncio.sleep(0)
+            assert handled == [("status", 1)]
+
+        asyncio.run(run())
+
+    def test_the_ingest_micro_bench_feeds_a_nodes_connection_socket_sized_reads(self, monkeypatch):
+        from repro.perf import micro
+
+        reads = []
+        data_received = InboundConnection.data_received
+
+        def recording(self, data):
+            reads.append(len(data))
+            data_received(self, data)
+
+        monkeypatch.setattr(InboundConnection, "data_received", recording)
+        (result,) = micro.bench_transport(reps=1)
+        assert result.name == "transport.ingest_client_tx"
+        assert reads and max(reads) == READ_CHUNK
+        assert sum(reads) % result.meta["stream_bytes"] == 0
+
+    def test_stop_leaves_no_open_connection_and_no_pending_handling(self):
+        async def run():
+            peers = free_peer_map(3)
+            node = AsyncReplicaNode(make_replica(2), peers)
+            await node.start()
+            handled = []
+            node.replica.handle = lambda src, msg: handled.append(msg)
+            _, writer = await asyncio.open_connection(*peers[2])
+            writer.write(encode_frame(("hello", 1)))
+            for _ in range(200):
+                await asyncio.sleep(0.01)
+                if node._inbound and next(iter(node._inbound))._src == 1:
+                    break
+            (connection,) = node._inbound
+            # A read whose frame waits for the next turn when stop() comes.
+            connection.data_received(encode_frame(("status", 1)))
+            await node.stop()
+            assert connection._transport.is_closing()
+            await asyncio.sleep(0.05)
+            assert handled == [] and node._inbound == set()
+            writer.close()
+
+        asyncio.run(run())
+
+
+class TestProposalOrder:
+    @pytest.mark.parametrize("vote_first", [True, False], ids=["vote-read-first", "tx-read-first"])
+    def test_a_transaction_read_with_the_completing_vote_is_in_the_next_proposal(self, vote_first):
+        """The leader holds a transaction and its own vote on block 1.  A
+        peer's vote that completes block 1's certificate and a client's
+        transaction are read in one turn of the loop: the proposal that
+        certificate triggers carries the transaction, whichever read comes
+        first."""
+        from repro.types.certificates import Vote
+        from repro.types.messages import VoteMsg
+
+        async def run():
+            peers = free_peer_map(3)
+            replica = make_replica(1)  # the first leader
+            node = AsyncReplicaNode(replica, peers)
+            await node.start()
+            batches = []
+            try:
+                for _ in range(200):
+                    await asyncio.sleep(0.01)
+                    if replica._inflight:
+                        break
+                ((height, block_hash),) = replica._inflight
+                await asyncio.sleep(0.05)  # its own vote comes back over the loopback
+                replica.mempool.add(make_transaction(7, 0, 0.0, 32))
+                take_batch = replica.mempool.take_batch
+
+                def recording(*args, **kwargs):
+                    batches.append(take_batch(*args, **kwargs))
+                    return batches[-1]
+
+                replica.mempool.take_batch = recording
+                _, peer = await asyncio.open_connection(*peers[1])
+                _, client = await asyncio.open_connection(*peers[1])
+                peer.write(encode_frame(("hello", 2)))
+                client.write(encode_frame(("hello", -1)))
+                await asyncio.sleep(0.05)
+                vote = Vote.create(
+                    build_cluster_keys("hashsig", 3)[2], "alterbft", replica.epoch, height, block_hash
+                )
+                writes = [
+                    (peer, encode_frame(VoteMsg(vote=vote))),
+                    (client, encode_frame(("client-tx", make_transaction(8, 0, 0.0, 32)))),
+                ]
+                # Both written in one step: both are readable when the loop
+                # next polls, and are read in the order written.
+                for writer, frame in writes if vote_first else writes[::-1]:
+                    writer.write(frame)
+                for _ in range(200):
+                    await asyncio.sleep(0.01)
+                    if batches:
+                        break
+                peer.close()
+                client.close()
+            finally:
+                await node.stop()
+            return sorted((tx.client_id, tx.seq) for tx in batches[0])
+
+        assert asyncio.run(run()) == [(7, 0), (8, 0)]
+
+
+class TestUnsendable:
+    def test_send_drops_and_counts_what_no_frame_carries(self, monkeypatch):
+        import repro.net.transport as transport
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.wire import WireAccountant
+
+        async def run():
+            registry = MetricsRegistry()
+            wire = WireAccountant(small_threshold=4096)
+            node = AsyncReplicaNode(make_replica(0), free_peer_map(2), metrics=registry, wire=wire)
+            node.loop = asyncio.get_running_loop()
+            monkeypatch.setattr(transport, "MAX_FRAME", 64)
+            node.send(1, ("big", b"x" * 100))
+            node.send(1, ("unencodable", object()))
+            assert registry.counter("transport/unsendable_total").value == 2
+            assert wire.msgs_total == 0 and 1 not in node._outbound
+            node.send(1, ("small", 1))
+            assert wire.msgs_total == 1 and len(node._outbound[1]) == 1
+            await node.stop()
+
+        asyncio.run(run())
+
+    def test_an_answer_too_big_to_frame_costs_the_requester_nothing(self, monkeypatch):
+        """A request whose answer no frame can carry: the answer is dropped
+        and counted, the requester's link stays open, and its next small
+        frame is still handled."""
+        import repro.net.transport as transport
+        from repro.obs.metrics import MetricsRegistry
+        from repro.types.messages import PayloadRequestMsg
+
+        monkeypatch.setattr(transport, "MAX_FRAME", 2048)
+
+        async def run():
+            peers = free_peer_map(3)
+            registry = MetricsRegistry()
+            replica = make_replica(1)  # the first leader: proposes at start
+            for seq in range(4):
+                replica.mempool.add(make_transaction(7, seq, 0.0, 1024))
+            node = AsyncReplicaNode(replica, peers, metrics=registry)
+            await node.start()
+            handled = []
+            handle = replica.handle
+
+            def recording(src, msg):
+                handled.append(type(msg).__name__)
+                handle(src, msg)
+
+            replica.handle = recording
+            unsendable = registry.counter("transport/unsendable_total")
+            try:
+                ((height, block_hash),) = replica._inflight
+                await asyncio.sleep(0.05)
+                before = unsendable.value  # the proposal's own payload broadcast
+                _, peer = await asyncio.open_connection(*peers[1])
+                peer.write(encode_frame(("hello", 2)))
+                peer.write(encode_frame(PayloadRequestMsg(block_hash=block_hash, height=height)))
+                for _ in range(200):
+                    await asyncio.sleep(0.01)
+                    if unsendable.value > before:
+                        break
+                assert unsendable.value == before + 1
+                peer.write(encode_frame(PayloadRequestMsg(block_hash=b"\x02" * 32, height=9)))
+                for _ in range(200):
+                    await asyncio.sleep(0.01)
+                    if handled.count("PayloadRequestMsg") == 2:
+                        break
+                assert handled.count("PayloadRequestMsg") == 2
+                assert len(node._inbound) == 1 and not peer.is_closing()
+                assert registry.counter("transport/bad_frames_total").value == 0
+                peer.close()
             finally:
                 await node.stop()
 
